@@ -6,8 +6,7 @@ Subcommands: ``check``, ``sweep``, ``refute``, ``concavity``, ``axioms``,
 Exit codes: 0 when every finding passes, 1 on a violated or inconsistent
 finding (so CI can gate on it), 2 on usage errors.  Reports carry
 ``"schema": 1`` and contain no timestamps, so a fixed seed reproduces a
-byte-identical report.  ``KEDLAYA_THREADS`` caps sweep parallelism;
-per-trial seeds make the result independent of scheduling.
+byte-identical report.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -98,15 +95,8 @@ def _sweep_trial(mean, n, seed, trial, tol, expect, max_den):
 
 def _cmd_sweep(args) -> int:
     mean = mn.mean_from_id(args.mean)
-    threads = int(os.environ.get("KEDLAYA_THREADS", "1"))
-    trials = range(args.trials)
-    run = lambda t: _sweep_trial(mean, args.n, args.seed, t, args.tol,
-                                 args.expect, args.max_den)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, trials))
-    else:
-        rows = [run(t) for t in trials]
+    rows = [_sweep_trial(mean, args.n, args.seed, t, args.tol, args.expect,
+                         args.max_den) for t in range(args.trials)]
     counts: dict = {}
     for row in rows:
         counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
@@ -206,8 +196,8 @@ def _cmd_proof_fn(args) -> int:
     x = _parse_floats(args.x)
     w = weights_from_strings(args.w.split(","), cls="W0", exact=True)
     f = stepfn.build_proof_function(x, w, args.j)
-    ok = stepfn.verify_proof_construction(mean, x, w, args.j, tol=args.tol)
     jf = stepfn.jensen_fubini_sides(mean, f)
+    ok = stepfn._matches_step(mean, x, w, args.j, jf, args.tol)
     doc = {"schema": SCHEMA, "command": "proof-fn", "mean": str(mean),
            "j": args.j, "match": ok,
            "swap_sides": {"lhs": jf[0], "rhs": jf[1]},

@@ -164,6 +164,26 @@ def _eval_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 # The sampler
 # ---------------------------------------------------------------------------
 
+def _verdict(worst_concave: float, wit_concave, worst_convex: float,
+             wit_convex, tol: float, trials: int) -> ConcavityVerdict:
+    """Verdict and witness from the worst breach of each side."""
+    broke_concave = worst_concave > tol
+    broke_convex = worst_convex > tol
+    if broke_concave and broke_convex:
+        verdict = NEITHER
+    elif broke_concave:
+        verdict = CONVEX
+    elif broke_convex:
+        verdict = CONCAVE
+    else:
+        verdict = INCONCLUSIVE
+    witness = None
+    if verdict != INCONCLUSIVE:
+        witness = wit_concave if worst_concave >= worst_convex else wit_convex
+    return ConcavityVerdict(verdict, max(worst_concave, worst_convex), witness,
+                            trials)
+
+
 def sample_jensen_concavity(mean: MeanHandle, n: int, trials: int,
                             tol: float = 1e-9, seed: int = 0) -> ConcavityVerdict:
     """Randomized midpoint test of Jensen concavity/convexity.
@@ -200,21 +220,8 @@ def sample_jensen_concavity(mean: MeanHandle, n: int, trials: int,
             wit_convex = (tuple(x[i_max]), tuple(y[i_max]), tuple(w[i_max]))
         done += size
         chunk_index += 1
-    broke_concave = worst_concave > tol
-    broke_convex = worst_convex > tol
-    if broke_concave and broke_convex:
-        verdict = NEITHER
-    elif broke_concave:
-        verdict = CONVEX
-    elif broke_convex:
-        verdict = CONCAVE
-    else:
-        verdict = INCONCLUSIVE
-    worst = max(worst_concave, worst_convex)
-    witness = None
-    if verdict != INCONCLUSIVE:
-        witness = wit_concave if worst_concave >= worst_convex else wit_convex
-    return ConcavityVerdict(verdict, worst, witness, trials)
+    return _verdict(worst_concave, wit_concave, worst_convex, wit_convex,
+                    tol, trials)
 
 
 def sample_midpoint_concavity(fn: Callable[[float, float], float],
@@ -251,21 +258,8 @@ def sample_midpoint_concavity(fn: Callable[[float, float], float],
                 wit_convex = (tuple(u[i]), tuple(v[i]), None)
         done += size
         chunk_index += 1
-    broke_concave = worst_concave > tol
-    broke_convex = worst_convex > tol
-    if broke_concave and broke_convex:
-        verdict = NEITHER
-    elif broke_concave:
-        verdict = CONVEX
-    elif broke_convex:
-        verdict = CONCAVE
-    else:
-        verdict = INCONCLUSIVE
-    worst = max(worst_concave, worst_convex)
-    witness = None
-    if verdict != INCONCLUSIVE:
-        witness = wit_concave if worst_concave >= worst_convex else wit_convex
-    return ConcavityVerdict(verdict, worst, witness, trials)
+    return _verdict(worst_concave, wit_concave, worst_convex, wit_convex,
+                    tol, trials)
 
 
 # ---------------------------------------------------------------------------

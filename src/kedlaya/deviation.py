@@ -20,7 +20,7 @@ the solver so they can cross-check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .domain import Interval, POSITIVE, chebyshev_points, sampling_window
@@ -89,7 +89,6 @@ class GeneratorSpec:
     f_second: Optional[Callable[[float], float]] = None
     domain: Interval = POSITIVE
     label: str = "custom"
-    vectorized: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         lo, hi, _ = sampling_window(self.domain)
@@ -108,8 +107,7 @@ class GeneratorSpec:
 
 def log_generator() -> GeneratorSpec:
     return GeneratorSpec(math.log, math.exp, lambda x: 1.0 / x,
-                         lambda x: -1.0 / (x * x), POSITIVE, "log",
-                         vectorized=False)
+                         lambda x: -1.0 / (x * x), POSITIVE, "log")
 
 
 def power_generator(p: float) -> GeneratorSpec:

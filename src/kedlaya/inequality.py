@@ -28,7 +28,6 @@ from .errors import (
     LengthMismatch,
     NonpositiveWeight,
     WeightsInV,
-    ZeroScale,
 )
 from .means import MeanHandle, evaluate
 from .weights import WeightVector, as_weight_vector, is_in_V
@@ -85,19 +84,29 @@ def partial_arithmetic_means(x: Sequence[float], w) -> list:
     return out
 
 
+def _prefix_scans(mean: MeanHandle, x: Sequence[float], wv: WeightVector) -> tuple:
+    """Prefix M-means ``A_k = M(x_1..x_k)`` and ``B_k = M(m_1..m_k)`` over
+    the prefix arithmetic means ``m``, for ``k = 1..n``: one evaluation
+    each.  Both sides and every step gap are read off these two scans."""
+    wf = wv.as_floats()
+    m = partial_arithmetic_means(x, wv)
+    a = [evaluate(mean, x[: k + 1], wf[: k + 1]) for k in range(len(x))]
+    b = [evaluate(mean, m[: k + 1], wf[: k + 1]) for k in range(len(x))]
+    return a, b
+
+
+def _sides(wf: tuple, a: list, b: list) -> tuple:
+    """``lhs`` is the weighted mean of the ``A_k``; ``rhs`` is ``B_n``."""
+    return math.fsum(wi * ak for wi, ak in zip(wf, a)) / math.fsum(wf), b[-1]
+
+
 def kedlaya_sides(mean: MeanHandle, x: Sequence[float], w) -> tuple:
     """``(lhs, rhs)``: arithmetic mean of prefix M-means vs M-mean of
     prefix arithmetic means, both weighted by ``w``."""
     wv = as_weight_vector(w, "W0")
     if len(x) != len(wv):
         raise LengthMismatch(f"{len(x)} entries vs {len(wv)} weights")
-    wf = wv.as_floats()
-    n = len(x)
-    prefix_means = [evaluate(mean, x[: k + 1], wf[: k + 1]) for k in range(n)]
-    lhs = math.fsum(wi * mk for wi, mk in zip(wf, prefix_means)) / math.fsum(wf)
-    m = partial_arithmetic_means(x, wv)
-    rhs = evaluate(mean, m, wf)
-    return lhs, rhs
+    return _sides(wv.as_floats(), *_prefix_scans(mean, x, wv))
 
 
 def step_inequality(mean: MeanHandle, x: Sequence[float], w, j: int) -> tuple:
@@ -109,6 +118,10 @@ def step_inequality(mean: MeanHandle, x: Sequence[float], w, j: int) -> tuple:
     with ``S_k`` the cumulative weight and ``m_k`` the prefix arithmetic
     means.  Summing ``rhs - lhs`` over ``j = 2..n`` telescopes to
     ``S_n * (rhs - lhs)`` of the full inequality.
+
+    This is the per-step API.  :func:`check_kedlaya` does not call it: it
+    reads every step gap off two prefix scans, and this function is the
+    test oracle for those gaps.
     """
     wv = as_weight_vector(w, "W0")
     n = len(wv)
@@ -167,13 +180,17 @@ def check_kedlaya(mean: MeanHandle, x: Sequence[float], w,
         lhs = rhs = float(xs[0])
         return KedlayaReport(1, lhs, rhs, 0.0, EQUALITY, (),
                              _echo(mean, xs, wv, tol))
-    lhs, rhs = kedlaya_sides(mean, xs, wv)
+    wf = wv.as_floats()
+    a, b = _prefix_scans(mean, xs, wv)
+    lhs, rhs = _sides(wf, a, b)
     gap = rhs - lhs
     scaled = tol * (1.0 + abs(rhs))
     steps = []
     for j in range(2, n + 1):
-        slhs, srhs = step_inequality(mean, xs, wv, j)
-        steps.append(srhs - slhs)
+        # step_inequality's operations, so the gaps equal its rhs - lhs bit for bit
+        s_prev = math.fsum(wf[: j - 1])
+        s_j = s_prev + wf[j - 1]
+        steps.append(s_j * b[j - 1] - (s_prev * b[j - 2] + wf[j - 1] * a[j - 1]))
     return KedlayaReport(n, lhs, rhs, gap, _classify(gap, scaled, expect),
                          tuple(steps), _echo(mean, xs, wv, tol))
 
@@ -328,10 +345,8 @@ def affine_conjugate(mean: MeanHandle, a: float, b: float) -> MeanHandle:
     """Mean ``a * M((x - b)/a, w) + b`` on the mapped domain.
 
     With ``a > 0`` every inequality verdict is preserved; with ``a < 0``
-    the inequality direction flips.
+    the inequality direction flips.  ``a == 0`` raises ``ZeroScale``.
     """
-    if a == 0:
-        raise ZeroScale("a must be nonzero")
     return MeanHandle.affine(mean, a, b)
 
 

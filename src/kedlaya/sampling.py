@@ -80,9 +80,3 @@ def non_v_weights(rng: np.random.Generator, n: int) -> WeightVector:
     w = make_weights(head + [tail], "W0")
     assert not is_in_V(w)
     return w
-
-
-def simplex_weights(rng: np.random.Generator, n: int) -> tuple:
-    """Positive float weights summing to one (uniform on the simplex)."""
-    e = rng.exponential(size=n)
-    return tuple(float(v) for v in e / e.sum())

@@ -429,11 +429,17 @@ def verify_proof_construction(mean: MeanHandle, x, w, j: int,
     """Check that the swap-inequality sides of the constructed function
     match the telescoping-step sides (normalized by the cumulative
     weight) within ``tol``, side by side."""
-    from .inequality import step_inequality
-
     wv = as_weight_vector(w, "W0")
     f = build_proof_function(x, wv, j)
-    jf_lhs, jf_rhs = jensen_fubini_sides(mean, f)
+    return _matches_step(mean, x, wv, j, jensen_fubini_sides(mean, f), tol)
+
+
+def _matches_step(mean: MeanHandle, x, wv, j: int, swap_sides: tuple,
+                  tol: float) -> bool:
+    """Compare already computed swap sides with the step sides."""
+    from .inequality import step_inequality
+
+    jf_lhs, jf_rhs = swap_sides
     st_lhs, st_rhs = step_inequality(mean, x, wv, j)
     s_full = float(sum(wv.entries[:j]))
     ind_lhs, ind_rhs = st_lhs / s_full, st_rhs / s_full

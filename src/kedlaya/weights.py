@@ -191,13 +191,6 @@ def clear_denominators(w: WeightVector) -> WeightVector:
     return WeightVector(tuple(v * q for v in w.entries), RATIONAL)
 
 
-def add(a: WeightVector, b: WeightVector) -> WeightVector:
-    """Entrywise sum of two weight vectors of equal length."""
-    if len(a) != len(b):
-        raise LengthMismatch("weight vectors of different lengths")
-    return make_weights([x + y for x, y in zip(a.entries, b.entries)])
-
-
 def scalar_from_string(s: str, exact: bool = True) -> Scalar:
     """Parse a decimal or ``p/q`` literal, exactly or as a float."""
     s = s.strip()

@@ -186,6 +186,31 @@ class TestProofFn:
         assert code == 0
         assert json.loads(out)["match"] is True
 
+    def test_builds_proof_function_once(self, capsys, monkeypatch):
+        from kedlaya import stepfn
+        from kedlaya.means import mean_from_id
+
+        build = stepfn.build_proof_function
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(stepfn, "build_proof_function", counting)
+        code, out, _ = run(capsys, "proof-fn", "--mean", "power:0",
+                           "--x", "1,4,2", "--w", "2,1,1", "--j", "3")
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        doc = json.loads(out)
+        mean = mean_from_id("power:0")
+        x, w = (1.0, 4.0, 2.0), (2, 1, 1)
+        assert doc["match"] == stepfn.verify_proof_construction(mean, x, w, 3)
+        lhs, rhs = stepfn.jensen_fubini_sides(
+            mean, stepfn.build_proof_function(x, w, 3))
+        assert doc["swap_sides"] == {"lhs": lhs, "rhs": rhs}
+
     def test_round_trips_into_library(self, capsys):
         from kedlaya.stepfn import function_from_json
         code, out, _ = run(capsys, "proof-fn", "--mean", "power:0",

@@ -167,6 +167,44 @@ class TestCheckKedlaya:
         assert r.step_gaps == ()
 
 
+class TestPrefixScanContract:
+    """check_kedlaya reads every step gap off two prefix scans; the
+    per-step API is the oracle and must agree exactly."""
+
+    CASES = [
+        (GEO, (1.0, 4.0, 2.0, 0.5, 7.25, 3.0), (5, 3, 3, 2, 1, 1)),
+        (CEX, (0.0, 2.0, 0.0, 5.0, 1.5), (4, 2, 1, 1, 1)),
+        (mean_from_id("homdev:shifted-power:0.5"), (1.5, 0.25, 8.0, 2.0),
+         (3, 3, 2, 1)),
+        # ratio-nonincreasing with a zero tail, trimmed to n = 3
+        (G21, (2.0, 9.0, 0.5, 4.0, 4.0), (3, 2, 1, 0, 0)),
+    ]
+
+    @pytest.mark.parametrize("mean,x,w", CASES)
+    def test_step_gaps_equal_step_inequality(self, mean, x, w):
+        r = check_kedlaya(mean, x, w)
+        assert len(r.step_gaps) == r.n - 1 >= 1
+        oracle = []
+        for j in range(2, r.n + 1):
+            lhs, rhs = step_inequality(mean, x, w, j)
+            oracle.append(rhs - lhs)
+        assert list(r.step_gaps) == oracle
+
+    @pytest.mark.parametrize("mean,x,w", CASES)
+    def test_at_most_2n_evaluations(self, monkeypatch, mean, x, w):
+        from kedlaya import inequality
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(inequality, "evaluate", counting)
+        r = check_kedlaya(mean, x, w)
+        assert len(calls) <= 2 * r.n
+
+
 class TestForwardAndReversedSweeps:
     def test_concave_families_hold_on_admissible_weights(self):
         rng = np.random.default_rng(5)
