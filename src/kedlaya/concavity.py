@@ -17,8 +17,10 @@ the exact parameter region for the two-parameter power-sum family.
 
 Draw streams are generated in fixed-size chunks keyed by
 ``(seed, chunk_index)``, so results are reproducible for a given seed
-regardless of evaluation order, and closed-form families evaluate whole
-chunks vectorized.
+regardless of evaluation order.  Both samplers run on one chunk loop.
+Each chunk of means is evaluated through
+:func:`~kedlaya.means.evaluate_rows`, which uses the family's own batch
+kernel when the handle carries one and evaluates row by row otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import numpy as np
 from . import deviation as dev
 from .domain import Interval, LINEAR, LOG, NEG_LOG, chebyshev_points, sampling_window
 from .errors import MixedSignSecondDerivative, VanishingDerivative
-from .means import MeanHandle, evaluate
+# ``evaluate`` stays a module attribute here: perfbench/tracing.py wraps it
+# in every module that binds it.
+from .means import MeanHandle, evaluate, evaluate_rows  # noqa: F401
 
 CONCAVE = "concave"
 CONVEX = "convex"
@@ -61,9 +65,8 @@ class ConcavityVerdict:
 
     def to_dict(self) -> dict:
         wit = None
-        if self.witness is not None:
-            wit = {"x": list(self.witness[0]), "y": list(self.witness[1]),
-                   "w": list(self.witness[2])}
+        if self.witness is not None:  # midpoint witnesses carry no weights
+            wit = {k: None if v is None else list(v) for k, v in zip("xyw", self.witness)}
         return {"verdict": self.verdict, "worst_violation": self.worst_violation,
                 "witness": wit, "trials": self.trials}
 
@@ -98,77 +101,33 @@ def _draw_chunk(window: tuple, n: int, seed: int, chunk_index: int,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized family evaluation (fallback: row-by-row evaluate())
-# ---------------------------------------------------------------------------
-
-def _batch_power(p: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    tw = w.sum(axis=1)
-    if p == 0.0:
-        return np.exp((w * np.log(x)).sum(axis=1) / tw)
-    c = x.max(axis=1, keepdims=True) if p > 0 else x.min(axis=1, keepdims=True)
-    s = (w * (x / c) ** p).sum(axis=1)
-    return c[:, 0] * (s / tw) ** (1.0 / p)
-
-
-def _batch_log_power_sum(p: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    if p == 0.0:
-        return np.log(w.sum(axis=1))
-    c = x.max(axis=1, keepdims=True) if p > 0 else x.min(axis=1, keepdims=True)
-    s = (w * (x / c) ** p).sum(axis=1)
-    return p * np.log(c[:, 0]) + np.log(s)
-
-
-def _batch_eval(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> Optional[np.ndarray]:
-    fam = mean.family
-    if fam == "arithmetic":
-        return (w * x).sum(axis=1) / w.sum(axis=1)
-    if fam == "min":
-        return x.min(axis=1)
-    if fam == "max":
-        return x.max(axis=1)
-    if fam == "power":
-        return _batch_power(mean.params[0], x, w)
-    if fam == "gini":
-        p, q = mean.params
-        if p == q:
-            c = x.max(axis=1, keepdims=True)
-            num = (w * (x / c) ** p * np.log(x)).sum(axis=1)
-            den = (w * (x / c) ** p).sum(axis=1)
-            return np.exp(num / den)
-        return np.exp((_batch_log_power_sum(p, x, w)
-                       - _batch_log_power_sum(q, x, w)) / (p - q))
-    if fam == "gini21":
-        den = (w * x).sum(axis=1)
-        num = (w * x * x).sum(axis=1)
-        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    if fam == "affine":
-        inner, a, b = mean.params
-        vals = _batch_eval(inner, (x - b) / a, w)
-        if vals is None:
-            return None
-        return a * vals + b
-    return None
-
-
-def _eval_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    vals = _batch_eval(mean, x, w)
-    if vals is not None:
-        return vals
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        out[i] = evaluate(mean, x[i].tolist(), w[i].tolist())
-    return out
-
-
-# ---------------------------------------------------------------------------
 # The sampler
 # ---------------------------------------------------------------------------
 
-def _verdict(worst_concave: float, wit_concave, worst_convex: float,
-             wit_convex, tol: float, trials: int) -> ConcavityVerdict:
-    """Verdict and witness from the worst breach of each side."""
-    broke_concave = worst_concave > tol
-    broke_convex = worst_convex > tol
+def _sample(chunk_gaps: Callable, trials: int, tol: float) -> ConcavityVerdict:
+    """The chunk loop shared by both samplers.
+
+    ``chunk_gaps(chunk_index, size)`` returns the midpoint gaps
+    ``mid - half`` of one chunk and a function from a row index to that
+    row's witness.  A side is refuted by a gap beyond ``tol``; the worst
+    gap of each side is kept (the first row reaching it), and NaN gaps
+    count as no breach.
+    """
+    worst_concave = worst_convex = 0.0  # breaches of the concave / convex side
+    wit_concave = wit_convex = None
+    done = chunk_index = 0
+    while done < trials:
+        size = min(_CHUNK, trials - done)
+        gap, witness_of = chunk_gaps(chunk_index, size)
+        gap = np.where(np.isnan(gap), 0.0, gap)
+        i_min, i_max = int(np.argmin(gap)), int(np.argmax(gap))
+        if -gap[i_min] > max(tol, worst_concave):
+            worst_concave, wit_concave = -float(gap[i_min]), witness_of(i_min)
+        if gap[i_max] > max(tol, worst_convex):
+            worst_convex, wit_convex = float(gap[i_max]), witness_of(i_max)
+        done += size
+        chunk_index += 1
+    broke_concave, broke_convex = worst_concave > tol, worst_convex > tol
     if broke_concave and broke_convex:
         verdict = NEITHER
     elif broke_concave:
@@ -198,30 +157,15 @@ def sample_jensen_concavity(mean: MeanHandle, n: int, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     window = sampling_window(mean.domain)
-    worst_concave = 0.0  # largest breach of the concave side (mid < half)
-    worst_convex = 0.0   # largest breach of the convex side (mid > half)
-    wit_concave = wit_convex = None
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        size = min(_CHUNK, trials - done)
+
+    def chunk_gaps(chunk_index: int, size: int):
         x, y, w = _draw_chunk(window, n, seed, chunk_index, _CHUNK)
         x, y, w = x[:size], y[:size], w[:size]
-        mid = _eval_rows(mean, 0.5 * (x + y), w)
-        half = 0.5 * (_eval_rows(mean, x, w) + _eval_rows(mean, y, w))
-        gap = mid - half
-        i_min = int(np.argmin(gap))
-        i_max = int(np.argmax(gap))
-        if -gap[i_min] > max(tol, worst_concave):
-            worst_concave = -float(gap[i_min])
-            wit_concave = (tuple(x[i_min]), tuple(y[i_min]), tuple(w[i_min]))
-        if gap[i_max] > max(tol, worst_convex):
-            worst_convex = float(gap[i_max])
-            wit_convex = (tuple(x[i_max]), tuple(y[i_max]), tuple(w[i_max]))
-        done += size
-        chunk_index += 1
-    return _verdict(worst_concave, wit_concave, worst_convex, wit_convex,
-                    tol, trials)
+        mid = evaluate_rows(mean, 0.5 * (x + y), w)
+        half = 0.5 * (evaluate_rows(mean, x, w) + evaluate_rows(mean, y, w))
+        return mid - half, lambda i: (tuple(x[i]), tuple(y[i]), tuple(w[i]))
+
+    return _sample(chunk_gaps, trials, tol)
 
 
 def sample_midpoint_concavity(fn: Callable[[float, float], float],
@@ -231,35 +175,23 @@ def sample_midpoint_concavity(fn: Callable[[float, float], float],
 
     ``window`` is ``(lo, hi)``; draws are log-uniform when the window is
     positive.  Used to probe the normalized-deviation transform from
-    :func:`estar_transform`.
+    :func:`estar_transform`.  Witnesses are ``(u, v, None)``.
     """
     lo, hi = window
-    kind = LOG if lo > 0 else LINEAR
-    win = (lo, hi, kind)
-    worst_concave = worst_convex = 0.0
-    wit_concave = wit_convex = None
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        size = min(_CHUNK, trials - done)
+    win = (lo, hi, LOG if lo > 0 else LINEAR)
+
+    def gap(u: np.ndarray, v: np.ndarray) -> float:
+        fu, fv = fn(u[0], u[1]), fn(v[0], v[1])
+        return fn(0.5 * (u[0] + v[0]), 0.5 * (u[1] + v[1])) - 0.5 * (fu + fv)
+
+    def chunk_gaps(chunk_index: int, size: int):
         rng = np.random.default_rng([seed, chunk_index])
         u = _map_window(rng.random((_CHUNK, 2)), win)[:size]
         v = _map_window(rng.random((_CHUNK, 2)), win)[:size]
-        for i in range(size):
-            a = fn(u[i, 0], u[i, 1])
-            b = fn(v[i, 0], v[i, 1])
-            m = fn(0.5 * (u[i, 0] + v[i, 0]), 0.5 * (u[i, 1] + v[i, 1]))
-            gap = m - 0.5 * (a + b)
-            if -gap > max(tol, worst_concave):
-                worst_concave = -gap
-                wit_concave = (tuple(u[i]), tuple(v[i]), None)
-            elif gap > max(tol, worst_convex):
-                worst_convex = gap
-                wit_convex = (tuple(u[i]), tuple(v[i]), None)
-        done += size
-        chunk_index += 1
-    return _verdict(worst_concave, wit_concave, worst_convex, wit_convex,
-                    tol, trials)
+        gaps = np.array([gap(ui, vi) for ui, vi in zip(u, v)], dtype=float)
+        return gaps, lambda i: (tuple(u[i]), tuple(v[i]), None)
+
+    return _sample(chunk_gaps, trials, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ The bisection stops when the bracket width drops below
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
-the solver so they can cross-check each other.
+the solver so they can cross-check each other.  The Gini and
+ratio-of-moments forms also come as ``*_rows`` kernels that evaluate
+every row of ``(rows, n)`` entry and weight arrays at once.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .domain import Interval, POSITIVE, chebyshev_points, sampling_window
 from .errors import (
     DomainViolation,
+    GeneratorOverflow,
     InvalidDeviation,
     InvalidGenerator,
     InverseOutOfRange,
@@ -81,7 +86,12 @@ class DeviationSpec:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A strictly monotone generator with inverse and optional derivatives."""
+    """A strictly monotone generator with inverse and optional derivatives.
+
+    ``params`` holds the wire values of a built-in generator, ``("log",)``
+    or ``("pow", p)``; it is None for a custom generator, which has no
+    wire format.
+    """
 
     f: Callable[[float], float]
     f_inverse: Callable[[float], float]
@@ -89,6 +99,7 @@ class GeneratorSpec:
     f_second: Optional[Callable[[float], float]] = None
     domain: Interval = POSITIVE
     label: str = "custom"
+    params: Optional[tuple] = None
 
     def __post_init__(self):
         lo, hi, _ = sampling_window(self.domain)
@@ -107,7 +118,7 @@ class GeneratorSpec:
 
 def log_generator() -> GeneratorSpec:
     return GeneratorSpec(math.log, math.exp, lambda x: 1.0 / x,
-                         lambda x: -1.0 / (x * x), POSITIVE, "log")
+                         lambda x: -1.0 / (x * x), POSITIVE, "log", ("log",))
 
 
 def power_generator(p: float) -> GeneratorSpec:
@@ -121,6 +132,7 @@ def power_generator(p: float) -> GeneratorSpec:
         lambda x: p * (p - 1.0) * x ** (p - 2.0),
         POSITIVE,
         f"pow[{p}]",
+        ("pow", float(p)),
     )
 
 
@@ -200,8 +212,17 @@ def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
             raise DomainViolation(f"entry {xi} outside domain of {gen.label}")
     if min(x) == max(x):
         return float(x[0])
-    total = math.fsum(w)
-    avg = math.fsum(wi * gen.f(xi) for xi, wi in zip(x, w)) / total
+    fx = []
+    for xi in x:
+        try:
+            fx.append(gen.f(xi))
+        except OverflowError as exc:
+            raise GeneratorOverflow(f"{gen.label}: generator overflows at entry {xi}") from exc
+    try:
+        avg = math.fsum(wi * v for v, wi in zip(fx, w)) / math.fsum(w)
+    except OverflowError as exc:
+        raise GeneratorOverflow(f"{gen.label}: weighted sum of the generator values "
+                                f"at {list(x)} overflows") from exc
     try:
         y = gen.f_inverse(avg)
     except (ValueError, OverflowError) as exc:
@@ -242,10 +263,24 @@ def gini(p: float, q: float, x, w) -> float:
     return math.exp((_log_power_sum(p, x, w) - _log_power_sum(q, x, w)) / (p - q))
 
 
+def _log_power_sum_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_log_power_sum`."""
+    if p == 0.0:
+        return np.log(w.sum(axis=1))
+    c = x.max(axis=1, keepdims=True) if p > 0 else x.min(axis=1, keepdims=True)
+    return p * np.log(c[:, 0]) + np.log((w * (x / c) ** p).sum(axis=1))
+
+
+def gini_rows(p: float, q: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`gini` on every row of ``(rows, n)`` entry and weight arrays."""
+    if p == q:
+        scaled = w * (x / x.max(axis=1, keepdims=True)) ** p
+        return np.exp((scaled * np.log(x)).sum(axis=1) / scaled.sum(axis=1))
+    return np.exp((_log_power_sum_rows(p, x, w) - _log_power_sum_rows(q, x, w)) / (p - q))
+
+
 def power_mean(p: float, x, w) -> float:
     """Weighted power mean; equals ``gini(p, 0)``, log-domain at ``p = 0``."""
-    if p == 0.0:
-        return gini(0.0, 0.0, x, w)
     return gini(p, 0.0, x, w)
 
 
@@ -308,3 +343,10 @@ def gini21_counterexample(x, w) -> float:
         return 0.0
     num = math.fsum(wi * xi * xi for xi, wi in zip(x, w))
     return num / den
+
+
+def gini21_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`gini21_counterexample` on every row of ``(rows, n)`` arrays."""
+    den = (w * x).sum(axis=1)
+    num = (w * x * x).sum(axis=1)
+    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)

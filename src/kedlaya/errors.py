@@ -17,6 +17,10 @@ class NegativeWeight(KedlayaError, ValueError):
     """A weight entry is negative."""
 
 
+class NonfiniteWeight(KedlayaError, ValueError):
+    """A weight entry is NaN or infinite."""
+
+
 class AllZero(KedlayaError, ValueError):
     """All weight entries are zero (or the vector is empty)."""
 
@@ -65,6 +69,10 @@ class InvalidDeviation(KedlayaError, ValueError):
 
 class InverseOutOfRange(KedlayaError, ArithmeticError):
     """A generator inverse produced a value outside the domain."""
+
+
+class GeneratorOverflow(KedlayaError, OverflowError):
+    """A generator value, or their weighted sum, overflows the float range."""
 
 
 # --- concavity criteria -----------------------------------------------------

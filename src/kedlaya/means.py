@@ -9,9 +9,11 @@ with zero weight can be dropped (elimination).  Symmetric means are
 additionally invariant under simultaneous permutation of entries and
 weights.
 
-:class:`MeanHandle` packages a family tag, its parameters and a domain;
-:func:`evaluate` dispatches to the family's closed form or to the
-deviation solver.  The ``check_*`` helpers return the numeric residual
+:class:`MeanHandle` packages a family tag, its wire parameters, a domain
+and the family's kernels; :func:`evaluate` calls the scalar kernel (a
+closed form or the deviation solver) and :func:`evaluate_rows` the batch
+kernel.  One family table reads and writes string ids and the JSON wire
+format.  The ``check_*`` helpers return the numeric residual
 of each axiom on concrete inputs so conformance can be tested at scale.
 
 The built-in arithmetic, min and max families accumulate exactly (one
@@ -23,9 +25,11 @@ on integer weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import deviation as dev
 from .domain import Interval, NONNEGATIVE, POSITIVE, REALS
@@ -71,19 +75,25 @@ def arithmetic_base(xs) -> float:
 
 @dataclass(frozen=True)
 class MeanHandle:
-    """A weighted mean: family tag + parameters + entry domain.
+    """A weighted mean: family tag + wire parameters + entry domain.
 
-    Build instances through the classmethods or :func:`mean_from_id`.
-    ``_fn`` receives entries and float weights that already passed the
-    domain/weight validation and zero-weight elimination in
-    :func:`evaluate`.
+    Build instances through the classmethods or :func:`mean_from_id`; each
+    factory is the one place its family is defined.  ``params`` holds the
+    family's wire values in id order (``gini:2:1`` has ``(2.0, 1.0)``,
+    ``qa:pow:2`` has ``("pow", 2.0)``), or None when the mean has no wire
+    format (custom generators and deviations).  ``_fn`` receives entries
+    and float weights that already passed the domain/weight validation and
+    zero-weight elimination in :func:`evaluate`.  ``_batch``, when present,
+    evaluates every row of ``(rows, n)`` entry and weight arrays at once
+    (see :func:`evaluate_rows`); solver-backed families have none.
     """
 
     family: str
     domain: Interval
-    params: tuple = ()
+    params: Optional[tuple] = ()
     label: str = ""
     _fn: Callable = field(default=None, repr=False, compare=False)
+    _batch: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.label or self.family
@@ -93,51 +103,55 @@ class MeanHandle:
     @classmethod
     def arithmetic(cls) -> "MeanHandle":
         return cls("arithmetic", REALS, (), "arithmetic",
-                   lambda x, w: exact_weighted_arithmetic(x, w))
+                   lambda x, w: exact_weighted_arithmetic(x, w),
+                   lambda x, w: (w * x).sum(axis=1) / w.sum(axis=1))
 
     @classmethod
     def minimum(cls) -> "MeanHandle":
-        return cls("min", REALS, (), "min", lambda x, w: float(min(x)))
+        return cls("min", REALS, (), "min", lambda x, w: float(min(x)),
+                   lambda x, w: x.min(axis=1))
 
     @classmethod
     def maximum(cls) -> "MeanHandle":
-        return cls("max", REALS, (), "max", lambda x, w: float(max(x)))
+        return cls("max", REALS, (), "max", lambda x, w: float(max(x)),
+                   lambda x, w: x.max(axis=1))
 
     @classmethod
     def power(cls, p: float) -> "MeanHandle":
         p = float(p)
         return cls("power", POSITIVE, (p,), f"power:{_fmt(p)}",
-                   lambda x, w: dev.power_mean(p, x, w))
+                   lambda x, w: dev.power_mean(p, x, w),
+                   lambda x, w: dev.gini_rows(p, 0.0, x, w))
 
     @classmethod
     def gini(cls, p: float, q: float) -> "MeanHandle":
         p, q = float(p), float(q)
         return cls("gini", POSITIVE, (p, q), f"gini:{_fmt(p)}:{_fmt(q)}",
-                   lambda x, w: dev.gini(p, q, x, w))
+                   lambda x, w: dev.gini(p, q, x, w),
+                   lambda x, w: dev.gini_rows(p, q, x, w))
 
     @classmethod
     def quasi_arithmetic(cls, gen: dev.GeneratorSpec) -> "MeanHandle":
-        return cls("quasi-arithmetic", gen.domain, (gen,), f"qa:{gen.label}",
+        return cls("quasi-arithmetic", gen.domain, gen.params, f"qa:{gen.label}",
                    lambda x, w: dev.quasi_arithmetic(gen, x, w))
 
     @classmethod
     def homogeneous_deviation(cls, f: Callable[[float], float],
                               label: str = "custom",
                               tol: float = dev.DEFAULT_TOL) -> "MeanHandle":
-        return cls("homogeneous-deviation", POSITIVE, (label,), f"homdev:{label}",
+        return cls("homogeneous-deviation", POSITIVE, None, f"homdev:{label}",
                    lambda x, w: dev.homogeneous_deviation(f, x, w, tol))
 
     @classmethod
     def custom_deviation(cls, spec: dev.DeviationSpec,
                          tol: float = dev.DEFAULT_TOL) -> "MeanHandle":
-        return cls("custom-deviation", spec.domain, (spec,),
-                   f"custom:{spec.label}",
+        return cls("custom-deviation", spec.domain, None, f"custom:{spec.label}",
                    lambda x, w: dev.solve_deviation_mean(spec, x, w, tol))
 
     @classmethod
     def gini21_counterexample(cls) -> "MeanHandle":
         return cls("gini21", NONNEGATIVE, (), "gini21",
-                   lambda x, w: dev.gini21_counterexample(x, w))
+                   lambda x, w: dev.gini21_counterexample(x, w), dev.gini21_rows)
 
     @classmethod
     def affine(cls, inner: "MeanHandle", a: float, b: float) -> "MeanHandle":
@@ -146,8 +160,11 @@ class MeanHandle:
             raise ZeroScale("affine conjugation needs a != 0")
         a, b = float(a), float(b)
         fn = lambda x, w: a * evaluate(inner, [(xi - b) / a for xi in x], w) + b
-        return cls("affine", inner.domain.transform(a, b), (inner, a, b),
-                   f"affine({_fmt(a)},{_fmt(b)},{inner})", fn)
+        batch = None
+        if inner._batch is not None:
+            batch = lambda x, w: a * inner._batch((x - b) / a, w) + b
+        return cls("affine", inner.domain.transform(a, b), (a, b, inner),
+                   f"affine({_fmt(a)},{_fmt(b)},{inner})", fn, batch)
 
 
 def _fmt(v: float) -> str:
@@ -161,8 +178,8 @@ def _fmt(v: float) -> str:
 def _float_weights(w) -> tuple:
     if isinstance(w, WeightVector):
         return w.as_floats()
-    wf = tuple(float(v) for v in w)
-    if any(v < 0 for v in wf) or not any(v > 0 for v in wf):
+    wf = tuple(map(float, w))
+    if not (0.0 < sum(wf) < math.inf and min(wf) >= 0.0):
         make_weights(w)  # raise the precise validation error
     return wf
 
@@ -192,6 +209,18 @@ def evaluate(mean: MeanHandle, x: Sequence[float], w) -> float:
     if min(xs) == max(xs):
         return float(xs[0])
     return mean._fn(xs, ws)
+
+
+def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Evaluate ``mean`` on every row of ``(rows, n)`` entry and weight arrays.
+
+    Families with a batch kernel evaluate all rows at once and skip the
+    validation of :func:`evaluate` (rows are assumed to be in the domain,
+    with positive weights); the others call :func:`evaluate` row by row.
+    """
+    if mean._batch is not None:
+        return mean._batch(x, w)
+    return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
 
 
 # ---------------------------------------------------------------------------
@@ -319,99 +348,74 @@ def weighted_from_repetition_invariant(base: Callable, x, w,
 # String ids and JSON wire format
 # ---------------------------------------------------------------------------
 
+_GENERATORS = {"log": dev.log_generator, "pow": dev.power_generator}
+_DEVIATIONS = {"shifted-power": dev.shifted_power}
+_TEXT_FIELDS = ("generator", "f")  # wire fields that are names, not numbers
+
+
+def _homogeneous_deviation(f: str, p: float) -> MeanHandle:
+    """The built-in homogeneous-deviation mean ``f`` at ``p``, with its wire values."""
+    p = float(p)
+    mean = MeanHandle.homogeneous_deviation(_DEVIATIONS[f](p), f"{f}:{_fmt(p)}")
+    return replace(mean, params=(f, p))
+
+# family -> (id head, wire fields in id order, builder taking the wire values).
+# Every id and JSON document is read and written through this table.
+_FAMILIES = {
+    "arithmetic": ("arithmetic", (), MeanHandle.arithmetic),
+    "min": ("min", (), MeanHandle.minimum),
+    "max": ("max", (), MeanHandle.maximum),
+    "power": ("power", ("p",), MeanHandle.power),
+    "gini": ("gini", ("p", "q"), MeanHandle.gini),
+    "gini21": ("gini21", (), MeanHandle.gini21_counterexample),
+    "quasi-arithmetic": ("qa", ("generator", "p"),
+                         lambda g, *p: MeanHandle.quasi_arithmetic(_GENERATORS[g](*p))),
+    "homogeneous-deviation": ("homdev", ("f", "p"), _homogeneous_deviation),
+    "affine": (None, ("a", "b", "inner"),
+               lambda a, b, inner: MeanHandle.affine(mean_from_json(inner), a, b)),
+}
+_ID_HEADS = {head: family for family, (head, _, _) in _FAMILIES.items() if head}
+
+
 def mean_from_id(mean_id: str) -> MeanHandle:
     """Resolve a string id such as ``power:0.5`` or ``gini:2:1``.
 
     Supported ids: ``arithmetic``, ``min``, ``max``, ``geometric``,
     ``power:p``, ``gini:p:q``, ``gini21``, ``qa:log``, ``qa:pow:p``,
-    ``homdev:shifted-power:p``.
+    ``homdev:shifted-power:p``.  The fields after the head are the
+    family's wire values in order.
     """
     parts = mean_id.strip().split(":")
-    head = parts[0]
+    if parts == ["geometric"]:
+        parts = ["power", "0"]
+    family = _ID_HEADS.get(parts[0])
+    if family is None or len(parts) - 1 > len(_FAMILIES[family][1]):
+        raise ValueError(f"unknown mean id {mean_id!r}")
+    _, fields, build = _FAMILIES[family]
     try:
-        if head == "arithmetic" and len(parts) == 1:
-            return MeanHandle.arithmetic()
-        if head == "min" and len(parts) == 1:
-            return MeanHandle.minimum()
-        if head == "max" and len(parts) == 1:
-            return MeanHandle.maximum()
-        if head == "geometric" and len(parts) == 1:
-            return MeanHandle.power(0.0)
-        if head == "power" and len(parts) == 2:
-            return MeanHandle.power(float(Fraction(parts[1])))
-        if head == "gini" and len(parts) == 3:
-            return MeanHandle.gini(float(Fraction(parts[1])), float(Fraction(parts[2])))
-        if head == "gini21" and len(parts) == 1:
-            return MeanHandle.gini21_counterexample()
-        if head == "qa" and len(parts) == 2 and parts[1] == "log":
-            return MeanHandle.quasi_arithmetic(dev.log_generator())
-        if head == "qa" and len(parts) == 3 and parts[1] == "pow":
-            return MeanHandle.quasi_arithmetic(dev.power_generator(float(Fraction(parts[2]))))
-        if head == "homdev" and len(parts) == 3 and parts[1] == "shifted-power":
-            p = float(Fraction(parts[2]))
-            return MeanHandle.homogeneous_deviation(dev.shifted_power(p),
-                                                    f"shifted-power:{_fmt(p)}")
+        values = [v if name in _TEXT_FIELDS else float(Fraction(v))
+                  for name, v in zip(fields, parts[1:])]
+        return build(*values)
     except ValueError as exc:
         raise ValueError(f"bad parameter in mean id {mean_id!r}: {exc}") from exc
-    raise ValueError(f"unknown mean id {mean_id!r}")
+    except (KeyError, TypeError):  # unknown generator/deviation name, wrong arity
+        raise ValueError(f"unknown mean id {mean_id!r}") from None
 
 
 def mean_to_json(mean: MeanHandle) -> dict:
     """Serialize a handle to the JSON wire format."""
+    if mean.family not in _FAMILIES or mean.params is None:
+        raise ValueError(f"mean {mean} has no wire format")
     out: dict = {"family": mean.family, "domain": mean.domain.to_json()}
-    if mean.family == "power":
-        out["p"] = mean.params[0]
-    elif mean.family == "gini":
-        out["p"], out["q"] = mean.params
-    elif mean.family == "quasi-arithmetic":
-        gen: dev.GeneratorSpec = mean.params[0]
-        if gen.label == "log":
-            out["generator"] = "log"
-        elif gen.label.startswith("pow["):
-            out["generator"] = "pow"
-            out["p"] = float(gen.label[4:-1])
-        else:
-            raise ValueError(f"generator {gen.label!r} has no wire format")
-    elif mean.family == "homogeneous-deviation":
-        label = mean.params[0]
-        if not label.startswith("shifted-power:"):
-            raise ValueError(f"deviation {label!r} has no wire format")
-        out["f"] = "shifted-power"
-        out["p"] = float(Fraction(label.split(":", 1)[1]))
-    elif mean.family == "affine":
-        inner, a, b = mean.params
-        out["a"], out["b"] = a, b
-        out["inner"] = mean_to_json(inner)
-    elif mean.family in ("arithmetic", "min", "max", "gini21"):
-        pass
-    else:
-        raise ValueError(f"family {mean.family!r} has no wire format")
+    for name, v in zip(_FAMILIES[mean.family][1], mean.params):
+        out[name] = mean_to_json(v) if isinstance(v, MeanHandle) else v
     return out
 
 
 def mean_from_json(obj: dict) -> MeanHandle:
     """Inverse of :func:`mean_to_json`; applies each family's natural domain."""
     fam = obj["family"]
-    if fam == "arithmetic":
-        return MeanHandle.arithmetic()
-    if fam == "min":
-        return MeanHandle.minimum()
-    if fam == "max":
-        return MeanHandle.maximum()
-    if fam == "power":
-        return MeanHandle.power(obj["p"])
-    if fam == "gini":
-        return MeanHandle.gini(obj["p"], obj["q"])
-    if fam == "gini21":
-        return MeanHandle.gini21_counterexample()
-    if fam == "quasi-arithmetic":
-        if obj["generator"] == "log":
-            return MeanHandle.quasi_arithmetic(dev.log_generator())
-        return MeanHandle.quasi_arithmetic(dev.power_generator(obj["p"]))
-    if fam == "homogeneous-deviation":
-        p = obj["p"]
-        return MeanHandle.homogeneous_deviation(dev.shifted_power(p),
-                                                f"shifted-power:{_fmt(p)}")
-    if fam == "affine":
-        return MeanHandle.affine(mean_from_json(obj["inner"]), obj["a"], obj["b"])
-    raise ValueError(f"unknown family {fam!r}")
+    if fam not in _FAMILIES:
+        raise ValueError(f"unknown family {fam!r}")
+    _, fields, build = _FAMILIES[fam]
+    return build(*(obj[name] for name in fields if name in obj))

@@ -26,6 +26,7 @@ from .errors import (
     FirstWeightZero,
     LengthMismatch,
     NegativeWeight,
+    NonfiniteWeight,
     NonpositiveScale,
 )
 
@@ -89,7 +90,7 @@ def make_weights(entries: Iterable[Scalar], cls: str = "W") -> WeightVector:
 
     Integers and Fractions yield a rational-mode vector; floats yield a
     float-mode vector.  Mixing floats with exact rationals is rejected to
-    avoid silent loss of exactness.
+    avoid silent loss of exactness, and so are NaN and infinite entries.
     """
     if cls not in ("W", "W0"):
         raise ValueError(f"unknown weight class {cls!r} (expected 'W' or 'W0')")
@@ -103,6 +104,8 @@ def make_weights(entries: Iterable[Scalar], cls: str = "W") -> WeightVector:
     if has_float:
         vals: tuple = tuple(float(e) for e in items)
         mode = FLOAT
+        if not all(map(math.isfinite, vals)):
+            raise NonfiniteWeight(f"non-finite weight in {list(vals)}")
     else:
         vals = tuple(Fraction(e) for e in items)
         mode = RATIONAL

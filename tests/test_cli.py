@@ -47,6 +47,14 @@ class TestCheck:
         assert code == 2
         assert "mean" in err
 
+    @pytest.mark.parametrize("x, entry", [("1e200,2", "1e+200"),
+                                          ("1e154,1.3e154", "1.3e+154")])
+    def test_generator_overflow_exits_two(self, capsys, x, entry):
+        code, _, err = run(capsys, "check", "--mean", "qa:pow:2",
+                           "--x", x, "--w", "1,1")
+        assert code == 2
+        assert err.startswith("error: pow[2.0]:") and entry in err
+
     def test_usage_error_nonpositive_tol(self, capsys):
         code, _, err = run(capsys, "check", "--mean", "power:0",
                            "--x", "1,4", "--w", "1,1", "--tol", "0")

@@ -1,5 +1,6 @@
 """Concavity sampler and the analytic criteria."""
 
+import json
 import math
 
 import pytest
@@ -66,6 +67,14 @@ class TestSampler:
             b = sample_jensen_concavity(mirrored, 2, 4000, seed=17)
             assert b.verdict == pairs[a.verdict]
             assert b.worst_violation == a.worst_violation  # exact mirror
+
+
+class TestMidpointSampler:
+    def test_verdict_with_witness_serializes(self):
+        v = sample_midpoint_concavity(lambda a, b: a * a + b * b, (0.1, 10.0), 2000, seed=4)
+        assert v.verdict == CONVEX and v.witness[2] is None
+        doc = json.loads(json.dumps(v.to_dict()))
+        assert doc["witness"]["w"] is None and len(doc["witness"]["x"]) == 2
 
 
 class TestEstarTransform:

@@ -1,14 +1,20 @@
 """Mean handles: evaluation, the four axioms, the expansion bridge, JSON."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kedlaya import means
+from kedlaya.deviation import DeviationSpec, GeneratorSpec, log_generator, power_generator
+from kedlaya.domain import POSITIVE
 from kedlaya.errors import (
     DomainViolation,
     IndexNotZeroWeighted,
     LengthMismatch,
+    NonfiniteWeight,
     Overflow,
 )
 from kedlaya.means import (
@@ -20,6 +26,7 @@ from kedlaya.means import (
     check_reduction,
     check_symmetry,
     evaluate,
+    evaluate_rows,
     mean_from_id,
     mean_from_json,
     mean_to_json,
@@ -53,6 +60,12 @@ class TestEvaluate:
     def test_domain_violation(self):
         with pytest.raises(DomainViolation):
             evaluate(GEO, (1, -2), (1, 1))
+
+    @pytest.mark.parametrize("mean_id", ["arithmetic", "power:0.5"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_weight_rejected(self, mean_id, bad):
+        with pytest.raises(NonfiniteWeight):
+            evaluate(mean_from_id(mean_id), (1.0, 2.0), (1.0, bad))
 
     def test_weight_vector_accepted(self):
         w = make_weights([Fraction(1, 2), Fraction(3, 2)])
@@ -225,6 +238,33 @@ class TestRepetitionBridge:
             weighted_from_repetition_invariant(arithmetic_base, (1.0,), (1.5,))
 
 
+class TestBatchKernels:
+    """Each batch kernel agrees with :func:`evaluate` row by row."""
+
+    @pytest.mark.parametrize("name", [
+        "arithmetic", "min", "max", "power:-2", "power:0", "power:0.5", "power:3",
+        "gini:2:1", "gini:0.5:0", "gini:1:1", "gini21", "affine", "reflect"])
+    def test_matches_evaluate(self, name, monkeypatch):
+        rng = np.random.default_rng(20240611)
+        x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (1000, 4)))
+        w = rng.exponential(size=(1000, 4))
+        if name == "affine":
+            mean, x = MeanHandle.affine(GEO, 2.0, 1.0), 2.0 * x + 1.0
+        elif name == "reflect":
+            mean, x = MeanHandle.affine(GEO, -1.0, 0.0), -x
+        else:
+            mean = mean_from_id(name)
+        if name == "gini21":
+            x = x * (rng.random(x.shape) < 0.7)  # rows with zero entries
+        expected = [evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
+
+        def row_fallback(*args):
+            raise AssertionError(f"{mean} has no batch kernel")
+
+        monkeypatch.setattr(means, "evaluate", row_fallback)
+        np.testing.assert_allclose(evaluate_rows(mean, x, w), expected, rtol=1e-13, atol=0)
+
+
 class TestWireFormat:
     IDS = ["arithmetic", "min", "max", "geometric", "power:0.5", "power:-1",
            "gini:2:1", "gini21", "qa:log", "qa:pow:2", "homdev:shifted-power:0.5"]
@@ -253,6 +293,25 @@ class TestWireFormat:
         assert doc["family"] == "gini"
         assert doc["p"] == 2 and doc["q"] == 1
         assert doc["domain"] == [0, None]
+
+    def test_generator_handles_built_directly(self):
+        log_doc = mean_to_json(MeanHandle.quasi_arithmetic(log_generator()))
+        pow_doc = mean_to_json(MeanHandle.quasi_arithmetic(power_generator(2.0)))
+        assert json.dumps(log_doc) == ('{"family": "quasi-arithmetic", "domain": '
+                                       '[0.0, null], "generator": "log"}')
+        assert json.dumps(pow_doc) == ('{"family": "quasi-arithmetic", "domain": '
+                                       '[0.0, null], "generator": "pow", "p": 2.0}')
+
+    @pytest.mark.parametrize("mean", [
+        MeanHandle.quasi_arithmetic(GeneratorSpec(
+            lambda t: t ** 3, lambda y: y ** (1.0 / 3.0), label="cube")),
+        MeanHandle.custom_deviation(DeviationSpec(lambda x, y: x - y, label="linear")),
+        MeanHandle.homogeneous_deviation(math.log, "log"),
+        MeanHandle.affine(MeanHandle.homogeneous_deviation(math.log, "log"), 2.0, 0.0),
+    ], ids=str)
+    def test_custom_means_have_no_wire_format(self, mean):
+        with pytest.raises(ValueError):
+            mean_to_json(mean)
 
     def test_affine_round_trip(self):
         mean = MeanHandle.affine(mean_from_id("power:0"), 2.0, 1.0)

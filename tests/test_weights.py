@@ -9,7 +9,9 @@ from kedlaya.errors import (
     AllZero,
     FirstWeightZero,
     LengthMismatch,
+    KedlayaError,
     NegativeWeight,
+    NonfiniteWeight,
     NonpositiveScale,
 )
 from kedlaya.weights import (
@@ -52,6 +54,12 @@ class TestMakeWeights:
     def test_float_mode(self):
         w = make_weights([1.0, 2.5])
         assert w.mode == "float"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(NonfiniteWeight) as info:
+            make_weights([1.0, bad])
+        assert isinstance(info.value, KedlayaError) and isinstance(info.value, ValueError)
 
     def test_mixed_float_fraction_rejected(self):
         with pytest.raises(ValueError):
