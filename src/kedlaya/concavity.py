@@ -13,7 +13,10 @@ side was refuted), ``convex`` (only the concave side), ``neither``
 Alongside the generic sampler there are three analytic criteria:
 a normalized-deviation transform whose midpoint concavity is equivalent
 to the mean's, the generator ratio test for quasi-arithmetic means, and
-the exact parameter region for the two-parameter power-sum family.
+the exact parameter region for the two-parameter power-sum family.  The
+sampled criteria read the domain on one grid,
+:func:`~kedlaya.domain.probe_points`, and the generator test draws its
+midpoint pairs through :func:`sample_midpoint_concavity`.
 
 Draw streams are generated in fixed-size chunks keyed by
 ``(seed, chunk_index)``, so results are reproducible for a given seed
@@ -32,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import deviation as dev
-from .domain import Interval, LINEAR, LOG, NEG_LOG, chebyshev_points, sampling_window
+from .domain import POSITIVE, LINEAR, LOG, NEG_LOG, probe_points, sampling_window
 from .errors import MixedSignSecondDerivative, VanishingDerivative
 # ``evaluate`` stays a module attribute here: perfbench/tracing.py wraps it
 # in every module that binds it.
@@ -45,7 +48,7 @@ INCONCLUSIVE = "inconclusive"
 
 _CHUNK = 1024
 _DERIVATIVE_SAMPLES = 257
-_TRIPLE_SAMPLES = 10_000
+_MIDPOINT_PAIRS = 10_000
 
 
 @dataclass(frozen=True)
@@ -208,8 +211,7 @@ def estar_transform(spec: dev.DeviationSpec) -> Callable[[float, float], float]:
     """
     if spec.dE2 is None:
         raise ValueError("spec must carry the second-argument derivative")
-    lo, hi, _ = sampling_window(spec.domain)
-    for t in chebyshev_points(lo, hi, 32):
+    for t in probe_points(spec.domain, 32):
         d = spec.dE2(t, t)
         if abs(d) < 1e-12:
             raise VanishingDerivative(
@@ -218,21 +220,18 @@ def estar_transform(spec: dev.DeviationSpec) -> Callable[[float, float], float]:
     return lambda x, t: -E(x, t) / dE2(t, t)
 
 
-def qa_concavity_condition(gen: dev.GeneratorSpec,
-                           samples: int = _DERIVATIVE_SAMPLES,
-                           triples: int = _TRIPLE_SAMPLES,
-                           seed: int = 0) -> bool:
+def qa_concavity_condition(gen: dev.GeneratorSpec) -> bool:
     """Sampled test of the generator criterion for Jensen concavity.
 
-    True when the second derivative vanishes identically on the samples,
-    or when it is nonvanishing with ``f'/f''`` negative at every sample
-    and midpoint-convex on sampled pairs.  A sign change across samples
-    raises :class:`MixedSignSecondDerivative`.
+    True when the second derivative vanishes identically on the probe
+    points, or when it is nonvanishing with ``f'/f''`` negative at every
+    probe point and, scaled to unit size, not refuted as midpoint convex
+    by :func:`sample_midpoint_concavity` (10 000 pairs, seed 0).  A sign
+    change across probe points raises :class:`MixedSignSecondDerivative`.
     """
     if gen.f_prime is None or gen.f_second is None:
         raise ValueError("generator must carry first and second derivatives")
-    lo, hi, kind = sampling_window(gen.domain)
-    pts = chebyshev_points(lo, hi, samples)
+    pts = probe_points(gen.domain, _DERIVATIVE_SAMPLES)
     second = [gen.f_second(t) for t in pts]
     scale = max(abs(gen.f_prime(t)) for t in pts)
     zero_tol = 1e-12 * (1.0 + scale)
@@ -246,18 +245,15 @@ def qa_concavity_condition(gen: dev.GeneratorSpec,
     def ratio(t: float) -> float:
         return gen.f_prime(t) / gen.f_second(t)
 
-    if any(ratio(t) >= 0.0 for t in pts):
+    ratios = [ratio(t) for t in pts]
+    if any(r >= 0.0 for r in ratios):
         return False
-    rng = np.random.default_rng(seed)
-    win = (lo, hi, kind)
-    a = _map_window(rng.random(triples), win)
-    b = _map_window(rng.random(triples), win)
-    tol = 1e-9
-    for ai, bi in zip(a, b):
-        mid = ratio(0.5 * (ai + bi))
-        if mid > 0.5 * (ratio(ai) + ratio(bi)) + tol * (1.0 + abs(mid)):
-            return False
-    return True
+    # midpoint convexity is scale-free; on a unit scale the sampler's
+    # absolute tolerance is relative to the ratio's size
+    unit = -min(ratios)
+    sampled = sample_midpoint_concavity(lambda a, _: ratio(a) / unit,
+                                        sampling_window(gen.domain)[:2], _MIDPOINT_PAIRS)
+    return sampled.verdict in (CONVEX, INCONCLUSIVE)
 
 
 def gini_concavity_condition(p, q) -> bool:
@@ -267,16 +263,14 @@ def gini_concavity_condition(p, q) -> bool:
     return min(pf, qf) <= 0 <= max(pf, qf) <= 1
 
 
-def cdm_condition(f: Callable[[float], float],
-                  domain: Interval = dev.POSITIVE,
-                  samples: int = _DERIVATIVE_SAMPLES) -> bool:
+def cdm_condition(f: Callable[[float], float]) -> bool:
     """Sampled test that ``f`` is strictly increasing, midpoint concave,
-    and vanishes at 1.  Returns False on any failure."""
+    and vanishes at 1 on the positive reals.  Returns False on any
+    failure."""
     try:
         if abs(f(1.0)) > 1e-12:
             return False
-        lo, hi, _ = sampling_window(domain)
-        pts = sorted(chebyshev_points(lo, hi, samples))
+        pts = probe_points(POSITIVE, _DERIVATIVE_SAMPLES)
         vals = [f(t) for t in pts]
         if any(b <= a for a, b in zip(vals, vals[1:])):
             return False

@@ -11,6 +11,9 @@ bisection: the deviation axioms guarantee continuity and monotonicity of
 the total but nothing smoother, so Newton-type steps are not justified.
 The bisection stops when the bracket width drops below
 ``tol * (1 + |y|)`` (default ``tol = 1e-12``, at most 200 iterations).
+Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
+solved by :func:`homogeneous_deviation`; both solvers build their total
+and share one root finder (constant shortcut, endpoint checks, bisection).
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -27,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import Interval, POSITIVE, chebyshev_points, sampling_window
+from .domain import Interval, POSITIVE, probe_points
 from .errors import (
     DomainViolation,
     GeneratorOverflow,
@@ -65,8 +68,7 @@ class DeviationSpec:
     label: str = "custom"
 
     def __post_init__(self):
-        lo, hi, _ = sampling_window(self.domain)
-        pts = sorted(chebyshev_points(lo, hi, _VALIDATION_SAMPLES))
+        pts = probe_points(self.domain, _VALIDATION_SAMPLES)
         for x in pts:
             if abs(self.E(x, x)) > 1e-9:
                 raise InvalidDeviation(
@@ -102,8 +104,7 @@ class GeneratorSpec:
     params: Optional[tuple] = None
 
     def __post_init__(self):
-        lo, hi, _ = sampling_window(self.domain)
-        pts = sorted(chebyshev_points(lo, hi, _VALIDATION_SAMPLES))
+        pts = probe_points(self.domain, _VALIDATION_SAMPLES)
         vals = [self.f(x) for x in pts]
         increasing = all(b > a for a, b in zip(vals, vals[1:]))
         decreasing = all(b < a for a, b in zip(vals, vals[1:]))
@@ -137,7 +138,7 @@ def power_generator(p: float) -> GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# Bisection cores
+# The root finder
 # ---------------------------------------------------------------------------
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float,
@@ -167,13 +168,34 @@ def _check_lengths(x, w):
         raise LengthMismatch("empty input")
 
 
+def _solve(g: Callable[[float], float], x, tol: float, label: str) -> float:
+    """Root of the total ``g``, decreasing in ``y``, on ``[min x, max x]``.
+
+    A total that is not ``>= 0`` at the left endpoint and ``<= 0`` at the
+    right one has no root there; that raises :class:`SolverFailure`.
+    """
+    lo, hi = min(x), max(x)
+    if lo == hi:
+        return float(lo)
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo < 0.0 or g_hi > 0.0:
+        raise SolverFailure(
+            f"{label}: no sign change on [{lo}, {hi}] "
+            f"(g(lo)={g_lo}, g(hi)={g_hi}); deviation is invalid")
+    if g_lo == 0.0:
+        return float(lo)
+    if g_hi == 0.0:
+        return float(hi)
+    return _bisect(g, lo, hi, tol, g_lo, label)
+
+
 def solve_deviation_mean(spec: DeviationSpec, x, w, tol: float = DEFAULT_TOL) -> float:
     """Root of ``sum_i w_i E(x_i, y) = 0`` over ``y in [min x, max x]``.
 
     Since each ``E(x_i, .)`` is strictly decreasing, the total is too, so
-    the root is unique and bisection always converges.  A total that is
-    not ``>= 0`` at the left endpoint and ``<= 0`` at the right one means
-    the spec is not a valid deviation; that raises :class:`SolverFailure`.
+    the root is unique and bisection always converges.  A total without a
+    sign change means the spec is not a valid deviation
+    (:class:`SolverFailure`).
     """
     _check_lengths(x, w)
     if tol <= 0:
@@ -181,23 +203,8 @@ def solve_deviation_mean(spec: DeviationSpec, x, w, tol: float = DEFAULT_TOL) ->
     for xi in x:
         if not spec.domain.contains(xi):
             raise DomainViolation(f"entry {xi} outside domain of {spec.label}")
-    lo, hi = min(x), max(x)
-    if lo == hi:
-        return float(lo)
-
-    def g(y: float) -> float:
-        return math.fsum(wi * spec.E(xi, y) for xi, wi in zip(x, w))
-
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo < 0.0 or g_hi > 0.0:
-        raise SolverFailure(
-            f"{spec.label}: no sign change on [{lo}, {hi}] "
-            f"(g(lo)={g_lo}, g(hi)={g_hi}); deviation spec is invalid")
-    if g_lo == 0.0:
-        return float(lo)
-    if g_hi == 0.0:
-        return float(hi)
-    return _bisect(g, lo, hi, tol, g_lo, spec.label)
+    return _solve(lambda y: math.fsum(wi * spec.E(xi, y) for xi, wi in zip(x, w)),
+                  x, tol, spec.label)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +296,8 @@ def homogeneous_deviation(f: Callable[[float], float], x, w,
     """Root of ``sum_i w_i f(x_i / y) = 0`` on positive entries.
 
     ``f`` must vanish at 1 (checked to 1e-12); it may be increasing or
-    decreasing, the bracket orientation is detected from the endpoint
-    signs.
+    decreasing.  For a decreasing ``f`` (``f(2) < 0``) the total is
+    negated, which is exact, so that it decreases in ``y`` either way.
     """
     fe = f(1.0)
     if abs(fe) > 1e-12:
@@ -299,22 +306,9 @@ def homogeneous_deviation(f: Callable[[float], float], x, w,
     for xi in x:
         if not xi > 0:
             raise DomainViolation(f"entry {xi} must be positive")
-    lo, hi = min(x), max(x)
-    if lo == hi:
-        return float(lo)
-
-    def g(y: float) -> float:
-        return math.fsum(wi * f(xi / y) for xi, wi in zip(x, w))
-
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return float(lo)
-    if g_hi == 0.0:
-        return float(hi)
-    if (g_lo > 0) == (g_hi > 0):
-        raise SolverFailure(
-            f"no sign change on [{lo}, {hi}] (g(lo)={g_lo}, g(hi)={g_hi})")
-    return _bisect(g, lo, hi, tol, g_lo, "homogeneous deviation")
+    s = -1.0 if f(2.0) < 0 else 1.0
+    return _solve(lambda y: s * math.fsum(wi * f(xi / y) for xi, wi in zip(x, w)),
+                  x, tol, "homogeneous deviation")
 
 
 def shifted_power(p: float) -> Callable[[float], float]:

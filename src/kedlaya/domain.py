@@ -85,8 +85,9 @@ def sampling_window(domain: Interval) -> tuple[float, float, str]:
     return (clo, chi, LOG if clo > 0.0 else LINEAR)
 
 
-def chebyshev_points(lo: float, hi: float, m: int) -> list[float]:
-    """``m`` Chebyshev-spaced sample points on ``(lo, hi)``."""
+def probe_points(domain: Interval, m: int) -> list[float]:
+    """``m`` Chebyshev-spaced points of the domain's sampling window, ascending."""
+    lo, hi, _ = sampling_window(domain)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return [mid + half * math.cos(math.pi * (2 * k + 1) / (2 * m))
-            for k in range(m)]
+    return sorted(mid + half * math.cos(math.pi * (2 * k + 1) / (2 * m))
+                  for k in range(m))

@@ -41,6 +41,11 @@ class Overflow(KedlayaError, ArithmeticError):
     """A size cap was exceeded (e.g. multiset expansion length)."""
 
 
+class FloatOverflow(KedlayaError, OverflowError):
+    """An input value, a weight sum or a weighted entry sum is beyond the
+    float range."""
+
+
 # --- mean evaluation --------------------------------------------------------
 
 class DomainViolation(KedlayaError, ValueError):

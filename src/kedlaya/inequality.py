@@ -25,11 +25,12 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    FloatOverflow,
     LengthMismatch,
     NonpositiveWeight,
     WeightsInV,
 )
-from .means import MeanHandle, evaluate
+from .means import MeanHandle, evaluate, weighted_average
 from .weights import WeightVector, as_weight_vector, is_in_V
 
 HOLDS = "holds"
@@ -69,7 +70,10 @@ class KedlayaReport:
 
 
 def partial_arithmetic_means(x: Sequence[float], w) -> list:
-    """Prefix weighted arithmetic means ``m_k``; ``m_1 = x_1``."""
+    """Prefix weighted arithmetic means ``m_k``; ``m_1 = x_1``.
+
+    Raises :class:`FloatOverflow` when a weighted entry sum overflows.
+    """
     wv = as_weight_vector(w, "W0")
     if len(x) != len(wv):
         raise LengthMismatch(f"{len(x)} entries vs {len(wv)} weights")
@@ -81,6 +85,8 @@ def partial_arithmetic_means(x: Sequence[float], w) -> list:
         num += wi * float(xi)
         den += wi
         out.append(num / den)
+    if not math.isfinite(num) and all(map(math.isfinite, x)):  # finite entries overflowed
+        raise FloatOverflow("a weighted sum of the entries overflows the float range")
     return out
 
 
@@ -95,18 +101,14 @@ def _prefix_scans(mean: MeanHandle, x: Sequence[float], wv: WeightVector) -> tup
     return a, b
 
 
-def _sides(wf: tuple, a: list, b: list) -> tuple:
-    """``lhs`` is the weighted mean of the ``A_k``; ``rhs`` is ``B_n``."""
-    return math.fsum(wi * ak for wi, ak in zip(wf, a)) / math.fsum(wf), b[-1]
-
-
 def kedlaya_sides(mean: MeanHandle, x: Sequence[float], w) -> tuple:
     """``(lhs, rhs)``: arithmetic mean of prefix M-means vs M-mean of
     prefix arithmetic means, both weighted by ``w``."""
     wv = as_weight_vector(w, "W0")
     if len(x) != len(wv):
         raise LengthMismatch(f"{len(x)} entries vs {len(wv)} weights")
-    return _sides(wv.as_floats(), *_prefix_scans(mean, x, wv))
+    a, b = _prefix_scans(mean, x, wv)
+    return weighted_average(a, wv.as_floats()), b[-1]
 
 
 def step_inequality(mean: MeanHandle, x: Sequence[float], w, j: int) -> tuple:
@@ -182,7 +184,7 @@ def check_kedlaya(mean: MeanHandle, x: Sequence[float], w,
                              _echo(mean, xs, wv, tol))
     wf = wv.as_floats()
     a, b = _prefix_scans(mean, xs, wv)
-    lhs, rhs = _sides(wf, a, b)
+    lhs, rhs = weighted_average(a, wf), b[-1]  # lhs: weighted mean of the A_k
     gap = rhs - lhs
     scaled = tol * (1.0 + abs(rhs))
     steps = []

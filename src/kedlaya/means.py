@@ -47,7 +47,7 @@ DEFAULT_EXPANSION_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# Exact elementary means (single final rounding)
+# Elementary arithmetic means
 # ---------------------------------------------------------------------------
 
 def exact_weighted_arithmetic(x, w) -> float:
@@ -63,10 +63,12 @@ def exact_weighted_arithmetic(x, w) -> float:
 
 def arithmetic_base(xs) -> float:
     """Unweighted arithmetic mean, exact accumulation."""
-    acc = Fraction(0)
-    for v in xs:
-        acc += Fraction(v)
-    return float(acc / len(xs))
+    return exact_weighted_arithmetic(xs, [1] * len(xs))
+
+
+def weighted_average(values, weights) -> float:
+    """Weighted arithmetic mean in floats, ``fsum(w * v) / fsum(w)``."""
+    return math.fsum(w * v for v, w in zip(values, weights)) / math.fsum(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +139,14 @@ class MeanHandle:
 
     @classmethod
     def homogeneous_deviation(cls, f: Callable[[float], float],
-                              label: str = "custom",
-                              tol: float = dev.DEFAULT_TOL) -> "MeanHandle":
+                              label: str = "custom") -> "MeanHandle":
         return cls("homogeneous-deviation", POSITIVE, None, f"homdev:{label}",
-                   lambda x, w: dev.homogeneous_deviation(f, x, w, tol))
+                   lambda x, w: dev.homogeneous_deviation(f, x, w))
 
     @classmethod
-    def custom_deviation(cls, spec: dev.DeviationSpec,
-                         tol: float = dev.DEFAULT_TOL) -> "MeanHandle":
+    def custom_deviation(cls, spec: dev.DeviationSpec) -> "MeanHandle":
         return cls("custom-deviation", spec.domain, None, f"custom:{spec.label}",
-                   lambda x, w: dev.solve_deviation_mean(spec, x, w, tol))
+                   lambda x, w: dev.solve_deviation_mean(spec, x, w))
 
     @classmethod
     def gini21_counterexample(cls) -> "MeanHandle":
@@ -180,7 +180,7 @@ def _float_weights(w) -> tuple:
         return w.as_floats()
     wf = tuple(map(float, w))
     if not (0.0 < sum(wf) < math.inf and min(wf) >= 0.0):
-        make_weights(w)  # raise the precise validation error
+        make_weights(w).as_floats()  # raise the precise validation error
     return wf
 
 

@@ -26,8 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonpositiveWeight, ThetaOutOfRange, WeightsNotInV
-from .means import MeanHandle, evaluate
+from .errors import LengthMismatch, NonpositiveWeight, ThetaOutOfRange, WeightsNotInV
+from .means import MeanHandle, evaluate, weighted_average
 from .weights import RATIONAL, as_weight_vector, partial_sums
 
 
@@ -322,11 +322,6 @@ def m_integral(mean: MeanHandle, f: SimpleFunction1D) -> float:
     return evaluate(mean, f.values(), weights)
 
 
-def _weighted_average(values, weights) -> float:
-    return (math.fsum(w * v for v, w in zip(values, weights))
-            / math.fsum(weights))
-
-
 def jensen_fubini_sides(mean: MeanHandle, f: SimpleFunction2D) -> tuple:
     """Both sides of the swap inequality on a 2D step function.
 
@@ -339,9 +334,9 @@ def jensen_fubini_sides(mean: MeanHandle, f: SimpleFunction2D) -> tuple:
     wx = [float(v) for v in f.x_lengths()]
     wy = [float(v) for v in f.y_lengths()]
     inner = [evaluate(mean, grid[i].tolist(), wy) for i in range(grid.shape[0])]
-    lhs = _weighted_average(inner, wx)
+    lhs = weighted_average(inner, wx)
     row_means = [
-        _weighted_average(grid[:, j].tolist(), wx) for j in range(grid.shape[1])
+        weighted_average(grid[:, j].tolist(), wx) for j in range(grid.shape[1])
     ]
     rhs = evaluate(mean, row_means, wy)
     return lhs, rhs
@@ -387,7 +382,7 @@ def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
     if any(not v > 0 for v in lam):
         raise NonpositiveWeight("strictly positive weights required")
     if len(x) != n:
-        raise ValueError(f"{len(x)} entries vs {n} weights")
+        raise LengthMismatch(f"{len(x)} entries vs {n} weights")
 
     sums = [Fraction(0)] + list(partial_sums(wv))  # sums[k] = S_k
     s_left, s_full = sums[j - 1], sums[j]

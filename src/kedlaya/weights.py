@@ -17,6 +17,7 @@ and ties count as nonincreasing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -24,6 +25,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import (
     AllZero,
     FirstWeightZero,
+    FloatOverflow,
     LengthMismatch,
     NegativeWeight,
     NonfiniteWeight,
@@ -72,17 +74,21 @@ class WeightVector(Sequence):
         return f"WeightVector([{inner}], mode={self.mode})"
 
     def as_floats(self) -> tuple:
-        """Entries converted to floats (cached)."""
+        """Entries converted to floats (cached).
+
+        Raises :class:`FloatOverflow` when an entry or the sum of the
+        entries is beyond the float range.
+        """
         cached = self._floats
         if cached is None:
-            cached = tuple(float(e) for e in self.entries)
+            try:
+                cached = tuple(float(e) for e in self.entries)
+            except OverflowError:
+                raise FloatOverflow("a weight is beyond the float range") from None
+            if sum(cached) == math.inf:
+                raise FloatOverflow(f"the weights {list(cached)} sum beyond the float range")
             object.__setattr__(self, "_floats", cached)
         return cached
-
-    def total(self):
-        if self.mode == RATIONAL:
-            return sum(self.entries, Fraction(0))
-        return math.fsum(self.entries)
 
 
 def make_weights(entries: Iterable[Scalar], cls: str = "W") -> WeightVector:
@@ -121,18 +127,7 @@ def make_weights(entries: Iterable[Scalar], cls: str = "W") -> WeightVector:
 
 def partial_sums(w: WeightVector) -> tuple:
     """Cumulative sums ``(w_1, w_1+w_2, ...)``; exact in rational mode."""
-    out = []
-    if w.mode == RATIONAL:
-        acc = Fraction(0)
-        for v in w.entries:
-            acc += v
-            out.append(acc)
-    else:
-        acc = 0.0
-        for v in w.entries:
-            acc += v
-            out.append(acc)
-    return tuple(out)
+    return tuple(itertools.accumulate(w.entries))
 
 
 def _exact(v: Scalar) -> Fraction:
@@ -200,7 +195,10 @@ def scalar_from_string(s: str, exact: bool = True) -> Scalar:
     value = Fraction(s)  # accepts "3", "0.25" and "1/2"
     if exact:
         return value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FloatOverflow(f"{s} is beyond the float range") from None
 
 
 def weights_from_strings(items: Iterable[str], cls: str = "W",

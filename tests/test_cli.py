@@ -62,6 +62,48 @@ class TestCheck:
         assert "tol" in err
 
 
+    @pytest.mark.parametrize("extra", [[], ["--exact-weights"]])
+    def test_weight_sum_overflow_exits_two(self, capsys, extra):
+        code, _, err = run(capsys, "check", "--mean", "power:0",
+                           "--x", "1,2", "--w", "1e308,1e308", *extra)
+        assert code == 2
+        assert err.startswith("error:") and "sum beyond the float range" in err
+
+    def test_weight_sum_overflow_names_cause_for_arithmetic(self, capsys):
+        code, _, err = run(capsys, "check", "--mean", "arithmetic",
+                           "--x", "1,2", "--w", "1e308,1e308")
+        assert code == 2
+        assert "sum beyond the float range" in err and "nan" not in err
+
+    def test_weighted_entry_sum_overflow_exits_two(self, capsys):
+        code, _, err = run(capsys, "check", "--mean", "power:0",
+                           "--x", "100,2", "--w", "1e308,1e307")
+        assert code == 2
+        assert "sum of the entries overflows the float range" in err
+
+    @pytest.mark.parametrize("x, w", [("1e400,2", "1,1"), ("1,2", "1e400,1")])
+    def test_literal_beyond_float_range_exits_two(self, capsys, x, w):
+        code, _, err = run(capsys, "check", "--mean", "power:0", "--x", x, "--w", w)
+        assert code == 2
+        assert err == "error: 1e400 is beyond the float range\n"
+
+
+class TestFormatChoices:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--mean", "power:0", "--x", "1,4", "--w", "1,1"],
+        ["refute", "--mean", "gini21", "--w", "1,3"],
+        ["concavity", "--mean", "power:0", "--trials", "10"],
+        ["axioms", "--mean", "power:0", "--trials", "2"],
+        ["proof-fn", "--mean", "power:0", "--x", "1,4", "--w", "1,1", "--j", "2"],
+        ["proportional", "--theta", "1/2", "--host", "0,1,0,1"],
+    ])
+    def test_csv_only_on_sweep(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--format", "csv"])
+        assert info.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 class TestRefute:
     def test_admissible_weights_exit_two(self, capsys):
         code, _, err = run(capsys, "refute", "--mean", "gini21", "--w", "1,1,1")

@@ -127,6 +127,23 @@ class TestQACondition:
     def test_sqrt_true(self):
         assert qa_concavity_condition(power_generator(0.5))
 
+    @pytest.mark.parametrize("p", [1 - 1e-5, 1 - 1e-7])
+    def test_large_affine_ratio_true(self, p):
+        # f'/f'' = t/(p - 1) reaches -1e9 on the window; its midpoint gap
+        # is rounding noise far above an absolute 1e-9
+        assert qa_concavity_condition(power_generator(p))
+
+    def test_concave_ratio_false(self):
+        # arctan: f'/f'' = -(t + 1/t)/2 is negative but not midpoint
+        # convex, so the shared midpoint sampler refutes the criterion
+        from kedlaya.deviation import GeneratorSpec
+        gen = GeneratorSpec(
+            f=math.atan, f_inverse=math.tan,
+            f_prime=lambda t: 1.0 / (1.0 + t * t),
+            f_second=lambda t: -2.0 * t / (1.0 + t * t) ** 2,
+            domain=POSITIVE, label="atan")
+        assert not qa_concavity_condition(gen)
+
     def test_mixed_sign_detected(self):
         from kedlaya.deviation import GeneratorSpec
         gen = GeneratorSpec(

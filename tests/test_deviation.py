@@ -230,6 +230,31 @@ class TestHomogeneousDeviation:
             assert abs(a - b) <= 1e-9 * (1 + abs(b))
 
 
+class TestSolverCore:
+    """Both solvers share one root finder; these pin its branches."""
+
+    @pytest.mark.parametrize("p", [-1.0, 0.0, 0.5, 2.0])
+    def test_homogeneous_equals_general_solver(self, p):
+        # E(x, y) = +-f(x / y), oriented to decrease in y, gives the same
+        # total up to an exact negation, so the roots agree bit for bit
+        f = shifted_power(p)
+        sign = -1.0 if p < 0 else 1.0
+        spec = DeviationSpec(lambda x, y: sign * f(x / y), label=f"homdev-{p}")
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            x = tuple(float(v) for v in np.exp(rng.uniform(np.log(0.1), np.log(10), n)))
+            w = tuple(float(v) for v in rng.uniform(0.1, 5, n))
+            assert homogeneous_deviation(f, x, w) == solve_deviation_mean(spec, x, w)
+
+    def test_homogeneous_endpoint_root(self):
+        assert homogeneous_deviation(math.log, (2.0, 8.0), (1.0, 0.0)) == 2.0
+
+    def test_homogeneous_no_sign_change(self):
+        with pytest.raises(SolverFailure):
+            homogeneous_deviation(lambda t: (t - 1.0) ** 2, (1.0, 3.0), (1.0, 1.0))
+
+
 class TestCounterexampleMean:
     def test_zero_branch(self):
         assert gini21_counterexample((0.0, 0.0), (1, 1)) == 0.0

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kedlaya.errors import NonpositiveWeight, ThetaOutOfRange, WeightsNotInV
+from kedlaya.errors import (LengthMismatch, NonpositiveWeight, ThetaOutOfRange,
+                            WeightsNotInV)
 from kedlaya.inequality import partial_arithmetic_means, step_inequality
 from kedlaya.means import MeanHandle, mean_from_id
 from kedlaya.stepfn import (
@@ -301,6 +302,10 @@ class TestProofFunction:
     def test_rejects_float_weights(self):
         with pytest.raises(ValueError):
             build_proof_function([1.0, 2.0], make_weights([1.0, 1.0], "W0"), 2)
+
+    def test_length_mismatch_is_typed(self):
+        with pytest.raises(LengthMismatch):
+            build_proof_function([1.0, 2.0, 3.0], make_weights([1, 1], "W0"), 2)
 
 
 class TestVerifyProofConstruction:

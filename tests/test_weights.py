@@ -79,6 +79,10 @@ class TestPartialSums:
         w = make_weights([Fraction(1, 2), Fraction(1, 3)])
         assert partial_sums(w) == (Fraction(1, 2), Fraction(5, 6))
 
+    def test_float_mode(self):
+        w = make_weights([0.1, 0.2, 0.3])
+        assert partial_sums(w) == (0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3)
+
 
 class TestRatioCondition:
     def test_constant_weights_pass(self):
