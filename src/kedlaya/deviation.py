@@ -19,7 +19,10 @@ Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
 the solver so they can cross-check each other.  The Gini and
 ratio-of-moments forms also come as ``*_rows`` kernels that evaluate
-every row of ``(rows, n)`` entry and weight arrays at once.
+every row of ``(rows, n)`` entry and weight arrays at once, and with the
+quasi-arithmetic form as ``*_prefixes`` kernels that evaluate every
+prefix ``x[:k]`` of one input in a single pass, bit for bit equal to the
+closed form on each prefix.
 """
 
 from __future__ import annotations
@@ -208,6 +211,65 @@ def solve_deviation_mean(spec: DeviationSpec, x, w, tol: float = DEFAULT_TOL) ->
 
 
 # ---------------------------------------------------------------------------
+# Exact running sums
+# ---------------------------------------------------------------------------
+
+class _RunningFsum:
+    """``math.fsum`` run one term at a time, at O(1) amortized cost per term.
+
+    :meth:`add` raises where ``fsum`` raises while consuming that term
+    (a sum of finite terms beyond the float range), and :meth:`value` is
+    ``fsum`` of the terms added so far, bit for bit.  Like ``fsum`` it
+    keeps Shewchuk's nonoverlapping partials, whose exact sum is the exact
+    sum of the finite terms, so ``fsum`` of the few partials is correctly
+    rounded like ``fsum`` of all of them.  After an inf or nan term,
+    :meth:`value` sums the terms themselves.
+    """
+
+    __slots__ = ("terms", "partials", "special")
+
+    def __init__(self):
+        self.terms = []
+        self.partials = []
+        self.special = False
+
+    def add(self, x: float) -> None:
+        self.terms.append(x)
+        term, partials, i = x, self.partials, 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        if x - x == 0.0:  # finite
+            del partials[i:]
+            partials.append(x)
+        elif term - term == 0.0:
+            raise OverflowError("intermediate overflow in fsum")
+        else:  # an inf or nan term: fsum sets it aside and starts the partials over
+            self.special = True
+            partials.clear()
+
+    def value(self) -> float:
+        return math.fsum(self.terms if self.special else self.partials)
+
+
+def prefix_fsums(values) -> list:
+    """``[math.fsum(values[:k]) for k = 1..n]`` in one pass, bit for bit and
+    raising where the first of those sums raises."""
+    acc = _RunningFsum()
+    out = []
+    for v in values:
+        acc.add(v)
+        out.append(acc.value())
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
 
@@ -237,6 +299,51 @@ def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
     if not math.isfinite(y):
         raise InverseOutOfRange(f"{gen.label}: inverse returned {y}")
     return y
+
+
+def _generator_values(gen: GeneratorSpec, x) -> list:
+    fx = []
+    for xi in x:
+        try:
+            fx.append(gen.f(xi))
+        except OverflowError as exc:
+            raise GeneratorOverflow(f"{gen.label}: generator overflows at entry {xi}") from exc
+    return fx
+
+
+def quasi_arithmetic_prefixes(gen: GeneratorSpec, x, w, first: int) -> list:
+    """:func:`quasi_arithmetic` on ``x[:k], w[:k]`` for ``k = first+1..n``,
+    bit for bit and with the same errors.
+
+    Each prefix repeats :func:`quasi_arithmetic`'s steps and messages,
+    which that function keeps inline because helper calls there cost a
+    two-entry evaluation about 3%.  ``gen.f`` runs once per entry, at the
+    whole first prefix before its sums.  The entries must lie in the
+    domain and ``x[:first+1]`` must not be constant (see
+    :func:`kedlaya.means.evaluate_prefixes`).
+    """
+    fx = _generator_values(gen, x[: first + 1])
+    out, terms, wsum = [], _RunningFsum(), _RunningFsum()
+    for k, wk in enumerate(w):
+        if k > first:
+            fx += _generator_values(gen, x[k : k + 1])
+        try:
+            terms.add(wk * fx[k])
+            wsum.add(wk)
+        except OverflowError as exc:
+            raise GeneratorOverflow(f"{gen.label}: weighted sum of the generator values "
+                                    f"at {x[: max(k, first) + 1]} overflows") from exc
+        if k < first:
+            continue
+        avg = terms.value() / wsum.value()
+        try:
+            y = gen.f_inverse(avg)
+        except (ValueError, OverflowError) as exc:
+            raise InverseOutOfRange(f"{gen.label}: inverse failed at {avg}") from exc
+        if not math.isfinite(y):
+            raise InverseOutOfRange(f"{gen.label}: inverse returned {y}")
+        out.append(y)
+    return out
 
 
 def _log_power_sum(p: float, x, w) -> float:
@@ -284,6 +391,63 @@ def gini_rows(p: float, q: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         scaled = w * (x / x.max(axis=1, keepdims=True)) ** p
         return np.exp((scaled * np.log(x)).sum(axis=1) / scaled.sum(axis=1))
     return np.exp((_log_power_sum_rows(p, x, w) - _log_power_sum_rows(q, x, w)) / (p - q))
+
+
+def _log_power_sum_prefixes(p: float, x, w, first: int) -> list:
+    """:func:`_log_power_sum` on ``x[:k], w[:k]`` for ``k = first+1..n``.
+
+    The scale is the prefix's max (``p > 0``) or min (``p < 0``); the
+    scaled terms are rebuilt only when it changes, about ``ln n`` times
+    for random entries.
+    """
+    if p == 0.0:
+        return [math.log(s) for s in prefix_fsums(w)[first:]]
+    out, c = [], None
+    for k in range(first, len(x)):
+        xk = x[k]
+        if c is None or (xk > c if p > 0 else xk < c):
+            c = max(x[: k + 1]) if p > 0 else min(x[: k + 1])
+            log_c = p * math.log(c)
+            terms = _RunningFsum()
+            for xi, wi in zip(x[: k + 1], w):
+                terms.add(wi * (xi / c) ** p)
+        else:
+            terms.add(w[k] * (xk / c) ** p)
+        out.append(log_c + math.log(terms.value()))
+    return out
+
+
+def gini_prefixes(p: float, q: float, x, w, first: int) -> list:
+    """:func:`gini` on ``x[:k], w[:k]`` for ``k = first+1..n``, bit for bit
+    and with the same errors.
+
+    A change of scale rebuilds the sums in :func:`gini`'s order: every
+    numerator term (each power raising where it would), then the
+    denominator.  The entries must be positive and ``x[:first+1]`` must
+    not be constant (see :func:`kedlaya.means.evaluate_prefixes`).
+    """
+    if p != q:
+        lp = _log_power_sum_prefixes(p, x, w, first)
+        lq = _log_power_sum_prefixes(q, x, w, first)
+        return [math.exp((a - b) / (p - q)) for a, b in zip(lp, lq)]
+    out, c = [], None
+    for k in range(first, len(x)):
+        xk = x[k]
+        if c is None or (xk > c and p != 0.0):  # x**0.0 is 1.0 whatever c is
+            c = max(x[: k + 1])
+            num, den, scaled = _RunningFsum(), _RunningFsum(), []
+            for xi, wi in zip(x[: k + 1], w):
+                d = wi * (xi / c) ** p
+                num.add(d * math.log(xi))
+                scaled.append(d)
+            for d in scaled:
+                den.add(d)
+        else:
+            d = w[k] * (xk / c) ** p
+            num.add(d * math.log(xk))
+            den.add(d)
+        out.append(math.exp(num.value() / den.value()))
+    return out
 
 
 def power_mean(p: float, x, w) -> float:
@@ -344,3 +508,21 @@ def gini21_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     den = (w * x).sum(axis=1)
     num = (w * x * x).sum(axis=1)
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+
+
+def gini21_prefixes(x, w, first: int) -> list:
+    """:func:`gini21_counterexample` on ``x[:k], w[:k]`` for ``k = first+1..n``,
+    bit for bit and with the same errors.
+
+    The entries must be nonnegative and ``x[:first+1]`` must not be
+    constant (see :func:`kedlaya.means.evaluate_prefixes`).
+    """
+    out, num, den = [], _RunningFsum(), _RunningFsum()
+    for k, (xi, wi) in enumerate(zip(x, w)):
+        d = wi * xi
+        den.add(d)
+        num.add(d * xi)
+        if k >= first:
+            s = den.value()
+            out.append(0.0 if s == 0.0 else num.value() / s)
+    return out

@@ -30,7 +30,8 @@ from .errors import (
     NonpositiveWeight,
     WeightsInV,
 )
-from .means import MeanHandle, evaluate, weighted_average
+from .deviation import prefix_fsums
+from .means import MeanHandle, evaluate, evaluate_prefixes, weighted_average
 from .weights import WeightVector, as_weight_vector, is_in_V
 
 HOLDS = "holds"
@@ -92,13 +93,17 @@ def partial_arithmetic_means(x: Sequence[float], w) -> list:
 
 def _prefix_scans(mean: MeanHandle, x: Sequence[float], wv: WeightVector) -> tuple:
     """Prefix M-means ``A_k = M(x_1..x_k)`` and ``B_k = M(m_1..m_k)`` over
-    the prefix arithmetic means ``m``, for ``k = 1..n``: one evaluation
-    each.  Both sides and every step gap are read off these two scans."""
+    the prefix arithmetic means ``m``, for ``k = 1..n``.
+
+    Each scan is one :func:`evaluate_prefixes` call: an O(n) pass of the
+    family's prefix kernel for random entries, or one :func:`evaluate` per
+    prefix for the solver-backed families.  Both equal the per-prefix
+    :func:`evaluate` bit for bit.  Both sides and every step gap are read
+    off these two scans.
+    """
     wf = wv.as_floats()
     m = partial_arithmetic_means(x, wv)
-    a = [evaluate(mean, x[: k + 1], wf[: k + 1]) for k in range(len(x))]
-    b = [evaluate(mean, m[: k + 1], wf[: k + 1]) for k in range(len(x))]
-    return a, b
+    return evaluate_prefixes(mean, x, wf), evaluate_prefixes(mean, m, wf)
 
 
 def kedlaya_sides(mean: MeanHandle, x: Sequence[float], w) -> tuple:
@@ -159,6 +164,11 @@ def check_kedlaya(mean: MeanHandle, x: Sequence[float], w,
     ratio-nonincreasing condition (zero weights there can only form a
     tail); otherwise zero weights are rejected, since the comparison is
     not reducible for them.
+
+    Both sides and the step gaps come from the two prefix scans of
+    :func:`_prefix_scans` (O(n) prefix kernels, one evaluation per prefix
+    for solver-backed families) and one pass of prefix weight sums; each
+    step gap equals :func:`step_inequality`'s ``rhs - lhs`` bit for bit.
     """
     if expect not in (None, HOLDS, REVERSED):
         raise ValueError(f"expect must be None, {HOLDS!r} or {REVERSED!r}")
@@ -187,10 +197,11 @@ def check_kedlaya(mean: MeanHandle, x: Sequence[float], w,
     lhs, rhs = weighted_average(a, wf), b[-1]  # lhs: weighted mean of the A_k
     gap = rhs - lhs
     scaled = tol * (1.0 + abs(rhs))
+    sums = prefix_fsums(wf)  # S_k = fsum(w_1..w_k)
     steps = []
     for j in range(2, n + 1):
         # step_inequality's operations, so the gaps equal its rhs - lhs bit for bit
-        s_prev = math.fsum(wf[: j - 1])
+        s_prev = sums[j - 2]
         s_j = s_prev + wf[j - 1]
         steps.append(s_j * b[j - 1] - (s_prev * b[j - 2] + wf[j - 1] * a[j - 1]))
     return KedlayaReport(n, lhs, rhs, gap, _classify(gap, scaled, expect),

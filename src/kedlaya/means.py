@@ -11,10 +11,11 @@ weights.
 
 :class:`MeanHandle` packages a family tag, its wire parameters, a domain
 and the family's kernels; :func:`evaluate` calls the scalar kernel (a
-closed form or the deviation solver) and :func:`evaluate_rows` the batch
-kernel.  One family table reads and writes string ids and the JSON wire
-format.  The ``check_*`` helpers return the numeric residual
-of each axiom on concrete inputs so conformance can be tested at scale.
+closed form or the deviation solver), :func:`evaluate_rows` the batch
+kernel and :func:`evaluate_prefixes` the prefix kernel.  One family table
+reads and writes string ids and the JSON wire format.  The ``check_*``
+helpers return the numeric residual of each axiom on concrete inputs so
+conformance can be tested at scale.
 
 The built-in arithmetic, min and max families accumulate exactly (one
 rounding at the end), which makes the repetition-expansion bridge
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,6 +63,21 @@ def exact_weighted_arithmetic(x, w) -> float:
     return float(num / den)
 
 
+def _arithmetic_prefixes(x, w, first: int) -> list:
+    """:func:`exact_weighted_arithmetic` on ``x[:k], w[:k]`` for
+    ``k = first+1..n``, from running exact sums."""
+    out = []
+    num = Fraction(0)
+    den = Fraction(0)
+    for k, (xi, wi) in enumerate(zip(x, w)):
+        fw = Fraction(wi)
+        num += fw * Fraction(xi)
+        den += fw
+        if k >= first:
+            out.append(float(num / den))
+    return out
+
+
 def arithmetic_base(xs) -> float:
     """Unweighted arithmetic mean, exact accumulation."""
     return exact_weighted_arithmetic(xs, [1] * len(xs))
@@ -87,7 +104,12 @@ class MeanHandle:
     and float weights that already passed the domain/weight validation and
     zero-weight elimination in :func:`evaluate`.  ``_batch``, when present,
     evaluates every row of ``(rows, n)`` entry and weight arrays at once
-    (see :func:`evaluate_rows`); solver-backed families have none.
+    (see :func:`evaluate_rows`).  ``_prefix``, when present, takes such
+    entries and weights and an index ``first`` with ``x[:first+1]`` not
+    constant, and returns ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in
+    one pass, bit for bit and raising what the first failing call would
+    raise (see :func:`evaluate_prefixes`).  Solver-backed families have
+    neither.
     """
 
     family: str
@@ -96,6 +118,7 @@ class MeanHandle:
     label: str = ""
     _fn: Callable = field(default=None, repr=False, compare=False)
     _batch: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _prefix: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.label or self.family
@@ -106,36 +129,42 @@ class MeanHandle:
     def arithmetic(cls) -> "MeanHandle":
         return cls("arithmetic", REALS, (), "arithmetic",
                    lambda x, w: exact_weighted_arithmetic(x, w),
-                   lambda x, w: (w * x).sum(axis=1) / w.sum(axis=1))
+                   lambda x, w: (w * x).sum(axis=1) / w.sum(axis=1),
+                   _arithmetic_prefixes)
 
     @classmethod
     def minimum(cls) -> "MeanHandle":
         return cls("min", REALS, (), "min", lambda x, w: float(min(x)),
-                   lambda x, w: x.min(axis=1))
+                   lambda x, w: x.min(axis=1),
+                   lambda x, w, first: [float(v) for v in accumulate(x, min)][first:])
 
     @classmethod
     def maximum(cls) -> "MeanHandle":
         return cls("max", REALS, (), "max", lambda x, w: float(max(x)),
-                   lambda x, w: x.max(axis=1))
+                   lambda x, w: x.max(axis=1),
+                   lambda x, w, first: [float(v) for v in accumulate(x, max)][first:])
 
     @classmethod
     def power(cls, p: float) -> "MeanHandle":
         p = float(p)
         return cls("power", POSITIVE, (p,), f"power:{_fmt(p)}",
                    lambda x, w: dev.power_mean(p, x, w),
-                   lambda x, w: dev.gini_rows(p, 0.0, x, w))
+                   lambda x, w: dev.gini_rows(p, 0.0, x, w),
+                   lambda x, w, first: dev.gini_prefixes(p, 0.0, x, w, first))
 
     @classmethod
     def gini(cls, p: float, q: float) -> "MeanHandle":
         p, q = float(p), float(q)
         return cls("gini", POSITIVE, (p, q), f"gini:{_fmt(p)}:{_fmt(q)}",
                    lambda x, w: dev.gini(p, q, x, w),
-                   lambda x, w: dev.gini_rows(p, q, x, w))
+                   lambda x, w: dev.gini_rows(p, q, x, w),
+                   lambda x, w, first: dev.gini_prefixes(p, q, x, w, first))
 
     @classmethod
     def quasi_arithmetic(cls, gen: dev.GeneratorSpec) -> "MeanHandle":
         return cls("quasi-arithmetic", gen.domain, gen.params, f"qa:{gen.label}",
-                   lambda x, w: dev.quasi_arithmetic(gen, x, w))
+                   lambda x, w: dev.quasi_arithmetic(gen, x, w), None,
+                   lambda x, w, first: dev.quasi_arithmetic_prefixes(gen, x, w, first))
 
     @classmethod
     def homogeneous_deviation(cls, f: Callable[[float], float],
@@ -151,7 +180,8 @@ class MeanHandle:
     @classmethod
     def gini21_counterexample(cls) -> "MeanHandle":
         return cls("gini21", NONNEGATIVE, (), "gini21",
-                   lambda x, w: dev.gini21_counterexample(x, w), dev.gini21_rows)
+                   lambda x, w: dev.gini21_counterexample(x, w), dev.gini21_rows,
+                   dev.gini21_prefixes)
 
     @classmethod
     def affine(cls, inner: "MeanHandle", a: float, b: float) -> "MeanHandle":
@@ -159,12 +189,16 @@ class MeanHandle:
         if a == 0:
             raise ZeroScale("affine conjugation needs a != 0")
         a, b = float(a), float(b)
-        fn = lambda x, w: a * evaluate(inner, [(xi - b) / a for xi in x], w) + b
-        batch = None
+        to_inner = lambda x: [(xi - b) / a for xi in x]
+        fn = lambda x, w: a * evaluate(inner, to_inner(x), w) + b
+        batch = prefix = None
         if inner._batch is not None:
             batch = lambda x, w: a * inner._batch((x - b) / a, w) + b
+        if inner._prefix is not None:
+            prefix = lambda x, w, first: [
+                a * v + b for v in evaluate_prefixes(inner, to_inner(x), w)[first:]]
         return cls("affine", inner.domain.transform(a, b), (a, b, inner),
-                   f"affine({_fmt(a)},{_fmt(b)},{inner})", fn, batch)
+                   f"affine({_fmt(a)},{_fmt(b)},{inner})", fn, batch, prefix)
 
 
 def _fmt(v: float) -> str:
@@ -178,7 +212,10 @@ def _fmt(v: float) -> str:
 def _float_weights(w) -> tuple:
     if isinstance(w, WeightVector):
         return w.as_floats()
-    wf = tuple(map(float, w))
+    try:
+        wf = tuple(map(float, w))
+    except OverflowError:  # an entry beyond the float range
+        wf = ()
     if not (0.0 < sum(wf) < math.inf and min(wf) >= 0.0):
         make_weights(w).as_floats()  # raise the precise validation error
     return wf
@@ -209,6 +246,49 @@ def evaluate(mean: MeanHandle, x: Sequence[float], w) -> float:
     if min(xs) == max(xs):
         return float(xs[0])
     return mean._fn(xs, ws)
+
+
+def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
+    """``[evaluate(mean, x[:k], w[:k]) for k = 1..n]``, bit for bit.
+
+    The weights are validated once, as a whole, before the entries.  Each
+    entry's domain is checked once, zero-weight entries are dropped and
+    constant prefixes short-circuit, as in :func:`evaluate`.  Families
+    with a prefix kernel compute the other prefixes in one pass of
+    running sums; the solver-backed families call :func:`evaluate` once
+    per prefix.  Apart from the weights, errors are those of that loop:
+    an entry outside the domain raises only after the prefixes before it
+    are evaluated.
+    """
+    wf = _float_weights(w)
+    if len(x) != len(wf):
+        raise LengthMismatch(f"{len(x)} entries vs {len(wf)} weights")
+    if mean._prefix is None:
+        return [evaluate(mean, x[:k], wf[:k]) for k in range(1, len(x) + 1)]
+    if wf[0] == 0.0:
+        make_weights(wf[:1])  # the first prefix has no weight: raise AllZero
+    dom = mean.domain
+    xs, ws, sizes = [], [], []  # nonzero-weight entries; their count in each prefix
+    bad = None
+    for xi, wi in zip(x, wf):
+        if not dom.contains(xi):
+            bad = xi
+            break
+        if wi != 0.0:
+            xs.append(xi)
+            ws.append(wi)
+        sizes.append(len(xs))
+    out = []
+    if xs:
+        first = 1  # xs[:first] is the longest constant prefix
+        while first < len(xs) and xs[first] == xs[0]:
+            first += 1
+        tail = mean._prefix(xs, ws, first) if first < len(xs) else []
+        const = float(xs[0])
+        out = [const if m <= first else tail[m - first - 1] for m in sizes]
+    if bad is not None:
+        raise DomainViolation(f"entry {bad} outside domain of {mean}")
+    return out
 
 
 def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from kedlaya import cli
 from kedlaya.cli import main
 
 
@@ -54,6 +56,15 @@ class TestCheck:
                            "--x", x, "--w", "1,1")
         assert code == 2
         assert err.startswith("error: pow[2.0]:") and entry in err
+
+    def test_generator_overflow_same_line_as_per_prefix_path(self, capsys, monkeypatch):
+        argv = ("check", "--mean", "qa:pow:2", "--x", "1e200,2", "--w", "1,1")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, "error: pow[2.0]: generator overflows at entry 1e+200\n")
+        resolve = cli.mn.mean_from_id
+        monkeypatch.setattr(cli.mn, "mean_from_id",
+                            lambda mean_id: replace(resolve(mean_id), _prefix=None))
+        assert run(capsys, *argv)[::2] == (code, err)
 
     def test_usage_error_nonpositive_tol(self, capsys):
         code, _, err = run(capsys, "check", "--mean", "power:0",

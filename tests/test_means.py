@@ -2,21 +2,33 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kedlaya import means
-from kedlaya.deviation import DeviationSpec, GeneratorSpec, log_generator, power_generator
+from kedlaya.deviation import (
+    DeviationSpec,
+    GeneratorSpec,
+    log_generator,
+    power_generator,
+    prefix_fsums,
+)
 from kedlaya.domain import POSITIVE
 from kedlaya.errors import (
+    AllZero,
     DomainViolation,
+    FloatOverflow,
+    GeneratorOverflow,
     IndexNotZeroWeighted,
     LengthMismatch,
     NonfiniteWeight,
     Overflow,
 )
+from kedlaya.inequality import kedlaya_sides, partial_arithmetic_means
 from kedlaya.means import (
     MeanHandle,
     arithmetic_base,
@@ -26,10 +38,12 @@ from kedlaya.means import (
     check_reduction,
     check_symmetry,
     evaluate,
+    evaluate_prefixes,
     evaluate_rows,
     mean_from_id,
     mean_from_json,
     mean_to_json,
+    weighted_average,
     weighted_from_repetition_invariant,
 )
 from kedlaya.weights import make_weights
@@ -66,6 +80,14 @@ class TestEvaluate:
     def test_nonfinite_weight_rejected(self, mean_id, bad):
         with pytest.raises(NonfiniteWeight):
             evaluate(mean_from_id(mean_id), (1.0, 2.0), (1.0, bad))
+
+    @pytest.mark.parametrize("w", [[10 ** 400, 1], [1, Fraction(10 ** 400, 3)]])
+    def test_weight_beyond_float_range_rejected(self, w):
+        mean = mean_from_id("power:0")
+        with pytest.raises(FloatOverflow):
+            evaluate(mean, [1.0, 2.0], w)
+        with pytest.raises(FloatOverflow):
+            evaluate_prefixes(mean, [1.0, 2.0], w)
 
     def test_weight_vector_accepted(self):
         w = make_weights([Fraction(1, 2), Fraction(3, 2)])
@@ -263,6 +285,159 @@ class TestBatchKernels:
 
         monkeypatch.setattr(means, "evaluate", row_fallback)
         np.testing.assert_allclose(evaluate_rows(mean, x, w), expected, rtol=1e-13, atol=0)
+
+
+# (test id, mean, entry transform) for every family with a prefix kernel
+PREFIX_MEANS = [(name, mean_from_id(name), None) for name in (
+    "arithmetic", "min", "max", "power:-2", "power:0", "power:0.5", "power:3",
+    "gini:0.5:0", "gini:2:1", "gini:-1:-1", "gini:1.5:1.5", "gini21",
+    "qa:log", "qa:pow:2")] + [
+    ("affine", MeanHandle.affine(GEO, 2.0, 1.0), lambda v: 2.0 * v + 1.0),
+    ("reflect", MeanHandle.affine(GEO, -1.0, 0.0), lambda v: -v),
+]
+
+
+def _prefix_inputs(name, transform):
+    """Seeded entries and weights: random, increasing and decreasing runs (every
+    prefix a new max or min), constant runs, and interior zero weights."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n in (2, 5, 17, 40):
+        x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), n))
+        w = rng.exponential(size=n)
+        cases += [(x, w), (np.sort(x), w), (np.sort(x)[::-1], w)]
+        cases.append((np.repeat(x, 4)[:n], w))
+        zeros = w * (rng.random(n) < 0.6)
+        zeros[0] = w[0]
+        cases.append((x, zeros))
+    cases.append((np.array([3.0, 3.0, 3.0]), np.ones(3)))
+    out = []
+    for x, w in cases:
+        if name == "gini21":
+            x = x * (rng.random(x.shape) < 0.7)  # zero entries
+        if transform is not None:
+            x = transform(x)
+        out.append((x.tolist(), w.tolist()))
+    return out
+
+
+class TestPrefixKernels:
+    """Each prefix kernel gives :func:`evaluate` on every prefix, bit for bit."""
+
+    @pytest.mark.parametrize("name, mean, transform", PREFIX_MEANS,
+                             ids=[c[0] for c in PREFIX_MEANS])
+    def test_equals_evaluate_on_every_prefix(self, name, mean, transform, monkeypatch):
+        inputs = _prefix_inputs(name, transform)
+        expected = [[evaluate(mean, x[:k], w[:k]) for k in range(1, len(x) + 1)]
+                    for x, w in inputs]
+
+        def per_prefix_fallback(*args):
+            raise AssertionError(f"{mean} has no prefix kernel")
+
+        monkeypatch.setattr(means, "evaluate", per_prefix_fallback)
+        for (x, w), want in zip(inputs, expected):
+            assert evaluate_prefixes(mean, x, w) == want
+
+    @pytest.mark.parametrize("name, mean, transform", PREFIX_MEANS,
+                             ids=[c[0] for c in PREFIX_MEANS])
+    def test_kedlaya_sides_with_interior_zero_weights(self, name, mean, transform,
+                                                      monkeypatch):
+        inputs = [(x, w) for x, w in _prefix_inputs(name, transform) if 0.0 in w[1:]]
+        assert inputs
+        expected = []
+        for x, w in inputs:
+            m = partial_arithmetic_means(x, w)
+            a = [evaluate(mean, x[:k], w[:k]) for k in range(1, len(x) + 1)]
+            expected.append((weighted_average(a, w), evaluate(mean, m, w)))
+
+        def per_prefix_fallback(*args):
+            raise AssertionError(f"{mean} has no prefix kernel")
+
+        monkeypatch.setattr(means, "evaluate", per_prefix_fallback)
+        for (x, w), want in zip(inputs, expected):
+            assert kedlaya_sides(mean, x, w) == want
+
+    def test_solver_family_falls_back_to_evaluate(self):
+        mean = mean_from_id("homdev:shifted-power:0.5")
+        x, w = [1.5, 0.25, 8.0, 8.0, 2.0], [3, 0, 2, 1, 1]
+        assert evaluate_prefixes(mean, x, w) == [evaluate(mean, x[:k], w[:k])
+                                                 for k in range(1, 6)]
+
+    def test_first_weight_zero_rejected(self):
+        with pytest.raises(AllZero):
+            evaluate_prefixes(GEO, [1.0, 2.0], [0.0, 1.0])
+
+    def test_prefix_fsums_equal_fsum_of_every_prefix(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            v = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)
+            v = v.tolist()
+            assert prefix_fsums(v) == [math.fsum(v[:k]) for k in range(1, n + 1)]
+        for v in ([1e308, 1e308, -1e308], [1.0, math.inf, 2.0], [math.inf, -math.inf],
+                  [1.0, math.nan], [1.0, 2.0 ** -60, -1.0, 2.0 ** -60]):
+            try:
+                want = [math.fsum(v[:k]) for k in range(1, len(v) + 1)]
+            except (OverflowError, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    prefix_fsums(v)
+            else:
+                assert list(map(repr, prefix_fsums(v))) == list(map(repr, want))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestPrefixErrorParity:
+    """The prefix path raises what the per-prefix path raises: same type, same
+    message.  The per-prefix path is the same handle without its kernel."""
+
+    CASES = [
+        # an entry outside the domain at position k, after valid prefixes
+        ("power:0", [1.0, 2.0, -3.0, 4.0], [1, 1, 1, 1], DomainViolation),
+        ("gini21", [0.0, 2.0, 1.0, -1.0], [1, 1, 0, 1], DomainViolation),
+        ("qa:log", [2.0, 0.0], [1, 1], DomainViolation),
+        # a generator value beyond the float range
+        ("qa:pow:2", [1e200, 2.0], [1, 1], GeneratorOverflow),
+        ("qa:pow:2", [2.0, 1e200], [1, 1], GeneratorOverflow),
+        ("qa:pow:2", [1e154, 1.3e154], [1, 1], GeneratorOverflow),
+        ("qa:pow:2", [1e200, 2.0, -1.0], [1, 1, 1], GeneratorOverflow),  # before the entry -1
+        # the generator sum overflows inside the constant prefix: named at the first
+        # prefix the per-prefix loop sums
+        ("qa:pow:2", [1.3e154, 1.3e154, 2.0], [1, 1, 1], GeneratorOverflow),
+        # a scaled power term beyond the float range (p = q < 0)
+        ("gini:-1:-1", [1.0, 1e-310], [1, 1], OverflowError),
+        ("gini:-1:-1", [1e300, 1e-300], [1, 1], ZeroDivisionError),
+        # after a new max, fsum overflows before the power term of 1e-10 overflows
+        ("gini:-2:-2", [1.5] * 11 + [1e-10, 1e154], [1] * 13, OverflowError),
+    ]
+
+    @pytest.mark.parametrize("mean_id, x, w, error", CASES)
+    def test_evaluate_prefixes(self, mean_id, x, w, error):
+        mean = mean_from_id(mean_id)
+        got = _outcome(lambda: evaluate_prefixes(mean, x, w))
+        assert got[0] is error
+        assert got == _outcome(lambda: evaluate_prefixes(replace(mean, _prefix=None), x, w))
+
+    def test_constant_prefix_never_reaches_the_kernel(self):
+        # the per-prefix path short-circuits constant prefixes, so no overflow
+        mean = mean_from_id("qa:pow:2")
+        assert evaluate_prefixes(mean, [1e200, 1e200], [1, 2]) == [1e200, 1e200]
+
+    @pytest.mark.parametrize("mean_id, x, w, error", CASES + [
+        # the weighted entry sum overflows before any mean is evaluated
+        ("power:0", [100.0, 2.0], [1e308, 1e307], FloatOverflow),
+        ("qa:pow:2", [1e200, 1e200], [1e308, 1e307], FloatOverflow),
+    ])
+    def test_kedlaya_sides(self, mean_id, x, w, error):
+        mean = mean_from_id(mean_id)
+        got = _outcome(lambda: kedlaya_sides(mean, x, w))
+        assert got[0] is error
+        assert got == _outcome(lambda: kedlaya_sides(replace(mean, _prefix=None), x, w))
 
 
 class TestWireFormat:
