@@ -14,6 +14,11 @@ The bisection stops when the bracket width drops below
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
+:func:`homogeneous_deviation_rows` bisects every row of ``(rows, n)``
+arrays in lockstep, for an ``f`` with a numpy twin such as
+:func:`shifted_power_rows`: it takes each sign from a numpy row sum outside
+that sum's error bound and from the scalar total inside it, so it returns
+the scalar solver's roots and errors bit for bit.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -36,6 +41,7 @@ import numpy as np
 from .domain import Interval, POSITIVE, probe_points
 from .errors import (
     DomainViolation,
+    FloatOverflow,
     GeneratorOverflow,
     InvalidDeviation,
     InvalidGenerator,
@@ -48,6 +54,7 @@ from .errors import (
 _VALIDATION_SAMPLES = 32
 DEFAULT_TOL = 1e-12
 MAX_BISECT_ITER = 200
+_HOMDEV = "homogeneous deviation"
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +462,20 @@ def power_mean(p: float, x, w) -> float:
     return gini(p, 0.0, x, w)
 
 
+def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
+    """The total ``y -> s * sum_i w_i f(x_i / y)``, summed exactly."""
+    return lambda y: s * math.fsum(wi * f(xi / y) for xi, wi in zip(x, w))
+
+
+def _orientation(f: Callable[[float], float]) -> float:
+    """The sign that makes ``s * f`` increasing, after checking ``f(1) = 0``
+    (to 1e-12)."""
+    fe = f(1.0)
+    if abs(fe) > 1e-12:
+        raise InvalidGenerator(f"f(1) = {fe}, expected 0")
+    return -1.0 if f(2.0) < 0 else 1.0
+
+
 def homogeneous_deviation(f: Callable[[float], float], x, w,
                           tol: float = DEFAULT_TOL) -> float:
     """Root of ``sum_i w_i f(x_i / y) = 0`` on positive entries.
@@ -463,16 +484,12 @@ def homogeneous_deviation(f: Callable[[float], float], x, w,
     decreasing.  For a decreasing ``f`` (``f(2) < 0``) the total is
     negated, which is exact, so that it decreases in ``y`` either way.
     """
-    fe = f(1.0)
-    if abs(fe) > 1e-12:
-        raise InvalidGenerator(f"f(1) = {fe}, expected 0")
+    s = _orientation(f)
     _check_lengths(x, w)
     for xi in x:
         if not xi > 0:
             raise DomainViolation(f"entry {xi} must be positive")
-    s = -1.0 if f(2.0) < 0 else 1.0
-    return _solve(lambda y: s * math.fsum(wi * f(xi / y) for xi, wi in zip(x, w)),
-                  x, tol, "homogeneous deviation")
+    return _solve(_homogeneous_total(f, s, x, w), x, tol, _HOMDEV)
 
 
 def shifted_power(p: float) -> Callable[[float], float]:
@@ -480,6 +497,151 @@ def shifted_power(p: float) -> Callable[[float], float]:
     if p == 0.0:
         return math.log
     return lambda t: t ** p - 1.0
+
+
+def shifted_power_rows(p: float) -> tuple:
+    """The numpy twin of :func:`shifted_power`, for
+    :func:`homogeneous_deviation_rows`: the array function and its error
+    floor ``c``.
+
+    Each value is within an ulp of ``|f(t)| + c`` of the scalar ``f(t)``
+    (``c = 2`` bounds ``t^p + 1``, the size of ``t^p - 1`` before its
+    cancellation), and is not finite where the scalar raises, except
+    within ulps of the end of the float range.
+    """
+    if p == 0.0:
+        return np.log, 0.0
+    return (lambda t: t ** p - 1.0), 2.0
+
+
+# ---------------------------------------------------------------------------
+# Lockstep bisection
+# ---------------------------------------------------------------------------
+
+_BLOCK = 1 << 14  # entries per block of rows
+# Twin values were measured within 1 ulp of the scalar ones, with and without
+# numpy's SIMD dispatch; this slack covers about 60 (see below).
+_SIGN_SLACK = 64
+_EPS = 2.0 ** -52
+_TERM_FLOOR = 2.0 ** -1072  # the underflow error of two products, with room
+_SAFE = 2.0 ** 1000  # a total or value below this overflows nowhere
+
+
+def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
+                               x: np.ndarray, w: np.ndarray,
+                               sizes: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`homogeneous_deviation` of ``f`` on the first ``sizes[i]``
+    entries of every row of ``(rows, n)`` arrays (all ``n`` by default),
+    bit for bit and raising what the first failing row raises.
+
+    Rows are bisected in lockstep, a block of rows at a time, on the
+    scalar solver's brackets, midpoints, shortcuts and stop rule.  The
+    entries must be positive and each row's weights nonnegative with a
+    positive sum; zero-weight entries are dropped, as in
+    :func:`kedlaya.means.evaluate`.  Bisection reads
+    only the sign of each total.  ``twin = (F, c)`` (see
+    :func:`shifted_power_rows`) gives it from a numpy row sum whenever that
+    sum is farther from 0 than its error bound (Shewchuk's filtered
+    predicates): ``(k + _SIGN_SLACK) * 2^-52`` of ``sum_i w_i (|F(t_i)| + c)``
+    over a row's ``k`` terms, which bounds each term before its own
+    cancellation, plus an underflow floor per term.  That covers the numpy
+    summation, off by at most ``(k - 1) * 2^-53`` of it in any order, and
+    twin values up to about 60 ulps of ``|f(t)| + c`` from the scalar ones.
+    A row whose sum is closer, or whose terms could overflow somewhere,
+    gets the scalar total instead, which keeps its exact value and its
+    Python errors.
+    """
+    s = _orientation(f)
+    rows, n = x.shape
+    if sizes is None:
+        sizes = np.full(rows, n)
+    out = np.empty(rows)
+    step = max(1, _BLOCK // n)
+    with np.errstate(all="ignore"):  # values that are not finite go to the scalar total
+        for start in range(0, rows, step):
+            block = slice(start, start + step)
+            out[block] = _bisect_block(f, twin, s, x[block], w[block],
+                                       sizes[block, None])
+    return out
+
+
+def _bisect_block(f, twin, s, x, w, sizes) -> np.ndarray:
+    """:func:`homogeneous_deviation_rows` on one block of rows; every
+    per-row array is a column."""
+    m = int(sizes.max())
+    x, w = x[:, :m], w[:, :m]
+    live = (np.arange(m) < sizes) & (w != 0.0)
+    lo = np.where(live, x, np.inf).min(axis=1, keepdims=True)
+    hi = np.where(live, x, -np.inf).max(axis=1, keepdims=True)
+    # Dead entries (past a row's size, or of weight 0) repeat its minimum with
+    # weight 0, so their terms are exactly 0 and their values finite wherever
+    # the row's are.
+    x = np.where(live, x, lo)
+    w = np.where(live, w, 0.0)
+    F, c = twin
+    ulps = (sizes + _SIGN_SLACK) * _EPS
+    # the bound is ulps * (sum_i w_i |F(t_i)| + c * sum_i w_i) + the floor
+    base = ulps * c * w.sum(axis=1, keepdims=True) + sizes * _TERM_FLOOR
+    # |F| <= size / w_i, so below this cap no value or partial sum overflows
+    cap = _SAFE * np.minimum(1.0, np.where(live, w, np.inf).min(axis=1, keepdims=True))
+    result = lo.copy()  # the constant rows' value
+    active = lo != hi
+    errors = {}
+
+    def scalar(i: int, y: float) -> float:
+        row = live[i]
+        return _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())(y)
+
+    def totals(y: np.ndarray, pending: np.ndarray) -> np.ndarray:
+        """Each pending row's total at ``y``, exact or of the right sign."""
+        terms = w * F(x / y)
+        g = np.add.reduce(terms, axis=1, keepdims=True)
+        size = np.add.reduce(np.abs(terms, out=terms), axis=1, keepdims=True)
+        certain = (np.abs(g) > ulps * size + base) & (size <= cap)
+        if s < 0:
+            g = -g
+        for i in (pending > certain).nonzero()[0]:  # pending and not certain
+            try:
+                g[i] = scalar(i, float(y[i, 0]))
+            except (ArithmeticError, ValueError) as exc:
+                errors[i] = exc
+                active[i] = False
+        return g
+
+    g_lo = totals(lo, active)
+    g_hi = totals(hi, active)
+    for i in (active & ((g_lo < 0) | (g_hi > 0))).nonzero()[0]:
+        a, b = float(lo[i, 0]), float(hi[i, 0])
+        errors[i] = SolverFailure(
+            f"{_HOMDEV}: no sign change on [{a}, {b}] "
+            f"(g(lo)={scalar(i, a)}, g(hi)={scalar(i, b)}); deviation is invalid")
+        active[i] = False
+    for g, end in ((g_lo, lo), (g_hi, hi)):
+        root = active & (g == 0.0)
+        np.copyto(result, end, where=root)
+        active ^= root
+    positive_at_lo = g_lo > 0
+    for _ in range(MAX_BISECT_ITER):
+        if not np.count_nonzero(active):
+            break
+        mid = 0.5 * (lo + hi)
+        converged = hi - lo <= DEFAULT_TOL * (1.0 + mid)  # mid > 0: |mid| is mid
+        g = totals(mid, active > converged)  # active and not converged
+        stop = active & (converged | (g == 0.0))
+        np.copyto(result, mid, where=stop)
+        active ^= stop
+        up = (g > 0) == positive_at_lo
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=~up)
+    for i in active.nonzero()[0]:
+        errors[i] = MaxIterations(f"{_HOMDEV}: bisection did not converge in "
+                                  f"{MAX_BISECT_ITER} iterations")
+    if errors:
+        raise errors[min(errors)]
+    return result[:, 0]
+
+
+_GINI21_RANGE = "gini21: a weighted moment sum is beyond the float range"
 
 
 def gini21_counterexample(x, w) -> float:
@@ -496,10 +658,15 @@ def gini21_counterexample(x, w) -> float:
     for xi in x:
         if xi < 0:
             raise DomainViolation(f"entry {xi} must be nonnegative")
-    den = math.fsum(wi * xi for xi, wi in zip(x, w))
-    if den == 0.0:
-        return 0.0
-    num = math.fsum(wi * xi * xi for xi, wi in zip(x, w))
+    try:
+        den = math.fsum(wi * xi for xi, wi in zip(x, w))
+        if den == 0.0:
+            return 0.0
+        num = math.fsum(wi * xi * xi for xi, wi in zip(x, w))
+    except OverflowError:
+        raise FloatOverflow(_GINI21_RANGE) from None
+    if not math.isfinite(num):  # an infinite term; den is finite only if num is
+        raise FloatOverflow(_GINI21_RANGE)
     return num / den
 
 
@@ -520,9 +687,18 @@ def gini21_prefixes(x, w, first: int) -> list:
     out, num, den = [], _RunningFsum(), _RunningFsum()
     for k, (xi, wi) in enumerate(zip(x, w)):
         d = wi * xi
-        den.add(d)
-        num.add(d * xi)
+        try:
+            den.add(d)
+            num.add(d * xi)
+        except OverflowError:
+            raise FloatOverflow(_GINI21_RANGE) from None
         if k >= first:
             s = den.value()
-            out.append(0.0 if s == 0.0 else num.value() / s)
+            if s == 0.0:
+                out.append(0.0)
+                continue
+            v = num.value()
+            if not math.isfinite(v):
+                raise FloatOverflow(_GINI21_RANGE)
+            out.append(v / s)
     return out

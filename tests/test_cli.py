@@ -66,6 +66,12 @@ class TestCheck:
                             lambda mean_id: replace(resolve(mean_id), _prefix=None))
         assert run(capsys, *argv)[::2] == (code, err)
 
+    @pytest.mark.parametrize("x", ["1.2e154,1.3e154", "1e155,1"])
+    def test_gini21_moment_overflow_exits_two(self, capsys, x):
+        code, out, err = run(capsys, "check", "--mean", "gini21", "--x", x, "--w", "1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: gini21: a weighted moment sum is beyond the float range\n"
+
     def test_usage_error_nonpositive_tol(self, capsys):
         code, _, err = run(capsys, "check", "--mean", "power:0",
                            "--x", "1,4", "--w", "1,1", "--tol", "0")
@@ -97,6 +103,43 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--mean", "power:0", "--x", x, "--w", w)
         assert code == 2
         assert err == "error: 1e400 is beyond the float range\n"
+
+
+class TestParserCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        build = cli.build_parser
+
+        def counting():
+            count[0] += 1
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield count
+        cli._parser.cache_clear()
+
+    def test_built_once_per_process(self, capsys, builds):
+        argv = ("check", "--mean", "power:0", "--x", "1,4", "--w", "1,1", "--json")
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        assert builds[0] == 1
+        assert first[0] == 0 and json.loads(first[1])["verdict"] == "holds"
+
+    def test_errors_still_exit_two(self, capsys, builds):
+        for _ in range(2):
+            code, _, err = run(capsys, "check", "--mean", "power:0",
+                               "--x", "1,4", "--w", "1,1", "--tol", "0")
+            assert (code, err) == (2, "error: --tol must be positive\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "--mean", "power:0"])  # --x and --w missing
+            assert exc.value.code == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["no-such-command"])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+        assert builds[0] == 1
 
 
 class TestFormatChoices:

@@ -52,7 +52,7 @@ class TestSampler:
         assert a == b
 
     def test_solver_family_loops(self):
-        # no vectorized path for this family: exercises the row fallback
+        # the bisection family: its batch kernel bisects every row in lockstep
         mean = mean_from_id("homdev:shifted-power:0.5")
         v = sample_jensen_concavity(mean, 2, 300, seed=3)
         assert v.verdict in (CONCAVE, INCONCLUSIVE)

@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from kedlaya import deviation as dev
 from kedlaya.deviation import (
     DeviationSpec,
     GeneratorSpec,
     gini,
     gini21_counterexample,
     homogeneous_deviation,
+    homogeneous_deviation_rows,
     log_generator,
     power_generator,
     power_mean,
     quasi_arithmetic,
     shifted_power,
+    shifted_power_rows,
     solve_deviation_mean,
 )
 from kedlaya.domain import POSITIVE, REALS
@@ -253,6 +256,74 @@ class TestSolverCore:
     def test_homogeneous_no_sign_change(self):
         with pytest.raises(SolverFailure):
             homogeneous_deviation(lambda t: (t - 1.0) ** 2, (1.0, 3.0), (1.0, 1.0))
+
+
+def _lockstep_prefixes(p, x, w):
+    """Every prefix of length 2..n through the lockstep kernel."""
+    n = len(x)
+    return homogeneous_deviation_rows(
+        shifted_power(p), shifted_power_rows(p), np.broadcast_to(np.array(x), (n - 1, n)),
+        np.broadcast_to(np.array(w), (n - 1, n)), np.arange(2, n + 1)).tolist()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestLockstepBisection:
+    """The lockstep kernel decides nearly every sign from numpy sums: the
+    scalar total, counted here, runs only inside the error bound."""
+
+    @pytest.fixture
+    def scalar_totals(self, monkeypatch):
+        calls = [0]
+        make_total = dev._homogeneous_total
+
+        def counting(*args):
+            total = make_total(*args)
+
+            def counted(y):
+                calls[0] += 1
+                return total(y)
+
+            return counted
+
+        monkeypatch.setattr(dev, "_homogeneous_total", counting)
+        return calls
+
+    def _fallback_rate(self, calls, p, x, w):
+        """Scalar totals of the kernel per sign test of the scalar solver,
+        after checking that both give the same outcome."""
+        calls[0] = 0
+        want = _outcome(lambda: [homogeneous_deviation(shifted_power(p), x[:k], w[:k])
+                                 for k in range(2, len(x) + 1)])
+        sign_tests, calls[0] = calls[0], 0
+        assert _outcome(lambda: _lockstep_prefixes(p, x, w)) == want
+        return calls[0] / sign_tests
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_fallbacks_are_rare(self, n, scalar_totals):
+        rng = np.random.default_rng(n)
+        x = np.exp(rng.uniform(np.log(0.01), np.log(100.0), n)).tolist()
+        w = sorted(rng.uniform(0.1, 1.0, n).tolist(), reverse=True)
+        assert self._fallback_rate(scalar_totals, 0.5, x, w) < 0.05
+
+    def test_dead_entries_cost_no_fallback(self, scalar_totals):
+        # every prefix but the last leaves out an entry whose value overflows
+        # at its midpoints; the last raises OverflowError either way
+        rng = np.random.default_rng(3)
+        x = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 40)).tolist() + [1e-160]
+        assert self._fallback_rate(scalar_totals, -2.0, x, [1.0] * 41) < 0.05
+
+    def test_near_constant_entries_reach_the_scalar_total(self, scalar_totals):
+        # totals this close to 0 are within the error bound: the parity tests
+        # on such entries exercise the fallback
+        rng = np.random.default_rng(5)
+        x = (1.0 + rng.uniform(0.0, 1e-9, 30)).tolist()
+        assert self._fallback_rate(scalar_totals, 0.5, x, [1.0] * 30) > 0.0
 
 
 class TestCounterexampleMean:

@@ -16,6 +16,7 @@ from kedlaya.deviation import (
     log_generator,
     power_generator,
     prefix_fsums,
+    shifted_power,
 )
 from kedlaya.domain import POSITIVE
 from kedlaya.errors import (
@@ -358,6 +359,8 @@ class TestPrefixKernels:
             assert kedlaya_sides(mean, x, w) == want
 
     def test_solver_family_falls_back_to_evaluate(self):
+        # a scan this small takes one scalar solve per prefix; larger ones
+        # bisect every prefix in lockstep (TestHomdevKernels)
         mean = mean_from_id("homdev:shifted-power:0.5")
         x, w = [1.5, 0.25, 8.0, 8.0, 2.0], [3, 0, 2, 1, 1]
         assert evaluate_prefixes(mean, x, w) == [evaluate(mean, x[:k], w[:k])
@@ -414,6 +417,11 @@ class TestPrefixErrorParity:
         ("gini:-1:-1", [1e300, 1e-300], [1, 1], ZeroDivisionError),
         # after a new max, fsum overflows before the power term of 1e-10 overflows
         ("gini:-2:-2", [1.5] * 11 + [1e-10, 1e154], [1] * 13, OverflowError),
+        # a moment sum beyond the float range: fsum overflows, an infinite
+        # term, and both inside the constant prefix
+        ("gini21", [1.2e154, 1.3e154], [1, 1], FloatOverflow),
+        ("gini21", [2.0, 1e155, 1.0], [1, 1, 1], FloatOverflow),
+        ("gini21", [1e200, 1e200, 3.0], [1, 1, 1], FloatOverflow),
     ]
 
     @pytest.mark.parametrize("mean_id, x, w, error", CASES)
@@ -438,6 +446,101 @@ class TestPrefixErrorParity:
         got = _outcome(lambda: kedlaya_sides(mean, x, w))
         assert got[0] is error
         assert got == _outcome(lambda: kedlaya_sides(replace(mean, _prefix=None), x, w))
+
+
+HOMDEV_PS = [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5]
+
+
+def _homdev_pair(p):
+    """The built-in homdev handle and the same handle without its kernels."""
+    mean = mean_from_id(f"homdev:shifted-power:{p}")
+    return mean, replace(mean, _prefix=None, _batch=None)
+
+
+class TestHomdevKernels:
+    """The lockstep kernels of the homogeneous-deviation family equal the
+    scalar solver: values bit for bit, errors by type and message."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(20261018)
+        cases = []
+        for n in (13, 40, 90):
+            x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), n)).tolist()
+            w = rng.exponential(size=n).tolist()
+            cases.append((x, w))  # log-uniform
+            # near-constant entries: sums within the error bound, so fallbacks
+            cases.append(((1.0 + rng.uniform(0.0, 1e-9, n)).tolist(), w))
+            zeros = (np.array(w) * (rng.random(n) < 0.6)).tolist()
+            zeros[0] = w[0]
+            cases.append((x, zeros))  # interior zero weights
+            # a weight too small for any term to survive: totals exactly 0 at
+            # both endpoints of the early prefixes, so the lower endpoint wins
+            cases.append((x, [5e-324] * 3 + w[3:]))
+        return cases
+
+    @pytest.mark.parametrize("p", HOMDEV_PS)
+    def test_prefixes_equal_scalar(self, p):
+        mean, plain = _homdev_pair(p)
+        for x, w in self._inputs():
+            assert _outcome(lambda: evaluate_prefixes(mean, x, w)) == \
+                _outcome(lambda: evaluate_prefixes(plain, x, w))
+
+    @pytest.mark.parametrize("p", HOMDEV_PS)
+    def test_rows_equal_scalar(self, p):
+        mean, plain = _homdev_pair(p)
+        rng = np.random.default_rng(7)
+        x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (300, 3)))
+        w = rng.exponential(size=(300, 3))
+        x[:50] = 1.0 + rng.uniform(0.0, 1e-9, (50, 3))
+        x[50:60] = 2.5  # constant rows
+        w[60:70] = 5e-324
+        w[70:80, 1] = 0.0  # dropped, as in evaluate
+        w[80:90, 0] = 0.0
+        # the root on the first midpoint: that total is rounding noise, whose
+        # sign numpy's and Python's pow often disagree on
+        f = shifted_power(p)
+        for row in range(100, 200):
+            mid = 0.5 * (x[row].min() + x[row].max())
+            w[row, 2] = -(w[row, 0] * f(x[row, 0] / mid) + w[row, 1] * f(x[row, 1] / mid)) \
+                / f(x[row, 2] / mid)
+        keep = w.min(axis=1) >= 0
+        x, w = x[keep], w[keep]
+        assert evaluate_rows(mean, x, w).tolist() == evaluate_rows(plain, x, w).tolist()
+
+    @pytest.mark.parametrize("x, w", [
+        ([1.0, 2.0], [5e-324, 5e-324]),  # both endpoint totals 0: the lower one
+        ([1.0, 2.0], [1.0, 5e-324]),     # a root at the lower endpoint only
+        ([1.0, 2.0], [5e-324, 1.0]),     # a root at the upper endpoint only
+    ])
+    def test_endpoint_roots(self, x, w):
+        mean, plain = _homdev_pair(0.5)
+        got = evaluate_rows(mean, np.array([x]), np.array([w])).tolist()
+        assert got == evaluate_rows(plain, np.array([x]), np.array([w])).tolist()
+        assert got == [evaluate(mean, x, w)]
+
+    @pytest.mark.parametrize("p", HOMDEV_PS)
+    def test_overflow_parity(self, p):
+        mean, plain = _homdev_pair(p)
+        # rows failing differently for p < 1 (the first failing row's error
+        # wins) and an overflowing power for p > 1, in both row orders
+        x, w = np.array([[1.5, 2.0], [1e-100, 1e100], [1e-300, 1e300]]), np.ones((3, 2))
+        for rows in (x, x[::-1]):
+            got = _outcome(lambda: evaluate_rows(mean, rows, w).tolist())
+            assert got == _outcome(lambda: evaluate_rows(plain, rows, w).tolist())
+        if p == 3.5:
+            assert got[0] is OverflowError
+        # the same pair at the end of a prefix scan the kernel handles
+        xs = np.exp(np.linspace(0.0, 1.0, 20)).tolist() + [1e-100, 1e100]
+        assert _outcome(lambda: evaluate_prefixes(mean, xs, [1.0] * 22)) == \
+            _outcome(lambda: evaluate_prefixes(plain, xs, [1.0] * 22))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_concavity_report_unchanged(self, seed):
+        from kedlaya.concavity import sample_jensen_concavity
+        mean, plain = _homdev_pair(0.5)
+        got = sample_jensen_concavity(mean, 2, 1500, seed=seed)
+        assert got == sample_jensen_concavity(plain, 2, 1500, seed=seed)
 
 
 class TestWireFormat:
