@@ -417,14 +417,17 @@ class TestPrefixErrorParity:
         ("gini:-1:-1", [1e300, 1e-300], [1, 1], ZeroDivisionError),
         # after a new max, fsum overflows before the power term of 1e-10 overflows
         ("gini:-2:-2", [1.5] * 11 + [1e-10, 1e154], [1] * 13, OverflowError),
-        # a moment sum beyond the float range: fsum overflows, an infinite
-        # term, and both inside the constant prefix
+    ]
+    # a moment sum beyond the float range: fsum overflows, an infinite term,
+    # and both inside the constant prefix (listed last in both tests, so the
+    # ids of the cases above keep their indices)
+    MOMENT_OVERFLOW_CASES = [
         ("gini21", [1.2e154, 1.3e154], [1, 1], FloatOverflow),
         ("gini21", [2.0, 1e155, 1.0], [1, 1, 1], FloatOverflow),
         ("gini21", [1e200, 1e200, 3.0], [1, 1, 1], FloatOverflow),
     ]
 
-    @pytest.mark.parametrize("mean_id, x, w, error", CASES)
+    @pytest.mark.parametrize("mean_id, x, w, error", CASES + MOMENT_OVERFLOW_CASES)
     def test_evaluate_prefixes(self, mean_id, x, w, error):
         mean = mean_from_id(mean_id)
         got = _outcome(lambda: evaluate_prefixes(mean, x, w))
@@ -440,7 +443,7 @@ class TestPrefixErrorParity:
         # the weighted entry sum overflows before any mean is evaluated
         ("power:0", [100.0, 2.0], [1e308, 1e307], FloatOverflow),
         ("qa:pow:2", [1e200, 1e200], [1e308, 1e307], FloatOverflow),
-    ])
+    ] + MOMENT_OVERFLOW_CASES)
     def test_kedlaya_sides(self, mean_id, x, w, error):
         mean = mean_from_id(mean_id)
         got = _outcome(lambda: kedlaya_sides(mean, x, w))
