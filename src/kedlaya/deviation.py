@@ -377,7 +377,7 @@ def gini(p: float, q: float, x, w) -> float:
     if min(x) == max(x):
         return float(x[0])
     if p == q:
-        c = max(x)
+        c = min(x) if p < 0 else max(x)  # scaled terms at most 1, as in _log_power_sum
         num = math.fsum(wi * (xi / c) ** p * math.log(xi) for xi, wi in zip(x, w))
         den = math.fsum(wi * (xi / c) ** p for xi, wi in zip(x, w))
         return math.exp(num / den)
@@ -395,7 +395,9 @@ def _log_power_sum_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def gini_rows(p: float, q: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """:func:`gini` on every row of ``(rows, n)`` entry and weight arrays."""
     if p == q:
-        scaled = w * (x / x.max(axis=1, keepdims=True)) ** p
+        c = x.min(axis=1, keepdims=True) if p < 0 else x.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # x / c is inf only where (x / c) ** p is 0
+            scaled = w * (x / c) ** p
         return np.exp((scaled * np.log(x)).sum(axis=1) / scaled.sum(axis=1))
     return np.exp((_log_power_sum_rows(p, x, w) - _log_power_sum_rows(q, x, w)) / (p - q))
 
@@ -440,8 +442,9 @@ def gini_prefixes(p: float, q: float, x, w, first: int) -> list:
     out, c = [], None
     for k in range(first, len(x)):
         xk = x[k]
-        if c is None or (xk > c and p != 0.0):  # x**0.0 is 1.0 whatever c is
-            c = max(x[: k + 1])
+        # the scale is gini's; x**0.0 is 1.0 whatever c is
+        if c is None or (xk < c if p < 0 else xk > c and p != 0.0):
+            c = min(x[: k + 1]) if p < 0 else max(x[: k + 1])
             num, den, scaled = _RunningFsum(), _RunningFsum(), []
             for xi, wi in zip(x[: k + 1], w):
                 d = wi * (xi / c) ** p
@@ -671,9 +674,13 @@ def gini21_counterexample(x, w) -> float:
 
 
 def gini21_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`gini21_counterexample` on every row of ``(rows, n)`` arrays."""
-    den = (w * x).sum(axis=1)
-    num = (w * x * x).sum(axis=1)
+    """:func:`gini21_counterexample` on every row of ``(rows, n)`` arrays,
+    raising its :class:`FloatOverflow` for a moment sum beyond the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = (w * x).sum(axis=1)
+        num = (w * x * x).sum(axis=1)
+    if not (np.isfinite(den).all() and np.isfinite(num).all()):
+        raise FloatOverflow(_GINI21_RANGE)
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
 
 

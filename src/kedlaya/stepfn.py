@@ -1,10 +1,11 @@
 """Exact-rational intervals, rectangles, and piecewise-constant functions.
 
 Geometry here is exact: interval endpoints are ``fractions.Fraction``
-values, partitions are validated by exact comparison, and measures are
-accounted without rounding.  Only the *values* carried by the pieces are
-floats, converted to weights at the evaluation boundary, so no geometric
-roundoff can corrupt the weighting of a mean.
+values, scaled once to integers over common denominators; tilings are
+checked by area and corner parity and slice measures read off integer
+sweep lines over the piece endpoints, with no dense grid.  Only the *values*
+carried by the pieces are floats; measures become float weights at the
+evaluation boundary, so no geometric roundoff can corrupt a mean.
 
 The module provides the proportional-subset construction (a subset of a
 rectangle whose every axis-parallel slice has a prescribed fraction of
@@ -17,7 +18,6 @@ inequality.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -42,7 +42,8 @@ class QInterval(_QIntervalBase):
     __slots__ = ()
 
     def __new__(cls, lower, upper):
-        lower, upper = Fraction(lower), Fraction(upper)
+        if type(lower) is not Fraction or type(upper) is not Fraction:
+            lower, upper = Fraction(lower), Fraction(upper)
         if not lower < upper:
             raise ValueError(f"need lower < upper, got [{lower}, {upper})")
         return super().__new__(cls, lower, upper)
@@ -64,10 +65,6 @@ class QRectangle(NamedTuple):
     @property
     def area(self) -> Fraction:
         return self.dx.length * self.dy.length
-
-    def contains_rect(self, other: "QRectangle") -> bool:
-        return (self.dx.lower <= other.dx.lower and other.dx.upper <= self.dx.upper
-                and self.dy.lower <= other.dy.lower and other.dy.upper <= self.dy.upper)
 
 
 def rect(x0, x1, y0, y1) -> QRectangle:
@@ -108,56 +105,139 @@ class SimpleFunction1D:
         return [iv.length for iv, _ in self.pieces]
 
 
+def _scale_to_ints(values: list) -> tuple:
+    """Map Fractions to integers over the lcm of their denominators."""
+    dens = {v.denominator for v in values}
+    common = math.lcm(*dens)
+    mult = {d: common // d for d in dens}
+    return [v.numerator * mult[v.denominator] for v in values], common
+
+
+class _Axis(NamedTuple):
+    """One axis of a host and its rectangles, in integers over ``scale``."""
+
+    lo: int
+    hi: int
+    lows: list
+    highs: list
+    scale: int
+
+    def extents(self) -> list:
+        return [b - a for a, b in zip(self.lows, self.highs)]
+
+
+def _axes(host: QRectangle, rects) -> tuple:
+    """The x and y :class:`_Axis` of ``host`` and ``rects``, and the indices
+    of the rectangles that escape the host."""
+    xvals, yvals = list(host.dx), list(host.dy)
+    for r in rects:
+        xvals += r.dx
+        yvals += r.dy
+    xa, ya = (_Axis(lo, hi, ends[::2], ends[1::2], scale)
+              for (lo, hi, *ends), scale in map(_scale_to_ints, (xvals, yvals)))
+    escaping = [k for k, (a, b, c, d) in enumerate(zip(xa.lows, xa.highs, ya.lows, ya.highs))
+                if not (xa.lo <= a and b <= xa.hi and ya.lo <= c and d <= ya.hi)]
+    return xa, ya, escaping
+
+
+class _Sweep(NamedTuple):
+    """The slices between consecutive integer ``breaks`` of an axis:
+    ``profiles[i]`` is slice i's sorted ``(value, cross measure)`` pairs,
+    and ``widths`` maps each distinct profile to its summed slice width."""
+
+    breaks: list
+    profiles: list
+    widths: dict
+
+
+def _sweep(axis: _Axis, cross: list, values) -> _Sweep:
+    """One sweep line along ``axis``: each rectangle adds its value's cross
+    measure at its lower endpoint and removes it at its upper one."""
+    events = defaultdict(list, {axis.lo: [], axis.hi: []})
+    for lo, hi, c, v in zip(axis.lows, axis.highs, cross, values):
+        events[lo].append((v, c))
+        events[hi].append((v, -c))
+    breaks = sorted(events)
+    active: dict = {}
+    profiles, widths = [], {}
+    for b, nxt in zip(breaks, breaks[1:]):
+        for v, c in events[b]:
+            m = active.get(v, 0) + c
+            if m:
+                active[v] = m
+            else:
+                del active[v]
+        key = tuple(sorted(active.items()))
+        widths[key] = widths.get(key, 0) + nxt - b
+        profiles.append(key)
+    return _Sweep(breaks, profiles, widths)
+
+
 class SimpleFunction2D:
     """Piecewise-constant function on an exact tiling of a rectangle.
 
-    Construction refines all piece endpoints into a rational breakpoint
-    grid and requires every grid cell to be covered by exactly one piece,
-    which checks pairwise disjointness and full coverage at once.  The
-    refined grid is kept for slicing.
+    Coordinates are scaled once to integers.  The tiling check is O(pieces):
+    the piece areas sum to the bounding area, and the piece corners that
+    occur an odd number of times are exactly the four bounding corners.
+    Corner parity makes the coverage count odd on every cell and equal
+    area then forces it to 1, so a hole plus an overlap of equal area
+    fails too.  One sweep line per axis groups the slices by their exact
+    value -> measure profile; no dense grid is built.
     """
 
-    __slots__ = ("bounding", "pieces", "xs", "ys", "_values")
+    __slots__ = ("bounding", "pieces", "_scales", "_x", "_y", "_grid")
 
     def __init__(self, bounding: QRectangle, pieces: Sequence[tuple]):
         pieces = tuple((r, float(v)) for r, v in pieces)
         if not pieces:
             raise ValueError("need at least one piece")
-        for r, _ in pieces:
-            if not bounding.contains_rect(r):
-                raise ValueError(f"piece {r} escapes the bounding rectangle")
-        xs = {bounding.dx.lower, bounding.dx.upper}
-        ys = {bounding.dy.lower, bounding.dy.upper}
-        for r, _ in pieces:
-            xs.add(r.dx.lower)
-            xs.add(r.dx.upper)
-            ys.add(r.dy.lower)
-            ys.add(r.dy.upper)
-        xs = sorted(xs)
-        ys = sorted(ys)
-        xi = {v: i for i, v in enumerate(xs)}
-        yi = {v: i for i, v in enumerate(ys)}
-        counts = np.zeros((len(xs) - 1, len(ys) - 1), dtype=np.int32)
-        values = np.zeros_like(counts, dtype=np.float64)
-        for r, v in pieces:
-            i0, i1 = xi[r.dx.lower], xi[r.dx.upper]
-            j0, j1 = yi[r.dy.lower], yi[r.dy.upper]
-            counts[i0:i1, j0:j1] += 1
-            values[i0:i1, j0:j1] = v
-        if not (counts == 1).all():
-            missed = int((counts == 0).sum())
-            doubled = int((counts > 1).sum())
+        xa, ya, escaping = _axes(bounding, [r for r, _ in pieces])
+        if escaping:
+            raise ValueError(f"piece {pieces[escaping[0]][0]} escapes the bounding rectangle")
+        dx, dy = xa.extents(), ya.extents()
+        area = sum(a * b for a, b in zip(dx, dy))
+        if area != (xa.hi - xa.lo) * (ya.hi - ya.lo):
             raise ValueError(
-                f"pieces do not tile the bounding rectangle exactly "
-                f"({missed} uncovered cells, {doubled} overlapped cells)")
+                f"pieces do not tile the bounding rectangle exactly: their areas "
+                f"sum to {Fraction(area, xa.scale * ya.scale)}, not {bounding.area}")
+        odd: set = set()
+        for a, b, c, d in zip(xa.lows, xa.highs, ya.lows, ya.highs):
+            odd.symmetric_difference_update(((a, c), (a, d), (b, c), (b, d)))
+        corners = {(x, y) for x in (xa.lo, xa.hi) for y in (ya.lo, ya.hi)}
+        if odd != corners:
+            x, y = min(odd ^ corners)
+            raise ValueError(
+                f"pieces do not tile the bounding rectangle exactly: corner "
+                f"({Fraction(x, xa.scale)}, {Fraction(y, ya.scale)}) occurs an "
+                f"{'even' if (x, y) in corners else 'odd'} number of times")
+        values = [v for _, v in pieces]
         self.bounding = bounding
         self.pieces = pieces
-        self.xs = xs            # exact x breakpoints, ascending
-        self.ys = ys            # exact y breakpoints, ascending
-        self._values = values   # refined value grid, shape (len(xs)-1, len(ys)-1)
+        self._scales = xa.scale, ya.scale
+        self._x = _sweep(xa, dy, values)
+        self._y = _sweep(ya, dx, values)
+        self._grid = None
+
+    @property
+    def xs(self) -> list:  # exact breakpoints, ascending
+        return [Fraction(b, self._scales[0]) for b in self._x.breaks]
+
+    @property
+    def ys(self) -> list:
+        return [Fraction(b, self._scales[1]) for b in self._y.breaks]
 
     def value_grid(self) -> np.ndarray:
-        return self._values
+        """Dense values on the breakpoint cells, shape ``(len(xs)-1,
+        len(ys)-1)``, built on first use.  A view for tracing and test
+        oracles; nothing in the library reads it."""
+        if self._grid is None:
+            xi = {v: i for i, v in enumerate(self.xs)}
+            yi = {v: i for i, v in enumerate(self.ys)}
+            grid = np.empty((len(xi) - 1, len(yi) - 1))
+            for r, v in self.pieces:
+                grid[xi[r.dx.lower]:xi[r.dx.upper], yi[r.dy.lower]:yi[r.dy.upper]] = v
+            self._grid = grid
+        return self._grid
 
     def x_lengths(self) -> list:
         return [b - a for a, b in zip(self.xs, self.xs[1:])]
@@ -166,26 +246,17 @@ class SimpleFunction2D:
         return [b - a for a, b in zip(self.ys, self.ys[1:])]
 
     def column_profile(self, i: int) -> dict:
-        """Exact value -> total y-measure map of the i-th x-cell's slice."""
-        out: dict = {}
-        col = self._values[i]
-        for j, length in enumerate(self.y_lengths()):
-            v = float(col[j])
-            out[v] = out.get(v, Fraction(0)) + length
-        return out
+        """Exact value -> total y-measure map of the i-th x-slice."""
+        return {v: Fraction(m, self._scales[1])
+                for v, m in self._x.profiles[i]}
 
     def value_at(self, x, y) -> float:
-        """Point evaluation (exact cell lookup)."""
+        """Point evaluation: the value of the piece containing ``(x, y)``."""
         x, y = Fraction(x), Fraction(y)
-        if not (self.bounding.dx.contains(x) and self.bounding.dy.contains(y)):
-            raise ValueError(f"({x}, {y}) outside the domain")
-        i = _cell_index(self.xs, x)
-        j = _cell_index(self.ys, y)
-        return float(self._values[i, j])
-
-
-def _cell_index(breaks: list, v: Fraction) -> int:
-    return bisect.bisect_right(breaks, v) - 1
+        for r, v in self.pieces:
+            if r.dx.contains(x) and r.dy.contains(y):
+                return v
+        raise ValueError(f"({x}, {y}) outside the domain")
 
 
 # ---------------------------------------------------------------------------
@@ -227,86 +298,31 @@ def proportional_set(host: QRectangle, theta) -> ProportionalSet:
     return ProportionalSet(tuple(rectangles), theta, host)
 
 
-def _scale_to_ints(values: list) -> tuple:
-    """Map Fractions to integers over the lcm of their denominators."""
-    dens = {v.denominator for v in values}
-    common = 1
-    for d in dens:
-        common = math.lcm(common, d)
-    mult = {d: common // d for d in dens}
-    return [v.numerator * mult[v.denominator] for v in values], common
-
-
-def _sweep_axis(lows, highs, cross, host_lo, host_hi, tp, tq, full_cross,
-                break_scale, cross_scale, axis: str, failures: list) -> None:
-    """Exact slice check along one axis, entirely in integers.
-
-    Between consecutive breakpoints the summed cross measure ``active``
-    of the rectangles covering the cell must satisfy
-    ``active * tq == tp * full_cross`` (the cross-multiplied form of
-    ``theta * |cross side|``).
-    """
-    at = defaultdict(int)
-    for lo, hi, c in zip(lows, highs, cross):
-        at[lo] += c
-        at[hi] -= c
-    at.setdefault(host_lo, 0)
-    at.setdefault(host_hi, 0)
-    breaks = sorted(at)
-    want = tp * full_cross
-    active = 0
-    for b, nxt in zip(breaks, breaks[1:]):
-        active += at[b]
-        if active * tq != want:
-            failures.append(
-                f"{axis}-slice on [{Fraction(b, break_scale)}, "
-                f"{Fraction(nxt, break_scale)}) has cross measure "
-                f"{Fraction(active, cross_scale)}, expected "
-                f"{Fraction(tp * full_cross, tq * cross_scale)}")
-    return None
-
-
 def verify_proportionality(ps: ProportionalSet, explain: bool = False):
     """Exact check of the slice-measure property on both axes.
 
-    Collects the distinct breakpoints of each axis, and for every open
-    cell between consecutive breakpoints compares the summed cross
-    measure of the covering rectangles against ``theta`` times the full
-    cross length.  All coordinates are rescaled to integers over common
-    denominators, so the comparison is exact and fast.  Returns ``False``
-    (with slice diagnostics when ``explain``) when any slice misses;
-    rectangles escaping the host fail immediately.
+    A sweep line along each axis, in integers over common denominators,
+    compares the summed cross measure of every slice with ``theta`` times
+    the full cross length.  Returns ``False`` (with slice diagnostics when
+    ``explain``) when any slice misses; rectangles escaping the host fail
+    immediately.
     """
-    failures: list = []
-    host = ps.host
-    rs = ps.rectangles
-    xvals = [host.dx.lower, host.dx.upper]
-    yvals = [host.dy.lower, host.dy.upper]
-    for r in rs:
-        xvals.append(r.dx.lower)
-        xvals.append(r.dx.upper)
-        yvals.append(r.dy.lower)
-        yvals.append(r.dy.upper)
-    xi, xscale = _scale_to_ints(xvals)
-    yi, yscale = _scale_to_ints(yvals)
-    hx0, hx1 = xi[0], xi[1]
-    hy0, hy1 = yi[0], yi[1]
-    xlo, xhi = xi[2::2], xi[3::2]
-    ylo, yhi = yi[2::2], yi[3::2]
-    for k, r in enumerate(rs):
-        if not (hx0 <= xlo[k] and xhi[k] <= hx1 and hy0 <= ylo[k] and yhi[k] <= hy1):
-            failures.append(f"rectangle {r} escapes the host")
-    if failures:
-        return (False, failures) if explain else False
-
+    xa, ya, escaping = _axes(ps.host, ps.rectangles)
+    failures = [f"rectangle {ps.rectangles[k]} escapes the host" for k in escaping]
     tp, tq = ps.theta.numerator, ps.theta.denominator
-    ycross = [b - a for a, b in zip(ylo, yhi)]
-    _sweep_axis(xlo, xhi, ycross, hx0, hx1, tp, tq, hy1 - hy0,
-                xscale, yscale, "x", failures)
-    if not failures:
-        xcross = [b - a for a, b in zip(xlo, xhi)]
-        _sweep_axis(ylo, yhi, xcross, hy0, hy1, tp, tq, hx1 - hx0,
-                    yscale, xscale, "y", failures)
+    for name, axis, other in (("x", xa, ya), ("y", ya, xa)):
+        if failures:
+            break
+        want = tp * (other.hi - other.lo)
+        sweep = _sweep(axis, other.extents(), [0.0] * len(axis.lows))
+        for b, nxt, profile in zip(sweep.breaks, sweep.breaks[1:], sweep.profiles):
+            active = sum(m for _, m in profile)
+            if active * tq != want:
+                failures.append(
+                    f"{name}-slice on [{Fraction(b, axis.scale)}, "
+                    f"{Fraction(nxt, axis.scale)}) has cross measure "
+                    f"{Fraction(active, other.scale)}, expected "
+                    f"{Fraction(want, tq * other.scale)}")
     ok = not failures
     return (ok, failures) if explain else ok
 
@@ -327,18 +343,17 @@ def jensen_fubini_sides(mean: MeanHandle, f: SimpleFunction2D) -> tuple:
 
     lhs: arithmetic integral over x of the mean integral over y of each
     vertical slice.  rhs: mean integral over y of the arithmetic average
-    over x of each horizontal slice.  Slices come from the exact
-    breakpoint refinement computed at construction.
+    over x of each horizontal slice.  Both read the distinct slice
+    profiles of the construction's sweeps, each once, weighted by its
+    summed width; exact measures become floats only here.
     """
-    grid = f.value_grid()
-    wx = [float(v) for v in f.x_lengths()]
-    wy = [float(v) for v in f.y_lengths()]
-    inner = [evaluate(mean, grid[i].tolist(), wy) for i in range(grid.shape[0])]
-    lhs = weighted_average(inner, wx)
-    row_means = [
-        weighted_average(grid[:, j].tolist(), wx) for j in range(grid.shape[1])
-    ]
-    rhs = evaluate(mean, row_means, wy)
+    sx, sy = f._scales
+    inner = [evaluate(mean, [v for v, _ in p], [m / sy for _, m in p])
+             for p in f._x.widths]
+    lhs = weighted_average(inner, [w / sx for w in f._x.widths.values()])
+    row_means = [weighted_average([v for v, _ in p], [m / sx for _, m in p])
+                 for p in f._y.widths]
+    rhs = evaluate(mean, row_means, [h / sy for h in f._y.widths.values()])
     return lhs, rhs
 
 
@@ -388,31 +403,26 @@ def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
     s_left, s_full = sums[j - 1], sums[j]
     m = partial_arithmetic_means(x, wv)
 
-    thetas = []
+    pieces = []
     for k in range(1, j + 1):
         theta = (lam[j - 1] * sums[k - 1]) / (lam[k - 1] * s_left)
         if theta > 1:
             raise WeightsNotInV(
                 f"ratio condition fails at k={k}: proportionality {theta} > 1")
-        thetas.append(theta)
-
-    pieces = []
-    for k in range(1, j + 1):
         y0, y1 = sums[k - 1], sums[k]
-        theta = thetas[k - 1]
         p, q = theta.numerator, theta.denominator
         xs = [s_left * Fraction(i, q) for i in range(q + 1)]
         ys = [y0 + (y1 - y0) * Fraction(r, q) for r in range(q + 1)]
+        runs: dict = {}  # (c0, c1) -> column interval, shared by the rows
         for r in range(q):
-            if p > 0:
-                # selected columns in row r form the cyclic run ending at r
-                for c0, c1 in _wrap_runs((r - p + 1) % q, p, q):
-                    pieces.append((rect(xs[c0], xs[c1], ys[r], ys[r + 1]),
-                                   m[k - 2]))
-            if p < q:
-                for c0, c1 in _wrap_runs((r + 1) % q, q - p, q):
-                    pieces.append((rect(xs[c0], xs[c1], ys[r], ys[r + 1]),
-                                   m[k - 1]))
+            row = QInterval(ys[r], ys[r + 1])
+            # selected columns in row r form the cyclic run ending at r
+            for start, length, value in (((r - p + 1) % q, p, m[k - 2]),
+                                         ((r + 1) % q, q - p, m[k - 1])):
+                for c0, c1 in _wrap_runs(start, length, q):
+                    col = runs.get((c0, c1)) or runs.setdefault(
+                        (c0, c1), QInterval(xs[c0], xs[c1]))
+                    pieces.append((QRectangle(col, row), value))
         pieces.append((rect(s_left, s_full, y0, y1), float(x[k - 1])))
 
     bounding = rect(0, s_full, 0, s_full)
@@ -448,28 +458,15 @@ def _matches_step(mean: MeanHandle, x, wv, j: int, swap_sides: tuple,
 
 def function_to_json(f: SimpleFunction2D) -> dict:
     """Serialize with rationals as ``p/q`` strings."""
-    return {
-        "schema": 1,
-        "domain": {
-            "x": [str(f.bounding.dx.lower), str(f.bounding.dx.upper)],
-            "y": [str(f.bounding.dy.lower), str(f.bounding.dy.upper)],
-        },
-        "pieces": [
-            {"x": [str(r.dx.lower), str(r.dx.upper)],
-             "y": [str(r.dy.lower), str(r.dy.upper)],
-             "value": v}
-            for r, v in f.pieces
-        ],
-    }
+    def iv(i: QInterval) -> list:
+        return [str(i.lower), str(i.upper)]
+
+    return {"schema": 1,
+            "domain": {"x": iv(f.bounding.dx), "y": iv(f.bounding.dy)},
+            "pieces": [{"x": iv(r.dx), "y": iv(r.dy), "value": v} for r, v in f.pieces]}
 
 
 def function_from_json(obj: dict) -> SimpleFunction2D:
     dom = obj["domain"]
-    bounding = rect(Fraction(dom["x"][0]), Fraction(dom["x"][1]),
-                    Fraction(dom["y"][0]), Fraction(dom["y"][1]))
-    pieces = [
-        (rect(Fraction(p["x"][0]), Fraction(p["x"][1]),
-              Fraction(p["y"][0]), Fraction(p["y"][1])), float(p["value"]))
-        for p in obj["pieces"]
-    ]
-    return SimpleFunction2D(bounding, pieces)
+    pieces = [(rect(*p["x"], *p["y"]), float(p["value"])) for p in obj["pieces"]]
+    return SimpleFunction2D(rect(*dom["x"], *dom["y"]), pieces)

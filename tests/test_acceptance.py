@@ -173,6 +173,32 @@ def test_criterion_5_proof_machinery_equivalence():
     report(5, ok, f"1000 instances, {failures} mismatches")
 
 
+def test_criterion_5_second_tier_large_denominators():
+    """The same equivalence on 100 instances whose proportionality
+    denominators sum to 150..1000, past criterion 5's cap."""
+    from kedlaya.stepfn import verify_proof_construction
+
+    means = [mean_from_id("arithmetic"), mean_from_id("power:0"),
+             mean_from_id("gini:0.5:0")]
+    rng = np.random.default_rng(12)
+    failures = 0
+    done = 0
+    while done < 100:
+        n = int(rng.integers(4, 9))
+        w = rational_v_weights(rng, n, max_den=int(rng.integers(8, 60)))
+        j = int(rng.integers(2, n + 1))
+        lam = w.entries
+        sums = [Fraction(0)] + list(partial_sums(w))
+        if not 150 < sum(((lam[j - 1] * sums[k - 1]) / (lam[k - 1] * sums[j - 1])).denominator
+                         for k in range(1, j + 1)) <= 1000:
+            continue
+        x = entries_log_uniform(rng, n)
+        if not verify_proof_construction(means[done % 3], x, w, j, tol=1e-9):
+            failures += 1
+        done += 1
+    report(5, failures == 0, f"second tier: 100 instances, {failures} mismatches")
+
+
 def test_criterion_6_proportional_set_exactness():
     """Every ratio with denominator <= 50 verifies exactly on random hosts."""
     rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -71,6 +72,14 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--mean", "gini21", "--x", x, "--w", "1,1")
         assert (code, out) == (2, "")
         assert err == "error: gini21: a weighted moment sum is beyond the float range\n"
+
+    def test_gini_equal_negative_parameters_on_a_wide_range(self, capsys):
+        # terms scaled by min(x): 1e-300 against 1e300 no longer underflows to 0.0 ** -1
+        code, out, err = run(capsys, "check", "--mean", "gini:-1:-1",
+                             "--x", "1e300,1e-300", "--w", "1,1", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert math.isfinite(doc["lhs"]) and math.isfinite(doc["rhs"])
 
     def test_usage_error_nonpositive_tol(self, capsys):
         code, _, err = run(capsys, "check", "--mean", "power:0",

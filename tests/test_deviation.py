@@ -1,6 +1,8 @@
 """Deviation solver and closed forms, cross-checked against each other."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from kedlaya.deviation import (
 from kedlaya.domain import POSITIVE, REALS
 from kedlaya.errors import (
     DomainViolation,
+    FloatOverflow,
     InvalidDeviation,
     InvalidGenerator,
     SolverFailure,
@@ -123,6 +126,17 @@ class TestQuasiArithmetic:
             GeneratorSpec(math.log, lambda y: y, domain=POSITIVE, label="broken")
 
 
+NEGATIVE_EQUAL_PS = [-0.5, -1.0, -2.0, -7.0]
+WIDE_CASES = [
+    ((1e300, 1e-300), (1, 1)),
+    ((1.0, 1e-310), (1, 1)),
+    ((1e-300, 2e-300, 5e-300), (1, 2, 3)),
+    ((1e300, 3e299, 1e-300, 1.0), (2, 1, 1, 5)),
+    ((1e-10, 1.5, 1e154), (1, 1, 1)),
+    ((0.3, 4.0, 17.0), (1, 2, 1)),
+]
+
+
 class TestGini:
     def test_parameters_one_zero_is_arithmetic(self):
         assert gini(1, 0, (1, 3), (1, 1)) == pytest.approx(2, rel=1e-12)
@@ -148,6 +162,32 @@ class TestGini:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainViolation):
             gini(2, 1, (0.0, 1.0), (1, 1))
+
+    @pytest.mark.parametrize("p", NEGATIVE_EQUAL_PS)
+    @pytest.mark.parametrize("x, w", WIDE_CASES)
+    def test_equal_negative_parameters_scale_by_min(self, p, x, w):
+        # scaled by max(x), 1e-300 against 1e300 underflowed to 0.0 ** p
+        got = gini(p, p, x, w)
+        # within min(x)..max(x) up to the rounding of exp(mean log), ~1e-14 here
+        assert math.isfinite(got) and min(x) * (1 - 1e-13) <= got <= max(x) * (1 + 1e-13)
+        assert dev.gini_prefixes(p, p, list(x), [float(v) for v in w], 1)[-1] == got
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = dev.gini_rows(p, p, np.array([x]), np.array([w], dtype=float))[0]
+        assert abs(row - got) <= 1e-13 * got
+
+    @pytest.mark.parametrize("p", NEGATIVE_EQUAL_PS)
+    @pytest.mark.parametrize("x, w", WIDE_CASES)
+    def test_equal_negative_parameters_against_mpmath(self, p, x, w):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            xs, ws = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in w]
+            den = mpmath.fsum(wi * xi ** p for xi, wi in zip(xs, ws))
+            num = mpmath.fsum(wi * xi ** p * mpmath.log(xi) for xi, wi in zip(xs, ws))
+            want = mpmath.exp(num / den)
+            err = float(abs(gini(p, p, x, w) - want) / want)
+        # exp amplifies the rounding of the mean log by |log M|: ~1e-13 at 1e-300
+        assert err <= 4 * (1 + abs(math.log(float(want)))) * sys.float_info.epsilon
 
 
 class TestPowerMean:
@@ -354,3 +394,30 @@ class TestCounterexampleMean:
     def test_rejects_negative(self):
         with pytest.raises(DomainViolation):
             gini21_counterexample((-1.0, 1.0), (1, 1))
+
+    @pytest.mark.parametrize("rows", [
+        [[1e155, 1.0]],                    # an infinite second-moment term
+        [[1.2e154, 1.3e154]],              # the second-moment sum overflows
+        [[2.0, 3.0], [1e200, 1e200]],      # a later row; both moments overflow
+    ])
+    def test_rows_raise_the_scalar_overflow(self, rows):
+        x = np.array(rows)
+        w = np.ones_like(x)
+        bad = next(r for r in rows if not math.isfinite(sum(v * v for v in r)))
+        with pytest.raises(FloatOverflow) as scalar:
+            gini21_counterexample(bad, [1] * len(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatOverflow) as batch:
+                dev.gini21_rows(x, w)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_rows_near_the_float_range_stay_finite(self):
+        x = np.array([[1e154, 1.0], [1.3e154, 1e-300], [0.0, 0.0]])
+        w = np.array([[1.0, 1.0], [0.5, 2.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dev.gini21_rows(x, w)
+        want = [gini21_counterexample(xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
