@@ -32,6 +32,7 @@ closed form on each prefix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -53,7 +54,9 @@ from .errors import (
 
 _VALIDATION_SAMPLES = 32
 DEFAULT_TOL = 1e-12
-MAX_BISECT_ITER = 200
+# Halvings a bisection may take beyond the count its bracket needs, which
+# covers the rounding of the midpoints (see _max_halvings).
+_BISECT_SLACK = 64
 _HOMDEV = "homogeneous deviation"
 
 
@@ -151,12 +154,28 @@ def power_generator(p: float) -> GeneratorSpec:
 # The root finder
 # ---------------------------------------------------------------------------
 
+def _max_halvings(lo, hi, floor, tol):
+    """Halvings that take the width of ``[lo, hi]`` down to
+    ``tol * (1 + floor)``, plus :data:`_BISECT_SLACK`; ``floor`` is a lower
+    bound of ``|y|`` on the bracket, so the stop rule has been met by then.
+
+    Scalars or arrays: the count is read off binary exponents
+    (``hi - lo < 2^(e + 1)`` when ``(hi - lo) / 2 < 2^e``, which does not
+    overflow), so the scalar and the lockstep bisection get the same one.
+    """
+    _, e_half_width = np.frexp(0.5 * hi - 0.5 * lo)
+    _, e_target = np.frexp(tol * (1.0 + floor))
+    return np.maximum(e_half_width - e_target + 2, 0) + _BISECT_SLACK
+
+
 def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float,
             g_lo: float, label: str) -> float:
     """Root of ``g`` on ``[lo, hi]`` given ``g(lo) = g_lo`` with a sign
     change across the bracket.  ``g_lo``'s sign steers the update."""
     positive_at_lo = g_lo > 0
-    for _ in range(MAX_BISECT_ITER):
+    floor = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    cap = int(_max_halvings(lo, hi, floor, tol))
+    for _ in range(cap):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol * (1.0 + abs(mid)):
             return mid
@@ -167,8 +186,7 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float,
             lo = mid
         else:
             hi = mid
-    raise MaxIterations(f"{label}: bisection did not converge in "
-                        f"{MAX_BISECT_ITER} iterations")
+    raise MaxIterations(f"{label}: bisection did not converge in {cap} iterations")
 
 
 def _check_lengths(x, w):
@@ -624,7 +642,12 @@ def _bisect_block(f, twin, s, x, w, sizes) -> np.ndarray:
         np.copyto(result, end, where=root)
         active ^= root
     positive_at_lo = g_lo > 0
-    for _ in range(MAX_BISECT_ITER):
+    caps = _max_halvings(lo, hi, lo, DEFAULT_TOL)  # lo > 0 bounds |y| below
+    for it in itertools.count():
+        for i in (active & (caps <= it)).nonzero()[0]:
+            errors[i] = MaxIterations(f"{_HOMDEV}: bisection did not converge in "
+                                      f"{caps[i, 0]} iterations")
+            active[i] = False
         if not np.count_nonzero(active):
             break
         mid = 0.5 * (lo + hi)
@@ -636,9 +659,6 @@ def _bisect_block(f, twin, s, x, w, sizes) -> np.ndarray:
         up = (g > 0) == positive_at_lo
         np.copyto(lo, mid, where=up)
         np.copyto(hi, mid, where=~up)
-    for i in active.nonzero()[0]:
-        errors[i] = MaxIterations(f"{_HOMDEV}: bisection did not converge in "
-                                  f"{MAX_BISECT_ITER} iterations")
     if errors:
         raise errors[min(errors)]
     return result[:, 0]

@@ -26,34 +26,37 @@ def weights_positive(rng: np.random.Generator, n: int,
     return entries_log_uniform(rng, n, lo, hi)
 
 
-def rational_in_unit(rng: np.random.Generator, max_den: int) -> Fraction:
-    """A random rational strictly inside (0, 1) with denominator <= max_den."""
-    den = int(rng.integers(2, max_den + 1))
-    num = int(rng.integers(1, den))
-    return Fraction(num, den)
-
-
 def rational_v_weights(rng: np.random.Generator, n: int,
                        max_den: int = 9) -> WeightVector:
     """Random rational weights with nonincreasing ratio sequence.
 
-    Uses the ratio parametrization: draw the ratios ``w_k / cumsum_k``
+    Uses the ratio parametrization: draw the ratios ``r_k = w_k / cumsum_k``
     directly (the first is always 1), sort them nonincreasing, and invert
-    via ``w_k = r_k * prod_{i<=k} 1/(1 - r_i)``, all in exact rational
-    arithmetic.  The result is in the ratio-nonincreasing class by
-    construction.
+    via ``w_k = r_k * prod_{i<=k} 1/(1 - r_i)``.  The inversion runs on
+    integers: with ``r_i = a_i / d_i``, ``P_k = prod_{i<=k} d_i`` and
+    ``Q_k = prod_{i<=k} (d_i - a_i)``, ``w_k = a_k P_{k-1} / Q_k``, so each
+    weight is one ``Fraction`` reduced once, equal to the one exact
+    rational arithmetic gives.  The result is in the ratio-nonincreasing
+    class by construction, which the closing assert checks.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return make_weights([Fraction(1)], "W0")
-    ratios = sorted((rational_in_unit(rng, max_den) for _ in range(n - 1)),
-                    reverse=True)
+    pairs = []  # (a_i, d_i) with 0 < a_i < d_i <= max_den, d_i drawn first
+    for _ in range(n - 1):
+        den = int(rng.integers(2, max_den + 1))
+        pairs.append((int(rng.integers(1, den)), den))
+    # Distinct fractions with denominators <= max_den differ by at least
+    # 1/max_den^2, so the floor of num/den * max_den^2 orders them exactly.
+    scale = max_den * max_den
+    pairs.sort(key=lambda p: p[0] * scale // p[1], reverse=True)
     lam = [Fraction(1)]
-    acc = Fraction(1)  # prod 1/(1 - r_i) over the ratios consumed so far
-    for r in ratios:
-        acc /= (1 - r)
-        lam.append(r * acc)
+    P = Q = 1
+    for a, d in pairs:
+        Q *= d - a
+        lam.append(Fraction(a * P, Q))
+        P *= d
     w = make_weights(lam, "W0")
     assert is_in_V(w)
     return w

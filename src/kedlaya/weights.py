@@ -10,9 +10,10 @@ so rational-mode arithmetic never rounds.
 The class ``V`` of a vector in ``W0`` holds when the ratio sequence
 ``w_k / (w_1 + ... + w_k)`` is nonincreasing; this is the admissibility
 condition for the weighted prefix-mean inequality.  The ratio test is
-exact in both modes: floats are converted to the rationals they exactly
-represent and compared by cross-multiplication, so there is no epsilon
-and ties count as nonincreasing.
+exact in both modes: the entries (floats as the rationals they exactly
+represent) are scaled to integers over one common denominator and
+compared by integer cross-multiplication, so there is no epsilon and ties
+count as nonincreasing.
 """
 
 from __future__ import annotations
@@ -103,24 +104,30 @@ def make_weights(entries: Iterable[Scalar], cls: str = "W") -> WeightVector:
     items = list(entries)
     if not items:
         raise AllZero("weight vector must be nonempty")
-    has_float = any(isinstance(e, float) for e in items)
-    has_fraction = any(isinstance(e, Fraction) and e.denominator != 1 for e in items)
-    if has_float and has_fraction:
-        raise ValueError("cannot mix float and exact-rational weight entries")
-    if has_float:
-        vals: tuple = tuple(float(e) for e in items)
-        mode = FLOAT
-        if not all(map(math.isfinite, vals)):
-            raise NonfiniteWeight(f"non-finite weight in {list(vals)}")
-    else:
-        vals = tuple(Fraction(e) for e in items)
+    if all(type(e) is Fraction for e in items):  # already exact: kept as they are
+        vals: tuple = tuple(items)
         mode = RATIONAL
-    for v in vals:
-        if v < 0:
+    else:
+        has_float = any(isinstance(e, float) for e in items)
+        has_fraction = any(isinstance(e, Fraction) and e.denominator != 1 for e in items)
+        if has_float and has_fraction:
+            raise ValueError("cannot mix float and exact-rational weight entries")
+        if has_float:
+            vals = tuple(float(e) for e in items)
+            mode = FLOAT
+            if not all(map(math.isfinite, vals)):
+                raise NonfiniteWeight(f"non-finite weight in {list(vals)}")
+        else:
+            vals = tuple(Fraction(e) for e in items)
+            mode = RATIONAL
+    # a Fraction's sign is its numerator's, and an int comparison is cheaper
+    signs = [v.numerator for v in vals] if mode == RATIONAL else vals
+    for v, sign in zip(vals, signs):
+        if sign < 0:
             raise NegativeWeight(f"negative weight {v}")
-    if not any(v > 0 for v in vals):
+    if not any(sign > 0 for sign in signs):
         raise AllZero("weights sum to zero")
-    if cls == "W0" and not vals[0] > 0:
+    if cls == "W0" and not signs[0] > 0:
         raise FirstWeightZero("first weight must be positive in class W0")
     return WeightVector(vals, mode)
 
@@ -130,25 +137,39 @@ def partial_sums(w: WeightVector) -> tuple:
     return tuple(itertools.accumulate(w.entries))
 
 
-def _exact(v: Scalar) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _integer_numerators(w: WeightVector) -> list:
+    """Integers ``a_k`` with ``w_k = a_k / q`` exactly, for one ``q > 0``.
+
+    In rational mode ``q`` is the lcm of the denominators.  A float is
+    exactly ``m / 2^e`` (``float.as_integer_ratio``), so in float mode the
+    largest denominator is a common one.
+    """
+    if w.mode == RATIONAL:
+        ratios = [(v.numerator, v.denominator) for v in w.entries]
+        q = math.lcm(*[d for _, d in ratios])
+    else:
+        ratios = [v.as_integer_ratio() for v in w.entries]
+        q = max(d for _, d in ratios)
+    return [a * (q // d) for a, d in ratios]
 
 
 def is_in_V(w: WeightVector) -> bool:
     """Exact test that the ratio sequence ``w_k / cumsum_k`` is nonincreasing.
 
-    Requires a positive first weight.  Comparisons are exact in both
-    modes (floats are compared as the rationals they represent); equal
-    consecutive ratios pass.
+    Requires a positive first weight.  Both modes scale the entries to
+    integers over one common denominator (see :func:`_integer_numerators`;
+    floats count as the rationals they represent) and compare consecutive
+    ratios by integer cross-multiplication, so there is no rounding and
+    equal consecutive ratios pass.
     """
     if not w.entries[0] > 0:
         raise FirstWeightZero("ratio test requires a class-W0 vector")
-    vals = [_exact(v) for v in w.entries]
-    acc = vals[0]
-    for k in range(len(vals) - 1):
-        nxt = acc + vals[k + 1]
-        # w_k / acc >= w_{k+1} / nxt, cross-multiplied (denominators > 0)
-        if vals[k] * nxt < vals[k + 1] * acc:
+    a = _integer_numerators(w)
+    acc = a[0]
+    for prev, cur in zip(a, a[1:]):
+        nxt = acc + cur
+        # prev / acc >= cur / nxt, cross-multiplied (denominators > 0)
+        if prev * nxt < cur * acc:
             return False
         acc = nxt
     return True
@@ -183,10 +204,7 @@ def clear_denominators(w: WeightVector) -> WeightVector:
     """
     if w.mode != RATIONAL:
         raise ValueError("clear_denominators requires rational-mode weights")
-    q = 1
-    for v in w.entries:
-        q = math.lcm(q, v.denominator)
-    return WeightVector(tuple(v * q for v in w.entries), RATIONAL)
+    return WeightVector(tuple(Fraction(a) for a in _integer_numerators(w)), RATIONAL)
 
 
 def scalar_from_string(s: str, exact: bool = True) -> Scalar:

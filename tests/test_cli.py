@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -112,6 +113,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--mean", "power:0", "--x", x, "--w", w)
         assert code == 2
         assert err == "error: 1e400 is beyond the float range\n"
+
+
+def test_homogeneous_deviation_on_a_wide_range(capsys):
+    # the bisection cap follows the bracket: 1e-100..1e100 needs ~370 halvings
+    code, out, err = run(capsys, "check", "--mean", "homdev:shifted-power:0",
+                         "--x", "1e-100,1e100", "--w", "1,1", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    # lhs = (1e-100 + M) / 2 with M the mean of both entries, the geometric mean 1
+    assert abs(2.0 * doc["lhs"] - 1.0) < 2e-12
 
 
 class TestParserCache:
@@ -240,6 +251,33 @@ class TestSweep:
         run(capsys, "sweep", "--mean", "power:0", "--n", "4", "--trials", "16",
             "--seed", "1", "--format", "json", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the JSON reports of fixed-seed sweeps: the four sweep means of
+# the benchmark at n=8, and one long instance with large denominators.  A
+# last-bit move of any gap or weight changes the bytes.  The gaps run
+# through libm and numpy's exp, so another platform may round differently.
+GOLDEN_SWEEPS = [
+    (("--mean", "power:0", "--n", "8", "--trials", "90", "--expect", "holds"),
+     "32ca7e0dae73f2823fec500604ddaf6ef09bc9fb00a457eda1cdc8ada4f56be2"),
+    (("--mean", "gini:0.5:0", "--n", "8", "--trials", "100", "--expect", "holds"),
+     "927c2d0274bed06bb79e12ce52246def81e3cc4d00fea5c1e037e0891be5b515"),
+    (("--mean", "qa:log", "--n", "8", "--trials", "100", "--expect", "holds"),
+     "31468c527f23dc1999100a5149756d236ad7edf6e630fb405c6789443d23dbaa"),
+    (("--mean", "gini21", "--n", "8", "--trials", "110", "--expect", "reversed"),
+     "6a0ed3a22fed06ef2a9ee94595bfab07edd5782c6b26ddb94c47b2c6d56d9e42"),
+    (("--mean", "power:0", "--n", "40", "--max-den", "60", "--trials", "50",
+      "--expect", "holds"),
+     "0826353e1dd36dbcfeb3862256bcbfe457bf4c7d9a45f1ace4ec817fd3048c77"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SWEEPS,
+                         ids=[" ".join(a[1:4:2]) for a, _ in GOLDEN_SWEEPS])
+def test_golden_sweep_report_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, "sweep", *argv, "--seed", "7", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestReportRoundTrip:

@@ -9,6 +9,7 @@ import pytest
 
 from kedlaya import deviation as dev
 from kedlaya.deviation import (
+    DEFAULT_TOL,
     DeviationSpec,
     GeneratorSpec,
     gini,
@@ -29,6 +30,7 @@ from kedlaya.errors import (
     FloatOverflow,
     InvalidDeviation,
     InvalidGenerator,
+    MaxIterations,
     SolverFailure,
 )
 
@@ -296,6 +298,38 @@ class TestSolverCore:
     def test_homogeneous_no_sign_change(self):
         with pytest.raises(SolverFailure):
             homogeneous_deviation(lambda t: (t - 1.0) ** 2, (1.0, 3.0), (1.0, 1.0))
+
+    def test_wide_bracket_converges(self):
+        # about 370 halvings take [1e-100, 1e100] to the stop width at the
+        # root 1, the geometric mean; the cap follows the bracket
+        x, w = (1e-100, 1e100), (1.0, 1.0)
+        y = homogeneous_deviation(math.log, x, w)
+        assert abs(y - 1.0) < 2e-12
+        assert solve_deviation_mean(diff_spec(math.log, "log-diff"), x, w) == y
+        assert homogeneous_deviation_rows(math.log, shifted_power_rows(0.0),
+                                          np.array([x]), np.array([w]))[0] == y
+
+    def test_cap_is_one_count_for_both_solvers(self):
+        rng = np.random.default_rng(11)
+        lo = np.exp(rng.uniform(np.log(1e-300), np.log(1e150), 2000))
+        hi = lo * np.exp(rng.uniform(1e-15, np.log(1e150), 2000))
+        caps = dev._max_halvings(lo, hi, lo, DEFAULT_TOL)
+        for a, b, cap in zip(lo.tolist(), hi.tolist(), caps.tolist()):
+            assert int(dev._max_halvings(a, b, a, DEFAULT_TOL)) == cap
+            # the halvings without the slack reach the stop width
+            halvings = cap - dev._BISECT_SLACK
+            assert (b - a) * 2.0 ** -halvings <= DEFAULT_TOL * (1.0 + a)
+
+    def test_rows_out_of_halvings_raise_the_scalar_error(self, monkeypatch):
+        monkeypatch.setattr(dev, "_BISECT_SLACK", -10)
+        rng = np.random.default_rng(2)
+        # entries above 3 put 1 + lo in another binade than 1
+        x = np.exp(rng.uniform(np.log(3.0), np.log(300.0), 6)).tolist()
+        w = [1.0] * 6
+        want = _outcome(lambda: [homogeneous_deviation(shifted_power(0.5), x[:k], w[:k])
+                                 for k in range(2, 7)])
+        assert want[0] is MaxIterations
+        assert _outcome(lambda: _lockstep_prefixes(0.5, x, w)) == want
 
 
 def _lockstep_prefixes(p, x, w):

@@ -1,9 +1,10 @@
 """Weight vectors: validation, partial sums, ratio condition, algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kedlaya.errors import (
     AllZero,
@@ -135,6 +136,133 @@ class TestRatioCondition:
     @given(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=30))
     def test_every_pair_in_class(self, second):
         assert is_in_V(make_weights([Fraction(1), second], "W0"))
+
+
+def _ratio_oracle(w) -> bool:
+    """The ratio test in plain Fraction arithmetic, one entry at a time."""
+    vals = [Fraction(v) for v in w.entries]
+    if not vals[0] > 0:
+        raise FirstWeightZero("ratio test requires a class-W0 vector")
+    acc = vals[0]
+    for k in range(len(vals) - 1):
+        nxt = acc + vals[k + 1]
+        if vals[k] * nxt < vals[k + 1] * acc:
+            return False
+        acc = nxt
+    return True
+
+
+def _from_ratios(ratios) -> list:
+    """Weights ``(1, w_2, ...)`` whose ratios ``w_k / cumsum_k`` are ``ratios``."""
+    lam, acc = [Fraction(1)], Fraction(1)
+    for r in ratios:
+        acc /= 1 - r
+        lam.append(r * acc)
+    return lam
+
+
+_WIDE_FLOATS = st.floats(min_value=1e-300, max_value=1e300)
+_SUBNORMALS = st.floats(min_value=5e-324, max_value=2.0 ** -1022,
+                        exclude_max=True, allow_subnormal=True)
+# ratios 1 - 2^-k: every 1 / (1 - r) is a power of two, so the weights are
+# dyadic and exact in floats as well
+_DYADIC_RATIOS = st.sampled_from([1 - Fraction(1, 2 ** k) for k in range(1, 7)])
+
+
+class TestIntegerRatioTest:
+    """``is_in_V`` scales to integers; a Fraction cross-multiplication is
+    the oracle in both modes."""
+
+    @given(st.lists(st.one_of(_WIDE_FLOATS, _SUBNORMALS, st.just(0.0)),
+                    min_size=1, max_size=12),
+           st.booleans())
+    def test_floats_wide_and_subnormal(self, entries, descending):
+        if descending:  # nonincreasing weights are always in V
+            entries.sort(reverse=True)
+        assume(entries[0] > 0)
+        w = make_weights(entries, "W0")
+        assert is_in_V(w) == _ratio_oracle(w)
+
+    @given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=97),
+                    min_size=1, max_size=12),
+           st.booleans())
+    def test_rationals(self, entries, descending):
+        if descending:
+            entries.sort(reverse=True)
+        assume(entries[0] > 0)
+        w = make_weights(entries, "W0")
+        assert is_in_V(w) == _ratio_oracle(w)
+
+    @given(st.lists(_DYADIC_RATIOS, min_size=1, max_size=10),
+           st.integers(0, 4), st.booleans())
+    def test_ties_and_zero_tails_pass(self, ratios, zeros, as_float):
+        ratios = sorted(ratios + ratios[:1], reverse=True)  # at least one tie
+        entries = _from_ratios(ratios) + [Fraction(0)] * zeros
+        if as_float:
+            entries = [float(e) for e in entries]
+            assert [Fraction(e) for e in entries] == _from_ratios(ratios) + [0] * zeros
+        w = make_weights(entries, "W0")
+        assert is_in_V(w) and _ratio_oracle(w)
+
+    @given(st.lists(_DYADIC_RATIOS, min_size=2, max_size=10), st.booleans())
+    def test_one_larger_ratio_fails(self, ratios, as_float):
+        ratios.sort(reverse=True)
+        assume(ratios[-1] < ratios[0])
+        ratios.append(ratios[0])  # the last ratio climbs back up
+        entries = _from_ratios(ratios)
+        w = make_weights([float(e) for e in entries] if as_float else entries, "W0")
+        assert not is_in_V(w) and not _ratio_oracle(w)
+
+    @pytest.mark.parametrize("entries", [[0, 1], [Fraction(0), Fraction(1, 3)],
+                                         [0.0, 1e-300], [0.0, 5e-324, 1.0]])
+    def test_first_weight_zero(self, entries):
+        w = make_weights(entries, "W")
+        for test in (is_in_V, _ratio_oracle):
+            with pytest.raises(FirstWeightZero):
+                test(w)
+
+
+class TestMakeWeightsErrors:
+    """Every rejection keeps its exception type and message."""
+
+    @pytest.mark.parametrize("entries, cls, error, message", [
+        ([1.0, Fraction(1, 2)], "W", ValueError,
+         "cannot mix float and exact-rational weight entries"),
+        ([Fraction(1, 2), 0.5], "W", ValueError,
+         "cannot mix float and exact-rational weight entries"),
+        ([1, -2], "W", NegativeWeight, "negative weight -2"),
+        ([Fraction(1, 3), Fraction(-2, 5)], "W", NegativeWeight, "negative weight -2/5"),
+        ([Fraction(-1, 2)], "W0", NegativeWeight, "negative weight -1/2"),
+        ([1.0, -0.5], "W", NegativeWeight, "negative weight -0.5"),
+        ([0, 0], "W", AllZero, "weights sum to zero"),
+        ([Fraction(0), Fraction(0)], "W", AllZero, "weights sum to zero"),
+        ([0.0, 0.0], "W", AllZero, "weights sum to zero"),
+        ([1.0, math.nan], "W", NonfiniteWeight, "non-finite weight in [1.0, nan]"),
+        ([math.inf, 1.0], "W", NonfiniteWeight, "non-finite weight in [inf, 1.0]"),
+        ([-math.inf], "W", NonfiniteWeight, "non-finite weight in [-inf]"),
+        ([], "W", AllZero, "weight vector must be nonempty"),
+        ([0, 1], "W0", FirstWeightZero, "first weight must be positive in class W0"),
+        ([Fraction(0), Fraction(1, 2)], "W0", FirstWeightZero,
+         "first weight must be positive in class W0"),
+        ([0.0, 1.0], "W0", FirstWeightZero, "first weight must be positive in class W0"),
+        ([1], "W1", ValueError, "unknown weight class 'W1' (expected 'W' or 'W0')"),
+    ])
+    def test_error_and_message(self, entries, cls, error, message):
+        with pytest.raises(error) as info:
+            make_weights(entries, cls)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_fraction_entries_are_kept(self):
+        entries = [Fraction(3, 4), Fraction(1, 4)]
+        w = make_weights(entries, "W0")
+        assert all(kept is given for kept, given in zip(w.entries, entries))
+        assert w.mode == "rational"
+
+    def test_integers_become_fractions(self):
+        w = make_weights([True, 2, Fraction(1)], "W0")
+        assert w.entries == (1, 2, 1)
+        assert all(type(e) is Fraction for e in w.entries)
 
 
 class TestScale:
