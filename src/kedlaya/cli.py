@@ -94,7 +94,16 @@ def _sweep_trial(mean, n, seed, trial, tol, expect, max_den):
     return {"trial": trial, "n": n, "gap": report.gap, "verdict": report.verdict}
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject an option value numpy would otherwise reject in its own terms
+    (``low >= high``), or that would give a report with no evidence."""
+    if not ok:
+        raise ValueError(message)
+
+
 def _cmd_sweep(args) -> int:
+    _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
+    _require(args.max_den >= 2, f"--max-den must be >= 2, got {args.max_den}")
     mean = mn.mean_from_id(args.mean)
     rows = [_sweep_trial(mean, args.n, args.seed, t, args.tol, args.expect,
                          args.max_den) for t in range(args.trials)]
@@ -153,6 +162,8 @@ def _cmd_concavity(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
+    _require(args.n >= 2, f"--n must be >= 2, got {args.n}")
     mean = mn.mean_from_id(args.mean)
     rng = np.random.default_rng(args.seed)
     lo, hi, _ = conc.sampling_window(mean.domain)

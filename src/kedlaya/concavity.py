@@ -22,8 +22,11 @@ Draw streams are generated in fixed-size chunks keyed by
 ``(seed, chunk_index)``, so results are reproducible for a given seed
 regardless of evaluation order.  Both samplers run on one chunk loop.
 Each chunk of means is evaluated through
-:func:`~kedlaya.means.evaluate_rows`, which uses the family's own batch
-kernel when the handle carries one and evaluates row by row otherwise.
+:func:`~kedlaya.means.evaluate_rows`, which hands the rows to the
+family's batch kernel in column-major order.  Every built-in family has
+one, the quasi-arithmetic kernel taking each row as Python floats; only
+custom deviations and homogeneous deviations of a caller's ``f`` are
+evaluated row by row.
 """
 
 from __future__ import annotations

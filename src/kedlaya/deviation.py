@@ -22,10 +22,10 @@ the scalar solver's roots and errors bit for bit.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
-the solver so they can cross-check each other.  The Gini and
-ratio-of-moments forms also come as ``*_rows`` kernels that evaluate
-every row of ``(rows, n)`` entry and weight arrays at once, and with the
-quasi-arithmetic form as ``*_prefixes`` kernels that evaluate every
+the solver so they can cross-check each other.  The Gini,
+ratio-of-moments and quasi-arithmetic forms also come as ``*_rows``
+kernels that evaluate every row of ``(rows, n)`` entry and weight arrays
+in one call, and as ``*_prefixes`` kernels that evaluate every
 prefix ``x[:k]`` of one input in a single pass, bit for bit equal to the
 closed form on each prefix.
 """
@@ -369,6 +369,35 @@ def quasi_arithmetic_prefixes(gen: GeneratorSpec, x, w, first: int) -> list:
             raise InverseOutOfRange(f"{gen.label}: inverse returned {y}")
         out.append(y)
     return out
+
+
+def quasi_arithmetic_rows(gen: GeneratorSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`kedlaya.means.evaluate` of :func:`quasi_arithmetic` on every row
+    of ``(rows, n)`` entry and weight arrays, bit for bit.
+
+    Each row is taken as Python floats, so any generator serves, with no
+    numpy twin.  As in ``evaluate``, zero-weight entries are dropped and a
+    constant row is its entry; the other rows take
+    ``f_inverse(fsum(w f(x)) / fsum(w))``.  A row where a step raises an
+    arithmetic or value error, or whose value is not finite, is handed to
+    :func:`quasi_arithmetic` itself, so it raises (or returns) exactly what
+    that function does.
+    """
+    f, f_inverse = gen.f, gen.f_inverse
+    out = []
+    for xs, ws in zip(x.tolist(), w.tolist()):
+        if 0.0 in ws:
+            xs = [xi for xi, wi in zip(xs, ws) if wi != 0.0]
+            ws = [wi for wi in ws if wi != 0.0]
+        if min(xs) == max(xs):
+            out.append(xs[0])
+            continue
+        try:
+            y = f_inverse(math.fsum([wi * f(xi) for xi, wi in zip(xs, ws)]) / math.fsum(ws))
+        except (ArithmeticError, ValueError):
+            y = math.nan
+        out.append(y if math.isfinite(y) else quasi_arithmetic(gen, xs, ws))
+    return np.array(out)
 
 
 def _log_power_sum(p: float, x, w) -> float:

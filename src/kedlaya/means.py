@@ -109,8 +109,9 @@ class MeanHandle:
     constant, and returns ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in
     one pass, bit for bit and raising what the first failing call would
     raise (see :func:`evaluate_prefixes`).  The built-in ``homdev`` means
-    have both, bisecting in lockstep; custom deviations, and homogeneous
-    deviations of a caller's ``f``, have neither.
+    have both, bisecting in lockstep, and quasi-arithmetic means have both
+    for any generator.  Only custom deviations, and homogeneous deviations
+    of a caller's ``f``, have neither and are evaluated row by row.
     """
 
     family: str
@@ -164,7 +165,8 @@ class MeanHandle:
     @classmethod
     def quasi_arithmetic(cls, gen: dev.GeneratorSpec) -> "MeanHandle":
         return cls("quasi-arithmetic", gen.domain, gen.params, f"qa:{gen.label}",
-                   lambda x, w: dev.quasi_arithmetic(gen, x, w), None,
+                   lambda x, w: dev.quasi_arithmetic(gen, x, w),
+                   lambda x, w: dev.quasi_arithmetic_rows(gen, x, w),
                    lambda x, w, first: dev.quasi_arithmetic_prefixes(gen, x, w, first))
 
     @classmethod
@@ -295,12 +297,21 @@ def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
 def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Evaluate ``mean`` on every row of ``(rows, n)`` entry and weight arrays.
 
-    Families with a batch kernel evaluate all rows at once and skip the
-    validation of :func:`evaluate` (rows are assumed to be in the domain,
-    with positive weights); the others call :func:`evaluate` row by row.
+    Every mean has a batch kernel except the custom deviations, the
+    homogeneous deviations of a caller's ``f`` and affine conjugates of
+    these, which call :func:`evaluate` row by row.  A batch kernel
+    evaluates all rows in one call and skips the validation of
+    :func:`evaluate` (rows are assumed to be in the domain, with
+    nonnegative weights of positive sum).  Kernels get the arrays in
+    column-major (Fortran) order, where numpy reduces short rows across
+    all rows at once: on a 2-vCPU Xeon a 2-entry ``max(axis=1)`` over 150k
+    rows took 6 ms in C order and 0.2 ms in Fortran order.  Up to 7
+    entries per row the row sums are the same either way; from 8 on numpy
+    sums a C-ordered row pairwise and a Fortran-ordered one in sequence,
+    which can move a closed form by a few ulps.
     """
     if mean._batch is not None:
-        return mean._batch(x, w)
+        return mean._batch(np.asfortranarray(x), np.asfortranarray(w))
     return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
 
 

@@ -125,6 +125,29 @@ def test_homogeneous_deviation_on_a_wide_range(capsys):
     assert abs(2.0 * doc["lhs"] - 1.0) < 2e-12
 
 
+@pytest.mark.parametrize("argv, message", [
+    # numpy would say "low >= high" for these two
+    (("sweep", "--mean", "power:0", "--n", "4", "--max-den", "1"), "--max-den must be >= 2, got 1"),
+    (("axioms", "--mean", "power:0", "--n", "1"), "--n must be >= 2, got 1"),
+    # no trial at all: an empty report, or every axiom marked ok on no evidence
+    (("sweep", "--mean", "power:0", "--n", "4", "--trials", "0"), "--trials must be >= 1, got 0"),
+    (("axioms", "--mean", "power:0", "--trials", "0"), "--trials must be >= 1, got 0"),
+    (("axioms", "--mean", "power:0", "--trials", "-3"), "--trials must be >= 1, got -3"),
+])
+def test_option_out_of_range_exits_two(capsys, argv, message):
+    assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--mean", "power:0", "--n", "4", "--max-den", "2", "--trials", "1"),
+    ("axioms", "--mean", "power:0", "--n", "2", "--trials", "1"),
+])
+def test_smallest_option_values_run(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["command"] == argv[0]
+
+
 class TestParserCache:
     @pytest.fixture
     def builds(self, monkeypatch):

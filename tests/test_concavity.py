@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from kedlaya import concavity
 from kedlaya.concavity import (
     CONCAVE,
     CONVEX,
@@ -21,7 +23,7 @@ from kedlaya.deviation import DeviationSpec, log_generator, power_generator
 from kedlaya.domain import POSITIVE, REALS
 from kedlaya.errors import MixedSignSecondDerivative, VanishingDerivative
 from kedlaya.inequality import reflect
-from kedlaya.means import MeanHandle, mean_from_id
+from kedlaya.means import MeanHandle, evaluate, mean_from_id
 
 
 class TestSampler:
@@ -67,6 +69,52 @@ class TestSampler:
             b = sample_jensen_concavity(mirrored, 2, 4000, seed=17)
             assert b.verdict == pairs[a.verdict]
             assert b.worst_violation == a.worst_violation  # exact mirror
+
+
+def _c_ordered_rows(mean, x, w):
+    """The earlier ``evaluate_rows``: each batch kernel runs on the sampler's
+    C-ordered chunks as drawn."""
+    if mean._batch is not None:
+        return mean._batch(x, w)
+    return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
+
+
+GEO = MeanHandle.power(0.0)
+# every family with a batch kernel, with trials that keep each probe short
+BATCH_MEANS = [(name, mean_from_id(name), 3000) for name in (
+    "arithmetic", "min", "max", "power:-2", "power:0", "power:0.5", "power:3",
+    "gini:2:1", "gini:0.5:0", "gini:-1:-1", "gini:1.5:1.5", "gini21",
+    "qa:log", "qa:pow:2")] + [
+    ("homdev", mean_from_id("homdev:shifted-power:0.5"), 200),
+    ("affine", MeanHandle.affine(GEO, 2.0, 1.0), 3000),
+    ("reflect", MeanHandle.affine(GEO, -1.0, 0.0), 3000),
+]
+
+
+class TestBatchLayout:
+    """Batch kernels get column-major rows.  Up to 7 entries per row numpy's
+    row sums do not depend on the layout, so the verdict is the C-ordered
+    one exactly; from 8 on a C-ordered row is summed pairwise and a
+    column-major one in sequence, so the worst gap may move by rounding."""
+
+    @pytest.mark.parametrize("name, mean, trials", BATCH_MEANS,
+                             ids=[c[0] for c in BATCH_MEANS])
+    def test_verdict_equals_c_ordered(self, name, mean, trials, monkeypatch):
+        for n in range(1, 8):
+            got = sample_jensen_concavity(mean, n, trials, seed=n)
+            with monkeypatch.context() as m:
+                m.setattr(concavity, "evaluate_rows", _c_ordered_rows)
+                assert got == sample_jensen_concavity(mean, n, trials, seed=n), n
+
+    @pytest.mark.parametrize("name, mean, trials", BATCH_MEANS,
+                             ids=[c[0] for c in BATCH_MEANS])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_long_rows_within_rounding(self, name, mean, trials, n, monkeypatch):
+        got = sample_jensen_concavity(mean, n, trials, seed=n)
+        monkeypatch.setattr(concavity, "evaluate_rows", _c_ordered_rows)
+        want = sample_jensen_concavity(mean, n, trials, seed=n)
+        assert got.verdict == want.verdict
+        assert math.isclose(got.worst_violation, want.worst_violation, rel_tol=1e-13)
 
 
 class TestMidpointSampler:

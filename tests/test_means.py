@@ -288,6 +288,58 @@ class TestBatchKernels:
         np.testing.assert_allclose(evaluate_rows(mean, x, w), expected, rtol=1e-13, atol=0)
 
 
+QA_MEANS = [(name, mean_from_id(name)) for name in ("qa:log", "qa:pow:2", "qa:pow:-1")] + [
+    ("cube", MeanHandle.quasi_arithmetic(GeneratorSpec(
+        lambda t: t ** 3, lambda y: y ** (1.0 / 3.0), label="cube")))]
+
+
+class TestQuasiArithmeticKernel:
+    """The quasi-arithmetic batch kernel equals the row-by-row fallback bit for
+    bit, raises what it raises, and serves the sampler without it."""
+
+    @staticmethod
+    def _rows(n):
+        rng = np.random.default_rng(20261018)
+        x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (400, n)))
+        w = rng.exponential(size=(400, n))
+        x[:20] = 2.5  # constant rows
+        if n > 1:
+            x[20:40, 1:] = x[20:40, 1:2]  # constant once the zero weight is dropped
+            w[20:60, 0] = 0.0
+            w[60:80, -1] = 0.0
+        x[80:90] = 1.0 + rng.uniform(0.0, 1e-12, (10, n))  # averages near the constant
+        return x, w
+
+    @pytest.mark.parametrize("name, mean", QA_MEANS, ids=[c[0] for c in QA_MEANS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_equals_row_fallback(self, name, mean, n):
+        x, w = self._rows(n)
+        want = evaluate_rows(replace(mean, _batch=None), x, w)
+        assert evaluate_rows(mean, x, w).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("name, mean", QA_MEANS, ids=[c[0] for c in QA_MEANS])
+    def test_overflowing_row_raises_the_fallback_error(self, name, mean):
+        x, w = self._rows(3)
+        # a generator value, or for log the sum of the weighted values, beyond
+        # the float range, with a weight sum inside it
+        big = {"qa:log": ([1e65, 1e69, 2.0], [1e306, 1e306, 1.0]),
+               "qa:pow:-1": ([1e-310, 1.0, 2.0], [1.0, 1.0, 1.0])}
+        x[200], w[200] = big.get(name, ([1.0, 1e200, 2.0], [1.0, 1.0, 1.0]))
+        got = _outcome(lambda: evaluate_rows(mean, x, w))
+        assert _raised(got) is GeneratorOverflow
+        assert got == _outcome(lambda: evaluate_rows(replace(mean, _batch=None), x, w))
+
+    @pytest.mark.parametrize("name, mean", QA_MEANS, ids=[c[0] for c in QA_MEANS])
+    def test_sampler_never_evaluates_row_by_row(self, name, mean, monkeypatch):
+        from kedlaya.concavity import sample_jensen_concavity
+
+        def row_fallback(*args):
+            raise AssertionError(f"{mean} evaluated row by row")
+
+        monkeypatch.setattr(means, "evaluate", row_fallback)
+        assert sample_jensen_concavity(mean, 2, 300, seed=1).trials == 300
+
+
 # (test id, mean, entry transform) for every family with a prefix kernel
 PREFIX_MEANS = [(name, mean_from_id(name), None) for name in (
     "arithmetic", "min", "max", "power:-2", "power:0", "power:0.5", "power:3",
