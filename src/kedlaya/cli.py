@@ -16,8 +16,10 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,9 +42,143 @@ def _parse_weights(text: str, exact: bool):
     return weights_from_strings(text.split(","), cls="W0", exact=exact)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar(o) -> str:
+    """One JSON scalar, written as ``json.dumps`` writes it."""
+    if isinstance(o, str):
+        return _ESCAPE(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _ESCAPE(k)
+    if k is None or isinstance(k, (int, float)):
+        return f'"{_scalar(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _column(col: list):
+    """The texts of one column of scalars, or None if it holds a container."""
+    kinds = set(map(type, col))
+    if kinds == {str}:
+        return list(map(_ESCAPE, col))
+    if kinds == {float} and all(map(math.isfinite, col)):
+        return list(map(float.__repr__, col))
+    if any(issubclass(k, (list, tuple, dict)) for k in kinds):
+        return None
+    return list(map(_scalar, col))
+
+
+def _records(items, depth: int):
+    """The texts of a list of flat records written at ``depth``, or None.
+
+    Records are dicts with one key set whose values are scalars or flat
+    lists of scalars, one length per key.  Each column is encoded at once
+    and every record fills one ``%`` template built from the first.
+    """
+    if set(map(type, items)) != {dict}:
+        return None
+    first = items[0]
+    keys = first.keys()
+    if not all(map(keys.__eq__, map(dict.keys, items))):
+        return None
+    pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    cols, slots = [], []
+    for name in sorted(first):
+        col = list(map(itemgetter(name), items))
+        if set(map(type, col)) <= {list, tuple}:
+            widths = set(map(len, col))
+            if len(widths) != 1:
+                return None
+            width = widths.pop()
+            cols += [list(map(itemgetter(i), col)) for i in range(width)]
+            slot = "[" + inner + ("," + inner).join(["%s"] * width) + pad + "]" if width else "[]"
+        else:
+            cols.append(col)
+            slot = "%s"
+        slots.append(_key(name).replace("%", "%%") + ": " + slot)
+    texts = [_column(col) for col in cols]
+    if not texts or None in texts:
+        return None
+    template = "{" + pad + ("," + pad).join(slots) + "\n" + "  " * depth + "}"
+    return list(map(template.__mod__, zip(*texts)))
+
+
+def _write(o, depth: int, parts: list, open_ids: set) -> None:
+    """Append the text of ``o`` at ``depth`` to ``parts``.  The caller joins
+    them once: a joined string per level would copy the piece list again at
+    every level above it."""
+    if isinstance(o, (list, tuple)):
+        opening, closing = "[", "]"
+    elif isinstance(o, dict):
+        opening, closing = "{", "}"
+    else:
+        parts.append(_scalar(o))
+        return
+    if not o:
+        parts.append(opening + closing)
+        return
+    if id(o) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(o))
+    pad = "\n" + "  " * (depth + 1)
+    sep, comma = opening + pad, "," + pad
+    if opening == "{":
+        for k, v in sorted(o.items()):
+            parts.append(sep + _key(k) + ": ")
+            _write(v, depth + 1, parts, open_ids)
+            sep = comma
+    elif (texts := _records(o, depth + 1) or _column(o)) is not None:
+        for text in texts:
+            parts += (sep, text)
+            sep = comma
+    else:
+        for v in o:
+            parts.append(sep)
+            _write(v, depth + 1, parts, open_ids)
+            sep = comma
+    open_ids.discard(id(o))
+    parts.append("\n" + "  " * depth + closing)
+
+
+def _dumps(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte, on any
+    input, and the same exception type where that raises.
+
+    With ``indent`` set, ``json`` runs its generator-based pure-Python
+    encoder; this writer appends strings to one list and encodes each
+    column of a list of flat records with one C-level ``map``.
+    """
+    parts: list = []
+    _write(report, 0, parts, set())
+    return "".join(parts)
+
+
 def _emit(report: dict, fmt: str, out: str | None, text_lines=None) -> None:
+    """Write a report to ``out``, or to stdout.  A JSON report is exactly
+    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
     if fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        payload = _dumps(report) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -95,8 +231,9 @@ def _sweep_trial(mean, n, seed, trial, tol, expect, max_den):
 
 
 def _require(ok: bool, message: str) -> None:
-    """Reject an option value numpy would otherwise reject in its own terms
-    (``low >= high``), or that would give a report with no evidence."""
+    """Reject an option value that numpy or the library would otherwise
+    reject in its own terms (``low >= high``, ``n must be >= 1``), or that
+    would give a report with no evidence."""
     if not ok:
         raise ValueError(message)
 
@@ -105,6 +242,7 @@ def _cmd_sweep(args) -> int:
     _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     _require(args.max_den >= 2, f"--max-den must be >= 2, got {args.max_den}")
     mean = mn.mean_from_id(args.mean)
+    _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
     rows = [_sweep_trial(mean, args.n, args.seed, t, args.tol, args.expect,
                          args.max_den) for t in range(args.trials)]
     counts: dict = {}
@@ -151,6 +289,7 @@ def _cmd_refute(args) -> int:
 
 def _cmd_concavity(args) -> int:
     mean = mn.mean_from_id(args.mean)
+    _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
     verdict = conc.sample_jensen_concavity(mean, args.n, args.trials,
                                            tol=args.tol, seed=args.seed)
     doc = {"schema": SCHEMA, "command": "concavity", "mean": str(mean),
@@ -207,6 +346,7 @@ def _cmd_proof_fn(args) -> int:
     mean = mn.mean_from_id(args.mean)
     x = _parse_floats(args.x)
     w = weights_from_strings(args.w.split(","), cls="W0", exact=True)
+    _require(2 <= args.j <= len(w), f"--j must be in [2, {len(w)}], got {args.j}")
     f = stepfn.build_proof_function(x, w, args.j)
     jf = stepfn.jensen_fubini_sides(mean, f)
     ok = stepfn._matches_step(mean, x, w, args.j, jf, args.tol)

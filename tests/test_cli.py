@@ -4,8 +4,11 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kedlaya import cli
 from kedlaya.cli import main
@@ -133,6 +136,13 @@ def test_homogeneous_deviation_on_a_wide_range(capsys):
     (("sweep", "--mean", "power:0", "--n", "4", "--trials", "0"), "--trials must be >= 1, got 0"),
     (("axioms", "--mean", "power:0", "--trials", "0"), "--trials must be >= 1, got 0"),
     (("axioms", "--mean", "power:0", "--trials", "-3"), "--trials must be >= 1, got -3"),
+    # the library's own messages name no option
+    (("sweep", "--mean", "power:0", "--n", "0"), "--n must be >= 1, got 0"),
+    (("concavity", "--mean", "power:0", "--n", "0"), "--n must be >= 1, got 0"),
+    (("proof-fn", "--mean", "power:0", "--x", "1,4,2", "--w", "2,1,1", "--j", "1"),
+     "--j must be in [2, 3], got 1"),
+    (("proof-fn", "--mean", "power:0", "--x", "1,4,2", "--w", "2,1,1", "--j", "4"),
+     "--j must be in [2, 3], got 4"),
 ])
 def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
@@ -303,6 +313,46 @@ def test_golden_sweep_report_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of proof geometry reports, recorded before the JSON writer replaced
+# the indented json.dumps.  The qa:log cases come from the benchmark's proof
+# stream: 987, 10412 and 31234 grid cells (134, 404 and 575 pieces).
+GOLDEN_PROOF_REPORTS = [
+    (("proof-fn", "--mean", "power:0", "--x", "1,4,2", "--w", "2,1,1", "--j", "3"),
+     "203f294c9ae5593bb07f5ebe13fcd50bd9d5bdd7148d5ae00160295657f0c909"),
+    (("proof-fn", "--mean", "gini:0.5:0", "--x", "2,3,5,1.5", "--w", "4,2,1,1", "--j", "3"),
+     "5a85d5ddc29c5f6a842cca7fb9df8d4a3f8cba8b04a0a5c9dadf89bd893e9a4e"),
+    (("proof-fn", "--mean", "qa:log",
+      "--x", "1.00527,0.296203,9.55728,0.780057,2.56957,0.732431,0.177167",
+      "--w", "1,4,10,15,30,20,16", "--j", "7"),
+     "a336be1534ededad867ee25331630fea97189db4e6aeb861da6e53ebaf87f842"),
+    (("proof-fn", "--mean", "qa:log",
+      "--x", "0.101691,0.327985,1.65402,5.74859,0.597607,3.40383,0.185699",
+      "--w", "1,10,11,22,176/7,242/7,968/35", "--j", "7"),
+     "3e14bafa5466e5876b1a168e391e58b1f0233a1b3e492c3a6ccdaef84b04724a"),
+    (("proof-fn", "--mean", "qa:log",
+      "--x", "7.29545,5.44645,0.73326,0.38707,0.101514,0.188927,5.23669",
+      "--w", "1,13,98,112,224,896/5,1176/5", "--j", "7"),
+     "28bea0c921a4736a87c3425a2c0e21edf5b8c33c7e79da0e958987eaebd35d37"),
+    (("proportional", "--theta", "2/3", "--host", "0,1,0,1"),
+     "8b42aa184a3ff246724416c446f281038ac2277ca5b2fdda5bf809eb3debfa5e"),
+    (("proportional", "--theta", "6/19", "--host", "1/2,10,1/8,65/8"),
+     "1c6a003b7fd12db960dbde60883ce8f36779417c6031f5bc06f6c492916997dc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_PROOF_REPORTS,
+                         ids=["power:0 j=3", "gini:0.5:0 j=3", "qa:log 987 cells",
+                              "qa:log 10412 cells", "qa:log 31234 cells",
+                              "proportional 2/3", "proportional 6/19"])
+def test_golden_proof_report_bytes(capsys, tmp_path, argv, digest):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--json", "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
 class TestReportRoundTrip:
     def test_check_report_reproduces_itself(self, capsys):
         # the inputs echo in a report is enough to rebuild and re-run it
@@ -392,3 +442,125 @@ class TestProofFn:
         assert code == 0
         f = function_from_json(json.loads(out)["function"])
         assert f.bounding.dx.upper == 4
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: json.dumps(doc, sort_keys=True, indent=2), byte for byte
+# ---------------------------------------------------------------------------
+
+def _reference(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _outcome(write, doc):
+    """The text ``write`` gives, or the type of the exception it raises."""
+    try:
+        return write(doc)
+    except Exception as exc:  # the exception's type is the outcome
+        return type(exc)
+
+
+_TEXTS = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "%s", "%%", "a%(b)s"])
+# repr switches to exponent form at 1e16 and below 1e-4
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 64, -(10 ** 40), 10 ** 300]),
+    _FLOATS, _FLOATS.map(np.float64), _TEXTS)
+_KEYS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXTS)
+
+
+@st.composite
+def _record_lists(draw, values):
+    """Lists of flat records, one of them broken in one of the ways the
+    writer's column path must notice."""
+    names = draw(st.lists(_TEXTS, max_size=4, unique=True))
+    columns = {name: (draw(st.sampled_from([_TEXTS, _FLOATS, _SCALARS,
+                                            st.floats(allow_nan=False, allow_infinity=False)])),
+                      draw(st.sampled_from([None, 0, 1, 2])))
+               for name in names}
+
+    def record():
+        return {name: draw(s) if width is None else draw(st.lists(s, min_size=width, max_size=width))
+                for name, (s, width) in columns.items()}
+
+    rows = [record() for _ in range(draw(st.integers(1, 5)))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    name = draw(st.sampled_from(names)) if names else None
+    break_ = draw(st.sampled_from(
+        ["none", "drop key", "add key", "retype", "ragged", "nest", "tuple", "not a dict"]))
+    if break_ == "drop key" and name is not None:
+        del row[name]
+    elif break_ == "add key":
+        row[draw(_TEXTS)] = draw(_SCALARS)
+    elif break_ == "retype" and name is not None:
+        row[name] = draw(values)
+    elif break_ == "ragged" and isinstance(row.get(name), list):
+        row[name].append(draw(_SCALARS))
+    elif break_ == "nest" and name is not None:
+        row[name] = [row[name]] if draw(st.booleans()) else {"k": row[name]}
+    elif break_ == "tuple" and isinstance(row.get(name), list):
+        row[name] = tuple(row[name])
+    elif break_ == "not a dict":
+        rows[-1] = draw(values)
+    return rows
+
+
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXTS, children, max_size=4),
+        _record_lists(children)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._dumps(doc) == _reference(doc)
+
+    @settings(deadline=None)
+    @given(st.dictionaries(_KEYS, _SCALARS, max_size=4))
+    def test_non_string_keys(self, doc):
+        # same text, or the same exception type for keys that do not sort
+        for value in (doc, [doc, dict(doc)], {"k": [doc]}):
+            assert _outcome(cli._dumps, value) == _outcome(_reference, value)
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, Fraction(1, 2), np.int64(1),
+                                     np.bool_(True), b"x"],
+                             ids=["object", "set", "Fraction", "np.int64", "np.bool_", "bytes"])
+    @pytest.mark.parametrize("place", [
+        lambda v: v,
+        lambda v: {"a": v},
+        lambda v: [1, v],
+        lambda v: [{"a": 1.0}, {"a": v}],
+        lambda v: [{"a": "s"}, {"a": v}],
+        lambda v: [{"a": [1, 2]}, {"a": [3, v]}],
+    ], ids=["bare", "dict", "list", "float column", "str column", "list column"])
+    def test_unserializable_value_raises_type_error(self, bad, place):
+        doc = place(bad)
+        with pytest.raises(TypeError) as ours:
+            cli._dumps(doc)
+        with pytest.raises(TypeError) as theirs:
+            _reference(doc)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("doc", [{(1, 2): 0}, {1: "a", "b": 2}, [{1: "a", "b": 2}] * 2,
+                                     {None: 1, 0: 2}],
+                             ids=["tuple key", "int and str keys", "int and str keys in records",
+                                  "None and int keys"])
+    def test_bad_keys_raise_type_error(self, doc):
+        assert _outcome(cli._dumps, doc) is TypeError
+        assert _outcome(_reference, doc) is TypeError
+
+    def test_circular_reference(self):
+        loop = [1]
+        loop.append({"a": loop})
+        assert _outcome(cli._dumps, loop) is ValueError
+        assert _outcome(_reference, loop) is ValueError
