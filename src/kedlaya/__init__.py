@@ -55,7 +55,6 @@ from .means import (
     AxiomResidual,
     MeanHandle,
     check_elimination,
-    check_mean_value,
     check_nullhomogeneity,
     check_reduction,
     check_symmetry,

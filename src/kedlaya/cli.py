@@ -94,9 +94,10 @@ def _records(items, depth: int):
 
     Records are dicts with one key set whose values are scalars or flat
     lists of scalars, one length per key.  Each column is encoded at once
-    and every record fills one ``%`` template built from the first.
+    and every record fills one ``%`` template built from the first.  A
+    single record is not worth a template and is written as any dict.
     """
-    if set(map(type, items)) != {dict}:
+    if len(items) < 2 or set(map(type, items)) != {dict}:
         return None
     first = items[0]
     keys = first.keys()
@@ -268,6 +269,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_refute(args) -> int:
     mean = mn.mean_from_id(args.mean)
     w = _parse_weights(args.w, exact=args.exact_weights)
+    _require(args.budget >= 1, f"--budget must be >= 1, got {args.budget}")
     witness = ineq.search_violation(mean, w, budget=args.budget,
                                     seed=args.seed, tol=args.tol)
     if witness is None:
@@ -290,6 +292,7 @@ def _cmd_refute(args) -> int:
 def _cmd_concavity(args) -> int:
     mean = mn.mean_from_id(args.mean)
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
+    _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     verdict = conc.sample_jensen_concavity(mean, args.n, args.trials,
                                            tol=args.tol, seed=args.seed)
     doc = {"schema": SCHEMA, "command": "concavity", "mean": str(mean),

@@ -10,7 +10,8 @@ which lies between ``min(x)`` and ``max(x)`` and is found here by
 bisection: the deviation axioms guarantee continuity and monotonicity of
 the total but nothing smoother, so Newton-type steps are not justified.
 The bisection stops when the bracket width drops below
-``tol * (1 + |y|)`` (default ``tol = 1e-12``, at most 200 iterations).
+``tol * (1 + |y|)`` (default ``tol = 1e-12``); its iteration cap comes
+from the bracket (:func:`_max_halvings`), so wide brackets converge too.
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
@@ -27,7 +28,9 @@ ratio-of-moments and quasi-arithmetic forms also come as ``*_rows``
 kernels that evaluate every row of ``(rows, n)`` entry and weight arrays
 in one call, and as ``*_prefixes`` kernels that evaluate every
 prefix ``x[:k]`` of one input in a single pass, bit for bit equal to the
-closed form on each prefix.
+closed form on each prefix.  Their sums run through :class:`_RunningFsum`,
+which takes one C ``fsum`` per prefix on short scans and keeps running
+partials on long ones.
 """
 
 from __future__ import annotations
@@ -239,21 +242,38 @@ def solve_deviation_mean(spec: DeviationSpec, x, w, tol: float = DEFAULT_TOL) ->
 # Exact running sums
 # ---------------------------------------------------------------------------
 
-class _RunningFsum:
-    """``math.fsum`` run one term at a time, at O(1) amortized cost per term.
+# Scans of up to this many terms take one C ``fsum`` per prefix, O(n^2) in
+# all; longer ones keep Shewchuk's partials in Python, O(n).  On a 2-vCPU
+# Xeon (log-uniform entries) the two branches cost the same at n = 64 to 72
+# for the kernels that keep two sums (qa:log 78 against 75 us at n = 64) and
+# at about n = 56 for prefix_fsums (20 against 19 us), which keeps one.
+_FSUM_SCAN_MAX = 64
 
-    :meth:`add` raises where ``fsum`` raises while consuming that term
-    (a sum of finite terms beyond the float range), and :meth:`value` is
-    ``fsum`` of the terms added so far, bit for bit.  Like ``fsum`` it
-    keeps Shewchuk's nonoverlapping partials, whose exact sum is the exact
-    sum of the finite terms, so ``fsum`` of the few partials is correctly
-    rounded like ``fsum`` of all of them.  After an inf or nan term,
-    :meth:`value` sums the terms themselves.
+
+class _RunningFsum:
+    """``math.fsum`` run one term at a time over a scan of ``n`` terms.
+
+    :meth:`value` is ``fsum`` of the terms added so far, bit for bit, and
+    raises what that ``fsum`` raises (a sum of finite terms beyond the float
+    range).  The scan length picks one of two branches, once:
+
+    - up to :data:`_FSUM_SCAN_MAX` terms (:class:`_FsumTerms`), :meth:`add`
+      only appends and :meth:`value` is ``fsum`` of the terms, in C.  An
+      overflow raises at :meth:`value`;
+    - longer scans keep Shewchuk's nonoverlapping partials, as ``fsum``
+      does, at O(1) amortized cost per term.  Their exact sum is the exact
+      sum of the finite terms, so ``fsum`` of the few partials is correctly
+      rounded like ``fsum`` of all of them.  :meth:`add` raises where
+      ``fsum`` raises while consuming that term.  After an inf or nan term,
+      :meth:`value` sums the terms themselves.
     """
 
     __slots__ = ("terms", "partials", "special")
 
-    def __init__(self):
+    def __new__(cls, n: int):
+        return _FsumTerms() if n <= _FSUM_SCAN_MAX else super().__new__(cls)
+
+    def __init__(self, n: int):
         self.terms = []
         self.partials = []
         self.special = False
@@ -283,10 +303,20 @@ class _RunningFsum:
         return math.fsum(self.terms if self.special else self.partials)
 
 
+class _FsumTerms(list):
+    """The short-scan branch of :class:`_RunningFsum`: the terms themselves."""
+
+    __slots__ = ()
+    add = list.append
+
+    def value(self) -> float:
+        return math.fsum(self)
+
+
 def prefix_fsums(values) -> list:
     """``[math.fsum(values[:k]) for k = 1..n]`` in one pass, bit for bit and
     raising where the first of those sums raises."""
-    acc = _RunningFsum()
+    acc = _RunningFsum(len(values))
     out = []
     for v in values:
         acc.add(v)
@@ -348,19 +378,19 @@ def quasi_arithmetic_prefixes(gen: GeneratorSpec, x, w, first: int) -> list:
     :func:`kedlaya.means.evaluate_prefixes`).
     """
     fx = _generator_values(gen, x[: first + 1])
-    out, terms, wsum = [], _RunningFsum(), _RunningFsum()
+    out, terms, wsum = [], _RunningFsum(len(x)), _RunningFsum(len(x))
     for k, wk in enumerate(w):
         if k > first:
             fx += _generator_values(gen, x[k : k + 1])
-        try:
+        try:  # a short scan overflows at value(), a long one at add()
             terms.add(wk * fx[k])
             wsum.add(wk)
+            if k < first:
+                continue
+            avg = terms.value() / wsum.value()
         except OverflowError as exc:
             raise GeneratorOverflow(f"{gen.label}: weighted sum of the generator values "
                                     f"at {x[: max(k, first) + 1]} overflows") from exc
-        if k < first:
-            continue
-        avg = terms.value() / wsum.value()
         try:
             y = gen.f_inverse(avg)
         except (ValueError, OverflowError) as exc:
@@ -464,7 +494,7 @@ def _log_power_sum_prefixes(p: float, x, w, first: int) -> list:
         if c is None or (xk > c if p > 0 else xk < c):
             c = max(x[: k + 1]) if p > 0 else min(x[: k + 1])
             log_c = p * math.log(c)
-            terms = _RunningFsum()
+            terms = _RunningFsum(len(x))
             for xi, wi in zip(x[: k + 1], w):
                 terms.add(wi * (xi / c) ** p)
         else:
@@ -492,7 +522,7 @@ def gini_prefixes(p: float, q: float, x, w, first: int) -> list:
         # the scale is gini's; x**0.0 is 1.0 whatever c is
         if c is None or (xk < c if p < 0 else xk > c and p != 0.0):
             c = min(x[: k + 1]) if p < 0 else max(x[: k + 1])
-            num, den, scaled = _RunningFsum(), _RunningFsum(), []
+            num, den, scaled = _RunningFsum(len(x)), _RunningFsum(len(x)), []
             for xi, wi in zip(x[: k + 1], w):
                 d = wi * (xi / c) ** p
                 num.add(d * math.log(xi))
@@ -740,21 +770,21 @@ def gini21_prefixes(x, w, first: int) -> list:
     The entries must be nonnegative and ``x[:first+1]`` must not be
     constant (see :func:`kedlaya.means.evaluate_prefixes`).
     """
-    out, num, den = [], _RunningFsum(), _RunningFsum()
+    out, num, den = [], _RunningFsum(len(x)), _RunningFsum(len(x))
     for k, (xi, wi) in enumerate(zip(x, w)):
         d = wi * xi
-        try:
+        try:  # a short scan overflows at value(), a long one at add()
             den.add(d)
             num.add(d * xi)
+            if k < first:
+                continue
+            s, v = den.value(), num.value()
         except OverflowError:
             raise FloatOverflow(_GINI21_RANGE) from None
-        if k >= first:
-            s = den.value()
-            if s == 0.0:
-                out.append(0.0)
-                continue
-            v = num.value()
-            if not math.isfinite(v):
-                raise FloatOverflow(_GINI21_RANGE)
+        if s == 0.0:  # every term so far is 0, so v is 0 too
+            out.append(0.0)
+        elif not math.isfinite(v):
+            raise FloatOverflow(_GINI21_RANGE)
+        else:
             out.append(v / s)
     return out

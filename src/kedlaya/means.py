@@ -53,29 +53,59 @@ DEFAULT_EXPANSION_CAP = 10 ** 6
 # ---------------------------------------------------------------------------
 
 def exact_weighted_arithmetic(x, w) -> float:
-    """Weighted arithmetic mean accumulated in exact rational arithmetic."""
-    num = Fraction(0)
-    den = Fraction(0)
-    for xi, wi in zip(x, w):
-        fw = wi if isinstance(wi, Fraction) else Fraction(wi)
-        num += fw * Fraction(xi)
-        den += fw
-    return float(num / den)
+    """Weighted arithmetic mean accumulated exactly and rounded once, equal
+    to ``float(sum(Fraction(w_i) * Fraction(x_i)) / sum(Fraction(w_i)))``
+    over ``zip(x, w)`` (see :func:`_arithmetic_prefixes`)."""
+    n = min(len(x), len(w))
+    return _arithmetic_prefixes(x, w, n - 1)[0] if n else _no_weight(0, 1)
 
 
 def _arithmetic_prefixes(x, w, first: int) -> list:
     """:func:`exact_weighted_arithmetic` on ``x[:k], w[:k]`` for
-    ``k = first+1..n``, from running exact sums."""
+    ``k = first+1..n``, from running integer sums, with the same values and
+    errors as running ``Fraction`` sums.
+
+    Each entry and weight is an exact ratio of integers (``as_integer_ratio``
+    for floats and ``Fraction``s, as ``Fraction`` converts it).  The sums of
+    ``w x`` and of ``w`` are kept as integers over the common denominators
+    seen so far: the largest power of two for floats, the lcm for
+    ``Fraction``s.  A denominator that is not yet one of their divisors
+    scales the sums up.  Each mean is one int true division, correctly
+    rounded like ``float(Fraction)``.
+    """
     out = []
-    num = Fraction(0)
-    den = Fraction(0)
+    num = den = 0  # sum w x over dw * dx, sum w over dw
+    dw = dx = 1
     for k, (xi, wi) in enumerate(zip(x, w)):
-        fw = Fraction(wi)
-        num += fw * Fraction(xi)
-        den += fw
+        a, d = _integer_ratio(wi)
+        p, q = _integer_ratio(xi)
+        if dw % d:
+            f = d // math.gcd(dw, d)
+            num, den, dw = num * f, den * f, dw * f
+        if dx % q:
+            f = q // math.gcd(dx, q)
+            num, dx = num * f, dx * f
+        a *= dw // d
+        den += a
+        num += a * p * (dx // q)
         if k >= first:
-            out.append(float(num / den))
+            out.append(num / (den * dx) if den else _no_weight(num, dw * dx))
     return out
+
+
+def _integer_ratio(v) -> tuple:
+    """``(numerator, denominator)`` of ``v``, raising what ``Fraction(v)``
+    raises (an inf or nan float)."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:  # e.g. a numpy integer
+        return Fraction(v).as_integer_ratio()
+
+
+def _no_weight(num: int, scale: int) -> float:
+    """Raise what the exact mean ``Fraction(num, scale) / 0`` raises when the
+    weights sum to 0."""
+    return float(Fraction(num, scale) / Fraction(0))
 
 
 def arithmetic_base(xs) -> float:
@@ -370,17 +400,6 @@ def check_elimination(mean: MeanHandle, x, w, j: int) -> AxiomResidual:
     right = evaluate(mean, xr, wr)
     return AxiomResidual("elimination", abs(left - right),
                          {"x": tuple(x), "w": tuple(w), "j": j})
-
-
-def check_mean_value(mean: MeanHandle, x, w) -> bool:
-    """True when the value lies within ``[min x, max x]`` up to tolerance.
-
-    Tolerance is relative, ``1e-9 * max|x_i|`` with an absolute floor of
-    1e-12, since solver-backed families cannot be exact.
-    """
-    v = evaluate(mean, x, w)
-    tol = max(1e-9 * max(abs(float(xi)) for xi in x), 1e-12)
-    return min(x) - tol <= v <= max(x) + tol
 
 
 def mean_value_residual(mean: MeanHandle, x, w) -> AxiomResidual:

@@ -143,6 +143,11 @@ def test_homogeneous_deviation_on_a_wide_range(capsys):
      "--j must be in [2, 3], got 1"),
     (("proof-fn", "--mean", "power:0", "--x", "1,4,2", "--w", "2,1,1", "--j", "4"),
      "--j must be in [2, 3], got 4"),
+    # a search of no candidates would report a finding on no evidence
+    (("refute", "--mean", "gini21", "--w", "1,1,4", "--budget", "0"), "--budget must be >= 1, got 0"),
+    (("refute", "--mean", "gini21", "--w", "1,1,4", "--budget", "-5"),
+     "--budget must be >= 1, got -5"),
+    (("concavity", "--mean", "power:0", "--trials", "0"), "--trials must be >= 1, got 0"),
 ])
 def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
@@ -151,10 +156,13 @@ def test_option_out_of_range_exits_two(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ("sweep", "--mean", "power:0", "--n", "4", "--max-den", "2", "--trials", "1"),
     ("axioms", "--mean", "power:0", "--n", "2", "--trials", "1"),
+    ("concavity", "--mean", "power:0", "--trials", "1"),
+    # one candidate, (0, 1, 1), which does not refute: exit 1 with no witness
+    ("refute", "--mean", "gini21", "--w", "1,1,4", "--budget", "1"),
 ])
 def test_smallest_option_values_run(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
-    assert (code, err) == (0, "")
+    assert (code, err) == (1 if argv[0] == "refute" else 0, "")
     assert json.loads(out)["command"] == argv[0]
 
 

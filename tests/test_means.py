@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kedlaya import means
 from kedlaya.deviation import (
+    _FSUM_SCAN_MAX,
     DeviationSpec,
     GeneratorSpec,
     log_generator,
@@ -34,7 +36,6 @@ from kedlaya.means import (
     MeanHandle,
     arithmetic_base,
     check_elimination,
-    check_mean_value,
     check_nullhomogeneity,
     check_reduction,
     check_symmetry,
@@ -44,6 +45,7 @@ from kedlaya.means import (
     mean_from_id,
     mean_from_json,
     mean_to_json,
+    mean_value_residual,
     weighted_average,
     weighted_from_repetition_invariant,
 )
@@ -52,6 +54,12 @@ from kedlaya.weights import make_weights
 ARITH = MeanHandle.arithmetic()
 GEO = MeanHandle.power(0.0)
 G21 = MeanHandle.gini(2.0, 1.0)
+
+
+def _within_mean_value(mean, x, w):
+    """The mean-value axiom up to ``1e-9 * max|x|`` (at least 1e-12), since
+    solver-backed families cannot be exact."""
+    return mean_value_residual(mean, x, w).residual <= max(1e-9 * max(map(abs, x)), 1e-12)
 
 
 class TestEvaluate:
@@ -98,6 +106,61 @@ class TestEvaluate:
         assert evaluate(MeanHandle.minimum(), (5, 2), (2, 1)) == 2
         assert evaluate(MeanHandle.minimum(), (-9, 2), (0, 1)) == 2
         assert evaluate(MeanHandle.maximum(), (-9, 2, 99), (1, 1, 0)) == 2
+
+
+def _fraction_mean(x, w):
+    """The exact weighted arithmetic mean as ``Fraction`` sums, rounded once:
+    the oracle of the integer sums in ``means``."""
+    num = Fraction(0)
+    den = Fraction(0)
+    for xi, wi in zip(x, w):
+        fw = wi if isinstance(wi, Fraction) else Fraction(wi)
+        num += fw * Fraction(xi)
+        den += fw
+    return float(num / den)
+
+
+_WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+# both signs, from the subnormals to the largest finite float
+_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | _WIDE
+_WEIGHTS = (st.floats(min_value=0.0, allow_infinity=False) | _WIDE.map(abs) | st.just(0.0)
+            | st.fractions(min_value=0, max_denominator=10 ** 6))
+
+
+class TestExactArithmetic:
+    """The arithmetic mean's integer sums equal ``Fraction`` sums: values bit
+    for bit, errors by type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_ENTRIES, _WEIGHTS), min_size=1, max_size=12), st.data())
+    def test_equals_fraction_sums(self, pairs, data):
+        x, w = map(list, zip(*pairs))
+        first = data.draw(st.integers(0, len(x) - 1))
+        assert _outcome(lambda: means.exact_weighted_arithmetic(x, w)) == \
+            _outcome(lambda: _fraction_mean(x, w))
+        assert _outcome(lambda: means._arithmetic_prefixes(x, w, first)) == \
+            _outcome(lambda: [_fraction_mean(x[:k], w[:k]) for k in range(first + 1, len(x) + 1)])
+
+    @pytest.mark.parametrize("x, w", [
+        ([1.0, math.inf], [1.0, 1.0]),
+        ([1.0, -math.inf, math.nan], [1.0, 1.0, 1.0]),
+        ([math.nan, 2.0], [1.0, math.inf]),  # entry and weight of one pair: the weight first
+        ([2.0, 1.0], [math.nan, 1.0]),
+        ([2.0, 5e-324], [Fraction(1, 3), 1e-300]),
+        ([1.0, 2.0], [0.0, 0.0]),  # no weight: ZeroDivisionError
+        ([1.0, 2.0], [1.0, -1.0]),
+        ([], []),
+    ])
+    def test_edge_cases_equal_fraction_sums(self, x, w):
+        assert _outcome(lambda: means.exact_weighted_arithmetic(x, w)) == \
+            _outcome(lambda: _fraction_mean(x, w))
+        assert _outcome(lambda: means._arithmetic_prefixes(x, w, 0)) == \
+            _outcome(lambda: [_fraction_mean(x[:k], w[:k]) for k in range(1, len(x) + 1)])
+
+
+    def test_unequal_lengths_follow_zip(self):
+        x, w = [1.0, 2.0, 3.0], [1.0, 3.0]
+        assert means.exact_weighted_arithmetic(x, w) == _fraction_mean(x, w) == 1.75
 
 
 class TestAxioms:
@@ -148,7 +211,7 @@ class TestAxioms:
     def test_mean_value_constant(self):
         for mean in (ARITH, GEO, G21, MeanHandle.power(3.0)):
             assert evaluate(mean, (4.2, 4.2, 4.2), (1, 2, 3)) == 4.2
-            assert check_mean_value(mean, (4.2, 4.2, 4.2), (1, 2, 3))
+            assert _within_mean_value(mean, (4.2, 4.2, 4.2), (1, 2, 3))
 
     def test_mean_value_gini(self):
         v = evaluate(G21, (1, 2), (1, 1))
@@ -197,7 +260,7 @@ class TestAxiomResidualsRandomized:
             assert check_reduction(mean, x, lam, mu).residual <= 1e-12
             assert check_elimination(mean, x, wz, j).residual <= 1e-12
             assert check_symmetry(mean, x, w, perm).residual <= 1e-12
-            assert check_mean_value(mean, x, w)
+            assert _within_mean_value(mean, x, w)
 
 
 class TestDuplicateMerging:
@@ -423,21 +486,41 @@ class TestPrefixKernels:
             evaluate_prefixes(GEO, [1.0, 2.0], [0.0, 1.0])
 
     def test_prefix_fsums_equal_fsum_of_every_prefix(self):
+        # n on both sides of _FSUM_SCAN_MAX: fsum per prefix, and running partials
         rng = np.random.default_rng(7)
         for _ in range(200):
-            n = int(rng.integers(1, 30))
+            n = int(rng.integers(1, 200))
             v = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)
             v = v.tolist()
             assert prefix_fsums(v) == [math.fsum(v[:k]) for k in range(1, n + 1)]
-        for v in ([1e308, 1e308, -1e308], [1.0, math.inf, 2.0], [math.inf, -math.inf],
-                  [1.0, math.nan], [1.0, 2.0 ** -60, -1.0, 2.0 ** -60]):
-            try:
-                want = [math.fsum(v[:k]) for k in range(1, len(v) + 1)]
-            except (OverflowError, ValueError) as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    prefix_fsums(v)
-            else:
-                assert list(map(repr, prefix_fsums(v))) == list(map(repr, want))
+        for case in ([1e308, 1e308, -1e308], [1.0, math.inf, 2.0], [math.inf, -math.inf],
+                     [1.0, math.nan], [1.0, 2.0 ** -60, -1.0, 2.0 ** -60]):
+            for size in (len(case), _FSUM_SCAN_MAX, _FSUM_SCAN_MAX + 1):
+                v = [1.0] * (size - len(case)) + case
+                try:
+                    want = [math.fsum(v[:k]) for k in range(1, len(v) + 1)]
+                except (OverflowError, ValueError) as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        prefix_fsums(v)
+                else:
+                    assert list(map(repr, prefix_fsums(v))) == list(map(repr, want))
+
+    @pytest.mark.parametrize("name, mean, transform", PREFIX_MEANS,
+                             ids=[c[0] for c in PREFIX_MEANS])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_wide_entries_at_the_fsum_crossover(self, name, mean, transform, data):
+        # one scan below, at and just past _FSUM_SCAN_MAX: both sum branches
+        n = _FSUM_SCAN_MAX + data.draw(st.sampled_from([-1, 0, 1]))
+        span = data.draw(st.sampled_from([1, 30, 300]))  # entries over 1e+-span
+        x = data.draw(st.lists(st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                                         st.integers(-span, span)), min_size=n, max_size=n))
+        w = data.draw(st.lists(st.floats(1e-3, 1e3) | st.just(0.0), min_size=n, max_size=n))
+        w[0] = 1.0
+        if transform is not None:
+            x = [transform(v) for v in x]
+        assert _outcome(lambda: evaluate_prefixes(mean, x, w)) == \
+            _outcome(lambda: evaluate_prefixes(replace(mean, _prefix=None), x, w))
 
 
 def _outcome(fn):
@@ -477,15 +560,31 @@ class TestPrefixErrorParity:
         ("gini:-2:-2", [1.5] * 11 + [1e-10, 1e154], [1] * 13, None),
     ]
     # a moment sum beyond the float range: fsum overflows, an infinite term,
-    # and both inside the constant prefix (listed last in both tests, so the
-    # ids of the cases above keep their indices)
+    # and both inside the constant prefix (listed after the cases above in
+    # both tests, so that their ids keep their indices)
     MOMENT_OVERFLOW_CASES = [
         ("gini21", [1.2e154, 1.3e154], [1, 1], FloatOverflow),
         ("gini21", [2.0, 1e155, 1.0], [1, 1, 1], FloatOverflow),
         ("gini21", [1e200, 1e200, 3.0], [1, 1, 1], FloatOverflow),
     ]
+    # the overflow cases of both lists, padded past _FSUM_SCAN_MAX entries so
+    # that their sums run in partials and overflow at add(), not at value();
+    # and two whose sums first overflow past that many entries
+    LONG_SCAN_CASES = [
+        (mean_id, x + [3.0] * (_FSUM_SCAN_MAX + 1 - len(x)), w + [1] * (_FSUM_SCAN_MAX + 1 - len(w)),
+         error)
+        for mean_id, x, w, error in CASES + MOMENT_OVERFLOW_CASES
+        if error in (GeneratorOverflow, FloatOverflow)
+    ] + [
+        ("qa:pow:2", [2.0] * _FSUM_SCAN_MAX + [1e154, 1.3e154], [1] * (_FSUM_SCAN_MAX + 2),
+         GeneratorOverflow),
+        ("gini21", [2.0] * _FSUM_SCAN_MAX + [1.2e154, 1.3e154], [1] * (_FSUM_SCAN_MAX + 2),
+         FloatOverflow),
+    ]
 
-    @pytest.mark.parametrize("mean_id, x, w, error", CASES + MOMENT_OVERFLOW_CASES)
+    @pytest.mark.parametrize("mean_id, x, w, error",
+                             CASES + MOMENT_OVERFLOW_CASES + LONG_SCAN_CASES)
+
     def test_evaluate_prefixes(self, mean_id, x, w, error):
         mean = mean_from_id(mean_id)
         got = _outcome(lambda: evaluate_prefixes(mean, x, w))
@@ -501,7 +600,7 @@ class TestPrefixErrorParity:
         # the weighted entry sum overflows before any mean is evaluated
         ("power:0", [100.0, 2.0], [1e308, 1e307], FloatOverflow),
         ("qa:pow:2", [1e200, 1e200], [1e308, 1e307], FloatOverflow),
-    ] + MOMENT_OVERFLOW_CASES)
+    ] + MOMENT_OVERFLOW_CASES + LONG_SCAN_CASES)
     def test_kedlaya_sides(self, mean_id, x, w, error):
         mean = mean_from_id(mean_id)
         got = _outcome(lambda: kedlaya_sides(mean, x, w))
