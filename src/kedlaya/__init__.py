@@ -63,6 +63,7 @@ from .means import (
     mean_from_json,
     mean_to_json,
     mean_value_residual,
+    sample_axiom_residuals,
     weighted_from_repetition_invariant,
 )
 from .stepfn import (

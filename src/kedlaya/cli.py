@@ -28,7 +28,7 @@ from . import inequality as ineq
 from . import means as mn
 from . import sampling
 from . import stepfn
-from .errors import KedlayaError
+from .errors import KedlayaError, NegativeSeed
 from .weights import scalar_from_string, weights_from_strings
 
 SCHEMA = 1
@@ -244,6 +244,7 @@ def _cmd_sweep(args) -> int:
     _require(args.max_den >= 2, f"--max-den must be >= 2, got {args.max_den}")
     mean = mn.mean_from_id(args.mean)
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     rows = [_sweep_trial(mean, args.n, args.seed, t, args.tol, args.expect,
                          args.max_den) for t in range(args.trials)]
     counts: dict = {}
@@ -307,31 +308,7 @@ def _cmd_axioms(args) -> int:
     _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     _require(args.n >= 2, f"--n must be >= 2, got {args.n}")
     mean = mn.mean_from_id(args.mean)
-    rng = np.random.default_rng(args.seed)
-    lo, hi, _ = conc.sampling_window(mean.domain)
-    lo, hi = max(lo, 1e-2), min(hi, 1e2)
-    worst: dict = {"nullhomogeneity": 0.0, "reduction": 0.0, "mean-value": 0.0,
-                   "elimination": 0.0, "symmetry": 0.0}
-    for _ in range(args.trials):
-        n = int(rng.integers(2, args.n + 1))
-        x = sampling.entries_log_uniform(rng, n, lo, hi)
-        w = sampling.weights_positive(rng, n)
-        t = float(rng.uniform(0.25, 4.0))
-        split = [float(rng.uniform(0, wi)) for wi in w]
-        rest = [wi - s for wi, s in zip(w, split)]
-        perm = list(rng.permutation(n))
-        wz = list(w)
-        jz = int(rng.integers(0, n))
-        wz[jz] = 0.0
-        checks = [
-            mn.check_nullhomogeneity(mean, x, w, t),
-            mn.check_reduction(mean, x, split, rest),
-            mn.mean_value_residual(mean, x, w),
-            mn.check_elimination(mean, x, wz, jz),
-            mn.check_symmetry(mean, x, w, perm),
-        ]
-        for c in checks:
-            worst[c.axiom] = max(worst[c.axiom], c.residual)
+    worst = mn.sample_axiom_residuals(mean, args.trials, args.n, args.seed)
     doc = {"schema": SCHEMA, "command": "axioms", "mean": str(mean),
            "trials": args.trials, "seed": args.seed, "tol": args.tol,
            "worst_residuals": worst}
@@ -472,11 +449,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
+    tol = getattr(args, "tol", 1.0)
+    if tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
+        return 2
+    if not math.isfinite(tol):  # nan fails every comparison; inf passes every gap
+        print(f"error: --tol must be positive and finite, got {tol}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)
+    except NegativeSeed:  # raised where numpy would reject the seed
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     except (KedlayaError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

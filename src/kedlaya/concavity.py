@@ -39,7 +39,7 @@ import numpy as np
 
 from . import deviation as dev
 from .domain import POSITIVE, LINEAR, LOG, NEG_LOG, probe_points, sampling_window
-from .errors import MixedSignSecondDerivative, VanishingDerivative
+from .errors import MixedSignSecondDerivative, NegativeSeed, VanishingDerivative
 # ``evaluate`` stays a module attribute here: perfbench/tracing.py wraps it
 # in every module that binds it.
 from .means import MeanHandle, evaluate, evaluate_rows  # noqa: F401
@@ -162,6 +162,8 @@ def sample_jensen_concavity(mean: MeanHandle, n: int, trials: int,
         raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise NegativeSeed(f"seed must be >= 0, got {seed}")
     window = sampling_window(mean.domain)
 
     def chunk_gaps(chunk_index: int, size: int):

@@ -113,3 +113,9 @@ class WeightsInV(KedlayaError, ValueError):
 
 class ZeroScale(KedlayaError, ValueError):
     """Affine conjugation requires a nonzero scale factor."""
+
+
+# --- random sampling --------------------------------------------------------
+
+class NegativeSeed(KedlayaError, ValueError):
+    """A random seed is negative (numpy accepts only nonnegative seeds)."""

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     FloatOverflow,
     LengthMismatch,
+    NegativeSeed,
     NonpositiveWeight,
     WeightsInV,
 )
@@ -340,6 +341,8 @@ def search_violation(mean: MeanHandle, w, budget: int = 100_000,
         found = attempt(x)
         if found:
             return found
+    if seed < 0:
+        raise NegativeSeed(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     while spent < budget:
         logs = rng.uniform(math.log(1e-3), math.log(1e3), size=n)

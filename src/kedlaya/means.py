@@ -14,8 +14,11 @@ and the family's kernels; :func:`evaluate` calls the scalar kernel (a
 closed form or the deviation solver), :func:`evaluate_rows` the batch
 kernel and :func:`evaluate_prefixes` the prefix kernel.  One family table
 reads and writes string ids and the JSON wire format.  The ``check_*``
-helpers return the numeric residual of each axiom on concrete inputs so
-conformance can be tested at scale.
+helpers return the numeric residual of each axiom on concrete inputs,
+through :func:`evaluate`; :func:`sample_axiom_residuals` (behind
+``kedlaya axioms``) draws many such inputs and evaluates every side of
+every identity through :func:`evaluate_rows`, so its residuals measure
+the batch kernels, the ones the concavity sampler uses.
 
 The built-in arithmetic, min and max families accumulate exactly (one
 rounding at the end), which makes the repetition-expansion bridge
@@ -28,17 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import deviation as dev
-from .domain import Interval, NONNEGATIVE, POSITIVE, REALS
+from .domain import Interval, NONNEGATIVE, POSITIVE, REALS, sampling_window
 from .errors import (
     DomainViolation,
     IndexNotZeroWeighted,
     LengthMismatch,
+    NegativeSeed,
     NonpositiveScale,
     Overflow,
     ZeroScale,
@@ -167,13 +171,13 @@ class MeanHandle:
     @classmethod
     def minimum(cls) -> "MeanHandle":
         return cls("min", REALS, (), "min", lambda x, w: float(min(x)),
-                   lambda x, w: x.min(axis=1),
+                   lambda x, w: np.where(w > 0.0, x, np.inf).min(axis=1),
                    lambda x, w, first: [float(v) for v in accumulate(x, min)][first:])
 
     @classmethod
     def maximum(cls) -> "MeanHandle":
         return cls("max", REALS, (), "max", lambda x, w: float(max(x)),
-                   lambda x, w: x.max(axis=1),
+                   lambda x, w: np.where(w > 0.0, x, -np.inf).max(axis=1),
                    lambda x, w, first: [float(v) for v in accumulate(x, max)][first:])
 
     @classmethod
@@ -418,6 +422,137 @@ def check_symmetry(mean: MeanHandle, x, w, perm: Sequence[int]) -> AxiomResidual
     right = evaluate(mean, [x[i] for i in perm], [wf[i] for i in perm])
     return AxiomResidual("symmetry", abs(left - right),
                          {"x": tuple(x), "w": tuple(w), "perm": tuple(perm)})
+
+
+# ---------------------------------------------------------------------------
+# Sampled axiom residuals
+# ---------------------------------------------------------------------------
+
+AXIOMS = ("nullhomogeneity", "reduction", "mean-value", "elimination", "symmetry")
+# Side rows of one trial: base, t-scaled, lam + mu, shuffled, zeroed,
+# eliminated, permuted.
+_SIDES = 7
+# Entries per block of side rows.  Trials are drawn and evaluated a block at
+# a time, so memory does not grow with the trial count.  At n_max = 5 a block
+# holds 117 trials.  Blocks of 1 << 16 entries raised the peak RSS of a run
+# of 350-trial ``qa:log`` probes by 2.4 MB over one trial at a time; this
+# size, by 0.3 MB.
+_AXIOM_BLOCK = 1 << 13
+_WEIGHT_LOGS = (np.log(0.1), np.log(10.0))
+
+
+def sample_axiom_residuals(mean: MeanHandle, trials: int, n_max: int,
+                           seed: int = 0) -> dict:
+    """Worst residual of each axiom in :data:`AXIOMS` over ``trials`` random
+    instances, the sampled counterpart of the ``check_*`` helpers.
+
+    A trial draws ``n`` in ``[2, n_max]``; entries log-uniform on the
+    domain's sampling window clipped to ``[1e-2, 1e2]``; weights
+    log-uniform on ``[0.1, 10]``; a weight scale ``t`` in ``[0.25, 4]``; a
+    uniform split ``lam + mu`` of each weight; a permutation; and an index
+    to zero.  All come from one ``default_rng(seed)`` stream, in four calls
+    per trial (see :func:`_draw_axiom_trials`).  The residuals are those of
+    :func:`check_nullhomogeneity`, :func:`check_reduction`,
+    :func:`mean_value_residual`, :func:`check_elimination` and
+    :func:`check_symmetry` on these inputs, with every side evaluated by
+    :func:`evaluate_rows`, that is by the family's batch kernel.  A NaN
+    residual counts as 0.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if seed < 0:
+        raise NegativeSeed(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    lo, hi, _ = sampling_window(mean.domain)
+    window = (np.log(max(lo, 1e-2)), np.log(min(hi, 1e2)))
+    per_block = max(1, _AXIOM_BLOCK // (_SIDES * 2 * n_max))
+    worst = dict.fromkeys(AXIOMS, 0.0)
+    for start in range(0, trials, per_block):
+        groups = _draw_axiom_trials(rng, min(per_block, trials - start), n_max, window)
+        for (x, *_), sides in zip(groups, _axiom_sides(mean, groups)):
+            base, scaled, summed, shuffled, zeroed, eliminated, permuted = sides.T
+            residuals = (abs(base - scaled), abs(summed - shuffled),
+                         np.maximum(x.min(axis=1) - base, base - x.max(axis=1)),
+                         abs(zeroed - eliminated), abs(base - permuted))
+            for axiom, r in zip(AXIOMS, residuals):
+                worst[axiom] = max(worst[axiom], float(np.where(r > 0.0, r, 0.0).max()))
+    return worst
+
+
+def _draw_axiom_trials(rng: np.random.Generator, count: int, n_max: int,
+                       window: tuple) -> list:
+    """Draw ``count`` trials and group them by ``n``, in order of first
+    appearance: one ``(x, w, t, split, perm, j)`` of arrays per ``n``, with
+    a row (or an element) per trial of that ``n``, in draw order.
+
+    Each trial takes ``integers(2, n_max + 1)``, one ``random(3n + 1)``,
+    ``permutation(n)`` and ``integers(0, n)``.  That consumes the stream as
+    the per-value draws of the ``n`` entries, ``n`` weights, ``t`` and ``n``
+    weight splits do, since ``uniform(a, b)`` is ``a + (b - a) * random()``;
+    ``window`` holds the log bounds of the entries.
+    """
+    drawn: dict = {}
+    for _ in range(count):
+        n = int(rng.integers(2, n_max + 1))
+        u = rng.random(3 * n + 1)
+        perm = rng.permutation(n)
+        j = int(rng.integers(0, n))
+        drawn.setdefault(n, []).append((u, perm, j))
+    (a, b), (c, d) = window, _WEIGHT_LOGS
+    groups = []
+    for n, trials in drawn.items():
+        u = np.array([trial[0] for trial in trials])
+        w = np.exp(c + (d - c) * u[:, n:2 * n])
+        groups.append((np.exp(a + (b - a) * u[:, :n]), w, 0.25 + 3.75 * u[:, 2 * n],
+                       w * u[:, 2 * n + 1:], np.array([trial[1] for trial in trials]),
+                       np.array([trial[2] for trial in trials])))
+    return groups
+
+
+def _side_rows(x, w, t, split, perm, j) -> tuple:
+    """The ``(entries, weights)`` of the seven sides of a group of trials, as
+    the ``check_*`` helpers build them."""
+    k, n = x.shape
+    rest = w - split
+    keep = np.arange(n) != j[:, None]
+    row = np.arange(k)[:, None]
+    return ((x, w),
+            (x, t[:, None] * w),
+            (x, split + rest),
+            (np.repeat(x, 2, axis=1), np.stack((split, rest), axis=2).reshape(k, 2 * n)),
+            (x, np.where(keep, w, 0.0)),
+            (x[keep].reshape(k, n - 1), w[keep].reshape(k, n - 1)),
+            (x[row, perm], w[row, perm]))
+
+
+def _axiom_sides(mean: MeanHandle, groups: list) -> list:
+    """The seven sides (columns, in :func:`_side_rows` order) of every trial,
+    one ``(trials, 7)`` array per group, from one :func:`evaluate_rows` call.
+
+    Shorter rows are padded with zero-weight copies of their first entry.
+    Every batch kernel gives such a row the value of the unpadded one: the
+    padding adds exact zeros to the row sums, and neither moves a row's
+    minimum or maximum nor is seen by the kernels that drop zero weights.
+    """
+    sides = [_side_rows(*group) for group in groups]
+    width = 2 * max(len(group[0][0]) for group in groups)
+    rows = _SIDES * sum(len(group[0]) for group in groups)
+    x = np.empty((rows, width), order="F")
+    w = np.zeros((rows, width), order="F")
+    r = 0
+    for xs, ws in chain.from_iterable(sides):
+        k, m = xs.shape
+        x[r:r + k, :m], x[r:r + k, m:], w[r:r + k, :m] = xs, xs[:, :1], ws
+        r += k
+    values = evaluate_rows(mean, x, w)
+    out, r = [], 0
+    for group in groups:
+        k = len(group[0])
+        out.append(values[r:r + _SIDES * k].reshape(_SIDES, k).T)
+        r += _SIDES * k
+    return out
 
 
 # ---------------------------------------------------------------------------

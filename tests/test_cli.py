@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kedlaya import cli
+from kedlaya import means as mn
 from kedlaya.cli import main
 
 
@@ -148,6 +149,21 @@ def test_homogeneous_deviation_on_a_wide_range(capsys):
     (("refute", "--mean", "gini21", "--w", "1,1,4", "--budget", "-5"),
      "--budget must be >= 1, got -5"),
     (("concavity", "--mean", "power:0", "--trials", "0"), "--trials must be >= 1, got 0"),
+    # nan fails every comparison (every axiom FAIL), inf passes every gap
+    (("axioms", "--mean", "power:0", "--tol", "nan"),
+     "--tol must be positive and finite, got nan"),
+    (("check", "--mean", "power:0", "--x", "1,4", "--w", "1,1", "--tol", "inf"),
+     "--tol must be positive and finite, got inf"),
+    # numpy would say "expected non-negative integer"
+    (("sweep", "--mean", "power:0", "--n", "4", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("concavity", "--mean", "power:0", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("axioms", "--mean", "power:0", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("refute", "--mean", "arithmetic", "--w", "1,1,4", "--budget", "60", "--seed", "-1"),
+     "--seed must be >= 0, got -1"),
+    # the seed is checked where numpy took it, after the checks before that
+    (("axioms", "--mean", "power:0", "--n", "1", "--seed", "-1"), "--n must be >= 2, got 1"),
+    (("refute", "--mean", "gini21", "--w", "1,1,1", "--seed", "-1"),
+     "weights are in V_n; the reversed inequality cannot fail"),
 ])
 def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
@@ -400,6 +416,51 @@ class TestAxioms:
         assert code == 0
         doc = json.loads(out)
         assert all(v <= 1e-9 for v in doc["worst_residuals"].values())
+
+
+# sha256 of `axioms --json` reports, recorded before the sampler ran on the
+# batch kernels; these kernels equal evaluate, so the bytes did not move.
+AXIOM_GOLDEN = [
+    ("qa:log", ("--trials", "300", "--seed", "11"),
+     "510adfd16ea2e61ec59d66b7ccfbe745fb17575b8800bba8da1e6df02689fa36"),
+    ("qa:log", ("--trials", "200", "--seed", "3", "--n", "9"),
+     "1ccbfcd2930c068680a650da5d50fa7fdf894b9c8ec192263cef3e9ee59ec7c8"),
+    ("qa:pow:2", ("--trials", "300", "--seed", "11"),
+     "63c88d10bede81ef15837d5efe43910d5af229aaaf9a5a5eaa20c4d75127c746"),
+    ("qa:pow:2", ("--trials", "200", "--seed", "3", "--n", "9"),
+     "412630785a9b718659cd62f6ee6be9342f470ef9d446c08269ac939eba942f24"),
+    ("homdev:shifted-power:0.5", ("--trials", "300", "--seed", "11"),
+     "fe637d576b8146b6395f02dbeecc102259e55a94695333a2621d9d6aa2a3f65a"),
+    ("homdev:shifted-power:0.5", ("--trials", "200", "--seed", "3", "--n", "9"),
+     "acfc0bf8e95b5a322ac89c64ae40f11eebc1cd20486cab7a8fffb8eafa36f396"),
+    ("homdev:shifted-power:-2", ("--trials", "300", "--seed", "11"),
+     "125c02ba5cf233eb6098243878d3bcda0fe3b961e313379f966c662f15b36640"),
+    ("homdev:shifted-power:-2", ("--trials", "200", "--seed", "3", "--n", "9"),
+     "e5b5edb0c5d6ad950a36242c4aee85ab352be82971779bd7eaa51e01412dbd8f"),
+]
+
+
+class TestAxiomSamplerReport:
+    @staticmethod
+    def _digest(capsys, mean, extra):
+        code, out, err = run(capsys, "axioms", "--mean", mean, *extra, "--json")
+        assert (code, err) == (0, "")
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("mean, extra, digest", AXIOM_GOLDEN)
+    def test_golden_bytes(self, capsys, mean, extra, digest):
+        assert self._digest(capsys, mean, extra) == digest
+
+    @pytest.mark.parametrize("mean, extra, digest", AXIOM_GOLDEN[::2])
+    def test_one_trial_per_block(self, capsys, monkeypatch, mean, extra, digest):
+        monkeypatch.setattr(mn, "_AXIOM_BLOCK", 1)
+        assert self._digest(capsys, mean, extra) == digest
+
+    def test_block_size_moves_no_closed_form_report(self, capsys, monkeypatch):
+        argv = ("axioms", "--mean", "gini:2:1", "--trials", "300", "--seed", "5", "--json")
+        want = run(capsys, *argv)
+        monkeypatch.setattr(mn, "_AXIOM_BLOCK", 1)
+        assert run(capsys, *argv) == want
 
 
 class TestProofFn:

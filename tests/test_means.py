@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import tracemalloc
+import zlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from kedlaya.deviation import (
     prefix_fsums,
     shifted_power,
 )
-from kedlaya.domain import POSITIVE
+from kedlaya.domain import POSITIVE, sampling_window
 from kedlaya.errors import (
     AllZero,
     DomainViolation,
@@ -28,6 +30,7 @@ from kedlaya.errors import (
     GeneratorOverflow,
     IndexNotZeroWeighted,
     LengthMismatch,
+    NegativeSeed,
     NonfiniteWeight,
     Overflow,
 )
@@ -49,7 +52,8 @@ from kedlaya.means import (
     weighted_average,
     weighted_from_repetition_invariant,
 )
-from kedlaya.weights import make_weights
+from kedlaya.sampling import entries_log_uniform, weights_positive
+from kedlaya.weights import make_weights, shuffle
 
 ARITH = MeanHandle.arithmetic()
 GEO = MeanHandle.power(0.0)
@@ -263,6 +267,178 @@ class TestAxiomResidualsRandomized:
             assert _within_mean_value(mean, x, w)
 
 
+def _axiom_draws_per_call(rng, trials, n_max, lo, hi):
+    """The sampled axiom inputs, one generator call per value: the draws
+    ``sample_axiom_residuals`` must reproduce, trial by trial."""
+    out = []
+    for _ in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        x = entries_log_uniform(rng, n, lo, hi)
+        w = weights_positive(rng, n)
+        t = float(rng.uniform(0.25, 4.0))
+        split = [float(rng.uniform(0, wi)) for wi in w]
+        perm = list(rng.permutation(n))
+        j = int(rng.integers(0, n))
+        out.append((x, w, t, split, perm, j))
+    return out
+
+
+def _per_trial(groups):
+    """The trials of ``means._draw_axiom_trials`` groups as Python values."""
+    for x, w, t, split, perm, j in groups:
+        yield from zip(x.tolist(), w.tolist(), t.tolist(), split.tolist(),
+                       perm.tolist(), j.tolist())
+
+
+def _sides_by_evaluate(mean, x, w, t, split, perm, j):
+    """The seven sides of one trial as the ``check_*`` helpers evaluate them."""
+    rest = [wi - s for wi, s in zip(w, split)]
+    wz = list(w)
+    wz[j] = 0.0
+    keep = [i for i in range(len(x)) if i != j]
+    return [evaluate(mean, x, w),
+            evaluate(mean, x, [t * wi for wi in w]),
+            evaluate(mean, x, [a + b for a, b in zip(split, rest)]),
+            evaluate(mean, shuffle(x, x), shuffle(split, rest)),
+            evaluate(mean, x, wz),
+            evaluate(mean, [x[i] for i in keep], [w[i] for i in keep]),
+            evaluate(mean, [x[i] for i in perm], [w[i] for i in perm])]
+
+
+SAMPLED_MEANS = ["arithmetic", "min", "max", "power:0.5", "power:-2", "gini:2:1",
+                 "gini:0.5:0", "gini21", "qa:log", "qa:pow:2",
+                 "homdev:shifted-power:0.5", "homdev:shifted-power:-2"]
+EXACT_BATCH = ("min", "max", "qa:", "homdev:")  # kernels equal to evaluate
+
+
+class TestAxiomSampler:
+    """``sample_axiom_residuals`` draws what per-value generator calls draw
+    and evaluates every side through the batch kernels, to within 1e-13 of
+    :func:`evaluate` (bit for bit where the kernel is exact)."""
+
+    @staticmethod
+    def _window(mean):
+        lo, hi, _ = sampling_window(mean.domain)
+        return max(lo, 1e-2), min(hi, 1e2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 40),
+           n_max=st.integers(2, 12), mean_id=st.sampled_from(SAMPLED_MEANS))
+    def test_draws_equal_per_call_draws(self, seed, trials, n_max, mean_id):
+        lo, hi = self._window(mean_from_id(mean_id))
+        want = _axiom_draws_per_call(np.random.default_rng(seed), trials, n_max, lo, hi)
+        groups = means._draw_axiom_trials(np.random.default_rng(seed), trials, n_max,
+                                          (np.log(lo), np.log(hi)))
+        by_n: dict = {}
+        for trial in want:  # grouped by n, in order of first appearance
+            by_n.setdefault(len(trial[0]), []).append(trial)
+        assert [len(g[0][0]) for g in groups] == list(by_n)
+        got = list(_per_trial(groups))
+        want = [[list(v) if isinstance(v, tuple) else v for v in trial]
+                for trials_of_n in by_n.values() for trial in trials_of_n]
+        assert [list(trial) for trial in got] == want
+
+    @pytest.mark.parametrize("mean_id", SAMPLED_MEANS)
+    def test_sides_match_evaluate(self, mean_id):
+        mean = mean_from_id(mean_id)
+        lo, hi = self._window(mean)
+        groups = means._draw_axiom_trials(np.random.default_rng(zlib.crc32(mean_id.encode())),
+                                          150, 7, (np.log(lo), np.log(hi)))
+        got = np.concatenate(means._axiom_sides(mean, groups))
+        want = np.array([_sides_by_evaluate(mean, *trial) for trial in _per_trial(groups)])
+        if mean_id.startswith(EXACT_BATCH):
+            assert got.tolist() == want.tolist()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mean_id", ["arithmetic", "power:0", "power:-2", "gini:2:1",
+                                         "gini:1:1", "gini21", "min", "max"])
+    def test_padding_moves_no_side(self, mean_id):
+        # one call on rows padded with zero-weight entries gives each side the
+        # value of its unpadded rows, widths beyond 8 included
+        mean = mean_from_id(mean_id)
+        lo, hi = self._window(mean)
+        groups = means._draw_axiom_trials(np.random.default_rng(7), 400, 9,
+                                          (np.log(lo), np.log(hi)))
+        for group, sides in zip(groups, means._axiom_sides(mean, groups)):
+            unpadded = [evaluate_rows(mean, xs, ws) for xs, ws in means._side_rows(*group)]
+            assert sides.T.tolist() == [v.tolist() for v in unpadded]
+
+    @pytest.mark.parametrize("mean_id", ["qa:log", "homdev:shifted-power:0.5", "min"])
+    def test_residuals_equal_check_helpers(self, mean_id):
+        # where the kernel is exact, the worst residuals are the check_*
+        # helpers' on the same draws
+        mean = mean_from_id(mean_id)
+        lo, hi = self._window(mean)
+        worst = dict.fromkeys(means.AXIOMS, 0.0)
+        for x, w, t, split, perm, j in _axiom_draws_per_call(
+                np.random.default_rng(3), 120, 5, lo, hi):
+            rest = [wi - s for wi, s in zip(w, split)]
+            wz = list(w)
+            wz[j] = 0.0
+            for c in (check_nullhomogeneity(mean, x, w, t),
+                      check_reduction(mean, x, split, rest),
+                      mean_value_residual(mean, x, w),
+                      check_elimination(mean, x, wz, j),
+                      check_symmetry(mean, x, w, perm)):
+                worst[c.axiom] = max(worst[c.axiom], c.residual)
+        assert means.sample_axiom_residuals(mean, 120, 5, 3) == worst
+
+
+    def test_nan_residuals_count_as_zero(self):
+        # a "mean" that is the first entry below 1 and NaN above: a trial whose
+        # residual is NaN counts as 0, as max(worst, nan) keeps worst in a loop
+        # over the check_* helpers, and the other trials still count
+        mean = replace(mean_from_id("power:0.5"),
+                       _batch=lambda x, w: np.where(x[:, 0] < 1.0, x[:, 0], np.nan))
+        lo, hi = self._window(mean)
+        want = 0.0
+        for x, _, _, _, perm, _ in _per_trial(means._draw_axiom_trials(
+                np.random.default_rng(1), 50, 5, (np.log(lo), np.log(hi)))):
+            if x[0] < 1.0 and x[perm[0]] < 1.0:
+                want = max(want, abs(x[0] - x[perm[0]]))
+        got = means.sample_axiom_residuals(mean, 50, 5, 1)
+        assert got["symmetry"] == want > 0.0
+        all_nan = replace(mean, _batch=lambda x, w: np.full(len(x), np.nan))
+        assert means.sample_axiom_residuals(all_nan, 50, 5, 1) == dict.fromkeys(means.AXIOMS, 0.0)
+
+
+class TestSampledAxiomBounds:
+    def test_memory_does_not_grow_with_trials(self):
+        mean = mean_from_id("power:0.5")
+        peaks = []
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                means.sample_axiom_residuals(mean, trials, 5, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # both runs evaluate full blocks; their peaks differ only by the mix
+        # of n in a block (about 1%), where unbounded rows would grow 10x
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("mean_id, budget", [
+        ("arithmetic", 1e-12), ("min", 1e-12), ("max", 1e-12), ("power:0.5", 1e-12),
+        ("qa:pow:2", 1e-12), ("qa:log", 1e-12), ("gini:2:1", 1e-12), ("gini21", 1e-12),
+        ("homdev:shifted-power:0.5", 1e-9)])
+    def test_criterion_7_budgets(self, mean_id, budget):
+        # criterion 7's budgets: closed forms 1e-12, solver-backed 1e-9
+        worst = means.sample_axiom_residuals(mean_from_id(mean_id), 10_000, 5,
+                                             zlib.crc32(mean_id.encode()))
+        assert list(worst) == list(means.AXIOMS)
+        assert max(worst.values()) <= budget, worst
+
+    def test_arguments_checked(self):
+        mean = mean_from_id("power:0")
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            means.sample_axiom_residuals(mean, 0, 5)
+        with pytest.raises(ValueError, match="n_max must be >= 2, got 1"):
+            means.sample_axiom_residuals(mean, 10, 1)
+        with pytest.raises(NegativeSeed, match="seed must be >= 0, got -1"):
+            means.sample_axiom_residuals(mean, 10, 5, -1)
+
+
 class TestDuplicateMerging:
     """Splitting one entry's weight across a duplicate changes nothing."""
 
@@ -349,6 +525,20 @@ class TestBatchKernels:
 
         monkeypatch.setattr(means, "evaluate", row_fallback)
         np.testing.assert_allclose(evaluate_rows(mean, x, w), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", ["min", "max"])
+    def test_zero_weight_entries_dropped(self, name):
+        # a zero-weight entry is no entry at all, as in evaluate: here the
+        # smallest and the largest entry carry no weight
+        assert evaluate_rows(mean_from_id(name), np.array([[1.0, 5.0, 2.0]]),
+                             np.array([[0.0, 1.0, 1.0]])).tolist() == \
+            [evaluate(mean_from_id(name), [1.0, 5.0, 2.0], [0.0, 1.0, 1.0])]
+        rng = np.random.default_rng(20261018)
+        x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (500, 5)))
+        w = rng.exponential(size=(500, 5)) * (rng.random((500, 5)) < 0.6)
+        w[:, 2] += 1.0  # a positive weight in every row
+        assert evaluate_rows(mean_from_id(name), x, w).tolist() == [
+            evaluate(mean_from_id(name), xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
 
 
 QA_MEANS = [(name, mean_from_id(name)) for name in ("qa:log", "qa:pow:2", "qa:pow:-1")] + [
