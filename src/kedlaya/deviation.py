@@ -23,21 +23,20 @@ the scalar solver's roots and errors bit for bit.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
-the solver so they can cross-check each other.  The Gini,
-ratio-of-moments and quasi-arithmetic forms also come as ``*_rows``
-kernels that evaluate every row of ``(rows, n)`` entry and weight arrays
-in one call, and as ``*_prefixes`` kernels that evaluate every
-prefix ``x[:k]`` of one input in a single pass, bit for bit equal to the
-closed form on each prefix.  Their sums run through :class:`_RunningFsum`,
-which takes one C ``fsum`` per prefix on short scans and keeps running
-partials on long ones.
+the solver so they can cross-check each other.  Each is declared once as
+a :class:`ClosedForm`, a finaliser of weighted sums of entry terms, from
+which its scalar definition, :func:`closed_form_prefixes` (every prefix
+``x[:k]`` of one input in one pass of :func:`prefix_fsums`) and
+:func:`closed_form_rows` (every row of ``(rows, n)`` arrays) evaluate it,
+the last two bit for bit equal to the scalar definition.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import count, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,6 +130,13 @@ class GeneratorSpec:
             if abs(back - x) > 1e-10 * (1.0 + abs(x)):
                 raise InvalidGenerator(
                     f"{self.label}: inverse round-trip failed at x={x} (got {back})")
+
+    @cached_property
+    def closed_form(self) -> "ClosedForm":
+        """The quasi-arithmetic mean ``f_inverse(sum_i w_i f(x_i) / sum_i w_i)``."""
+        f, f_inverse = self.f, self.f_inverse
+        return ClosedForm(((None, lambda x, w, c: ([wi * f(xi) for xi, wi in zip(x, w)], w)),),
+                          lambda total, weight, _, m: f_inverse(total / weight))
 
 
 def log_generator() -> GeneratorSpec:
@@ -244,43 +250,30 @@ def solve_deviation_mean(spec: DeviationSpec, x, w, tol: float = DEFAULT_TOL) ->
 
 # Scans of up to this many terms take one C ``fsum`` per prefix, O(n^2) in
 # all; longer ones keep Shewchuk's partials in Python, O(n).  On a 2-vCPU
-# Xeon (log-uniform entries) the two branches cost the same at n = 64 to 72
-# for the kernels that keep two sums (qa:log 78 against 75 us at n = 64) and
-# at about n = 56 for prefix_fsums (20 against 19 us), which keeps one.
+# Xeon (log-uniform entries) the two cost the same at about n = 56 to 72.
 _FSUM_SCAN_MAX = 64
 
 
-class _RunningFsum:
-    """``math.fsum`` run one term at a time over a scan of ``n`` terms.
+def prefix_fsums(values, start: int = 0) -> list:
+    """``[math.fsum(values[:k]) for k = start+1..n]``, bit for bit and raising
+    where the first of those sums raises.
 
-    :meth:`value` is ``fsum`` of the terms added so far, bit for bit, and
-    raises what that ``fsum`` raises (a sum of finite terms beyond the float
-    range).  The scan length picks one of two branches, once:
-
-    - up to :data:`_FSUM_SCAN_MAX` terms (:class:`_FsumTerms`), :meth:`add`
-      only appends and :meth:`value` is ``fsum`` of the terms, in C.  An
-      overflow raises at :meth:`value`;
-    - longer scans keep Shewchuk's nonoverlapping partials, as ``fsum``
-      does, at O(1) amortized cost per term.  Their exact sum is the exact
-      sum of the finite terms, so ``fsum`` of the few partials is correctly
-      rounded like ``fsum`` of all of them.  :meth:`add` raises where
-      ``fsum`` raises while consuming that term.  After an inf or nan term,
-      :meth:`value` sums the terms themselves.
+    Up to :data:`_FSUM_SCAN_MAX` terms each sum is one C ``fsum``.  Longer
+    scans keep Shewchuk's nonoverlapping partials, as ``fsum`` does: their
+    exact sum is that of the finite terms, so ``fsum`` of the few partials
+    is correctly rounded like ``fsum`` of all of them.  A term raises where
+    ``fsum`` raises while consuming it; after an inf or nan term each sum is
+    ``fsum`` of the terms themselves.
     """
-
-    __slots__ = ("terms", "partials", "special")
-
-    def __new__(cls, n: int):
-        return _FsumTerms() if n <= _FSUM_SCAN_MAX else super().__new__(cls)
-
-    def __init__(self, n: int):
-        self.terms = []
-        self.partials = []
-        self.special = False
-
-    def add(self, x: float) -> None:
-        self.terms.append(x)
-        term, partials, i = x, self.partials, 0
+    if len(values) <= _FSUM_SCAN_MAX:
+        terms, out = list(values[:start]), []
+        for v in values[start:]:
+            terms.append(v)
+            out.append(math.fsum(terms))
+        return out
+    out, partials, special = [], [], False
+    for k, x in enumerate(values):
+        term, i = x, 0
         for y in partials:
             if abs(x) < abs(y):
                 x, y = y, x
@@ -296,31 +289,10 @@ class _RunningFsum:
         elif term - term == 0.0:
             raise OverflowError("intermediate overflow in fsum")
         else:  # an inf or nan term: fsum sets it aside and starts the partials over
-            self.special = True
+            special = True
             partials.clear()
-
-    def value(self) -> float:
-        return math.fsum(self.terms if self.special else self.partials)
-
-
-class _FsumTerms(list):
-    """The short-scan branch of :class:`_RunningFsum`: the terms themselves."""
-
-    __slots__ = ()
-    add = list.append
-
-    def value(self) -> float:
-        return math.fsum(self)
-
-
-def prefix_fsums(values) -> list:
-    """``[math.fsum(values[:k]) for k = 1..n]`` in one pass, bit for bit and
-    raising where the first of those sums raises."""
-    acc = _RunningFsum(len(values))
-    out = []
-    for v in values:
-        acc.add(v)
-        out.append(acc.value())
+        if k >= start:
+            out.append(math.fsum(values[: k + 1] if special else partials))
     return out
 
 
@@ -328,119 +300,195 @@ def prefix_fsums(values) -> list:
 # Closed forms
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed-form mean as a finaliser of weighted sums.
+
+    ``sums`` holds one ``(scale, terms)`` per group of sums that share a
+    scale ``c``: ``max`` or ``min`` of the entries (which keeps scaled
+    powers from overflowing), or None for ``c = 1.0``.  ``terms(x, w, c)``
+    returns one list of terms per sum of the group, term ``i`` from
+    ``x[i]``, ``w[i]`` and ``c`` alone.  ``finish(*sums, *logs, m)`` maps
+    the sums and each group's ``log c`` to the mean, with the functions of
+    ``m``: :mod:`math`, or :mod:`numpy` on whole columns.  ``twins``, if
+    not None, holds each group's numpy twin of ``terms``, on ``(rows, n)``
+    arrays and a column of scales; without them, no group has a scale.
+
+    The scalar definitions take one ``fsum`` per sum and own the
+    validation and every error message: the prefix and batch drivers hand
+    them whatever they cannot evaluate to a finite value.
+    """
+
+    sums: tuple
+    finish: Callable
+    twins: Optional[tuple] = None
+
+
+def _sums(form: ClosedForm, x, w) -> tuple:
+    """Every sum of ``form`` on ``x, w`` (one ``fsum`` each) and each ``log c``."""
+    sums, logs = [], []
+    for scale, terms in form.sums:
+        c = scale(x) if scale else 1.0
+        sums += map(math.fsum, terms(x, w, c))
+        logs.append(math.log(c) if scale else 0.0)
+    return sums, logs
+
+
+def _group_prefixes(scale, terms, x, w, first: int) -> tuple:
+    """The sums of one group on ``x[:k], w[:k]`` for ``k = first+1..n``, and
+    each prefix's ``log c``.  The terms are rebuilt only where the scale
+    changes, about ``ln n`` times for random entries."""
+    if scale is None:
+        return [prefix_fsums(t, first) for t in terms(x, w, 1.0)], repeat(0.0)
+    up, n = scale is max, len(x)
+    c, k, parts, logs = scale(x[: first + 1]), first, [], []
+    for end in range(first + 1, n + 1):
+        if end == n or (x[end] > c if up else x[end] < c):  # x[:end+1] has a new scale
+            parts.append(list(map(prefix_fsums, terms(x[:end], w[:end], c), repeat(k))))
+            logs += [math.log(c)] * (end - k)
+            if end < n:
+                c, k = x[end], end
+    return [sum(runs, []) for runs in zip(*parts)], logs
+
+
+def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -> list:
+    """``scalar(x[:k], w[:k])`` for ``k = first+1..n`` in one pass, bit for
+    bit and with the same errors, where ``scalar`` is the scalar definition
+    of ``form``'s mean.
+
+    Each prefix gets the sums and scales ``scalar`` computes on it, from
+    :func:`prefix_fsums`.  A scan that raises an arithmetic or value error,
+    or gives a value that is not finite, calls ``scalar`` on every prefix
+    instead.  The entries must lie in the domain and ``x[:first+1]`` must
+    not be constant (see :func:`kedlaya.means.evaluate_prefixes`).
+    """
+    try:
+        sums, logs = [], []
+        for scale, terms in form.sums:
+            group, log_c = _group_prefixes(scale, terms, x, w, first)
+            sums += group
+            logs.append(log_c)
+        out = list(map(form.finish, *sums, *logs, repeat(math)))
+        if math.isfinite(sum(out)):  # finite means sum to inf only near the float range
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    return [scalar(x[:k], w[:k]) for k in range(first + 1, len(x) + 1)]
+
+
+def closed_form_rows(form: ClosedForm, scalar: Callable, x: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """``form``'s mean on every row of ``(rows, n)`` entry and weight arrays,
+    where ``scalar`` is its scalar definition.
+
+    With a numpy twin in every group, the sums are numpy row sums, zero
+    weights included.  Otherwise the rows are Python floats, from one
+    ``terms`` call over all rows, and get :func:`kedlaya.means.evaluate`'s
+    values bit for bit: zero-weight entries are dropped, a constant row is
+    its entry, the others take one ``fsum`` per sum.  A row that raises an
+    arithmetic or value error, or whose value is not finite, goes to
+    ``scalar`` without its zero-weight entries, which raises (or returns)
+    what it does.
+    """
+    if form.twins is None:
+        live = w != 0.0
+        xs, ws = x[live].tolist(), w[live].tolist()  # row after row
+        ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+        rows = list(map(slice, [0] + ends[:-1], ends))
+        try:
+            sums = [[math.fsum(t[r]) for r in rows]
+                    for _, terms in form.sums for t in terms(xs, ws, 1.0)]
+            out = np.array(list(map(form.finish, *sums, *[repeat(0.0)] * len(form.sums),
+                                    repeat(math))))
+        except (ArithmeticError, ValueError):
+            out = np.full(len(rows), np.nan)
+        lo = np.where(live, x, np.inf).min(axis=1)
+        out = np.where(lo == np.where(live, x, -np.inf).max(axis=1), lo, out)
+    else:
+        with np.errstate(all="ignore"):  # rows that are not finite go to the scalar definition
+            sums, logs = [], []
+            for (scale, _), twin in zip(form.sums, form.twins):
+                c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
+                sums += map(np.add.reduce, twin(x, w, c), repeat(1))  # row sums
+                logs.append(np.log(c[:, 0]) if scale else 0.0)
+            out = form.finish(*sums, *logs, np)
+    if not math.isfinite(out.sum()):  # finite values sum to inf only near the float range
+        for i in np.flatnonzero(~np.isfinite(out)):
+            row = w[i] != 0.0
+            out[i] = scalar(x[i, row].tolist(), w[i, row].tolist())
+    return out
+
+
 def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
-    """``f_inverse`` of the weighted average of ``f(x_i)``."""
+    """``f_inverse`` of the weighted average of ``f(x_i)``
+    (:attr:`GeneratorSpec.closed_form`)."""
     _check_lengths(x, w)
     for xi in x:
         if not gen.domain.contains(xi):
             raise DomainViolation(f"entry {xi} outside domain of {gen.label}")
     if min(x) == max(x):
         return float(x[0])
-    fx = []
-    for xi in x:
-        try:
-            fx.append(gen.f(xi))
-        except OverflowError as exc:
-            raise GeneratorOverflow(f"{gen.label}: generator overflows at entry {xi}") from exc
+    form = gen.closed_form
     try:
-        avg = math.fsum(wi * v for v, wi in zip(fx, w)) / math.fsum(w)
+        sums, logs = _sums(form, x, w)
     except OverflowError as exc:
+        for xi in x:  # the first entry whose generator value overflows, if any
+            try:
+                gen.f(xi)
+            except OverflowError as cause:
+                raise GeneratorOverflow(
+                    f"{gen.label}: generator overflows at entry {xi}") from cause
         raise GeneratorOverflow(f"{gen.label}: weighted sum of the generator values "
                                 f"at {list(x)} overflows") from exc
     try:
-        y = gen.f_inverse(avg)
+        y = form.finish(*sums, *logs, math)
     except (ValueError, OverflowError) as exc:
-        raise InverseOutOfRange(f"{gen.label}: inverse failed at {avg}") from exc
+        raise InverseOutOfRange(f"{gen.label}: inverse failed at {sums[0] / sums[1]}") from exc
     if not math.isfinite(y):
         raise InverseOutOfRange(f"{gen.label}: inverse returned {y}")
     return y
 
 
-def _generator_values(gen: GeneratorSpec, x) -> list:
-    fx = []
-    for xi in x:
-        try:
-            fx.append(gen.f(xi))
-        except OverflowError as exc:
-            raise GeneratorOverflow(f"{gen.label}: generator overflows at entry {xi}") from exc
-    return fx
+def _power_sum(r: float) -> tuple:
+    """The group of ``sum_i w_i (x_i / c)^r`` and its twin, scaled so that no
+    power exceeds 1: by ``max x`` for ``r > 0`` and by ``min x`` for
+    ``r < 0``.  At ``r = 0`` every power is 1: the terms are the weights."""
+    if r == 0.0:
+        return (None, lambda x, w, c: [w]), lambda x, w, c: [w]
+    return ((max if r > 0 else min,
+             lambda x, w, c: [[wi * (xi / c) ** r for xi, wi in zip(x, w)]]),
+            lambda x, w, c: [w * (x / c) ** r])
 
 
-def quasi_arithmetic_prefixes(gen: GeneratorSpec, x, w, first: int) -> list:
-    """:func:`quasi_arithmetic` on ``x[:k], w[:k]`` for ``k = first+1..n``,
-    bit for bit and with the same errors.
+@lru_cache(maxsize=256, typed=True)
+def gini_form(p: float, q: float) -> ClosedForm:
+    """The declaration of :func:`gini` at ``(p, q)``.
 
-    Each prefix repeats :func:`quasi_arithmetic`'s steps and messages,
-    which that function keeps inline because helper calls there cost a
-    two-entry evaluation about 3%.  ``gen.f`` runs once per entry, at the
-    whole first prefix before its sums.  The entries must lie in the
-    domain and ``x[:first+1]`` must not be constant (see
-    :func:`kedlaya.means.evaluate_prefixes`).
+    Distinct parameters take the power sums ``S_p``, ``S_q`` of
+    :func:`_power_sum` to ``exp((log S_p - log S_q) / (p - q))``, with
+    ``log S_r = r log c + log sum_i w_i (x_i / c)^r``.  Equal ones take
+    ``d_i = w_i (x_i / c)^p`` to ``exp(sum_i d_i log x_i / sum_i d_i)``.
     """
-    fx = _generator_values(gen, x[: first + 1])
-    out, terms, wsum = [], _RunningFsum(len(x)), _RunningFsum(len(x))
-    for k, wk in enumerate(w):
-        if k > first:
-            fx += _generator_values(gen, x[k : k + 1])
-        try:  # a short scan overflows at value(), a long one at add()
-            terms.add(wk * fx[k])
-            wsum.add(wk)
-            if k < first:
-                continue
-            avg = terms.value() / wsum.value()
-        except OverflowError as exc:
-            raise GeneratorOverflow(f"{gen.label}: weighted sum of the generator values "
-                                    f"at {x[: max(k, first) + 1]} overflows") from exc
-        try:
-            y = gen.f_inverse(avg)
-        except (ValueError, OverflowError) as exc:
-            raise InverseOutOfRange(f"{gen.label}: inverse failed at {avg}") from exc
-        if not math.isfinite(y):
-            raise InverseOutOfRange(f"{gen.label}: inverse returned {y}")
-        out.append(y)
-    return out
+    if p != q:
+        d = p - q
+        (gp, tp), (gq, tq) = _power_sum(p), _power_sum(q)
+        return ClosedForm((gp, gq), lambda sp, sq, lp, lq, m: m.exp(
+            ((p * lp + m.log(sp)) - (q * lq + m.log(sq))) / d), (tp, tq))
+    (scale, power), twin_power = _power_sum(p)
 
+    def terms(x, w, c):
+        d, = power(x, w, c)
+        return [di * math.log(xi) for xi, di in zip(x, d)], d
 
-def quasi_arithmetic_rows(gen: GeneratorSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`kedlaya.means.evaluate` of :func:`quasi_arithmetic` on every row
-    of ``(rows, n)`` entry and weight arrays, bit for bit.
+    def twin(x, w, c):
+        d, = twin_power(x, w, c)
+        return d * np.log(x), d
 
-    Each row is taken as Python floats, so any generator serves, with no
-    numpy twin.  As in ``evaluate``, zero-weight entries are dropped and a
-    constant row is its entry; the other rows take
-    ``f_inverse(fsum(w f(x)) / fsum(w))``.  A row where a step raises an
-    arithmetic or value error, or whose value is not finite, is handed to
-    :func:`quasi_arithmetic` itself, so it raises (or returns) exactly what
-    that function does.
-    """
-    f, f_inverse = gen.f, gen.f_inverse
-    out = []
-    for xs, ws in zip(x.tolist(), w.tolist()):
-        if 0.0 in ws:
-            xs = [xi for xi, wi in zip(xs, ws) if wi != 0.0]
-            ws = [wi for wi in ws if wi != 0.0]
-        if min(xs) == max(xs):
-            out.append(xs[0])
-            continue
-        try:
-            y = f_inverse(math.fsum([wi * f(xi) for xi, wi in zip(xs, ws)]) / math.fsum(ws))
-        except (ArithmeticError, ValueError):
-            y = math.nan
-        out.append(y if math.isfinite(y) else quasi_arithmetic(gen, xs, ws))
-    return np.array(out)
-
-
-def _log_power_sum(p: float, x, w) -> float:
-    """``log sum_i w_i x_i^p`` with max/min factoring against overflow."""
-    if p == 0.0:
-        return math.log(math.fsum(w))
-    c = max(x) if p > 0 else min(x)
-    s = math.fsum(wi * (xi / c) ** p for xi, wi in zip(x, w))
-    return p * math.log(c) + math.log(s)
+    return ClosedForm(((scale, terms),), lambda num, den, _, m: m.exp(num / den), (twin,))
 
 
 def gini(p: float, q: float, x, w) -> float:
-    """Two-parameter ratio-of-power-sums mean on positive entries.
+    """Two-parameter ratio-of-power-sums mean on positive entries (:func:`gini_form`).
 
     Distinct parameters use the ratio of weighted power sums raised to
     ``1/(p-q)``; equal parameters use the exponential of the weighted
@@ -453,93 +501,52 @@ def gini(p: float, q: float, x, w) -> float:
             raise DomainViolation(f"entry {xi} must be positive")
     if min(x) == max(x):
         return float(x[0])
-    if p == q:
-        c = min(x) if p < 0 else max(x)  # scaled terms at most 1, as in _log_power_sum
-        num = math.fsum(wi * (xi / c) ** p * math.log(xi) for xi, wi in zip(x, w))
-        den = math.fsum(wi * (xi / c) ** p for xi, wi in zip(x, w))
-        return math.exp(num / den)
-    return math.exp((_log_power_sum(p, x, w) - _log_power_sum(q, x, w)) / (p - q))
-
-
-def _log_power_sum_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_log_power_sum`."""
-    if p == 0.0:
-        return np.log(w.sum(axis=1))
-    c = x.max(axis=1, keepdims=True) if p > 0 else x.min(axis=1, keepdims=True)
-    return p * np.log(c[:, 0]) + np.log((w * (x / c) ** p).sum(axis=1))
-
-
-def gini_rows(p: float, q: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`gini` on every row of ``(rows, n)`` entry and weight arrays."""
-    if p == q:
-        c = x.min(axis=1, keepdims=True) if p < 0 else x.max(axis=1, keepdims=True)
-        with np.errstate(over="ignore"):  # x / c is inf only where (x / c) ** p is 0
-            scaled = w * (x / c) ** p
-        return np.exp((scaled * np.log(x)).sum(axis=1) / scaled.sum(axis=1))
-    return np.exp((_log_power_sum_rows(p, x, w) - _log_power_sum_rows(q, x, w)) / (p - q))
-
-
-def _log_power_sum_prefixes(p: float, x, w, first: int) -> list:
-    """:func:`_log_power_sum` on ``x[:k], w[:k]`` for ``k = first+1..n``.
-
-    The scale is the prefix's max (``p > 0``) or min (``p < 0``); the
-    scaled terms are rebuilt only when it changes, about ``ln n`` times
-    for random entries.
-    """
-    if p == 0.0:
-        return [math.log(s) for s in prefix_fsums(w)[first:]]
-    out, c = [], None
-    for k in range(first, len(x)):
-        xk = x[k]
-        if c is None or (xk > c if p > 0 else xk < c):
-            c = max(x[: k + 1]) if p > 0 else min(x[: k + 1])
-            log_c = p * math.log(c)
-            terms = _RunningFsum(len(x))
-            for xi, wi in zip(x[: k + 1], w):
-                terms.add(wi * (xi / c) ** p)
-        else:
-            terms.add(w[k] * (xk / c) ** p)
-        out.append(log_c + math.log(terms.value()))
-    return out
-
-
-def gini_prefixes(p: float, q: float, x, w, first: int) -> list:
-    """:func:`gini` on ``x[:k], w[:k]`` for ``k = first+1..n``, bit for bit
-    and with the same errors.
-
-    A change of scale rebuilds the sums in :func:`gini`'s order: every
-    numerator term (each power raising where it would), then the
-    denominator.  The entries must be positive and ``x[:first+1]`` must
-    not be constant (see :func:`kedlaya.means.evaluate_prefixes`).
-    """
-    if p != q:
-        lp = _log_power_sum_prefixes(p, x, w, first)
-        lq = _log_power_sum_prefixes(q, x, w, first)
-        return [math.exp((a - b) / (p - q)) for a, b in zip(lp, lq)]
-    out, c = [], None
-    for k in range(first, len(x)):
-        xk = x[k]
-        # the scale is gini's; x**0.0 is 1.0 whatever c is
-        if c is None or (xk < c if p < 0 else xk > c and p != 0.0):
-            c = min(x[: k + 1]) if p < 0 else max(x[: k + 1])
-            num, den, scaled = _RunningFsum(len(x)), _RunningFsum(len(x)), []
-            for xi, wi in zip(x[: k + 1], w):
-                d = wi * (xi / c) ** p
-                num.add(d * math.log(xi))
-                scaled.append(d)
-            for d in scaled:
-                den.add(d)
-        else:
-            d = w[k] * (xk / c) ** p
-            num.add(d * math.log(xk))
-            den.add(d)
-        out.append(math.exp(num.value() / den.value()))
-    return out
+    form = gini_form(p, q)
+    sums, logs = _sums(form, x, w)
+    return form.finish(*sums, *logs, math)
 
 
 def power_mean(p: float, x, w) -> float:
     """Weighted power mean; equals ``gini(p, 0)``, log-domain at ``p = 0``."""
     return gini(p, 0.0, x, w)
+
+
+def _gini21_terms(x, w, c):
+    d = [wi * xi for xi, wi in zip(x, w)]
+    return d, [di * xi for di, xi in zip(d, x)]
+
+
+# The twin yields one moment array at a time, each summed before the next
+# exists: numpy computes w * x * x in place of the temporary w * x.
+GINI21_FORM = ClosedForm(((None, _gini21_terms),), lambda den, num, _, m: num / den,
+                         (lambda x, w, c: (w * x * x if k else w * x for k in (0, 1)),))
+_GINI21_RANGE = "gini21: a weighted moment sum is beyond the float range"
+
+
+def gini21_counterexample(x, w) -> float:
+    """Ratio of the weighted second and first moments, 0 when both vanish
+    (:data:`GINI21_FORM`).
+
+    Defined on nonnegative entries (unlike :func:`gini`): the two-branch
+    formula returns ``sum w x^2 / sum w x`` when the denominator is
+    positive and 0 otherwise.  On strictly positive entries it coincides
+    with ``gini(2, 1)``; as a weighted mean it is homogeneous, symmetric
+    and midpoint-convex, which makes it the canonical counterexample for
+    the prefix-mean inequality with inadmissible weights.
+    """
+    _check_lengths(x, w)
+    for xi in x:
+        if xi < 0:
+            raise DomainViolation(f"entry {xi} must be nonnegative")
+    try:
+        (den, num), _ = _sums(GINI21_FORM, x, w)
+    except OverflowError:
+        raise FloatOverflow(_GINI21_RANGE) from None
+    if den == 0.0:  # every term is 0, so num is 0 too
+        return 0.0
+    if not math.isfinite(num):  # an infinite term; den is finite only if num is
+        raise FloatOverflow(_GINI21_RANGE)
+    return GINI21_FORM.finish(den, num, 0.0, math)
 
 
 def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
@@ -702,7 +709,7 @@ def _bisect_block(f, twin, s, x, w, sizes) -> np.ndarray:
         active ^= root
     positive_at_lo = g_lo > 0
     caps = _max_halvings(lo, hi, lo, DEFAULT_TOL)  # lo > 0 bounds |y| below
-    for it in itertools.count():
+    for it in count():
         for i in (active & (caps <= it)).nonzero()[0]:
             errors[i] = MaxIterations(f"{_HOMDEV}: bisection did not converge in "
                                       f"{caps[i, 0]} iterations")
@@ -721,70 +728,3 @@ def _bisect_block(f, twin, s, x, w, sizes) -> np.ndarray:
     if errors:
         raise errors[min(errors)]
     return result[:, 0]
-
-
-_GINI21_RANGE = "gini21: a weighted moment sum is beyond the float range"
-
-
-def gini21_counterexample(x, w) -> float:
-    """Ratio of the weighted second and first moments, 0 when both vanish.
-
-    Defined on nonnegative entries (unlike :func:`gini`): the two-branch
-    formula returns ``sum w x^2 / sum w x`` when the denominator is
-    positive and 0 otherwise.  On strictly positive entries it coincides
-    with ``gini(2, 1)``; as a weighted mean it is homogeneous, symmetric
-    and midpoint-convex, which makes it the canonical counterexample for
-    the prefix-mean inequality with inadmissible weights.
-    """
-    _check_lengths(x, w)
-    for xi in x:
-        if xi < 0:
-            raise DomainViolation(f"entry {xi} must be nonnegative")
-    try:
-        den = math.fsum(wi * xi for xi, wi in zip(x, w))
-        if den == 0.0:
-            return 0.0
-        num = math.fsum(wi * xi * xi for xi, wi in zip(x, w))
-    except OverflowError:
-        raise FloatOverflow(_GINI21_RANGE) from None
-    if not math.isfinite(num):  # an infinite term; den is finite only if num is
-        raise FloatOverflow(_GINI21_RANGE)
-    return num / den
-
-
-def gini21_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`gini21_counterexample` on every row of ``(rows, n)`` arrays,
-    raising its :class:`FloatOverflow` for a moment sum beyond the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = (w * x).sum(axis=1)
-        num = (w * x * x).sum(axis=1)
-    if not (np.isfinite(den).all() and np.isfinite(num).all()):
-        raise FloatOverflow(_GINI21_RANGE)
-    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-
-
-def gini21_prefixes(x, w, first: int) -> list:
-    """:func:`gini21_counterexample` on ``x[:k], w[:k]`` for ``k = first+1..n``,
-    bit for bit and with the same errors.
-
-    The entries must be nonnegative and ``x[:first+1]`` must not be
-    constant (see :func:`kedlaya.means.evaluate_prefixes`).
-    """
-    out, num, den = [], _RunningFsum(len(x)), _RunningFsum(len(x))
-    for k, (xi, wi) in enumerate(zip(x, w)):
-        d = wi * xi
-        try:  # a short scan overflows at value(), a long one at add()
-            den.add(d)
-            num.add(d * xi)
-            if k < first:
-                continue
-            s, v = den.value(), num.value()
-        except OverflowError:
-            raise FloatOverflow(_GINI21_RANGE) from None
-        if s == 0.0:  # every term so far is 0, so v is 0 too
-            out.append(0.0)
-        elif not math.isfinite(v):
-            raise FloatOverflow(_GINI21_RANGE)
-        else:
-            out.append(v / s)
-    return out

@@ -102,9 +102,8 @@ def _prefix_scans(mean: MeanHandle, x: Sequence[float], wv: WeightVector) -> tup
     :func:`evaluate` bit for bit.  Both sides and every step gap are read
     off these two scans.
     """
-    wf = wv.as_floats()
     m = partial_arithmetic_means(x, wv)
-    return evaluate_prefixes(mean, x, wf), evaluate_prefixes(mean, m, wf)
+    return evaluate_prefixes(mean, x, wv), evaluate_prefixes(mean, m, wv)
 
 
 def kedlaya_sides(mean: MeanHandle, x: Sequence[float], w) -> tuple:

@@ -142,10 +142,14 @@ class MeanHandle:
     entries and weights and an index ``first`` with ``x[:first+1]`` not
     constant, and returns ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in
     one pass, bit for bit and raising what the first failing call would
-    raise (see :func:`evaluate_prefixes`).  The built-in ``homdev`` means
-    have both, bisecting in lockstep, and quasi-arithmetic means have both
-    for any generator.  Only custom deviations, and homogeneous deviations
-    of a caller's ``f``, have neither and are evaluated row by row.
+    raise (see :func:`evaluate_prefixes`).  The closed forms (power, Gini,
+    quasi-arithmetic for any generator, ``gini21``) get both from one
+    declaration, a :class:`~kedlaya.deviation.ClosedForm`, through the
+    generic drivers :func:`~kedlaya.deviation.closed_form_rows` and
+    :func:`~kedlaya.deviation.closed_form_prefixes`, which hand what they
+    cannot evaluate to ``_fn``.  The built-in ``homdev`` means have both,
+    bisecting in lockstep.  Only custom deviations, and homogeneous
+    deviations of a caller's ``f``, have neither and are evaluated row by row.
     """
 
     family: str
@@ -181,27 +185,30 @@ class MeanHandle:
                    lambda x, w, first: [float(v) for v in accumulate(x, max)][first:])
 
     @classmethod
+    def _closed_form(cls, family: str, domain: Interval, params: tuple, label: str,
+                     fn: Callable, form: dev.ClosedForm) -> "MeanHandle":
+        """A closed-form mean: its scalar definition ``fn`` and the generic
+        batch and prefix drivers on its declaration ``form``."""
+        return cls(family, domain, params, label, fn,
+                   lambda x, w: dev.closed_form_rows(form, fn, x, w),
+                   lambda x, w, first: dev.closed_form_prefixes(form, fn, x, w, first))
+
+    @classmethod
     def power(cls, p: float) -> "MeanHandle":
         p = float(p)
-        return cls("power", POSITIVE, (p,), f"power:{_fmt(p)}",
-                   lambda x, w: dev.power_mean(p, x, w),
-                   lambda x, w: dev.gini_rows(p, 0.0, x, w),
-                   lambda x, w, first: dev.gini_prefixes(p, 0.0, x, w, first))
+        return cls._closed_form("power", POSITIVE, (p,), f"power:{_fmt(p)}",
+                                lambda x, w: dev.power_mean(p, x, w), dev.gini_form(p, 0.0))
 
     @classmethod
     def gini(cls, p: float, q: float) -> "MeanHandle":
         p, q = float(p), float(q)
-        return cls("gini", POSITIVE, (p, q), f"gini:{_fmt(p)}:{_fmt(q)}",
-                   lambda x, w: dev.gini(p, q, x, w),
-                   lambda x, w: dev.gini_rows(p, q, x, w),
-                   lambda x, w, first: dev.gini_prefixes(p, q, x, w, first))
+        return cls._closed_form("gini", POSITIVE, (p, q), f"gini:{_fmt(p)}:{_fmt(q)}",
+                                lambda x, w: dev.gini(p, q, x, w), dev.gini_form(p, q))
 
     @classmethod
     def quasi_arithmetic(cls, gen: dev.GeneratorSpec) -> "MeanHandle":
-        return cls("quasi-arithmetic", gen.domain, gen.params, f"qa:{gen.label}",
-                   lambda x, w: dev.quasi_arithmetic(gen, x, w),
-                   lambda x, w: dev.quasi_arithmetic_rows(gen, x, w),
-                   lambda x, w, first: dev.quasi_arithmetic_prefixes(gen, x, w, first))
+        return cls._closed_form("quasi-arithmetic", gen.domain, gen.params, f"qa:{gen.label}",
+                                lambda x, w: dev.quasi_arithmetic(gen, x, w), gen.closed_form)
 
     @classmethod
     def homogeneous_deviation(cls, f: Callable[[float], float],
@@ -216,9 +223,8 @@ class MeanHandle:
 
     @classmethod
     def gini21_counterexample(cls) -> "MeanHandle":
-        return cls("gini21", NONNEGATIVE, (), "gini21",
-                   lambda x, w: dev.gini21_counterexample(x, w), dev.gini21_rows,
-                   dev.gini21_prefixes)
+        return cls._closed_form("gini21", NONNEGATIVE, (), "gini21",
+                                lambda x, w: dev.gini21_counterexample(x, w), dev.GINI21_FORM)
 
     @classmethod
     def affine(cls, inner: "MeanHandle", a: float, b: float) -> "MeanHandle":
@@ -304,27 +310,26 @@ def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
         return [evaluate(mean, x[:k], wf[:k]) for k in range(1, len(x) + 1)]
     if wf[0] == 0.0:
         make_weights(wf[:1])  # the first prefix has no weight: raise AllZero
-    dom = mean.domain
-    xs, ws, sizes = [], [], []  # nonzero-weight entries; their count in each prefix
-    bad = None
-    for xi, wi in zip(x, wf):
-        if not dom.contains(xi):
-            bad = xi
+    contains, n = mean.domain.contains, 0
+    for xi in x:  # n: the entries before the first one outside the domain
+        if not contains(xi):
             break
-        if wi != 0.0:
-            xs.append(xi)
-            ws.append(wi)
-        sizes.append(len(xs))
+        n += 1
+    xs, ws, sizes = list(x[:n]), list(wf[:n]), None
+    if 0.0 in ws:  # drop zero weights; sizes[k]: the entries left in x[:k+1]
+        sizes = list(accumulate(wi != 0.0 for wi in ws))
+        xs = [xi for xi, wi in zip(xs, ws) if wi != 0.0]
+        ws = [wi for wi in ws if wi != 0.0]
     out = []
     if xs:
         first = 1  # xs[:first] is the longest constant prefix
         while first < len(xs) and xs[first] == xs[0]:
             first += 1
-        tail = mean._prefix(xs, ws, first) if first < len(xs) else []
-        const = float(xs[0])
-        out = [const if m <= first else tail[m - first - 1] for m in sizes]
-    if bad is not None:
-        raise DomainViolation(f"entry {bad} outside domain of {mean}")
+        out = [float(xs[0])] * first + (mean._prefix(xs, ws, first) if first < len(xs) else [])
+        if sizes:
+            out = [out[m - 1] for m in sizes]
+    if n < len(x):
+        raise DomainViolation(f"entry {x[n]} outside domain of {mean}")
     return out
 
 

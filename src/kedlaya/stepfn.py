@@ -242,9 +242,6 @@ class SimpleFunction2D:
     def x_lengths(self) -> list:
         return [b - a for a, b in zip(self.xs, self.xs[1:])]
 
-    def y_lengths(self) -> list:
-        return [b - a for a, b in zip(self.ys, self.ys[1:])]
-
     def column_profile(self, i: int) -> dict:
         """Exact value -> total y-measure map of the i-th x-slice."""
         return {v: Fraction(m, self._scales[1])

@@ -33,6 +33,7 @@ from kedlaya.errors import (
     MaxIterations,
     SolverFailure,
 )
+from kedlaya.means import MeanHandle, evaluate_prefixes, evaluate_rows, mean_from_id
 
 
 def diff_spec(f, label, increasing=True):
@@ -172,10 +173,11 @@ class TestGini:
         got = gini(p, p, x, w)
         # within min(x)..max(x) up to the rounding of exp(mean log), ~1e-14 here
         assert math.isfinite(got) and min(x) * (1 - 1e-13) <= got <= max(x) * (1 + 1e-13)
-        assert dev.gini_prefixes(p, p, list(x), [float(v) for v in w], 1)[-1] == got
+        mean = MeanHandle.gini(p, p)
+        assert evaluate_prefixes(mean, list(x), [float(v) for v in w])[-1] == got
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            row = dev.gini_rows(p, p, np.array([x]), np.array([w], dtype=float))[0]
+            row = evaluate_rows(mean, np.array([x]), np.array([w], dtype=float))[0]
         assert abs(row - got) <= 1e-13 * got
 
     @pytest.mark.parametrize("p", NEGATIVE_EQUAL_PS)
@@ -443,7 +445,7 @@ class TestCounterexampleMean:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatOverflow) as batch:
-                dev.gini21_rows(x, w)
+                evaluate_rows(mean_from_id("gini21"), x, w)
         assert str(batch.value) == str(scalar.value)
 
     def test_rows_near_the_float_range_stay_finite(self):
@@ -451,7 +453,7 @@ class TestCounterexampleMean:
         w = np.array([[1.0, 1.0], [0.5, 2.0], [1.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = dev.gini21_rows(x, w)
+            got = evaluate_rows(mean_from_id("gini21"), x, w)
         want = [gini21_counterexample(xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

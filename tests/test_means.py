@@ -29,6 +29,7 @@ from kedlaya.errors import (
     FloatOverflow,
     GeneratorOverflow,
     IndexNotZeroWeighted,
+    InverseOutOfRange,
     LengthMismatch,
     NegativeSeed,
     NonfiniteWeight,
@@ -541,9 +542,84 @@ class TestBatchKernels:
             evaluate(mean_from_id(name), xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
 
 
+def _log_power_sum_oracle(p, x, w):
+    """``log sum_i w_i x_i^p`` per row, scaled by the row's max (p > 0) or min."""
+    if p == 0.0:
+        return np.log(w.sum(axis=1))
+    c = x.max(axis=1, keepdims=True) if p > 0 else x.min(axis=1, keepdims=True)
+    return p * np.log(c[:, 0]) + np.log((w * (x / c) ** p).sum(axis=1))
+
+
+def _gini_oracle(p, q, x, w):
+    if p == q:
+        c = x.min(axis=1, keepdims=True) if p < 0 else x.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            scaled = w * (x / c) ** p
+        return np.exp((scaled * np.log(x)).sum(axis=1) / scaled.sum(axis=1))
+    return np.exp((_log_power_sum_oracle(p, x, w) - _log_power_sum_oracle(q, x, w)) / (p - q))
+
+
+def _gini21_oracle(x, w):
+    den = (w * x).sum(axis=1)
+    num = (w * x * x).sum(axis=1)
+    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+
+
+class TestBatchOracles:
+    """The numpy closed forms keep their formulas, operation for operation: each
+    batch kernel equals its numpy expression bit for bit, on the column-major
+    rows that :func:`evaluate_rows` hands it.  Both sides run under the same
+    SIMD dispatch, so the comparison holds with and without it."""
+
+    @staticmethod
+    def _rows(n, zero_entries):
+        rng = np.random.default_rng(20261019)
+        x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (600, n)))
+        w = rng.exponential(size=(600, n))
+        if zero_entries:
+            x = x * (rng.random(x.shape) < 0.7)
+            x[:10] = 0.0  # rows whose moments vanish
+        if n > 2:  # zero-weight padding: copies of the first entry, as _axiom_sides pads
+            x[100:300, n // 2:] = x[100:300, :1]
+            w[100:300, n // 2:] = 0.0
+        return x, w
+
+    @pytest.mark.parametrize("name, oracle", [
+        ("power:-2", lambda x, w: _gini_oracle(-2.0, 0.0, x, w)),
+        ("power:0", lambda x, w: _gini_oracle(0.0, 0.0, x, w)),
+        ("power:0.5", lambda x, w: _gini_oracle(0.5, 0.0, x, w)),
+        ("power:3", lambda x, w: _gini_oracle(3.0, 0.0, x, w)),
+        ("gini:2:1", lambda x, w: _gini_oracle(2.0, 1.0, x, w)),
+        ("gini:0.5:0", lambda x, w: _gini_oracle(0.5, 0.0, x, w)),
+        ("gini:1:1", lambda x, w: _gini_oracle(1.0, 1.0, x, w)),
+        ("gini:-1:-1", lambda x, w: _gini_oracle(-1.0, -1.0, x, w)),
+        ("gini21", _gini21_oracle),
+    ])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_rows_equal_the_numpy_oracle(self, name, oracle, n):
+        x, w = self._rows(n, zero_entries=name == "gini21")
+        want = oracle(np.asfortranarray(x), np.asfortranarray(w))
+        assert evaluate_rows(mean_from_id(name), x, w).tolist() == want.tolist()
+
+
 QA_MEANS = [(name, mean_from_id(name)) for name in ("qa:log", "qa:pow:2", "qa:pow:-1")] + [
     ("cube", MeanHandle.quasi_arithmetic(GeneratorSpec(
         lambda t: t ** 3, lambda y: y ** (1.0 / 3.0), label="cube")))]
+
+
+def _capped_exp(y):
+    """``exp`` as a table-driven inverse might fail far outside the probing
+    window: a ValueError on ``(50, 100]``, inf beyond."""
+    if y > 100.0:
+        return math.inf
+    if y > 50.0:
+        raise ValueError(f"no table entry at {y}")
+    return math.exp(y)
+
+
+# a quasi-arithmetic mean whose inverse fails for entries around 1e25 and up
+CAPPED_LOG = MeanHandle.quasi_arithmetic(GeneratorSpec(math.log, _capped_exp,
+                                                       label="capped-log"))
 
 
 class TestQuasiArithmeticKernel:
@@ -581,6 +657,17 @@ class TestQuasiArithmeticKernel:
         got = _outcome(lambda: evaluate_rows(mean, x, w))
         assert _raised(got) is GeneratorOverflow
         assert got == _outcome(lambda: evaluate_rows(replace(mean, _batch=None), x, w))
+
+    @pytest.mark.parametrize("big, message", [
+        ([1e30, 1e40, 1e35], "capped-log: inverse failed at 80.59"),  # the mean log
+        ([1e50, 1e60, 1e55], "capped-log: inverse returned inf"),
+    ])
+    def test_failing_inverse_raises_the_fallback_error(self, big, message):
+        x, w = self._rows(3)
+        x[200], w[200] = big, [1.0, 1.0, 1.0]
+        got = _outcome(lambda: evaluate_rows(CAPPED_LOG, x, w))
+        assert _raised(got) is InverseOutOfRange and got[1].startswith(message)
+        assert got == _outcome(lambda: evaluate_rows(replace(CAPPED_LOG, _batch=None), x, w))
 
     @pytest.mark.parametrize("name, mean", QA_MEANS, ids=[c[0] for c in QA_MEANS])
     def test_sampler_never_evaluates_row_by_row(self, name, mean, monkeypatch):
@@ -780,6 +867,17 @@ class TestPrefixErrorParity:
         got = _outcome(lambda: evaluate_prefixes(mean, x, w))
         assert _raised(got) is error
         assert got == _outcome(lambda: evaluate_prefixes(replace(mean, _prefix=None), x, w))
+
+    @pytest.mark.parametrize("x, message", [
+        ([2.0, 1e30, 1e40], "capped-log: inverse failed at 53.9"),  # at the third prefix
+        ([1e60, 1e70, 2.0], "capped-log: inverse returned inf"),  # at the second
+        ([2.0, 1e30, 1e40] + [3.0] * _FSUM_SCAN_MAX, "capped-log: inverse failed at 53.9"),
+    ])
+    def test_failing_inverse(self, x, message):
+        w = [1.0] * len(x)
+        got = _outcome(lambda: evaluate_prefixes(CAPPED_LOG, x, w))
+        assert _raised(got) is InverseOutOfRange and got[1].startswith(message)
+        assert got == _outcome(lambda: evaluate_prefixes(replace(CAPPED_LOG, _prefix=None), x, w))
 
     def test_constant_prefix_never_reaches_the_kernel(self):
         # the per-prefix path short-circuits constant prefixes, so no overflow
