@@ -21,12 +21,9 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 
-import numpy as np
-
 from . import concavity as conc
 from . import inequality as ineq
 from . import means as mn
-from . import sampling
 from . import stepfn
 from .errors import KedlayaError, NegativeSeed
 from .weights import scalar_from_string, weights_from_strings
@@ -223,14 +220,6 @@ def _cmd_check(args) -> int:
     return 1 if report.verdict == ineq.VIOLATED else 0
 
 
-def _sweep_trial(mean, n, seed, trial, tol, expect, max_den):
-    rng = np.random.default_rng([seed, trial])
-    w = sampling.rational_v_weights(rng, n, max_den=max_den)
-    x = sampling.entries_log_uniform(rng, n)
-    report = ineq.check_kedlaya(mean, x, w, tol=tol, expect=expect)
-    return {"trial": trial, "n": n, "gap": report.gap, "verdict": report.verdict}
-
-
 def _require(ok: bool, message: str) -> None:
     """Reject an option value that numpy or the library would otherwise
     reject in its own terms (``low >= high``, ``n must be >= 1``), or that
@@ -245,8 +234,10 @@ def _cmd_sweep(args) -> int:
     mean = mn.mean_from_id(args.mean)
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    rows = [_sweep_trial(mean, args.n, args.seed, t, args.tol, args.expect,
-                         args.max_den) for t in range(args.trials)]
+    gaps, verdicts = ineq.sweep_kedlaya(mean, args.n, args.trials, args.seed, args.max_den,
+                                        args.tol, args.expect)
+    rows = [{"trial": t, "n": args.n, "gap": gap, "verdict": verdict}
+            for t, (gap, verdict) in enumerate(zip(gaps, verdicts))]
     counts: dict = {}
     for row in rows:
         counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1

@@ -28,7 +28,10 @@ a :class:`ClosedForm`, a finaliser of weighted sums of entry terms, from
 which its scalar definition, :func:`closed_form_prefixes` (every prefix
 ``x[:k]`` of one input in one pass of :func:`prefix_fsums`) and
 :func:`closed_form_rows` (every row of ``(rows, n)`` arrays) evaluate it,
-the last two bit for bit equal to the scalar definition.
+the last two bit for bit equal to the scalar definition.  With numpy twins,
+:func:`closed_form_prefix_rows` evaluates every prefix of every row from
+numpy running sums, within 1e-13 relative of the scalar definition by the
+declaration's error rule, and marks the rows the rule cannot vouch for.
 """
 
 from __future__ import annotations
@@ -317,11 +320,18 @@ class ClosedForm:
     The scalar definitions take one ``fsum`` per sum and own the
     validation and every error message: the prefix and batch drivers hand
     them whatever they cannot evaluate to a finite value.
+
+    ``error``, given with the twins, is the rule :func:`closed_form_prefix_rows`
+    routes by: ``error(*sums, *logs, k, x)`` bounds, in units of ``2^-53``,
+    the relative distance between ``finish`` on the driver's prefix sums
+    (``k`` terms each, one scale per row) and the scalar definition on the
+    same prefixes, for the ``(rows, n)`` entries ``x``.
     """
 
     sums: tuple
     finish: Callable
     twins: Optional[tuple] = None
+    error: Optional[Callable] = None
 
 
 def _sums(form: ClosedForm, x, w) -> tuple:
@@ -419,6 +429,54 @@ def closed_form_rows(form: ClosedForm, scalar: Callable, x: np.ndarray,
     return out
 
 
+# A prefix computed by closed_form_prefix_rows may be this far, relative,
+# from the scalar definition's value; rows that could be farther go to the
+# exact scans.
+PREFIX_ROWS_RTOL = 1e-13
+_U = 2.0 ** -53  # the unit roundoff
+# Terms below this may have lost relative accuracy to underflow: a product
+# or power is exact to 2^-1075 absolute, 2^-106 of this.
+_TINY = 2.0 ** -969
+
+
+def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``form``'s mean on every prefix ``x[i, :k]``, ``k = 1..n``, of every row
+    of ``(rows, n)`` entry and weight arrays, each within
+    :data:`PREFIX_ROWS_RTOL` relative of the scalar definition, or a row of
+    NaN where that is not certain.
+
+    ``form`` must have twins.  Each sum is a numpy ``cumsum`` of the twin's
+    terms, scaled by the row's maximum or minimum (one scale per row), and
+    the finaliser runs on the columns; a constant prefix is its first entry.
+    A row is NaN when
+
+    - an entry is not positive, or a weight not positive, or the entries
+      span more than ``2^969``;
+    - a term is below ``2^-969`` in magnitude (it may have lost accuracy
+      to underflow);
+    - a value is not finite; or
+    - ``form.error`` exceeds the tolerance at some prefix: near-equal Gini
+      parameters, whose finaliser divides by ``p - q``, and long rows.
+    """
+    k = np.arange(1, x.shape[1] + 1)
+    with np.errstate(all="ignore"):  # rows that are not finite are NaN
+        lo, hi = x.min(axis=1), x.max(axis=1)
+        trusted = (lo > hi * _TINY) & (w > 0.0).all(axis=1)
+        sums, logs = [], []
+        for (scale, _), twin in zip(form.sums, form.twins):
+            c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
+            for terms in twin(x, w, c):
+                trusted &= (np.abs(terms) >= _TINY).all(axis=1)
+                sums.append(np.cumsum(terms, axis=1))
+            logs.append(np.log(c) if scale else 0.0)
+        const = np.logical_and.accumulate(x == x[:, :1], axis=1)
+        out = np.where(const, x[:, :1], form.finish(*sums, *logs, np))
+        bound = np.where(const, 0.0, form.error(*sums, *logs, k, x))
+        trusted &= np.isfinite(out).all(axis=1) & (bound <= PREFIX_ROWS_RTOL / _U).all(axis=1)
+    out[~trusted] = np.nan
+    return out
+
+
 def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
     """``f_inverse`` of the weighted average of ``f(x_i)``
     (:attr:`GeneratorSpec.closed_form`)."""
@@ -460,6 +518,11 @@ def _power_sum(r: float) -> tuple:
             lambda x, w, c: [w * (x / c) ** r])
 
 
+def _log_spread(x: np.ndarray) -> np.ndarray:
+    """The column of ``max_i |log x_i|`` per row."""
+    return np.abs(np.log(x)).max(axis=1, keepdims=True)
+
+
 @lru_cache(maxsize=256, typed=True)
 def gini_form(p: float, q: float) -> ClosedForm:
     """The declaration of :func:`gini` at ``(p, q)``.
@@ -468,12 +531,29 @@ def gini_form(p: float, q: float) -> ClosedForm:
     :func:`_power_sum` to ``exp((log S_p - log S_q) / (p - q))``, with
     ``log S_r = r log c + log sum_i w_i (x_i / c)^r``.  Equal ones take
     ``d_i = w_i (x_i / c)^p`` to ``exp(sum_i d_i log x_i / sum_i d_i)``.
+
+    The error rule counts, in units of ``2^-53``: ``k - 1`` for a running
+    sum of ``k`` terms of one sign, ``|r| + 6`` for a term ``w (x/c)^r``
+    (twin ``pow`` and ``log`` within an ulp of libm, measured), a few per
+    ``log`` of a value, and the scalar definition's own roundings, whose
+    scale ``c`` is the prefix's and whose ``|log c|`` is at most the row's
+    ``M = max |log x|``.  Distinct parameters divide the error of
+    ``log S_p - log S_q`` by ``|p - q|``; equal ones take the error of
+    ``sum d log x`` relative to ``M sum d``.  The mean's own
+    ``|log|`` is at most ``M``.
     """
     if p != q:
-        d = p - q
+        d, size = p - q, abs(p) + abs(q)
         (gp, tp), (gq, tq) = _power_sum(p), _power_sum(q)
+
+        def error(sp, sq, lp, lq, k, x):
+            spread = _log_spread(x)
+            return ((2 * k + 2 * size + 32 + 8 * (np.abs(np.log(sp)) + np.abs(np.log(sq)))
+                     + 10 * (np.abs(p * lp) + np.abs(q * lq)) + 6 * size * spread) / abs(d)
+                    + 4 * spread + 8)
+
         return ClosedForm((gp, gq), lambda sp, sq, lp, lq, m: m.exp(
-            ((p * lp + m.log(sp)) - (q * lq + m.log(sq))) / d), (tp, tq))
+            ((p * lp + m.log(sp)) - (q * lq + m.log(sq))) / d), (tp, tq), error)
     (scale, power), twin_power = _power_sum(p)
 
     def terms(x, w, c):
@@ -484,7 +564,8 @@ def gini_form(p: float, q: float) -> ClosedForm:
         d, = twin_power(x, w, c)
         return d * np.log(x), d
 
-    return ClosedForm(((scale, terms),), lambda num, den, _, m: m.exp(num / den), (twin,))
+    return ClosedForm(((scale, terms),), lambda num, den, _, m: m.exp(num / den), (twin,),
+                      lambda num, den, _, k, x: (2 * k + 4 * abs(p) + 32) * _log_spread(x) + 8)
 
 
 def gini(p: float, q: float, x, w) -> float:
@@ -518,8 +599,11 @@ def _gini21_terms(x, w, c):
 
 # The twin yields one moment array at a time, each summed before the next
 # exists: numpy computes w * x * x in place of the temporary w * x.
+# The twin's terms are the scalar ones bit for bit, so the error rule counts
+# only the two running sums and the division, in units of 2^-53.
 GINI21_FORM = ClosedForm(((None, _gini21_terms),), lambda den, num, _, m: num / den,
-                         (lambda x, w, c: (w * x * x if k else w * x for k in (0, 1)),))
+                         (lambda x, w, c: (w * x * x if k else w * x for k in (0, 1)),),
+                         lambda den, num, _, k, x: 2 * k + 8)
 _GINI21_RANGE = "gini21: a weighted moment sum is beyond the float range"
 
 

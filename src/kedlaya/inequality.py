@@ -12,7 +12,9 @@ weight ratio sequence ``w_k / (w_1+...+w_k)`` is nonincreasing, and is
 reversed for Jensen-convex means.  The telescoping step inequality used
 to prove it, a finite-difference probe of the necessity condition on the
 weights, and a randomized violation search for inadmissible weights are
-provided as well.
+provided as well.  :func:`sweep_kedlaya` checks random admissible
+instances a block at a time (:func:`check_kedlaya_rows`), with the
+verdicts of :func:`check_kedlaya`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .errors import (
     WeightsInV,
 )
 from .deviation import prefix_fsums
-from .means import MeanHandle, evaluate, evaluate_prefixes, weighted_average
+from .means import (MeanHandle, evaluate, evaluate_prefix_rows, evaluate_prefixes,
+                    weighted_average)
+from .sampling import sweep_block
 from .weights import WeightVector, as_weight_vector, is_in_V
 
 HOLDS = "holds"
@@ -206,6 +210,95 @@ def check_kedlaya(mean: MeanHandle, x: Sequence[float], w,
         steps.append(s_j * b[j - 1] - (s_prev * b[j - 2] + wf[j - 1] * a[j - 1]))
     return KedlayaReport(n, lhs, rhs, gap, _classify(gap, scaled, expect),
                          tuple(steps), _echo(mean, xs, wv, tol))
+
+
+# A gap of check_kedlaya_rows is within 1e-13 of |lhs| + |rhs| of the scalar
+# one, and its tol boundary within 1e-13 tol |rhs| (PREFIX_ROWS_RTOL): a trial
+# farther than this from the boundary has the scalar verdict.
+_NEAR = 2.0 ** -40
+# Entries per block of sweep trials, so memory does not grow with the trials.
+_SWEEP_BLOCK = 1 << 14
+
+
+def check_kedlaya_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
+                       tol: float = 1e-9, expect: Optional[str] = None) -> tuple:
+    """The gap and verdict of :func:`check_kedlaya` on every row of
+    ``(rows, n)`` entry and weight arrays, as two lists.
+
+    Each side comes from :func:`evaluate_prefix_rows` (the prefix means of
+    the entries, and the mean of the prefix arithmetic means), the partial
+    means from column sums, ``lhs`` from one ``fsum`` per row, as
+    :func:`weighted_average` takes it.  For the means without a ``(rows, n)``
+    driver every gap equals the scalar one bit for bit; the closed forms
+    with numpy twins move it by at most 1e-13 of ``|lhs| + |rhs|``.  A
+    trial whose ``|gap|`` lies within ``2^-40 (|lhs| + (1 + tol) |rhs|)`` of
+    its ``tol (1 + |rhs|)`` boundary, or is not finite, takes its gap and
+    verdict from :func:`check_kedlaya`, so no verdict differs from the
+    scalar path.  A block with a weight that is not positive and finite or
+    a partial mean that is not finite, or that raises, is checked row by row
+    through :func:`check_kedlaya`, which raises what the first failing row
+    raises.
+    """
+    if expect not in (None, HOLDS, REVERSED):
+        raise ValueError(f"expect must be None, {HOLDS!r} or {REVERSED!r}")
+    rows, n = x.shape
+    positive = bool((w > 0.0).all() and np.isfinite(w).all())
+    if n == 1 and positive:
+        return [0.0] * rows, [EQUALITY] * rows
+    with np.errstate(all="ignore"):  # partial means that are not finite go row by row
+        m = np.cumsum(w * x, axis=1) / np.cumsum(w, axis=1)  # partial_arithmetic_means
+    m[:, 0] = x[:, 0]
+    if positive and np.isfinite(m).all():
+        try:
+            return _gaps_and_verdicts(mean, x, w, m, tol, expect)
+        except (ArithmeticError, ValueError):
+            pass
+    reports = [check_kedlaya(mean, xi, wi, tol, expect) for xi, wi in zip(x.tolist(), w.tolist())]
+    return [r.gap for r in reports], [r.verdict for r in reports]
+
+
+def _gaps_and_verdicts(mean, x, w, m, tol, expect) -> tuple:
+    """:func:`check_kedlaya_rows` on rows with positive weights and finite
+    partial means ``m``."""
+    a = evaluate_prefix_rows(mean, x, w)
+    rhs = evaluate_prefix_rows(mean, m, w, last=True)
+    lhs = (np.array(list(map(math.fsum, (w * a).tolist())))
+           / np.array(list(map(math.fsum, w.tolist()))))
+    gap = rhs - lhs
+    scaled = tol * (1.0 + np.abs(rhs))
+    gaps = gap.tolist()
+    verdicts = [_classify(g, s, expect) for g, s in zip(gaps, scaled.tolist())]
+    near = ~(np.abs(np.abs(gap) - scaled) > _NEAR * (np.abs(lhs) + (1.0 + tol) * np.abs(rhs)))
+    for i in np.flatnonzero(near):  # near the boundary, or not finite
+        report = check_kedlaya(mean, x[i].tolist(), w[i].tolist(), tol, expect)
+        gaps[i], verdicts[i] = report.gap, report.verdict
+    return gaps, verdicts
+
+
+def sweep_kedlaya(mean: MeanHandle, n: int, trials: int, seed: int = 0, max_den: int = 9,
+                  tol: float = 1e-9, expect: Optional[str] = None) -> tuple:
+    """Gaps and verdicts of ``trials`` random trials of the inequality, as two
+    lists: trial ``t`` checks :func:`~kedlaya.sampling.sweep_block`'s entries
+    and weights from ``default_rng([seed, t])`` (random ratio-nonincreasing
+    rational weights, ``max_den`` bounding the denominators of the ratios)
+    with :func:`check_kedlaya_rows`, a block of trials at a time.  A trial
+    whose weights are beyond the float range raises their
+    :class:`~kedlaya.errors.FloatOverflow` after the trials before it.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise NegativeSeed(f"seed must be >= 0, got {seed}")
+    gaps, verdicts = [], []
+    step = max(1, _SWEEP_BLOCK // n)
+    for start in range(0, trials, step):
+        x, w, error = sweep_block(seed, range(start, min(start + step, trials)), n, max_den)
+        block_gaps, block_verdicts = check_kedlaya_rows(mean, x, w, tol, expect)
+        gaps += block_gaps
+        verdicts += block_verdicts
+        if error is not None:
+            raise error
+    return gaps, verdicts
 
 
 def _echo(mean: MeanHandle, x, wv: WeightVector, tol: float) -> dict:

@@ -12,7 +12,8 @@ weights.
 :class:`MeanHandle` packages a family tag, its wire parameters, a domain
 and the family's kernels; :func:`evaluate` calls the scalar kernel (a
 closed form or the deviation solver), :func:`evaluate_rows` the batch
-kernel and :func:`evaluate_prefixes` the prefix kernel.  One family table
+kernel, :func:`evaluate_prefixes` the prefix kernel and
+:func:`evaluate_prefix_rows` the ``(rows, n)`` prefix driver.  One family table
 reads and writes string ids and the JSON wire format.  The ``check_*``
 helpers return the numeric residual of each axiom on concrete inputs,
 through :func:`evaluate`; :func:`sample_axiom_residuals` (behind
@@ -150,6 +151,9 @@ class MeanHandle:
     cannot evaluate to ``_fn``.  The built-in ``homdev`` means have both,
     bisecting in lockstep.  Only custom deviations, and homogeneous
     deviations of a caller's ``f``, have neither and are evaluated row by row.
+    ``_prefix_rows``, present for the closed forms with numpy twins (power,
+    Gini, ``gini21``), is :func:`~kedlaya.deviation.closed_form_prefix_rows`
+    on the declaration (see :func:`evaluate_prefix_rows`).
     """
 
     family: str
@@ -159,6 +163,7 @@ class MeanHandle:
     _fn: Callable = field(default=None, repr=False, compare=False)
     _batch: Optional[Callable] = field(default=None, repr=False, compare=False)
     _prefix: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _prefix_rows: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.label or self.family
@@ -188,10 +193,13 @@ class MeanHandle:
     def _closed_form(cls, family: str, domain: Interval, params: tuple, label: str,
                      fn: Callable, form: dev.ClosedForm) -> "MeanHandle":
         """A closed-form mean: its scalar definition ``fn`` and the generic
-        batch and prefix drivers on its declaration ``form``."""
+        batch and prefix drivers on its declaration ``form``, and with numpy
+        twins the ``(rows, n)`` prefix driver."""
         return cls(family, domain, params, label, fn,
                    lambda x, w: dev.closed_form_rows(form, fn, x, w),
-                   lambda x, w, first: dev.closed_form_prefixes(form, fn, x, w, first))
+                   lambda x, w, first: dev.closed_form_prefixes(form, fn, x, w, first),
+                   None if form.twins is None
+                   else lambda x, w: dev.closed_form_prefix_rows(form, x, w))
 
     @classmethod
     def power(cls, p: float) -> "MeanHandle":
@@ -330,6 +338,31 @@ def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
             out = [out[m - 1] for m in sizes]
     if n < len(x):
         raise DomainViolation(f"entry {x[n]} outside domain of {mean}")
+    return out
+
+
+def evaluate_prefix_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
+                         last: bool = False) -> np.ndarray:
+    """:func:`evaluate_prefixes` on every row of ``(rows, n)`` entry and weight
+    arrays, as a ``(rows, n)`` array; with ``last``, only each row's last
+    value, :func:`evaluate` on the whole row.
+
+    The closed forms with numpy twins (power, Gini, ``gini21``) take the
+    rows through :func:`~kedlaya.deviation.closed_form_prefix_rows`, each
+    value within :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL` relative of
+    the scalar one.  The rows it does not take, and every row of the other
+    means, are evaluated exactly, bit for bit and raising what the first
+    failing row raises.
+    """
+    out = (mean._prefix_rows(x, w) if mean._prefix_rows is not None
+           else np.full(x.shape, np.nan))
+    if last:
+        out = out[:, -1]
+        for i in np.flatnonzero(np.isnan(out)):
+            out[i] = evaluate(mean, x[i].tolist(), w[i].tolist())
+    else:
+        for i in np.flatnonzero(np.isnan(out[:, -1])):
+            out[i] = evaluate_prefixes(mean, x[i].tolist(), w[i].tolist())
     return out
 
 

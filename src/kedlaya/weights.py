@@ -82,14 +82,22 @@ class WeightVector(Sequence):
         """
         cached = self._floats
         if cached is None:
-            try:
-                cached = tuple(float(e) for e in self.entries)
-            except OverflowError:
-                raise FloatOverflow("a weight is beyond the float range") from None
-            if sum(cached) == math.inf:
-                raise FloatOverflow(f"the weights {list(cached)} sum beyond the float range")
+            cached = floats_in_range(map(float, self.entries))
             object.__setattr__(self, "_floats", cached)
         return cached
+
+
+def floats_in_range(floats: Iterable[float]) -> tuple:
+    """The float weights ``floats`` as a tuple, raising
+    :class:`FloatOverflow` when one of them (an ``OverflowError`` while
+    they are computed) or their sum is beyond the float range."""
+    try:
+        out = tuple(floats)
+    except OverflowError:
+        raise FloatOverflow("a weight is beyond the float range") from None
+    if sum(out) == math.inf:
+        raise FloatOverflow(f"the weights {list(out)} sum beyond the float range")
+    return out
 
 
 def make_weights(entries: Iterable[Scalar], cls: str = "W") -> WeightVector:
@@ -164,7 +172,13 @@ def is_in_V(w: WeightVector) -> bool:
     """
     if not w.entries[0] > 0:
         raise FirstWeightZero("ratio test requires a class-W0 vector")
-    a = _integer_numerators(w)
+    return ratios_nonincreasing(_integer_numerators(w))
+
+
+def ratios_nonincreasing(a: Sequence[int]) -> bool:
+    """Whether ``a_k / (a_1 + ... + a_k)`` is nonincreasing in ``k``, for
+    nonnegative integers ``a`` with ``a_1 > 0``, by integer
+    cross-multiplication (ties pass)."""
     acc = a[0]
     for prev, cur in zip(a, a[1:]):
         nxt = acc + cur

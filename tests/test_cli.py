@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kedlaya import cli
 from kedlaya import means as mn
 from kedlaya.cli import main
+from sweep_oracle import oracle_report, oracle_trial
 
 
 def run(capsys, *argv):
@@ -314,27 +315,61 @@ class TestSweep:
 # the benchmark at n=8, and one long instance with large denominators.  A
 # last-bit move of any gap or weight changes the bytes.  The gaps run
 # through libm and numpy's exp, so another platform may round differently.
+# The first digest is the scalar sweep oracle's (tests/sweep_oracle.py),
+# recorded when that loop was the command; the second is the command's,
+# whose power, Gini and gini21 gaps come from the (rows, n) prefix driver.
 GOLDEN_SWEEPS = [
     (("--mean", "power:0", "--n", "8", "--trials", "90", "--expect", "holds"),
-     "32ca7e0dae73f2823fec500604ddaf6ef09bc9fb00a457eda1cdc8ada4f56be2"),
+     "32ca7e0dae73f2823fec500604ddaf6ef09bc9fb00a457eda1cdc8ada4f56be2",
+     "d860e0c1b8a447cebc6ea3077da31f192d651010a988eeaa3cf25af9125800c8"),
     (("--mean", "gini:0.5:0", "--n", "8", "--trials", "100", "--expect", "holds"),
-     "927c2d0274bed06bb79e12ce52246def81e3cc4d00fea5c1e037e0891be5b515"),
+     "927c2d0274bed06bb79e12ce52246def81e3cc4d00fea5c1e037e0891be5b515",
+     "0d059ceacb845ca5ba45bd630e229dec7a0b17cd70534a58d70f5ddc3cbf83fe"),
     (("--mean", "qa:log", "--n", "8", "--trials", "100", "--expect", "holds"),
+     "31468c527f23dc1999100a5149756d236ad7edf6e630fb405c6789443d23dbaa",
      "31468c527f23dc1999100a5149756d236ad7edf6e630fb405c6789443d23dbaa"),
     (("--mean", "gini21", "--n", "8", "--trials", "110", "--expect", "reversed"),
-     "6a0ed3a22fed06ef2a9ee94595bfab07edd5782c6b26ddb94c47b2c6d56d9e42"),
+     "6a0ed3a22fed06ef2a9ee94595bfab07edd5782c6b26ddb94c47b2c6d56d9e42",
+     "02392c5d6f4417d6330d3c7208773f0fe376f82c406282f2e711daadc9b2f4ab"),
     (("--mean", "power:0", "--n", "40", "--max-den", "60", "--trials", "50",
       "--expect", "holds"),
-     "0826353e1dd36dbcfeb3862256bcbfe457bf4c7d9a45f1ace4ec817fd3048c77"),
+     "0826353e1dd36dbcfeb3862256bcbfe457bf4c7d9a45f1ace4ec817fd3048c77",
+     "d85adaff189d46a4b0ec9857f7fca19842d9bed7256e037a4a3eefa0e1ff1b63"),
 ]
+_GOLDEN_IDS = [" ".join(a[1:4:2]) for a, _, _ in GOLDEN_SWEEPS]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_SWEEPS,
-                         ids=[" ".join(a[1:4:2]) for a, _ in GOLDEN_SWEEPS])
-def test_golden_sweep_report_bytes(capsys, argv, digest):
+def _oracle_args(argv) -> dict:
+    opts = dict(zip(argv[::2], argv[1::2]))
+    return {"mean_id": opts["--mean"], "n": int(opts["--n"]), "trials": int(opts["--trials"]),
+            "seed": 7, "max_den": int(opts.get("--max-den", 9)), "expect": opts["--expect"]}
+
+
+@pytest.mark.parametrize("argv, digest, _", GOLDEN_SWEEPS, ids=_GOLDEN_IDS)
+def test_golden_sweep_oracle_report_bytes(argv, digest, _):
+    report = oracle_report(**_oracle_args(argv))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, _, digest", GOLDEN_SWEEPS, ids=_GOLDEN_IDS)
+def test_golden_sweep_report_bytes(capsys, argv, _, digest):
     code, out, err = run(capsys, "sweep", *argv, "--seed", "7", "--json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [a for a, _, _ in GOLDEN_SWEEPS], ids=_GOLDEN_IDS)
+def test_golden_sweep_within_1e13_of_oracle(capsys, argv):
+    """Same verdicts as the scalar oracle, every gap within 1e-13 |rhs|."""
+    code, out, _ = run(capsys, "sweep", *argv, "--seed", "7", "--json")
+    assert code == 0
+    args = _oracle_args(argv)
+    mean = mn.mean_from_id(args["mean_id"])
+    for row in json.loads(out)["trials"]:
+        want = oracle_trial(mean, args["n"], 7, row["trial"], expect=args["expect"],
+                            max_den=args["max_den"])
+        assert row["verdict"] == want.verdict
+        assert abs(row["gap"] - want.gap) <= 1e-13 * abs(want.rhs)
 
 
 # sha256 of proof geometry reports, recorded before the JSON writer replaced

@@ -20,10 +20,10 @@ from kedlaya.concavity import (
     sample_midpoint_concavity,
 )
 from kedlaya.deviation import DeviationSpec, log_generator, power_generator
-from kedlaya.domain import POSITIVE, REALS
+from kedlaya.domain import POSITIVE, REALS, sampling_window
 from kedlaya.errors import MixedSignSecondDerivative, VanishingDerivative
 from kedlaya.inequality import reflect
-from kedlaya.means import MeanHandle, evaluate, mean_from_id
+from kedlaya.means import MeanHandle, evaluate, evaluate_rows, mean_from_id
 
 
 class TestSampler:
@@ -115,6 +115,45 @@ class TestBatchLayout:
         want = sample_jensen_concavity(mean, n, trials, seed=n)
         assert got.verdict == want.verdict
         assert math.isclose(got.worst_violation, want.worst_violation, rel_tol=1e-13)
+
+
+def _three_calls(mean, n, trials, seed, tol=1e-9):
+    """The earlier sampler: a chunk's midpoint, x and y rows in three
+    ``evaluate_rows`` calls."""
+    window = sampling_window(mean.domain)
+
+    def chunk_gaps(chunk_index, size):
+        x, y, w = concavity._draw_chunk(window, n, seed, chunk_index, concavity._CHUNK)
+        x, y, w = x[:size], y[:size], w[:size]
+        mid = evaluate_rows(mean, 0.5 * (x + y), w)
+        half = 0.5 * (evaluate_rows(mean, x, w) + evaluate_rows(mean, y, w))
+        return mid - half, lambda i: (tuple(x[i]), tuple(y[i]), tuple(w[i]))
+
+    return concavity._sample(chunk_gaps, trials, tol)
+
+
+class TestChunkInOneCall:
+    """Each chunk's midpoint, x and y rows go through one ``evaluate_rows``
+    call; no row's value depends on the rows beside it, so the verdicts are
+    those of three calls."""
+
+    @pytest.mark.parametrize("name, mean, trials", BATCH_MEANS,
+                             ids=[c[0] for c in BATCH_MEANS])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_equals_three_calls(self, name, mean, trials, n):
+        assert sample_jensen_concavity(mean, n, trials, seed=n) == \
+            _three_calls(mean, n, trials, seed=n)
+
+    def test_one_call_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(mean, x, w):
+            calls.append(len(x))
+            return evaluate_rows(mean, x, w)
+
+        monkeypatch.setattr(concavity, "evaluate_rows", counting)
+        sample_jensen_concavity(GEO, 3, 2 * concavity._CHUNK + 5, seed=1)
+        assert calls == [3 * concavity._CHUNK] * 2 + [15]
 
 
 class TestMidpointSampler:

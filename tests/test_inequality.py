@@ -1,11 +1,18 @@
 """Both sides of the prefix-mean inequality, verdicts, probes, search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kedlaya.errors import NonpositiveWeight, WeightsInV, ZeroScale
+from kedlaya.errors import (
+    DomainViolation,
+    FloatOverflow,
+    NonpositiveWeight,
+    WeightsInV,
+    ZeroScale,
+)
 from kedlaya.inequality import (
     EQUALITY,
     HOLDS,
@@ -13,6 +20,7 @@ from kedlaya.inequality import (
     VIOLATED,
     affine_conjugate,
     check_kedlaya,
+    check_kedlaya_rows,
     counterexample_mu_prime_0,
     kedlaya_sides,
     necessity_probe,
@@ -20,13 +28,16 @@ from kedlaya.inequality import (
     reflect,
     search_violation,
     step_inequality,
+    sweep_kedlaya,
 )
 from kedlaya.means import MeanHandle, evaluate, mean_from_id
 from kedlaya.sampling import (
     entries_log_uniform,
     integer_nonincreasing_weights,
     rational_v_weights,
+    sweep_block,
 )
+from sweep_oracle import oracle_trial
 
 GEO = mean_from_id("power:0")
 ARITH = mean_from_id("arithmetic")
@@ -227,6 +238,87 @@ class TestForwardAndReversedSweeps:
             x = entries_log_uniform(rng, n)
             r = check_kedlaya(CEX, x, w, expect=REVERSED)
             assert r.verdict in (REVERSED, EQUALITY)
+
+
+class TestSweepVerdicts:
+    """The batched check against the scalar oracle, one check_kedlaya per
+    trial: no verdict differs, every gap is within 1e-13 |rhs|."""
+
+    @pytest.mark.parametrize("mean_id, expect", [
+        ("power:0", HOLDS), ("gini:0.5:0", HOLDS), ("gini21", REVERSED), ("gini:2:1", HOLDS),
+        ("power:-2", None), ("gini:3:3", None), ("qa:log", HOLDS), ("arithmetic", None)])
+    def test_verdicts_at_each_trials_own_boundary(self, mean_id, expect):
+        # tol at each trial's scalar |gap| / (1 + |rhs|) and one ulp either
+        # side puts that trial on its boundary
+        mean, seed, n, trials = mean_from_id(mean_id), 5, 8, 24
+        x, w, _ = sweep_block(seed, range(trials), n)
+        for base in [oracle_trial(mean, n, seed, t) for t in range(0, trials, 3)]:
+            t0 = abs(base.gap) / (1.0 + abs(base.rhs))
+            for tol in (np.nextafter(t0, 0.0), t0, np.nextafter(t0, 1.0)):
+                if not tol > 0.0:
+                    continue
+                gaps, verdicts = check_kedlaya_rows(mean, x, w, float(tol), expect)
+                want = [oracle_trial(mean, n, seed, t, float(tol), expect) for t in range(trials)]
+                assert verdicts == [r.verdict for r in want]
+                for gap, r in zip(gaps, want):
+                    assert abs(gap - r.gap) <= 1e-13 * abs(r.rhs)
+
+    @pytest.mark.parametrize("mean_id", ["qa:log", "homdev:shifted-power:0.5", "arithmetic",
+                                         "min", "max", "power:1e-3", "gini:0.5:0.49"])
+    def test_exact_means_give_the_scalar_gaps(self, mean_id):
+        # means without a (rows, n) driver, and parameters the driver leaves
+        # to the exact scans, keep every bit
+        mean, seed = mean_from_id(mean_id), 9
+        for n in (1, 2, 8, 30):
+            gaps, verdicts = sweep_kedlaya(mean, n, 12, seed, max_den=20)
+            want = [oracle_trial(mean, n, seed, t, max_den=20) for t in range(12)]
+            assert gaps == [r.gap for r in want]
+            assert verdicts == [r.verdict for r in want]
+
+    def test_block_that_raises_goes_row_by_row(self):
+        # a zero entry is outside the Gini mean's domain: the exact scan of
+        # its row raises, and the block is checked row by row
+        mean = mean_from_id("gini:-1:-1")
+        x, w, _ = sweep_block(1, range(6), 5)
+        x[3, 2] = x[4, 1] = 0.0
+        with pytest.raises(DomainViolation) as want:
+            check_kedlaya(mean, x[3].tolist(), w[3].tolist())
+        with pytest.raises(DomainViolation) as got:
+            check_kedlaya_rows(mean, x, w)
+        assert str(got.value) == str(want.value)
+
+    def test_partial_means_beyond_the_float_range_go_row_by_row(self):
+        x = np.array([[1.0, 2.0], [1.0, 10.0]])
+        w = np.array([[1.0, 1.0], [1.0, 1.7e308]])
+        with pytest.raises(FloatOverflow, match="weighted sum of the entries"):
+            check_kedlaya(GEO, x[1].tolist(), w[1].tolist())
+        with pytest.raises(FloatOverflow, match="weighted sum of the entries"):
+            check_kedlaya_rows(GEO, x, w)
+
+    @pytest.mark.parametrize("n, max_den", [(1025, 2), (1100, 2), (960, 3)])
+    def test_raises_what_the_first_failing_trial_raises(self, n, max_den):
+        # the weight sum or a weight beyond the float range, in the first
+        # trial or after one that passes
+        with pytest.raises(FloatOverflow) as want:
+            for t in range(4):
+                oracle_trial(GEO, n, 0, t, max_den=max_den)
+        with pytest.raises(FloatOverflow) as got:
+            sweep_kedlaya(GEO, n, 4, 0, max_den=max_den)
+        assert str(got.value) == str(want.value)
+
+
+class TestSweepMemory:
+    def test_peak_does_not_grow_with_the_trials(self):
+        # blocks of 2048 trials at n = 8; all 20000 trials at once peak at
+        # about 14 MB
+        tracemalloc.start()
+        try:
+            gaps, _ = sweep_kedlaya(GEO, 8, 20000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gaps) == 20000
+        assert peak < 5e6
 
 
 class TestNecessityProbe:

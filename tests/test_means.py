@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from kedlaya import means
 from kedlaya.deviation import (
     _FSUM_SCAN_MAX,
+    PREFIX_ROWS_RTOL,
     DeviationSpec,
     GeneratorSpec,
     log_generator,
@@ -44,6 +45,7 @@ from kedlaya.means import (
     check_reduction,
     check_symmetry,
     evaluate,
+    evaluate_prefix_rows,
     evaluate_prefixes,
     evaluate_rows,
     mean_from_id,
@@ -53,7 +55,7 @@ from kedlaya.means import (
     weighted_average,
     weighted_from_repetition_invariant,
 )
-from kedlaya.sampling import entries_log_uniform, weights_positive
+from kedlaya.sampling import entries_log_uniform, sweep_block, weights_positive
 from kedlaya.weights import make_weights, shuffle
 
 ARITH = MeanHandle.arithmetic()
@@ -712,6 +714,87 @@ def _prefix_inputs(name, transform):
             x = transform(x)
         out.append((x.tolist(), w.tolist()))
     return out
+
+
+# The closed forms with numpy twins, which have a (rows, n) prefix driver.
+_TWIN_MEANS = st.one_of(
+    st.floats(-4.0, 4.0).map(MeanHandle.power),
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).map(lambda pq: MeanHandle.gini(*pq)),
+    st.just(MeanHandle.gini21_counterexample()))
+_TWIN_IDS = ["power:0", "power:0.5", "power:-2", "power:3", "gini:0.5:0", "gini:2:1",
+             "gini:-1:-1", "gini:3:3", "gini21"]
+
+
+def _prefix_rows_against_scans(mean, x, w) -> np.ndarray:
+    """Check :func:`evaluate_prefix_rows` on every row against
+    :func:`evaluate_prefixes`, and return which rows the driver left to it."""
+    driver = mean._prefix_rows(x, w)
+    routed = np.isnan(driver).all(axis=1)
+    assert (routed | np.isfinite(driver).all(axis=1)).all()  # NaN rows or finite ones
+    got = evaluate_prefix_rows(mean, x, w)
+    last = evaluate_prefix_rows(mean, x, w, last=True)
+    for i, (xi, wi) in enumerate(zip(x.tolist(), w.tolist())):
+        want = evaluate_prefixes(mean, xi, wi)
+        first = next((k for k, v in enumerate(xi) if v != xi[0]), len(xi))
+        assert got[i, :first].tolist() == want[:first]  # constant prefixes are x_1
+        if routed[i]:
+            assert got[i].tolist() == want
+            assert last[i] == evaluate(mean, xi, wi)
+        else:
+            assert (np.abs(got[i] - want) <= PREFIX_ROWS_RTOL * np.abs(want)).all()
+            assert last[i] == got[i, -1]
+    return routed
+
+
+class TestPrefixRows:
+    """The (rows, n) prefix driver against the exact scans: within 1e-13
+    relative on the rows it takes, bit for bit on the rows it leaves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_TWIN_MEANS, st.integers(0, 2 ** 32), st.sampled_from([2, 8, 63, 64, 65, 120]),
+           st.sampled_from([0.5, 2.3, 8.0]))
+    def test_within_tolerance_or_exact(self, mean, seed, n, spread):
+        # n on both sides of _FSUM_SCAN_MAX, entries up to e^spread apart
+        rng = np.random.default_rng(seed)
+        x = np.exp(rng.uniform(-spread, spread, (4, n)))
+        w = np.exp(rng.uniform(math.log(0.1), math.log(10.0), (4, n)))
+        x[1, : n // 3] = x[1, 0]  # a constant prefix
+        _prefix_rows_against_scans(mean, x, w)
+
+    @pytest.mark.parametrize("name", _TWIN_IDS)
+    def test_sweep_rows_take_the_driver(self, name):
+        x, w, _ = sweep_block(4, range(100), 8)
+        assert not _prefix_rows_against_scans(mean_from_id(name), x, w).any()
+
+    @pytest.mark.parametrize("name", _TWIN_IDS)
+    def test_wide_rows_go_to_the_exact_scans(self, name):
+        x = np.array([[1e-200, 3.0, 1e150, 0.5], [2.0, 1e150, 1e-200, 2.0]])
+        assert _prefix_rows_against_scans(mean_from_id(name), x, np.ones((2, 4))).all()
+
+    @pytest.mark.parametrize("name", ["gini:0.5:0.49", "power:1e-3", "gini:-2:-2.001"])
+    def test_near_equal_parameters_go_to_the_exact_scans(self, name):
+        # the finaliser divides the error of log S_p - log S_q by p - q
+        x, w, _ = sweep_block(4, range(50), 8)
+        assert _prefix_rows_against_scans(mean_from_id(name), x, w).all()
+
+    def test_constant_rows_are_their_entry(self):
+        x = np.array([[3.0] * 5, [0.25] * 5])
+        for name in _TWIN_IDS:
+            assert evaluate_prefix_rows(mean_from_id(name), x, np.ones((2, 5))).tolist() == \
+                x.tolist()
+
+    def test_means_without_a_driver_are_exact(self):
+        x, w, _ = sweep_block(2, range(20), 8)
+        for name in ("qa:log", "arithmetic", "min", "homdev:shifted-power:0.5"):
+            mean = mean_from_id(name)
+            assert mean._prefix_rows is None
+            assert evaluate_prefix_rows(mean, x, w).tolist() == [
+                evaluate_prefixes(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
+
+    def test_rows_outside_the_domain_raise_as_the_scan_does(self):
+        x = np.array([[1.0, 2.0, 3.0], [1.0, -2.0, 3.0]])
+        with pytest.raises(DomainViolation, match="entry -2.0"):
+            evaluate_prefix_rows(GEO, x, np.ones((2, 3)))
 
 
 class TestPrefixKernels:

@@ -1,12 +1,16 @@
 """Random instance generators: the integer V-weight sampler against the
-Fraction-arithmetic construction it replaced."""
+Fraction-arithmetic construction it replaced, and the sweep's block sampler
+against the per-trial draws."""
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from kedlaya.sampling import rational_v_weights
+from kedlaya import sampling
+from kedlaya.errors import FloatOverflow
+from kedlaya.sampling import entries_log_uniform, rational_v_weights, sweep_block
 from kedlaya.weights import is_in_V
 
 
@@ -44,3 +48,37 @@ class TestRationalVWeights:
         w = rational_v_weights(np.random.default_rng(3), 6, max_den=2)
         assert list(w.entries) == [1, 1, 2, 4, 8, 16]
         assert is_in_V(w)
+
+
+class TestSweepBlock:
+    """The block sampler draws each trial's stream as the scalar sweep
+    did and gets its values bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 40, 70])
+    @pytest.mark.parametrize("max_den", [2, 9, 60])
+    def test_equals_rational_v_weights_and_entries(self, n, max_den):
+        x, w, error = sweep_block(11, range(5, 25), n, max_den)
+        assert error is None and x.shape == w.shape == (20, n)
+        for row, trial in enumerate(range(5, 25)):
+            rng = np.random.default_rng([11, trial])
+            weights = rational_v_weights(rng, n, max_den=max_den)
+            assert tuple(w[row].tolist()) == weights.as_floats()
+            assert tuple(x[row].tolist()) == entries_log_uniform(rng, n)
+
+    @pytest.mark.parametrize("n", [1025, 1100])
+    def test_stops_at_weights_beyond_the_float_range(self, n):
+        # max_den 2 makes every ratio 1/2: weights 1, 1, 2, 4, ..., 2^(n-2),
+        # whose sum (n = 1025) or last entry (n = 1100) overflows
+        with pytest.raises(FloatOverflow) as want:
+            rational_v_weights(np.random.default_rng([3, 0]), n, max_den=2).as_floats()
+        x, w, error = sweep_block(3, range(4), n, max_den=2)
+        assert x.shape == w.shape == (0, n)
+        assert type(error) is FloatOverflow and str(error) == str(want.value)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("the block sampler built a Fraction")
+
+        monkeypatch.setattr(sampling, "Fraction", no_fraction)
+        x, w, error = sweep_block(0, range(50), 12, max_den=30)
+        assert error is None and (w > 0).all()
