@@ -185,16 +185,12 @@ def _emit(report: dict, fmt: str, out: str | None, text_lines=None) -> None:
             writer.writerow([row["trial"], row["n"], repr(row["gap"]), row["verdict"]])
         payload = buf.getvalue()
     else:
-        payload = "\n".join(text_lines or [_format_text(report)]) + "\n"
+        payload = "\n".join(text_lines) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _format_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)
 
 
 def _gap_line(lhs: float, rhs: float, gap: float, verdict: str) -> str:
@@ -414,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_axioms)
 
     for name in ("proof-fn", "dump-proof-fn"):
-        p = sub.add_parser(name, help="emit the block construction as JSON")
+        about = "emit the block construction as JSON (always JSON, even with --format text)"
+        p = sub.add_parser(name, help=about, description=about)
         p.add_argument("--mean", required=True)
         p.add_argument("--x", required=True)
         p.add_argument("--w", required=True, help="rational weights")

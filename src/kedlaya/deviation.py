@@ -19,7 +19,8 @@ and share one root finder (constant shortcut, endpoint checks, bisection).
 arrays in lockstep, for an ``f`` with a numpy twin such as
 :func:`shifted_power_rows`: it takes each sign from a numpy row sum outside
 that sum's error bound and from the scalar total inside it, so it returns
-the scalar solver's roots and errors bit for bit.
+the scalar solver's roots and errors bit for bit; a zero weight marks an
+absent entry, as in every batch kernel.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -699,60 +700,56 @@ _SAFE = 2.0 ** 1000  # a total or value below this overflows nowhere
 
 
 def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
-                               x: np.ndarray, w: np.ndarray,
-                               sizes: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`homogeneous_deviation` of ``f`` on the first ``sizes[i]``
-    entries of every row of ``(rows, n)`` arrays (all ``n`` by default),
-    bit for bit and raising what the first failing row raises.
+                               x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`homogeneous_deviation` of ``f`` on the entries of nonzero
+    weight of every row of ``(rows, n)`` arrays, bit for bit and raising
+    what the first failing row raises.
 
     Rows are bisected in lockstep, a block of rows at a time, on the
     scalar solver's brackets, midpoints, shortcuts and stop rule.  The
     entries must be positive and each row's weights nonnegative with a
     positive sum; zero-weight entries are dropped, as in
-    :func:`kedlaya.means.evaluate`.  Bisection reads
-    only the sign of each total.  ``twin = (F, c)`` (see
-    :func:`shifted_power_rows`) gives it from a numpy row sum whenever that
+    :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
+    weights.  Bisection reads only the sign of each total.  ``twin = (F, c)``
+    (see :func:`shifted_power_rows`) gives it from a numpy row sum whenever that
     sum is farther from 0 than its error bound (Shewchuk's filtered
     predicates): ``(k + _SIGN_SLACK) * 2^-52`` of ``sum_i w_i (|F(t_i)| + c)``
-    over a row's ``k`` terms, which bounds each term before its own
-    cancellation, plus an underflow floor per term.  That covers the numpy
-    summation, off by at most ``(k - 1) * 2^-53`` of it in any order, and
-    twin values up to about 60 ulps of ``|f(t)| + c`` from the scalar ones.
+    over a row's ``k`` terms of nonzero weight, which bounds each term
+    before its own cancellation, plus an underflow floor per term.  That
+    covers the numpy summation, off by at most ``(k - 1) * 2^-53`` of it in
+    any order (an added zero rounds nothing), and twin values up to about
+    60 ulps of ``|f(t)| + c`` from the scalar ones.
     A row whose sum is closer, or whose terms could overflow somewhere,
     gets the scalar total instead, which keeps its exact value and its
     Python errors.
     """
     s = _orientation(f)
     rows, n = x.shape
-    if sizes is None:
-        sizes = np.full(rows, n)
     out = np.empty(rows)
     step = max(1, _BLOCK // n)
     with np.errstate(all="ignore"):  # values that are not finite go to the scalar total
         for start in range(0, rows, step):
             block = slice(start, start + step)
-            out[block] = _bisect_block(f, twin, s, x[block], w[block],
-                                       sizes[block, None])
+            out[block] = _bisect_block(f, twin, s, x[block], w[block])
     return out
 
 
-def _bisect_block(f, twin, s, x, w, sizes) -> np.ndarray:
+def _bisect_block(f, twin, s, x, w) -> np.ndarray:
     """:func:`homogeneous_deviation_rows` on one block of rows; every
     per-row array is a column."""
-    m = int(sizes.max())
-    x, w = x[:, :m], w[:, :m]
-    live = (np.arange(m) < sizes) & (w != 0.0)
+    m = np.flatnonzero(w.any(axis=0))[-1] + 1  # past the last column of nonzero weight
+    x, w = x[:, :m], np.ascontiguousarray(w[:, :m])  # read at every halving
+    live = w != 0.0
+    k = np.count_nonzero(live, axis=1)[:, None]  # each row's terms
     lo = np.where(live, x, np.inf).min(axis=1, keepdims=True)
     hi = np.where(live, x, -np.inf).max(axis=1, keepdims=True)
-    # Dead entries (past a row's size, or of weight 0) repeat its minimum with
-    # weight 0, so their terms are exactly 0 and their values finite wherever
-    # the row's are.
+    # Entries of weight 0 repeat the row's minimum, so their terms are exactly
+    # 0 and their values finite wherever the row's are.
     x = np.where(live, x, lo)
-    w = np.where(live, w, 0.0)
     F, c = twin
-    ulps = (sizes + _SIGN_SLACK) * _EPS
+    ulps = (k + _SIGN_SLACK) * _EPS
     # the bound is ulps * (sum_i w_i |F(t_i)| + c * sum_i w_i) + the floor
-    base = ulps * c * w.sum(axis=1, keepdims=True) + sizes * _TERM_FLOOR
+    base = ulps * c * w.sum(axis=1, keepdims=True) + k * _TERM_FLOOR
     # |F| <= size / w_i, so below this cap no value or partial sum overflows
     cap = _SAFE * np.minimum(1.0, np.where(live, w, np.inf).min(axis=1, keepdims=True))
     result = lo.copy()  # the constant rows' value

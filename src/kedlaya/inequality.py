@@ -415,6 +415,8 @@ def search_violation(mean: MeanHandle, w, budget: int = 100_000,
     wv = as_weight_vector(w, "W0")
     if is_in_V(wv):
         raise WeightsInV("weights are in V_n; the reversed inequality cannot fail")
+    if seed < 0:
+        raise NegativeSeed(f"seed must be >= 0, got {seed}")
     n = len(wv)
     spent = 0
 
@@ -433,8 +435,6 @@ def search_violation(mean: MeanHandle, w, budget: int = 100_000,
         found = attempt(x)
         if found:
             return found
-    if seed < 0:
-        raise NegativeSeed(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     while spent < budget:
         logs = rng.uniform(math.log(1e-3), math.log(1e3), size=n)

@@ -19,7 +19,8 @@ helpers return the numeric residual of each axiom on concrete inputs,
 through :func:`evaluate`; :func:`sample_axiom_residuals` (behind
 ``kedlaya axioms``) draws many such inputs and evaluates every side of
 every identity through :func:`evaluate_rows`, so its residuals measure
-the batch kernels, the ones the concavity sampler uses.
+the batch kernels, the ones the concavity sampler uses, on rows padded
+with zero weights.
 
 The built-in arithmetic, min and max families accumulate exactly (one
 rounding at the end), which makes the repetition-expansion bridge
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -508,22 +509,23 @@ def sample_axiom_residuals(mean: MeanHandle, trials: int, n_max: int,
     per_block = max(1, _AXIOM_BLOCK // (_SIDES * 2 * n_max))
     worst = dict.fromkeys(AXIOMS, 0.0)
     for start in range(0, trials, per_block):
-        groups = _draw_axiom_trials(rng, min(per_block, trials - start), n_max, window)
-        for (x, *_), sides in zip(groups, _axiom_sides(mean, groups)):
-            base, scaled, summed, shuffled, zeroed, eliminated, permuted = sides.T
-            residuals = (abs(base - scaled), abs(summed - shuffled),
-                         np.maximum(x.min(axis=1) - base, base - x.max(axis=1)),
-                         abs(zeroed - eliminated), abs(base - permuted))
-            for axiom, r in zip(AXIOMS, residuals):
-                worst[axiom] = max(worst[axiom], float(np.where(r > 0.0, r, 0.0).max()))
+        drawn = _draw_axiom_trials(rng, min(per_block, trials - start), n_max, window)
+        base, scaled, summed, shuffled, zeroed, eliminated, permuted = _axiom_sides(mean, *drawn)
+        x = drawn[0]  # its padding repeats an entry, so it moves no minimum or maximum
+        residuals = (abs(base - scaled), abs(summed - shuffled),
+                     np.maximum(x.min(axis=1) - base, base - x.max(axis=1)),
+                     abs(zeroed - eliminated), abs(base - permuted))
+        for axiom, r in zip(AXIOMS, residuals):
+            worst[axiom] = max(worst[axiom], float(np.where(r > 0.0, r, 0.0).max()))
     return worst
 
 
 def _draw_axiom_trials(rng: np.random.Generator, count: int, n_max: int,
-                       window: tuple) -> list:
-    """Draw ``count`` trials and group them by ``n``, in order of first
-    appearance: one ``(x, w, t, split, perm, j)`` of arrays per ``n``, with
-    a row (or an element) per trial of that ``n``, in draw order.
+                       window: tuple) -> tuple:
+    """Draw ``count`` trials as ``(x, w, t, split, perm, j)``, a row (or an
+    element) per trial in draw order.  Past a trial's own ``n``, its row of
+    the ``(count, n_max)`` arrays holds copies of its first entry with
+    weight and split 0, which its permutation leaves in place.
 
     Each trial takes ``integers(2, n_max + 1)``, one ``random(3n + 1)``,
     ``permutation(n)`` and ``integers(0, n)``.  That consumes the stream as
@@ -531,27 +533,29 @@ def _draw_axiom_trials(rng: np.random.Generator, count: int, n_max: int,
     weight splits do, since ``uniform(a, b)`` is ``a + (b - a) * random()``;
     ``window`` holds the log bounds of the entries.
     """
-    drawn: dict = {}
+    n, draws, perms, j = [], [], [], []
     for _ in range(count):
-        n = int(rng.integers(2, n_max + 1))
-        u = rng.random(3 * n + 1)
-        perm = rng.permutation(n)
-        j = int(rng.integers(0, n))
-        drawn.setdefault(n, []).append((u, perm, j))
+        n.append(k := int(rng.integers(2, n_max + 1)))
+        draws.append(rng.random(3 * k + 1))
+        perms.append(rng.permutation(k))
+        j.append(int(rng.integers(0, k)))
     (a, b), (c, d) = window, _WEIGHT_LOGS
-    groups = []
-    for n, trials in drawn.items():
-        u = np.array([trial[0] for trial in trials])
-        w = np.exp(c + (d - c) * u[:, n:2 * n])
-        groups.append((np.exp(a + (b - a) * u[:, :n]), w, 0.25 + 3.75 * u[:, 2 * n],
-                       w * u[:, 2 * n + 1:], np.array([trial[1] for trial in trials]),
-                       np.array([trial[2] for trial in trials])))
-    return groups
+    n, col = np.array(n)[:, None], np.arange(n_max)
+    live = col < n
+    u = np.zeros((count, 3 * n_max + 1))  # each trial's draws, left-aligned
+    u[np.arange(3 * n_max + 1) <= 3 * n] = np.concatenate(draws)
+    perm = np.tile(col, (count, 1))
+    perm[live] = np.concatenate(perms)
+    at = lambda first: np.take_along_axis(u, first + col, axis=1)  # u[i, first[i] + col]
+    x = np.exp(a + (b - a) * u[:, :n_max])
+    w = np.where(live, np.exp(c + (d - c) * at(n)), 0.0)
+    t = 0.25 + 3.75 * np.take_along_axis(u, 2 * n, axis=1)[:, 0]
+    return np.where(live, x, x[:, :1]), w, t, w * at(2 * n + 1), perm, np.array(j)
 
 
 def _side_rows(x, w, t, split, perm, j) -> tuple:
-    """The ``(entries, weights)`` of the seven sides of a group of trials, as
-    the ``check_*`` helpers build them."""
+    """The ``(entries, weights)`` of the seven sides of trials drawn by
+    :func:`_draw_axiom_trials`, as the ``check_*`` helpers build them."""
     k, n = x.shape
     rest = w - split
     keep = np.arange(n) != j[:, None]
@@ -565,32 +569,25 @@ def _side_rows(x, w, t, split, perm, j) -> tuple:
             (x[row, perm], w[row, perm]))
 
 
-def _axiom_sides(mean: MeanHandle, groups: list) -> list:
-    """The seven sides (columns, in :func:`_side_rows` order) of every trial,
-    one ``(trials, 7)`` array per group, from one :func:`evaluate_rows` call.
+def _axiom_sides(mean: MeanHandle, x, w, t, split, perm, j) -> np.ndarray:
+    """The seven sides of trials drawn by :func:`_draw_axiom_trials`, a row
+    each in :func:`_side_rows` order, from one :func:`evaluate_rows` call.
 
-    Shorter rows are padded with zero-weight copies of their first entry.
-    Every batch kernel gives such a row the value of the unpadded one: the
-    padding adds exact zeros to the row sums, and neither moves a row's
-    minimum or maximum nor is seen by the kernels that drop zero weights.
+    Past its own length each side row holds zero-weight copies of its own
+    first entry.  Every batch kernel gives such a row the value of the
+    unpadded one: the padding adds exact zeros to the row sums, and
+    neither moves a row's minimum or maximum nor is seen by the kernels
+    that drop zero weights.
     """
-    sides = [_side_rows(*group) for group in groups]
-    width = 2 * max(len(group[0][0]) for group in groups)
-    rows = _SIDES * sum(len(group[0]) for group in groups)
-    x = np.empty((rows, width), order="F")
-    w = np.zeros((rows, width), order="F")
-    r = 0
-    for xs, ws in chain.from_iterable(sides):
-        k, m = xs.shape
-        x[r:r + k, :m], x[r:r + k, m:], w[r:r + k, :m] = xs, xs[:, :1], ws
-        r += k
-    values = evaluate_rows(mean, x, w)
-    out, r = [], 0
-    for group in groups:
-        k = len(group[0])
-        out.append(values[r:r + _SIDES * k].reshape(_SIDES, k).T)
-        r += _SIDES * k
-    return out
+    k, n_max = x.shape
+    n = np.count_nonzero(w, axis=1)
+    ends = np.concatenate((n, n, n, 2 * n, n, n - 1, n))[:, None]  # the sides' lengths
+    xs = np.empty((_SIDES * k, 2 * n_max), order="F")
+    ws = np.zeros((_SIDES * k, 2 * n_max), order="F")
+    for r, (xi, wi) in zip(range(0, _SIDES * k, k), _side_rows(x, w, t, split, perm, j)):
+        xs[r:r + k, :xi.shape[1]], ws[r:r + k, :wi.shape[1]] = xi, wi
+    xs = np.where(np.arange(2 * n_max) < ends, xs, xs[:, :1])
+    return evaluate_rows(mean, xs, ws).reshape(_SIDES, k)
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +643,15 @@ _LOCKSTEP_MIN_ENTRIES = 144
 
 def _homogeneous_deviation_prefixes(f, twin, x, w, first: int) -> list:
     """Every prefix ``x[:k]``, ``k = first+1..n``, as one row of the lockstep
-    bisection, or one scalar solve each for a small scan."""
+    bisection (weight 0 past it), or one scalar solve each for a small scan."""
     n = len(x)
     rows = n - first
     if rows * n < _LOCKSTEP_MIN_ENTRIES:
         return [dev.homogeneous_deviation(f, x[:k], w[:k]) for k in range(first + 1, n + 1)]
+    prefix = np.arange(n) <= np.arange(first, n)[:, None]
     return dev.homogeneous_deviation_rows(
         f, twin, np.broadcast_to(np.asarray(x, dtype=float), (rows, n)),
-        np.broadcast_to(np.asarray(w, dtype=float), (rows, n)),
-        np.arange(first + 1, n + 1)).tolist()
+        np.where(prefix, np.asarray(w, dtype=float), 0.0)).tolist()
 
 
 def _homogeneous_deviation(f: str, p: float) -> MeanHandle:

@@ -165,6 +165,9 @@ def test_homogeneous_deviation_on_a_wide_range(capsys):
     (("axioms", "--mean", "power:0", "--n", "1", "--seed", "-1"), "--n must be >= 2, got 1"),
     (("refute", "--mean", "gini21", "--w", "1,1,1", "--seed", "-1"),
      "weights are in V_n; the reversed inequality cannot fail"),
+    # a witness found by the structured phase, before any draw, is no excuse
+    (("refute", "--mean", "gini21", "--w", "1,1,4", "--budget", "100", "--seed", "-1"),
+     "--seed must be >= 0, got -1"),
 ])
 def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
@@ -358,6 +361,7 @@ def test_golden_sweep_report_bytes(capsys, argv, _, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.kernel_parity
 @pytest.mark.parametrize("argv", [a for a, _, _ in GOLDEN_SWEEPS], ids=_GOLDEN_IDS)
 def test_golden_sweep_within_1e13_of_oracle(capsys, argv):
     """Same verdicts as the scalar oracle, every gap within 1e-13 |rhs|."""
@@ -475,6 +479,7 @@ AXIOM_GOLDEN = [
 ]
 
 
+@pytest.mark.kernel_parity
 class TestAxiomSamplerReport:
     @staticmethod
     def _digest(capsys, mean, extra):

@@ -91,6 +91,7 @@ BATCH_MEANS = [(name, mean_from_id(name), 3000) for name in (
 ]
 
 
+@pytest.mark.kernel_parity
 class TestBatchLayout:
     """Batch kernels get column-major rows.  Up to 7 entries per row numpy's
     row sums do not depend on the layout, so the verdict is the C-ordered
@@ -132,6 +133,7 @@ def _three_calls(mean, n, trials, seed, tol=1e-9):
     return concavity._sample(chunk_gaps, trials, tol)
 
 
+@pytest.mark.kernel_parity
 class TestChunkInOneCall:
     """Each chunk's midpoint, x and y rows go through one ``evaluate_rows``
     call; no row's value depends on the rows beside it, so the verdicts are

@@ -166,6 +166,7 @@ class TestGini:
         with pytest.raises(DomainViolation):
             gini(2, 1, (0.0, 1.0), (1, 1))
 
+    @pytest.mark.kernel_parity
     @pytest.mark.parametrize("p", NEGATIVE_EQUAL_PS)
     @pytest.mark.parametrize("x, w", WIDE_CASES)
     def test_equal_negative_parameters_scale_by_min(self, p, x, w):
@@ -335,11 +336,12 @@ class TestSolverCore:
 
 
 def _lockstep_prefixes(p, x, w):
-    """Every prefix of length 2..n through the lockstep kernel."""
+    """Every prefix of length 2..n through the lockstep kernel, as a row with
+    weight 0 past the prefix."""
     n = len(x)
     return homogeneous_deviation_rows(
         shifted_power(p), shifted_power_rows(p), np.broadcast_to(np.array(x), (n - 1, n)),
-        np.broadcast_to(np.array(w), (n - 1, n)), np.arange(2, n + 1)).tolist()
+        np.where(np.arange(n) <= np.arange(1, n)[:, None], np.array(w), 0.0)).tolist()
 
 
 def _outcome(fn):
@@ -349,6 +351,7 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+@pytest.mark.kernel_parity
 class TestLockstepBisection:
     """The lockstep kernel decides nearly every sign from numpy sums: the
     scalar total, counted here, runs only inside the error bound."""
@@ -394,6 +397,27 @@ class TestLockstepBisection:
         x = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 40)).tolist() + [1e-160]
         assert self._fallback_rate(scalar_totals, -2.0, x, [1.0] * 41) < 0.05
 
+    @pytest.mark.parametrize("p", [-2.0, 0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("last", [17, 24])
+    def test_zero_weights_drop_their_entries(self, p, last):
+        # one block of 24 columns whose rows have interior zero weights and end
+        # at columns of their own, the last at `last`; the dropped entries
+        # include 1e-200, whose term overflows at p = -2
+        rng = np.random.default_rng(last)
+        x = np.exp(rng.uniform(np.log(0.1), np.log(10.0), (60, 24)))
+        w = rng.uniform(0.1, 1.0, (60, 24))
+        ends = rng.integers(1, last + 1, (60, 1))
+        ends[0] = last
+        w[(rng.random((60, 24)) < 0.3) | (np.arange(24) >= ends)] = 0.0
+        w[:, 0] = w[0, last - 1] = 1.0
+        x[(w == 0.0) & (rng.random((60, 24)) < 0.2)] = 1e-200
+        f = shifted_power(p)
+        want = _outcome(lambda: [homogeneous_deviation(f, xi[wi != 0].tolist(),
+                                                       wi[wi != 0].tolist())
+                                 for xi, wi in zip(x, w)])
+        assert _outcome(lambda: homogeneous_deviation_rows(
+            f, shifted_power_rows(p), x, w).tolist()) == want
+
     def test_near_constant_entries_reach_the_scalar_total(self, scalar_totals):
         # totals this close to 0 are within the error bound: the parity tests
         # on such entries exercise the fallback
@@ -431,6 +455,7 @@ class TestCounterexampleMean:
         with pytest.raises(DomainViolation):
             gini21_counterexample((-1.0, 1.0), (1, 1))
 
+    @pytest.mark.kernel_parity
     @pytest.mark.parametrize("rows", [
         [[1e155, 1.0]],                    # an infinite second-moment term
         [[1.2e154, 1.3e154]],              # the second-moment sum overflows
@@ -448,6 +473,7 @@ class TestCounterexampleMean:
                 evaluate_rows(mean_from_id("gini21"), x, w)
         assert str(batch.value) == str(scalar.value)
 
+    @pytest.mark.kernel_parity
     def test_rows_near_the_float_range_stay_finite(self):
         x = np.array([[1e154, 1.0], [1.3e154, 1e-300], [0.0, 0.0]])
         w = np.array([[1.0, 1.0], [0.5, 2.0], [1.0, 1.0]])

@@ -240,6 +240,7 @@ class TestForwardAndReversedSweeps:
             assert r.verdict in (REVERSED, EQUALITY)
 
 
+@pytest.mark.kernel_parity
 class TestSweepVerdicts:
     """The batched check against the scalar oracle, one check_kedlaya per
     trial: no verdict differs, every gap is within 1e-13 |rhs|."""

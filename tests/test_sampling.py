@@ -50,6 +50,7 @@ class TestRationalVWeights:
         assert is_in_V(w)
 
 
+@pytest.mark.kernel_parity
 class TestSweepBlock:
     """The block sampler draws each trial's stream as the scalar sweep
     did and gets its values bit for bit."""
