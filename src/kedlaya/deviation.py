@@ -10,7 +10,9 @@ which lies between ``min(x)`` and ``max(x)`` and is found here by
 bisection: the deviation axioms guarantee continuity and monotonicity of
 the total but nothing smoother, so Newton-type steps are not justified.
 The bisection stops when the bracket width drops below
-``tol * (1 + |y|)`` (default ``tol = 1e-12``); its iteration cap comes
+``DEFAULT_TOL * (1 + |y|)`` (``DEFAULT_TOL = 1e-12``), a width fixed in
+one helper, :func:`_stop_width`, that the scalar and the lockstep
+bisection share; no solver takes a tolerance.  The iteration cap comes
 from the bracket (:func:`_max_halvings`), so wide brackets converge too.
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
@@ -45,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import Interval, POSITIVE, probe_points
+from .domain import Interval, NONNEGATIVE, POSITIVE, probe_points
 from .errors import (
     DomainViolation,
     FloatOverflow,
@@ -124,7 +126,13 @@ class GeneratorSpec:
 
     def __post_init__(self):
         pts = probe_points(self.domain, _VALIDATION_SAMPLES)
-        vals = [self.f(x) for x in pts]
+        vals = []
+        for x in pts:
+            try:
+                vals.append(self.f(x))
+            except OverflowError as exc:
+                raise GeneratorOverflow(
+                    f"{self.label}: generator overflows at probe point {x}") from exc
         increasing = all(b > a for a, b in zip(vals, vals[1:]))
         decreasing = all(b < a for a, b in zip(vals, vals[1:]))
         if not (increasing or decreasing):
@@ -167,9 +175,15 @@ def power_generator(p: float) -> GeneratorSpec:
 # The root finder
 # ---------------------------------------------------------------------------
 
-def _max_halvings(lo, hi, floor, tol):
+def _stop_width(y):
+    """The bracket width at which a bisection with midpoint ``y`` stops,
+    read from :data:`DEFAULT_TOL` at call time; scalars or arrays."""
+    return DEFAULT_TOL * (1.0 + abs(y))
+
+
+def _max_halvings(lo, hi, floor):
     """Halvings that take the width of ``[lo, hi]`` down to
-    ``tol * (1 + floor)``, plus :data:`_BISECT_SLACK`; ``floor`` is a lower
+    ``_stop_width(floor)``, plus :data:`_BISECT_SLACK`; ``floor`` is a lower
     bound of ``|y|`` on the bracket, so the stop rule has been met by then.
 
     Scalars or arrays: the count is read off binary exponents
@@ -177,39 +191,24 @@ def _max_halvings(lo, hi, floor, tol):
     overflow), so the scalar and the lockstep bisection get the same one.
     """
     _, e_half_width = np.frexp(0.5 * hi - 0.5 * lo)
-    _, e_target = np.frexp(tol * (1.0 + floor))
+    _, e_target = np.frexp(_stop_width(floor))
     return np.maximum(e_half_width - e_target + 2, 0) + _BISECT_SLACK
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float, tol: float,
-            g_lo: float, label: str) -> float:
-    """Root of ``g`` on ``[lo, hi]`` given ``g(lo) = g_lo`` with a sign
-    change across the bracket.  ``g_lo``'s sign steers the update."""
-    positive_at_lo = g_lo > 0
-    floor = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    cap = int(_max_halvings(lo, hi, floor, tol))
-    for _ in range(cap):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + abs(mid)):
-            return mid
-        v = g(mid)
-        if v == 0.0:
-            return mid
-        if (v > 0) == positive_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    raise MaxIterations(f"{label}: bisection did not converge in {cap} iterations")
-
-
-def _check_lengths(x, w):
+def _check_entries(x, w, domain: Interval, label: str) -> None:
+    """Raise unless ``x`` and ``w`` have the same, nonzero length and every
+    entry lies in ``domain``."""
     if len(x) != len(w):
         raise LengthMismatch(f"{len(x)} entries vs {len(w)} weights")
     if not x:
         raise LengthMismatch("empty input")
+    contains = domain.contains
+    for xi in x:
+        if not contains(xi):
+            raise DomainViolation(f"entry {xi} outside domain of {label}")
 
 
-def _solve(g: Callable[[float], float], x, tol: float, label: str) -> float:
+def _solve(g: Callable[[float], float], x, label: str) -> float:
     """Root of the total ``g``, decreasing in ``y``, on ``[min x, max x]``.
 
     A total that is not ``>= 0`` at the left endpoint and ``<= 0`` at the
@@ -227,10 +226,24 @@ def _solve(g: Callable[[float], float], x, tol: float, label: str) -> float:
         return float(lo)
     if g_hi == 0.0:
         return float(hi)
-    return _bisect(g, lo, hi, tol, g_lo, label)
+    positive_at_lo = g_lo > 0
+    floor = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    cap = int(_max_halvings(lo, hi, floor))
+    for _ in range(cap):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= _stop_width(mid):
+            return mid
+        v = g(mid)
+        if v == 0.0:
+            return mid
+        if (v > 0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    raise MaxIterations(f"{label}: bisection did not converge in {cap} iterations")
 
 
-def solve_deviation_mean(spec: DeviationSpec, x, w, tol: float = DEFAULT_TOL) -> float:
+def solve_deviation_mean(spec: DeviationSpec, x, w) -> float:
     """Root of ``sum_i w_i E(x_i, y) = 0`` over ``y in [min x, max x]``.
 
     Since each ``E(x_i, .)`` is strictly decreasing, the total is too, so
@@ -238,14 +251,9 @@ def solve_deviation_mean(spec: DeviationSpec, x, w, tol: float = DEFAULT_TOL) ->
     sign change means the spec is not a valid deviation
     (:class:`SolverFailure`).
     """
-    _check_lengths(x, w)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    for xi in x:
-        if not spec.domain.contains(xi):
-            raise DomainViolation(f"entry {xi} outside domain of {spec.label}")
+    _check_entries(x, w, spec.domain, spec.label)
     return _solve(lambda y: math.fsum(wi * spec.E(xi, y) for xi, wi in zip(x, w)),
-                  x, tol, spec.label)
+                  x, spec.label)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +489,7 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
 def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
     """``f_inverse`` of the weighted average of ``f(x_i)``
     (:attr:`GeneratorSpec.closed_form`)."""
-    _check_lengths(x, w)
-    for xi in x:
-        if not gen.domain.contains(xi):
-            raise DomainViolation(f"entry {xi} outside domain of {gen.label}")
+    _check_entries(x, w, gen.domain, gen.label)
     if min(x) == max(x):
         return float(x[0])
     form = gen.closed_form
@@ -577,10 +582,7 @@ def gini(p: float, q: float, x, w) -> float:
     log-moment ratio.  The branch is chosen by exact parameter equality
     (no smoothing); the function is symmetric in ``(p, q)``.
     """
-    _check_lengths(x, w)
-    for xi in x:
-        if not xi > 0:
-            raise DomainViolation(f"entry {xi} must be positive")
+    _check_entries(x, w, POSITIVE, "gini")
     if min(x) == max(x):
         return float(x[0])
     form = gini_form(p, q)
@@ -619,10 +621,7 @@ def gini21_counterexample(x, w) -> float:
     and midpoint-convex, which makes it the canonical counterexample for
     the prefix-mean inequality with inadmissible weights.
     """
-    _check_lengths(x, w)
-    for xi in x:
-        if xi < 0:
-            raise DomainViolation(f"entry {xi} must be nonnegative")
+    _check_entries(x, w, NONNEGATIVE, "gini21")
     try:
         (den, num), _ = _sums(GINI21_FORM, x, w)
     except OverflowError:
@@ -635,8 +634,16 @@ def gini21_counterexample(x, w) -> float:
 
 
 def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
-    """The total ``y -> s * sum_i w_i f(x_i / y)``, summed exactly."""
-    return lambda y: s * math.fsum(wi * f(xi / y) for xi, wi in zip(x, w))
+    """The total ``y -> s * sum_i w_i f(x_i / y)``, summed exactly; a value
+    of ``f`` or a sum beyond the float range raises :class:`FloatOverflow`."""
+    def total(y: float) -> float:
+        try:
+            return s * math.fsum(wi * f(xi / y) for xi, wi in zip(x, w))
+        except OverflowError as exc:
+            raise FloatOverflow(
+                f"{_HOMDEV}: the total at y={y} is beyond the float range") from exc
+
+    return total
 
 
 def _orientation(f: Callable[[float], float]) -> float:
@@ -648,8 +655,7 @@ def _orientation(f: Callable[[float], float]) -> float:
     return -1.0 if f(2.0) < 0 else 1.0
 
 
-def homogeneous_deviation(f: Callable[[float], float], x, w,
-                          tol: float = DEFAULT_TOL) -> float:
+def homogeneous_deviation(f: Callable[[float], float], x, w) -> float:
     """Root of ``sum_i w_i f(x_i / y) = 0`` on positive entries.
 
     ``f`` must vanish at 1 (checked to 1e-12); it may be increasing or
@@ -657,11 +663,8 @@ def homogeneous_deviation(f: Callable[[float], float], x, w,
     negated, which is exact, so that it decreases in ``y`` either way.
     """
     s = _orientation(f)
-    _check_lengths(x, w)
-    for xi in x:
-        if not xi > 0:
-            raise DomainViolation(f"entry {xi} must be positive")
-    return _solve(_homogeneous_total(f, s, x, w), x, tol, _HOMDEV)
+    _check_entries(x, w, POSITIVE, _HOMDEV)
+    return _solve(_homogeneous_total(f, s, x, w), x, _HOMDEV)
 
 
 def shifted_power(p: float) -> Callable[[float], float]:
@@ -720,8 +723,10 @@ def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
     any order (an added zero rounds nothing), and twin values up to about
     60 ulps of ``|f(t)| + c`` from the scalar ones.
     A row whose sum is closer, or whose terms could overflow somewhere,
-    gets the scalar total instead, which keeps its exact value and its
-    Python errors.
+    gets the scalar total instead, which keeps its exact value.  A row the
+    lockstep cannot finish (a scalar total that raises, no sign change, or
+    no halvings left) goes to :func:`homogeneous_deviation`, so every
+    error is the scalar solver's own.
     """
     s = _orientation(f)
     rows, n = x.shape
@@ -754,7 +759,7 @@ def _bisect_block(f, twin, s, x, w) -> np.ndarray:
     cap = _SAFE * np.minimum(1.0, np.where(live, w, np.inf).min(axis=1, keepdims=True))
     result = lo.copy()  # the constant rows' value
     active = lo != hi
-    errors = {}
+    failed = np.zeros_like(active)  # rows left to the scalar solver
 
     def scalar(i: int, y: float) -> float:
         row = live[i]
@@ -771,34 +776,29 @@ def _bisect_block(f, twin, s, x, w) -> np.ndarray:
         for i in (pending > certain).nonzero()[0]:  # pending and not certain
             try:
                 g[i] = scalar(i, float(y[i, 0]))
-            except (ArithmeticError, ValueError) as exc:
-                errors[i] = exc
+            except (ArithmeticError, ValueError):
+                failed[i] = True
                 active[i] = False
         return g
 
     g_lo = totals(lo, active)
     g_hi = totals(hi, active)
-    for i in (active & ((g_lo < 0) | (g_hi > 0))).nonzero()[0]:
-        a, b = float(lo[i, 0]), float(hi[i, 0])
-        errors[i] = SolverFailure(
-            f"{_HOMDEV}: no sign change on [{a}, {b}] "
-            f"(g(lo)={scalar(i, a)}, g(hi)={scalar(i, b)}); deviation is invalid")
-        active[i] = False
+    failed |= active & ((g_lo < 0) | (g_hi > 0))  # no sign change
+    active &= ~failed
     for g, end in ((g_lo, lo), (g_hi, hi)):
         root = active & (g == 0.0)
         np.copyto(result, end, where=root)
         active ^= root
     positive_at_lo = g_lo > 0
-    caps = _max_halvings(lo, hi, lo, DEFAULT_TOL)  # lo > 0 bounds |y| below
+    caps = _max_halvings(lo, hi, lo)  # lo > 0 bounds |y| below
     for it in count():
-        for i in (active & (caps <= it)).nonzero()[0]:
-            errors[i] = MaxIterations(f"{_HOMDEV}: bisection did not converge in "
-                                      f"{caps[i, 0]} iterations")
-            active[i] = False
+        spent = active & (caps <= it)  # out of halvings
+        failed |= spent
+        active ^= spent
         if not np.count_nonzero(active):
             break
         mid = 0.5 * (lo + hi)
-        converged = hi - lo <= DEFAULT_TOL * (1.0 + mid)  # mid > 0: |mid| is mid
+        converged = hi - lo <= _stop_width(mid)
         g = totals(mid, active > converged)  # active and not converged
         stop = active & (converged | (g == 0.0))
         np.copyto(result, mid, where=stop)
@@ -806,6 +806,7 @@ def _bisect_block(f, twin, s, x, w) -> np.ndarray:
         up = (g > 0) == positive_at_lo
         np.copyto(lo, mid, where=up)
         np.copyto(hi, mid, where=~up)
-    if errors:
-        raise errors[min(errors)]
+    for i in failed.nonzero()[0]:  # the scalar solver raises each row's own error
+        row = live[i]
+        result[i] = homogeneous_deviation(f, x[i, row].tolist(), w[i, row].tolist())
     return result[:, 0]

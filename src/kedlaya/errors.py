@@ -42,8 +42,8 @@ class Overflow(KedlayaError, ArithmeticError):
 
 
 class FloatOverflow(KedlayaError, OverflowError):
-    """An input value, a weight sum or a weighted entry sum is beyond the
-    float range."""
+    """An input value, a weight sum, a weighted entry sum or a deviation
+    total is beyond the float range."""
 
 
 # --- mean evaluation --------------------------------------------------------

@@ -42,6 +42,7 @@ from . import deviation as dev
 from .domain import Interval, NONNEGATIVE, POSITIVE, REALS, sampling_window
 from .errors import (
     DomainViolation,
+    FloatOverflow,
     IndexNotZeroWeighted,
     LengthMismatch,
     NegativeSeed,
@@ -49,7 +50,8 @@ from .errors import (
     Overflow,
     ZeroScale,
 )
-from .weights import WeightVector, make_weights, scale as scale_weights, shuffle
+from .weights import (WeightVector, make_weights, scalar_from_string,
+                      scale as scale_weights, shuffle)
 
 DEFAULT_EXPANSION_CAP = 10 ** 6
 
@@ -281,12 +283,7 @@ def evaluate(mean: MeanHandle, x: Sequence[float], w) -> float:
     constant entry vector short-circuits to the constant.
     """
     wf = _float_weights(w)
-    if len(x) != len(wf):
-        raise LengthMismatch(f"{len(x)} entries vs {len(wf)} weights")
-    dom = mean.domain
-    for xi in x:
-        if not dom.contains(xi):
-            raise DomainViolation(f"entry {xi} outside domain of {mean}")
+    dev._check_entries(x, wf, mean.domain, str(mean))
     if len(x) == 1:
         return float(x[0])
     if any(v == 0.0 for v in wf):
@@ -700,10 +697,10 @@ def mean_from_id(mean_id: str) -> MeanHandle:
         raise ValueError(f"unknown mean id {mean_id!r}")
     _, fields, build = _FAMILIES[family]
     try:
-        values = [v if name in _TEXT_FIELDS else float(Fraction(v))
+        values = [v if name in _TEXT_FIELDS else scalar_from_string(v, exact=False)
                   for name, v in zip(fields, parts[1:])]
         return build(*values)
-    except ValueError as exc:
+    except (ValueError, FloatOverflow, ZeroDivisionError) as exc:
         raise ValueError(f"bad parameter in mean id {mean_id!r}: {exc}") from exc
     except (KeyError, TypeError):  # unknown generator/deviation name, wrong arity
         raise ValueError(f"unknown mean id {mean_id!r}") from None

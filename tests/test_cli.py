@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -171,6 +172,34 @@ def test_homogeneous_deviation_on_a_wide_range(capsys):
 ])
 def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
+
+
+_QA_400 = re.escape("pow[400.0]: generator overflows at probe point 7.122858143036403")
+_HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the float range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # power terms beyond the float range: while the generator is validated
+    (("check", "--mean", "qa:pow:400", "--x", "50,90", "--w", "1,1"), _QA_400),
+    (("sweep", "--mean", "qa:pow:400", "--n", "3", "--trials", "5"), _QA_400),
+    (("concavity", "--mean", "qa:pow:400", "--trials", "10"), _QA_400),
+    # ... and inside a bisection, where the row fallback meets them
+    (("axioms", "--mean", "homdev:shifted-power:300", "--trials", "50", "--n", "5",
+      "--seed", "1"), _HOMDEV_300),
+    (("concavity", "--mean", "homdev:shifted-power:300", "--trials", "10"), _HOMDEV_300),
+    (("sweep", "--mean", "homdev:shifted-power:300", "--n", "3", "--trials", "5"), _HOMDEV_300),
+    # numbers in a mean id that are no float
+    *[(("check", "--mean", mean_id, "--x", "1,2", "--w", "1,1"),
+       re.escape(f"bad parameter in mean id {mean_id!r}: 1e400 is beyond the float range"))
+      for mean_id in ("power:1e400", "gini:1e400:0", "qa:pow:1e400",
+                      "homdev:shifted-power:1e400")],
+    (("check", "--mean", "power:1/0", "--x", "1,2", "--w", "1,1"),
+     re.escape("bad parameter in mean id 'power:1/0': Fraction(1, 0)")),
+])
+def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"error: {message}\n", err)
 
 
 @pytest.mark.parametrize("argv", [

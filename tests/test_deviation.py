@@ -83,13 +83,13 @@ class TestSolver:
         with pytest.raises(SolverFailure):
             solve_deviation_mean(spec, (2000.0, 3000.0), (1, 1))
 
-    def test_iteration_cap(self):
-        # a tolerance below float resolution can never be met (the root
+    def test_iteration_cap(self, monkeypatch):
+        # a stop width below float resolution can never be met (the root
         # sqrt(5) does not land on a float where the total evaluates to 0)
-        from kedlaya.errors import MaxIterations
+        monkeypatch.setattr(dev, "DEFAULT_TOL", 1e-300)
         spec = diff_spec(math.log, "log-diff")
         with pytest.raises(MaxIterations):
-            solve_deviation_mean(spec, (1, 5), (1, 1), tol=1e-300)
+            solve_deviation_mean(spec, (1, 5), (1, 1))
 
     def test_oracle_equivalence_random(self):
         # solver with E = f(x) - f(y) against the closed form, several f
@@ -165,6 +165,10 @@ class TestGini:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainViolation):
             gini(2, 1, (0.0, 1.0), (1, 1))
+
+    def test_rejects_infinite_entries(self):
+        with pytest.raises(DomainViolation, match="outside domain"):
+            gini(2, 1, (math.inf, 1.0), (1, 1))
 
     @pytest.mark.kernel_parity
     @pytest.mark.parametrize("p", NEGATIVE_EQUAL_PS)
@@ -302,6 +306,7 @@ class TestSolverCore:
         with pytest.raises(SolverFailure):
             homogeneous_deviation(lambda t: (t - 1.0) ** 2, (1.0, 3.0), (1.0, 1.0))
 
+    @pytest.mark.kernel_parity
     def test_wide_bracket_converges(self):
         # about 370 halvings take [1e-100, 1e100] to the stop width at the
         # root 1, the geometric mean; the cap follows the bracket
@@ -312,17 +317,19 @@ class TestSolverCore:
         assert homogeneous_deviation_rows(math.log, shifted_power_rows(0.0),
                                           np.array([x]), np.array([w]))[0] == y
 
+    @pytest.mark.kernel_parity
     def test_cap_is_one_count_for_both_solvers(self):
         rng = np.random.default_rng(11)
         lo = np.exp(rng.uniform(np.log(1e-300), np.log(1e150), 2000))
         hi = lo * np.exp(rng.uniform(1e-15, np.log(1e150), 2000))
-        caps = dev._max_halvings(lo, hi, lo, DEFAULT_TOL)
+        caps = dev._max_halvings(lo, hi, lo)
         for a, b, cap in zip(lo.tolist(), hi.tolist(), caps.tolist()):
-            assert int(dev._max_halvings(a, b, a, DEFAULT_TOL)) == cap
+            assert int(dev._max_halvings(a, b, a)) == cap
             # the halvings without the slack reach the stop width
             halvings = cap - dev._BISECT_SLACK
             assert (b - a) * 2.0 ** -halvings <= DEFAULT_TOL * (1.0 + a)
 
+    @pytest.mark.kernel_parity
     def test_rows_out_of_halvings_raise_the_scalar_error(self, monkeypatch):
         monkeypatch.setattr(dev, "_BISECT_SLACK", -10)
         rng = np.random.default_rng(2)
@@ -333,6 +340,21 @@ class TestSolverCore:
                                  for k in range(2, 7)])
         assert want[0] is MaxIterations
         assert _outcome(lambda: _lockstep_prefixes(0.5, x, w)) == want
+
+    @pytest.mark.kernel_parity
+    def test_both_solvers_read_the_stop_width_at_call_time(self, monkeypatch):
+        # a width below float resolution: every row but the constant one runs
+        # out of halvings, and both raise the cap of the first such row
+        monkeypatch.setattr(dev, "DEFAULT_TOL", 1e-300)
+        x = np.array([[2.0, 2.0], [1.0, 3.0], [1e-3, 1e3]])
+        w = np.ones_like(x)
+        f = shifted_power(0.5)
+        want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
+                                 for xi, wi in zip(x.tolist(), w.tolist())])
+        assert want == (MaxIterations,
+                        "homogeneous deviation: bisection did not converge in 1062 iterations")
+        assert _outcome(lambda: homogeneous_deviation_rows(
+            f, shifted_power_rows(0.5), x, w).tolist()) == want
 
 
 def _lockstep_prefixes(p, x, w):
@@ -418,6 +440,16 @@ class TestLockstepBisection:
         assert _outcome(lambda: homogeneous_deviation_rows(
             f, shifted_power_rows(p), x, w).tolist()) == want
 
+    def test_no_sign_change_raises_the_scalar_error(self):
+        # (t - 1)^2 is not monotone: the total of row 1 is positive at both ends
+        f = lambda t: (t - 1.0) ** 2
+        x = np.array([[2.0, 2.0], [1.0, 3.0], [2.0, 5.0]])
+        w = np.ones_like(x)
+        want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
+                                 for xi, wi in zip(x.tolist(), w.tolist())])
+        assert want[0] is SolverFailure
+        assert _outcome(lambda: homogeneous_deviation_rows(f, (f, 1.0), x, w).tolist()) == want
+
     def test_near_constant_entries_reach_the_scalar_total(self, scalar_totals):
         # totals this close to 0 are within the error bound: the parity tests
         # on such entries exercise the fallback
@@ -454,6 +486,10 @@ class TestCounterexampleMean:
     def test_rejects_negative(self):
         with pytest.raises(DomainViolation):
             gini21_counterexample((-1.0, 1.0), (1, 1))
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(DomainViolation, match="outside domain"):
+            gini21_counterexample((math.nan, 1.0), (1, 1))
 
     @pytest.mark.kernel_parity
     @pytest.mark.parametrize("rows", [
