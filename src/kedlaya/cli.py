@@ -32,7 +32,7 @@ SCHEMA = 1
 
 
 def _parse_floats(text: str) -> list:
-    return [float(scalar_from_string(s, exact=False)) for s in text.split(",")]
+    return [scalar_from_string(s, exact=False) for s in text.split(",")]
 
 
 def _parse_weights(text: str, exact: bool):
@@ -227,6 +227,7 @@ def _require(ok: bool, message: str) -> None:
 def _cmd_sweep(args) -> int:
     _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     _require(args.max_den >= 2, f"--max-den must be >= 2, got {args.max_den}")
+    _require(args.max_den <= 2 ** 53, f"--max-den must be <= 2**53, got {args.max_den}")
     mean = mn.mean_from_id(args.mean)
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")

@@ -36,7 +36,7 @@ from .errors import (
 from .deviation import prefix_fsums
 from .means import (MeanHandle, evaluate, evaluate_prefix_rows, evaluate_prefixes,
                     weighted_average)
-from .sampling import sweep_block
+from .sampling import sweep_blocks
 from .weights import WeightVector, as_weight_vector, is_in_V
 
 HOLDS = "holds"
@@ -278,11 +278,12 @@ def _gaps_and_verdicts(mean, x, w, m, tol, expect) -> tuple:
 def sweep_kedlaya(mean: MeanHandle, n: int, trials: int, seed: int = 0, max_den: int = 9,
                   tol: float = 1e-9, expect: Optional[str] = None) -> tuple:
     """Gaps and verdicts of ``trials`` random trials of the inequality, as two
-    lists: trial ``t`` checks :func:`~kedlaya.sampling.sweep_block`'s entries
-    and weights from ``default_rng([seed, t])`` (random ratio-nonincreasing
-    rational weights, ``max_den`` bounding the denominators of the ratios)
-    with :func:`check_kedlaya_rows`, a block of trials at a time.  A trial
-    whose weights are beyond the float range raises their
+    lists: trial ``t`` checks the entries and weights
+    :func:`~kedlaya.sampling.sweep_blocks` draws for it from stream block
+    ``t // STREAM_BLOCK`` of ``seed`` (random ratio-nonincreasing rational
+    weights, ``max_den`` bounding the denominators of the ratios) with
+    :func:`check_kedlaya_rows`, a block of trials at a time.  A trial whose
+    weights are beyond the float range raises their
     :class:`~kedlaya.errors.FloatOverflow` after the trials before it.
     """
     if n < 1:
@@ -291,8 +292,7 @@ def sweep_kedlaya(mean: MeanHandle, n: int, trials: int, seed: int = 0, max_den:
         raise NegativeSeed(f"seed must be >= 0, got {seed}")
     gaps, verdicts = [], []
     step = max(1, _SWEEP_BLOCK // n)
-    for start in range(0, trials, step):
-        x, w, error = sweep_block(seed, range(start, min(start + step, trials)), n, max_den)
+    for x, w, error in sweep_blocks(seed, range(trials), n, max_den, step):
         block_gaps, block_verdicts = check_kedlaya_rows(mean, x, w, tol, expect)
         gaps += block_gaps
         verdicts += block_verdicts

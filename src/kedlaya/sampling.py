@@ -1,7 +1,7 @@
 """Random instance generators for sweeps and randomized checks.
 
-All generators take a ``numpy.random.Generator`` so callers control
-determinism; sweep code seeds one generator per trial index.
+Generators take a ``numpy.random.Generator`` so callers control
+determinism; a sweep seeds one per block of ``STREAM_BLOCK`` trials.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .weights import (WeightVector, floats_in_range, is_in_V, make_weights,
 
 
 _ENTRY_LOGS = (np.log(0.1), np.log(10.0))  # entries_log_uniform's default bounds
+STREAM_BLOCK = 1024  # sweep trials per generator; reports depend on it
 
 
 def entries_log_uniform(rng: np.random.Generator, n: int,
@@ -32,81 +33,81 @@ def weights_positive(rng: np.random.Generator, n: int,
     return entries_log_uniform(rng, n, lo, hi)
 
 
-def _v_weight_ratios(rng: np.random.Generator, n: int, max_den: int) -> tuple:
-    """Draw random rational weights with nonincreasing ratio sequence, as
-    their exact numerators and denominators ``(nums, dens)``, unreduced.
-
-    Uses the ratio parametrization: draw the ratios ``r_k = w_k / cumsum_k``
-    directly (the first is always 1), sort them nonincreasing, and invert
-    via ``w_k = r_k * prod_{i<=k} 1/(1 - r_i)``.  The inversion runs on
-    integers: with ``r_i = a_i / d_i``, ``P_k = prod_{i<=k} d_i`` and
-    ``Q_k = prod_{i<=k} (d_i - a_i)``, ``w_k = a_k P_{k-1} / Q_k``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pairs = []  # (a_i, d_i) with 0 < a_i < d_i <= max_den, d_i drawn first
-    for _ in range(n - 1):
-        den = int(rng.integers(2, max_den + 1))
-        pairs.append((int(rng.integers(1, den)), den))
-    # Distinct fractions with denominators <= max_den differ by at least
-    # 1/max_den^2, so the floor of num/den * max_den^2 orders them exactly.
-    scale = max_den * max_den
-    pairs.sort(key=lambda p: p[0] * scale // p[1], reverse=True)
-    nums, dens = [1], [1]
-    P = Q = 1
-    for a, d in pairs:
-        Q *= d - a
-        nums.append(a * P)
-        dens.append(Q)
-        P *= d
+def _v_weight_rows(a: np.ndarray, d: np.ndarray, max_den: int) -> tuple:
+    """Exact ``(nums, dens)`` of the weights whose ratios ``w_k / cumsum_k``
+    are 1 and then the row's ``a / d`` (``0 < a < d <= max_den``) sorted
+    nonincreasing, exactly by a stable argsort of ``a max_den^2 // d``:
+    ``w_k = a_k P_{k-1} / Q_k``, ``P_k = prod d_i``, ``Q_k = prod (d_i - a_i)``.
+    On int64 while ``max_den ** max(n - 1, 3) <= 2**53``, so all are exact
+    doubles and ``nums / dens`` rounds once; on Python ints beyond.  Asserts
+    the ratio test of each row's integer weights over ``Q_{n-1}``."""
+    dtype = np.int64 if max_den ** max(a.shape[1], 3) <= 2 ** 53 else object
+    a, d = a.astype(dtype), d.astype(dtype)
+    order = np.argsort(-(a * (max_den * max_den) // d), axis=1, kind="stable")
+    a, d = np.take_along_axis(a, order, 1), np.take_along_axis(d, order, 1)
+    ones = np.ones((len(a), 1), dtype)
+    nums = np.concatenate([ones, a * np.cumprod(np.concatenate([ones, d[:, :-1]], 1), 1)], 1)
+    dens = np.cumprod(np.concatenate([ones, d - a], 1), 1)
+    assert all(map(ratios_nonincreasing, (nums * (dens[:, -1:] // dens)).tolist()))
     return nums, dens
 
 
 def rational_v_weights(rng: np.random.Generator, n: int,
                        max_den: int = 9) -> WeightVector:
-    """Random rational weights with nonincreasing ratio sequence
-    (:func:`_v_weight_ratios`), each one ``Fraction`` reduced once, equal to
-    the one exact rational arithmetic gives.  The result is in the
-    ratio-nonincreasing class by construction, which the closing assert
-    checks.
-    """
-    nums, dens = _v_weight_ratios(rng, n, max_den)
-    w = make_weights(list(map(Fraction, nums, dens)), "W0")
-    assert is_in_V(w)
-    return w
+    """Random ratio-nonincreasing weights (:func:`_v_weight_rows`) as reduced
+    Fractions; each ratio draws its denominator, then its numerator."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a, d = np.zeros((2, 1, n - 1), np.int64)
+    for k in range(n - 1):
+        d[0, k] = den = int(rng.integers(2, max_den + 1))
+        a[0, k] = rng.integers(1, den)
+    nums, dens = _v_weight_rows(a, d, max_den)
+    return make_weights(list(map(Fraction, nums[0].tolist(), dens[0].tolist())), "W0")
+
+
+def sweep_blocks(seed: int, trials: range, n: int, max_den: int, step: int):
+    """Entries, float weights and error of sweep trials ``trials`` as
+    ``(rows, n)`` arrays, ``step`` trials at a time.  Trial ``t`` is row
+    ``t % STREAM_BLOCK`` of ``default_rng([seed, t // STREAM_BLOCK]).random``'s
+    row-major draws, ``3n - 2`` a row: ``n - 1`` give ``d = 2 + floor(u
+    (max_den - 1))``, ``n - 1`` give ``a = 1 + floor(u (d - 1))`` (each off
+    uniform by at most ``max_den 2^-53`` relative), ``n`` give the entries
+    ``exp(log 0.1 + u (log 10 - log 0.1))``; weights are floats of
+    :func:`_v_weight_rows`.  The blocks stop before a trial whose weights
+    are beyond the float range, with ``floats_in_range``'s error."""
+    if not 2 <= max_den <= 2 ** 53:
+        raise ValueError(f"max_den must be in [2, 2**53], got {max_den}")
+    m, width, (lo, hi) = n - 1, 3 * n - 2, _ENTRY_LOGS
+    block = rng = None
+    for start in range(trials.start, trials.stop, step):
+        stop, parts = min(start + step, trials.stop), []
+        for b in range(start // STREAM_BLOCK, (stop - 1) // STREAM_BLOCK + 1):
+            first, last = max(start, b * STREAM_BLOCK), min(stop, (b + 1) * STREAM_BLOCK)
+            if b != block:  # one generator per block; a mid-block start skips rows
+                block, rng = b, np.random.default_rng([seed, b])
+                rng.bit_generator.advance((first - b * STREAM_BLOCK) * width)
+            parts.append(rng.random((last - first, width)))
+        u = np.concatenate(parts)
+        d = 2 + (u[:, :m] * (max_den - 1)).astype(np.int64)
+        nums, dens = _v_weight_rows(1 + (u[:, m:2 * m] * (d - 1)).astype(np.int64), d, max_den)
+        x = np.exp(lo + u[:, 2 * m:] * (hi - lo))
+        if nums.dtype != object:  # every weight and sum below 2**53
+            yield x, nums / dens, None
+            continue
+        w = np.empty(x.shape)
+        for row, (num, den) in enumerate(zip(nums.tolist(), dens.tolist())):
+            try:
+                w[row] = floats_in_range(map(truediv, num, den))
+            except FloatOverflow as exc:
+                yield x[:row], w[:row], exc
+                return
+        yield x, w, None
 
 
 def sweep_block(seed: int, trials: range, n: int, max_den: int = 9) -> tuple:
-    """Entries and float weights of sweep trials ``trials`` as ``(rows, n)``
-    arrays, and the error of the first trial whose weights do not fit the
-    float range, or None.
-
-    Trial ``t`` draws from its own ``default_rng([seed, t])`` stream what
-    :func:`rational_v_weights` and then :func:`entries_log_uniform` draw
-    from it, and gets their values: each weight is ``float`` of that
-    ``Fraction``, one int true division ``a_k P_{k-1} / Q_k`` (correctly
-    rounded, like ``float(Fraction)``), and the exponentials of all rows
-    are taken in one call.  The ratio test runs on the integer numerators
-    over the common denominator ``Q_{n-1}``.  The rows stop before a trial
-    whose weights, or their sum, are beyond the float range; the error is
-    the :class:`~kedlaya.errors.FloatOverflow` that ``as_floats`` raises
-    on that trial's weights (:func:`~kedlaya.weights.floats_in_range`).
-    """
-    x = np.empty((len(trials), n))
-    w = np.empty((len(trials), n))
-    error = None
-    for row, trial in enumerate(trials):
-        rng = np.random.default_rng([seed, trial])
-        nums, dens = _v_weight_ratios(rng, n, max_den)
-        assert ratios_nonincreasing([a * (dens[-1] // d) for a, d in zip(nums, dens)])
-        try:
-            w[row] = floats_in_range(map(truediv, nums, dens))
-        except FloatOverflow as exc:
-            x, w, error = x[:row], w[:row], exc
-            break
-        x[row] = rng.uniform(*_ENTRY_LOGS, size=n)
-    np.exp(x, out=x)
-    return x, w, error
+    """:func:`sweep_blocks` of a nonempty range of trials in one block."""
+    return next(sweep_blocks(seed, trials, n, max_den, len(trials)))
 
 
 def integer_nonincreasing_weights(rng: np.random.Generator, n: int,

@@ -222,8 +222,23 @@ def clear_denominators(w: WeightVector) -> WeightVector:
 
 
 def scalar_from_string(s: str, exact: bool = True) -> Scalar:
-    """Parse a decimal or ``p/q`` literal, exactly or as a float."""
+    """Parse a decimal or ``p/q`` literal, exactly or as a float.
+
+    A float is ``float(s)`` where that is finite and nonzero: both round
+    the literal once, so it equals ``float(Fraction(s))``.  Every other
+    literal takes the ``Fraction`` path, which gives ``-0`` as ``0.0``,
+    rejects ``inf`` and ``nan``, raises :class:`FloatOverflow` beyond the
+    float range and words the errors.
+    """
     s = s.strip()
+    if not exact:
+        try:
+            value = float(s)
+        except ValueError:
+            pass
+        else:
+            if value and math.isfinite(value):
+                return value
     value = Fraction(s)  # accepts "3", "0.25" and "1/2"
     if exact:
         return value

@@ -169,6 +169,12 @@ def test_homogeneous_deviation_on_a_wide_range(capsys):
     # a witness found by the structured phase, before any draw, is no excuse
     (("refute", "--mean", "gini21", "--w", "1,1,4", "--budget", "100", "--seed", "-1"),
      "--seed must be >= 0, got -1"),
+    # numpy would say "high is out of bounds for int64", and beyond 2**53
+    # the float map from uniforms to denominators is no longer exact
+    (("sweep", "--mean", "power:0", "--n", "4", "--max-den", str(2 ** 70)),
+     f"--max-den must be <= 2**53, got {2 ** 70}"),
+    (("sweep", "--mean", "power:0", "--n", "4", "--max-den", str(2 ** 53 + 1)),
+     f"--max-den must be <= 2**53, got {2 ** 53 + 1}"),
 ])
 def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
@@ -208,6 +214,7 @@ def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     ("concavity", "--mean", "power:0", "--trials", "1"),
     # one candidate, (0, 1, 1), which does not refute: exit 1 with no witness
     ("refute", "--mean", "gini21", "--w", "1,1,4", "--budget", "1"),
+    ("sweep", "--mean", "power:0", "--n", "4", "--max-den", str(2 ** 53), "--trials", "3"),
 ])
 def test_smallest_option_values_run(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
@@ -348,25 +355,27 @@ class TestSweep:
 # last-bit move of any gap or weight changes the bytes.  The gaps run
 # through libm and numpy's exp, so another platform may round differently.
 # The first digest is the scalar sweep oracle's (tests/sweep_oracle.py),
-# recorded when that loop was the command; the second is the command's,
-# whose power, Gini and gini21 gaps come from the (rows, n) prefix driver.
+# the loop the command once was, on the stream-block draws; the second is
+# the command's, whose power, Gini and gini21 gaps come from the (rows, n)
+# prefix driver.  Both were recorded when the draws moved to stream blocks,
+# with every verdict the oracle's and every gap within 1e-13 |rhs| of it.
 GOLDEN_SWEEPS = [
     (("--mean", "power:0", "--n", "8", "--trials", "90", "--expect", "holds"),
-     "32ca7e0dae73f2823fec500604ddaf6ef09bc9fb00a457eda1cdc8ada4f56be2",
-     "d860e0c1b8a447cebc6ea3077da31f192d651010a988eeaa3cf25af9125800c8"),
+     "6527c91b7894bebb581e171f36e452f78126dfebd4255807f72ab03c3785518b",
+     "081754e3816154945e5d90daf3cc4ae7e31d5f35ec7adb09e31951fec7c38172"),
     (("--mean", "gini:0.5:0", "--n", "8", "--trials", "100", "--expect", "holds"),
-     "927c2d0274bed06bb79e12ce52246def81e3cc4d00fea5c1e037e0891be5b515",
-     "0d059ceacb845ca5ba45bd630e229dec7a0b17cd70534a58d70f5ddc3cbf83fe"),
+     "67c8177320efd0b5cf2b86aa778730db03e6dcf86323aa493cff4ce65d29798f",
+     "d564e94b2b947fe0a82f4ecaaefd87e78b1fafe0fc634d58f3b16938afc032d6"),
     (("--mean", "qa:log", "--n", "8", "--trials", "100", "--expect", "holds"),
-     "31468c527f23dc1999100a5149756d236ad7edf6e630fb405c6789443d23dbaa",
-     "31468c527f23dc1999100a5149756d236ad7edf6e630fb405c6789443d23dbaa"),
+     "9487d01bd6a328a29d86e4af451adb6c10150c5a411b645234df32475ee3cb36",
+     "9487d01bd6a328a29d86e4af451adb6c10150c5a411b645234df32475ee3cb36"),
     (("--mean", "gini21", "--n", "8", "--trials", "110", "--expect", "reversed"),
-     "6a0ed3a22fed06ef2a9ee94595bfab07edd5782c6b26ddb94c47b2c6d56d9e42",
-     "02392c5d6f4417d6330d3c7208773f0fe376f82c406282f2e711daadc9b2f4ab"),
+     "fe43f2b4743c94fab51ecd3a2961f3d1743f5935e7d7b86b7e29ed744cbd2dc0",
+     "ef372e346815dc057002be6b39b7db81395708d57a846c62c038ddcba9525c04"),
     (("--mean", "power:0", "--n", "40", "--max-den", "60", "--trials", "50",
       "--expect", "holds"),
-     "0826353e1dd36dbcfeb3862256bcbfe457bf4c7d9a45f1ace4ec817fd3048c77",
-     "d85adaff189d46a4b0ec9857f7fca19842d9bed7256e037a4a3eefa0e1ff1b63"),
+     "c901f2ef680a116a53f3023a5a2f061014b589832dddfe38bb45879d11193b09",
+     "8ddd8ccb5405eb888f279abb2e021f9968256238deb4b14a63079ae1197d589a"),
 ]
 _GOLDEN_IDS = [" ".join(a[1:4:2]) for a, _, _ in GOLDEN_SWEEPS]
 

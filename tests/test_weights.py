@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kedlaya.errors import (
     AllZero,
@@ -13,6 +13,7 @@ from kedlaya.errors import (
     KedlayaError,
     NegativeWeight,
     NonfiniteWeight,
+    FloatOverflow,
     NonpositiveScale,
 )
 from kedlaya.weights import (
@@ -20,9 +21,42 @@ from kedlaya.weights import (
     is_in_V,
     make_weights,
     partial_sums,
+    scalar_from_string,
     scale,
     shuffle,
     weights_from_strings,
+)
+
+
+def _fraction_path(s: str):
+    """A float literal as every one was parsed before the float() fast path."""
+    s = s.strip()
+    value = Fraction(s)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FloatOverflow(f"{s} is beyond the float range") from None
+
+
+def _outcome(parse, s: str):
+    """The value's bits (sign included), or the exception's type and message."""
+    try:
+        value = parse(s)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return type(value), value.hex()
+
+
+_LITERALS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: f"{v:.6g}"),
+    st.fractions().map(str),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.integers(-10 ** 30, 10 ** 30).map(lambda k: f"{k}e{k % 700 - 350}"),
+    st.sampled_from(["-0", "+0.0", "0/5", "-0e9", "1e400", "-1e400", "1e-400", "-1e-400",
+                     "inf", "-Infinity", "nan", "1/0", "1_000.5", "1__0", " 2.5 ", "\u0661\u0662",
+                     "0x10", "1.5e", "5.", ".5", "", "+", "3/-4", "-3/4", " 1/3 "]),
+    st.text(alphabet="0123456789+-./eE_ xinfa", max_size=12),
 )
 
 
@@ -344,3 +378,9 @@ class TestParsing:
         w = weights_from_strings(["1/2", "0.25"], exact=False)
         assert w.mode == "float"
         assert list(w) == [0.5, 0.25]
+
+    @settings(max_examples=1500)
+    @given(_LITERALS)
+    def test_float_fast_path_parses_as_the_fraction_path(self, s):
+        assert _outcome(lambda t: scalar_from_string(t, exact=False), s) == \
+            _outcome(_fraction_path, s)
