@@ -40,38 +40,6 @@ def _parse_weights(text: str, exact: bool):
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _scalar(o) -> str:
-    """One JSON scalar, written as ``json.dumps`` writes it."""
-    if isinstance(o, str):
-        return _ESCAPE(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return _ESCAPE(k)
-    if k is None or isinstance(k, (int, float)):
-        return f'"{_scalar(k)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def _column(col: list):
@@ -81,24 +49,25 @@ def _column(col: list):
         return list(map(_ESCAPE, col))
     if kinds == {float} and all(map(math.isfinite, col)):
         return list(map(float.__repr__, col))
+    if kinds == {int}:
+        return list(map(int.__repr__, col))
     if any(issubclass(k, (list, tuple, dict)) for k in kinds):
         return None
-    return list(map(_scalar, col))
+    return list(map(json.dumps, col))
 
 
 def _records(items, depth: int):
     """The texts of a list of flat records written at ``depth``, or None.
 
-    Records are dicts with one key set whose values are scalars or flat
-    lists of scalars, one length per key.  Each column is encoded at once
-    and every record fills one ``%`` template built from the first.  A
-    single record is not worth a template and is written as any dict.
+    Records are dicts with one set of ``str`` keys whose values are
+    scalars or flat lists of scalars, one length per key.  Each column is
+    encoded at once and every record fills one ``%`` template.
     """
-    if len(items) < 2 or set(map(type, items)) != {dict}:
+    if set(map(type, items)) != {dict}:
         return None
     first = items[0]
     keys = first.keys()
-    if not all(map(keys.__eq__, map(dict.keys, items))):
+    if not all(map(keys.__eq__, map(dict.keys, items))) or set(map(type, keys)) - {str}:
         return None
     pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
     cols, slots = [], []
@@ -114,7 +83,7 @@ def _records(items, depth: int):
         else:
             cols.append(col)
             slot = "%s"
-        slots.append(_key(name).replace("%", "%%") + ": " + slot)
+        slots.append(_ESCAPE(name).replace("%", "%%") + ": " + slot)
     texts = [_column(col) for col in cols]
     if not texts or None in texts:
         return None
@@ -125,38 +94,35 @@ def _records(items, depth: int):
 def _write(o, depth: int, parts: list, open_ids: set) -> None:
     """Append the text of ``o`` at ``depth`` to ``parts``.  The caller joins
     them once: a joined string per level would copy the piece list again at
-    every level above it."""
-    if isinstance(o, (list, tuple)):
-        opening, closing = "[", "]"
-    elif isinstance(o, dict):
-        opening, closing = "{", "}"
-    else:
-        parts.append(_scalar(o))
-        return
-    if not o:
-        parts.append(opening + closing)
-        return
-    if id(o) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(o))
-    pad = "\n" + "  " * (depth + 1)
-    sep, comma = opening + pad, "," + pad
-    if opening == "{":
+    every level above it.
+
+    Only a dict with ``str`` keys is walked here, and only a list of
+    scalars or of flat records is templated column by column; ``json``
+    writes every other value, each raw newline of its text being a line
+    break (it escapes those inside strings).
+    """
+    if not isinstance(o, (list, tuple, dict)):
+        parts += _column([o])
+    elif isinstance(o, dict) and o and set(map(type, o)) == {str}:
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        sep, pad = "{", "\n" + "  " * (depth + 1)
         for k, v in sorted(o.items()):
-            parts.append(sep + _key(k) + ": ")
+            parts.append(sep + pad + _ESCAPE(k) + ": ")
             _write(v, depth + 1, parts, open_ids)
-            sep = comma
-    elif (texts := _records(o, depth + 1) or _column(o)) is not None:
+            sep = ","
+        open_ids.discard(id(o))
+        parts.append("\n" + "  " * depth + "}")
+    elif isinstance(o, dict) or not o or (texts := _records(o, depth + 1) or _column(o)) is None:
+        parts.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth))
+    else:
+        pad = "\n" + "  " * (depth + 1)
+        sep, comma = "[" + pad, "," + pad
         for text in texts:
             parts += (sep, text)
             sep = comma
-    else:
-        for v in o:
-            parts.append(sep)
-            _write(v, depth + 1, parts, open_ids)
-            sep = comma
-    open_ids.discard(id(o))
-    parts.append("\n" + "  " * depth + closing)
+        parts.append("\n" + "  " * depth + "]")
 
 
 def _dumps(report) -> str:
@@ -164,8 +130,10 @@ def _dumps(report) -> str:
     input, and the same exception type where that raises.
 
     With ``indent`` set, ``json`` runs its generator-based pure-Python
-    encoder; this writer appends strings to one list and encodes each
-    column of a list of flat records with one C-level ``map``.
+    encoder.  This writer appends strings to one list, walks the
+    ``str``-keyed dicts of a report itself, and encodes each column of a
+    list of scalars or flat records with one C-level ``map``; it hands
+    every other value to ``json.dumps``.
     """
     parts: list = []
     _write(report, 0, parts, set())
@@ -174,7 +142,9 @@ def _dumps(report) -> str:
 
 def _emit(report: dict, fmt: str, out: str | None, text_lines=None) -> None:
     """Write a report to ``out``, or to stdout.  A JSON report is exactly
-    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
+    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline; a text
+    report is the lines that the zero-argument ``text_lines`` returns, built
+    only for text output."""
     if fmt == "json":
         payload = _dumps(report) + "\n"
     elif fmt == "csv":
@@ -185,7 +155,7 @@ def _emit(report: dict, fmt: str, out: str | None, text_lines=None) -> None:
             writer.writerow([row["trial"], row["n"], repr(row["gap"]), row["verdict"]])
         payload = buf.getvalue()
     else:
-        payload = "\n".join(text_lines) + "\n"
+        payload = "\n".join(text_lines()) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(payload)
@@ -211,8 +181,8 @@ def _cmd_check(args) -> int:
     report = ineq.check_kedlaya(mean, x, w, tol=args.tol, expect=args.expect)
     doc = {"schema": SCHEMA, "command": "check", **report.to_dict()}
     _emit(doc, args.format, args.out,
-          text_lines=[_gap_line(report.lhs, report.rhs, report.gap, report.verdict),
-                      "step gaps: " + ", ".join(f"{g:+.3e}" for g in report.step_gaps)])
+          lambda: [_gap_line(report.lhs, report.rhs, report.gap, report.verdict),
+                   "step gaps: " + ", ".join(f"{g:+.3e}" for g in report.step_gaps)])
     return 1 if report.verdict == ineq.VIOLATED else 0
 
 
@@ -249,9 +219,9 @@ def _cmd_sweep(args) -> int:
         "summary": {"counts": counts, "min_gap": min_gap},
     }
     bad = counts.get(ineq.VIOLATED, 0)
-    lines = [f"sweep {str(mean)} n={args.n} trials={args.trials} seed={args.seed}",
-             f"verdicts: {counts}", f"min gap: {min_gap:.6e}"]
-    _emit(doc, args.format, args.out, text_lines=lines)
+    _emit(doc, args.format, args.out,
+          lambda: [f"sweep {str(mean)} n={args.n} trials={args.trials} seed={args.seed}",
+                   f"verdicts: {counts}", f"min gap: {min_gap:.6e}"])
     return 1 if bad else 0
 
 
@@ -265,16 +235,16 @@ def _cmd_refute(args) -> int:
         doc = {"schema": SCHEMA, "command": "refute", "mean": str(mean),
                "witness": None, "budget": args.budget}
         _emit(doc, args.format, args.out,
-              text_lines=[f"no violation found within budget {args.budget} "
-                          "(inconsistent with the necessity condition)"])
+              lambda: [f"no violation found within budget {args.budget} "
+                       "(inconsistent with the necessity condition)"])
         return 1
     doc = {"schema": SCHEMA, "command": "refute", "mean": str(mean),
            "witness": {"x": list(witness.x), **witness.report.to_dict()},
            "budget": args.budget}
     _emit(doc, args.format, args.out,
-          text_lines=[f"witness x = {list(witness.x)}",
-                      _gap_line(witness.report.lhs, witness.report.rhs,
-                                witness.report.gap, witness.report.verdict)])
+          lambda: [f"witness x = {list(witness.x)}",
+                   _gap_line(witness.report.lhs, witness.report.rhs,
+                             witness.report.gap, witness.report.verdict)])
     return 0
 
 
@@ -287,8 +257,8 @@ def _cmd_concavity(args) -> int:
     doc = {"schema": SCHEMA, "command": "concavity", "mean": str(mean),
            "n": args.n, "seed": args.seed, **verdict.to_dict()}
     _emit(doc, args.format, args.out,
-          text_lines=[f"{str(mean)} on {args.trials} trials: {verdict.verdict} "
-                      f"(worst violation {verdict.worst_violation:.3e})"])
+          lambda: [f"{str(mean)} on {args.trials} trials: {verdict.verdict} "
+                   f"(worst violation {verdict.worst_violation:.3e})"])
     return 0
 
 
@@ -300,14 +270,11 @@ def _cmd_axioms(args) -> int:
     doc = {"schema": SCHEMA, "command": "axioms", "mean": str(mean),
            "trials": args.trials, "seed": args.seed, "tol": args.tol,
            "worst_residuals": worst}
-    lines = [f"axiom residuals for {str(mean)} over {args.trials} trials:"]
-    ok = True
-    for axiom, r in worst.items():
-        mark = "ok" if r <= args.tol else "FAIL"
-        ok = ok and r <= args.tol
-        lines.append(f"  {axiom:18s} {r:.3e}  [{mark}]")
-    _emit(doc, args.format, args.out, text_lines=lines)
-    return 0 if ok else 1
+    _emit(doc, args.format, args.out,
+          lambda: [f"axiom residuals for {str(mean)} over {args.trials} trials:"]
+          + [f"  {axiom:18s} {r:.3e}  [{'ok' if r <= args.tol else 'FAIL'}]"
+             for axiom, r in worst.items()])
+    return 0 if all(r <= args.tol for r in worst.values()) else 1
 
 
 def _cmd_proof_fn(args) -> int:
@@ -343,8 +310,7 @@ def _cmd_proportional(args) -> int:
                for r in ps.rectangles],
            "verified": ok, "failures": failures}
     _emit(doc, args.format, args.out,
-          text_lines=[f"theta={theta} host rectangles={len(ps.rectangles)} "
-                      f"verify={ok}"])
+          lambda: [f"theta={theta} host rectangles={len(ps.rectangles)} verify={ok}"])
     return 0 if ok else 1
 
 
@@ -353,7 +319,6 @@ def _cmd_proportional(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
-    p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--json", dest="format", action="store_const", const="json",
                    help="shorthand for --format json")
@@ -426,6 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_proportional)
 
+    for name, p in sub.choices.items():  # every command but proportional reads --tol
+        if name != "proportional":
+            p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
     return parser
 
 

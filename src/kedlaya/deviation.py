@@ -40,6 +40,7 @@ declaration's error rule, and marks the rows the rule cannot vouch for.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, repeat
@@ -125,14 +126,21 @@ class GeneratorSpec:
     params: Optional[tuple] = None
 
     def __post_init__(self):
-        pts = probe_points(self.domain, _VALIDATION_SAMPLES)
-        vals = []
-        for x in pts:
+        # Only probe points with a finite value of normal size are checked:
+        # x ** p is out of range on most of the window for a large |p|.
+        pts, vals = [], []
+        for x in probe_points(self.domain, _VALIDATION_SAMPLES):
             try:
-                vals.append(self.f(x))
-            except OverflowError as exc:
-                raise GeneratorOverflow(
-                    f"{self.label}: generator overflows at probe point {x}") from exc
+                v = self.f(x)
+            except OverflowError:
+                continue
+            if not (abs(v) < sys.float_info.min or abs(v) == math.inf):
+                pts.append(x)
+                vals.append(v)
+        if len(vals) < 2:
+            raise GeneratorOverflow(
+                f"{self.label}: generator values are zero, subnormal or beyond the float "
+                f"range at all but {len(vals)} of {_VALIDATION_SAMPLES} probe points")
         increasing = all(b > a for a, b in zip(vals, vals[1:]))
         decreasing = all(b < a for a, b in zip(vals, vals[1:]))
         if not (increasing or decreasing):

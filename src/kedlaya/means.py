@@ -218,7 +218,10 @@ class MeanHandle:
 
     @classmethod
     def quasi_arithmetic(cls, gen: dev.GeneratorSpec) -> "MeanHandle":
-        return cls._closed_form("quasi-arithmetic", gen.domain, gen.params, f"qa:{gen.label}",
+        # a built-in generator is labelled by its id (qa:pow:2, qa:log)
+        label = gen.label if gen.params is None else ":".join(
+            v if isinstance(v, str) else _fmt(v) for v in gen.params)
+        return cls._closed_form("quasi-arithmetic", gen.domain, gen.params, f"qa:{label}",
                                 lambda x, w: dev.quasi_arithmetic(gen, x, w), gen.closed_form)
 
     @classmethod

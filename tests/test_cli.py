@@ -180,15 +180,15 @@ def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
 
 
-_QA_400 = re.escape("pow[400.0]: generator overflows at probe point 7.122858143036403")
+_QA_400 = re.escape("pow[400.0]: generator overflows at entry ")
 _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the float range"
 
 
 @pytest.mark.parametrize("argv, message", [
-    # power terms beyond the float range: while the generator is validated
-    (("check", "--mean", "qa:pow:400", "--x", "50,90", "--w", "1,1"), _QA_400),
-    (("sweep", "--mean", "qa:pow:400", "--n", "3", "--trials", "5"), _QA_400),
-    (("concavity", "--mean", "qa:pow:400", "--trials", "10"), _QA_400),
+    # power terms beyond the float range, at an entry
+    (("check", "--mean", "qa:pow:400", "--x", "50,90", "--w", "1,1"), _QA_400 + r"50\.0"),
+    (("sweep", "--mean", "qa:pow:400", "--n", "3", "--trials", "5"), _QA_400 + "[0-9.e+]+"),
+    (("concavity", "--mean", "qa:pow:400", "--trials", "10"), _QA_400 + "[0-9.e+]+"),
     # ... and inside a bisection, where the row fallback meets them
     (("axioms", "--mean", "homdev:shifted-power:300", "--trials", "50", "--n", "5",
       "--seed", "1"), _HOMDEV_300),
@@ -201,11 +201,29 @@ _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the fl
                       "homdev:shifted-power:1e400")],
     (("check", "--mean", "power:1/0", "--x", "1,2", "--w", "1,1"),
      re.escape("bad parameter in mean id 'power:1/0': Fraction(1, 0)")),
+    # a generator with fewer than two probe points of normal size, and one
+    # that is constant in floats
+    (("check", "--mean", "qa:pow:1e4", "--x", "1,2", "--w", "1,1"),
+     re.escape("pow[10000.0]: generator values are zero, subnormal or beyond the float "
+               "range at all but 0 of 32 probe points")),
+    (("check", "--mean", "qa:pow:1e-300", "--x", "1,2", "--w", "1,1"),
+     re.escape("bad parameter in mean id 'qa:pow:1e-300': pow[1e-300]: "
+               "generator is not strictly monotone")),
 ])
 def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert re.fullmatch(f"error: {message}\n", err)
+
+
+@pytest.mark.parametrize("p", ["160", "-160", "400"])
+def test_large_generator_powers_evaluate_in_range(capsys, p):
+    # x ** p overflows or underflows on most of the probe window, not on 1, 2
+    reports = [json.loads(run(capsys, "check", "--mean", mean_id, "--x", "1,2", "--w", "1,1",
+                              "--json")[1])
+               for mean_id in (f"qa:pow:{p}", f"power:{p}")]
+    assert reports[0]["inputs"]["mean"] == f"qa:pow:{p}"
+    assert (reports[0]["lhs"], reports[0]["rhs"]) == (reports[1]["lhs"], reports[1]["rhs"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,6 +275,14 @@ class TestParserCache:
             assert exc.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
         assert builds[0] == 1
+
+
+def test_proportional_takes_no_tol(capsys):
+    # proportional reads no tolerance, so it does not accept one
+    with pytest.raises(SystemExit) as info:
+        main(["proportional", "--theta", "1/2", "--host", "0,1,0,1", "--tol", "1e-9"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 class TestFormatChoices:
@@ -455,16 +481,18 @@ def test_golden_proof_report_bytes(capsys, tmp_path, argv, digest):
 
 
 class TestReportRoundTrip:
-    def test_check_report_reproduces_itself(self, capsys):
+    @staticmethod
+    def _round_trip(capsys, mean_id):
         # the inputs echo in a report is enough to rebuild and re-run it
         from kedlaya.inequality import check_kedlaya
         from kedlaya.means import mean_from_id
         from kedlaya.weights import weights_from_strings
 
-        code, out, _ = run(capsys, "check", "--mean", "gini:0.5:0",
+        code, out, _ = run(capsys, "check", "--mean", mean_id,
                            "--x", "1.5,4,2", "--w", "3,2,1", "--json")
         assert code == 0
         doc = json.loads(out)
+        assert doc["inputs"]["mean"] == mean_id
         mean = mean_from_id(doc["inputs"]["mean"])
         w = weights_from_strings(doc["inputs"]["w"], cls="W0", exact=False)
         again = check_kedlaya(mean, doc["inputs"]["x"], w,
@@ -473,6 +501,15 @@ class TestReportRoundTrip:
         assert again.rhs == doc["rhs"]
         assert again.verdict == doc["verdict"]
         assert list(again.step_gaps) == doc["step_gaps"]
+
+    def test_check_report_reproduces_itself(self, capsys):
+        self._round_trip(capsys, "gini:0.5:0")
+
+    @pytest.mark.parametrize("mean_id", [
+        "arithmetic", "min", "max", "power:0.5", "gini21", "qa:log", "qa:pow:2",
+        "homdev:shifted-power:0.5"])
+    def test_every_family_reproduces_itself(self, capsys, mean_id):
+        self._round_trip(capsys, mean_id)
 
 
 class TestConcavity:
@@ -497,15 +534,17 @@ class TestAxioms:
 
 # sha256 of `axioms --json` reports, recorded before the sampler ran on the
 # batch kernels; these kernels equal evaluate, so the bytes did not move.
+# The qa:pow:2 reports were re-recorded when the mean's label became its id:
+# their bytes are the old ones with "qa:pow[2.0]" replaced by "qa:pow:2".
 AXIOM_GOLDEN = [
     ("qa:log", ("--trials", "300", "--seed", "11"),
      "510adfd16ea2e61ec59d66b7ccfbe745fb17575b8800bba8da1e6df02689fa36"),
     ("qa:log", ("--trials", "200", "--seed", "3", "--n", "9"),
      "1ccbfcd2930c068680a650da5d50fa7fdf894b9c8ec192263cef3e9ee59ec7c8"),
     ("qa:pow:2", ("--trials", "300", "--seed", "11"),
-     "63c88d10bede81ef15837d5efe43910d5af229aaaf9a5a5eaa20c4d75127c746"),
+     "43352c01ca96d0e1ececdd12f8ebe459e8e87b3a26095e8187c7e06426ab99b8"),
     ("qa:pow:2", ("--trials", "200", "--seed", "3", "--n", "9"),
-     "412630785a9b718659cd62f6ee6be9342f470ef9d446c08269ac939eba942f24"),
+     "729c906ab2986fde68e2ed65f691a4a1be3ac465579f4f3b58e64943dc9ba724"),
     ("homdev:shifted-power:0.5", ("--trials", "300", "--seed", "11"),
      "fe637d576b8146b6395f02dbeecc102259e55a94695333a2621d9d6aa2a3f65a"),
     ("homdev:shifted-power:0.5", ("--trials", "200", "--seed", "3", "--n", "9"),
@@ -705,6 +744,24 @@ class TestJsonWriter:
     def test_bad_keys_raise_type_error(self, doc):
         assert _outcome(cli._dumps, doc) is TypeError
         assert _outcome(_reference, doc) is TypeError
+
+    @pytest.mark.parametrize("doc", [
+        [{"a": 1.0, "b": [1, 2], "c": "s"}],
+        {"k": [{"a": True, "b": []}]},
+        [1, True, 2],
+        [{"n": 1}, {"n": True}],
+        [1.0, math.nan, math.inf, -math.inf, -0.0],
+        [{"g": 1.5}, {"g": math.nan}],
+        {"outer": {1: [{"a": 1.0}, {"a": 2.0}], 2: "x"}},
+        {"a": [], "b": {}, "c": [[], {}], "d": (), "e": [{}], "f": {"g": []}},
+        {"x": {"y": [[1, 2], {"z": {3: "line\nbreak"}}]}},
+        [{1: "a", 2.5: [1]}, {1: "b", 2.5: [2]}],
+    ], ids=["one record", "one record below a dict", "int column with a bool",
+            "int record column with a bool", "float column with nan and inf",
+            "float record column with nan", "int-keyed dict holding records",
+            "empty containers", "nested lists below dicts", "records with an int key"])
+    def test_branches(self, doc):
+        assert cli._dumps(doc) == _reference(doc)
 
     def test_circular_reference(self):
         loop = [1]
