@@ -385,15 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(fn=_cmd_proof_fn)
 
+    for p in sub.choices.values():  # every command so far reads --tol
+        p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
+
     p = sub.add_parser("proportional", help="build and verify a proportional set")
     p.add_argument("--theta", required=True, help="rational in [0,1], e.g. 1/2")
     p.add_argument("--host", required=True, help="a,b,c,d for [a,b) x [c,d)")
     _add_common(p)
     p.set_defaults(fn=_cmd_proportional)
-
-    for name, p in sub.choices.items():  # every command but proportional reads --tol
-        if name != "proportional":
-            p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
     return parser
 
 

@@ -126,17 +126,19 @@ class GeneratorSpec:
     params: Optional[tuple] = None
 
     def __post_init__(self):
-        # Only probe points with a finite value of normal size are checked:
-        # x ** p is out of range on most of the window for a large |p|.
+        # A built-in generator is checked only at the probe points where its
+        # value is in the float range: x ** p raises outside it, which for a
+        # large |p| is most of the window.  A custom one is checked at all.
         pts, vals = [], []
         for x in probe_points(self.domain, _VALIDATION_SAMPLES):
             try:
-                v = self.f(x)
-            except OverflowError:
+                vals.append(self.f(x))
+            except OverflowError as exc:
+                if self.params is None:
+                    raise GeneratorOverflow(
+                        f"{self.label}: generator overflows at probe point {x}") from exc
                 continue
-            if not (abs(v) < sys.float_info.min or abs(v) == math.inf):
-                pts.append(x)
-                vals.append(v)
+            pts.append(x)
         if len(vals) < 2:
             raise GeneratorOverflow(
                 f"{self.label}: generator values are zero, subnormal or beyond the float "
@@ -165,16 +167,32 @@ def log_generator() -> GeneratorSpec:
 
 
 def power_generator(p: float) -> GeneratorSpec:
-    """Generator ``x^p`` on the positive reals; ``p = 0`` means ``log``."""
+    """Generator ``x^p`` on the positive reals; ``p = 0`` means ``log``.
+
+    ``x^p`` raises :class:`GeneratorOverflow`, naming ``x``, where it is
+    beyond the float range or below the normal floats: a zero or subnormal
+    power has lost its relative accuracy to underflow.
+    """
     if p == 0:
         return log_generator()
+    label = f"pow[{p}]"
+
+    def f(x):
+        try:
+            v = x ** p
+        except OverflowError as exc:
+            raise GeneratorOverflow(f"{label}: generator overflows at entry {x}") from exc
+        if v < sys.float_info.min:
+            raise GeneratorOverflow(f"{label}: generator underflows at entry {x}")
+        return v
+
     return GeneratorSpec(
-        lambda x: x ** p,
+        f,
         lambda y: y ** (1.0 / p),
         lambda x: p * x ** (p - 1.0),
         lambda x: p * (p - 1.0) * x ** (p - 2.0),
         POSITIVE,
-        f"pow[{p}]",
+        label,
         ("pow", float(p)),
     )
 
@@ -503,6 +521,8 @@ def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
     form = gen.closed_form
     try:
         sums, logs = _sums(form, x, w)
+    except GeneratorOverflow:  # a built-in generator names the entry itself
+        raise
     except OverflowError as exc:
         for xi in x:  # the first entry whose generator value overflows, if any
             try:

@@ -209,6 +209,11 @@ _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the fl
     (("check", "--mean", "qa:pow:1e-300", "--x", "1,2", "--w", "1,1"),
      re.escape("bad parameter in mean id 'qa:pow:1e-300': pow[1e-300]: "
                "generator is not strictly monotone")),
+    # generator values below the normal floats, at an entry
+    (("check", "--mean", "qa:pow:160", "--x", "0.001,0.002", "--w", "1,1"),
+     re.escape("pow[160.0]: generator underflows at entry 0.001")),
+    (("check", "--mean", "qa:pow:-160", "--x", "1000,2000", "--w", "1,1"),
+     re.escape("pow[-160.0]: generator underflows at entry 1000.0")),
 ])
 def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")

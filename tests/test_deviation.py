@@ -28,6 +28,7 @@ from kedlaya.domain import POSITIVE, REALS
 from kedlaya.errors import (
     DomainViolation,
     FloatOverflow,
+    GeneratorOverflow,
     InvalidDeviation,
     InvalidGenerator,
     MaxIterations,
@@ -127,6 +128,26 @@ class TestQuasiArithmetic:
     def test_bad_inverse_rejected(self):
         with pytest.raises(InvalidGenerator):
             GeneratorSpec(math.log, lambda y: y, domain=POSITIVE, label="broken")
+
+    @pytest.mark.parametrize("f", [lambda x: max(x - 1.0, 0.0), lambda x: 0.0],
+                             ids=["flat-below-1", "zero"])
+    def test_custom_generator_checked_at_every_probe_point(self, f):
+        # a zero value is kept: only a built-in generator skips probe points
+        with pytest.raises(InvalidGenerator, match="not strictly monotone"):
+            GeneratorSpec(f, lambda y: y + 1.0, label="flat")
+
+    def test_custom_generator_overflowing_at_a_probe_point(self):
+        with pytest.raises(GeneratorOverflow, match="pow200: generator overflows at probe point"):
+            GeneratorSpec(lambda x: x ** 200, lambda y: y ** (1 / 200), label="pow200")
+
+    @pytest.mark.parametrize("p, x", [(160.0, (0.001, 0.002)), (160.0, (1.0, 0.01)),
+                                      (-160.0, (1000.0, 2000.0)), (2.0, (2.0, 1e-160))])
+    def test_power_generator_underflow_raises_at_the_entry(self, p, x):
+        # 0.0 and subnormal powers: 0.001 ** 160 underflows to 0, 0.01 ** 160 is 1e-320
+        entry = next(xi for xi in x if xi ** p < sys.float_info.min)
+        with pytest.raises(GeneratorOverflow,
+                           match=f"^pow\\[{p}\\]: generator underflows at entry {entry}$"):
+            quasi_arithmetic(power_generator(p), x, (1, 1))
 
 
 NEGATIVE_EQUAL_PS = [-0.5, -1.0, -2.0, -7.0]

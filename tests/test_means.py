@@ -678,6 +678,16 @@ class TestQuasiArithmeticKernel:
         assert _raised(got) is GeneratorOverflow
         assert got == _outcome(lambda: evaluate_rows(replace(mean, _batch=None), x, w))
 
+    @pytest.mark.parametrize("mean_id, row", [("qa:pow:2", [1.0, 1e-200, 2.0]),
+                                              ("qa:pow:-1", [1.0, 1e308, 2.0])])
+    def test_underflowing_row_raises_the_fallback_error(self, mean_id, row):
+        mean = mean_from_id(mean_id)
+        x, w = self._rows(3)
+        x[200], w[200] = row, [1.0, 1.0, 1.0]
+        got = _outcome(lambda: evaluate_rows(mean, x, w))
+        assert _raised(got) is GeneratorOverflow and "generator underflows at entry" in got[1]
+        assert got == _outcome(lambda: evaluate_rows(replace(mean, _batch=None), x, w))
+
     @pytest.mark.parametrize("big, message", [
         ([1e30, 1e40, 1e35], "capped-log: inverse failed at 80.59"),  # the mean log
         ([1e50, 1e60, 1e55], "capped-log: inverse returned inf"),
@@ -980,6 +990,20 @@ class TestPrefixErrorParity:
         got = _outcome(lambda: evaluate_prefixes(CAPPED_LOG, x, w))
         assert _raised(got) is InverseOutOfRange and got[1].startswith(message)
         assert got == _outcome(lambda: evaluate_prefixes(replace(CAPPED_LOG, _prefix=None), x, w))
+
+    @pytest.mark.parametrize("mean_id, x", [
+        ("qa:pow:2", [1e-310, 2.0]),  # 0.0 at the first entry
+        ("qa:pow:2", [2.0, 3.0, 1e-160]),  # subnormal at the third
+        ("qa:pow:160", [1.0, 2.0, 0.01, 3.0]),
+        ("qa:pow:-160", [1.0, 1000.0]),
+    ])
+    def test_underflowing_generator(self, mean_id, x):
+        # no prefix mean is taken from a generator value that underflowed
+        mean, w = mean_from_id(mean_id), [1.0] * len(x)
+        for run in (evaluate_prefixes, kedlaya_sides):
+            got = _outcome(lambda: run(mean, x, w))
+            assert _raised(got) is GeneratorOverflow and "generator underflows at entry" in got[1]
+            assert got == _outcome(lambda: run(replace(mean, _prefix=None), x, w))
 
     def test_constant_prefix_never_reaches_the_kernel(self):
         # the per-prefix path short-circuits constant prefixes, so no overflow
