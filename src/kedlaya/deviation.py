@@ -112,9 +112,9 @@ class DeviationSpec:
 class GeneratorSpec:
     """A strictly monotone generator with inverse and optional derivatives.
 
-    ``params`` holds the wire values of a built-in generator, ``("log",)``
-    or ``("pow", p)``; it is None for a custom generator, which has no
-    wire format.
+    ``params`` holds the wire values of a built-in generator, labelled by
+    its mean's id (``qa:log``, ``qa:pow:2``); it is None for a custom
+    generator, which has no wire format.
     """
 
     f: Callable[[float], float]
@@ -161,9 +161,13 @@ class GeneratorSpec:
                           lambda total, weight, _, m: f_inverse(total / weight))
 
 
+def _fmt(v: float) -> str:
+    return str(int(v)) if float(v).is_integer() else str(v)
+
+
 def log_generator() -> GeneratorSpec:
     return GeneratorSpec(math.log, math.exp, lambda x: 1.0 / x,
-                         lambda x: -1.0 / (x * x), POSITIVE, "log", ("log",))
+                         lambda x: -1.0 / (x * x), POSITIVE, "qa:log", ("log",))
 
 
 def power_generator(p: float) -> GeneratorSpec:
@@ -175,7 +179,7 @@ def power_generator(p: float) -> GeneratorSpec:
     """
     if p == 0:
         return log_generator()
-    label = f"pow[{p}]"
+    label = f"qa:pow:{_fmt(p)}"  # the mean's id
 
     def f(x):
         try:

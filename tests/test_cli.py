@@ -63,12 +63,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--mean", "qa:pow:2",
                            "--x", x, "--w", "1,1")
         assert code == 2
-        assert err.startswith("error: pow[2.0]:") and entry in err
+        assert err.startswith("error: qa:pow:2:") and entry in err
 
     def test_generator_overflow_same_line_as_per_prefix_path(self, capsys, monkeypatch):
         argv = ("check", "--mean", "qa:pow:2", "--x", "1e200,2", "--w", "1,1")
         code, _, err = run(capsys, *argv)
-        assert (code, err) == (2, "error: pow[2.0]: generator overflows at entry 1e+200\n")
+        assert (code, err) == (2, "error: qa:pow:2: generator overflows at entry 1e+200\n")
         resolve = cli.mn.mean_from_id
         monkeypatch.setattr(cli.mn, "mean_from_id",
                             lambda mean_id: replace(resolve(mean_id), _prefix=None))
@@ -180,7 +180,7 @@ def test_option_out_of_range_exits_two(capsys, argv, message):
     assert run(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
 
 
-_QA_400 = re.escape("pow[400.0]: generator overflows at entry ")
+_QA_400 = re.escape("qa:pow:400: generator overflows at entry ")
 _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the float range"
 
 
@@ -204,16 +204,16 @@ _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the fl
     # a generator with fewer than two probe points of normal size, and one
     # that is constant in floats
     (("check", "--mean", "qa:pow:1e4", "--x", "1,2", "--w", "1,1"),
-     re.escape("pow[10000.0]: generator values are zero, subnormal or beyond the float "
-               "range at all but 0 of 32 probe points")),
+     re.escape("bad parameter in mean id 'qa:pow:1e4': qa:pow:10000: generator values are "
+               "zero, subnormal or beyond the float range at all but 0 of 32 probe points")),
     (("check", "--mean", "qa:pow:1e-300", "--x", "1,2", "--w", "1,1"),
-     re.escape("bad parameter in mean id 'qa:pow:1e-300': pow[1e-300]: "
+     re.escape("bad parameter in mean id 'qa:pow:1e-300': qa:pow:1e-300: "
                "generator is not strictly monotone")),
     # generator values below the normal floats, at an entry
     (("check", "--mean", "qa:pow:160", "--x", "0.001,0.002", "--w", "1,1"),
-     re.escape("pow[160.0]: generator underflows at entry 0.001")),
+     re.escape("qa:pow:160: generator underflows at entry 0.001")),
     (("check", "--mean", "qa:pow:-160", "--x", "1000,2000", "--w", "1,1"),
-     re.escape("pow[-160.0]: generator underflows at entry 1000.0")),
+     re.escape("qa:pow:-160: generator underflows at entry 1000.0")),
 ])
 def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")
@@ -537,17 +537,19 @@ class TestAxioms:
         assert all(v <= 1e-9 for v in doc["worst_residuals"].values())
 
 
-# sha256 of `axioms --json` reports, recorded before the sampler ran on the
-# batch kernels; these kernels equal evaluate, so the bytes did not move.
-# The qa:pow:2 reports were re-recorded when the mean's label became its id:
-# their bytes are the old ones with "qa:pow[2.0]" replaced by "qa:pow:2".
+# sha256 of `axioms --json` reports.  The homdev reports have every residual
+# 0 and were recorded before the sampler ran on the batch kernels.  The qa
+# reports were re-recorded when trial i became row i of one
+# random((trials, 4 n + 3)) stream, after the draws matched the row-by-row
+# oracle of tests/test_means.py bit for bit; the qa:pow:2 --n 9 report kept
+# its bytes, its worst residuals being the old ones.
 AXIOM_GOLDEN = [
     ("qa:log", ("--trials", "300", "--seed", "11"),
-     "510adfd16ea2e61ec59d66b7ccfbe745fb17575b8800bba8da1e6df02689fa36"),
+     "a8416de14a8e9a2fb4b85783059ce50e590ae1214c7c3352da960b9f052c987e"),
     ("qa:log", ("--trials", "200", "--seed", "3", "--n", "9"),
-     "1ccbfcd2930c068680a650da5d50fa7fdf894b9c8ec192263cef3e9ee59ec7c8"),
+     "49b784ea269aaea9afad05ce87a7c30baedcfe4681ee7cc49c7155a3f5188204"),
     ("qa:pow:2", ("--trials", "300", "--seed", "11"),
-     "43352c01ca96d0e1ececdd12f8ebe459e8e87b3a26095e8187c7e06426ab99b8"),
+     "98a1a42f88880781b4b8558016eb0c86cf7cea6df2da5eaa6d81350a3adbc259"),
     ("qa:pow:2", ("--trials", "200", "--seed", "3", "--n", "9"),
      "729c906ab2986fde68e2ed65f691a4a1be3ac465579f4f3b58e64943dc9ba724"),
     ("homdev:shifted-power:0.5", ("--trials", "300", "--seed", "11"),

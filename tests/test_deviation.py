@@ -97,7 +97,7 @@ class TestSolver:
         rng = np.random.default_rng(5)
         gens = [log_generator(), power_generator(2.0), power_generator(0.5),
                 power_generator(-1.0)]
-        specs = [diff_spec(g.f, g.label, increasing=(g.label != "pow[-1.0]"))
+        specs = [diff_spec(g.f, g.label, increasing=(g.label != "qa:pow:-1"))
                  for g in gens]
         for _ in range(300):
             n = int(rng.integers(2, 9))
@@ -146,7 +146,7 @@ class TestQuasiArithmetic:
         # 0.0 and subnormal powers: 0.001 ** 160 underflows to 0, 0.01 ** 160 is 1e-320
         entry = next(xi for xi in x if xi ** p < sys.float_info.min)
         with pytest.raises(GeneratorOverflow,
-                           match=f"^pow\\[{p}\\]: generator underflows at entry {entry}$"):
+                           match=f"^qa:pow:{p:g}: generator underflows at entry {entry}$"):
             quasi_arithmetic(power_generator(p), x, (1, 1))
 
 

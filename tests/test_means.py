@@ -7,6 +7,7 @@ import tracemalloc
 import zlib
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ from kedlaya.means import (
     weighted_average,
     weighted_from_repetition_invariant,
 )
-from kedlaya.sampling import entries_log_uniform, sweep_block, weights_positive
+from kedlaya.sampling import sweep_block
 from kedlaya.weights import make_weights, shuffle
 
 ARITH = MeanHandle.arithmetic()
@@ -270,19 +271,23 @@ class TestAxiomResidualsRandomized:
             assert _within_mean_value(mean, x, w)
 
 
-def _axiom_draws_per_call(rng, trials, n_max, lo, hi):
-    """The sampled axiom inputs, one generator call per value: the draws
-    ``sample_axiom_residuals`` must reproduce, trial by trial."""
+def _axiom_draws_by_row(seed, trials, n_max, lo, hi):
+    """The sampled axiom inputs, one value at a time: trial ``i`` maps row
+    ``i`` of ``default_rng(seed).random((trials, 4 n_max + 3))`` as
+    ``sample_axiom_residuals`` must, field by field, with its ``math.exp``."""
+    a, b = float(np.log(lo)), float(np.log(hi))
+    c, d = float(np.log(0.1)), float(np.log(10.0))  # the weights' log bounds
     out = []
-    for _ in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        x = entries_log_uniform(rng, n, lo, hi)
-        w = weights_positive(rng, n)
-        t = float(rng.uniform(0.25, 4.0))
-        split = [float(rng.uniform(0, wi)) for wi in w]
-        perm = list(rng.permutation(n))
-        j = int(rng.integers(0, n))
-        out.append((x, w, t, split, perm, j))
+    for row in np.random.default_rng(seed).random((trials, 4 * n_max + 3)).tolist():
+        n = 2 + int(row[0] * (n_max - 1))
+        t = 0.25 + 3.75 * row[1]
+        j = int(row[2] * n)
+        ux, uw, us, keys = (row[3 + k * n_max:3 + k * n_max + n] for k in range(4))
+        x = [math.exp(a + (b - a) * u) for u in ux]
+        w = [math.exp(c + (d - c) * u) for u in uw]
+        split = [wi * u for wi, u in zip(w, us)]
+        perm = sorted(range(n), key=keys.__getitem__)
+        out.append([x, w, t, split, perm, j])
     return out
 
 
@@ -318,7 +323,7 @@ EXACT_BATCH = ("min", "max", "qa:", "homdev:")  # kernels equal to evaluate
 
 @pytest.mark.kernel_parity
 class TestAxiomSampler:
-    """``sample_axiom_residuals`` draws what per-value generator calls draw
+    """``sample_axiom_residuals`` draws what :func:`_axiom_draws_by_row` maps
     and evaluates every side through the batch kernels, to within 1e-13 of
     :func:`evaluate` (bit for bit where the kernel is exact)."""
 
@@ -328,20 +333,33 @@ class TestAxiomSampler:
         return max(lo, 1e-2), min(hi, 1e2)
 
     @classmethod
-    def _draw(cls, mean, seed, trials, n_max):
+    def _draw(cls, mean, seed, trials, n_max, block=None):
+        """The trials of one stream, drawn ``block`` (default all) at a time."""
         lo, hi = cls._window(mean)
-        return means._draw_axiom_trials(np.random.default_rng(seed), trials, n_max,
-                                        (np.log(lo), np.log(hi)))
+        rng, block = np.random.default_rng(seed), block or trials
+        blocks = [means._draw_axiom_trials(rng, min(block, trials - start), n_max,
+                                           (np.log(lo), np.log(hi)))
+                  for start in range(0, trials, block)]
+        return tuple(np.concatenate(field) for field in zip(*blocks))
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 40),
+    @given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 300),
            n_max=st.integers(2, 12), mean_id=st.sampled_from(SAMPLED_MEANS))
-    def test_draws_equal_per_call_draws(self, seed, trials, n_max, mean_id):
+    def test_draws_equal_row_by_row_draws(self, seed, trials, n_max, mean_id):
+        # drawn a trial, 117 trials (a block at n_max = 5) or all at a time
         mean = mean_from_id(mean_id)
-        lo, hi = self._window(mean)
-        want = _axiom_draws_per_call(np.random.default_rng(seed), trials, n_max, lo, hi)
-        got = [list(trial) for trial in _per_trial(self._draw(mean, seed, trials, n_max))]
-        assert got == [[list(v) if isinstance(v, tuple) else v for v in trial] for trial in want]
+        want = _axiom_draws_by_row(seed, trials, n_max, *self._window(mean))
+        for block in (1, 117, None):
+            drawn = self._draw(mean, seed, trials, n_max, block)
+            assert [list(trial) for trial in _per_trial(drawn)] == want
+
+    def test_maps_cover_their_ranges(self):
+        x, w, t, split, perm, j = self._draw(mean_from_id("power:0.5"), 5, 2000, 3)
+        n = np.count_nonzero(w, axis=1)
+        assert set(n.tolist()) == {2, 3}
+        assert set(zip(n.tolist(), j.tolist())) == {(k, i) for k in (2, 3) for i in range(k)}
+        assert {tuple(p) for p in perm[n == 3].tolist()} == set(permutations(range(3)))
+        assert 0.25 <= t.min() and t.max() < 4.0
 
     @pytest.mark.parametrize("n_max", [2, 3, 9])
     def test_padding_is_the_first_entry_with_weight_zero(self, n_max):
@@ -391,8 +409,7 @@ class TestAxiomSampler:
         mean = mean_from_id(mean_id)
         lo, hi = self._window(mean)
         worst = dict.fromkeys(means.AXIOMS, 0.0)
-        for x, w, t, split, perm, j in _axiom_draws_per_call(
-                np.random.default_rng(3), 120, 5, lo, hi):
+        for x, w, t, split, perm, j in _axiom_draws_by_row(3, 120, 5, lo, hi):
             rest = [wi - s for wi, s in zip(w, split)]
             wz = list(w)
             wz[j] = 0.0
