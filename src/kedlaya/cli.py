@@ -18,7 +18,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from operator import itemgetter
 
 from . import concavity as conc
@@ -293,8 +292,8 @@ def _cmd_proof_fn(args) -> int:
 
 
 def _cmd_proportional(args) -> int:
-    theta = Fraction(args.theta)
-    vals = [Fraction(s) for s in args.host.split(",")]
+    theta = scalar_from_string(args.theta)
+    vals = [scalar_from_string(s) for s in args.host.split(",")]
     if len(vals) != 4:
         raise KedlayaError("--host needs four comma-separated rationals a,b,c,d")
     host = stepfn.rect(vals[0], vals[1], vals[2], vals[3])

@@ -46,6 +46,10 @@ class FloatOverflow(KedlayaError, OverflowError):
     total is beyond the float range."""
 
 
+class ZeroDenominator(KedlayaError, ZeroDivisionError):
+    """A ``p/q`` literal has ``q = 0``."""
+
+
 # --- mean evaluation --------------------------------------------------------
 
 class DomainViolation(KedlayaError, ValueError):

@@ -47,6 +47,7 @@ from .errors import (
     NegativeSeed,
     NonpositiveScale,
     Overflow,
+    ZeroDenominator,
     ZeroScale,
 )
 from .weights import (WeightVector, make_weights, scalar_from_string,
@@ -696,6 +697,8 @@ def mean_from_id(mean_id: str) -> MeanHandle:
         values = [v if name in _TEXT_FIELDS else scalar_from_string(v, exact=False)
                   for name, v in zip(fields, parts[1:])]
         return build(*values)
+    except ZeroDenominator as exc:  # the id names the literal: keep Fraction's words
+        raise ValueError(f"bad parameter in mean id {mean_id!r}: {exc.__cause__}") from exc
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"bad parameter in mean id {mean_id!r}: {exc}") from exc
     except (KeyError, TypeError):  # unknown generator/deviation name, wrong arity

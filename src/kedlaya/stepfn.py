@@ -1,9 +1,10 @@
 """Exact-rational intervals, rectangles, and piecewise-constant functions.
 
-Geometry here is exact: interval endpoints are ``fractions.Fraction``
-values, scaled once to integers over common denominators; tilings are
-checked by area and corner parity and slice measures read off integer
-sweep lines over the piece endpoints, with no dense grid.  Only the *values*
+Geometry here is exact, in integers over one scale per axis: constructions
+hand over the integer coordinates they know, and ``_scale_to_ints`` maps the
+``fractions.Fraction`` endpoints of outside pieces.  Tilings are checked by
+area and corner parity and slice measures read off integer sweep lines over
+the piece endpoints, with no dense grid.  Only the *values*
 carried by the pieces are floats; measures become float weights at the
 evaluation boundary, so no geometric roundoff can corrupt a mean.
 
@@ -125,19 +126,25 @@ class _Axis(NamedTuple):
     def extents(self) -> list:
         return [b - a for a, b in zip(self.lows, self.highs)]
 
+    def fractions(self) -> dict:
+        """One Fraction per distinct coordinate of the rectangles."""
+        return {v: Fraction(v, self.scale) for v in {*self.lows, *self.highs}}
+
 
 def _axes(host: QRectangle, rects) -> tuple:
-    """The x and y :class:`_Axis` of ``host`` and ``rects``, and the indices
-    of the rectangles that escape the host."""
+    """The x and y :class:`_Axis` of ``host`` and ``rects``."""
     xvals, yvals = list(host.dx), list(host.dy)
     for r in rects:
         xvals += r.dx
         yvals += r.dy
-    xa, ya = (_Axis(lo, hi, ends[::2], ends[1::2], scale)
-              for (lo, hi, *ends), scale in map(_scale_to_ints, (xvals, yvals)))
-    escaping = [k for k, (a, b, c, d) in enumerate(zip(xa.lows, xa.highs, ya.lows, ya.highs))
-                if not (xa.lo <= a and b <= xa.hi and ya.lo <= c and d <= ya.hi)]
-    return xa, ya, escaping
+    return tuple(_Axis(lo, hi, ends[::2], ends[1::2], scale)
+                 for (lo, hi, *ends), scale in map(_scale_to_ints, (xvals, yvals)))
+
+
+def _escaping(xa: _Axis, ya: _Axis) -> list:
+    """Indices of the rectangles that are empty or escape the host."""
+    return [k for k, (a, b, c, d) in enumerate(zip(xa.lows, xa.highs, ya.lows, ya.highs))
+            if not (xa.lo <= a < b <= xa.hi and ya.lo <= c < d <= ya.hi)]
 
 
 class _Sweep(NamedTuple):
@@ -176,24 +183,36 @@ def _sweep(axis: _Axis, cross: list, values) -> _Sweep:
 class SimpleFunction2D:
     """Piecewise-constant function on an exact tiling of a rectangle.
 
-    Coordinates are scaled once to integers.  The tiling check is O(pieces):
-    the piece areas sum to the bounding area, and the piece corners that
-    occur an odd number of times are exactly the four bounding corners.
+    A construction hands its integer coordinates to :meth:`_from_ints` and
+    ``__init__`` scales its pieces to integers; both run the same O(pieces)
+    checks: the piece areas sum to the bounding area, and the piece corners
+    that occur an odd number of times are exactly the four bounding corners.
     Corner parity makes the coverage count odd on every cell and equal
     area then forces it to 1, so a hole plus an overlap of equal area
     fails too.  One sweep line per axis groups the slices by their exact
     value -> measure profile; no dense grid is built.
     """
 
-    __slots__ = ("bounding", "pieces", "_scales", "_x", "_y", "_grid")
+    __slots__ = ("bounding", "_pieces", "_values", "_xa", "_ya", "_x", "_y", "_grid")
 
     def __init__(self, bounding: QRectangle, pieces: Sequence[tuple]):
         pieces = tuple((r, float(v)) for r, v in pieces)
         if not pieces:
             raise ValueError("need at least one piece")
-        xa, ya, escaping = _axes(bounding, [r for r, _ in pieces])
-        if escaping:
-            raise ValueError(f"piece {pieces[escaping[0]][0]} escapes the bounding rectangle")
+        self._tile(bounding, *_axes(bounding, [r for r, _ in pieces]), [v for _, v in pieces],
+                   pieces)
+
+    @classmethod
+    def _from_ints(cls, bounding: QRectangle, xa: _Axis, ya: _Axis, values: list):
+        """The function whose piece i is ``[xa.lows[i], xa.highs[i]) x [ya.lows[i],
+        ya.highs[i])`` with float value ``values[i]``, checked as ``__init__`` checks it."""
+        return cls.__new__(cls)._tile(bounding, xa, ya, values, None)
+
+    def _tile(self, bounding: QRectangle, xa: _Axis, ya: _Axis, values: list, pieces):
+        self.bounding, self._xa, self._ya, self._values = bounding, xa, ya, values
+        self._pieces = pieces
+        if escaping := _escaping(xa, ya):
+            raise ValueError(f"piece {self.pieces[escaping[0]][0]} escapes the bounding rectangle")
         dx, dy = xa.extents(), ya.extents()
         area = sum(a * b for a, b in zip(dx, dy))
         if area != (xa.hi - xa.lo) * (ya.hi - ya.lo):
@@ -210,32 +229,42 @@ class SimpleFunction2D:
                 f"pieces do not tile the bounding rectangle exactly: corner "
                 f"({Fraction(x, xa.scale)}, {Fraction(y, ya.scale)}) occurs an "
                 f"{'even' if (x, y) in corners else 'odd'} number of times")
-        values = [v for _, v in pieces]
-        self.bounding = bounding
-        self.pieces = pieces
-        self._scales = xa.scale, ya.scale
         self._x = _sweep(xa, dy, values)
         self._y = _sweep(ya, dx, values)
         self._grid = None
+        return self
+
+    def _boxes(self):  # (x0, x1, y0, y1, value) of each piece, in integers
+        return zip(self._xa.lows, self._xa.highs, self._ya.lows, self._ya.highs, self._values)
+
+    @property
+    def pieces(self) -> tuple:
+        """``(QRectangle, value)`` pairs; a construction's are built on first
+        use, from one Fraction per distinct coordinate."""
+        if self._pieces is None:
+            x, y = self._xa.fractions(), self._ya.fractions()
+            self._pieces = tuple((rect(x[a], x[b], y[c], y[d]), v)
+                                 for a, b, c, d, v in self._boxes())
+        return self._pieces
 
     @property
     def xs(self) -> list:  # exact breakpoints, ascending
-        return [Fraction(b, self._scales[0]) for b in self._x.breaks]
+        return [Fraction(b, self._xa.scale) for b in self._x.breaks]
 
     @property
     def ys(self) -> list:
-        return [Fraction(b, self._scales[1]) for b in self._y.breaks]
+        return [Fraction(b, self._ya.scale) for b in self._y.breaks]
 
     def value_grid(self) -> np.ndarray:
         """Dense values on the breakpoint cells, shape ``(len(xs)-1,
-        len(ys)-1)``, built on first use.  A view for tracing and test
-        oracles; nothing in the library reads it."""
+        len(ys)-1)``, built on first use from the integer axes.  A view for
+        tracing and test oracles; nothing in the library reads it."""
         if self._grid is None:
-            xi = {v: i for i, v in enumerate(self.xs)}
-            yi = {v: i for i, v in enumerate(self.ys)}
+            xi = {b: i for i, b in enumerate(self._x.breaks)}
+            yi = {b: i for i, b in enumerate(self._y.breaks)}
             grid = np.empty((len(xi) - 1, len(yi) - 1))
-            for r, v in self.pieces:
-                grid[xi[r.dx.lower]:xi[r.dx.upper], yi[r.dy.lower]:yi[r.dy.upper]] = v
+            for a, b, c, d, v in self._boxes():
+                grid[xi[a]:xi[b], yi[c]:yi[d]] = v
             self._grid = grid
         return self._grid
 
@@ -244,8 +273,7 @@ class SimpleFunction2D:
 
     def column_profile(self, i: int) -> dict:
         """Exact value -> total y-measure map of the i-th x-slice."""
-        return {v: Fraction(m, self._scales[1])
-                for v, m in self._x.profiles[i]}
+        return {v: Fraction(m, self._ya.scale) for v, m in self._x.profiles[i]}
 
     def value_at(self, x, y) -> float:
         """Point evaluation: the value of the piece containing ``(x, y)``."""
@@ -304,8 +332,8 @@ def verify_proportionality(ps: ProportionalSet, explain: bool = False):
     ``explain``) when any slice misses; rectangles escaping the host fail
     immediately.
     """
-    xa, ya, escaping = _axes(ps.host, ps.rectangles)
-    failures = [f"rectangle {ps.rectangles[k]} escapes the host" for k in escaping]
+    xa, ya = _axes(ps.host, ps.rectangles)
+    failures = [f"rectangle {ps.rectangles[k]} escapes the host" for k in _escaping(xa, ya)]
     tp, tq = ps.theta.numerator, ps.theta.denominator
     for name, axis, other in (("x", xa, ya), ("y", ya, xa)):
         if failures:
@@ -344,7 +372,7 @@ def jensen_fubini_sides(mean: MeanHandle, f: SimpleFunction2D) -> tuple:
     profiles of the construction's sweeps, each once, weighted by its
     summed width; exact measures become floats only here.
     """
-    sx, sy = f._scales
+    sx, sy = f._xa.scale, f._ya.scale
     inner = [evaluate(mean, [v for v, _ in p], [m / sy for _, m in p])
              for p in f._x.widths]
     lhs = weighted_average(inner, [w / sx for w in f._x.widths.values()])
@@ -399,31 +427,31 @@ def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
     sums = [Fraction(0)] + list(partial_sums(wv))  # sums[k] = S_k
     s_left, s_full = sums[j - 1], sums[j]
     m = partial_arithmetic_means(x, wv)
-
-    pieces = []
-    for k in range(1, j + 1):
-        theta = (lam[j - 1] * sums[k - 1]) / (lam[k - 1] * s_left)
-        if theta > 1:
-            raise WeightsNotInV(
-                f"ratio condition fails at k={k}: proportionality {theta} > 1")
-        y0, y1 = sums[k - 1], sums[k]
+    thetas = [(lam[j - 1] * sums[k - 1]) / (lam[k - 1] * s_left) for k in range(1, j + 1)]
+    if bad := next((k for k, theta in enumerate(thetas, 1) if theta > 1), 0):
+        raise WeightsNotInV(
+            f"ratio condition fails at k={bad}: proportionality {thetas[bad - 1]} > 1")
+    # One integer scale per axis, X = sx and Y = sy: column i of block k is
+    # S_{j-1} X i / q_k and row r is S_{k-1} Y + (w_k Y / q_k) r, exactly.
+    qs = [t.denominator for t in thetas]
+    sx = math.lcm(s_full.denominator, *(s_left.denominator * q for q in qs))
+    sy = math.lcm(*(v.denominator * q for v, q in zip(lam, qs)))  # den(S_k) divides it
+    left, full = int(s_left * sx), int(s_full * sx)
+    pieces = []  # (x0, x1, y0, y1, value)
+    for k, theta in enumerate(thetas, 1):
         p, q = theta.numerator, theta.denominator
-        xs = [s_left * Fraction(i, q) for i in range(q + 1)]
-        ys = [y0 + (y1 - y0) * Fraction(r, q) for r in range(q + 1)]
-        runs: dict = {}  # (c0, c1) -> column interval, shared by the rows
+        col, y0, step = left // q, int(sums[k - 1] * sy), int(lam[k - 1] * sy) // q
         for r in range(q):
-            row = QInterval(ys[r], ys[r + 1])
+            lo = y0 + step * r
             # selected columns in row r form the cyclic run ending at r
             for start, length, value in (((r - p + 1) % q, p, m[k - 2]),
                                          ((r + 1) % q, q - p, m[k - 1])):
-                for c0, c1 in _wrap_runs(start, length, q):
-                    col = runs.get((c0, c1)) or runs.setdefault(
-                        (c0, c1), QInterval(xs[c0], xs[c1]))
-                    pieces.append((QRectangle(col, row), value))
-        pieces.append((rect(s_left, s_full, y0, y1), float(x[k - 1])))
-
-    bounding = rect(0, s_full, 0, s_full)
-    return SimpleFunction2D(bounding, pieces)
+                pieces += [(col * c0, col * c1, lo, lo + step, value)
+                           for c0, c1 in _wrap_runs(start, length, q)]
+        pieces.append((left, full, y0, y0 + step * q, float(x[k - 1])))
+    xl, xh, yl, yh, values = map(list, zip(*pieces))
+    return SimpleFunction2D._from_ints(rect(0, s_full, 0, s_full), _Axis(0, full, xl, xh, sx),
+                                       _Axis(0, int(s_full * sy), yl, yh, sy), values)
 
 
 def verify_proof_construction(mean: MeanHandle, x, w, j: int,
@@ -454,13 +482,15 @@ def _matches_step(mean: MeanHandle, x, wv, j: int, swap_sides: tuple,
 # ---------------------------------------------------------------------------
 
 def function_to_json(f: SimpleFunction2D) -> dict:
-    """Serialize with rationals as ``p/q`` strings."""
-    def iv(i: QInterval) -> list:
-        return [str(i.lower), str(i.upper)]
-
+    """Serialize with rationals as ``p/q`` strings, one reduced string per
+    distinct integer coordinate (the domain's corners are piece corners);
+    ``f.pieces`` is never built."""
+    xa, ya = f._xa, f._ya
+    xt, yt = ({v: str(q) for v, q in a.fractions().items()} for a in (xa, ya))
     return {"schema": 1,
-            "domain": {"x": iv(f.bounding.dx), "y": iv(f.bounding.dy)},
-            "pieces": [{"x": iv(r.dx), "y": iv(r.dy), "value": v} for r, v in f.pieces]}
+            "domain": {"x": [xt[xa.lo], xt[xa.hi]], "y": [yt[ya.lo], yt[ya.hi]]},
+            "pieces": [{"x": [xt[a], xt[b]], "y": [yt[c], yt[d]], "value": v}
+                       for a, b, c, d, v in f._boxes()]}
 
 
 def function_from_json(obj: dict) -> SimpleFunction2D:

@@ -31,6 +31,7 @@ from .errors import (
     NegativeWeight,
     NonfiniteWeight,
     NonpositiveScale,
+    ZeroDenominator,
 )
 
 Scalar = Union[int, float, Fraction]
@@ -228,7 +229,7 @@ def scalar_from_string(s: str, exact: bool = True) -> Scalar:
     the literal once, so it equals ``float(Fraction(s))``.  Every other
     literal takes the ``Fraction`` path, which gives ``-0`` as ``0.0``,
     rejects ``inf`` and ``nan``, raises :class:`FloatOverflow` beyond the
-    float range and words the errors.
+    float range and :class:`ZeroDenominator` on ``p/0``, and words the errors.
     """
     s = s.strip()
     if not exact:
@@ -239,7 +240,10 @@ def scalar_from_string(s: str, exact: bool = True) -> Scalar:
         else:
             if value and math.isfinite(value):
                 return value
-    value = Fraction(s)  # accepts "3", "0.25" and "1/2"
+    try:
+        value = Fraction(s)  # accepts "3", "0.25" and "1/2"
+    except ZeroDivisionError as exc:
+        raise ZeroDenominator(f"{s} has a zero denominator") from exc
     if exact:
         return value
     try:

@@ -121,6 +121,18 @@ class TestCheck:
         assert err == "error: 1e400 is beyond the float range\n"
 
 
+@pytest.mark.parametrize("argv, literal", [
+    (("check", "--mean", "power:0", "--x", "1,2/0", "--w", "1,1"), "2/0"),
+    (("check", "--mean", "power:0", "--x", "1,2", "--w", "1,1/0"), "1/0"),
+    (("proof-fn", "--mean", "power:0", "--x", "1,2", "--w", "1,3/0", "--j", "2"), "3/0"),
+    (("proportional", "--theta", "1/0", "--host", "0,1,0,1"), "1/0"),
+    (("proportional", "--theta", "1/2", "--host", "0,1,0/0,1"), "0/0"),
+])
+def test_zero_denominator_names_the_literal(capsys, argv, literal):
+    # Fraction alone says "Fraction(2, 0)", which names neither option nor cause
+    assert run(capsys, *argv) == (2, "", f"error: {literal} has a zero denominator\n")
+
+
 def test_homogeneous_deviation_on_a_wide_range(capsys):
     # the bisection cap follows the bracket: 1e-100..1e100 needs ~370 halvings
     code, out, err = run(capsys, "check", "--mean", "homdev:shifted-power:0",
@@ -627,6 +639,25 @@ class TestProofFn:
         lhs, rhs = stepfn.jensen_fubini_sides(
             mean, stepfn.build_proof_function(x, w, 3))
         assert doc["swap_sides"] == {"lhs": lhs, "rhs": rhs}
+
+    def test_makes_no_interval_per_piece(self, capsys, monkeypatch):
+        # the construction hands integers to the function and the report is
+        # written from them: only the bounding rectangle's two intervals
+        from kedlaya.stepfn import QInterval
+
+        new, made = QInterval.__new__, []
+
+        def counting(cls, lower, upper):
+            made.append(1)
+            return new(cls, lower, upper)
+
+        monkeypatch.setattr(QInterval, "__new__", counting)
+        counts = {}
+        for argv, _ in (GOLDEN_PROOF_REPORTS[0], GOLDEN_PROOF_REPORTS[4]):
+            made.clear()
+            code, out, _ = run(capsys, *argv)
+            counts[len(json.loads(out)["function"]["pieces"])] = len(made)
+        assert counts == {12: 2, 575: 2}
 
     def test_round_trips_into_library(self, capsys):
         from kedlaya.stepfn import function_from_json

@@ -31,6 +31,8 @@ from kedlaya.stepfn import (
 )
 from kedlaya.weights import make_weights, partial_sums
 
+import proof_oracle
+
 UNIT = rect(0, 1, 0, 1)
 GEO = mean_from_id("power:0")
 ARITH = mean_from_id("arithmetic")
@@ -507,3 +509,116 @@ class TestSweepAgainstDenseGrid:
             tracemalloc.stop()
         assert ok
         assert peak < 30e6
+
+
+# ---------------------------------------------------------------------------
+# The integer construction against the Fraction oracle (tests/proof_oracle.py)
+# ---------------------------------------------------------------------------
+
+def _from_boxes(f, boxes):
+    """``f``'s bounding rectangle with integer ``boxes`` over ``f``'s scales,
+    through the private constructor."""
+    xa, ya = f._xa, f._ya
+    xl, xh, yl, yh, values = (list(c) for c in zip(*boxes))
+    return SimpleFunction2D._from_ints(f.bounding, xa._replace(lows=xl, highs=xh),
+                                       ya._replace(lows=yl, highs=yh), values)
+
+
+def _pieces_of(f, boxes):
+    """The same boxes as Fraction pieces, for ``SimpleFunction2D.__init__``."""
+    sx, sy = f._xa.scale, f._ya.scale
+    return [(rect(Fraction(a, sx), Fraction(b, sx), Fraction(c, sy), Fraction(d, sy)), v)
+            for a, b, c, d, v in boxes]
+
+
+def _error(make) -> str:
+    with pytest.raises(ValueError) as info:
+        make()
+    return str(info.value)
+
+
+class TestIntegerConstruction:
+    MEANS = [mean_from_id(m) for m in ("arithmetic", "power:0", "qa:log", "gini:2:1")]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.integers(2, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fraction_oracle(self, seed, n, max_den):
+        # every j: below n, den(S_j) enters the x scale besides den(S_{j-1})
+        rng = np.random.default_rng(seed)
+        w = rational_v_weights(rng, n, max_den=max_den)
+        x = [float(v) for v in rng.uniform(0.1, 10.0, n)]
+        for j in range(2, n + 1):
+            f, g = build_proof_function(x, w, j), proof_oracle.build_proof_function(x, w, j)
+            assert function_to_json(f) == proof_oracle.function_to_json(g)
+            assert (f.xs, f.ys) == (g.xs, g.ys)
+            assert all(f.column_profile(i) == g.column_profile(i) for i in range(len(f.xs) - 1))
+            for mean in self.MEANS:
+                assert jensen_fubini_sides(mean, f) == jensen_fubini_sides(mean, g)
+            assert f._pieces is None  # nothing above built the Fraction pieces
+            assert f.pieces == g.pieces
+
+    def test_views_read_the_integer_axes(self):
+        # the traced benchmark reads value_grid, xs and ys of every build
+        x, w = [1.0, 2.0, 0.5, 3.0, 1.5], rational_v_weights(np.random.default_rng(8), 5, 7)
+        f, g = build_proof_function(x, w, 5), proof_oracle.build_proof_function(x, w, 5)
+        assert (f.value_grid() == g.value_grid()).all()
+        assert (f.xs, f.ys, f.x_lengths()) == (g.xs, g.ys, g.x_lengths())
+        assert f._pieces is None
+
+    def test_the_checks_run_on_every_construction(self, monkeypatch):
+        calls = []
+        tile = SimpleFunction2D._tile
+
+        def counting(self, *args):
+            calls.append(1)
+            return tile(self, *args)
+
+        monkeypatch.setattr(SimpleFunction2D, "_tile", counting)
+        build_proof_function((1.0, 4.0, 2.0), (2, 1, 1), 3)
+        assert calls == [1]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_broken_tilings_fail_as_through_init(self, seed, n, data):
+        # the private constructor raises the very ValueError that __init__
+        # raises for the same pieces, on every kind of break
+        rng = np.random.default_rng(seed)
+        w = rational_v_weights(rng, n, max_den=8)
+        f = build_proof_function([float(v) for v in rng.uniform(0.1, 10.0, n)], w,
+                                 data.draw(st.integers(2, n)))
+        boxes = list(f._boxes())
+        k = data.draw(st.integers(0, len(boxes) - 1))
+        kind = data.draw(st.sampled_from(["perturb", "drop", "duplicate", "trade"]))
+        if kind == "perturb":
+            box = list(boxes[k])
+            box[data.draw(st.integers(0, 3))] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+            boxes[k] = tuple(box)
+        elif kind == "drop":
+            del boxes[k]
+        elif kind == "duplicate":
+            boxes.append(boxes[k])
+        else:  # a hole plus an overlap of the same area
+            area = (boxes[k][1] - boxes[k][0]) * (boxes[k][3] - boxes[k][2])
+            same = [i for i, b in enumerate(boxes)
+                    if i != k and (b[1] - b[0]) * (b[3] - b[2]) == area]
+            if not same:
+                return
+            boxes[k] = boxes[data.draw(st.sampled_from(same))]
+        if not boxes:
+            return
+        assert (_error(lambda: _from_boxes(f, boxes))
+                == _error(lambda: SimpleFunction2D(f.bounding, _pieces_of(f, boxes))))
+
+    def test_each_check_fails_by_name(self):
+        f = build_proof_function((1.0, 4.0, 2.0), (2, 1, 1), 3)
+        boxes = list(f._boxes())
+        x0, x1, y0, y1, v = boxes[-1]  # the last right block touches the corner
+        cases = {"escapes the bounding rectangle": boxes[:-1] + [(x0, x1 + 1, y0, y1, v)],
+                 "areas sum to": boxes[:-1],
+                 "corner": boxes[:-1] + [(x0, x1, y0 - 1, y1 - 1, v)],
+                 "need lower < upper": boxes[:-1] + [(x0, x0, y0, y1, v)]}
+        for words, broken in cases.items():
+            got = _error(lambda: _from_boxes(f, broken))
+            assert words in got
+            assert got == _error(lambda: SimpleFunction2D(f.bounding, _pieces_of(f, broken)))
+        assert _from_boxes(f, boxes).pieces == f.pieces

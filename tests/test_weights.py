@@ -15,6 +15,7 @@ from kedlaya.errors import (
     NonfiniteWeight,
     FloatOverflow,
     NonpositiveScale,
+    ZeroDenominator,
 )
 from kedlaya.weights import (
     clear_denominators,
@@ -29,9 +30,13 @@ from kedlaya.weights import (
 
 
 def _fraction_path(s: str):
-    """A float literal as every one was parsed before the float() fast path."""
+    """A float literal as every one was parsed before the float() fast path,
+    a zero denominator named as ``scalar_from_string`` names it."""
     s = s.strip()
-    value = Fraction(s)
+    try:
+        value = Fraction(s)
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"{s} has a zero denominator") from None
     try:
         return float(value)
     except OverflowError:
@@ -378,6 +383,15 @@ class TestParsing:
         w = weights_from_strings(["1/2", "0.25"], exact=False)
         assert w.mode == "float"
         assert list(w) == [0.5, 0.25]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("s", ["1/0", " 2/0 ", "-3/0", "0/0"])
+    def test_zero_denominator_is_typed_and_names_the_literal(self, s, exact):
+        with pytest.raises(ZeroDenominator) as info:
+            scalar_from_string(s, exact=exact)
+        assert isinstance(info.value, KedlayaError)
+        assert isinstance(info.value, ZeroDivisionError)
+        assert str(info.value) == f"{s.strip()} has a zero denominator"
 
     @settings(max_examples=1500)
     @given(_LITERALS)
