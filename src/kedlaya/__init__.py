@@ -54,6 +54,7 @@ from .inequality import (
 from .means import (
     AxiomResidual,
     MeanHandle,
+    arithmetic_base,
     check_elimination,
     check_nullhomogeneity,
     check_reduction,

@@ -47,7 +47,6 @@ from .errors import (
     NegativeSeed,
     NonpositiveScale,
     Overflow,
-    ZeroDenominator,
     ZeroScale,
 )
 from .weights import (WeightVector, make_weights, scalar_from_string,
@@ -473,6 +472,7 @@ _SIDES = 7
 # size, by 0.3 MB.
 _AXIOM_BLOCK = 1 << 13
 _WEIGHT_LOGS = (np.log(0.1), np.log(10.0))
+_ENTRY_CLIP = (1e-2, 1e2)  # every axiom trial's entries lie here
 
 
 def sample_axiom_residuals(mean: MeanHandle, trials: int, n_max: int,
@@ -501,7 +501,11 @@ def sample_axiom_residuals(mean: MeanHandle, trials: int, n_max: int,
         raise NegativeSeed(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     lo, hi, _ = sampling_window(mean.domain)
-    window = (np.log(max(lo, 1e-2)), np.log(min(hi, 1e2)))
+    clipped = (max(lo, _ENTRY_CLIP[0]), min(hi, _ENTRY_CLIP[1]))
+    if not clipped[0] < clipped[1]:  # a nonempty clip lies in the window, so in the domain
+        raise DomainViolation(f"{mean}: its sampling window ({lo!r}, {hi!r}) clipped to "
+                              f"{list(_ENTRY_CLIP)} is empty, so no axiom trial can be drawn")
+    window = tuple(map(np.log, clipped))
     per_block = max(1, _AXIOM_BLOCK // (_SIDES * 2 * n_max))
     worst = dict.fromkeys(AXIOMS, 0.0)
     for start in range(0, trials, per_block):
@@ -697,8 +701,6 @@ def mean_from_id(mean_id: str) -> MeanHandle:
         values = [v if name in _TEXT_FIELDS else scalar_from_string(v, exact=False)
                   for name, v in zip(fields, parts[1:])]
         return build(*values)
-    except ZeroDenominator as exc:  # the id names the literal: keep Fraction's words
-        raise ValueError(f"bad parameter in mean id {mean_id!r}: {exc.__cause__}") from exc
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"bad parameter in mean id {mean_id!r}: {exc}") from exc
     except (KeyError, TypeError):  # unknown generator/deviation name, wrong arity

@@ -12,8 +12,10 @@ from operator import truediv
 import numpy as np
 
 from .errors import FloatOverflow
-from .weights import (WeightVector, floats_in_range, is_in_V, make_weights,
-                      ratios_nonincreasing)
+from .weights import WeightVector, floats_in_range, make_weights
+# Nothing here calls ``is_in_V``, but perfbench/tracing.py wraps it at this
+# module attribute too.
+from .weights import is_in_V  # noqa: F401
 
 
 _ENTRY_LOGS = (np.log(0.1), np.log(10.0))  # entries_log_uniform's default bounds
@@ -39,16 +41,20 @@ def _v_weight_rows(a: np.ndarray, d: np.ndarray, max_den: int) -> tuple:
     nonincreasing, exactly by a stable argsort of ``a max_den^2 // d``:
     ``w_k = a_k P_{k-1} / Q_k``, ``P_k = prod d_i``, ``Q_k = prod (d_i - a_i)``.
     On int64 while ``max_den ** max(n - 1, 3) <= 2**53``, so all are exact
-    doubles and ``nums / dens`` rounds once; on Python ints beyond.  Asserts
-    the ratio test of each row's integer weights over ``Q_{n-1}``."""
+    doubles and ``nums / dens`` rounds once; on Python ints beyond.  The sort
+    keys are int64 while ``max_den**3 < 2**63``, and an assert checks the
+    sorted ratios by ``a_k d_{k+1} >= a_{k+1} d_k``, on int64 while
+    ``max_den < 2**31``."""
+    keys = (a if max_den ** 3 < 2 ** 63 else a.astype(object)) * (max_den * max_den) // d
+    order = np.argsort(-keys, axis=1, kind="stable")
+    a, d = np.take_along_axis(a, order, 1), np.take_along_axis(d, order, 1)
+    pa, pd = (a, d) if max_den < 2 ** 31 else (a.astype(object), d.astype(object))
+    assert (pa[:, :-1] * pd[:, 1:] >= pa[:, 1:] * pd[:, :-1]).all()
     dtype = np.int64 if max_den ** max(a.shape[1], 3) <= 2 ** 53 else object
     a, d = a.astype(dtype), d.astype(dtype)
-    order = np.argsort(-(a * (max_den * max_den) // d), axis=1, kind="stable")
-    a, d = np.take_along_axis(a, order, 1), np.take_along_axis(d, order, 1)
     ones = np.ones((len(a), 1), dtype)
     nums = np.concatenate([ones, a * np.cumprod(np.concatenate([ones, d[:, :-1]], 1), 1)], 1)
     dens = np.cumprod(np.concatenate([ones, d - a], 1), 1)
-    assert all(map(ratios_nonincreasing, (nums * (dens[:, -1:] // dens)).tolist()))
     return nums, dens
 
 
@@ -104,30 +110,3 @@ def sweep_blocks(seed: int, trials: range, n: int, max_den: int, step: int):
                 return
         yield x, w, None
 
-
-def sweep_block(seed: int, trials: range, n: int, max_den: int = 9) -> tuple:
-    """:func:`sweep_blocks` of a nonempty range of trials in one block."""
-    return next(sweep_blocks(seed, trials, n, max_den, len(trials)))
-
-
-def integer_nonincreasing_weights(rng: np.random.Generator, n: int,
-                                  hi: int = 4) -> WeightVector:
-    """Nonincreasing positive integer weights (always ratio-nonincreasing)."""
-    vals = sorted((int(v) for v in rng.integers(1, hi + 1, size=n)), reverse=True)
-    return make_weights(vals, "W0")
-
-
-def non_v_weights(rng: np.random.Generator, n: int) -> WeightVector:
-    """Positive weights that fail the ratio condition at the last index.
-
-    Needs ``n >= 3``: with two weights and a positive first weight the
-    ratio sequence is always nonincreasing.
-    """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    head = [Fraction(1)] * (n - 1)
-    # last ratio above the previous one forces the failure there
-    tail = Fraction(int(rng.integers(n, 4 * n)))
-    w = make_weights(head + [tail], "W0")
-    assert not is_in_V(w)
-    return w

@@ -1,8 +1,8 @@
 """Exact-rational intervals, rectangles, and piecewise-constant functions.
 
 Geometry here is exact, in integers over one scale per axis: constructions
-hand over the integer coordinates they know, and ``_scale_to_ints`` maps the
-``fractions.Fraction`` endpoints of outside pieces.  Tilings are checked by
+hand over the integer coordinates they know, and ``integers_over_lcm`` maps
+the ``fractions.Fraction`` endpoints of outside pieces.  Tilings are checked by
 area and corner parity and slice measures read off integer sweep lines over
 the piece endpoints, with no dense grid.  Only the *values*
 carried by the pieces are floats; measures become float weights at the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonpositiveWeight, ThetaOutOfRange, WeightsNotInV
 from .means import MeanHandle, evaluate, weighted_average
-from .weights import RATIONAL, as_weight_vector, partial_sums
+from .weights import RATIONAL, as_weight_vector, integers_over_lcm, partial_sums
 
 
 class _QIntervalBase(NamedTuple):
@@ -95,23 +95,11 @@ class SimpleFunction1D:
                     f"pieces do not chain: [{a.lower},{a.upper}) then "
                     f"[{b.lower},{b.upper})")
 
-    @property
-    def support(self) -> QInterval:
-        return QInterval(self.pieces[0][0].lower, self.pieces[-1][0].upper)
-
     def values(self) -> list:
         return [v for _, v in self.pieces]
 
     def lengths(self) -> list:
         return [iv.length for iv, _ in self.pieces]
-
-
-def _scale_to_ints(values: list) -> tuple:
-    """Map Fractions to integers over the lcm of their denominators."""
-    dens = {v.denominator for v in values}
-    common = math.lcm(*dens)
-    mult = {d: common // d for d in dens}
-    return [v.numerator * mult[v.denominator] for v in values], common
 
 
 class _Axis(NamedTuple):
@@ -138,7 +126,7 @@ def _axes(host: QRectangle, rects) -> tuple:
         xvals += r.dx
         yvals += r.dy
     return tuple(_Axis(lo, hi, ends[::2], ends[1::2], scale)
-                 for (lo, hi, *ends), scale in map(_scale_to_ints, (xvals, yvals)))
+                 for (lo, hi, *ends), scale in map(integers_over_lcm, (xvals, yvals)))
 
 
 def _escaping(xa: _Axis, ya: _Axis) -> list:
@@ -193,7 +181,7 @@ class SimpleFunction2D:
     value -> measure profile; no dense grid is built.
     """
 
-    __slots__ = ("bounding", "_pieces", "_values", "_xa", "_ya", "_x", "_y", "_grid")
+    __slots__ = ("bounding", "_pieces", "_values", "_xa", "_ya", "_x", "_y")
 
     def __init__(self, bounding: QRectangle, pieces: Sequence[tuple]):
         pieces = tuple((r, float(v)) for r, v in pieces)
@@ -231,7 +219,6 @@ class SimpleFunction2D:
                 f"{'even' if (x, y) in corners else 'odd'} number of times")
         self._x = _sweep(xa, dy, values)
         self._y = _sweep(ya, dx, values)
-        self._grid = None
         return self
 
     def _boxes(self):  # (x0, x1, y0, y1, value) of each piece, in integers
@@ -257,31 +244,14 @@ class SimpleFunction2D:
 
     def value_grid(self) -> np.ndarray:
         """Dense values on the breakpoint cells, shape ``(len(xs)-1,
-        len(ys)-1)``, built on first use from the integer axes.  A view for
-        tracing and test oracles; nothing in the library reads it."""
-        if self._grid is None:
-            xi = {b: i for i, b in enumerate(self._x.breaks)}
-            yi = {b: i for i, b in enumerate(self._y.breaks)}
-            grid = np.empty((len(xi) - 1, len(yi) - 1))
-            for a, b, c, d, v in self._boxes():
-                grid[xi[a]:xi[b], yi[c]:yi[d]] = v
-            self._grid = grid
-        return self._grid
-
-    def x_lengths(self) -> list:
-        return [b - a for a, b in zip(self.xs, self.xs[1:])]
-
-    def column_profile(self, i: int) -> dict:
-        """Exact value -> total y-measure map of the i-th x-slice."""
-        return {v: Fraction(m, self._ya.scale) for v, m in self._x.profiles[i]}
-
-    def value_at(self, x, y) -> float:
-        """Point evaluation: the value of the piece containing ``(x, y)``."""
-        x, y = Fraction(x), Fraction(y)
-        for r, v in self.pieces:
-            if r.dx.contains(x) and r.dy.contains(y):
-                return v
-        raise ValueError(f"({x}, {y}) outside the domain")
+        len(ys)-1)``, from the integer axes.  A view for the benchmark's
+        tracer and for tests; nothing in the library reads it."""
+        xi = {b: i for i, b in enumerate(self._x.breaks)}
+        yi = {b: i for i, b in enumerate(self._y.breaks)}
+        grid = np.empty((len(xi) - 1, len(yi) - 1))
+        for a, b, c, d, v in self._boxes():
+            grid[xi[a]:xi[b], yi[c]:yi[d]] = v
+        return grid
 
 
 # ---------------------------------------------------------------------------

@@ -146,40 +146,31 @@ def partial_sums(w: WeightVector) -> tuple:
     return tuple(itertools.accumulate(w.entries))
 
 
-def _integer_numerators(w: WeightVector) -> list:
-    """Integers ``a_k`` with ``w_k = a_k / q`` exactly, for one ``q > 0``.
-
-    In rational mode ``q`` is the lcm of the denominators.  A float is
-    exactly ``m / 2^e`` (``float.as_integer_ratio``), so in float mode the
-    largest denominator is a common one.
-    """
-    if w.mode == RATIONAL:
-        ratios = [(v.numerator, v.denominator) for v in w.entries]
-        q = math.lcm(*[d for _, d in ratios])
-    else:
-        ratios = [v.as_integer_ratio() for v in w.entries]
-        q = max(d for _, d in ratios)
-    return [a * (q // d) for a, d in ratios]
+def integers_over_lcm(values: Iterable) -> tuple:
+    """``(nums, q)`` with ``values[k] == nums[k] / q`` exactly, ``q`` the lcm
+    of the denominators of the exact values (``Fraction``s, or floats as
+    ``float.as_integer_ratio`` gives them), with one multiplier per distinct
+    denominator.  Float denominators are powers of two, whose lcm is the
+    largest of them."""
+    ratios = [v.as_integer_ratio() for v in values]
+    dens = {d for _, d in ratios}
+    q = math.lcm(*dens)
+    mult = {d: q // d for d in dens}
+    return [a * mult[d] for a, d in ratios], q
 
 
 def is_in_V(w: WeightVector) -> bool:
     """Exact test that the ratio sequence ``w_k / cumsum_k`` is nonincreasing.
 
     Requires a positive first weight.  Both modes scale the entries to
-    integers over one common denominator (see :func:`_integer_numerators`;
+    integers over one common denominator (see :func:`integers_over_lcm`;
     floats count as the rationals they represent) and compare consecutive
     ratios by integer cross-multiplication, so there is no rounding and
     equal consecutive ratios pass.
     """
     if not w.entries[0] > 0:
         raise FirstWeightZero("ratio test requires a class-W0 vector")
-    return ratios_nonincreasing(_integer_numerators(w))
-
-
-def ratios_nonincreasing(a: Sequence[int]) -> bool:
-    """Whether ``a_k / (a_1 + ... + a_k)`` is nonincreasing in ``k``, for
-    nonnegative integers ``a`` with ``a_1 > 0``, by integer
-    cross-multiplication (ties pass)."""
+    a = integers_over_lcm(w.entries)[0]
     acc = a[0]
     for prev, cur in zip(a, a[1:]):
         nxt = acc + cur
@@ -219,7 +210,7 @@ def clear_denominators(w: WeightVector) -> WeightVector:
     """
     if w.mode != RATIONAL:
         raise ValueError("clear_denominators requires rational-mode weights")
-    return WeightVector(tuple(Fraction(a) for a in _integer_numerators(w)), RATIONAL)
+    return WeightVector(tuple(map(Fraction, integers_over_lcm(w.entries)[0])), RATIONAL)
 
 
 def scalar_from_string(s: str, exact: bool = True) -> Scalar:

@@ -31,12 +31,8 @@ from kedlaya.inequality import (
     sweep_kedlaya,
 )
 from kedlaya.means import MeanHandle, evaluate, mean_from_id
-from kedlaya.sampling import (
-    entries_log_uniform,
-    integer_nonincreasing_weights,
-    rational_v_weights,
-    sweep_block,
-)
+from kedlaya.sampling import entries_log_uniform, rational_v_weights, sweep_blocks
+from kedlaya.weights import make_weights
 from sweep_oracle import oracle_trial
 
 GEO = mean_from_id("power:0")
@@ -252,7 +248,7 @@ class TestSweepVerdicts:
         # tol at each trial's scalar |gap| / (1 + |rhs|) and one ulp either
         # side puts that trial on its boundary
         mean, seed, n, trials = mean_from_id(mean_id), 5, 8, 24
-        x, w, _ = sweep_block(seed, range(trials), n)
+        x, w, _ = next(sweep_blocks(seed, range(trials), n, 9, trials))
         for base in [oracle_trial(mean, n, seed, t) for t in range(0, trials, 3)]:
             t0 = abs(base.gap) / (1.0 + abs(base.rhs))
             for tol in (np.nextafter(t0, 0.0), t0, np.nextafter(t0, 1.0)):
@@ -280,7 +276,7 @@ class TestSweepVerdicts:
         # a zero entry is outside the Gini mean's domain: the exact scan of
         # its row raises, and the block is checked row by row
         mean = mean_from_id("gini:-1:-1")
-        x, w, _ = sweep_block(1, range(6), 5)
+        x, w, _ = next(sweep_blocks(1, range(6), 5, 9, 6))
         x[3, 2] = x[4, 1] = 0.0
         with pytest.raises(DomainViolation) as want:
             check_kedlaya(mean, x[3].tolist(), w[3].tolist())
@@ -382,10 +378,10 @@ class TestSearchViolation:
 
     def test_last_index_failures_found(self):
         rng = np.random.default_rng(8)
-        from kedlaya.sampling import non_v_weights
         for _ in range(10):
             n = int(rng.integers(3, 6))
-            w = non_v_weights(rng, n)
+            # ones, then a last weight whose ratio rises above its predecessor's
+            w = make_weights([1] * (n - 1) + [int(rng.integers(n, 4 * n))], "W0")
             wit = search_violation(CEX, w, budget=100_000, seed=1)
             assert wit is not None
 
@@ -415,7 +411,7 @@ class TestAffineConjugate:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             x = entries_log_uniform(rng, n)
-            w = integer_nonincreasing_weights(rng, n)
+            w = make_weights(sorted(rng.integers(1, 5, n).tolist(), reverse=True), "W0")
             fwd = check_kedlaya(GEO, x, w)
             rev = check_kedlaya(mirrored, [-v for v in x], w)
             assert abs(fwd.gap + rev.gap) <= 1e-12 * (1 + abs(fwd.gap))

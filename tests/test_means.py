@@ -56,7 +56,7 @@ from kedlaya.means import (
     weighted_average,
     weighted_from_repetition_invariant,
 )
-from kedlaya.sampling import sweep_block
+from kedlaya.sampling import sweep_blocks
 from kedlaya.weights import make_weights, shuffle
 
 ARITH = MeanHandle.arithmetic()
@@ -421,6 +421,17 @@ class TestAxiomSampler:
                 worst[c.axiom] = max(worst[c.axiom], c.residual)
         assert means.sample_axiom_residuals(mean, 120, 5, 3) == worst
 
+
+    @pytest.mark.parametrize("mean, window", [
+        (MeanHandle.affine(mean_from_id("gini:2:1"), -1.0, 0.0), "(-100.0, -0.01)"),
+        (MeanHandle.affine(mean_from_id("power:0.5"), 1.0, 1000.0), "(1000.01, 1100.0)"),
+    ], ids=["reflected gini:2:1", "power:0.5 shifted by 1000"])
+    def test_a_window_outside_the_clip_is_refused(self, mean, window):
+        # no entry of these windows lies in [1e-2, 1e2]: the first one's clipped
+        # log bounds were NaN, the second's crossed and drew entries below the domain
+        with pytest.raises(DomainViolation,
+                           match=re.escape(f"{mean}: its sampling window {window} clipped")):
+            means.sample_axiom_residuals(mean, 10, 4)
 
     def test_nan_residuals_count_as_zero(self):
         # a "mean" that is the first entry below 1 and NaN above: a trial whose
@@ -809,7 +820,7 @@ class TestPrefixRows:
 
     @pytest.mark.parametrize("name", _TWIN_IDS)
     def test_sweep_rows_take_the_driver(self, name):
-        x, w, _ = sweep_block(4, range(100), 8)
+        x, w, _ = next(sweep_blocks(4, range(100), 8, 9, 100))
         assert not _prefix_rows_against_scans(mean_from_id(name), x, w).any()
 
     @pytest.mark.parametrize("name", _TWIN_IDS)
@@ -820,7 +831,7 @@ class TestPrefixRows:
     @pytest.mark.parametrize("name", ["gini:0.5:0.49", "power:1e-3", "gini:-2:-2.001"])
     def test_near_equal_parameters_go_to_the_exact_scans(self, name):
         # the finaliser divides the error of log S_p - log S_q by p - q
-        x, w, _ = sweep_block(4, range(50), 8)
+        x, w, _ = next(sweep_blocks(4, range(50), 8, 9, 50))
         assert _prefix_rows_against_scans(mean_from_id(name), x, w).all()
 
     def test_constant_rows_are_their_entry(self):
@@ -830,7 +841,7 @@ class TestPrefixRows:
                 x.tolist()
 
     def test_means_without_a_driver_are_exact(self):
-        x, w, _ = sweep_block(2, range(20), 8)
+        x, w, _ = next(sweep_blocks(2, range(20), 8, 9, 20))
         for name in ("qa:log", "arithmetic", "min", "homdev:shifted-power:0.5"):
             mean = mean_from_id(name)
             assert mean._prefix_rows is None

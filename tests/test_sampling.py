@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from kedlaya import sampling
 from kedlaya.errors import FloatOverflow
 from kedlaya.inequality import _SWEEP_BLOCK
-from kedlaya.sampling import rational_v_weights, sweep_block, sweep_blocks
+from kedlaya.sampling import rational_v_weights, sweep_blocks
 from kedlaya.weights import is_in_V
 from sweep_oracle import oracle_instance
 
@@ -46,6 +46,15 @@ class TestRationalVWeights:
         # the same draws were consumed
         assert rng.integers(2 ** 62) == oracle_rng.integers(2 ** 62)
 
+    @pytest.mark.parametrize("max_den", [2 ** 21 - 1, 2 ** 21, 2 ** 31 - 1, 2 ** 31])
+    def test_equals_fraction_loop_at_the_int64_gates(self, max_den):
+        # the sort keys, below max_den**3, and the ratio assert's products,
+        # below max_den**2, leave int64 at 2**21 and at 2**31
+        for seed in range(20):
+            w = rational_v_weights(np.random.default_rng(seed), 6, max_den=max_den)
+            assert list(w.entries) == _fraction_loop_v_weights(
+                np.random.default_rng(seed), 6, max_den)
+
     def test_equal_ratios_are_kept(self):
         # max_den 2 draws 1/2 every time: every ratio ties with the next
         w = rational_v_weights(np.random.default_rng(3), 6, max_den=2)
@@ -63,7 +72,7 @@ class TestSweepBlock:
     def test_equals_rational_v_weights_and_entries(self, n, max_den):
         # the second range starts inside a stream block and crosses into the next
         for trials in (range(5, 25), range(1020, 1030)):
-            x, w, error = sweep_block(11, trials, n, max_den)
+            x, w, error = next(sweep_blocks(11, trials, n, max_den, len(trials)))
             assert error is None and x.shape == w.shape == (len(trials), n)
             for row, trial in enumerate(trials):
                 entries, weights = oracle_instance(11, trial, n, max_den)
@@ -76,7 +85,7 @@ class TestSweepBlock:
         # whose sum (n = 1025) or last entry (n = 1100) overflows
         with pytest.raises(FloatOverflow) as want:
             rational_v_weights(np.random.default_rng([3, 0]), n, max_den=2).as_floats()
-        x, w, error = sweep_block(3, range(4), n, max_den=2)
+        x, w, error = next(sweep_blocks(3, range(4), n, 2, 4))
         assert x.shape == w.shape == (0, n)
         assert type(error) is FloatOverflow and str(error) == str(want.value)
 
@@ -85,7 +94,7 @@ class TestSweepBlock:
             raise AssertionError("the block sampler built a Fraction")
 
         monkeypatch.setattr(sampling, "Fraction", no_fraction)
-        x, w, error = sweep_block(0, range(50), 12, max_den=30)
+        x, w, error = next(sweep_blocks(0, range(50), 12, 30, 50))
         assert error is None and (w > 0).all()
 
 
@@ -120,7 +129,7 @@ class TestSweepStream:
         # max_den 9: 9^16 <= 2^53 < 9^17, so n = 17 inverts on int64, n = 18 on Python ints
         ones = np.ones((1, n - 1), np.int64)
         assert sampling._v_weight_rows(ones, 2 * ones, 9)[0].dtype == dtype
-        x, w, error = sweep_block(2, range(60), n, 9)
+        x, w, error = next(sweep_blocks(2, range(60), n, 9, 60))
         assert error is None
         for t in range(60):
             entries, weights = oracle_instance(2, t, n, 9)
@@ -151,7 +160,7 @@ class TestSweepStream:
         v_weight_rows = sampling._v_weight_rows
         monkeypatch.setattr(np.random, "default_rng", Uniforms)
         monkeypatch.setattr(sampling, "_v_weight_rows", spy)
-        x, w, error = sweep_block(0, range(2), 4, max_den)
+        x, w, error = next(sweep_blocks(0, range(2), 4, max_den, 2))
         (a, d), = drawn
         assert error is None and (w > 0).all()
         assert (2 <= d).all() and (d <= max_den).all() and (1 <= a).all() and (a < d).all()
@@ -160,4 +169,4 @@ class TestSweepStream:
 
     def test_max_den_beyond_the_exact_float_map_is_refused(self):
         with pytest.raises(ValueError, match=r"max_den must be in \[2, 2\*\*53\], got 9007199254740993"):
-            sweep_block(0, range(1), 4, 2 ** 53 + 1)
+            next(sweep_blocks(0, range(1), 4, 2 ** 53 + 1, 1))

@@ -126,8 +126,7 @@ class TestProportionalSet:
 
 class TestSimpleFunctions:
     def test_1d_chain_validated(self):
-        f = SimpleFunction1D(((QInterval(0, 1), 1.0), (QInterval(1, 2), 3.0)))
-        assert f.support == QInterval(0, 2)
+        SimpleFunction1D(((QInterval(0, 1), 1.0), (QInterval(1, 2), 3.0)))
         with pytest.raises(ValueError):
             SimpleFunction1D(((QInterval(0, 1), 1.0), (QInterval(2, 3), 3.0)))
 
@@ -141,12 +140,6 @@ class TestSimpleFunctions:
                                     (rect(0, 1, 0, 1), 2.0)])
         with pytest.raises(ValueError):  # escapes bounds
             SimpleFunction2D(UNIT, [(rect(0, 2, 0, 1), 1.0)])
-
-    def test_point_evaluation(self):
-        f = SimpleFunction2D(UNIT, [(rect(0, 1, 0, Fraction(1, 2)), 1.0),
-                                    (rect(0, 1, Fraction(1, 2), 1), 2.0)])
-        assert f.value_at(Fraction(1, 2), Fraction(1, 4)) == 1.0
-        assert f.value_at(Fraction(1, 2), Fraction(1, 2)) == 2.0
 
 
 class TestMIntegral:
@@ -222,13 +215,11 @@ class TestProofFunction:
     def test_two_entry_block_layout(self):
         f = build_proof_function((1.0, 4.0), (1, 1), 2)
         assert f.bounding == rect(0, 2, 0, 2)
+        assert f.xs == f.ys == [0, 1, 2]
         # proportionality 0 in the first left block, 1 in the second: the
-        # whole left column carries the first prefix mean
-        assert f.value_at(Fraction(1, 2), Fraction(1, 2)) == 1.0
-        assert f.value_at(Fraction(1, 2), Fraction(3, 2)) == 1.0
-        # right blocks carry the raw entries
-        assert f.value_at(Fraction(3, 2), Fraction(1, 2)) == 1.0
-        assert f.value_at(Fraction(3, 2), Fraction(3, 2)) == 4.0
+        # whole left column carries the first prefix mean, and the right
+        # blocks carry the raw entries
+        assert f.value_grid().tolist() == [[1.0, 1.0], [1.0, 4.0]]
 
     def test_constant_entries_constant_function(self):
         f = build_proof_function((2.5, 2.5, 2.5), (1, 2, 3), 3)
@@ -248,7 +239,7 @@ class TestProofFunction:
             m = partial_arithmetic_means(x, w)
             sums = [Fraction(0)] + list(partial_sums(w))
             grid = f.value_grid()
-            wx = [float(v) for v in f.x_lengths()]
+            wx = [float(b - a) for a, b in zip(f.xs, f.xs[1:])]
             total = math.fsum(wx)
             for jdx in range(grid.shape[1]):
                 y_mid = (f.ys[jdx] + f.ys[jdx + 1]) / 2
@@ -263,7 +254,7 @@ class TestProofFunction:
         w = make_weights([1, 1, 1], "W0")
         f = build_proof_function(x, w, 2)
         grid = f.value_grid()
-        wx = [float(v) for v in f.x_lengths()]
+        wx = [float(b - a) for a, b in zip(f.xs, f.xs[1:])]
         row = grid[:, 0]
         avg = math.fsum(g * wxi for g, wxi in zip(row, wx)) / math.fsum(wx)
         assert avg == pytest.approx(3.7, rel=1e-12)
@@ -290,7 +281,7 @@ class TestProofFunction:
             for i, x_cell in enumerate(zip(f.xs, f.xs[1:])):
                 if x_cell[1] > s_left:
                     continue
-                assert f.column_profile(i) == expected
+                assert f._x.profiles[i] == _in_y_scale(f, expected)
 
     def test_rejects_inadmissible_weights(self):
         # ratios increase at the last step
@@ -374,6 +365,12 @@ def _dense(bounding, pieces):
         counts[cells] += 1
         values[cells] = v
     return xs, ys, counts, values
+
+
+def _in_y_scale(f, profile: dict) -> tuple:
+    """An exact value -> y-measure ``profile`` as ``f``'s sweep keeps a column's:
+    sorted ``(value, measure)`` pairs, measures in integers over ``f``'s y scale."""
+    return tuple(sorted((v, m * f._ya.scale) for v, m in profile.items()))
 
 
 def _dense_tiles(bounding, pieces) -> bool:
@@ -462,12 +459,11 @@ class TestSweepAgainstDenseGrid:
         xs, ys, _, grid = _dense(f.bounding, f.pieces)
         assert (f.xs, f.ys) == (xs, ys)
         assert (f.value_grid() == grid).all()
-        for i, (x0, x1) in enumerate(zip(xs, xs[1:])):
+        for i in range(len(xs) - 1):
             expected: dict = {}
             for j, (y0, y1) in enumerate(zip(ys, ys[1:])):
                 expected[grid[i, j]] = expected.get(grid[i, j], Fraction(0)) + (y1 - y0)
-                assert f.value_at((x0 + x1) / 2, y0) == grid[i, j]
-            assert f.column_profile(i) == expected
+            assert f._x.profiles[i] == _in_y_scale(f, expected)
 
     def test_proof_function_column_profiles_match(self):
         rng = np.random.default_rng(31)
@@ -480,7 +476,7 @@ class TestSweepAgainstDenseGrid:
                 expected: dict = {}
                 for j, (y0, y1) in enumerate(zip(ys, ys[1:])):
                     expected[grid[i, j]] = expected.get(grid[i, j], Fraction(0)) + (y1 - y0)
-                assert f.column_profile(i) == expected
+                assert f._x.profiles[i] == _in_y_scale(f, expected)
 
     @pytest.mark.parametrize("mean_id", ["arithmetic", "power:0", "gini:2:1"])
     def test_swap_sides_within_4_ulps_of_the_dense_grid(self, mean_id):
@@ -551,7 +547,8 @@ class TestIntegerConstruction:
             f, g = build_proof_function(x, w, j), proof_oracle.build_proof_function(x, w, j)
             assert function_to_json(f) == proof_oracle.function_to_json(g)
             assert (f.xs, f.ys) == (g.xs, g.ys)
-            assert all(f.column_profile(i) == g.column_profile(i) for i in range(len(f.xs) - 1))
+            assert ([[(v, m * g._ya.scale) for v, m in p] for p in f._x.profiles]
+                    == [[(v, m * f._ya.scale) for v, m in p] for p in g._x.profiles])
             for mean in self.MEANS:
                 assert jensen_fubini_sides(mean, f) == jensen_fubini_sides(mean, g)
             assert f._pieces is None  # nothing above built the Fraction pieces
@@ -562,7 +559,7 @@ class TestIntegerConstruction:
         x, w = [1.0, 2.0, 0.5, 3.0, 1.5], rational_v_weights(np.random.default_rng(8), 5, 7)
         f, g = build_proof_function(x, w, 5), proof_oracle.build_proof_function(x, w, 5)
         assert (f.value_grid() == g.value_grid()).all()
-        assert (f.xs, f.ys, f.x_lengths()) == (g.xs, g.ys, g.x_lengths())
+        assert (f.xs, f.ys) == (g.xs, g.ys)
         assert f._pieces is None
 
     def test_the_checks_run_on_every_construction(self, monkeypatch):
