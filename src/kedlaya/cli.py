@@ -47,7 +47,10 @@ def _column(col: list):
     if kinds == {str}:
         return list(map(_ESCAPE, col))
     if kinds == {float} and all(map(math.isfinite, col)):
-        return list(map(float.__repr__, col))
+        distinct = set(col)  # a set merges -0.0 and 0.0, so a zero is written value by value
+        if 0.0 in distinct or len(distinct) == len(col):
+            return list(map(float.__repr__, col))
+        return list(map(dict(zip(distinct, map(float.__repr__, distinct))).__getitem__, col))
     if kinds == {int}:
         return list(map(int.__repr__, col))
     if any(issubclass(k, (list, tuple, dict)) for k in kinds):

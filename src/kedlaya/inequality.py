@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DomainViolation,
     FloatOverflow,
     LengthMismatch,
     NegativeSeed,
@@ -410,7 +411,10 @@ def search_violation(mean: MeanHandle, w, budget: int = 100_000,
     ``(0, ..., 0, t, 1)`` is scanned over ``t = 2^-k`` first, because the
     necessity argument concentrates violations near ``t -> 0``; random
     positive vectors follow until the budget is exhausted.  Every
-    inequality evaluation counts against ``budget``.
+    inequality evaluation counts against ``budget``.  Weights outside V_n
+    have ``n >= 3``, where both families have zero entries, so a mean whose
+    domain excludes 0 raises :class:`DomainViolation` before the first
+    candidate.
     """
     wv = as_weight_vector(w, "W0")
     if is_in_V(wv):
@@ -418,6 +422,9 @@ def search_violation(mean: MeanHandle, w, budget: int = 100_000,
     if seed < 0:
         raise NegativeSeed(f"seed must be >= 0, got {seed}")
     n = len(wv)
+    if not mean.domain.contains(0.0):
+        raise DomainViolation(f"the search's candidates have zero entries, which lie "
+                              f"outside the domain of {mean}")
     spent = 0
 
     def attempt(x) -> Optional[ViolationWitness]:

@@ -2,11 +2,12 @@
 
 Geometry here is exact, in integers over one scale per axis: constructions
 hand over the integer coordinates they know, and ``integers_over_lcm`` maps
-the ``fractions.Fraction`` endpoints of outside pieces.  Tilings are checked by
-area and corner parity and slice measures read off integer sweep lines over
-the piece endpoints, with no dense grid.  Only the *values*
-carried by the pieces are floats; measures become float weights at the
-evaluation boundary, so no geometric roundoff can corrupt a mean.
+the ``fractions.Fraction`` endpoints of outside pieces.  Sweep lines on arrays
+indexed by coordinate rank (int64 below 2^63, Python ints beyond) read off
+slice measures; tilings are checked by area and rank-packed corner parity,
+with no dense grid.  Only the *values* carried by the pieces are floats;
+measures become float weights at the evaluation boundary, so no geometric
+roundoff can corrupt a mean.
 
 The module provides the proportional-subset construction (a subset of a
 rectangle whose every axis-parallel slice has a prescribed fraction of
@@ -20,7 +21,6 @@ inequality.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -137,35 +137,48 @@ def _escaping(xa: _Axis, ya: _Axis) -> list:
 
 class _Sweep(NamedTuple):
     """The slices between consecutive integer ``breaks`` of an axis:
-    ``profiles[i]`` is slice i's sorted ``(value, cross measure)`` pairs,
-    and ``widths`` maps each distinct profile to its summed slice width."""
+    ``profiles[i]`` is slice i's ``(value, cross measure)`` pairs by value,
+    ``widths`` maps each distinct profile, in order of first appearance, to
+    its summed slice width, and ``ends`` holds the ranks in ``breaks`` of
+    the pieces' lower and of their upper ends."""
 
     breaks: list
     profiles: list
     widths: dict
+    ends: tuple
+
+
+def _dtype(axis: _Axis, cross: list):
+    """int64 while the coordinates and the length of ``axis`` and the summed
+    ``cross`` measure, which bounds every partial sum of a sweep, are below
+    2^63; Python ints beyond."""
+    return np.int64 if max(-axis.lo, axis.hi, axis.hi - axis.lo, sum(cross)) < 2 ** 63 else object
 
 
 def _sweep(axis: _Axis, cross: list, values) -> _Sweep:
-    """One sweep line along ``axis``: each rectangle adds its value's cross
-    measure at its lower endpoint and removes it at its upper one."""
-    events = defaultdict(list, {axis.lo: [], axis.hi: []})
-    for lo, hi, c, v in zip(axis.lows, axis.highs, cross, values):
-        events[lo].append((v, c))
-        events[hi].append((v, -c))
-    breaks = sorted(events)
-    active: dict = {}
-    profiles, widths = [], {}
-    for b, nxt in zip(breaks, breaks[1:]):
-        for v, c in events[b]:
-            m = active.get(v, 0) + c
-            if m:
-                active[v] = m
-            else:
-                del active[v]
-        key = tuple(sorted(active.items()))
-        widths[key] = widths.get(key, 0) + nxt - b
-        profiles.append(key)
-    return _Sweep(breaks, profiles, widths)
+    """One sweep line along ``axis`` on a table of breaks by distinct values,
+    in :func:`_dtype`: each piece adds its cross measure to its value's
+    column at the rank of its lower end and takes it off at the rank of its
+    upper one, so a cumsum down the breaks leaves each slice's profile in
+    its row.  Values are ranked by ``np.unique``: -0.0 and 0.0 are one
+    value, and so are all NaNs, which sort last."""
+    n, dtype = len(cross), _dtype(axis, cross)
+    breaks, rank = np.unique(np.array([axis.lo, axis.hi, *axis.lows, *axis.highs], dtype),
+                             return_inverse=True)
+    lo, hi = rank[2:n + 2], rank[n + 2:]
+    vals, col = np.unique(values, return_inverse=True)
+    table, cross = np.zeros((len(breaks), len(vals)), dtype), np.array(cross, dtype)
+    np.add.at(table, (lo, col), cross)
+    np.add.at(table, (hi, col), -cross)
+    index: dict = {}  # distinct rows in order of first appearance
+    ids = [index.setdefault(row, len(index))
+           for row in map(tuple, table.cumsum(axis=0)[:-1].tolist())]
+    vals = vals.tolist()
+    keys = [tuple((v, m) for v, m in zip(vals, row) if m) for row in index]
+    widths = np.zeros(len(keys), dtype)
+    np.add.at(widths, ids, np.diff(breaks))
+    return _Sweep(breaks.tolist(), list(map(keys.__getitem__, ids)),
+                  dict(zip(keys, widths.tolist())), (lo, hi))
 
 
 class SimpleFunction2D:
@@ -178,7 +191,7 @@ class SimpleFunction2D:
     Corner parity makes the coverage count odd on every cell and equal
     area then forces it to 1, so a hole plus an overlap of equal area
     fails too.  One sweep line per axis groups the slices by their exact
-    value -> measure profile; no dense grid is built.
+    value -> measure profile and ranks the corners; no dense grid is built.
     """
 
     __slots__ = ("bounding", "_pieces", "_values", "_xa", "_ya", "_x", "_y")
@@ -207,18 +220,20 @@ class SimpleFunction2D:
             raise ValueError(
                 f"pieces do not tile the bounding rectangle exactly: their areas "
                 f"sum to {Fraction(area, xa.scale * ya.scale)}, not {bounding.area}")
-        odd: set = set()
-        for a, b, c, d in zip(xa.lows, xa.highs, ya.lows, ya.highs):
-            odd.symmetric_difference_update(((a, c), (a, d), (b, c), (b, d)))
-        corners = {(x, y) for x in (xa.lo, xa.hi) for y in (ya.lo, ya.hi)}
-        if odd != corners:
-            x, y = min(odd ^ corners)
+        self._x, self._y = _sweep(xa, dy, values), _sweep(ya, dx, values)
+        # corner parity over the sweeps' ranks, corner (xi, yi) packed as xi * ny + yi
+        (a, b), (c, d), ny = self._x.ends, self._y.ends, len(self._y.breaks)
+        packed, count = np.unique(np.concatenate([a * ny + c, a * ny + d, b * ny + c, b * ny + d]),
+                                  return_counts=True)
+        top = (len(self._x.breaks) - 1) * ny
+        corners = {0, ny - 1, top, top + ny - 1}
+        if odd := set(packed[count % 2 == 1].tolist()) ^ corners:
+            x, y = divmod(min(odd), ny)
             raise ValueError(
                 f"pieces do not tile the bounding rectangle exactly: corner "
-                f"({Fraction(x, xa.scale)}, {Fraction(y, ya.scale)}) occurs an "
-                f"{'even' if (x, y) in corners else 'odd'} number of times")
-        self._x = _sweep(xa, dy, values)
-        self._y = _sweep(ya, dx, values)
+                f"({Fraction(self._x.breaks[x], xa.scale)}, "
+                f"{Fraction(self._y.breaks[y], ya.scale)}) occurs an "
+                f"{'even' if min(odd) in corners else 'odd'} number of times")
         return self
 
     def _boxes(self):  # (x0, x1, y0, y1, value) of each piece, in integers
@@ -451,12 +466,18 @@ def _matches_step(mean: MeanHandle, x, wv, j: int, swap_sides: tuple,
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+def _ratio_text(v: int, scale: int) -> str:
+    """``str(Fraction(v, scale))`` for ``scale > 0``, from one gcd."""
+    g = math.gcd(v, scale)
+    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
+
+
 def function_to_json(f: SimpleFunction2D) -> dict:
     """Serialize with rationals as ``p/q`` strings, one reduced string per
     distinct integer coordinate (the domain's corners are piece corners);
-    ``f.pieces`` is never built."""
+    neither ``f.pieces`` nor a Fraction is built."""
     xa, ya = f._xa, f._ya
-    xt, yt = ({v: str(q) for v, q in a.fractions().items()} for a in (xa, ya))
+    xt, yt = ({v: _ratio_text(v, a.scale) for v in {*a.lows, *a.highs}} for a in (xa, ya))
     return {"schema": 1,
             "domain": {"x": [xt[xa.lo], xt[xa.hi]], "y": [yt[ya.lo], yt[ya.hi]]},
             "pieces": [{"x": [xt[a], xt[b]], "y": [yt[c], yt[d]], "value": v}

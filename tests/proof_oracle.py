@@ -1,11 +1,15 @@
-"""The proof-function builder on per-piece Fractions, kept as the oracle of
-the integer construction in ``kedlaya.stepfn``.
+"""Oracles of the exact geometry in ``kedlaya.stepfn``.
 
-Every coordinate is a ``Fraction`` and every piece a ``QRectangle`` of
-``QInterval``s, as the paper writes the blocks; the function goes through
-``SimpleFunction2D.__init__``, which scales the pieces to integers itself.
+The proof-function builder on per-piece Fractions is the oracle of the
+integer construction: every coordinate is a ``Fraction`` and every piece a
+``QRectangle`` of ``QInterval``s, as the paper writes the blocks, and the
+function goes through ``SimpleFunction2D.__init__``, which scales the pieces
+to integers itself.  The sweep line on Python dicts is the oracle of the
+array sweep, and the corner parity on sets of coordinate pairs the oracle of
+the parity over packed coordinate ranks.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 from kedlaya.errors import LengthMismatch, NonpositiveWeight, WeightsNotInV
@@ -75,3 +79,43 @@ def function_to_json(f: SimpleFunction2D) -> dict:
     return {"schema": 1,
             "domain": {"x": iv(f.bounding.dx), "y": iv(f.bounding.dy)},
             "pieces": [{"x": iv(r.dx), "y": iv(r.dy), "value": v} for r, v in f.pieces]}
+
+
+def _sweep(axis, cross: list, values) -> tuple:
+    """``(breaks, profiles, widths)`` of :func:`kedlaya.stepfn._sweep`, from one
+    sweep line whose events are kept in a dict of lists: each rectangle adds
+    its value's cross measure at its lower endpoint and removes it at its
+    upper one, and each slice's active values are sorted once."""
+    events = defaultdict(list, {axis.lo: [], axis.hi: []})
+    for lo, hi, c, v in zip(axis.lows, axis.highs, cross, values):
+        events[lo].append((v, c))
+        events[hi].append((v, -c))
+    breaks = sorted(events)
+    active: dict = {}
+    profiles, widths = [], {}
+    for b, nxt in zip(breaks, breaks[1:]):
+        for v, c in events[b]:
+            m = active.get(v, 0) + c
+            if m:
+                active[v] = m
+            else:
+                del active[v]
+        key = tuple(sorted(active.items()))
+        widths[key] = widths.get(key, 0) + nxt - b
+        profiles.append(key)
+    return breaks, profiles, widths
+
+
+def corner_error(f, boxes) -> str:
+    """The message naming the least corner of the integer ``boxes`` (over
+    ``f``'s scales) whose count has the wrong parity: odd inside, even at
+    one of the four corners of ``f``'s bounding rectangle."""
+    odd: set = set()
+    for a, b, c, d, _ in boxes:
+        odd.symmetric_difference_update(((a, c), (a, d), (b, c), (b, d)))
+    xa, ya = f._xa, f._ya
+    corners = {(x, y) for x in (xa.lo, xa.hi) for y in (ya.lo, ya.hi)}
+    x, y = min(odd ^ corners)
+    return (f"pieces do not tile the bounding rectangle exactly: corner "
+            f"({Fraction(x, xa.scale)}, {Fraction(y, ya.scale)}) occurs an "
+            f"{'even' if (x, y) in corners else 'odd'} number of times")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kedlaya import cli
+from kedlaya import inequality as ineq
 from kedlaya import means as mn
 from kedlaya.cli import main
 from sweep_oracle import oracle_report, oracle_trial
@@ -323,6 +324,15 @@ class TestRefute:
         code, _, err = run(capsys, "refute", "--mean", "gini21", "--w", "1,1,1")
         assert code == 2
         assert "V_n" in err
+
+    def test_a_domain_without_zero_is_refused_before_any_candidate(self, capsys, monkeypatch):
+        # every candidate family has zero entries, which power:2 does not take
+        checked = []
+        monkeypatch.setattr(ineq, "check_kedlaya", lambda *a, **k: checked.append(a))
+        code, out, err = run(capsys, "refute", "--mean", "power:2", "--w", "1,1,4,1")
+        assert (code, out, checked) == (2, "", [])
+        assert err == ("error: the search's candidates have zero entries, which lie "
+                       "outside the domain of power:2\n")
 
     def test_witness_found(self, capsys):
         code, out, _ = run(capsys, "refute", "--mean", "gini21",
@@ -794,10 +804,14 @@ class TestJsonWriter:
         {"a": [], "b": {}, "c": [[], {}], "d": (), "e": [{}], "f": {"g": []}},
         {"x": {"y": [[1, 2], {"z": {3: "line\nbreak"}}]}},
         [{1: "a", 2.5: [1]}, {1: "b", 2.5: [2]}],
+        [0.0, -0.0, 1.5, 0.0, -0.0, 1.5],
+        [{"v": -0.0}, {"v": 2.0}, {"v": 0.0}, {"v": 2.0}, {"v": -0.0}],
     ], ids=["one record", "one record below a dict", "int column with a bool",
             "int record column with a bool", "float column with nan and inf",
             "float record column with nan", "int-keyed dict holding records",
-            "empty containers", "nested lists below dicts", "records with an int key"])
+            "empty containers", "nested lists below dicts", "records with an int key",
+            "finite float column with repeated signed zeros",
+            "float record column with repeated signed zeros"])
     def test_branches(self, doc):
         assert cli._dumps(doc) == _reference(doc)
 

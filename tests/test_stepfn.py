@@ -15,6 +15,9 @@ from kedlaya.means import MeanHandle, evaluate, mean_from_id, weighted_average
 from kedlaya.sampling import rational_v_weights
 from kedlaya.stepfn import (
     ProportionalSet,
+    _Axis,
+    _dtype,
+    _sweep,
     QInterval,
     QRectangle,
     SimpleFunction1D,
@@ -390,9 +393,9 @@ def _dense_sides(mean, f):
     return lhs, rhs
 
 
-def _grid_tiling(data):
+def _grid_tiling(data, values=st.sampled_from([0.5, 1.0, 2.0, 3.5])):
     """A tiling of the unit square by a random rational grid whose cells
-    are merged along x into runs, with random values."""
+    are merged along x into runs, with values drawn from ``values``."""
     def cuts(iv):
         inner = data.draw(st.lists(st.fractions(iv.lower, iv.upper, max_denominator=12),
                                    max_size=3, unique=True))
@@ -404,8 +407,7 @@ def _grid_tiling(data):
         i = 0
         while i < len(xs) - 1:
             run = data.draw(st.integers(1, len(xs) - 1 - i))
-            pieces.append((rect(xs[i], xs[i + run], y0, y1),
-                           data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))))
+            pieces.append((rect(xs[i], xs[i + run], y0, y1), data.draw(values)))
             i += run
     return pieces
 
@@ -603,8 +605,10 @@ class TestIntegerConstruction:
             boxes[k] = boxes[data.draw(st.sampled_from(same))]
         if not boxes:
             return
-        assert (_error(lambda: _from_boxes(f, boxes))
-                == _error(lambda: SimpleFunction2D(f.bounding, _pieces_of(f, boxes))))
+        got = _error(lambda: _from_boxes(f, boxes))
+        assert got == _error(lambda: SimpleFunction2D(f.bounding, _pieces_of(f, boxes)))
+        if "corner" in got:
+            assert got == proof_oracle.corner_error(f, boxes)
 
     def test_each_check_fails_by_name(self):
         f = build_proof_function((1.0, 4.0, 2.0), (2, 1, 1), 3)
@@ -618,4 +622,91 @@ class TestIntegerConstruction:
             got = _error(lambda: _from_boxes(f, broken))
             assert words in got
             assert got == _error(lambda: SimpleFunction2D(f.bounding, _pieces_of(f, broken)))
+        assert _error(lambda: _from_boxes(f, cases["corner"])) == (
+            "pieces do not tile the bounding rectangle exactly: corner (3, 8/3) occurs an odd "
+            "number of times") == proof_oracle.corner_error(f, cases["corner"])
         assert _from_boxes(f, boxes).pieces == f.pieces
+
+
+# ---------------------------------------------------------------------------
+# The array sweep against the Python sweep line (tests/proof_oracle.py)
+# ---------------------------------------------------------------------------
+
+def _sweeps_agree(got, axis, cross, values) -> None:
+    """``got`` is the oracle's sweep of ``axis``: the same breaks and slice
+    profiles, and the same widths in the same order, first appearance first."""
+    breaks, profiles, widths = proof_oracle._sweep(axis, cross, values)
+    assert (got.breaks, got.profiles) == (breaks, profiles)
+    assert list(got.widths.items()) == list(widths.items())
+
+
+def _stretched(axis, k: int):
+    """The same axis in integers over ``k`` times its scale."""
+    return axis._replace(lo=axis.lo * k, hi=axis.hi * k, lows=[v * k for v in axis.lows],
+                         highs=[v * k for v in axis.highs], scale=axis.scale * k)
+
+
+class TestArraySweep:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(2, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_python_sweep_on_proof_functions(self, seed, n, max_den):
+        rng = np.random.default_rng(seed)
+        w = rational_v_weights(rng, n, max_den=max_den)
+        x = [float(v) for v in rng.uniform(0.1, 10.0, n)]
+        for j in range(2, n + 1):
+            f = build_proof_function(x, w, j)
+            _sweeps_agree(f._x, f._xa, f._ya.extents(), f._values)
+            _sweeps_agree(f._y, f._ya, f._xa.extents(), f._values)
+
+    @given(st.data(), st.sampled_from([1, 2 ** 63]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_python_sweep_on_tilings(self, data, stretch):
+        # repeated, signed-zero and infinite values; stretched, on Python ints
+        f = SimpleFunction2D(UNIT, _grid_tiling(data, st.sampled_from(
+            [0.0, -0.0, 1.0, 2.5, math.inf, -math.inf])))
+        xa, ya = _stretched(f._xa, stretch), _stretched(f._ya, stretch)
+        assert (_dtype(xa, ya.extents()) is object) == (stretch > 1)
+        g = SimpleFunction2D._from_ints(f.bounding, xa, ya, f._values)
+        _sweeps_agree(g._x, xa, ya.extents(), g._values)
+        _sweeps_agree(g._y, ya, xa.extents(), g._values)
+        assert g.xs == f.xs and g.ys == f.ys
+
+    @pytest.mark.parametrize("cross, dtype", [([2 ** 62, 2 ** 62 - 1], np.int64),
+                                              ([2 ** 62, 2 ** 62], object)])
+    def test_the_int64_gate_is_exact(self, cross, dtype):
+        # two stacked pieces of one value: their summed cross measure is a
+        # table entry, 2^63 - 1 on int64 and 2^63 on Python ints
+        axis = _Axis(0, 2, [0, 0], [1, 1], 1)
+        assert _dtype(axis, cross) is dtype
+        got = _sweep(axis, cross, [1.5, 1.5])
+        _sweeps_agree(got, axis, cross, [1.5, 1.5])
+        assert got.profiles == [((1.5, sum(cross)),), ()]
+
+    @pytest.mark.parametrize("d, dtype", [(2 ** 62 - 2, np.int64), (2 ** 62 - 1, object)])
+    def test_a_proof_function_on_each_side_of_the_gate(self, d, dtype):
+        # weights (1, 1/d) at j = 2: each sweep's cross measures sum to 2d + 2
+        x, w = [2.0, 3.0], [Fraction(1), Fraction(1, d)]
+        f, g = build_proof_function(x, w, 2), proof_oracle.build_proof_function(x, w, 2)
+        for sweep, axis, other in ((f._x, f._xa, f._ya), (f._y, f._ya, f._xa)):
+            assert sum(other.extents()) == 2 * d + 2
+            assert _dtype(axis, other.extents()) is dtype
+            _sweeps_agree(sweep, axis, other.extents(), f._values)
+        assert function_to_json(f) == proof_oracle.function_to_json(g)
+        assert verify_proof_construction(GEO, x, w, 2)
+
+    def test_nan_values_are_one_value_sorted_last(self):
+        # np.unique ranks every NaN as one value, after +inf, so two NaN
+        # objects share one profile entry, which the dict sweep keeps apart
+        half, nans = Fraction(1, 2), (float("nan"), float("nan"))
+        f = SimpleFunction2D(UNIT, [(rect(0, half, 0, 1), nans[0]),
+                                    (rect(half, 1, 0, half), nans[1]),
+                                    (rect(half, 1, half, 1), math.inf)])
+
+        def shown(profiles):
+            return [[("nan" if math.isnan(v) else v, m) for v, m in p] for p in profiles]
+
+        assert shown(f._y.profiles) == [[("nan", 2)], [(math.inf, 1), ("nan", 1)]]
+        assert shown(f._x.profiles) == [[("nan", 2)], [(math.inf, 1), ("nan", 1)]]
+        assert [f._y.widths[p] for p in f._y.profiles] == [1, 1]  # each finds its own entry
+        oracle = proof_oracle._sweep(f._ya, f._xa.extents(), f._values)[1]
+        assert len(oracle[0]) == 2
