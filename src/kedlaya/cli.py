@@ -68,8 +68,8 @@ def _records(items, depth: int):
     if set(map(type, items)) != {dict}:
         return None
     first = items[0]
-    keys = first.keys()
-    if not all(map(keys.__eq__, map(dict.keys, items))) or set(map(type, keys)) - {str}:
+    if (set(map(len, items)) != {len(first)} or first.keys() != set().union(*items)
+            or set(map(type, first)) - {str}):
         return None
     pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
     cols, slots = [], []

@@ -31,10 +31,10 @@ a :class:`ClosedForm`, a finaliser of weighted sums of entry terms, from
 which its scalar definition, :func:`closed_form_prefixes` (every prefix
 ``x[:k]`` of one input in one pass of :func:`prefix_fsums`) and
 :func:`closed_form_rows` (every row of ``(rows, n)`` arrays) evaluate it,
-the last two bit for bit equal to the scalar definition.  With numpy twins,
-:func:`closed_form_prefix_rows` evaluates every prefix of every row from
-numpy running sums, within 1e-13 relative of the scalar definition by the
-declaration's error rule, and marks the rows the rule cannot vouch for.
+the last two bit for bit equal to the scalar definition.  Every closed form
+has a ``(rows, n)`` prefix driver: :func:`closed_form_prefix_rows` on numpy
+twins, within 1e-13 relative by the declaration's error rule, and otherwise
+:func:`closed_form_exact_prefix_rows`, bit for bit by :func:`exact_prefix_sums`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, repeat
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,7 +158,7 @@ class GeneratorSpec:
     def closed_form(self) -> "ClosedForm":
         """The quasi-arithmetic mean ``f_inverse(sum_i w_i f(x_i) / sum_i w_i)``."""
         f, f_inverse = self.f, self.f_inverse
-        return ClosedForm(((None, lambda x, w, c: ([wi * f(xi) for xi, wi in zip(x, w)], w)),),
+        return ClosedForm(((None, lambda x, w, c: (list(map(mul, w, map(f, x))), w)),),
                           lambda total, weight, _, m: f_inverse(total / weight))
 
 
@@ -290,10 +291,41 @@ def solve_deviation_mean(spec: DeviationSpec, x, w) -> float:
 # Exact running sums
 # ---------------------------------------------------------------------------
 
-# Scans of up to this many terms take one C ``fsum`` per prefix, O(n^2) in
-# all; longer ones keep Shewchuk's partials in Python, O(n).  On a 2-vCPU
-# Xeon (log-uniform entries) the two cost the same at about n = 56 to 72.
+# Scans of up to this many terms take one C ``fsum`` per prefix, O(n^2) in all,
+# which costs what Shewchuk's partials in Python do at n = 56-72 (2-vCPU Xeon).
 _FSUM_SCAN_MAX = 64
+
+
+def exact_prefix_sums(t: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every prefix along the last axis of ``t``, bit for
+    bit, or NaN where that is not certain.
+
+    Running sums ``s`` and each add's exact error ``e`` (TwoSum) give
+    ``sum(t[:k]) = s_k + sum(e[:k])``; ``c`` and ``e2`` do the same for
+    ``e``.  Until an ``e2`` is not 0 or a running sum is not finite or past
+    ``2^1021`` (below it no partial of ``fsum`` overflows), ``c_k`` is exact
+    and the IEEE add ``s_k + c_k`` rounds the exact sum as ``fsum`` does, but
+    for a sum of 0, whose sign ``fsum`` picks.  IEEE adds alone run, so the
+    bits are the same on every CPU.  Many short rows run a column at a time:
+    a cumsum along the short axis took 6 times as long at 2048 rows of 8.
+    """
+    a = np.array(t.T, dtype=float)  # prefixes along axis 0
+    sums = []  # the running sums of t, then those of their errors
+    with np.errstate(invalid="ignore", over="ignore"):  # not finite: not certain
+        for _ in range(2):
+            if a.size <= len(a) ** 2:  # no more rows than terms
+                s = np.cumsum(a, axis=0)
+            else:
+                s = a.copy()
+                for k in range(1, len(s)):
+                    s[k] += s[k - 1]
+            b = s[1:] - s[:-1]
+            a[1:], a[0] = (s[:-1] - (s[1:] - b)) + (a[1:] - b), 0.0  # each add's error
+            sums.append(s)
+        ok = np.logical_and.accumulate((a == 0.0) & (np.abs(sums[0]) <= 2.0 ** 1021), axis=0)
+        r = sums[0] + sums[1]
+    r[~ok | (r == 0.0)] = np.nan
+    return r.T
 
 
 def prefix_fsums(values, start: int = 0) -> list:
@@ -301,7 +333,8 @@ def prefix_fsums(values, start: int = 0) -> list:
     where the first of those sums raises.
 
     Up to :data:`_FSUM_SCAN_MAX` terms each sum is one C ``fsum``.  Longer
-    scans keep Shewchuk's nonoverlapping partials, as ``fsum`` does: their
+    scans take :func:`exact_prefix_sums`; where it leaves a sum uncertain
+    they keep Shewchuk's nonoverlapping partials, as ``fsum`` does: their
     exact sum is that of the finite terms, so ``fsum`` of the few partials
     is correctly rounded like ``fsum`` of all of them.  A term raises where
     ``fsum`` raises while consuming it; after an inf or nan term each sum is
@@ -313,6 +346,12 @@ def prefix_fsums(values, start: int = 0) -> list:
             terms.append(v)
             out.append(math.fsum(terms))
         return out
+    try:
+        sums = exact_prefix_sums(np.array(values, dtype=float))[start:]
+        if not np.isnan(sums).any():
+            return sums.tolist()
+    except (TypeError, ValueError, OverflowError):
+        pass
     out, partials, special = [], [], False
     for k, x in enumerate(values):
         term, i = x, 0
@@ -513,6 +552,33 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
         bound = np.where(const, 0.0, form.error(*sums, *logs, k, x))
         trusted &= np.isfinite(out).all(axis=1) & (bound <= PREFIX_ROWS_RTOL / _U).all(axis=1)
     out[~trusted] = np.nan
+    return out
+
+
+def closed_form_exact_prefix_rows(form: ClosedForm, domain: Interval, x: np.ndarray,
+                                  w: np.ndarray, last: bool = False) -> np.ndarray:
+    """The scalar definition of ``form``, which has no twins, on every prefix
+    of every row of ``(rows, n)`` arrays (with ``last``, on each whole row, as
+    a column), bit for bit, from one ``terms`` call, :func:`exact_prefix_sums`
+    per sum and ``finish`` per prefix; a constant prefix is its first entry.
+    A row is NaN if an entry is outside ``domain``, a weight is not positive,
+    a sum is not certain or a value not finite, and so is every row that is
+    not constant if ``terms`` or ``finish`` raises an arithmetic or value error.
+    """
+    good = (domain.contains(x) & (w > 0.0)).all(axis=1)
+    cols = slice(-1 if last else 0, None)
+    out = np.full(x[:, cols].shape, np.nan)
+    try:
+        sums = [exact_prefix_sums(np.reshape(t, (-1, x.shape[1])))[:, cols].ravel().tolist()
+                for _, terms in form.sums
+                for t in terms(x[good].ravel().tolist(), w[good].ravel().tolist(), 1.0)]
+        out[good] = np.reshape(list(map(form.finish, *sums, *[repeat(0.0)] * len(form.sums),
+                                        repeat(math))), (-1, out.shape[1]))
+    except (ArithmeticError, ValueError):
+        pass
+    const = np.logical_and.accumulate(x == x[:, :1], axis=1)[:, cols] & good[:, None]
+    out = np.where(const, x[:, :1], out)
+    out[~np.isfinite(out).all(axis=1)] = np.nan
     return out
 
 

@@ -24,14 +24,9 @@ class Interval:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, v: float) -> bool:
-        if self.lo_open:
-            if not v > self.lo:
-                return False
-        elif not v >= self.lo:
-            return False
-        if self.hi_open:
-            return v < self.hi
-        return v <= self.hi
+        """Whether ``v`` lies in the interval, elementwise on numpy arrays."""
+        return ((v > self.lo if self.lo_open else v >= self.lo)
+                & (v < self.hi if self.hi_open else v <= self.hi))
 
     def transform(self, a: float, b: float) -> "Interval":
         """Image of the interval under ``v -> a*v + b`` (``a != 0``)."""

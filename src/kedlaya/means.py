@@ -153,9 +153,8 @@ class MeanHandle:
     cannot evaluate to ``_fn``.  The built-in ``homdev`` means have both,
     bisecting in lockstep.  Only custom deviations, and homogeneous
     deviations of a caller's ``f``, have neither and are evaluated row by row.
-    ``_prefix_rows``, present for the closed forms with numpy twins (power,
-    Gini, ``gini21``), is :func:`~kedlaya.deviation.closed_form_prefix_rows`
-    on the declaration (see :func:`evaluate_prefix_rows`).
+    ``_prefix_rows(x, w, last)``, present for every closed form, is its
+    ``(rows, n)`` prefix driver (see :func:`evaluate_prefix_rows`).
     """
 
     family: str
@@ -195,13 +194,13 @@ class MeanHandle:
     def _closed_form(cls, family: str, domain: Interval, params: tuple, label: str,
                      fn: Callable, form: dev.ClosedForm) -> "MeanHandle":
         """A closed-form mean: its scalar definition ``fn`` and the generic
-        batch and prefix drivers on its declaration ``form``, and with numpy
-        twins the ``(rows, n)`` prefix driver."""
+        batch, prefix and ``(rows, n)`` prefix drivers on its declaration
+        ``form``."""
         return cls(family, domain, params, label, fn,
                    lambda x, w: dev.closed_form_rows(form, fn, x, w),
                    lambda x, w, first: dev.closed_form_prefixes(form, fn, x, w, first),
-                   None if form.twins is None
-                   else lambda x, w: dev.closed_form_prefix_rows(form, x, w))
+                   lambda x, w, last: dev.closed_form_prefix_rows(form, x, w) if form.twins
+                   else dev.closed_form_exact_prefix_rows(form, domain, x, w, last))
 
     @classmethod
     def power(cls, p: float) -> "MeanHandle":
@@ -342,14 +341,14 @@ def evaluate_prefix_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
     arrays, as a ``(rows, n)`` array; with ``last``, only each row's last
     value, :func:`evaluate` on the whole row.
 
-    The closed forms with numpy twins (power, Gini, ``gini21``) take the
-    rows through :func:`~kedlaya.deviation.closed_form_prefix_rows`, each
-    value within :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL` relative of
-    the scalar one.  The rows it does not take, and every row of the other
-    means, are evaluated exactly, bit for bit and raising what the first
-    failing row raises.
+    Every closed form takes the rows through its driver: numpy running sums
+    for those with twins (power, Gini, ``gini21``), each value within
+    :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL` relative of the scalar one,
+    and exact sums for the others (quasi-arithmetic means).  The rows a
+    driver does not take, and every row of the other means, are evaluated
+    exactly, bit for bit and raising what the first failing row raises.
     """
-    out = (mean._prefix_rows(x, w) if mean._prefix_rows is not None
+    out = (mean._prefix_rows(x, w, last) if mean._prefix_rows is not None
            else np.full(x.shape, np.nan))
     if last:
         out = out[:, -1]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -467,6 +468,35 @@ def test_golden_sweep_within_1e13_of_oracle(capsys, argv):
         assert abs(row["gap"] - want.gap) <= 1e-13 * abs(want.rhs)
 
 
+def _long_check_argv(mean: str) -> tuple:
+    """`check` at n = 200: uniform entries in [0.1, 10] and nonincreasing
+    uniform weights, six digits each."""
+    rng = random.Random(200)
+    x = ",".join(f"{rng.uniform(0.1, 10.0):.6g}" for _ in range(200))
+    w = sorted((rng.uniform(0.1, 10.0) for _ in range(200)), reverse=True)
+    return ("check", "--mean", mean, "--x", x, "--w", ",".join(f"{v:.6g}" for v in w))
+
+
+# sha256 of `check --json` reports at n = 200, whose prefix scans sum more
+# than _FSUM_SCAN_MAX terms, recorded while those scans ran Shewchuk's
+# partials in Python.  `check` runs on math, so the bytes do not depend on
+# numpy's SIMD dispatch.
+GOLDEN_LONG_CHECKS = [
+    ("qa:log", "b2978b80f3e3a14f65d812e54de8b2fa65a09b1874bac38ac43fc29f9953da74"),
+    ("power:0", "053452cca2ea605fe684a73555a57c36d95533457caf3cea6571e5e87b9a52dc"),
+    ("gini:0.5:0", "dac21aa8ce196a4282b3178eb5415590276b8a8ca0498c06627908bf91ab43d4"),
+    ("gini21", "b3a936e61d9279c10304b6543734e6c73800ea360a123793ee64c9bb0fce46cd"),
+]
+
+
+@pytest.mark.kernel_parity
+@pytest.mark.parametrize("mean, digest", GOLDEN_LONG_CHECKS, ids=[m for m, _ in GOLDEN_LONG_CHECKS])
+def test_golden_long_check_report_bytes(capsys, mean, digest):
+    code, out, err = run(capsys, *_long_check_argv(mean), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of proof geometry reports, recorded before the JSON writer replaced
 # the indented json.dumps.  The qa:log cases come from the benchmark's proof
 # stream: 987, 10412 and 31234 grid cells (134, 404 and 575 pieces).
@@ -806,12 +836,14 @@ class TestJsonWriter:
         [{1: "a", 2.5: [1]}, {1: "b", 2.5: [2]}],
         [0.0, -0.0, 1.5, 0.0, -0.0, 1.5],
         [{"v": -0.0}, {"v": 2.0}, {"v": 0.0}, {"v": 2.0}, {"v": -0.0}],
+        [{"a": 1, "b": 2.0}, {"a": 3, "c": 4.0}],
     ], ids=["one record", "one record below a dict", "int column with a bool",
             "int record column with a bool", "float column with nan and inf",
             "float record column with nan", "int-keyed dict holding records",
             "empty containers", "nested lists below dicts", "records with an int key",
             "finite float column with repeated signed zeros",
-            "float record column with repeated signed zeros"])
+            "float record column with repeated signed zeros",
+            "records with as many keys but other ones"])
     def test_branches(self, doc):
         assert cli._dumps(doc) == _reference(doc)
 

@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kedlaya import deviation as dev
 from kedlaya.deviation import (
     DEFAULT_TOL,
     DeviationSpec,
     GeneratorSpec,
+    exact_prefix_sums,
     gini,
     gini21_counterexample,
     homogeneous_deviation,
@@ -540,3 +542,76 @@ class TestCounterexampleMean:
         want = [gini21_counterexample(xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _fsum_or_nan(terms) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _certified_sums_are_fsums(t: np.ndarray) -> np.ndarray:
+    """Check that every value :func:`exact_prefix_sums` gives on ``t`` is
+    ``fsum`` of its prefix, to the sign of zero, and return the output."""
+    out = exact_prefix_sums(t)
+    assert out.shape == t.shape
+    rows = t.reshape(-1, t.shape[-1]).tolist()
+    for row, got in zip(rows, out.reshape(len(rows), -1).tolist()):
+        for k, v in enumerate(got):
+            if not math.isnan(v):
+                assert repr(v) == repr(_fsum_or_nan(row[: k + 1])), (row[: k + 1], v)
+    return out
+
+
+# Values that round against each other in sums: ties, a value next to 2^53,
+# subnormals and values near the float range.
+_AWKWARD = [1.0, 3.0, 0.1, 2.0 ** -53, 2.0 ** -105, 2.0 ** 53, 1e16, 1e-16, 1e300, 1e-300,
+            1e308, 2.0 ** -1074, 2.2250738585072014e-308, 0.0]
+_TERMS = st.one_of(st.floats(), st.sampled_from(_AWKWARD + [-v for v in _AWKWARD]))
+_MAX = sys.float_info.max
+
+
+@pytest.mark.kernel_parity
+class TestExactPrefixSums:
+    """:func:`exact_prefix_sums` gives ``fsum`` of every prefix it certifies."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.sampled_from([(n,), (1, n), (2, 5), (3, 2), (7, 2)])), st.data())
+    def test_certified_values_are_fsums(self, shape, data):
+        # a running sum along each row, and for more rows than terms a column at a time
+        t = data.draw(st.lists(_TERMS, min_size=math.prod(shape), max_size=math.prod(shape)))
+        _certified_sums_are_fsums(np.reshape(t, shape))
+
+    @pytest.mark.parametrize("terms, want", [
+        ([1.0, 2.0 ** -53], [1.0, 1.0]),  # a tie, to even
+        ([1.0, 2.0 ** -53, 2.0 ** -105], [1.0, 1.0, 1.0000000000000002]),  # just past it
+        ([1.0 + 2.0 ** -52, 2.0 ** -53], [1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51]),
+        ([2.0 ** 53, 3.0, -1e-16], [2.0 ** 53, 2.0 ** 53 + 4.0, math.nan]),  # c rounds: e2 != 0
+        ([1e300, 1e-300, -1e300], [1e300, 1e300, 1e-300]),
+        ([2.0 ** -1074, 2.0 ** -1074, -2.0 ** -1073, 2.0 ** -1022], [5e-324, 1e-323, math.nan,
+                                                                     2.0 ** -1022]),
+        ([1.0, -1.0, 3.0], [1.0, math.nan, 3.0]),  # a zero sum: fsum picks its sign
+        ([-0.0, -0.0, 0.0], [math.nan] * 3),
+        ([2.0 ** 1021, 3.0, -2.0 ** 1021], [2.0 ** 1021, 2.0 ** 1021, 3.0]),  # at the cap
+        ([1e308, 1e308, -1e308], [math.nan] * 3),  # past the cap; fsum raises on the second
+        # past the cap; fsum raises on the third, where a partial half an ulp
+        # below 2^1024 rounds up to inf, though the exact sum is below 2^1023
+        ([-2.0 ** 1023 - 2.0 ** 972, 2.0 ** 970, _MAX], [math.nan] * 3),
+        ([1.0, math.inf, 2.0], [1.0, math.nan, math.nan]),
+        ([math.inf, -math.inf], [math.nan, math.nan]),
+        ([2.0, math.nan, 1.0], [2.0, math.nan, math.nan]),
+    ])
+    def test_hand_cases(self, terms, want):
+        want = list(map(repr, want))
+        assert list(map(repr, _certified_sums_are_fsums(np.array(terms)).tolist())) == want
+        for rows in (1, 8):  # a running sum along the row, and a column at a time
+            got = _certified_sums_are_fsums(np.array([terms] * rows)).tolist()
+            assert [list(map(repr, row)) for row in got] == [want] * rows
+
+    @pytest.mark.parametrize("shape", [(200,), (1, 200), (3000, 8), (5000, 2)])
+    def test_log_uniform_terms_times_weights_are_certified(self, shape):
+        rng = np.random.default_rng(23)
+        t = rng.uniform(-2.3, 2.3, shape) * rng.uniform(0.1, 10.0, shape)  # w log x
+        assert not np.isnan(_certified_sums_are_fsums(t)).any()

@@ -784,7 +784,7 @@ _TWIN_IDS = ["power:0", "power:0.5", "power:-2", "power:3", "gini:0.5:0", "gini:
 def _prefix_rows_against_scans(mean, x, w) -> np.ndarray:
     """Check :func:`evaluate_prefix_rows` on every row against
     :func:`evaluate_prefixes`, and return which rows the driver left to it."""
-    driver = mean._prefix_rows(x, w)
+    driver = mean._prefix_rows(x, w, False)
     routed = np.isnan(driver).all(axis=1)
     assert (routed | np.isfinite(driver).all(axis=1)).all()  # NaN rows or finite ones
     got = evaluate_prefix_rows(mean, x, w)
@@ -842,16 +842,33 @@ class TestPrefixRows:
 
     def test_means_without_a_driver_are_exact(self):
         x, w, _ = next(sweep_blocks(2, range(20), 8, 9, 20))
-        for name in ("qa:log", "arithmetic", "min", "homdev:shifted-power:0.5"):
+        for name in ("arithmetic", "min", "homdev:shifted-power:0.5"):
             mean = mean_from_id(name)
             assert mean._prefix_rows is None
             assert evaluate_prefix_rows(mean, x, w).tolist() == [
                 evaluate_prefixes(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
 
+    @pytest.mark.parametrize("name, mean", QA_MEANS[::3], ids=[c[0] for c in QA_MEANS[::3]])
+    def test_closed_forms_without_twins_have_an_exact_driver(self, name, mean):
+        x, w, _ = next(sweep_blocks(2, range(40), 8, 9, 40))
+        x[1, :3] = x[1, 0]  # a constant prefix
+        assert not np.isnan(mean._prefix_rows(x, w, False)).any()  # no row left to the scans
+        assert evaluate_prefix_rows(mean, x, w).tolist() == [
+            evaluate_prefixes(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
+        assert evaluate_prefix_rows(mean, x, w, last=True).tolist() == [
+            evaluate(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
+
     def test_rows_outside_the_domain_raise_as_the_scan_does(self):
         x = np.array([[1.0, 2.0, 3.0], [1.0, -2.0, 3.0]])
-        with pytest.raises(DomainViolation, match="entry -2.0"):
-            evaluate_prefix_rows(GEO, x, np.ones((2, 3)))
+        for mean in (GEO, mean_from_id("qa:pow:2")):  # (-2)^2 is a generator value
+            with pytest.raises(DomainViolation, match="entry -2.0"):
+                evaluate_prefix_rows(mean, x, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name", ["power:0", "qa:log"])
+    def test_a_constant_row_without_a_first_weight_raises_as_the_scan_does(self, name):
+        x, w = np.full((2, 3), 2.0), np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(AllZero):
+            evaluate_prefix_rows(mean_from_id(name), x, w)
 
 
 class TestPrefixKernels:
