@@ -291,8 +291,10 @@ def solve_deviation_mean(spec: DeviationSpec, x, w) -> float:
 # Exact running sums
 # ---------------------------------------------------------------------------
 
-# Scans of up to this many terms take one C ``fsum`` per prefix, O(n^2) in all,
-# which costs what Shewchuk's partials in Python do at n = 56-72 (2-vCPU Xeon).
+# Scans of up to this many terms take one C ``fsum`` per prefix, O(n^2) in all;
+# longer ones take exact_prefix_sums.  The two cost the same at about n = 50-60
+# (one-row scans: 30.8 against 36.8 us at n = 48, 51.5 against 37.9 us at n = 64;
+# 2-vCPU Xeon).
 _FSUM_SCAN_MAX = 64
 
 
@@ -332,48 +334,21 @@ def prefix_fsums(values, start: int = 0) -> list:
     """``[math.fsum(values[:k]) for k = start+1..n]``, bit for bit and raising
     where the first of those sums raises.
 
-    Up to :data:`_FSUM_SCAN_MAX` terms each sum is one C ``fsum``.  Longer
-    scans take :func:`exact_prefix_sums`; where it leaves a sum uncertain
-    they keep Shewchuk's nonoverlapping partials, as ``fsum`` does: their
-    exact sum is that of the finite terms, so ``fsum`` of the few partials
-    is correctly rounded like ``fsum`` of all of them.  A term raises where
-    ``fsum`` raises while consuming it; after an inf or nan term each sum is
-    ``fsum`` of the terms themselves.
+    A scan of more than :data:`_FSUM_SCAN_MAX` terms returns the sums of
+    :func:`exact_prefix_sums` where it certifies all of them.  Every other
+    scan is one C ``fsum`` per prefix, the definition itself.
     """
-    if len(values) <= _FSUM_SCAN_MAX:
-        terms, out = list(values[:start]), []
-        for v in values[start:]:
-            terms.append(v)
-            out.append(math.fsum(terms))
-        return out
-    try:
-        sums = exact_prefix_sums(np.array(values, dtype=float))[start:]
-        if not np.isnan(sums).any():
-            return sums.tolist()
-    except (TypeError, ValueError, OverflowError):
-        pass
-    out, partials, special = [], [], False
-    for k, x in enumerate(values):
-        term, i = x, 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        if x - x == 0.0:  # finite
-            del partials[i:]
-            partials.append(x)
-        elif term - term == 0.0:
-            raise OverflowError("intermediate overflow in fsum")
-        else:  # an inf or nan term: fsum sets it aside and starts the partials over
-            special = True
-            partials.clear()
-        if k >= start:
-            out.append(math.fsum(values[: k + 1] if special else partials))
+    if len(values) > _FSUM_SCAN_MAX:
+        try:
+            sums = exact_prefix_sums(np.array(values, dtype=float))[start:]
+            if not np.isnan(sums).any():
+                return sums.tolist()
+        except (TypeError, ValueError, OverflowError):
+            pass
+    terms, out = list(values[:start]), []
+    for v in values[start:]:
+        terms.append(v)
+        out.append(math.fsum(terms))
     return out
 
 
@@ -425,13 +400,12 @@ def _sums(form: ClosedForm, x, w) -> tuple:
 def _group_prefixes(scale, terms, x, w, first: int) -> tuple:
     """The sums of one group on ``x[:k], w[:k]`` for ``k = first+1..n``, and
     each prefix's ``log c``.  The terms are rebuilt only where the scale
-    changes, about ``ln n`` times for random entries."""
-    if scale is None:
-        return [prefix_fsums(t, first) for t in terms(x, w, 1.0)], repeat(0.0)
+    changes, about ``ln n`` times for random entries; without a scale, ``c``
+    is 1.0 throughout."""
     up, n = scale is max, len(x)
-    c, k, parts, logs = scale(x[: first + 1]), first, [], []
+    c, k, parts, logs = scale(x[: first + 1]) if scale else 1.0, first, [], []
     for end in range(first + 1, n + 1):
-        if end == n or (x[end] > c if up else x[end] < c):  # x[:end+1] has a new scale
+        if end == n or scale and (x[end] > c if up else x[end] < c):  # x[:end+1] has a new scale
             parts.append(list(map(prefix_fsums, terms(x[:end], w[:end], c), repeat(k))))
             logs += [math.log(c)] * (end - k)
             if end < n:

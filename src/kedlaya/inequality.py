@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -425,35 +426,27 @@ def search_violation(mean: MeanHandle, w, budget: int = 100_000,
     if not mean.domain.contains(0.0):
         raise DomainViolation(f"the search's candidates have zero entries, which lie "
                               f"outside the domain of {mean}")
-    spent = 0
-
-    def attempt(x) -> Optional[ViolationWitness]:
+    for x in islice(_candidates(n, seed), max(budget, 0)):
         report = check_kedlaya(mean, x, wv, tol=tol, expect=REVERSED)
         if report.verdict == VIOLATED:
-            return ViolationWitness(tuple(x), report)
-        return None
+            return ViolationWitness(x, report)
+    return None
 
+
+def _candidates(n: int, seed: int):
+    """The search's entries in order: ``(0, ..., 0, 2^-k, 1)`` for ``k = 0..40``,
+    then random vectors from ``seed``, log-uniform in ``[1e-3, 1e3]``, half of
+    them with leading zeros."""
     for k in range(41):
-        if spent >= budget:
-            return None
-        t = 2.0 ** (-k)
-        x = (0.0,) * (n - 2) + (t, 1.0)
-        spent += 1
-        found = attempt(x)
-        if found:
-            return found
+        yield (0.0,) * (n - 2) + (2.0 ** (-k), 1.0)
     rng = np.random.default_rng(seed)
-    while spent < budget:
+    while True:
         logs = rng.uniform(math.log(1e-3), math.log(1e3), size=n)
         x = tuple(math.exp(v) for v in logs)
         if rng.random() < 0.5:
             zeros = int(rng.integers(1, n - 1)) if n > 2 else 0
             x = (0.0,) * zeros + x[zeros:]
-        spent += 1
-        found = attempt(x)
-        if found:
-            return found
-    return None
+        yield x
 
 
 def affine_conjugate(mean: MeanHandle, a: float, b: float) -> MeanHandle:

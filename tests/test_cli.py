@@ -478,9 +478,9 @@ def _long_check_argv(mean: str) -> tuple:
 
 
 # sha256 of `check --json` reports at n = 200, whose prefix scans sum more
-# than _FSUM_SCAN_MAX terms, recorded while those scans ran Shewchuk's
-# partials in Python.  `check` runs on math, so the bytes do not depend on
-# numpy's SIMD dispatch.
+# than _FSUM_SCAN_MAX terms in the TwoSum kernel.  They were recorded while
+# those scans ran a Python copy of fsum's partials.  The kernel runs IEEE adds
+# alone, so the bytes do not depend on numpy's SIMD dispatch either.
 GOLDEN_LONG_CHECKS = [
     ("qa:log", "b2978b80f3e3a14f65d812e54de8b2fa65a09b1874bac38ac43fc29f9953da74"),
     ("power:0", "053452cca2ea605fe684a73555a57c36d95533457caf3cea6571e5e87b9a52dc"),
@@ -493,6 +493,33 @@ GOLDEN_LONG_CHECKS = [
 @pytest.mark.parametrize("mean, digest", GOLDEN_LONG_CHECKS, ids=[m for m, _ in GOLDEN_LONG_CHECKS])
 def test_golden_long_check_report_bytes(capsys, mean, digest):
     code, out, err = run(capsys, *_long_check_argv(mean), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _deferred_check_argv(mean: str) -> tuple:
+    """`check` at n = 80 whose entries start 2, 0.5 under two equal weights, so
+    that the second prefix sum of ``w log x`` is exactly 0: the TwoSum kernel
+    leaves that sum uncertain and the scan takes one fsum per prefix."""
+    rng = random.Random(80)
+    x = ",".join(["2", "0.5"] + [f"{rng.uniform(0.1, 10.0):.6g}" for _ in range(78)])
+    w = sorted((rng.uniform(0.1, 10.0) for _ in range(79)), reverse=True)
+    return ("check", "--mean", mean, "--x", x, "--w", ",".join(f"{v:.6g}" for v in w[:1] + w))
+
+
+# sha256 of `check --json` reports on _deferred_check_argv, recorded while
+# long scans ran a Python copy of fsum's partials where the kernel deferred
+GOLDEN_DEFERRED_CHECKS = [
+    ("qa:log", "b0c47bff1b4916b0ba8a71e0893a8be0006270a3968f366844b5e5fd9e407642"),
+    ("power:0", "dc5c1d5f07356cb354c56bc9c8183cda22197f76a69b0d0f28cccd9cd4ebfda9"),
+]
+
+
+@pytest.mark.kernel_parity
+@pytest.mark.parametrize("mean, digest", GOLDEN_DEFERRED_CHECKS,
+                         ids=[m for m, _ in GOLDEN_DEFERRED_CHECKS])
+def test_golden_deferred_check_report_bytes(capsys, mean, digest):
+    code, out, err = run(capsys, *_deferred_check_argv(mean), "--json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

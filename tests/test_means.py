@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kedlaya import means
+from kedlaya import deviation, means
 from kedlaya.deviation import (
     _FSUM_SCAN_MAX,
     PREFIX_ROWS_RTOL,
@@ -919,26 +919,43 @@ class TestPrefixKernels:
         with pytest.raises(AllZero):
             evaluate_prefixes(GEO, [1.0, 2.0], [0.0, 1.0])
 
-    def test_prefix_fsums_equal_fsum_of_every_prefix(self):
-        # n on both sides of _FSUM_SCAN_MAX: fsum per prefix, and running partials
+    @staticmethod
+    def _prefix_fsum_inputs():
+        """Wide random scans on both sides of _FSUM_SCAN_MAX, then each edge
+        case padded with ones to its own length, _FSUM_SCAN_MAX and one more."""
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = int(rng.integers(1, 200))
-            v = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)
-            v = v.tolist()
-            assert prefix_fsums(v) == [math.fsum(v[:k]) for k in range(1, n + 1)]
+            yield (rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
         for case in ([1e308, 1e308, -1e308], [1.0, math.inf, 2.0], [math.inf, -math.inf],
                      [1.0, math.nan], [1.0, 2.0 ** -60, -1.0, 2.0 ** -60]):
             for size in (len(case), _FSUM_SCAN_MAX, _FSUM_SCAN_MAX + 1):
-                v = [1.0] * (size - len(case)) + case
-                try:
-                    want = [math.fsum(v[:k]) for k in range(1, len(v) + 1)]
-                except (OverflowError, ValueError) as exc:
-                    with pytest.raises(type(exc), match=re.escape(str(exc))):
-                        prefix_fsums(v)
-                else:
-                    assert list(map(repr, prefix_fsums(v))) == list(map(repr, want))
+                yield [1.0] * (size - len(case)) + case
 
+    @staticmethod
+    def _assert_prefix_fsums_are_fsums(v):
+        try:
+            want = [math.fsum(v[:k]) for k in range(1, len(v) + 1)]
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                prefix_fsums(v)
+        else:
+            assert list(map(repr, prefix_fsums(v))) == list(map(repr, want))
+
+    @pytest.mark.kernel_parity
+    def test_prefix_fsums_equal_fsum_of_every_prefix(self):
+        # short scans take fsum per prefix, long ones the TwoSum kernel
+        for v in self._prefix_fsum_inputs():
+            self._assert_prefix_fsums_are_fsums(v)
+
+    @pytest.mark.kernel_parity
+    def test_prefix_fsums_defer_to_fsum(self, monkeypatch):
+        # a long scan the kernel leaves uncertain takes fsum per prefix
+        monkeypatch.setattr(deviation, "exact_prefix_sums", lambda t: np.full(t.shape, np.nan))
+        for v in self._prefix_fsum_inputs():
+            self._assert_prefix_fsums_are_fsums(v)
+
+    @pytest.mark.kernel_parity
     @pytest.mark.parametrize("name, mean, transform", PREFIX_MEANS,
                              ids=[c[0] for c in PREFIX_MEANS])
     @settings(max_examples=25, deadline=None)
@@ -1002,8 +1019,9 @@ class TestPrefixErrorParity:
         ("gini21", [1e200, 1e200, 3.0], [1, 1, 1], FloatOverflow),
     ]
     # the overflow cases of both lists, padded past _FSUM_SCAN_MAX entries so
-    # that their sums run in partials and overflow at add(), not at value();
-    # and two whose sums first overflow past that many entries
+    # that their scans reach the TwoSum kernel, which leaves them uncertain,
+    # and overflow in fsum per prefix; and two whose sums first overflow past
+    # that many entries
     LONG_SCAN_CASES = [
         (mean_id, x + [3.0] * (_FSUM_SCAN_MAX + 1 - len(x)), w + [1] * (_FSUM_SCAN_MAX + 1 - len(w)),
          error)
