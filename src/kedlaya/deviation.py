@@ -19,10 +19,12 @@ solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
 :func:`homogeneous_deviation_rows` bisects every row of ``(rows, n)``
 arrays in lockstep, for an ``f`` with a numpy twin such as
-:func:`shifted_power_rows`: it takes each sign from a numpy row sum outside
-that sum's error bound and from the scalar total inside it, so it returns
-the scalar solver's roots and errors bit for bit; a zero weight marks an
-absent entry, as in every batch kernel.
+:func:`shifted_power_rows`.  It reads each sign off the twin's certified
+root interval where it has one (positive below it, negative above it, from
+two row moments per block), inside the interval from a numpy row sum
+outside that sum's error bound, and from the scalar total inside that
+bound, so it returns the scalar solver's roots and errors bit for bit; a
+zero weight marks an absent entry, as in every batch kernel.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import count, repeat
 from operator import mul
 from typing import Callable, Optional
@@ -387,12 +389,34 @@ class ClosedForm:
     error: Optional[Callable] = None
 
 
+def _fsum(terms: list) -> float:
+    """``math.fsum`` of ``terms``, also where only one of its partials
+    overflows: a finite sum near the float range can have a partial past it.
+
+    Then the sum is ``2 fsum(t / 2)``, which is ``fsum``'s correct rounding
+    wherever halving is exact, that is for every term of magnitude
+    ``2^-1021`` or more.  A smaller term may lose its last bit, ``2^-1075``,
+    which moves a sum of at least ``2^1023`` only from an exact tie, by an
+    ulp.  A sum that overflows raises ``fsum``'s own OverflowError.
+    """
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        try:
+            total = 2.0 * math.fsum(t / 2.0 for t in terms)
+        except OverflowError:
+            total = math.inf
+        if math.isfinite(total):
+            return total
+        raise
+
+
 def _sums(form: ClosedForm, x, w) -> tuple:
-    """Every sum of ``form`` on ``x, w`` (one ``fsum`` each) and each ``log c``."""
+    """Every sum of ``form`` on ``x, w`` (one :func:`_fsum` each) and each ``log c``."""
     sums, logs = [], []
     for scale, terms in form.sums:
         c = scale(x) if scale else 1.0
-        sums += map(math.fsum, terms(x, w, c))
+        sums += map(_fsum, terms(x, w, c))
         logs.append(math.log(c) if scale else 0.0)
     return sums, logs
 
@@ -748,17 +772,21 @@ def shifted_power(p: float) -> Callable[[float], float]:
 
 def shifted_power_rows(p: float) -> tuple:
     """The numpy twin of :func:`shifted_power`, for
-    :func:`homogeneous_deviation_rows`: the array function and its error
-    floor ``c``.
+    :func:`homogeneous_deviation_rows`: the array function, its error floor
+    ``c`` and the certified root interval of the scalar total.
 
     Each value is within an ulp of ``|f(t)| + c`` of the scalar ``f(t)``
     (``c = 2`` bounds ``t^p + 1``, the size of ``t^p - 1`` before its
     cancellation), and is not finite where the scalar raises, except
-    within ulps of the end of the float range.
+    within ulps of the end of the float range.  The interval,
+    ``roots(x, w, live) -> (a, b)`` (:func:`_power_roots`, and
+    :func:`_log_roots` at ``p = 0``), comes from two or three row moments:
+    the scalar total is positive below ``a`` and negative above ``b``, so
+    the lockstep reads those signs off the bracket alone.
     """
     if p == 0.0:
-        return np.log, 0.0
-    return (lambda t: t ** p - 1.0), 2.0
+        return np.log, 0.0, _log_roots
+    return (lambda t: t ** p - 1.0), 2.0, partial(_power_roots, p)
 
 
 # ---------------------------------------------------------------------------
@@ -767,11 +795,125 @@ def shifted_power_rows(p: float) -> tuple:
 
 _BLOCK = 1 << 14  # entries per block of rows
 # Twin values were measured within 1 ulp of the scalar ones, with and without
-# numpy's SIMD dispatch; this slack covers about 60 (see below).
+# numpy's SIMD dispatch; this slack covers about 60 (see below).  The root
+# intervals count the error of every pow, log and exp in the same units.
 _SIGN_SLACK = 64
 _EPS = 2.0 ** -52
 _TERM_FLOOR = 2.0 ** -1072  # the underflow error of two products, with room
 _SAFE = 2.0 ** 1000  # a total or value below this overflows nowhere
+_RANGE = 2.0 ** 900  # moments and powers the root intervals certify
+
+
+def _roots_from(r, lam, ok):
+    """The columns ``a = r (1 - l)`` and ``b = r (1 + l (1 + l))``, with
+    ``l = lam + 8 u'``, where ``ok`` and ``l <= 1``, and ``(-inf, inf)``
+    elsewhere.
+
+    ``lam`` bounds ``|log(root / r)|`` plus the distance, in ``log y``, from
+    the root to where the total's sign is certain.  ``e^-l >= 1 - l``, and
+    ``e^l <= 1 + l + l^2`` for ``l <= 1``; the ``8 u'`` covers the relative
+    rounding of ``lam`` (a few ``u`` of it) and the four roundings of ``a``
+    and ``b``.
+    """
+    lam = lam + 8 * _EPS
+    ok &= lam <= 1.0
+    return np.where(ok, r * (1.0 - lam), -np.inf), np.where(ok, r * (1.0 + lam * (1.0 + lam)),
+                                                           np.inf)
+
+
+def _power_roots(p: float, x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tuple:
+    """Columns ``a <= b`` per row of a lockstep block for ``f(t) = t^p - 1``,
+    ``p != 0``: the scalar total at ``y`` is positive for ``y < a`` and
+    negative for ``y > b``.  Entries of weight 0 repeat the row's minimum.
+
+    With ``u = 2^-53``, ``u' = 2u`` and ``kappa = _SIGN_SLACK`` (ulps of
+    pow), write ``t_i = x_i / y``.  The scalar total is ``s fsum(tau_i)``
+    with the float terms ``tau_i = fl(w_i fl(pow(fl(t_i), p) - 1))``;
+    ``fsum`` rounds correctly, so it has the sign of ``S = sum tau_i``.
+    Rounding ``t_i`` moves ``t_i^p`` by ``|p| u`` to first order and pow by
+    ``kappa u'``; the subtraction and product round once each, so
+
+        |tau_i - w_i (t_i^p - 1)| <= K w_i (t_i^p + 1),  K = (|p| + kappa + 3) u',
+
+    with ``1 u'`` to spare for the second-order terms and the underflow of
+    the products (``2^-1075`` each, far below ``u' B``).  Summed, with
+    ``A* = sum w_i x_i^p`` and ``B* = sum w_i`` exact,
+
+        |S - (y^-p A* - B*)| <= K (y^-p A* + B*).
+
+    For ``p > 0`` (``s = 1``), ``S > 0`` where ``y^p < (A*/B*) (1-K)/(1+K)``
+    and ``S < 0`` where ``y^p > (A*/B*) (1+K)/(1-K)``; for ``p < 0``
+    (``s = -1``) the same holds for ``y^|p|`` against ``B*/A*``, which is
+    the same interval around the root ``(A*/B*)^(1/p)``.  The row sums ``A``
+    and ``B`` of the numpy moments are within ``alpha = (k + kappa + 2) u'``
+    and ``beta = k u'`` of ``A*`` and ``B*``, relative (pow, product and
+    ``k - 1`` adds for ``A``; ``k`` live entries a row).  Folding them in,
+    ``y^p`` against ``A/B`` is certain outside a factor of ``e^(+-D/(1-D))``
+    with ``D = alpha + beta + 2K``, so ``y`` is certain outside
+    ``e^(+-D/((1-D)|p|))`` around ``(A/B)^(1/p)``.  The computed root
+    ``r = pow(fl(A/B), fl(1/p))`` is within ``(1/|p| + |log r| + kappa + 2) u'``
+    of that in ``log``: the quotient's rounding scaled by ``1/|p|``, the
+    rounding of ``1/p`` scaled by ``|log r|``, and pow's ulps.  The sum of
+    the two is ``lam`` of :func:`_roots_from`.
+
+    The bounds need every ``t_i`` and ``t_i^p`` normal and every term and
+    partial sum of the scalar total finite, so that it raises nowhere in the
+    bracket, and ``A``, ``B`` normal.  A row is certified only where
+    ``x^p``, ``A`` and ``B`` are in ``[2^-900, 2^900]``, as are
+    ``R = max x / min x``, ``R^|p|`` and ``B R^|p|``, where ``D < 1`` (which
+    also keeps ``|p| u`` small enough for the first-order count), and where
+    :func:`_roots_from` allows it.
+    """
+    k = np.count_nonzero(live, axis=1)[:, None]
+    xp = x ** p
+    big_a = np.add.reduce(w * xp, axis=1, keepdims=True)
+    big_b = w.sum(axis=1, keepdims=True)
+    spread = x.max(axis=1, keepdims=True) / x.min(axis=1, keepdims=True)
+    grown = spread ** abs(p)
+    d = (2 * abs(p) + 2 * k + 3 * _SIGN_SLACK + 8) * _EPS
+    r = (big_a / big_b) ** (1.0 / p)
+    lam = d / ((1.0 - d) * abs(p)) + (1.0 / abs(p) + np.abs(np.log(r)) + _SIGN_SLACK + 2) * _EPS
+    ok = ((d < 1.0) & (xp.min(axis=1, keepdims=True) >= 1.0 / _RANGE)
+          & (xp.max(axis=1, keepdims=True) <= _RANGE) & (spread <= _RANGE)
+          & (big_b * grown <= _RANGE) & (big_a >= 1.0 / _RANGE) & (big_a <= _RANGE)
+          & (big_b >= 1.0 / _RANGE))
+    return _roots_from(r, lam, ok)
+
+
+def _log_roots(x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tuple:
+    """:func:`_power_roots` for ``f = log`` (``p = 0``).
+
+    The float terms are ``tau_i = fl(w_i log(fl(t_i)))``.  Rounding ``t_i``
+    moves its log by ``u`` absolute; log is within ``kappa u'`` and the
+    product rounds once, so
+
+        |tau_i - w_i log t_i| <= K w_i (|log t_i| + 1),  K = (kappa + 3) u',
+
+    with ``2 u'`` to spare for the second-order terms and underflow.  In the
+    bracket ``|log t_i| <= log R``, so with ``L* = sum w_i log x_i`` the sum
+    ``S`` of the float terms is within ``K B* (log R + 1)`` of
+    ``L* - B* log y``.  The numpy moments ``L`` and ``B`` give ``L/B``
+    within ``(kappa + 2k + 2) u' M/B`` of ``L*/B*``, where
+    ``M = sum w_i |log x_i|`` bounds every ``|term|`` sum: log, product and
+    ``k - 1`` adds for ``L``, ``k u'`` for ``B`` and the quotient.  The root
+    ``r = exp(L/B)`` adds exp's ulps, so
+
+        lam = K (log R + 1) + (kappa + 2k + 2) u' M / B + (kappa + 1) u'.
+
+    A row is certified only where ``R`` and ``B`` are in ``[2^-900, 2^900]``,
+    which keeps every ``t_i`` normal and every partial sum finite.
+    """
+    k = np.count_nonzero(live, axis=1)[:, None]
+    lx = np.log(x)
+    big_l = np.add.reduce(w * lx, axis=1, keepdims=True)
+    big_m = np.add.reduce(w * np.abs(lx), axis=1, keepdims=True)
+    big_b = w.sum(axis=1, keepdims=True)
+    spread = x.max(axis=1, keepdims=True) / x.min(axis=1, keepdims=True)
+    r = np.exp(big_l / big_b)
+    lam = ((_SIGN_SLACK + 3) * (np.log(spread) + 1.0) + (_SIGN_SLACK + 2 * k + 2) * big_m / big_b
+           + _SIGN_SLACK + 1) * _EPS
+    ok = (spread <= _RANGE) & (big_b >= 1.0 / _RANGE) & (big_b <= _RANGE)
+    return _roots_from(r, lam, ok)
 
 
 def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
@@ -785,8 +927,14 @@ def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
     entries must be positive and each row's weights nonnegative with a
     positive sum; zero-weight entries are dropped, as in
     :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
-    weights.  Bisection reads only the sign of each total.  ``twin = (F, c)``
-    (see :func:`shifted_power_rows`) gives it from a numpy row sum whenever that
+    weights.  Bisection reads only the sign of each total.
+    ``twin = (F, c[, roots])`` (see :func:`shifted_power_rows`) gives it in
+    up to three stages, each certain or passing the row on.  First,
+    ``roots(x, w, live)`` gives each row of a block, once, columns
+    ``a <= b`` with the total certainly positive below ``a`` and negative
+    above ``b``; a sign test at such a ``y``, the endpoints included, sums
+    nothing.  A twin without ``roots`` certifies nothing here.  Second, the
+    rows left take a numpy row sum, whose sign holds whenever that
     sum is farther from 0 than its error bound (Shewchuk's filtered
     predicates): ``(k + _SIGN_SLACK) * 2^-52`` of ``sum_i w_i (|F(t_i)| + c)``
     over a row's ``k`` terms of nonzero weight, which bounds each term
@@ -794,8 +942,8 @@ def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
     covers the numpy summation, off by at most ``(k - 1) * 2^-53`` of it in
     any order (an added zero rounds nothing), and twin values up to about
     60 ulps of ``|f(t)| + c`` from the scalar ones.
-    A row whose sum is closer, or whose terms could overflow somewhere,
-    gets the scalar total instead, which keeps its exact value.  A row the
+    Third, a row whose sum is closer, or whose terms could overflow
+    somewhere, gets the scalar total, which keeps its exact value.  A row the
     lockstep cannot finish (a scalar total that raises, no sign change, or
     no halvings left) goes to :func:`homogeneous_deviation`, so every
     error is the scalar solver's own.
@@ -823,7 +971,8 @@ def _bisect_block(f, twin, s, x, w) -> np.ndarray:
     # Entries of weight 0 repeat the row's minimum, so their terms are exactly
     # 0 and their values finite wherever the row's are.
     x = np.where(live, x, lo)
-    F, c = twin
+    F, c, *roots = twin
+    a, b = roots[0](x, w, live) if roots else (-np.inf, np.inf)  # certifies nothing
     ulps = (k + _SIGN_SLACK) * _EPS
     # the bound is ulps * (sum_i w_i |F(t_i)| + c * sum_i w_i) + the floor
     base = ulps * c * w.sum(axis=1, keepdims=True) + k * _TERM_FLOOR
@@ -838,14 +987,19 @@ def _bisect_block(f, twin, s, x, w) -> np.ndarray:
         return _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())(y)
 
     def totals(y: np.ndarray, pending: np.ndarray) -> np.ndarray:
-        """Each pending row's total at ``y``, exact or of the right sign."""
-        terms = w * F(x / y)
-        g = np.add.reduce(terms, axis=1, keepdims=True)
+        """Each pending row's total at ``y``, exact or of the right sign:
+        ``a - y`` outside the root interval, and inside it a numpy row sum
+        outside that sum's error bound, or else the scalar total."""
+        g = a - y  # of the sign of the total outside [a, b]
+        rows = (pending & (y >= a) & (y <= b)).nonzero()[0]  # pending, in the interval
+        if not len(rows):
+            return g
+        terms = w[rows] * F(x[rows] / y[rows])
+        g_in = np.add.reduce(terms, axis=1, keepdims=True)
         size = np.add.reduce(np.abs(terms, out=terms), axis=1, keepdims=True)
-        certain = (np.abs(g) > ulps * size + base) & (size <= cap)
-        if s < 0:
-            g = -g
-        for i in (pending > certain).nonzero()[0]:  # pending and not certain
+        certain = (np.abs(g_in) > ulps[rows] * size + base[rows]) & (size <= cap[rows])
+        g[rows] = s * g_in
+        for i in rows[~certain[:, 0]]:
             try:
                 g[i] = scalar(i, float(y[i, 0]))
             except (ArithmeticError, ValueError):
@@ -863,10 +1017,12 @@ def _bisect_block(f, twin, s, x, w) -> np.ndarray:
         active ^= root
     positive_at_lo = g_lo > 0
     caps = _max_halvings(lo, hi, lo)  # lo > 0 bounds |y| below
+    first_cap = caps.min()
     for it in count():
-        spent = active & (caps <= it)  # out of halvings
-        failed |= spent
-        active ^= spent
+        if it >= first_cap:
+            spent = active & (caps <= it)  # out of halvings
+            failed |= spent
+            active ^= spent
         if not np.count_nonzero(active):
             break
         mid = 0.5 * (lo + hi)
@@ -876,8 +1032,7 @@ def _bisect_block(f, twin, s, x, w) -> np.ndarray:
         np.copyto(result, mid, where=stop)
         active ^= stop
         up = (g > 0) == positive_at_lo
-        np.copyto(lo, mid, where=up)
-        np.copyto(hi, mid, where=~up)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     for i in failed.nonzero()[0]:  # the scalar solver raises each row's own error
         row = live[i]
         result[i] = homogeneous_deviation(f, x[i, row].tolist(), w[i, row].tolist())

@@ -632,10 +632,11 @@ _TEXT_FIELDS = ("generator", "f")  # wire fields that are names, not numbers
 
 
 # Below this many rows x entries a prefix scan costs less as one scalar solve
-# per prefix than in lockstep, whose numpy calls cost about 1 ms a scan.  On a
-# 2-vCPU Xeon the kernel took 1.12x the scalar time at n = 12 (132 rows x
-# entries) and 0.84x at n = 13 (156).
-_LOCKSTEP_MIN_ENTRIES = 144
+# per prefix than in lockstep, whose loop of numpy calls on columns costs
+# about 0.9 ms a scan once the root interval decides the signs.  On a 2-vCPU
+# Xeon the kernel took 1.05-1.06x the scalar time at n = 10 (90 rows x
+# entries) and 0.90-0.93x at n = 11 (110), for p = 0.5, -2 and 0.
+_LOCKSTEP_MIN_ENTRIES = 100
 
 
 def _homogeneous_deviation_prefixes(f, twin, x, w, first: int) -> list:

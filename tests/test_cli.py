@@ -524,6 +524,37 @@ def test_golden_deferred_check_report_bytes(capsys, mean, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _homdev_check_argv(mean: str) -> tuple:
+    """`check` at n = 56: uniform entries in [0.1, 10] and nonincreasing
+    uniform weights, six digits each."""
+    rng = random.Random(56)
+    x = ",".join(f"{rng.uniform(0.1, 10.0):.6g}" for _ in range(56))
+    w = sorted((rng.uniform(0.1, 10.0) for _ in range(56)), reverse=True)
+    return ("check", "--mean", mean, "--x", x, "--w", ",".join(f"{v:.6g}" for v in w))
+
+
+# sha256 of `check --json` reports on _homdev_check_argv, whose prefix scans
+# run the lockstep bisection.  They were recorded while every sign came from a
+# numpy row sum or the scalar total, before the certified root interval.  The
+# roots are the scalar solver's, on libm, so the bytes do not depend on
+# numpy's SIMD dispatch.
+GOLDEN_HOMDEV_CHECKS = [
+    ("homdev:shifted-power:0.5", "a4dfe3a34979dc4b33e6536ef9459b913bc1581b91cd5abf0c60be8b222371db"),
+    ("homdev:shifted-power:-2", "1a29a0c284ac0e21f4601b3a38a8be5674b4f004733cfc91cae1952d133876c6"),
+    ("homdev:shifted-power:3", "94472ac140f1615d0cbd744d0719692d7d6f68d468723e1a90b5e5c0a2bdb1d8"),
+    ("homdev:shifted-power:0", "6707f16c27440b9f32432a888f19966fdca3fb3ca1ed95394840c5446fc13847"),
+]
+
+
+@pytest.mark.kernel_parity
+@pytest.mark.parametrize("mean, digest", GOLDEN_HOMDEV_CHECKS,
+                         ids=[m for m, _ in GOLDEN_HOMDEV_CHECKS])
+def test_golden_homdev_check_report_bytes(capsys, mean, digest):
+    code, out, err = run(capsys, *_homdev_check_argv(mean), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of proof geometry reports, recorded before the JSON writer replaced
 # the indented json.dumps.  The qa:log cases come from the benchmark's proof
 # stream: 987, 10412 and 31234 grid cells (134, 404 and 575 pieces).

@@ -36,7 +36,7 @@ from kedlaya.errors import (
     MaxIterations,
     SolverFailure,
 )
-from kedlaya.means import MeanHandle, evaluate_prefixes, evaluate_rows, mean_from_id
+from kedlaya.means import MeanHandle, evaluate, evaluate_prefixes, evaluate_rows, mean_from_id
 
 
 def diff_spec(f, label, increasing=True):
@@ -150,6 +150,19 @@ class TestQuasiArithmetic:
         with pytest.raises(GeneratorOverflow,
                            match=f"^qa:pow:{p:g}: generator underflows at entry {entry}$"):
             quasi_arithmetic(power_generator(p), x, (1, 1))
+
+    def test_finite_sum_with_an_overflowing_partial(self):
+        # fsum raises on this finite sum: a partial half an ulp below 2^1024
+        # rounds up to inf, though the exact sum is below 2^1023
+        x = [-(2.0 ** 1023 + 2.0 ** 972), 2.0 ** 970, sys.float_info.max]
+        identity = GeneratorSpec(lambda v: v, lambda y: y, domain=REALS)
+        got = quasi_arithmetic(identity, x, [1, 1, 1])
+        assert got == evaluate(mean_from_id("arithmetic"), x, [1, 1, 1]) == 2.996155224770525e+307
+
+    def test_overflowing_sum_keeps_its_error(self):
+        identity = GeneratorSpec(lambda v: v, lambda y: y, domain=REALS, label="identity")
+        with pytest.raises(GeneratorOverflow, match="identity: weighted sum of the generator"):
+            quasi_arithmetic(identity, [sys.float_info.max, 2.0 ** 1022], [1, 1])
 
 
 NEGATIVE_EQUAL_PS = [-0.5, -1.0, -2.0, -7.0]
@@ -479,6 +492,115 @@ class TestLockstepBisection:
         rng = np.random.default_rng(5)
         x = (1.0 + rng.uniform(0.0, 1e-9, 30)).tolist()
         assert self._fallback_rate(scalar_totals, 0.5, x, [1.0] * 30) > 0.0
+
+
+@st.composite
+def _interval_rows(draw):
+    """A row for the root interval: p in [-8, 8] (0 half as often as not),
+    up to 64 entries spread around a centre in 1e+-150, weights with ratios up
+    to 1e+-15 on a common scale, some of weight 0."""
+    n = draw(st.integers(1, 64))
+    p = draw(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)))
+    centre = draw(st.floats(-150.0, 150.0))
+    spread = 10.0 ** draw(st.floats(-14.0, math.log10(300.0)))
+    logs = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    x = [10.0 ** min(150.0, max(-150.0, centre + spread * v)) for v in logs]
+    scale = draw(st.floats(-300.0, 300.0))
+    w = [10.0 ** (scale + v) for v in
+         draw(st.lists(st.floats(-7.5, 7.5), min_size=n, max_size=n))]
+    dead = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    w = [0.0 if d and i else wi for i, (wi, d) in enumerate(zip(w, dead))]
+    return p, x, w
+
+
+def _outside_the_guard(p, x, w) -> bool:
+    """Whether a row is past the root interval's range guard by a factor of 2
+    at least, read off binary logarithms."""
+    xs = [xi for xi, wi in zip(x, w) if wi]
+    log_b = math.log2(math.fsum(wi for wi in w if wi))
+    log_r = math.log2(max(xs)) - math.log2(min(xs))
+    if abs(log_b) > 901 or log_r > 901:
+        return True
+    if p == 0.0:
+        return False
+    logs = [p * math.log2(xi) for xi in xs]
+    top = max(logs)
+    log_a = top + math.log2(math.fsum(wi * 2.0 ** (v - top) for wi, v in zip(
+        [wi for wi in w if wi], logs)))
+    return (max(map(abs, logs)) > 901 or abs(p) * log_r > 901 or abs(log_a) > 901
+            or log_b + abs(p) * log_r > 901)
+
+
+@pytest.mark.kernel_parity
+class TestRootInterval:
+    """The certified root interval of :func:`shifted_power_rows`: the scalar
+    total is positive below ``a`` and negative above ``b``, and a lockstep
+    over it rarely sums the entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_interval_rows(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    def test_scalar_total_has_the_certified_sign(self, row, fractions):
+        p, x, w = row
+        live = np.array([w]) != 0.0
+        lo, hi = min(xi for xi, wi in zip(x, w) if wi), max(xi for xi, wi in zip(x, w) if wi)
+        block = np.where(live, np.array([x]), lo)
+        with np.errstate(all="ignore"):  # as in the lockstep
+            (a,), (b,) = (v[:, 0].tolist() for v in shifted_power_rows(p)[2](
+                block, np.array([w]), live))
+        if _outside_the_guard(p, x, w):
+            assert (a, b) == (-math.inf, math.inf)
+        if a == -math.inf:
+            assert b == math.inf
+            return
+        assert a <= b
+        f = shifted_power(p)
+        total = dev._homogeneous_total(f, dev._orientation(f), [xi for xi, wi in zip(x, w) if wi],
+                                       [wi for wi in w if wi])
+        below = [a, math.nextafter(a, 0.0), lo, lo + fractions[0] * (a - lo),
+                 lo + fractions[1] * (a - lo)]
+        above = [b, math.nextafter(b, math.inf), hi, b + fractions[2] * (hi - b),
+                 b + fractions[3] * (hi - b)]
+        for y in below:  # the interval speaks of the bracket [lo, hi] only
+            if lo <= y < a and y <= hi:
+                assert total(y) > 0.0, (y, a)
+        for y in above:
+            if b < y <= hi and y >= lo:
+                assert total(y) < 0.0, (y, b)
+
+    @pytest.mark.parametrize("p", [-2.0, 0.0, 0.5, 3.0])
+    def test_scan_rows_skip_the_entries(self, p, monkeypatch):
+        # the prefixes of one check at n = 56: entries in [0.1, 10] and
+        # nonincreasing weights, each prefix a row of the lockstep
+        rng = np.random.default_rng(56)
+        x = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 56)).tolist()
+        w = sorted(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 56)).tolist(), reverse=True)
+        sign_tests, rows_summed = [0], [0]
+        make_total = dev._homogeneous_total
+
+        def counting_total(*args):
+            total = make_total(*args)
+
+            def counted(y):
+                sign_tests[0] += 1
+                return total(y)
+
+            return counted
+
+        monkeypatch.setattr(dev, "_homogeneous_total", counting_total)
+        f = shifted_power(p)
+        want = [homogeneous_deviation(f, x[:k], w[:k]) for k in range(2, 57)]
+        scalar_tests = sign_tests[0]
+        F, c, roots = shifted_power_rows(p)
+
+        def counting_twin(t):
+            rows_summed[0] += len(t)
+            return F(t)
+
+        got = homogeneous_deviation_rows(
+            f, (counting_twin, c, roots), np.broadcast_to(np.array(x), (55, 56)),
+            np.where(np.arange(56) <= np.arange(1, 56)[:, None], np.array(w), 0.0))
+        assert got.tolist() == want
+        assert rows_summed[0] <= 0.05 * scalar_tests
 
 
 class TestCounterexampleMean:
