@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""The benchmark trajectory: end-to-end and per-layer rows of one checkout,
+written to ``BENCH_<short-sha>.json`` next to this script.
+
+    python3 bench/run.py                   # this checkout
+    python3 bench/run.py --root ../other   # another checkout's library
+
+End-to-end rows run the measured checkout's ``perfbench/run.py --workload
+<w> --seed 1 --seconds 15 --trace 0`` as a subprocess, one per workload, and
+keep its ``meta`` line and its last line, the JSON object of its metrics.
+
+Micro rows time layer costs in-process on the measured checkout's ``src/``,
+on inputs drawn from fixed seeds: each row is the minimum of ``k`` runs,
+with its median, its spread (maximum minus minimum) and its unit.  They are
+``check_kedlaya`` (both prefix scans and the step gaps) of a
+``homdev:shifted-power`` mean at several ``n`` and ``p``, one ``evaluate``
+and one ``evaluate_rows`` of ``homdev:shifted-power:0.5``, and the
+homogeneous-deviation family of acceptance criterion 7 (the five axiom
+residuals on 1000 instances, the loop of ``tests/test_acceptance.py``).
+
+A checkout with uncommitted changes to tracked files is named by the sha of
+its ``HEAD`` and a ``+``: its rows are those of a change on top of that
+commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+import zlib
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+WORKLOADS = ("sweep", "scan", "probe", "proof")
+HOMDEV = "homdev:shifted-power:{}"
+
+
+def _checkout(root: Path) -> str:
+    """The short sha of ``root``'s HEAD, with a ``+`` if tracked files changed,
+    or ``unknown`` outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    try:
+        return git("rev-parse", "--short", "HEAD") + (
+            "+" if git("status", "--porcelain", "--untracked-files=no") else "")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def end_to_end(root: Path, workload: str) -> dict:
+    """One perfbench run of ``workload``: its meta line and its metrics line."""
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", "1", "--seconds", "15", "--trace", "0"],
+                         cwd=root, capture_output=True, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    meta = next(line for line in lines if line.startswith("meta "))
+    return {"workload": workload, "meta": json.loads(meta[len("meta "):]),
+            "result": json.loads(lines[-1])}
+
+
+def _time(name: str, fn, k: int) -> dict:
+    """``fn()`` run ``k`` times after one untimed run, in milliseconds."""
+    fn()
+    samples = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - t0) * 1e3)
+    return {"name": name, "unit": "ms", "value": min(samples),
+            "median": statistics.median(samples), "spread": max(samples) - min(samples), "k": k}
+
+
+def micro_rows(quick: bool = False) -> list:
+    """Every micro row, on the library already on ``sys.path``; ``quick``
+    runs each at a tiny size, once, which checks this script, not the code
+    it measures."""
+    import numpy as np
+    from kedlaya.inequality import check_kedlaya
+    from kedlaya.means import evaluate, evaluate_rows, mean_from_id
+    from test_acceptance import _worst_axiom_residual
+
+    def draw(seed, n):
+        rng = np.random.default_rng(seed)
+        x = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n)).tolist()
+        return x, sorted(rng.uniform(0.1, 10.0, n).tolist(), reverse=True)
+
+    k = 1 if quick else 7
+    rows = []
+    for p in (0.5, -2, 0):
+        mean = mean_from_id(HOMDEV.format(p))
+        for n in (8,) if quick else (8, 16, 56, 256):
+            x, w = draw(n, n)
+            rows.append(_time(f"check_kedlaya {mean} n={n}",
+                              lambda: check_kedlaya(mean, x, w), k))
+    mean = mean_from_id(HOMDEV.format(0.5))
+    for n in (2,) if quick else (2, 8, 64):
+        x, w = draw(n, n)
+        rows.append(_time(f"evaluate {mean} n={n}", lambda: evaluate(mean, x, w),
+                          1 if quick else 101))
+    block = (16 if quick else 1024, 8)
+    rng = np.random.default_rng(1024)
+    x, w = np.exp(rng.uniform(np.log(0.1), np.log(10.0), block)), rng.uniform(0.1, 10.0, block)
+    rows.append(_time(f"evaluate_rows {mean} {block[0]}x{block[1]}",
+                      lambda: evaluate_rows(mean, x, w), k))
+    trials = 10 if quick else 1000
+    seed = zlib.crc32(str(mean).encode())  # criterion 7's own
+    rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(
+        mean, np.random.default_rng(seed), trials), 1 if quick else 3))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=HERE.parent,
+                        help="checkout to measure (default: this one)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    checkout = _checkout(root)
+    report = {"checkout": checkout, "end_to_end": [end_to_end(root, w) for w in WORKLOADS],
+              "micro": micro_rows()}
+    out = HERE / f"BENCH_{checkout}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,14 +17,16 @@ from the bracket (:func:`_max_halvings`), so wide brackets converge too.
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
-:func:`homogeneous_deviation_rows` bisects every row of ``(rows, n)``
-arrays in lockstep, for an ``f`` with a numpy twin such as
-:func:`shifted_power_rows`.  It reads each sign off the twin's certified
-root interval where it has one (positive below it, negative above it, from
-two row moments per block), inside the interval from a numpy row sum
-outside that sum's error bound, and from the scalar total inside that
-bound, so it returns the scalar solver's roots and errors bit for bit; a
-zero weight marks an absent entry, as in every batch kernel.
+An ``f`` with a certificate, such as :func:`shifted_power` with
+:func:`shifted_power_rows`, has a certified root interval ``[a, b]`` per
+input, from a few weighted moments: the total is positive below it and
+negative above it, so the root finder sums the total only inside it and
+returns the same roots and errors bit for bit.  The certificate is one
+function of moment columns, read by the scalar solver (one row), by
+:func:`homogeneous_deviation_prefixes` (every prefix, from running
+moments) and by :func:`homogeneous_deviation_rows`, which bisects every
+row of ``(rows, n)`` arrays in lockstep; there a zero weight marks an
+absent entry, as in every batch kernel.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -221,11 +223,13 @@ def _max_halvings(lo, hi, floor):
 
     Scalars or arrays: the count is read off binary exponents
     (``hi - lo < 2^(e + 1)`` when ``(hi - lo) / 2 < 2^e``, which does not
-    overflow), so the scalar and the lockstep bisection get the same one.
+    overflow), by :func:`math.frexp` or :func:`numpy.frexp`, so the scalar
+    and the lockstep bisection get the same one.
     """
-    _, e_half_width = np.frexp(0.5 * hi - 0.5 * lo)
-    _, e_target = np.frexp(_stop_width(floor))
-    return np.maximum(e_half_width - e_target + 2, 0) + _BISECT_SLACK
+    frexp, maximum = (np.frexp, np.maximum) if isinstance(lo, np.ndarray) else (math.frexp, max)
+    _, e_half_width = frexp(0.5 * hi - 0.5 * lo)
+    _, e_target = frexp(_stop_width(floor))
+    return maximum(e_half_width - e_target + 2, 0) + _BISECT_SLACK
 
 
 def _check_entries(x, w, domain: Interval, label: str) -> None:
@@ -241,16 +245,20 @@ def _check_entries(x, w, domain: Interval, label: str) -> None:
             raise DomainViolation(f"entry {xi} outside domain of {label}")
 
 
-def _solve(g: Callable[[float], float], x, label: str) -> float:
+def _solve(g: Callable[[float], float], x, label: str, a: float = -math.inf,
+           b: float = math.inf) -> float:
     """Root of the total ``g``, decreasing in ``y``, on ``[min x, max x]``.
 
+    The sign of the total is taken as ``+`` below ``a`` and ``-`` above
+    ``b``, where a caller has certified it, and from ``g`` everywhere else.
     A total that is not ``>= 0`` at the left endpoint and ``<= 0`` at the
     right one has no root there; that raises :class:`SolverFailure`.
     """
     lo, hi = min(x), max(x)
     if lo == hi:
         return float(lo)
-    g_lo, g_hi = g(lo), g(hi)
+    g_lo = 1.0 if lo < a else -1.0 if lo > b else g(lo)
+    g_hi = 1.0 if hi < a else -1.0 if hi > b else g(hi)
     if g_lo < 0.0 or g_hi > 0.0:
         raise SolverFailure(
             f"{label}: no sign change on [{lo}, {hi}] "
@@ -261,12 +269,12 @@ def _solve(g: Callable[[float], float], x, label: str) -> float:
         return float(hi)
     positive_at_lo = g_lo > 0
     floor = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    cap = int(_max_halvings(lo, hi, floor))
+    cap = _max_halvings(lo, hi, floor)
     for _ in range(cap):
         mid = 0.5 * (lo + hi)
         if hi - lo <= _stop_width(mid):
             return mid
-        v = g(mid)
+        v = 1.0 if mid < a else -1.0 if mid > b else g(mid)
         if v == 0.0:
             return mid
         if (v > 0) == positive_at_lo:
@@ -751,16 +759,44 @@ def _orientation(f: Callable[[float], float]) -> float:
     return -1.0 if f(2.0) < 0 else 1.0
 
 
-def homogeneous_deviation(f: Callable[[float], float], x, w) -> float:
+def homogeneous_deviation(f: Callable[[float], float], x, w,
+                          roots: Optional[Callable] = None) -> float:
     """Root of ``sum_i w_i f(x_i / y) = 0`` on positive entries.
 
     ``f`` must vanish at 1 (checked to 1e-12); it may be increasing or
     decreasing.  For a decreasing ``f`` (``f(2) < 0``) the total is
     negated, which is exact, so that it decreases in ``y`` either way.
+    ``roots``, the certificate of ``f`` (see :func:`shifted_power_rows`),
+    spares the sign tests outside its interval on the entries, which
+    leaves the root and every error as they are; the weights must then
+    be positive.
     """
     s = _orientation(f)
     _check_entries(x, w, POSITIVE, _HOMDEV)
-    return _solve(_homogeneous_total(f, s, x, w), x, _HOMDEV)
+    a, b = ([-math.inf], [math.inf]) if roots is None else _row_roots(roots, x, w, False)
+    return _solve(_homogeneous_total(f, s, x, w), x, _HOMDEV, a[0], b[0])
+
+
+def homogeneous_deviation_prefixes(f: Callable[[float], float], roots: Callable, x, w,
+                                   first: int) -> list:
+    """``homogeneous_deviation(f, x[:k], w[:k], roots)`` for ``k = first+1..n``,
+    bit for bit and raising what the first failing prefix raises, for positive
+    entries and weights.  The certificate of every prefix comes from one pass
+    of running moments along the input."""
+    s = _orientation(f)
+    a, b = _row_roots(roots, x, w, True)
+    return [_solve(_homogeneous_total(f, s, x[:k], w[:k]), x[:k], _HOMDEV, a[k - 1], b[k - 1])
+            for k in range(first + 1, len(x) + 1)]
+
+
+def _row_roots(roots: Callable, x, w, prefixes: bool) -> tuple:
+    """The lists ``(a, b)`` of ``roots`` on one row, or ``(-inf, inf)`` for an
+    entry or weight beyond the float range, whose totals raise FloatOverflow."""
+    try:
+        xa, wa = np.array([x], dtype=float), np.array([w], dtype=float)
+    except OverflowError:
+        return [-math.inf] * len(x), [math.inf] * len(x)
+    return tuple(v[0].tolist() for v in roots(xa, wa, prefixes=prefixes))
 
 
 def shifted_power(p: float) -> Callable[[float], float]:
@@ -770,38 +806,53 @@ def shifted_power(p: float) -> Callable[[float], float]:
     return lambda t: t ** p - 1.0
 
 
-def shifted_power_rows(p: float) -> tuple:
-    """The numpy twin of :func:`shifted_power`, for
-    :func:`homogeneous_deviation_rows`: the array function, its error floor
-    ``c`` and the certified root interval of the scalar total.
+def shifted_power_rows(p: float) -> Callable:
+    """The certificate of :func:`shifted_power` at ``p``, which
+    :func:`homogeneous_deviation`, :func:`homogeneous_deviation_prefixes`
+    and :func:`homogeneous_deviation_rows` read.
 
-    Each value is within an ulp of ``|f(t)| + c`` of the scalar ``f(t)``
-    (``c = 2`` bounds ``t^p + 1``, the size of ``t^p - 1`` before its
-    cancellation), and is not finite where the scalar raises, except
-    within ulps of the end of the float range.  The interval,
-    ``roots(x, w, live) -> (a, b)`` (:func:`_power_roots`, and
-    :func:`_log_roots` at ``p = 0``), comes from two or three row moments:
-    the scalar total is positive below ``a`` and negative above ``b``, so
-    the lockstep reads those signs off the bracket alone.
+    ``roots(x, w, prefixes=False) -> (a, b)`` takes ``(rows, n)`` positive
+    entries and nonnegative weights, whose entries of weight 0 lie between
+    the row's others, and gives each row columns ``a <= b``: the scalar
+    total on the row's entries of nonzero weight is positive below ``a``
+    and negative above ``b``, anywhere in their bracket.  With ``prefixes``
+    it gives ``(rows, n)`` arrays, column ``k - 1`` for the prefix of ``k``
+    entries, from running moments.  A row the certificate does not cover
+    gets ``(-inf, inf)``.
     """
-    if p == 0.0:
-        return np.log, 0.0, _log_roots
-    return (lambda t: t ** p - 1.0), 2.0, partial(_power_roots, p)
+    return partial(_certificate, p)
 
 
 # ---------------------------------------------------------------------------
-# Lockstep bisection
+# The certificate and the lockstep bisection
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1 << 14  # entries per block of rows
-# Twin values were measured within 1 ulp of the scalar ones, with and without
-# numpy's SIMD dispatch; this slack covers about 60 (see below).  The root
-# intervals count the error of every pow, log and exp in the same units.
+# Ulps of error the certificate allows each pow, log and exp, numpy's or libm's;
+# both were measured within 1 ulp, with and without numpy's SIMD dispatch.
 _SIGN_SLACK = 64
 _EPS = 2.0 ** -52
-_TERM_FLOOR = 2.0 ** -1072  # the underflow error of two products, with room
-_SAFE = 2.0 ** 1000  # a total or value below this overflows nowhere
-_RANGE = 2.0 ** 900  # moments and powers the root intervals certify
+_RANGE = 2.0 ** 900  # moments and powers the certificate covers
+# The sums, maxima and minima the certificate takes along each row: row
+# reductions, as columns, or running values, one per prefix.
+_ALONG_ROWS = tuple(partial(u.reduce, axis=1, keepdims=True)
+                    for u in (np.add, np.maximum, np.minimum))
+_ALONG_PREFIXES = (partial(np.cumsum, axis=1), partial(np.maximum.accumulate, axis=1),
+                   partial(np.minimum.accumulate, axis=1))
+
+
+def _certificate(p: float, x: np.ndarray, w: np.ndarray, prefixes: bool = False) -> tuple:
+    """The roots of :func:`shifted_power_rows`: the moment columns of every
+    row, or of every prefix, given to :func:`_power_roots`, or to
+    :func:`_log_roots` at ``p = 0``."""
+    total, top, bottom = _ALONG_PREFIXES if prefixes else _ALONG_ROWS
+    with np.errstate(all="ignore"):  # a moment that is not finite is not covered
+        k, big_b, spread = total(w != 0.0), total(w), top(x) / bottom(x)
+        if p == 0.0:
+            lx = np.log(x)
+            return _log_roots(k, total(w * lx), total(w * np.abs(lx)), big_b, spread)
+        xp = x ** p
+        return _power_roots(p, k, total(w * xp), big_b, bottom(xp), top(xp), spread)
 
 
 def _roots_from(r, lam, ok):
@@ -821,10 +872,10 @@ def _roots_from(r, lam, ok):
                                                            np.inf)
 
 
-def _power_roots(p: float, x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tuple:
-    """Columns ``a <= b`` per row of a lockstep block for ``f(t) = t^p - 1``,
-    ``p != 0``: the scalar total at ``y`` is positive for ``y < a`` and
-    negative for ``y > b``.  Entries of weight 0 repeat the row's minimum.
+def _power_roots(p: float, k, big_a, big_b, xp_lo, xp_hi, spread) -> tuple:
+    """The certificate for ``f(t) = t^p - 1``, ``p != 0``, from the moment
+    columns of ``k`` terms: ``A = sum w x^p``, ``B = sum w``, the extremes of
+    ``x^p`` and the spread ``R = max x / min x``.
 
     With ``u = 2^-53``, ``u' = 2u`` and ``kappa = _SIGN_SLACK`` (ulps of
     pow), write ``t_i = x_i / y``.  The scalar total is ``s fsum(tau_i)``
@@ -844,12 +895,14 @@ def _power_roots(p: float, x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tu
     For ``p > 0`` (``s = 1``), ``S > 0`` where ``y^p < (A*/B*) (1-K)/(1+K)``
     and ``S < 0`` where ``y^p > (A*/B*) (1+K)/(1-K)``; for ``p < 0``
     (``s = -1``) the same holds for ``y^|p|`` against ``B*/A*``, which is
-    the same interval around the root ``(A*/B*)^(1/p)``.  The row sums ``A``
-    and ``B`` of the numpy moments are within ``alpha = (k + kappa + 2) u'``
-    and ``beta = k u'`` of ``A*`` and ``B*``, relative (pow, product and
-    ``k - 1`` adds for ``A``; ``k`` live entries a row).  Folding them in,
-    ``y^p`` against ``A/B`` is certain outside a factor of ``e^(+-D/(1-D))``
-    with ``D = alpha + beta + 2K``, so ``y`` is certain outside
+    the same interval around the root ``(A*/B*)^(1/p)``.  The moments ``A``
+    and ``B`` are within ``alpha = (k + kappa + 2) u'`` and ``beta = k u'``
+    of ``A*`` and ``B*``, relative (pow, product and ``k - 1`` adds for
+    ``A``).  Any order of adds of nonnegative terms, sequential as in a
+    running sum or pairwise as in a numpy row sum, takes each term through
+    at most ``k - 1`` of them.  Folding them in, ``y^p`` against ``A/B`` is
+    certain outside a factor of ``e^(+-D/(1-D))`` with
+    ``D = alpha + beta + 2K``, so ``y`` is certain outside
     ``e^(+-D/((1-D)|p|))`` around ``(A/B)^(1/p)``.  The computed root
     ``r = pow(fl(A/B), fl(1/p))`` is within ``(1/|p| + |log r| + kappa + 2) u'``
     of that in ``log``: the quotient's rounding scaled by ``1/|p|``, the
@@ -860,28 +913,24 @@ def _power_roots(p: float, x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tu
     partial sum of the scalar total finite, so that it raises nowhere in the
     bracket, and ``A``, ``B`` normal.  A row is certified only where
     ``x^p``, ``A`` and ``B`` are in ``[2^-900, 2^900]``, as are
-    ``R = max x / min x``, ``R^|p|`` and ``B R^|p|``, where ``D < 1`` (which
-    also keeps ``|p| u`` small enough for the first-order count), and where
+    ``R``, ``R^|p|`` and ``B R^|p|``, where ``D < 1`` (which also keeps
+    ``|p| u`` small enough for the first-order count), and where
     :func:`_roots_from` allows it.
     """
-    k = np.count_nonzero(live, axis=1)[:, None]
-    xp = x ** p
-    big_a = np.add.reduce(w * xp, axis=1, keepdims=True)
-    big_b = w.sum(axis=1, keepdims=True)
-    spread = x.max(axis=1, keepdims=True) / x.min(axis=1, keepdims=True)
-    grown = spread ** abs(p)
-    d = (2 * abs(p) + 2 * k + 3 * _SIGN_SLACK + 8) * _EPS
+    d = (2 * k + (2 * abs(p) + 3 * _SIGN_SLACK + 8)) * _EPS
     r = (big_a / big_b) ** (1.0 / p)
-    lam = d / ((1.0 - d) * abs(p)) + (1.0 / abs(p) + np.abs(np.log(r)) + _SIGN_SLACK + 2) * _EPS
-    ok = ((d < 1.0) & (xp.min(axis=1, keepdims=True) >= 1.0 / _RANGE)
-          & (xp.max(axis=1, keepdims=True) <= _RANGE) & (spread <= _RANGE)
-          & (big_b * grown <= _RANGE) & (big_a >= 1.0 / _RANGE) & (big_a <= _RANGE)
-          & (big_b >= 1.0 / _RANGE))
+    lam = d / ((1.0 - d) * abs(p)) + (np.abs(np.log(r)) + (1.0 / abs(p) + _SIGN_SLACK + 2)) * _EPS
+    grown = spread ** abs(p)
+    ok = ((d < 1.0) & (xp_lo >= 1.0 / _RANGE) & (xp_hi <= _RANGE) & (spread <= _RANGE)
+          & (grown <= _RANGE) & (big_b * grown <= _RANGE) & (big_a >= 1.0 / _RANGE)
+          & (big_a <= _RANGE) & (big_b >= 1.0 / _RANGE))
     return _roots_from(r, lam, ok)
 
 
-def _log_roots(x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tuple:
-    """:func:`_power_roots` for ``f = log`` (``p = 0``).
+def _log_roots(k, big_l, big_m, big_b, spread) -> tuple:
+    """:func:`_power_roots` for ``f = log`` (``p = 0``), from the moments
+    ``L = sum w log x``, ``M = sum w |log x|`` and ``B = sum w`` of ``k``
+    terms and the spread ``R``.
 
     The float terms are ``tau_i = fl(w_i log(fl(t_i)))``.  Rounding ``t_i``
     moves its log by ``u`` absolute; log is within ``kappa u'`` and the
@@ -892,31 +941,25 @@ def _log_roots(x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tuple:
     with ``2 u'`` to spare for the second-order terms and underflow.  In the
     bracket ``|log t_i| <= log R``, so with ``L* = sum w_i log x_i`` the sum
     ``S`` of the float terms is within ``K B* (log R + 1)`` of
-    ``L* - B* log y``.  The numpy moments ``L`` and ``B`` give ``L/B``
-    within ``(kappa + 2k + 2) u' M/B`` of ``L*/B*``, where
-    ``M = sum w_i |log x_i|`` bounds every ``|term|`` sum: log, product and
-    ``k - 1`` adds for ``L``, ``k u'`` for ``B`` and the quotient.  The root
-    ``r = exp(L/B)`` adds exp's ulps, so
+    ``L* - B* log y``.  The moments ``L`` and ``B`` give ``L/B`` within
+    ``(kappa + 2k + 2) u' M/B`` of ``L*/B*``, since ``M`` bounds every
+    ``|term|`` sum: log, product and ``k - 1`` adds in any order for ``L``,
+    ``k u'`` for ``B`` and the quotient.  The root ``r = exp(L/B)`` adds
+    exp's ulps, so
 
         lam = K (log R + 1) + (kappa + 2k + 2) u' M / B + (kappa + 1) u'.
 
     A row is certified only where ``R`` and ``B`` are in ``[2^-900, 2^900]``,
     which keeps every ``t_i`` normal and every partial sum finite.
     """
-    k = np.count_nonzero(live, axis=1)[:, None]
-    lx = np.log(x)
-    big_l = np.add.reduce(w * lx, axis=1, keepdims=True)
-    big_m = np.add.reduce(w * np.abs(lx), axis=1, keepdims=True)
-    big_b = w.sum(axis=1, keepdims=True)
-    spread = x.max(axis=1, keepdims=True) / x.min(axis=1, keepdims=True)
     r = np.exp(big_l / big_b)
-    lam = ((_SIGN_SLACK + 3) * (np.log(spread) + 1.0) + (_SIGN_SLACK + 2 * k + 2) * big_m / big_b
-           + _SIGN_SLACK + 1) * _EPS
+    lam = ((_SIGN_SLACK + 3) * (np.log(spread) + 1.0) + (2 * k + (_SIGN_SLACK + 2)) * big_m / big_b
+           + (_SIGN_SLACK + 1)) * _EPS
     ok = (spread <= _RANGE) & (big_b >= 1.0 / _RANGE) & (big_b <= _RANGE)
     return _roots_from(r, lam, ok)
 
 
-def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
+def homogeneous_deviation_rows(f: Callable[[float], float], roots: Callable,
                                x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """:func:`homogeneous_deviation` of ``f`` on the entries of nonzero
     weight of every row of ``(rows, n)`` arrays, bit for bit and raising
@@ -927,23 +970,14 @@ def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
     entries must be positive and each row's weights nonnegative with a
     positive sum; zero-weight entries are dropped, as in
     :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
-    weights.  Bisection reads only the sign of each total.
-    ``twin = (F, c[, roots])`` (see :func:`shifted_power_rows`) gives it in
-    up to three stages, each certain or passing the row on.  First,
-    ``roots(x, w, live)`` gives each row of a block, once, columns
+    weights.  Bisection reads only the sign of each total, in two stages.
+    First, ``roots``, the certificate of ``f`` (see
+    :func:`shifted_power_rows`), gives each row of a block, once, columns
     ``a <= b`` with the total certainly positive below ``a`` and negative
     above ``b``; a sign test at such a ``y``, the endpoints included, sums
-    nothing.  A twin without ``roots`` certifies nothing here.  Second, the
-    rows left take a numpy row sum, whose sign holds whenever that
-    sum is farther from 0 than its error bound (Shewchuk's filtered
-    predicates): ``(k + _SIGN_SLACK) * 2^-52`` of ``sum_i w_i (|F(t_i)| + c)``
-    over a row's ``k`` terms of nonzero weight, which bounds each term
-    before its own cancellation, plus an underflow floor per term.  That
-    covers the numpy summation, off by at most ``(k - 1) * 2^-53`` of it in
-    any order (an added zero rounds nothing), and twin values up to about
-    60 ulps of ``|f(t)| + c`` from the scalar ones.
-    Third, a row whose sum is closer, or whose terms could overflow
-    somewhere, gets the scalar total, which keeps its exact value.  A row the
+    nothing.  Second, a sign test inside ``[a, b]`` takes the row's scalar
+    total, which keeps its exact value; a row the certificate does not
+    cover, with ``(-inf, inf)``, takes it at every sign test.  A row the
     lockstep cannot finish (a scalar total that raises, no sign change, or
     no halvings left) goes to :func:`homogeneous_deviation`, so every
     error is the scalar solver's own.
@@ -952,56 +986,37 @@ def homogeneous_deviation_rows(f: Callable[[float], float], twin: tuple,
     rows, n = x.shape
     out = np.empty(rows)
     step = max(1, _BLOCK // n)
-    with np.errstate(all="ignore"):  # values that are not finite go to the scalar total
+    with np.errstate(all="ignore"):  # a midpoint beyond the float range is the scalar solver's
         for start in range(0, rows, step):
             block = slice(start, start + step)
-            out[block] = _bisect_block(f, twin, s, x[block], w[block])
+            out[block] = _bisect_block(f, roots, s, x[block], w[block])
     return out
 
 
-def _bisect_block(f, twin, s, x, w) -> np.ndarray:
+def _bisect_block(f, roots, s, x, w) -> np.ndarray:
     """:func:`homogeneous_deviation_rows` on one block of rows; every
     per-row array is a column."""
     m = np.flatnonzero(w.any(axis=0))[-1] + 1  # past the last column of nonzero weight
-    x, w = x[:, :m], np.ascontiguousarray(w[:, :m])  # read at every halving
+    x, w = x[:, :m], w[:, :m]
     live = w != 0.0
-    k = np.count_nonzero(live, axis=1)[:, None]  # each row's terms
     lo = np.where(live, x, np.inf).min(axis=1, keepdims=True)
     hi = np.where(live, x, -np.inf).max(axis=1, keepdims=True)
-    # Entries of weight 0 repeat the row's minimum, so their terms are exactly
-    # 0 and their values finite wherever the row's are.
-    x = np.where(live, x, lo)
-    F, c, *roots = twin
-    a, b = roots[0](x, w, live) if roots else (-np.inf, np.inf)  # certifies nothing
-    ulps = (k + _SIGN_SLACK) * _EPS
-    # the bound is ulps * (sum_i w_i |F(t_i)| + c * sum_i w_i) + the floor
-    base = ulps * c * w.sum(axis=1, keepdims=True) + k * _TERM_FLOOR
-    # |F| <= size / w_i, so below this cap no value or partial sum overflows
-    cap = _SAFE * np.minimum(1.0, np.where(live, w, np.inf).min(axis=1, keepdims=True))
+    a, b = roots(np.where(live, x, lo), w)  # entries of weight 0 repeat the row's minimum
     result = lo.copy()  # the constant rows' value
     active = lo != hi
     failed = np.zeros_like(active)  # rows left to the scalar solver
-
-    def scalar(i: int, y: float) -> float:
-        row = live[i]
-        return _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())(y)
+    scalars = {}  # the scalar total of each row that has needed one
 
     def totals(y: np.ndarray, pending: np.ndarray) -> np.ndarray:
         """Each pending row's total at ``y``, exact or of the right sign:
-        ``a - y`` outside the root interval, and inside it a numpy row sum
-        outside that sum's error bound, or else the scalar total."""
+        ``a - y`` outside the root interval, the scalar total inside it."""
         g = a - y  # of the sign of the total outside [a, b]
-        rows = (pending & (y >= a) & (y <= b)).nonzero()[0]  # pending, in the interval
-        if not len(rows):
-            return g
-        terms = w[rows] * F(x[rows] / y[rows])
-        g_in = np.add.reduce(terms, axis=1, keepdims=True)
-        size = np.add.reduce(np.abs(terms, out=terms), axis=1, keepdims=True)
-        certain = (np.abs(g_in) > ulps[rows] * size + base[rows]) & (size <= cap[rows])
-        g[rows] = s * g_in
-        for i in rows[~certain[:, 0]]:
+        for i in (pending & (y >= a) & (y <= b)).nonzero()[0].tolist():
+            if i not in scalars:
+                row = live[i]
+                scalars[i] = _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())
             try:
-                g[i] = scalar(i, float(y[i, 0]))
+                g[i] = scalars[i](float(y[i, 0]))
             except (ArithmeticError, ValueError):
                 failed[i] = True
                 active[i] = False

@@ -151,8 +151,11 @@ class MeanHandle:
     generic drivers :func:`~kedlaya.deviation.closed_form_rows` and
     :func:`~kedlaya.deviation.closed_form_prefixes`, which hand what they
     cannot evaluate to ``_fn``.  The built-in ``homdev`` means have both,
-    bisecting in lockstep.  Only custom deviations, and homogeneous
-    deviations of a caller's ``f``, have neither and are evaluated row by row.
+    and their scalar solves (one per prefix in a scan) and lockstep
+    bisection read one certificate of the root (see
+    :func:`~kedlaya.deviation.shifted_power_rows`).  Only custom deviations,
+    and homogeneous deviations of a caller's ``f``, have neither and are
+    evaluated row by row.
     ``_prefix_rows(x, w, last)``, present for every closed form, is its
     ``(rows, n)`` prefix driver (see :func:`evaluate_prefix_rows`).
     """
@@ -300,8 +303,9 @@ def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
     entry's domain is checked once, zero-weight entries are dropped and
     constant prefixes short-circuit, as in :func:`evaluate`.  Families
     with a prefix kernel compute the other prefixes in one pass of
-    running sums (closed forms) or one lockstep bisection (homogeneous
-    deviations); the others call :func:`evaluate` once per prefix.  Apart
+    running sums (closed forms) or of running moments, for one certified
+    scalar solve per prefix (homogeneous deviations); the others call
+    :func:`evaluate` once per prefix.  Apart
     from the weights, errors are those of that loop: an entry outside the
     domain raises only after the prefixes before it are evaluated.
     """
@@ -631,38 +635,17 @@ _DEVIATIONS = {"shifted-power": (dev.shifted_power, dev.shifted_power_rows)}
 _TEXT_FIELDS = ("generator", "f")  # wire fields that are names, not numbers
 
 
-# Below this many rows x entries a prefix scan costs less as one scalar solve
-# per prefix than in lockstep, whose loop of numpy calls on columns costs
-# about 0.9 ms a scan once the root interval decides the signs.  On a 2-vCPU
-# Xeon the kernel took 1.05-1.06x the scalar time at n = 10 (90 rows x
-# entries) and 0.90-0.93x at n = 11 (110), for p = 0.5, -2 and 0.
-_LOCKSTEP_MIN_ENTRIES = 100
-
-
-def _homogeneous_deviation_prefixes(f, twin, x, w, first: int) -> list:
-    """Every prefix ``x[:k]``, ``k = first+1..n``, as one row of the lockstep
-    bisection (weight 0 past it), or one scalar solve each for a small scan."""
-    n = len(x)
-    rows = n - first
-    if rows * n < _LOCKSTEP_MIN_ENTRIES:
-        return [dev.homogeneous_deviation(f, x[:k], w[:k]) for k in range(first + 1, n + 1)]
-    prefix = np.arange(n) <= np.arange(first, n)[:, None]
-    return dev.homogeneous_deviation_rows(
-        f, twin, np.broadcast_to(np.asarray(x, dtype=float), (rows, n)),
-        np.where(prefix, np.asarray(w, dtype=float), 0.0)).tolist()
-
-
 def _homogeneous_deviation(f: str, p: float) -> MeanHandle:
     """The built-in homogeneous-deviation mean ``f`` at ``p``, with its wire
-    values and, from the numpy twin of ``f``, its lockstep batch and prefix
-    kernels."""
+    values and, from the certificate of ``f``, its certified scalar solve,
+    prefix scan and lockstep batch kernel."""
     p = float(p)
-    scalar, twin = (make(p) for make in _DEVIATIONS[f])
+    scalar, roots = (make(p) for make in _DEVIATIONS[f])
     mean = MeanHandle.homogeneous_deviation(scalar, f"{f}:{dev._fmt(p)}")
     return replace(
-        mean, params=(f, p),
-        _batch=lambda x, w: dev.homogeneous_deviation_rows(scalar, twin, x, w),
-        _prefix=lambda x, w, first: _homogeneous_deviation_prefixes(scalar, twin, x, w, first))
+        mean, params=(f, p), _fn=lambda x, w: dev.homogeneous_deviation(scalar, x, w, roots),
+        _batch=lambda x, w: dev.homogeneous_deviation_rows(scalar, roots, x, w),
+        _prefix=lambda x, w, first: dev.homogeneous_deviation_prefixes(scalar, roots, x, w, first))
 
 # family -> (id head, wire fields in id order, builder taking the wire values).
 # Every id and JSON document is read and written through this table.

@@ -524,17 +524,17 @@ def test_golden_deferred_check_report_bytes(capsys, mean, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _homdev_check_argv(mean: str) -> tuple:
-    """`check` at n = 56: uniform entries in [0.1, 10] and nonincreasing
-    uniform weights, six digits each."""
-    rng = random.Random(56)
-    x = ",".join(f"{rng.uniform(0.1, 10.0):.6g}" for _ in range(56))
-    w = sorted((rng.uniform(0.1, 10.0) for _ in range(56)), reverse=True)
+def _homdev_check_argv(mean: str, n: int = 56) -> tuple:
+    """`check` at ``n`` entries from ``random.Random(n)``: uniform entries in
+    [0.1, 10] and nonincreasing uniform weights, six digits each."""
+    rng = random.Random(n)
+    x = ",".join(f"{rng.uniform(0.1, 10.0):.6g}" for _ in range(n))
+    w = sorted((rng.uniform(0.1, 10.0) for _ in range(n)), reverse=True)
     return ("check", "--mean", mean, "--x", x, "--w", ",".join(f"{v:.6g}" for v in w))
 
 
-# sha256 of `check --json` reports on _homdev_check_argv, whose prefix scans
-# run the lockstep bisection.  They were recorded while every sign came from a
+# sha256 of `check --json` reports on _homdev_check_argv.  They were recorded
+# while the prefix scans ran the lockstep bisection and every sign came from a
 # numpy row sum or the scalar total, before the certified root interval.  The
 # roots are the scalar solver's, on libm, so the bytes do not depend on
 # numpy's SIMD dispatch.
@@ -551,6 +551,28 @@ GOLDEN_HOMDEV_CHECKS = [
                          ids=[m for m, _ in GOLDEN_HOMDEV_CHECKS])
 def test_golden_homdev_check_report_bytes(capsys, mean, digest):
     code, out, err = run(capsys, *_homdev_check_argv(mean), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `check --json` reports on _homdev_check_argv at small n, recorded
+# while prefix scans this small took one plain scalar solve per prefix, before
+# the certified per-prefix solves.
+GOLDEN_SMALL_HOMDEV_CHECKS = [
+    ("homdev:shifted-power:0.5", 3, "89e7fa04ded2252b7c1d586600da612522b221a2638d9d18498c0497885c46ae"),
+    ("homdev:shifted-power:0.5", 8, "31aa211d7b82c3c6c46e9f4a635a6944642e3c8bfedf7f7a059e6c7a8db6b270"),
+    ("homdev:shifted-power:0.5", 10, "b85e8f7348314e269ac8b9ac0b6cd9c7f452089d0959df470312bd97a65b3bae"),
+    ("homdev:shifted-power:0", 3, "338e5c85585a08494105d4f5facc740b0da0387ab1c152de2901d77476193c3e"),
+    ("homdev:shifted-power:0", 8, "c1ee3e4c6e335871f572c1d08d40393870f248fea5e72e624d10ec50961692d2"),
+    ("homdev:shifted-power:0", 10, "1eef0179889bc49dcf2363b5f6e9323ccfd6caac42208bc0871fdd541e03616f"),
+]
+
+
+@pytest.mark.kernel_parity
+@pytest.mark.parametrize("mean, n, digest", GOLDEN_SMALL_HOMDEV_CHECKS,
+                         ids=[f"{m} n={n}" for m, n, _ in GOLDEN_SMALL_HOMDEV_CHECKS])
+def test_golden_small_homdev_check_report_bytes(capsys, mean, n, digest):
+    code, out, err = run(capsys, *_homdev_check_argv(mean, n), "--json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kedlaya import deviation as dev
 from kedlaya.deviation import (
@@ -402,6 +402,11 @@ def _lockstep_prefixes(p, x, w):
         np.where(np.arange(n) <= np.arange(1, n)[:, None], np.array(w), 0.0)).tolist()
 
 
+def _uncertified(x, w):
+    """A certificate that covers no row."""
+    return -math.inf, math.inf
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -411,8 +416,8 @@ def _outcome(fn):
 
 @pytest.mark.kernel_parity
 class TestLockstepBisection:
-    """The lockstep kernel decides nearly every sign from numpy sums: the
-    scalar total, counted here, runs only inside the error bound."""
+    """The lockstep kernel decides nearly every sign from the certificate:
+    the scalar total, counted here, runs only inside its root interval."""
 
     @pytest.fixture
     def scalar_totals(self, monkeypatch):
@@ -432,8 +437,9 @@ class TestLockstepBisection:
         return calls
 
     def _fallback_rate(self, calls, p, x, w):
-        """Scalar totals of the kernel per sign test of the scalar solver,
-        after checking that both give the same outcome."""
+        """Scalar totals of the kernel per sign test of the plain scalar
+        solver, which has no certificate, after checking that both give the
+        same outcome."""
         calls[0] = 0
         want = _outcome(lambda: [homogeneous_deviation(shifted_power(p), x[:k], w[:k])
                                  for k in range(2, len(x) + 1)])
@@ -477,18 +483,19 @@ class TestLockstepBisection:
             f, shifted_power_rows(p), x, w).tolist()) == want
 
     def test_no_sign_change_raises_the_scalar_error(self):
-        # (t - 1)^2 is not monotone: the total of row 1 is positive at both ends
+        # (t - 1)^2 is not monotone: the total of row 1 is positive at both
+        # ends; without a certificate every sign test takes the scalar total
         f = lambda t: (t - 1.0) ** 2
         x = np.array([[2.0, 2.0], [1.0, 3.0], [2.0, 5.0]])
         w = np.ones_like(x)
         want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
                                  for xi, wi in zip(x.tolist(), w.tolist())])
         assert want[0] is SolverFailure
-        assert _outcome(lambda: homogeneous_deviation_rows(f, (f, 1.0), x, w).tolist()) == want
+        assert _outcome(lambda: homogeneous_deviation_rows(f, _uncertified, x, w).tolist()) == want
 
     def test_near_constant_entries_reach_the_scalar_total(self, scalar_totals):
-        # totals this close to 0 are within the error bound: the parity tests
-        # on such entries exercise the fallback
+        # midpoints this close to the root fall inside the root interval: the
+        # parity tests on such entries exercise the scalar total
         rng = np.random.default_rng(5)
         x = (1.0 + rng.uniform(0.0, 1e-9, 30)).tolist()
         assert self._fallback_rate(scalar_totals, 0.5, x, [1.0] * 30) > 0.0
@@ -533,9 +540,10 @@ def _outside_the_guard(p, x, w) -> bool:
 
 @pytest.mark.kernel_parity
 class TestRootInterval:
-    """The certified root interval of :func:`shifted_power_rows`: the scalar
-    total is positive below ``a`` and negative above ``b``, and a lockstep
-    over it rarely sums the entries."""
+    """The certified root interval of :func:`shifted_power_rows`, of a row
+    or of every prefix: the scalar total is positive below ``a`` and
+    negative above ``b``, and a prefix scan or lockstep over it rarely sums
+    the entries."""
 
     @settings(max_examples=300, deadline=None)
     @given(_interval_rows(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
@@ -545,36 +553,36 @@ class TestRootInterval:
         lo, hi = min(xi for xi, wi in zip(x, w) if wi), max(xi for xi, wi in zip(x, w) if wi)
         block = np.where(live, np.array([x]), lo)
         with np.errstate(all="ignore"):  # as in the lockstep
-            (a,), (b,) = (v[:, 0].tolist() for v in shifted_power_rows(p)[2](
-                block, np.array([w]), live))
-        if _outside_the_guard(p, x, w):
-            assert (a, b) == (-math.inf, math.inf)
-        if a == -math.inf:
-            assert b == math.inf
-            return
-        assert a <= b
-        f = shifted_power(p)
-        total = dev._homogeneous_total(f, dev._orientation(f), [xi for xi, wi in zip(x, w) if wi],
-                                       [wi for wi in w if wi])
-        below = [a, math.nextafter(a, 0.0), lo, lo + fractions[0] * (a - lo),
-                 lo + fractions[1] * (a - lo)]
-        above = [b, math.nextafter(b, math.inf), hi, b + fractions[2] * (hi - b),
-                 b + fractions[3] * (hi - b)]
-        for y in below:  # the interval speaks of the bracket [lo, hi] only
-            if lo <= y < a and y <= hi:
-                assert total(y) > 0.0, (y, a)
-        for y in above:
-            if b < y <= hi and y >= lo:
-                assert total(y) < 0.0, (y, b)
+            (a,), (b,) = (v[:, 0].tolist() for v in shifted_power_rows(p)(
+                block, np.array([w])))
+        _assert_certified_signs(p, [xi for xi, wi in zip(x, w) if wi], [wi for wi in w if wi],
+                                a, b, fractions)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_interval_rows(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    # B R^|p| = 2^900.4 but R^|p| = 2^917 alone: past the guard
+    @example((1.25, [1.3688592986273205e+147, 2.702841600911329e-74], [1e-05, 1e-06]),
+             [0.0, 0.0, 0.0, 0.0])
+    def test_every_prefix_has_the_certified_sign(self, row, fractions):
+        # the running moments of a prefix scan, which sees the entries of
+        # nonzero weight only
+        p, x, w = row
+        x, w = [xi for xi, wi in zip(x, w) if wi], [wi for wi in w if wi]
+        a, b = (v[0].tolist() for v in shifted_power_rows(p)(
+            np.array([x]), np.array([w]), prefixes=True))
+        for k in range(1, len(x) + 1):
+            _assert_certified_signs(p, x[:k], w[:k], a[k - 1], b[k - 1], fractions)
 
     @pytest.mark.parametrize("p", [-2.0, 0.0, 0.5, 3.0])
     def test_scan_rows_skip_the_entries(self, p, monkeypatch):
         # the prefixes of one check at n = 56: entries in [0.1, 10] and
-        # nonincreasing weights, each prefix a row of the lockstep
+        # nonincreasing weights, each prefix a certified scalar solve, and
+        # each a row of the lockstep; both take scalar totals inside [a, b]
+        # only
         rng = np.random.default_rng(56)
         x = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 56)).tolist()
         w = sorted(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 56)).tolist(), reverse=True)
-        sign_tests, rows_summed = [0], [0]
+        sign_tests = [0]
         make_total = dev._homogeneous_total
 
         def counting_total(*args):
@@ -587,20 +595,43 @@ class TestRootInterval:
             return counted
 
         monkeypatch.setattr(dev, "_homogeneous_total", counting_total)
-        f = shifted_power(p)
+        f, roots = shifted_power(p), shifted_power_rows(p)
         want = [homogeneous_deviation(f, x[:k], w[:k]) for k in range(2, 57)]
-        scalar_tests = sign_tests[0]
-        F, c, roots = shifted_power_rows(p)
-
-        def counting_twin(t):
-            rows_summed[0] += len(t)
-            return F(t)
-
+        scalar_tests, sign_tests[0] = sign_tests[0], 0
+        assert dev.homogeneous_deviation_prefixes(f, roots, x, w, 1) == want
+        assert sign_tests[0] <= 0.05 * scalar_tests
+        sign_tests[0] = 0
         got = homogeneous_deviation_rows(
-            f, (counting_twin, c, roots), np.broadcast_to(np.array(x), (55, 56)),
+            f, roots, np.broadcast_to(np.array(x), (55, 56)),
             np.where(np.arange(56) <= np.arange(1, 56)[:, None], np.array(w), 0.0))
         assert got.tolist() == want
-        assert rows_summed[0] <= 0.05 * scalar_tests
+        assert sign_tests[0] <= 0.05 * scalar_tests
+
+
+def _assert_certified_signs(p, x, w, a, b, fractions):
+    """The certificate ``(a, b)`` of ``shifted_power(p)`` on entries ``x`` of
+    positive weights ``w``: none past the guard, and inside ``[lo, hi]`` the
+    scalar total's sign at ``a``, ``b``, their outer neighbours, ``lo``,
+    ``hi`` and two points beyond each, from ``fractions``."""
+    if _outside_the_guard(p, x, w):
+        assert (a, b) == (-math.inf, math.inf)
+    if a == -math.inf:
+        assert b == math.inf
+        return
+    assert a <= b
+    lo, hi = min(x), max(x)
+    f = shifted_power(p)
+    total = dev._homogeneous_total(f, dev._orientation(f), x, w)
+    below = [a, math.nextafter(a, 0.0), lo, lo + fractions[0] * (a - lo),
+             lo + fractions[1] * (a - lo)]
+    above = [b, math.nextafter(b, math.inf), hi, b + fractions[2] * (hi - b),
+             b + fractions[3] * (hi - b)]
+    for y in below:  # the interval speaks of the bracket [lo, hi] only
+        if lo <= y < a and y <= hi:
+            assert total(y) > 0.0, (y, a)
+    for y in above:
+        if b < y <= hi and y >= lo:
+            assert total(y) < 0.0, (y, b)
 
 
 class TestCounterexampleMean:

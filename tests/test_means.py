@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 import zlib
 from dataclasses import replace
 from fractions import Fraction
@@ -321,6 +322,15 @@ SAMPLED_MEANS = ["arithmetic", "min", "max", "power:0.5", "power:-2", "gini:2:1"
 EXACT_BATCH = ("min", "max", "qa:", "homdev:")  # kernels equal to evaluate
 
 
+def _plain(mean):
+    """``mean`` without its kernels; a built-in homdev mean also without its
+    certificate, evaluated by the plain scalar solver of its ``f``."""
+    if mean.family == "homogeneous-deviation":
+        f = shifted_power(mean.params[1])
+        mean = replace(mean, _fn=lambda x, w: deviation.homogeneous_deviation(f, x, w))
+    return replace(mean, _prefix=None, _batch=None)
+
+
 @pytest.mark.kernel_parity
 class TestAxiomSampler:
     """``sample_axiom_residuals`` draws what :func:`_axiom_draws_by_row` maps
@@ -378,7 +388,8 @@ class TestAxiomSampler:
         mean = mean_from_id(mean_id)
         drawn = self._draw(mean, zlib.crc32(mean_id.encode()), 150, 7)
         got = means._axiom_sides(mean, *drawn).T
-        want = np.array([_sides_by_evaluate(mean, *trial) for trial in _per_trial(drawn)])
+        want = np.array([_sides_by_evaluate(_plain(mean), *trial)
+                         for trial in _per_trial(drawn)])
         if mean_id.startswith(EXACT_BATCH):
             assert got.tolist() == want.tolist()
         else:
@@ -405,19 +416,20 @@ class TestAxiomSampler:
     @pytest.mark.parametrize("mean_id", ["qa:log", "homdev:shifted-power:0.5", "min"])
     def test_residuals_equal_check_helpers(self, mean_id):
         # where the kernel is exact, the worst residuals are the check_*
-        # helpers' on the same draws
+        # helpers' on the same draws, evaluated without kernels or certificate
         mean = mean_from_id(mean_id)
+        plain = _plain(mean)
         lo, hi = self._window(mean)
         worst = dict.fromkeys(means.AXIOMS, 0.0)
         for x, w, t, split, perm, j in _axiom_draws_by_row(3, 120, 5, lo, hi):
             rest = [wi - s for wi, s in zip(w, split)]
             wz = list(w)
             wz[j] = 0.0
-            for c in (check_nullhomogeneity(mean, x, w, t),
-                      check_reduction(mean, x, split, rest),
-                      mean_value_residual(mean, x, w),
-                      check_elimination(mean, x, wz, j),
-                      check_symmetry(mean, x, w, perm)):
+            for c in (check_nullhomogeneity(plain, x, w, t),
+                      check_reduction(plain, x, split, rest),
+                      mean_value_residual(plain, x, w),
+                      check_elimination(plain, x, wz, j),
+                      check_symmetry(plain, x, w, perm)):
                 worst[c.axiom] = max(worst[c.axiom], c.residual)
         assert means.sample_axiom_residuals(mean, 120, 5, 3) == worst
 
@@ -908,11 +920,11 @@ class TestPrefixKernels:
             assert kedlaya_sides(mean, x, w) == want
 
     def test_solver_family_falls_back_to_evaluate(self):
-        # a scan this small takes one scalar solve per prefix; larger ones
-        # bisect every prefix in lockstep (TestHomdevKernels)
+        # every scan takes one certified scalar solve per prefix, each
+        # certificate from running moments (TestHomdevKernels)
         mean = mean_from_id("homdev:shifted-power:0.5")
         x, w = [1.5, 0.25, 8.0, 8.0, 2.0], [3, 0, 2, 1, 1]
-        assert evaluate_prefixes(mean, x, w) == [evaluate(mean, x[:k], w[:k])
+        assert evaluate_prefixes(mean, x, w) == [evaluate(_plain(mean), x[:k], w[:k])
                                                  for k in range(1, 6)]
 
     def test_first_weight_zero_rejected(self):
@@ -1089,15 +1101,17 @@ HOMDEV_PS = [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5]
 
 
 def _homdev_pair(p):
-    """The built-in homdev handle and the same handle without its kernels."""
+    """The built-in homdev handle and the same handle without its kernels or
+    certificate."""
     mean = mean_from_id(f"homdev:shifted-power:{p}")
-    return mean, replace(mean, _prefix=None, _batch=None)
+    return mean, _plain(mean)
 
 
 @pytest.mark.kernel_parity
 class TestHomdevKernels:
-    """The lockstep kernels of the homogeneous-deviation family equal the
-    scalar solver: values bit for bit, errors by type and message."""
+    """The certified kernels of the homogeneous-deviation family (prefix
+    scans, lockstep rows) equal the plain scalar solver: values bit for bit,
+    errors by type and message."""
 
     @staticmethod
     def _inputs():
@@ -1107,7 +1121,7 @@ class TestHomdevKernels:
             x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), n)).tolist()
             w = rng.exponential(size=n).tolist()
             cases.append((x, w))  # log-uniform
-            # near-constant entries: sums within the error bound, so fallbacks
+            # near-constant entries: midpoints inside the root interval
             cases.append(((1.0 + rng.uniform(0.0, 1e-9, n)).tolist(), w))
             zeros = (np.array(w) * (rng.random(n) < 0.6)).tolist()
             zeros[0] = w[0]
@@ -1155,7 +1169,7 @@ class TestHomdevKernels:
         mean, plain = _homdev_pair(0.5)
         got = evaluate_rows(mean, np.array([x]), np.array([w])).tolist()
         assert got == evaluate_rows(plain, np.array([x]), np.array([w])).tolist()
-        assert got == [evaluate(mean, x, w)]
+        assert got == [evaluate(plain, x, w)] == [evaluate(mean, x, w)]
 
     @pytest.mark.parametrize("p", HOMDEV_PS)
     def test_overflow_parity(self, p):
@@ -1172,6 +1186,32 @@ class TestHomdevKernels:
         xs = np.exp(np.linspace(0.0, 1.0, 20)).tolist() + [1e-100, 1e100]
         assert _outcome(lambda: evaluate_prefixes(mean, xs, [1.0] * 22)) == \
             _outcome(lambda: evaluate_prefixes(plain, xs, [1.0] * 22))
+
+    def test_midpoint_beyond_the_float_range_is_silent(self):
+        # the first midpoint of this certified row is inf, as the scalar
+        # solver's is, and neither warns
+        mean, plain = _homdev_pair(0.5)
+        x, w = [1e308, 1.5e308], [1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_rows(mean, np.array([x]), np.array([w])).tolist()
+            assert got == evaluate_rows(plain, np.array([x]), np.array([w])).tolist()
+            assert got == [evaluate(plain, x, w)] == [evaluate(mean, x, w)]
+
+    @pytest.mark.parametrize("p", HOMDEV_PS)
+    def test_entries_beyond_the_float_range(self, p):
+        # entries a float cannot hold leave the certificate out: the scalar
+        # total raises its FloatOverflow, in evaluate and at that prefix
+        mean, plain = _homdev_pair(p)
+        for big in (10 ** 400, Fraction(10 ** 400)):
+            got = _outcome(lambda: evaluate(mean, [big, 2], [1, 1]))
+            assert _raised(got) is FloatOverflow
+            assert got == _outcome(lambda: evaluate(plain, [big, 2], [1, 1]))
+        x = np.exp(np.linspace(0.0, 1.0, 30)).tolist()
+        for last in (10 ** 400, Fraction(1, 10 ** 400)):
+            xs, w = x + [last], [1.0] * 31
+            assert _outcome(lambda: evaluate_prefixes(mean, xs, w)) == _outcome(
+                lambda: [evaluate(plain, xs[:k], w[:k]) for k in range(1, 32)])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_concavity_report_unchanged(self, seed):
