@@ -14,7 +14,10 @@ on inputs drawn from fixed seeds: each row is the minimum of ``k`` runs,
 with its median, its spread (maximum minus minimum) and its unit.  They are
 ``check_kedlaya`` (both prefix scans and the step gaps) of a
 ``homdev:shifted-power`` mean at several ``n`` and ``p``, one ``evaluate``
-and one ``evaluate_rows`` of ``homdev:shifted-power:0.5``, and the
+of ``homdev:shifted-power:0.5``, ``evaluate_rows`` (the lockstep bisection)
+at three ``p`` on a 1024 x 8 block and on one ``n = 2`` chunk of the
+``concavity`` command (3072 x 2: the midpoint, ``x`` and ``y`` rows of its
+1024 draws, stacked as ``sample_jensen_concavity`` stacks them), and the
 homogeneous-deviation family of acceptance criterion 7 (the five axiom
 residuals on 1000 instances, the loop of ``tests/test_acceptance.py``).
 
@@ -81,6 +84,8 @@ def micro_rows(quick: bool = False) -> list:
     runs each at a tiny size, once, which checks this script, not the code
     it measures."""
     import numpy as np
+    from kedlaya.concavity import _CHUNK, _draw_chunk
+    from kedlaya.domain import sampling_window
     from kedlaya.inequality import check_kedlaya
     from kedlaya.means import evaluate, evaluate_rows, mean_from_id
     from test_acceptance import _worst_axiom_residual
@@ -106,8 +111,14 @@ def micro_rows(quick: bool = False) -> list:
     block = (16 if quick else 1024, 8)
     rng = np.random.default_rng(1024)
     x, w = np.exp(rng.uniform(np.log(0.1), np.log(10.0), block)), rng.uniform(0.1, 10.0, block)
-    rows.append(_time(f"evaluate_rows {mean} {block[0]}x{block[1]}",
-                      lambda: evaluate_rows(mean, x, w), k))
+    cx, cy, cw = _draw_chunk(sampling_window(mean.domain), 2, 7, 0, 16 if quick else _CHUNK)
+    chunk = np.concatenate((0.5 * (cx + cy), cx, cy)), np.concatenate((cw, cw, cw))
+    for p in (0.5, -2, 0):
+        homdev = mean_from_id(HOMDEV.format(p))
+        rows.append(_time(f"evaluate_rows {homdev} {block[0]}x{block[1]}",
+                          lambda: evaluate_rows(homdev, x, w), k))
+        rows.append(_time(f"evaluate_rows {homdev} {len(chunk[0])}x2",
+                          lambda: evaluate_rows(homdev, *chunk), k))
     trials = 10 if quick else 1000
     seed = zlib.crc32(str(mean).encode())  # criterion 7's own
     rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(

@@ -24,9 +24,10 @@ negative above it, so the root finder sums the total only inside it and
 returns the same roots and errors bit for bit.  The certificate is one
 function of moment columns, read by the scalar solver (one row), by
 :func:`homogeneous_deviation_prefixes` (every prefix, from running
-moments) and by :func:`homogeneous_deviation_rows`, which bisects every
-row of ``(rows, n)`` arrays in lockstep; there a zero weight marks an
-absent entry, as in every batch kernel.
+moments) and by :func:`homogeneous_deviation_rows`, which halves every row
+of ``(rows, n)`` arrays in lockstep until a midpoint enters ``[a, b]``, and
+then in the scalar solver's loop; there a zero weight marks an absent
+entry, as in every batch kernel.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -252,7 +253,8 @@ def _solve(g: Callable[[float], float], x, label: str, a: float = -math.inf,
     The sign of the total is taken as ``+`` below ``a`` and ``-`` above
     ``b``, where a caller has certified it, and from ``g`` everywhere else.
     A total that is not ``>= 0`` at the left endpoint and ``<= 0`` at the
-    right one has no root there; that raises :class:`SolverFailure`.
+    right one has no root there; that raises :class:`SolverFailure`.  A
+    root at neither endpoint is left to :func:`_halve`.
     """
     lo, hi = min(x), max(x)
     if lo == hi:
@@ -267,10 +269,19 @@ def _solve(g: Callable[[float], float], x, label: str, a: float = -math.inf,
         return float(lo)
     if g_hi == 0.0:
         return float(hi)
-    positive_at_lo = g_lo > 0
     floor = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    cap = _max_halvings(lo, hi, floor)
-    for _ in range(cap):
+    return _halve(g, lo, hi, 0, _max_halvings(lo, hi, floor), a, b, label, g_lo > 0)
+
+
+def _halve(g: Callable[[float], float], lo: float, hi: float, done: int, cap: int,
+           a: float, b: float, label: str, positive_at_lo: bool) -> float:
+    """The bisection of :func:`_solve` on ``[lo, hi]`` after ``done`` of its
+    ``cap`` halvings, signs as there: the first midpoint that meets the stop
+    width or whose total is exactly 0, or :class:`MaxIterations` once the
+    cap is spent.  The one halving loop that reads a total, which the
+    lockstep bisection enters at a row's first midpoint inside ``[a, b]``.
+    """
+    for _ in range(done, cap):
         mid = 0.5 * (lo + hi)
         if hi - lo <= _stop_width(mid):
             return mid
@@ -965,22 +976,21 @@ def homogeneous_deviation_rows(f: Callable[[float], float], roots: Callable,
     weight of every row of ``(rows, n)`` arrays, bit for bit and raising
     what the first failing row raises.
 
-    Rows are bisected in lockstep, a block of rows at a time, on the
-    scalar solver's brackets, midpoints, shortcuts and stop rule.  The
-    entries must be positive and each row's weights nonnegative with a
+    The entries must be positive and each row's weights nonnegative with a
     positive sum; zero-weight entries are dropped, as in
     :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
-    weights.  Bisection reads only the sign of each total, in two stages.
-    First, ``roots``, the certificate of ``f`` (see
-    :func:`shifted_power_rows`), gives each row of a block, once, columns
-    ``a <= b`` with the total certainly positive below ``a`` and negative
-    above ``b``; a sign test at such a ``y``, the endpoints included, sums
-    nothing.  Second, a sign test inside ``[a, b]`` takes the row's scalar
-    total, which keeps its exact value; a row the certificate does not
-    cover, with ``(-inf, inf)``, takes it at every sign test.  A row the
-    lockstep cannot finish (a scalar total that raises, no sign change, or
-    no halvings left) goes to :func:`homogeneous_deviation`, so every
-    error is the scalar solver's own.
+    weights.  ``roots``, the certificate of ``f`` (see
+    :func:`shifted_power_rows`), gives each row of a block of rows, once,
+    columns ``a <= b`` with the total certainly positive below ``a`` and
+    negative above ``b``.  Rows then take two stages, on the scalar
+    solver's brackets, midpoints, caps and stop rule.  First, the rows with
+    both endpoints outside ``[a, b]`` halve in lockstep on the certain sign
+    of each midpoint, summing nothing.  Second, a row whose midpoint enters
+    ``[a, b]`` before it converges finishes in the scalar solver's halving
+    loop, :func:`_halve`, on its scalar total.  Every other row that is not
+    constant (an endpoint inside ``[a, b]``, a row the certificate does not
+    cover, or a row out of halvings) goes to :func:`homogeneous_deviation`,
+    so every value and every error is the scalar solver's own.
     """
     s = _orientation(f)
     rows, n = x.shape
@@ -1003,52 +1013,34 @@ def _bisect_block(f, roots, s, x, w) -> np.ndarray:
     hi = np.where(live, x, -np.inf).max(axis=1, keepdims=True)
     a, b = roots(np.where(live, x, lo), w)  # entries of weight 0 repeat the row's minimum
     result = lo.copy()  # the constant rows' value
-    active = lo != hi
-    failed = np.zeros_like(active)  # rows left to the scalar solver
-    scalars = {}  # the scalar total of each row that has needed one
-
-    def totals(y: np.ndarray, pending: np.ndarray) -> np.ndarray:
-        """Each pending row's total at ``y``, exact or of the right sign:
-        ``a - y`` outside the root interval, the scalar total inside it."""
-        g = a - y  # of the sign of the total outside [a, b]
-        for i in (pending & (y >= a) & (y <= b)).nonzero()[0].tolist():
-            if i not in scalars:
-                row = live[i]
-                scalars[i] = _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())
-            try:
-                g[i] = scalars[i](float(y[i, 0]))
-            except (ArithmeticError, ValueError):
-                failed[i] = True
-                active[i] = False
-        return g
-
-    g_lo = totals(lo, active)
-    g_hi = totals(hi, active)
-    failed |= active & ((g_lo < 0) | (g_hi > 0))  # no sign change
-    active &= ~failed
-    for g, end in ((g_lo, lo), (g_hi, hi)):
-        root = active & (g == 0.0)
-        np.copyto(result, end, where=root)
-        active ^= root
-    positive_at_lo = g_lo > 0
+    active = (lo < a) & (b < hi)  # certified: the total is positive at lo, negative at hi
+    # row -> its bracket and halvings so far, for _halve, or None for the scalar solver
+    rest = dict.fromkeys(np.flatnonzero((lo != hi) & ~active).tolist())
     caps = _max_halvings(lo, hi, lo)  # lo > 0 bounds |y| below
     first_cap = caps.min()
     for it in count():
         if it >= first_cap:
             spent = active & (caps <= it)  # out of halvings
-            failed |= spent
+            rest.update(dict.fromkeys(np.flatnonzero(spent).tolist()))
             active ^= spent
         if not np.count_nonzero(active):
             break
         mid = 0.5 * (lo + hi)
-        converged = hi - lo <= _stop_width(mid)
-        g = totals(mid, active > converged)  # active and not converged
-        stop = active & (converged | (g == 0.0))
+        stop = active & (hi - lo <= _stop_width(mid))
         np.copyto(result, mid, where=stop)
         active ^= stop
-        up = (g > 0) == positive_at_lo
+        inside = active & (mid >= a) & (mid <= b)
+        for i in np.flatnonzero(inside).tolist():
+            rest[i] = float(lo[i, 0]), float(hi[i, 0]), it
+        active ^= inside
+        up = mid < a
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    for i in failed.nonzero()[0]:  # the scalar solver raises each row's own error
+    for i in sorted(rest):  # in row order, so the first failing row raises
         row = live[i]
-        result[i] = homogeneous_deviation(f, x[i, row].tolist(), w[i, row].tolist())
+        xs, ws = x[i, row].tolist(), w[i, row].tolist()
+        if rest[i] is None:
+            result[i] = homogeneous_deviation(f, xs, ws)
+        else:
+            result[i] = _halve(_homogeneous_total(f, s, xs, ws), *rest[i], int(caps[i, 0]),
+                               float(a[i, 0]), float(b[i, 0]), _HOMDEV, True)
     return result[:, 0]

@@ -37,8 +37,9 @@ def test_quick_micro_rows_have_the_schema():
     spec.loader.exec_module(bench)
     rows = bench.micro_rows(quick=True)
     _check_rows(rows)
-    # check_kedlaya at three p, evaluate, evaluate_rows, criterion 7
-    assert len(rows) == 6
+    # check_kedlaya at three p, evaluate, evaluate_rows at three p on two
+    # shapes, criterion 7
+    assert len(rows) == 11
 
 
 def test_committed_files_have_the_schema():

@@ -403,8 +403,9 @@ def _lockstep_prefixes(p, x, w):
 
 
 def _uncertified(x, w):
-    """A certificate that covers no row."""
-    return -math.inf, math.inf
+    """A certificate that covers no row: ``(rows, 1)`` columns of ``-inf``
+    and ``inf``."""
+    return np.full((len(x), 1), -math.inf), np.full((len(x), 1), math.inf)
 
 
 def _outcome(fn):
@@ -499,6 +500,37 @@ class TestLockstepBisection:
         rng = np.random.default_rng(5)
         x = (1.0 + rng.uniform(0.0, 1e-9, 30)).tolist()
         assert self._fallback_rate(scalar_totals, 0.5, x, [1.0] * 30) > 0.0
+
+    def test_a_handed_row_keeps_a_midpoint_of_total_zero(self, monkeypatch):
+        # the first midpoint of (1, 3) at p = 1 is the root 2 itself, inside
+        # the root interval: the row goes to _halve after no halvings, whose
+        # scalar total there is exactly 0
+        handed, halve = [], dev._halve
+
+        def spy(g, lo, hi, done, *args):
+            handed.append((lo, hi, done))
+            return halve(g, lo, hi, done, *args)
+
+        monkeypatch.setattr(dev, "_halve", spy)
+        f, x, w = shifted_power(1.0), np.array([[1.0, 3.0]]), np.ones((1, 2))
+        assert homogeneous_deviation_rows(f, shifted_power_rows(1.0), x, w).tolist() == [2.0]
+        assert handed == [(1.0, 3.0, 0)]
+        assert homogeneous_deviation(f, (1.0, 3.0), (1.0, 1.0)) == 2.0
+
+    def test_rows_finish_in_row_order(self, monkeypatch):
+        # a width below float resolution: every row is handed to _halve and
+        # runs out of halvings there; the widest row, handed after the
+        # others, is the first row, and its cap is the error
+        monkeypatch.setattr(dev, "DEFAULT_TOL", 1e-300)
+        x = np.array([[1e-3, 1e3], [1.0, 3.0], [0.5, 0.7]])
+        w = np.ones_like(x)
+        f = shifted_power(0.5)
+        want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
+                                 for xi, wi in zip(x.tolist(), w.tolist())])
+        assert want == (MaxIterations,
+                        "homogeneous deviation: bisection did not converge in 1071 iterations")
+        assert _outcome(lambda: homogeneous_deviation_rows(
+            f, shifted_power_rows(0.5), x, w).tolist()) == want
 
 
 @st.composite
