@@ -17,9 +17,11 @@ with its median, its spread (maximum minus minimum) and its unit.  They are
 of ``homdev:shifted-power:0.5``, ``evaluate_rows`` (the lockstep bisection)
 at three ``p`` on a 1024 x 8 block and on one ``n = 2`` chunk of the
 ``concavity`` command (3072 x 2: the midpoint, ``x`` and ``y`` rows of its
-1024 draws, stacked as ``sample_jensen_concavity`` stacks them), and the
-homogeneous-deviation family of acceptance criterion 7 (the five axiom
-residuals on 1000 instances, the loop of ``tests/test_acceptance.py``).
+1024 draws, stacked as ``sample_jensen_concavity`` stacks them),
+``evaluate_rows`` of three closed forms and the arithmetic mean on that
+chunk, and the homogeneous-deviation family of acceptance criterion 7 (the
+five axiom residuals on 1000 instances, the loop of
+``tests/test_acceptance.py``).
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -119,6 +121,9 @@ def micro_rows(quick: bool = False) -> list:
                           lambda: evaluate_rows(homdev, x, w), k))
         rows.append(_time(f"evaluate_rows {homdev} {len(chunk[0])}x2",
                           lambda: evaluate_rows(homdev, *chunk), k))
+    for other in map(mean_from_id, ("power:0.5", "gini:2:1", "qa:log", "arithmetic")):
+        rows.append(_time(f"evaluate_rows {other} {len(chunk[0])}x2",
+                          lambda: evaluate_rows(other, *chunk), k))
     trials = 10 if quick else 1000
     seed = zlib.crc32(str(mean).encode())  # criterion 7's own
     rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(

@@ -27,7 +27,8 @@ function of moment columns, read by the scalar solver (one row), by
 moments) and by :func:`homogeneous_deviation_rows`, which halves every row
 of ``(rows, n)`` arrays in lockstep until a midpoint enters ``[a, b]``, and
 then in the scalar solver's loop; there a zero weight marks an absent
-entry, as in every batch kernel.
+entry and a row it does not finish is NaN, as in every batch kernel, for
+:func:`kedlaya.means.evaluate_rows` to hand to the scalar solver.
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -35,8 +36,9 @@ the solver so they can cross-check each other.  Each is declared once as
 a :class:`ClosedForm`, a finaliser of weighted sums of entry terms, from
 which its scalar definition, :func:`closed_form_prefixes` (every prefix
 ``x[:k]`` of one input in one pass of :func:`prefix_fsums`) and
-:func:`closed_form_rows` (every row of ``(rows, n)`` arrays) evaluate it,
-the last two bit for bit equal to the scalar definition.  Every closed form
+:func:`closed_form_rows` (every row of ``(rows, n)`` arrays, NaN for a row
+it cannot evaluate) evaluate it, the last two bit for bit equal to the
+scalar definition.  Every closed form
 has a ``(rows, n)`` prefix driver: :func:`closed_form_prefix_rows` on numpy
 twins, within 1e-13 relative by the declaration's error rule, and otherwise
 :func:`closed_form_exact_prefix_rows`, bit for bit by :func:`exact_prefix_sums`.
@@ -392,8 +394,9 @@ class ClosedForm:
     arrays and a column of scales; without them, no group has a scale.
 
     The scalar definitions take one ``fsum`` per sum and own the
-    validation and every error message: the prefix and batch drivers hand
-    them whatever they cannot evaluate to a finite value.
+    validation and every error message: the prefix driver hands them what
+    it cannot evaluate to a finite value, and the batch driver leaves it
+    NaN for :func:`kedlaya.means.evaluate_rows` to hand them.
 
     ``error``, given with the twins, is the rule :func:`closed_form_prefix_rows`
     routes by: ``error(*sums, *logs, k, x)`` bounds, in units of ``2^-53``,
@@ -481,19 +484,17 @@ def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -
     return [scalar(x[:k], w[:k]) for k in range(first + 1, len(x) + 1)]
 
 
-def closed_form_rows(form: ClosedForm, scalar: Callable, x: np.ndarray,
-                     w: np.ndarray) -> np.ndarray:
+def closed_form_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``form``'s mean on every row of ``(rows, n)`` entry and weight arrays,
-    where ``scalar`` is its scalar definition.
+    or a value that is not finite for a row it cannot evaluate, which
+    :func:`kedlaya.means.evaluate_rows` hands to the scalar definition.
 
     With a numpy twin in every group, the sums are numpy row sums, zero
     weights included.  Otherwise the rows are Python floats, from one
     ``terms`` call over all rows, and get :func:`kedlaya.means.evaluate`'s
     values bit for bit: zero-weight entries are dropped, a constant row is
-    its entry, the others take one ``fsum`` per sum.  A row that raises an
-    arithmetic or value error, or whose value is not finite, goes to
-    ``scalar`` without its zero-weight entries, which raises (or returns)
-    what it does.
+    its entry, the others take one ``fsum`` per sum; if that raises an
+    arithmetic or value error, every row but the constant ones is NaN.
     """
     if form.twins is None:
         live = w != 0.0
@@ -508,20 +509,13 @@ def closed_form_rows(form: ClosedForm, scalar: Callable, x: np.ndarray,
         except (ArithmeticError, ValueError):
             out = np.full(len(rows), np.nan)
         lo = np.where(live, x, np.inf).min(axis=1)
-        out = np.where(lo == np.where(live, x, -np.inf).max(axis=1), lo, out)
-    else:
-        with np.errstate(all="ignore"):  # rows that are not finite go to the scalar definition
-            sums, logs = [], []
-            for (scale, _), twin in zip(form.sums, form.twins):
-                c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
-                sums += map(np.add.reduce, twin(x, w, c), repeat(1))  # row sums
-                logs.append(np.log(c[:, 0]) if scale else 0.0)
-            out = form.finish(*sums, *logs, np)
-    if not math.isfinite(out.sum()):  # finite values sum to inf only near the float range
-        for i in np.flatnonzero(~np.isfinite(out)):
-            row = w[i] != 0.0
-            out[i] = scalar(x[i, row].tolist(), w[i, row].tolist())
-    return out
+        return np.where(lo == np.where(live, x, -np.inf).max(axis=1), lo, out)
+    sums, logs = [], []
+    for (scale, _), twin in zip(form.sums, form.twins):
+        c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
+        sums += map(np.add.reduce, twin(x, w, c), repeat(1))  # row sums
+        logs.append(np.log(c[:, 0]) if scale else 0.0)
+    return form.finish(*sums, *logs, np)
 
 
 # A prefix computed by closed_form_prefix_rows may be this far, relative,
@@ -838,7 +832,6 @@ def shifted_power_rows(p: float) -> Callable:
 # The certificate and the lockstep bisection
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 14  # entries per block of rows
 # Ulps of error the certificate allows each pow, log and exp, numpy's or libm's;
 # both were measured within 1 ulp, with and without numpy's SIMD dispatch.
 _SIGN_SLACK = 64
@@ -973,56 +966,41 @@ def _log_roots(k, big_l, big_m, big_b, spread) -> tuple:
 def homogeneous_deviation_rows(f: Callable[[float], float], roots: Callable,
                                x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """:func:`homogeneous_deviation` of ``f`` on the entries of nonzero
-    weight of every row of ``(rows, n)`` arrays, bit for bit and raising
-    what the first failing row raises.
+    weight of every row of ``(rows, n)`` arrays, bit for bit, or NaN for a
+    row it does not finish, which :func:`kedlaya.means.evaluate_rows` hands
+    to the scalar solver.
 
     The entries must be positive and each row's weights nonnegative with a
     positive sum; zero-weight entries are dropped, as in
     :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
     weights.  ``roots``, the certificate of ``f`` (see
-    :func:`shifted_power_rows`), gives each row of a block of rows, once,
-    columns ``a <= b`` with the total certainly positive below ``a`` and
-    negative above ``b``.  Rows then take two stages, on the scalar
-    solver's brackets, midpoints, caps and stop rule.  First, the rows with
-    both endpoints outside ``[a, b]`` halve in lockstep on the certain sign
-    of each midpoint, summing nothing.  Second, a row whose midpoint enters
-    ``[a, b]`` before it converges finishes in the scalar solver's halving
-    loop, :func:`_halve`, on its scalar total.  Every other row that is not
-    constant (an endpoint inside ``[a, b]``, a row the certificate does not
-    cover, or a row out of halvings) goes to :func:`homogeneous_deviation`,
-    so every value and every error is the scalar solver's own.
+    :func:`shifted_power_rows`), gives each row, once, columns ``a <= b``
+    with the total certainly positive below ``a`` and negative above ``b``.
+    A constant row is its entry.  The other rows take two stages, on the
+    scalar solver's brackets, midpoints, caps and stop rule.  First, the
+    rows with both endpoints outside ``[a, b]`` halve in lockstep on the
+    certain sign of each midpoint, summing nothing.  Second, a row whose
+    midpoint enters ``[a, b]`` before it converges finishes in the scalar
+    solver's halving loop, :func:`_halve`, on its scalar total.  Every
+    other row is NaN: an endpoint inside ``[a, b]``, a row the certificate
+    does not cover, a row out of halvings, or a row on which :func:`_halve`
+    raises an arithmetic or value error.  Every per-row array is a column.
     """
     s = _orientation(f)
-    rows, n = x.shape
-    out = np.empty(rows)
-    step = max(1, _BLOCK // n)
-    with np.errstate(all="ignore"):  # a midpoint beyond the float range is the scalar solver's
-        for start in range(0, rows, step):
-            block = slice(start, start + step)
-            out[block] = _bisect_block(f, roots, s, x[block], w[block])
-    return out
-
-
-def _bisect_block(f, roots, s, x, w) -> np.ndarray:
-    """:func:`homogeneous_deviation_rows` on one block of rows; every
-    per-row array is a column."""
     m = np.flatnonzero(w.any(axis=0))[-1] + 1  # past the last column of nonzero weight
     x, w = x[:, :m], w[:, :m]
     live = w != 0.0
     lo = np.where(live, x, np.inf).min(axis=1, keepdims=True)
     hi = np.where(live, x, -np.inf).max(axis=1, keepdims=True)
     a, b = roots(np.where(live, x, lo), w)  # entries of weight 0 repeat the row's minimum
-    result = lo.copy()  # the constant rows' value
+    result = np.where(lo == hi, lo, np.nan)
     active = (lo < a) & (b < hi)  # certified: the total is positive at lo, negative at hi
-    # row -> its bracket and halvings so far, for _halve, or None for the scalar solver
-    rest = dict.fromkeys(np.flatnonzero((lo != hi) & ~active).tolist())
+    handed = {}  # row -> its bracket and halvings so far, for _halve
     caps = _max_halvings(lo, hi, lo)  # lo > 0 bounds |y| below
     first_cap = caps.min()
     for it in count():
         if it >= first_cap:
-            spent = active & (caps <= it)  # out of halvings
-            rest.update(dict.fromkeys(np.flatnonzero(spent).tolist()))
-            active ^= spent
+            active &= caps > it  # rows out of halvings stay NaN
         if not np.count_nonzero(active):
             break
         mid = 0.5 * (lo + hi)
@@ -1031,16 +1009,16 @@ def _bisect_block(f, roots, s, x, w) -> np.ndarray:
         active ^= stop
         inside = active & (mid >= a) & (mid <= b)
         for i in np.flatnonzero(inside).tolist():
-            rest[i] = float(lo[i, 0]), float(hi[i, 0]), it
+            handed[i] = float(lo[i, 0]), float(hi[i, 0]), it
         active ^= inside
         up = mid < a
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    for i in sorted(rest):  # in row order, so the first failing row raises
+    for i, bracket in handed.items():
         row = live[i]
-        xs, ws = x[i, row].tolist(), w[i, row].tolist()
-        if rest[i] is None:
-            result[i] = homogeneous_deviation(f, xs, ws)
-        else:
-            result[i] = _halve(_homogeneous_total(f, s, xs, ws), *rest[i], int(caps[i, 0]),
-                               float(a[i, 0]), float(b[i, 0]), _HOMDEV, True)
+        total = _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())
+        try:
+            result[i] = _halve(total, *bracket, int(caps[i, 0]), float(a[i, 0]),
+                               float(b[i, 0]), _HOMDEV, True)
+        except (ArithmeticError, ValueError):
+            pass  # the row stays NaN
     return result[:, 0]

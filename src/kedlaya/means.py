@@ -140,16 +140,20 @@ class MeanHandle:
     format (custom generators and deviations).  ``_fn`` receives entries
     and float weights that already passed the domain/weight validation and
     zero-weight elimination in :func:`evaluate`.  ``_batch``, when present,
-    evaluates every row of ``(rows, n)`` entry and weight arrays at once
-    (see :func:`evaluate_rows`).  ``_prefix``, when present, takes such
-    entries and weights and an index ``first`` with ``x[:first+1]`` not
-    constant, and returns ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in
-    one pass, bit for bit and raising what the first failing call would
-    raise (see :func:`evaluate_prefixes`).  The closed forms (power, Gini,
+    evaluates every row of ``(rows, n)`` entry and weight arrays at once:
+    it returns each row's value, or NaN (any value that is not finite) for
+    a row it does not settle, such as a row on which :func:`evaluate`
+    raises, and :func:`evaluate_rows` sends those rows through
+    :func:`evaluate`.  ``_prefix``, when present, takes such entries and
+    weights and an index ``first`` with ``x[:first+1]`` not constant, and
+    returns ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in one pass, bit
+    for bit and raising what the first failing call would raise (see
+    :func:`evaluate_prefixes`).  The closed forms (power, Gini,
     quasi-arithmetic for any generator, ``gini21``) get both from one
     declaration, a :class:`~kedlaya.deviation.ClosedForm`, through the
-    generic drivers :func:`~kedlaya.deviation.closed_form_rows` and
-    :func:`~kedlaya.deviation.closed_form_prefixes`, which hand what they
+    generic drivers :func:`~kedlaya.deviation.closed_form_rows`, which
+    leaves NaN where it cannot evaluate a row, and
+    :func:`~kedlaya.deviation.closed_form_prefixes`, which hands what it
     cannot evaluate to ``_fn``.  The built-in ``homdev`` means have both,
     and their scalar solves (one per prefix in a scan) and lockstep
     bisection read one certificate of the root (see
@@ -200,7 +204,7 @@ class MeanHandle:
         batch, prefix and ``(rows, n)`` prefix drivers on its declaration
         ``form``."""
         return cls(family, domain, params, label, fn,
-                   lambda x, w: dev.closed_form_rows(form, fn, x, w),
+                   lambda x, w: dev.closed_form_rows(form, x, w),
                    lambda x, w, first: dev.closed_form_prefixes(form, fn, x, w, first),
                    lambda x, w, last: dev.closed_form_prefix_rows(form, x, w) if form.twins
                    else dev.closed_form_exact_prefix_rows(form, domain, x, w, last))
@@ -370,19 +374,27 @@ def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Every mean has a batch kernel except the custom deviations, the
     homogeneous deviations of a caller's ``f`` and affine conjugates of
     these, which call :func:`evaluate` row by row.  A batch kernel
-    evaluates all rows in one call and skips the validation of
-    :func:`evaluate` (rows are assumed to be in the domain, with
-    nonnegative weights of positive sum).  Kernels get the arrays in
-    column-major (Fortran) order, where numpy reduces short rows across
-    all rows at once: on a 2-vCPU Xeon a 2-entry ``max(axis=1)`` over 150k
-    rows took 6 ms in C order and 0.2 ms in Fortran order.  Up to 7
-    entries per row the row sums are the same either way; from 8 on numpy
-    sums a C-ordered row pairwise and a Fortran-ordered one in sequence,
-    which can move a closed form by a few ulps.
+    evaluates all rows in one call, under one ``np.errstate(all="ignore")``,
+    and skips the validation of :func:`evaluate` (rows are assumed to be in
+    the domain, with nonnegative weights of positive sum).  It gives each
+    row its value, or a value that is not finite (NaN) for a row it does
+    not settle; those rows then go to :func:`evaluate` in row order, so
+    their values and errors are its own and the first failing row raises.
+    Kernels get the arrays in column-major (Fortran) order, where numpy
+    reduces short rows across all rows at once: on a 2-vCPU Xeon a 2-entry
+    ``max(axis=1)`` over 150k rows took 6 ms in C order and 0.2 ms in
+    Fortran order.  Up to 7 entries per row the row sums are the same
+    either way; from 8 on numpy sums a C-ordered row pairwise and a
+    Fortran-ordered one in sequence, which can move a closed form by a few
+    ulps.
     """
-    if mean._batch is not None:
-        return mean._batch(np.asfortranarray(x), np.asfortranarray(w))
-    return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
+    if mean._batch is None:
+        return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
+    with np.errstate(all="ignore"):
+        out = mean._batch(np.asfortranarray(x), np.asfortranarray(w))
+    for i in np.flatnonzero(~np.isfinite(out)).tolist():
+        out[i] = evaluate(mean, x[i].tolist(), w[i].tolist())
+    return out
 
 
 # ---------------------------------------------------------------------------

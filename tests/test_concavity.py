@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from kedlaya.deviation import DeviationSpec, log_generator, power_generator
 from kedlaya.domain import POSITIVE, REALS, sampling_window
 from kedlaya.errors import MixedSignSecondDerivative, VanishingDerivative
 from kedlaya.inequality import reflect
-from kedlaya.means import MeanHandle, evaluate, evaluate_rows, mean_from_id
+from kedlaya.means import MeanHandle, evaluate_rows, mean_from_id
 
 
 class TestSampler:
@@ -72,11 +73,13 @@ class TestSampler:
 
 
 def _c_ordered_rows(mean, x, w):
-    """The earlier ``evaluate_rows``: each batch kernel runs on the sampler's
-    C-ordered chunks as drawn."""
-    if mean._batch is not None:
-        return mean._batch(x, w)
-    return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
+    """``evaluate_rows`` in the earlier layout: each batch kernel runs on the
+    sampler's C-ordered chunks as drawn."""
+    if mean._batch is None:
+        return evaluate_rows(mean, x, w)
+    batch = mean._batch
+    return evaluate_rows(replace(mean, _batch=lambda x, w: batch(
+        np.ascontiguousarray(x), np.ascontiguousarray(w))), x, w)
 
 
 GEO = MeanHandle.power(0.0)

@@ -350,8 +350,8 @@ class TestSolverCore:
         y = homogeneous_deviation(math.log, x, w)
         assert abs(y - 1.0) < 2e-12
         assert solve_deviation_mean(diff_spec(math.log, "log-diff"), x, w) == y
-        assert homogeneous_deviation_rows(math.log, shifted_power_rows(0.0),
-                                          np.array([x]), np.array([w]))[0] == y
+        assert _lockstep_rows(math.log, shifted_power_rows(0.0),
+                              np.array([x]), np.array([w]))[0] == y
 
     @pytest.mark.kernel_parity
     def test_cap_is_one_count_for_both_solvers(self):
@@ -389,15 +389,27 @@ class TestSolverCore:
                                  for xi, wi in zip(x.tolist(), w.tolist())])
         assert want == (MaxIterations,
                         "homogeneous deviation: bisection did not converge in 1062 iterations")
-        assert _outcome(lambda: homogeneous_deviation_rows(
+        assert _outcome(lambda: _lockstep_rows(
             f, shifted_power_rows(0.5), x, w).tolist()) == want
+
+
+def _lockstep_rows(f, roots, x, w):
+    """The lockstep kernel's rows as :func:`evaluate_rows` gives them: its
+    NaN rows filled, in row order, by the plain scalar solver on the row's
+    entries of nonzero weight, which raises the first failing row's error."""
+    with np.errstate(all="ignore"):
+        out = homogeneous_deviation_rows(f, roots, x, w)
+    for i in np.flatnonzero(~np.isfinite(out)).tolist():
+        live = w[i] != 0.0
+        out[i] = homogeneous_deviation(f, x[i, live].tolist(), w[i, live].tolist())
+    return out
 
 
 def _lockstep_prefixes(p, x, w):
     """Every prefix of length 2..n through the lockstep kernel, as a row with
     weight 0 past the prefix."""
     n = len(x)
-    return homogeneous_deviation_rows(
+    return _lockstep_rows(
         shifted_power(p), shifted_power_rows(p), np.broadcast_to(np.array(x), (n - 1, n)),
         np.where(np.arange(n) <= np.arange(1, n)[:, None], np.array(w), 0.0)).tolist()
 
@@ -480,7 +492,7 @@ class TestLockstepBisection:
         want = _outcome(lambda: [homogeneous_deviation(f, xi[wi != 0].tolist(),
                                                        wi[wi != 0].tolist())
                                  for xi, wi in zip(x, w)])
-        assert _outcome(lambda: homogeneous_deviation_rows(
+        assert _outcome(lambda: _lockstep_rows(
             f, shifted_power_rows(p), x, w).tolist()) == want
 
     def test_no_sign_change_raises_the_scalar_error(self):
@@ -492,7 +504,7 @@ class TestLockstepBisection:
         want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
                                  for xi, wi in zip(x.tolist(), w.tolist())])
         assert want[0] is SolverFailure
-        assert _outcome(lambda: homogeneous_deviation_rows(f, _uncertified, x, w).tolist()) == want
+        assert _outcome(lambda: _lockstep_rows(f, _uncertified, x, w).tolist()) == want
 
     def test_near_constant_entries_reach_the_scalar_total(self, scalar_totals):
         # midpoints this close to the root fall inside the root interval: the
@@ -513,7 +525,7 @@ class TestLockstepBisection:
 
         monkeypatch.setattr(dev, "_halve", spy)
         f, x, w = shifted_power(1.0), np.array([[1.0, 3.0]]), np.ones((1, 2))
-        assert homogeneous_deviation_rows(f, shifted_power_rows(1.0), x, w).tolist() == [2.0]
+        assert _lockstep_rows(f, shifted_power_rows(1.0), x, w).tolist() == [2.0]
         assert handed == [(1.0, 3.0, 0)]
         assert homogeneous_deviation(f, (1.0, 3.0), (1.0, 1.0)) == 2.0
 
@@ -529,8 +541,38 @@ class TestLockstepBisection:
                                  for xi, wi in zip(x.tolist(), w.tolist())])
         assert want == (MaxIterations,
                         "homogeneous deviation: bisection did not converge in 1071 iterations")
-        assert _outcome(lambda: homogeneous_deviation_rows(
+        assert _outcome(lambda: _lockstep_rows(
             f, shifted_power_rows(0.5), x, w).tolist()) == want
+
+    def test_rows_the_kernel_does_not_finish_are_nan(self, monkeypatch):
+        # fewer halvings than the stop width needs: row 0 runs out of them in
+        # the lockstep, and row 1, whose root is near its first midpoint 5, is
+        # handed to _halve there and runs out in it; the kernel leaves both
+        # NaN, and evaluate_rows raises the first row's error in either order
+        monkeypatch.setattr(dev, "_BISECT_SLACK", -10)
+        handed, halve = [], dev._halve
+
+        def spy(g, lo, hi, done, *args):
+            handed.append((lo, hi, done))
+            return halve(g, lo, hi, done, *args)
+
+        monkeypatch.setattr(dev, "_halve", spy)
+        f = shifted_power(0.5)
+        x = np.array([[1.0, 3.0], [1.0, 9.0]])
+        w = np.array([[1.0, 1.0], [1.0, -f(1.0 / 5.0) / f(9.0 / 5.0) * (1.0 + 2.0 ** -44)]])
+        with np.errstate(all="ignore"):
+            got = homogeneous_deviation_rows(f, shifted_power_rows(0.5), x, w)
+        assert np.isnan(got).all() and handed == [(1.0, 9.0, 0)]
+        mean = mean_from_id("homdev:shifted-power:0.5")
+        errors = []
+        for order in ([0, 1], [1, 0]):
+            xs, ws = x[order], w[order]
+            want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
+                                     for xi, wi in zip(xs.tolist(), ws.tolist())])
+            assert want[0] is MaxIterations
+            assert _outcome(lambda: evaluate_rows(mean, xs, ws).tolist()) == want
+            errors.append(want)
+        assert errors[0] != errors[1]
 
 
 @st.composite
@@ -633,7 +675,7 @@ class TestRootInterval:
         assert dev.homogeneous_deviation_prefixes(f, roots, x, w, 1) == want
         assert sign_tests[0] <= 0.05 * scalar_tests
         sign_tests[0] = 0
-        got = homogeneous_deviation_rows(
+        got = _lockstep_rows(
             f, roots, np.broadcast_to(np.array(x), (55, 56)),
             np.where(np.arange(56) <= np.arange(1, 56)[:, None], np.array(w), 0.0))
         assert got.tolist() == want
@@ -703,7 +745,7 @@ class TestCounterexampleMean:
     @pytest.mark.parametrize("rows", [
         [[1e155, 1.0]],                    # an infinite second-moment term
         [[1.2e154, 1.3e154]],              # the second-moment sum overflows
-        [[2.0, 3.0], [1e200, 1e200]],      # a later row; both moments overflow
+        [[2.0, 3.0], [1e200, 2e200]],      # a later row; both moments overflow
     ])
     def test_rows_raise_the_scalar_overflow(self, rows):
         x = np.array(rows)

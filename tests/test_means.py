@@ -446,10 +446,11 @@ class TestAxiomSampler:
             means.sample_axiom_residuals(mean, 10, 4)
 
     def test_nan_residuals_count_as_zero(self):
-        # a "mean" that is the first entry below 1 and NaN above: a trial whose
+        # a "mean" that is the first entry below 1 and NaN above (its scalar
+        # kernel, which evaluate_rows hands the NaN rows, is NaN): a trial whose
         # residual is NaN counts as 0, as max(worst, nan) keeps worst in a loop
         # over the check_* helpers, and the other trials still count
-        mean = replace(mean_from_id("power:0.5"),
+        mean = replace(mean_from_id("power:0.5"), _fn=lambda x, w: math.nan,
                        _batch=lambda x, w: np.where(x[:, 0] < 1.0, x[:, 0], np.nan))
         want = 0.0
         for x, _, _, _, perm, _ in _per_trial(self._draw(mean, 1, 50, 5)):
@@ -578,8 +579,12 @@ class TestBatchKernels:
         if name == "gini21":
             x = x * (rng.random(x.shape) < 0.7)  # rows with zero entries
         expected = [evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
+        scalar = means.evaluate
 
-        def row_fallback(*args):
+        def row_fallback(mean, x, w):
+            # the numpy gini21 kernel's 0 / 0 on a row of zeros is NaN
+            if name == "gini21" and not any(x):
+                return scalar(mean, x, w)
             raise AssertionError(f"{mean} has no batch kernel")
 
         monkeypatch.setattr(means, "evaluate", row_fallback)
@@ -598,6 +603,24 @@ class TestBatchKernels:
         w[:, 2] += 1.0  # a positive weight in every row
         assert evaluate_rows(mean_from_id(name), x, w).tolist() == [
             evaluate(mean_from_id(name), xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
+
+    @pytest.mark.parametrize("name, rows, want", [
+        ("arithmetic", [[1e308, 1.5e308], [1e308, 1e308]], [1.25e308, 1e308]),  # w x sums to inf
+        ("gini21", [[1e200, 1e200]], [1e200]),  # a constant row beyond the moment range
+    ])
+    def test_rows_beyond_the_kernel_range_take_evaluate(self, name, rows, want):
+        mean, x = mean_from_id(name), np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_rows(mean, x, np.ones_like(x)).tolist()
+        assert got == want == [evaluate(mean, row, [1.0] * len(row)) for row in rows]
+
+    @pytest.mark.parametrize("name", ["power:0.5", "qa:log", "homdev:shifted-power:0.5"])
+    def test_row_outside_the_domain_raises_evaluates_error(self, name):
+        mean = mean_from_id(name)
+        x, w = np.array([[1.0, 2.0], [-1.0, 2.0]]), np.ones((2, 2))
+        got = _outcome(lambda: evaluate_rows(mean, x, w))
+        assert got == (DomainViolation, f"entry -1.0 outside domain of {name}")
 
 
 def _log_power_sum_oracle(p, x, w):
