@@ -19,9 +19,12 @@ at three ``p`` on a 1024 x 8 block and on one ``n = 2`` chunk of the
 ``concavity`` command (3072 x 2: the midpoint, ``x`` and ``y`` rows of its
 1024 draws, stacked as ``sample_jensen_concavity`` stacks them),
 ``evaluate_rows`` of three closed forms and the arithmetic mean on that
-chunk, and the homogeneous-deviation family of acceptance criterion 7 (the
-five axiom residuals on 1000 instances, the loop of
-``tests/test_acceptance.py``).
+chunk, ``evaluate_rows`` of ``qa:log`` on one padded block of the
+``axioms`` command (819 x 10 at ``n_max = 5``, the rows
+``sample_axiom_residuals`` hands it), ``check_kedlaya_rows`` of each mean
+of the ``sweep`` workload on one seed-1 sweep block (100 x 8), and the
+homogeneous-deviation family of acceptance criterion 7 (the five axiom
+residuals on 1000 instances, the loop of ``tests/test_acceptance.py``).
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -42,6 +45,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 WORKLOADS = ("sweep", "scan", "probe", "proof")
 HOMDEV = "homdev:shifted-power:{}"
+SWEEP_MEANS = ("power:0", "gini:0.5:0", "qa:log", "gini21")  # perfbench's sweep kinds
 
 
 def _checkout(root: Path) -> str:
@@ -81,6 +85,20 @@ def _time(name: str, fn, k: int) -> dict:
             "median": statistics.median(samples), "spread": max(samples) - min(samples), "k": k}
 
 
+def _axiom_block(mean, trials: int) -> tuple:
+    """The padded ``(entries, weights)`` rows that ``sample_axiom_residuals``
+    hands ``evaluate_rows`` for the first block of ``trials`` trials at
+    ``n_max = 5``."""
+    from kedlaya import means
+    blocks, evaluate_rows = [], means.evaluate_rows
+    means.evaluate_rows = lambda mean, x, w: blocks.append((x, w)) or evaluate_rows(mean, x, w)
+    try:
+        means.sample_axiom_residuals(mean, trials, 5, seed=1)
+    finally:
+        means.evaluate_rows = evaluate_rows
+    return blocks[0]
+
+
 def micro_rows(quick: bool = False) -> list:
     """Every micro row, on the library already on ``sys.path``; ``quick``
     runs each at a tiny size, once, which checks this script, not the code
@@ -88,8 +106,9 @@ def micro_rows(quick: bool = False) -> list:
     import numpy as np
     from kedlaya.concavity import _CHUNK, _draw_chunk
     from kedlaya.domain import sampling_window
-    from kedlaya.inequality import check_kedlaya
-    from kedlaya.means import evaluate, evaluate_rows, mean_from_id
+    from kedlaya.inequality import check_kedlaya, check_kedlaya_rows
+    from kedlaya.means import _AXIOM_BLOCK, _SIDES, evaluate, evaluate_rows, mean_from_id
+    from kedlaya.sampling import sweep_blocks
     from test_acceptance import _worst_axiom_residual
 
     def draw(seed, n):
@@ -124,6 +143,15 @@ def micro_rows(quick: bool = False) -> list:
     for other in map(mean_from_id, ("power:0.5", "gini:2:1", "qa:log", "arithmetic")):
         rows.append(_time(f"evaluate_rows {other} {len(chunk[0])}x2",
                           lambda: evaluate_rows(other, *chunk), k))
+    qa = mean_from_id("qa:log")
+    ax, aw = _axiom_block(qa, 4 if quick else _AXIOM_BLOCK // (_SIDES * 2 * 5))
+    rows.append(_time(f"evaluate_rows {qa} {ax.shape[0]}x{ax.shape[1]}",
+                      lambda: evaluate_rows(qa, ax, aw), k))
+    trials = 10 if quick else 100
+    sx, sw, _ = next(sweep_blocks(1, range(trials), 8, 9, trials))
+    for sweep in map(mean_from_id, SWEEP_MEANS):
+        rows.append(_time(f"check_kedlaya_rows {sweep} {trials}x8",
+                          lambda: check_kedlaya_rows(sweep, sx, sw), k))
     trials = 10 if quick else 1000
     seed = zlib.crc32(str(mean).encode())  # criterion 7's own
     rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(

@@ -22,11 +22,10 @@ Draw streams are generated in fixed-size chunks keyed by
 ``(seed, chunk_index)``, so results are reproducible for a given seed
 regardless of evaluation order.  Both samplers run on one chunk loop.
 Each chunk of means is evaluated through
-:func:`~kedlaya.means.evaluate_rows`, which hands the rows to the
-family's batch kernel in column-major order.  Every built-in family has
-one, the quasi-arithmetic kernel taking each row as Python floats; only
-custom deviations and homogeneous deviations of a caller's ``f`` are
-evaluated row by row.
+:func:`~kedlaya.means.evaluate_rows`: every built-in family has a batch
+kernel (the quasi-arithmetic one is the exact prefix driver, bit for bit),
+and only custom deviations and homogeneous deviations of a caller's ``f``
+go row by row.
 """
 
 from __future__ import annotations

@@ -34,14 +34,16 @@ Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
 the solver so they can cross-check each other.  Each is declared once as
 a :class:`ClosedForm`, a finaliser of weighted sums of entry terms, from
-which its scalar definition, :func:`closed_form_prefixes` (every prefix
-``x[:k]`` of one input in one pass of :func:`prefix_fsums`) and
-:func:`closed_form_rows` (every row of ``(rows, n)`` arrays, NaN for a row
-it cannot evaluate) evaluate it, the last two bit for bit equal to the
-scalar definition.  Every closed form
-has a ``(rows, n)`` prefix driver: :func:`closed_form_prefix_rows` on numpy
-twins, within 1e-13 relative by the declaration's error rule, and otherwise
-:func:`closed_form_exact_prefix_rows`, bit for bit by :func:`exact_prefix_sums`.
+which its scalar definition and :func:`closed_form_prefixes` (every prefix
+``x[:k]`` of one input in one pass of :func:`prefix_fsums`, bit for bit)
+evaluate it.  On ``(rows, n)`` arrays a form with numpy twins has
+:func:`closed_form_rows` and :func:`closed_form_prefix_rows` (within 1e-13
+relative by the declaration's error rule); a form without them, every
+quasi-arithmetic mean, has one exact driver for rows and prefixes,
+:func:`closed_form_exact_prefix_rows`, bit for bit by
+:func:`exact_prefix_sums`.  No array kernel tests the domain:
+:func:`kedlaya.means.evaluate_rows` and
+:func:`kedlaya.means.evaluate_prefix_rows` hand them only rows inside it.
 """
 
 from __future__ import annotations
@@ -394,9 +396,8 @@ class ClosedForm:
     arrays and a column of scales; without them, no group has a scale.
 
     The scalar definitions take one ``fsum`` per sum and own the
-    validation and every error message: the prefix driver hands them what
-    it cannot evaluate to a finite value, and the batch driver leaves it
-    NaN for :func:`kedlaya.means.evaluate_rows` to hand them.
+    validation and every error message: the drivers hand them, or leave NaN
+    for :mod:`kedlaya.means` to hand them, what they cannot evaluate.
 
     ``error``, given with the twins, is the rule :func:`closed_form_prefix_rows`
     routes by: ``error(*sums, *logs, k, x)`` bounds, in units of ``2^-53``,
@@ -485,31 +486,10 @@ def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -
 
 
 def closed_form_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``form``'s mean on every row of ``(rows, n)`` entry and weight arrays,
-    or a value that is not finite for a row it cannot evaluate, which
-    :func:`kedlaya.means.evaluate_rows` hands to the scalar definition.
-
-    With a numpy twin in every group, the sums are numpy row sums, zero
-    weights included.  Otherwise the rows are Python floats, from one
-    ``terms`` call over all rows, and get :func:`kedlaya.means.evaluate`'s
-    values bit for bit: zero-weight entries are dropped, a constant row is
-    its entry, the others take one ``fsum`` per sum; if that raises an
-    arithmetic or value error, every row but the constant ones is NaN.
-    """
-    if form.twins is None:
-        live = w != 0.0
-        xs, ws = x[live].tolist(), w[live].tolist()  # row after row
-        ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
-        rows = list(map(slice, [0] + ends[:-1], ends))
-        try:
-            sums = [[math.fsum(t[r]) for r in rows]
-                    for _, terms in form.sums for t in terms(xs, ws, 1.0)]
-            out = np.array(list(map(form.finish, *sums, *[repeat(0.0)] * len(form.sums),
-                                    repeat(math))))
-        except (ArithmeticError, ValueError):
-            out = np.full(len(rows), np.nan)
-        lo = np.where(live, x, np.inf).min(axis=1)
-        return np.where(lo == np.where(live, x, -np.inf).max(axis=1), lo, out)
+    """``form``'s mean on every row of ``(rows, n)`` entry and weight arrays
+    from its numpy twins' row sums, zero weights included, or a value that
+    is not finite for a row it cannot evaluate (see
+    :func:`kedlaya.means.evaluate_rows`)."""
     sums, logs = [], []
     for (scale, _), twin in zip(form.sums, form.twins):
         c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
@@ -566,30 +546,37 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
     return out
 
 
-def closed_form_exact_prefix_rows(form: ClosedForm, domain: Interval, x: np.ndarray,
-                                  w: np.ndarray, last: bool = False) -> np.ndarray:
+def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
+                                  last: bool = False) -> np.ndarray:
     """The scalar definition of ``form``, which has no twins, on every prefix
     of every row of ``(rows, n)`` arrays (with ``last``, on each whole row, as
-    a column), bit for bit, from one ``terms`` call, :func:`exact_prefix_sums`
-    per sum and ``finish`` per prefix; a constant prefix is its first entry.
-    A row is NaN if an entry is outside ``domain``, a weight is not positive,
-    a sum is not certain or a value not finite, and so is every row that is
-    not constant if ``terms`` or ``finish`` raises an arithmetic or value error.
+    a column), bit for bit as :func:`kedlaya.means.evaluate_prefixes` gives
+    it, for entries in the domain.  Entries of weight 0 drop out: their
+    terms are exact zeros, and one ``terms`` call builds those of the live
+    entries.  A prefix whose live entries are all equal (their running
+    minimum is their running maximum) is the first of them; the others take
+    :func:`exact_prefix_sums` per sum and ``finish``.  A row is NaN where a
+    weight is negative, a sum is not certain (a prefix of no weight sums to
+    0) or a value is not finite, and every row that is not constant is NaN
+    if ``terms`` or ``finish`` raises an arithmetic or value error.
     """
-    good = (domain.contains(x) & (w > 0.0)).all(axis=1)
+    live = w != 0.0
     cols = slice(-1 if last else 0, None)
-    out = np.full(x[:, cols].shape, np.nan)
     try:
-        sums = [exact_prefix_sums(np.reshape(t, (-1, x.shape[1])))[:, cols].ravel().tolist()
-                for _, terms in form.sums
-                for t in terms(x[good].ravel().tolist(), w[good].ravel().tolist(), 1.0)]
-        out[good] = np.reshape(list(map(form.finish, *sums, *[repeat(0.0)] * len(form.sums),
-                                        repeat(math))), (-1, out.shape[1]))
+        sums = []
+        for _, terms in form.sums:
+            for t in terms(x[live].tolist(), w[live].tolist(), 1.0):
+                full = np.zeros(x.shape)
+                full[live] = t
+                sums.append(exact_prefix_sums(full)[:, cols].ravel().tolist())
+        out = np.reshape(list(map(form.finish, *sums, *[repeat(0.0)] * len(form.sums),
+                                  repeat(math))), (len(x), -1))
     except (ArithmeticError, ValueError):
-        pass
-    const = np.logical_and.accumulate(x == x[:, :1], axis=1)[:, cols] & good[:, None]
-    out = np.where(const, x[:, :1], out)
-    out[~np.isfinite(out).all(axis=1)] = np.nan
+        out = np.full(x[:, cols].shape, np.nan)
+    _, top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
+    const = bottom(np.where(live, x, np.inf)) == top(np.where(live, x, -np.inf))
+    out = np.where(const, x[np.arange(len(x)), live.argmax(axis=1)][:, None], out)  # first live
+    out[~np.isfinite(out).all(axis=1) | (w < 0.0).any(axis=1)] = np.nan
     return out
 
 
@@ -970,7 +957,8 @@ def homogeneous_deviation_rows(f: Callable[[float], float], roots: Callable,
     row it does not finish, which :func:`kedlaya.means.evaluate_rows` hands
     to the scalar solver.
 
-    The entries must be positive and each row's weights nonnegative with a
+    The entries are positive (:func:`kedlaya.means.evaluate_rows` hands no
+    other row to a kernel) and each row's weights nonnegative with a
     positive sum; zero-weight entries are dropped, as in
     :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
     weights.  ``roots``, the certificate of ``f`` (see

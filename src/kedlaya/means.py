@@ -11,16 +11,14 @@ weights.
 
 :class:`MeanHandle` packages a family tag, its wire parameters, a domain
 and the family's kernels; :func:`evaluate` calls the scalar kernel (a
-closed form or the deviation solver), :func:`evaluate_rows` the batch
-kernel, :func:`evaluate_prefixes` the prefix kernel and
-:func:`evaluate_prefix_rows` the ``(rows, n)`` prefix driver.  One family table
-reads and writes string ids and the JSON wire format.  The ``check_*``
-helpers return the numeric residual of each axiom on concrete inputs,
-through :func:`evaluate`; :func:`sample_axiom_residuals` (behind
-``kedlaya axioms``) draws many such inputs and evaluates every side of
-every identity through :func:`evaluate_rows`, so its residuals measure
-the batch kernels, the ones the concavity sampler uses, on rows padded
-with zero weights.
+closed form or the deviation solver), :func:`evaluate_prefixes` the prefix
+kernel, and :func:`evaluate_rows` and :func:`evaluate_prefix_rows` the
+array kernels, on the rows inside the domain.  One family table reads and
+writes string ids and the JSON wire format.  The ``check_*`` helpers
+return the numeric residual of each axiom on concrete inputs, through
+:func:`evaluate`; :func:`sample_axiom_residuals` (behind ``kedlaya
+axioms``) evaluates every side of many sampled identities through
+:func:`evaluate_rows`, on rows padded with zero weights.
 
 The built-in arithmetic, min and max families accumulate exactly (one
 rounding at the end), which makes the repetition-expansion bridge
@@ -33,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -139,29 +138,25 @@ class MeanHandle:
     ``qa:pow:2`` has ``("pow", 2.0)``), or None when the mean has no wire
     format (custom generators and deviations).  ``_fn`` receives entries
     and float weights that already passed the domain/weight validation and
-    zero-weight elimination in :func:`evaluate`.  ``_batch``, when present,
-    evaluates every row of ``(rows, n)`` entry and weight arrays at once:
-    it returns each row's value, or NaN (any value that is not finite) for
-    a row it does not settle, such as a row on which :func:`evaluate`
-    raises, and :func:`evaluate_rows` sends those rows through
-    :func:`evaluate`.  ``_prefix``, when present, takes such entries and
-    weights and an index ``first`` with ``x[:first+1]`` not constant, and
-    returns ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in one pass, bit
-    for bit and raising what the first failing call would raise (see
-    :func:`evaluate_prefixes`).  The closed forms (power, Gini,
-    quasi-arithmetic for any generator, ``gini21``) get both from one
-    declaration, a :class:`~kedlaya.deviation.ClosedForm`, through the
-    generic drivers :func:`~kedlaya.deviation.closed_form_rows`, which
-    leaves NaN where it cannot evaluate a row, and
-    :func:`~kedlaya.deviation.closed_form_prefixes`, which hands what it
-    cannot evaluate to ``_fn``.  The built-in ``homdev`` means have both,
-    and their scalar solves (one per prefix in a scan) and lockstep
-    bisection read one certificate of the root (see
-    :func:`~kedlaya.deviation.shifted_power_rows`).  Only custom deviations,
-    and homogeneous deviations of a caller's ``f``, have neither and are
-    evaluated row by row.
-    ``_prefix_rows(x, w, last)``, present for every closed form, is its
-    ``(rows, n)`` prefix driver (see :func:`evaluate_prefix_rows`).
+    zero-weight elimination in :func:`evaluate`.  Three kernels are optional:
+
+    - ``_batch(x, w)`` gives every row of ``(rows, n)`` arrays its value, or
+      NaN for a row it does not settle (see :func:`evaluate_rows`);
+    - ``_prefix(x, w, first)``, for ``x[:first+1]`` not constant, gives
+      ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in one pass, bit for bit
+      and raising what the first failing call raises (see
+      :func:`evaluate_prefixes`);
+    - ``_prefix_rows(x, w, last)`` is the ``(rows, n)`` prefix driver (see
+      :func:`evaluate_prefix_rows`).
+
+    The array kernels get only rows whose entries lie in ``domain``, which
+    none of them tests.  The closed forms (power, Gini, quasi-arithmetic for
+    any generator, ``gini21``) get all three from one declaration, a
+    :class:`~kedlaya.deviation.ClosedForm` (see :meth:`_closed_form`).  The
+    built-in ``homdev`` means have ``_batch`` and ``_prefix``, which read one
+    certificate of the root (see :func:`~kedlaya.deviation.shifted_power_rows`).
+    Custom deviations, and homogeneous deviations of a caller's ``f``, have
+    none and are evaluated row by row.
     """
 
     family: str
@@ -200,14 +195,18 @@ class MeanHandle:
     @classmethod
     def _closed_form(cls, family: str, domain: Interval, params: tuple, label: str,
                      fn: Callable, form: dev.ClosedForm) -> "MeanHandle":
-        """A closed-form mean: its scalar definition ``fn`` and the generic
-        batch, prefix and ``(rows, n)`` prefix drivers on its declaration
-        ``form``."""
-        return cls(family, domain, params, label, fn,
-                   lambda x, w: dev.closed_form_rows(form, x, w),
+        """A closed-form mean from its scalar definition ``fn`` and its
+        declaration ``form``, whose twins, if any, give both array kernels;
+        else the exact prefix driver does, its last column each row's value."""
+        if form.twins:
+            batch = partial(dev.closed_form_rows, form)
+            prefix_rows = lambda x, w, last: dev.closed_form_prefix_rows(form, x, w)
+        else:
+            prefix_rows = partial(dev.closed_form_exact_prefix_rows, form)
+            batch = lambda x, w: prefix_rows(x, w, True)[:, 0]
+        return cls(family, domain, params, label, fn, batch,
                    lambda x, w, first: dev.closed_form_prefixes(form, fn, x, w, first),
-                   lambda x, w, last: dev.closed_form_prefix_rows(form, x, w) if form.twins
-                   else dev.closed_form_exact_prefix_rows(form, domain, x, w, last))
+                   prefix_rows)
 
     @classmethod
     def power(cls, p: float) -> "MeanHandle":
@@ -343,45 +342,60 @@ def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
     return out
 
 
+def _settled(mean: MeanHandle, kernel: Callable, scalar: Callable, x: np.ndarray,
+             w: np.ndarray, shape: tuple) -> np.ndarray:
+    """``kernel(x, w)`` on the rows of ``x`` whose entries all lie in
+    ``mean.domain``, as an array of ``shape``; every other row, and every row
+    with a value that is not finite, then takes ``scalar(mean, x_i, w_i)``
+    in row order, so the first failing row raises.  An interval that holds
+    the array's minimum and maximum holds every entry, so a row mask is
+    built only when that test fails, and the rows are scanned only when the
+    values do not sum to a finite number."""
+    contains = mean.domain.contains
+    with np.errstate(all="ignore"):
+        if contains(x.min()) and contains(x.max()):
+            out = kernel(x, w)
+        else:
+            out, good = np.full(shape, np.nan), contains(x).all(axis=1)
+            if good.any():
+                out[good] = kernel(x[good], w[good])
+        if math.isfinite(out.sum()):
+            return out
+    for i in np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1)).tolist():
+        out[i] = scalar(mean, x[i].tolist(), w[i].tolist())
+    return out
+
+
 def evaluate_prefix_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
                          last: bool = False) -> np.ndarray:
     """:func:`evaluate_prefixes` on every row of ``(rows, n)`` entry and weight
     arrays, as a ``(rows, n)`` array; with ``last``, only each row's last
     value, :func:`evaluate` on the whole row.
 
-    Every closed form takes the rows through its driver: numpy running sums
-    for those with twins (power, Gini, ``gini21``), each value within
-    :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL` relative of the scalar one,
-    and exact sums for the others (quasi-arithmetic means).  The rows a
-    driver does not take, and every row of the other means, are evaluated
-    exactly, bit for bit and raising what the first failing row raises.
+    A closed form's driver takes the rows inside its domain (:func:`_settled`):
+    numpy running sums for those with twins (power, Gini, ``gini21``), each
+    value within :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL` relative of the
+    scalar one, and exact sums for quasi-arithmetic means.  The other rows,
+    and every row of the other means, are evaluated exactly, bit for bit.
     """
-    out = (mean._prefix_rows(x, w, last) if mean._prefix_rows is not None
-           else np.full(x.shape, np.nan))
+    rows = mean._prefix_rows or (lambda x, w, last: np.full(x.shape, np.nan))
     if last:
-        out = out[:, -1]
-        for i in np.flatnonzero(np.isnan(out)):
-            out[i] = evaluate(mean, x[i].tolist(), w[i].tolist())
-    else:
-        for i in np.flatnonzero(np.isnan(out[:, -1])):
-            out[i] = evaluate_prefixes(mean, x[i].tolist(), w[i].tolist())
-    return out
+        return _settled(mean, lambda x, w: rows(x, w, True)[:, -1], evaluate, x, w, len(x))
+    return _settled(mean, partial(rows, last=False), evaluate_prefixes, x, w, x.shape)
 
 
 def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Evaluate ``mean`` on every row of ``(rows, n)`` entry and weight arrays.
 
-    Every mean has a batch kernel except the custom deviations, the
-    homogeneous deviations of a caller's ``f`` and affine conjugates of
-    these, which call :func:`evaluate` row by row.  A batch kernel
-    evaluates all rows in one call, under one ``np.errstate(all="ignore")``,
-    and skips the validation of :func:`evaluate` (rows are assumed to be in
-    the domain, with nonnegative weights of positive sum).  It gives each
-    row its value, or a value that is not finite (NaN) for a row it does
-    not settle; those rows then go to :func:`evaluate` in row order, so
-    their values and errors are its own and the first failing row raises.
-    Kernels get the arrays in column-major (Fortran) order, where numpy
-    reduces short rows across all rows at once: on a 2-vCPU Xeon a 2-entry
+    A batch kernel takes the rows inside the domain in one call
+    (:func:`_settled`), under one ``np.errstate(all="ignore")`` and without
+    the weight validation of :func:`evaluate` (weights are assumed
+    nonnegative with positive sums); the other rows, and those it leaves
+    NaN, go to :func:`evaluate`, so their values and errors are its own.
+    Custom deviations, homogeneous deviations of a caller's ``f`` and affine
+    conjugates of these have no batch kernel and go row by row.  Kernels get
+    the arrays in column-major (Fortran) order, where numpy reduces short
+    rows across all rows at once: on a 2-vCPU Xeon a 2-entry
     ``max(axis=1)`` over 150k rows took 6 ms in C order and 0.2 ms in
     Fortran order.  Up to 7 entries per row the row sums are the same
     either way; from 8 on numpy sums a C-ordered row pairwise and a
@@ -390,11 +404,8 @@ def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     if mean._batch is None:
         return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
-    with np.errstate(all="ignore"):
-        out = mean._batch(np.asfortranarray(x), np.asfortranarray(w))
-    for i in np.flatnonzero(~np.isfinite(out)).tolist():
-        out[i] = evaluate(mean, x[i].tolist(), w[i].tolist())
-    return out
+    return _settled(mean, lambda x, w: mean._batch(np.asfortranarray(x), np.asfortranarray(w)),
+                    evaluate, x, w, len(x))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from kedlaya.errors import (
     InverseOutOfRange,
     LengthMismatch,
     NegativeSeed,
+    NegativeWeight,
     NonfiniteWeight,
     Overflow,
 )
@@ -615,12 +616,33 @@ class TestBatchKernels:
             got = evaluate_rows(mean, x, np.ones_like(x)).tolist()
         assert got == want == [evaluate(mean, row, [1.0] * len(row)) for row in rows]
 
-    @pytest.mark.parametrize("name", ["power:0.5", "qa:log", "homdev:shifted-power:0.5"])
-    def test_row_outside_the_domain_raises_evaluates_error(self, name):
+    @pytest.mark.parametrize("name, bad", [
+        *(pytest.param(name, -1.0, id=name)
+          for name in ("power:0.5", "qa:log", "homdev:shifted-power:0.5")),
+        # rows to which the numpy twins give a finite value
+        *(pytest.param(name, bad, id=f"{name} at {bad}") for name, bad in (
+            ("power:0.5", 0.0), ("power:0", 0.0), ("power:2", -1.0), ("gini:2:1", -1.0),
+            ("gini21", -1.0)))])
+    def test_row_outside_the_domain_raises_evaluates_error(self, name, bad):
         mean = mean_from_id(name)
-        x, w = np.array([[1.0, 2.0], [-1.0, 2.0]]), np.ones((2, 2))
+        x, w = np.array([[1.0, 2.0], [bad, 2.0]]), np.ones((2, 2))
         got = _outcome(lambda: evaluate_rows(mean, x, w))
-        assert got == (DomainViolation, f"entry -1.0 outside domain of {name}")
+        assert got == (DomainViolation, f"entry {bad} outside domain of {name}")
+
+    def test_only_the_rows_outside_the_domain_go_to_evaluate(self, monkeypatch):
+        rng = np.random.default_rng(20261019)
+        x = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (50, 3)))
+        x[20, 1] = -1.0
+        scalar, calls = means.evaluate, []
+
+        def counting(mean, x, w):
+            calls.append(x)
+            return scalar(mean, x, w)
+
+        monkeypatch.setattr(means, "evaluate", counting)
+        got = _outcome(lambda: evaluate_rows(mean_from_id("qa:log"), x, np.ones_like(x)))
+        assert got == (DomainViolation, "entry -1.0 outside domain of qa:log")
+        assert calls == [x[20].tolist()]
 
 
 def _log_power_sum_oracle(p, x, w):
@@ -762,6 +784,12 @@ class TestQuasiArithmeticKernel:
         assert _raised(got) is InverseOutOfRange and got[1].startswith(message)
         assert got == _outcome(lambda: evaluate_rows(replace(CAPPED_LOG, _batch=None), x, w))
 
+    @pytest.mark.parametrize("call", [evaluate_rows, evaluate_prefix_rows])
+    def test_negative_weight_raises_the_fallback_error(self, call):
+        x, w = np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, -1.0, 3.0]])
+        got = _outcome(lambda: call(mean_from_id("qa:log"), x, w))
+        assert got == (NegativeWeight, "negative weight -1.0")
+
     @pytest.mark.parametrize("name, mean", QA_MEANS, ids=[c[0] for c in QA_MEANS])
     def test_sampler_never_evaluates_row_by_row(self, name, mean, monkeypatch):
         from kedlaya.concavity import sample_jensen_concavity
@@ -891,6 +919,18 @@ class TestPrefixRows:
         assert evaluate_prefix_rows(mean, x, w).tolist() == [
             evaluate_prefixes(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
         assert evaluate_prefix_rows(mean, x, w, last=True).tolist() == [
+            evaluate(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
+
+    @pytest.mark.parametrize("name, mean", QA_MEANS[::3], ids=[c[0] for c in QA_MEANS[::3]])
+    def test_the_exact_driver_drops_zero_weights(self, name, mean):
+        x, w, _ = next(sweep_blocks(3, range(40), 8, 9, 40))
+        w[::2, 2:5] = 0.0  # interior zero weights
+        x[1::4, 2:], w[1::4, 1] = x[1::4, :1], 0.0  # constant once the zero weight is dropped
+        x[3::4, 5:], w[3::4, 5:] = x[3::4, :1], 0.0  # padded as _axiom_sides pads
+        assert not np.isnan(mean._prefix_rows(x, w, False)).any()  # no row left to the scans
+        assert evaluate_prefix_rows(mean, x, w).tolist() == [
+            evaluate_prefixes(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
+        assert mean._batch(x, w).tolist() == [
             evaluate(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
 
     def test_rows_outside_the_domain_raise_as_the_scan_does(self):
