@@ -18,13 +18,18 @@ of ``homdev:shifted-power:0.5``, ``evaluate_rows`` (the lockstep bisection)
 at three ``p`` on a 1024 x 8 block and on one ``n = 2`` chunk of the
 ``concavity`` command (3072 x 2: the midpoint, ``x`` and ``y`` rows of its
 1024 draws, stacked as ``sample_jensen_concavity`` stacks them),
-``evaluate_rows`` of three closed forms and the arithmetic mean on that
-chunk, ``evaluate_rows`` of ``qa:log`` on one padded block of the
-``axioms`` command (819 x 10 at ``n_max = 5``, the rows
-``sample_axiom_residuals`` hands it), ``check_kedlaya_rows`` of each mean
-of the ``sweep`` workload on one seed-1 sweep block (100 x 8), and the
-homogeneous-deviation family of acceptance criterion 7 (the five axiom
-residuals on 1000 instances, the loop of ``tests/test_acceptance.py``).
+``evaluate_rows`` on that chunk of five closed forms (``power:0.5``,
+``gini:2:1``, ``qa:log``, ``qa:pow:-1`` and ``qa:cube``, the ``cube``
+generator of ``tests/test_means.py``) and of the arithmetic mean,
+``evaluate_rows`` of ``qa:log`` on one padded block of the ``axioms``
+command (819 x 10 at ``n_max = 5``, the rows ``sample_axiom_residuals``
+hands it),
+``check_kedlaya_rows`` of each mean of the ``sweep`` workload on one seed-1
+sweep block (100 x 8), the two sides of that block for ``qa:log``
+(``evaluate_prefix_rows`` of the entries, and with ``last`` of the partial
+arithmetic means), and the homogeneous-deviation family of acceptance
+criterion 7 (the five axiom residuals on 1000 instances, the loop of
+``tests/test_acceptance.py``).
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -105,9 +110,11 @@ def micro_rows(quick: bool = False) -> list:
     it measures."""
     import numpy as np
     from kedlaya.concavity import _CHUNK, _draw_chunk
+    from kedlaya.deviation import GeneratorSpec
     from kedlaya.domain import sampling_window
     from kedlaya.inequality import check_kedlaya, check_kedlaya_rows
-    from kedlaya.means import _AXIOM_BLOCK, _SIDES, evaluate, evaluate_rows, mean_from_id
+    from kedlaya.means import (_AXIOM_BLOCK, _SIDES, MeanHandle, evaluate, evaluate_prefix_rows,
+                               evaluate_rows, mean_from_id)
     from kedlaya.sampling import sweep_blocks
     from test_acceptance import _worst_axiom_residual
 
@@ -140,7 +147,10 @@ def micro_rows(quick: bool = False) -> list:
                           lambda: evaluate_rows(homdev, x, w), k))
         rows.append(_time(f"evaluate_rows {homdev} {len(chunk[0])}x2",
                           lambda: evaluate_rows(homdev, *chunk), k))
-    for other in map(mean_from_id, ("power:0.5", "gini:2:1", "qa:log", "arithmetic")):
+    cube = MeanHandle.quasi_arithmetic(GeneratorSpec(lambda t: t ** 3, lambda y: y ** (1.0 / 3.0),
+                                                     label="cube"))
+    for other in [*map(mean_from_id, ("power:0.5", "gini:2:1", "qa:log", "qa:pow:-1")), cube,
+                  mean_from_id("arithmetic")]:
         rows.append(_time(f"evaluate_rows {other} {len(chunk[0])}x2",
                           lambda: evaluate_rows(other, *chunk), k))
     qa = mean_from_id("qa:log")
@@ -152,6 +162,12 @@ def micro_rows(quick: bool = False) -> list:
     for sweep in map(mean_from_id, SWEEP_MEANS):
         rows.append(_time(f"check_kedlaya_rows {sweep} {trials}x8",
                           lambda: check_kedlaya_rows(sweep, sx, sw), k))
+    sm = np.cumsum(sw * sx, axis=1) / np.cumsum(sw, axis=1)  # the partial arithmetic means
+    sm[:, 0] = sx[:, 0]
+    rows.append(_time(f"evaluate_prefix_rows {qa} {trials}x8",
+                      lambda: evaluate_prefix_rows(qa, sx, sw), k))
+    rows.append(_time(f"evaluate_prefix_rows {qa} {trials}x8 last",
+                      lambda: evaluate_prefix_rows(qa, sm, sw, last=True), k))
     trials = 10 if quick else 1000
     seed = zlib.crc32(str(mean).encode())  # criterion 7's own
     rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import count, repeat
 from operator import mul
+from types import ModuleType
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,8 +168,8 @@ class GeneratorSpec:
     def closed_form(self) -> "ClosedForm":
         """The quasi-arithmetic mean ``f_inverse(sum_i w_i f(x_i) / sum_i w_i)``."""
         f, f_inverse = self.f, self.f_inverse
-        return ClosedForm(((None, lambda x, w, c: (list(map(mul, w, map(f, x))), w)),),
-                          lambda total, weight, _, m: f_inverse(total / weight))
+        return ClosedForm(((None, lambda x, w, c, m: (m.mul(w, m.map(f, x)), w)),),
+                          lambda total, weight, _, m: m.call(f_inverse, total / weight))
 
 
 def _fmt(v: float) -> str:
@@ -323,34 +324,53 @@ def solve_deviation_mean(spec: DeviationSpec, x, w) -> float:
 _FSUM_SCAN_MAX = 64
 
 
+# TwoSum passes exact_prefix_sums takes at most (long sweep scans need 10-20).
+_MAX_PASSES = 40
+
+
+def _two_sum_pass(a: np.ndarray) -> np.ndarray:
+    """The running sums of ``a`` along axis 0; ``a`` becomes each add's exact
+    error (TwoSum).  Many short rows run a column at a time: a cumsum along
+    the short axis took 6 times as long at 2048 rows of 8."""
+    if a.size <= len(a) ** 2:  # no more rows than terms
+        s = np.cumsum(a, axis=0)
+    else:
+        s = a.copy()
+        for k in range(1, len(s)):
+            s[k] += s[k - 1]
+    b = s[1:] - s[:-1]
+    a[1:], a[0] = (s[:-1] - (s[1:] - b)) + (a[1:] - b), 0.0
+    return s
+
+
 def exact_prefix_sums(t: np.ndarray) -> np.ndarray:
     """``math.fsum`` of every prefix along the last axis of ``t``, bit for
     bit, or NaN where that is not certain.
 
     Running sums ``s`` and each add's exact error ``e`` (TwoSum) give
-    ``sum(t[:k]) = s_k + sum(e[:k])``; ``c`` and ``e2`` do the same for
-    ``e``.  Until an ``e2`` is not 0 or a running sum is not finite or past
-    ``2^1021`` (below it no partial of ``fsum`` overflows), ``c_k`` is exact
-    and the IEEE add ``s_k + c_k`` rounds the exact sum as ``fsum`` does, but
-    for a sum of 0, whose sign ``fsum`` picks.  IEEE adds alone run, so the
-    bits are the same on every CPU.  Many short rows run a column at a time:
-    a cumsum along the short axis took 6 times as long at 2048 rows of 8.
+    ``sum(t[:k]) = s_k + sum(e[:k])``; each pass over the errors does the
+    same one level down (K-fold summation; Ogita, Rump and Oishi, SIAM J.
+    Sci. Comput. 26(6), 2005).  Where no error is left up to ``k``, the
+    levels' running sums add up to the prefix exactly: after two passes the
+    IEEE add of the two rounds it as ``fsum`` does, after more (up to
+    :data:`_MAX_PASSES`) one C ``fsum`` of the levels does.  Nothing past a
+    running sum that is not finite or above ``2^1021`` (below it no partial
+    of ``fsum`` overflows) is certain, nor a sum of 0, whose sign ``fsum``
+    picks.  The bits are the same on every CPU.
     """
-    a = np.array(t.T, dtype=float)  # prefixes along axis 0
-    sums = []  # the running sums of t, then those of their errors
+    a = np.array(t.T, dtype=float, order="C")  # prefixes along axis 0
     with np.errstate(invalid="ignore", over="ignore"):  # not finite: not certain
-        for _ in range(2):
-            if a.size <= len(a) ** 2:  # no more rows than terms
-                s = np.cumsum(a, axis=0)
-            else:
-                s = a.copy()
-                for k in range(1, len(s)):
-                    s[k] += s[k - 1]
-            b = s[1:] - s[:-1]
-            a[1:], a[0] = (s[:-1] - (s[1:] - b)) + (a[1:] - b), 0.0  # each add's error
-            sums.append(s)
-        ok = np.logical_and.accumulate((a == 0.0) & (np.abs(sums[0]) <= 2.0 ** 1021), axis=0)
-        r = sums[0] + sums[1]
+        levels = [_two_sum_pass(a), _two_sum_pass(a)]
+        in_range = np.abs(levels[0]) <= 2.0 ** 1021
+        ok = np.logical_and.accumulate((a == 0.0) & in_range, axis=0)
+        r = levels[0] + levels[1]
+        if not ok.all():  # more passes for the prefixes in range
+            in_range = np.logical_and.accumulate(in_range, axis=0)
+            while len(levels) < _MAX_PASSES and (in_range & (a != 0.0)).any():
+                levels.append(_two_sum_pass(a))
+            more = np.logical_and.accumulate(a == 0.0, axis=0) & in_range & ~ok
+            r[more] = list(map(math.fsum, zip(*(s[more].tolist() for s in levels))))
+            ok |= more
     r[~ok | (r == 0.0)] = np.nan
     return r.T
 
@@ -381,19 +401,40 @@ def prefix_fsums(values, start: int = 0) -> list:
 # Closed forms
 # ---------------------------------------------------------------------------
 
+def elementwise(f: Callable, v: np.ndarray) -> np.ndarray:
+    """``f`` of each element of the float array ``v``, called on Python floats
+    through ``map``: libm's bits on every CPU, which numpy's SIMD ``exp`` and
+    ``log`` do not give (AVX-512 ``exp`` moves the last bit of ~4% of values)."""
+    return np.fromiter(map(f, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+# The namespaces m of a ClosedForm's terms and finisher (see there): modules,
+# whose attributes Python reads as fast as math's, once per prefix on the scalar path.
+FLOATS, ARRAYS = ModuleType("FLOATS"), ModuleType("ARRAYS")
+vars(FLOATS).update(log=math.log, exp=math.exp, call=lambda f, v: f(v),
+                    map=lambda f, v: list(map(f, v)), mul=lambda a, b: list(map(mul, a, b)))
+vars(ARRAYS).update(log=partial(elementwise, math.log), exp=partial(elementwise, math.exp),
+                    call=elementwise, map=elementwise, mul=np.multiply)
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """A closed-form mean as a finaliser of weighted sums.
 
     ``sums`` holds one ``(scale, terms)`` per group of sums that share a
     scale ``c``: ``max`` or ``min`` of the entries (which keeps scaled
-    powers from overflowing), or None for ``c = 1.0``.  ``terms(x, w, c)``
-    returns one list of terms per sum of the group, term ``i`` from
+    powers from overflowing), or None for ``c = 1.0``.  ``terms(x, w, c, m)``
+    returns one vector of terms per sum of the group, term ``i`` from
     ``x[i]``, ``w[i]`` and ``c`` alone.  ``finish(*sums, *logs, m)`` maps
-    the sums and each group's ``log c`` to the mean, with the functions of
-    ``m``: :mod:`math`, or :mod:`numpy` on whole columns.  ``twins``, if
-    not None, holds each group's numpy twin of ``terms``, on ``(rows, n)``
-    arrays and a column of scales; without them, no group has a scale.
+    the sums and each group's ``log c`` to the mean.  Both call what is not
+    IEEE arithmetic through ``m``: ``m.log``, ``m.exp``, ``m.call(f, v)``,
+    ``m.map(f, vector)`` and ``m.mul(vector, vector)``.  ``m`` is
+    :data:`FLOATS` on the scalar path (entry lists, a float per sum),
+    :data:`ARRAYS` in :func:`closed_form_exact_prefix_rows` (float arrays,
+    libm and generators through :func:`elementwise`), and :mod:`numpy` for
+    the finishers of the twin drivers.  ``twins``, if not None, holds each
+    group's numpy twin of ``terms``, on ``(rows, n)`` arrays and a column
+    of scales; without them, no group has a scale.
 
     The scalar definitions take one ``fsum`` per sum and own the
     validation and every error message: the drivers hand them, or leave NaN
@@ -439,7 +480,7 @@ def _sums(form: ClosedForm, x, w) -> tuple:
     sums, logs = [], []
     for scale, terms in form.sums:
         c = scale(x) if scale else 1.0
-        sums += map(_fsum, terms(x, w, c))
+        sums += map(_fsum, terms(x, w, c, FLOATS))
         logs.append(math.log(c) if scale else 0.0)
     return sums, logs
 
@@ -453,7 +494,7 @@ def _group_prefixes(scale, terms, x, w, first: int) -> tuple:
     c, k, parts, logs = scale(x[: first + 1]) if scale else 1.0, first, [], []
     for end in range(first + 1, n + 1):
         if end == n or scale and (x[end] > c if up else x[end] < c):  # x[:end+1] has a new scale
-            parts.append(list(map(prefix_fsums, terms(x[:end], w[:end], c), repeat(k))))
+            parts.append(list(map(prefix_fsums, terms(x[:end], w[:end], c, FLOATS), repeat(k))))
             logs += [math.log(c)] * (end - k)
             if end < n:
                 c, k = x[end], end
@@ -477,7 +518,7 @@ def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -
             group, log_c = _group_prefixes(scale, terms, x, w, first)
             sums += group
             logs.append(log_c)
-        out = list(map(form.finish, *sums, *logs, repeat(math)))
+        out = list(map(form.finish, *sums, *logs, repeat(FLOATS)))
         if math.isfinite(sum(out)):  # finite means sum to inf only near the float range
             return out
     except (ArithmeticError, ValueError):
@@ -551,31 +592,33 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
     """The scalar definition of ``form``, which has no twins, on every prefix
     of every row of ``(rows, n)`` arrays (with ``last``, on each whole row, as
     a column), bit for bit as :func:`kedlaya.means.evaluate_prefixes` gives
-    it, for entries in the domain.  Entries of weight 0 drop out: their
-    terms are exact zeros, and one ``terms`` call builds those of the live
-    entries.  A prefix whose live entries are all equal (their running
-    minimum is their running maximum) is the first of them; the others take
-    :func:`exact_prefix_sums` per sum and ``finish``.  A row is NaN where a
-    weight is negative, a sum is not certain (a prefix of no weight sums to
-    0) or a value is not finite, and every row that is not constant is NaN
-    if ``terms`` or ``finish`` raises an arithmetic or value error.
+    it, for entries in the domain.  One ``terms`` call takes the entries of
+    nonzero weight (the others' terms are exact zeros) and one ``finish``
+    call every prefix's sums, both with :data:`ARRAYS`.  A prefix whose live
+    entries are all equal (their running minimum is their running maximum)
+    is the first of them; the others take :func:`exact_prefix_sums` per
+    sum.  A row is NaN where a weight is negative, a sum is not certain (a
+    prefix of no weight sums to 0) or a value is not finite, and every row
+    that is not constant is NaN if ``terms`` or ``finish`` raises an
+    arithmetic or value error.
     """
     live = w != 0.0
     cols = slice(-1 if last else 0, None)
+    flip = np.transpose if np.isfortran(x) else np.asarray  # to memory order and back
+    xs, ws, at = flip(x), flip(w), flip(live)
     try:
         sums = []
         for _, terms in form.sums:
-            for t in terms(x[live].tolist(), w[live].tolist(), 1.0):
-                full = np.zeros(x.shape)
-                full[live] = t
-                sums.append(exact_prefix_sums(full)[:, cols].ravel().tolist())
-        out = np.reshape(list(map(form.finish, *sums, *[repeat(0.0)] * len(form.sums),
-                                  repeat(math))), (len(x), -1))
+            for t in terms(xs[at], ws[at], 1.0, ARRAYS):
+                full = np.zeros(xs.shape)
+                full[at] = t
+                sums.append(exact_prefix_sums(flip(full))[:, cols])
+        out = form.finish(*sums, *[0.0] * len(form.sums), ARRAYS)
     except (ArithmeticError, ValueError):
         out = np.full(x[:, cols].shape, np.nan)
     _, top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
-    const = bottom(np.where(live, x, np.inf)) == top(np.where(live, x, -np.inf))
-    out = np.where(const, x[np.arange(len(x)), live.argmax(axis=1)][:, None], out)  # first live
+    i, k = np.nonzero(bottom(np.where(live, x, np.inf)) == top(np.where(live, x, -np.inf)))
+    out[i, k] = x[i, live[i].argmax(axis=1)]  # a constant prefix is its first live entry
     out[~np.isfinite(out).all(axis=1) | (w < 0.0).any(axis=1)] = np.nan
     return out
 
@@ -601,7 +644,7 @@ def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
         raise GeneratorOverflow(f"{gen.label}: weighted sum of the generator values "
                                 f"at {list(x)} overflows") from exc
     try:
-        y = form.finish(*sums, *logs, math)
+        y = form.finish(*sums, *logs, FLOATS)
     except (ValueError, OverflowError) as exc:
         raise InverseOutOfRange(f"{gen.label}: inverse failed at {sums[0] / sums[1]}") from exc
     if not math.isfinite(y):
@@ -614,9 +657,9 @@ def _power_sum(r: float) -> tuple:
     power exceeds 1: by ``max x`` for ``r > 0`` and by ``min x`` for
     ``r < 0``.  At ``r = 0`` every power is 1: the terms are the weights."""
     if r == 0.0:
-        return (None, lambda x, w, c: [w]), lambda x, w, c: [w]
+        return (None, lambda x, w, c, m: [w]), lambda x, w, c: [w]
     return ((max if r > 0 else min,
-             lambda x, w, c: [[wi * (xi / c) ** r for xi, wi in zip(x, w)]]),
+             lambda x, w, c, m: [[wi * (xi / c) ** r for xi, wi in zip(x, w)]]),
             lambda x, w, c: [w * (x / c) ** r])
 
 
@@ -658,9 +701,9 @@ def gini_form(p: float, q: float) -> ClosedForm:
             ((p * lp + m.log(sp)) - (q * lq + m.log(sq))) / d), (tp, tq), error)
     (scale, power), twin_power = _power_sum(p)
 
-    def terms(x, w, c):
-        d, = power(x, w, c)
-        return [di * math.log(xi) for xi, di in zip(x, d)], d
+    def terms(x, w, c, m):
+        d, = power(x, w, c, m)
+        return m.mul(d, m.map(math.log, x)), d
 
     def twin(x, w, c):
         d, = twin_power(x, w, c)
@@ -683,7 +726,7 @@ def gini(p: float, q: float, x, w) -> float:
         return float(x[0])
     form = gini_form(p, q)
     sums, logs = _sums(form, x, w)
-    return form.finish(*sums, *logs, math)
+    return form.finish(*sums, *logs, FLOATS)
 
 
 def power_mean(p: float, x, w) -> float:
@@ -691,9 +734,9 @@ def power_mean(p: float, x, w) -> float:
     return gini(p, 0.0, x, w)
 
 
-def _gini21_terms(x, w, c):
-    d = [wi * xi for xi, wi in zip(x, w)]
-    return d, [di * xi for di, xi in zip(d, x)]
+def _gini21_terms(x, w, c, m):
+    d = m.mul(w, x)
+    return d, m.mul(d, x)
 
 
 # The twin yields one moment array at a time, each summed before the next
@@ -726,7 +769,7 @@ def gini21_counterexample(x, w) -> float:
         return 0.0
     if not math.isfinite(num):  # an infinite term; den is finite only if num is
         raise FloatOverflow(_GINI21_RANGE)
-    return GINI21_FORM.finish(den, num, 0.0, math)
+    return GINI21_FORM.finish(den, num, 0.0, FLOATS)
 
 
 def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:

@@ -565,16 +565,11 @@ def _draw_axiom_trials(rng: np.random.Generator, count: int, n_max: int,
     n = 2 + (u[:, 0] * (n_max - 1)).astype(np.int64)
     live = np.arange(n_max) < n[:, None]
     x, w, split, key = np.split(u[:, 3:], 4, axis=1)
-    x, w = _exp(a + (b - a) * x), np.where(live, _exp(c + (d - c) * w), 0.0)
+    exp = dev.ARRAYS.exp  # libm's bits, whatever numpy's SIMD dispatch
+    x, w = exp(a + (b - a) * x), np.where(live, exp(c + (d - c) * w), 0.0)
     perm = np.argsort(np.where(live, key, 2.0), axis=1, kind="stable")
     return (np.where(live, x, x[:, :1]), w, 0.25 + 3.75 * u[:, 1], w * split, perm,
             (u[:, 2] * n).astype(np.int64))
-
-
-def _exp(v: np.ndarray) -> np.ndarray:
-    """``math.exp`` of each element, which numpy's SIMD dispatch does not
-    change (its AVX-512 ``exp`` moves the last bit of about 4% of draws)."""
-    return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
 
 
 def _side_rows(x, w, t, split, perm, j) -> tuple:

@@ -16,6 +16,7 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"evaluate homdev:shifted-power:\S+ n=\d+",
     r"evaluate_rows \S+ \d+x\d+",
     r"check_kedlaya_rows \S+ \d+x\d+",
+    r"evaluate_prefix_rows \S+ \d+x\d+( last)?",
     r"criterion 7 homdev:shifted-power:\S+ \d+ instances",
 ))
 
@@ -39,9 +40,10 @@ def test_quick_micro_rows_have_the_schema():
     rows = bench.micro_rows(quick=True)
     _check_rows(rows)
     # check_kedlaya at three p, evaluate, evaluate_rows at three p on two
-    # shapes, of four other means on one and on an axioms block,
-    # check_kedlaya_rows of four means, criterion 7
-    assert len(rows) == 20
+    # shapes, of six other means on one and on an axioms block,
+    # check_kedlaya_rows of four means, the two sides of a qa:log sweep
+    # block, criterion 7
+    assert len(rows) == 24
 
 
 def test_committed_files_have_the_schema():

@@ -694,8 +694,8 @@ AXIOM_GOLDEN = [
      "e5b5edb0c5d6ad950a36242c4aee85ab352be82971779bd7eaa51e01412dbd8f"),
     # Recorded while the qa rows were summed by one fsum per row, before they
     # took the exact prefix driver; 16 and 9 blocks of padded rows.  The draws
-    # go through means._exp and the sums are exact, so the bytes do not depend
-    # on numpy's SIMD dispatch.
+    # go through math.exp (deviation.elementwise) and the sums are exact, so
+    # the bytes do not depend on numpy's SIMD dispatch.
     ("qa:log", ("--trials", "1000", "--seed", "29", "--n", "9"),
      "42c5539ba398b24545e98a3f39b4d1190262f1ac665c80bccb44a872d24c7573"),
     ("qa:pow:2", ("--trials", "1000", "--seed", "29"),

@@ -815,7 +815,8 @@ class TestExactPrefixSums:
         ([1.0, 2.0 ** -53], [1.0, 1.0]),  # a tie, to even
         ([1.0, 2.0 ** -53, 2.0 ** -105], [1.0, 1.0, 1.0000000000000002]),  # just past it
         ([1.0 + 2.0 ** -52, 2.0 ** -53], [1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51]),
-        ([2.0 ** 53, 3.0, -1e-16], [2.0 ** 53, 2.0 ** 53 + 4.0, math.nan]),  # c rounds: e2 != 0
+        # c rounds (e2 != 0): a third pass certifies it, and fsum rounds the levels
+        ([2.0 ** 53, 3.0, -1e-16], [2.0 ** 53, 2.0 ** 53 + 4.0, 2.0 ** 53 + 2.0]),
         ([1e300, 1e-300, -1e300], [1e300, 1e300, 1e-300]),
         ([2.0 ** -1074, 2.0 ** -1074, -2.0 ** -1073, 2.0 ** -1022], [5e-324, 1e-323, math.nan,
                                                                      2.0 ** -1022]),
@@ -836,6 +837,13 @@ class TestExactPrefixSums:
         for rows in (1, 8):  # a running sum along the row, and a column at a time
             got = _certified_sums_are_fsums(np.array([terms] * rows)).tolist()
             assert [list(map(repr, row)) for row in got] == [want] * rows
+
+    @pytest.mark.parametrize("shape", [(200,), (10, 200), (2000, 3)])
+    def test_terms_over_the_float_range_certify_in_more_passes(self, shape):
+        # two TwoSum passes leave most of these prefixes uncertain
+        rng = np.random.default_rng(7)
+        t = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-300, 300, shape)
+        assert not np.isnan(_certified_sums_are_fsums(t)).any()
 
     @pytest.mark.parametrize("shape", [(200,), (1, 200), (3000, 8), (5000, 2)])
     def test_log_uniform_terms_times_weights_are_certified(self, shape):

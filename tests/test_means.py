@@ -8,6 +8,7 @@ import warnings
 import zlib
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -25,7 +26,7 @@ from kedlaya.deviation import (
     prefix_fsums,
     shifted_power,
 )
-from kedlaya.domain import POSITIVE, sampling_window
+from kedlaya.domain import POSITIVE, REALS, sampling_window
 from kedlaya.errors import (
     AllZero,
     DomainViolation,
@@ -944,6 +945,114 @@ class TestPrefixRows:
         x, w = np.full((2, 3), 2.0), np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         with pytest.raises(AllZero):
             evaluate_prefix_rows(mean_from_id(name), x, w)
+
+
+# The exact prefix driver's means: QA_MEANS, CAPPED_LOG, a generator whose
+# values are Python ints (above 2^53 they round when converted to floats) and
+# one on the reals, whose sums can cancel to 0 and whose entries can be -0.0.
+_DRIVER_MEANS = QA_MEANS + [
+    ("capped-log", CAPPED_LOG),
+    ("int-scaled", MeanHandle.quasi_arithmetic(GeneratorSpec(
+        lambda t: round(t * 2.0 ** 60), lambda y: y / 2.0 ** 60, label="int-scaled"))),
+    ("identity", MeanHandle.quasi_arithmetic(GeneratorSpec(
+        lambda t: t, lambda y: y, domain=REALS, label="identity")))]
+
+
+def _driver_block(mean, seed, rows, n, spread, zeros, fortran):
+    """Seeded ``(rows, n)`` entries and weights for ``mean``: entries up to
+    ``e^spread`` apart, a constant row and a constant prefix, signed entries
+    and zeros on the reals, and weights with interior zeros or padded as
+    :func:`kedlaya.means._axiom_sides` pads (copies of the first entry of
+    weight 0), in C or Fortran order."""
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.uniform(-spread, spread, (rows, n)))
+    w = np.exp(rng.uniform(math.log(0.1), math.log(10.0), (rows, n)))
+    x[0], x[1, : n // 2] = x[0, 0], x[1, 0]
+    if mean.domain == REALS:
+        x *= rng.choice([-1.0, 1.0], (rows, n))
+        x[2::5], x[3::5, ::2] = -0.0, 0.0
+    if zeros == "interior":
+        w[:, 1:][rng.random((rows, n - 1)) < 0.3] = 0.0
+    elif zeros == "padded":
+        pad = np.arange(n) >= rng.integers(1, n + 1, (rows, 1))
+        x, w = np.where(pad, x[:, :1], x), np.where(pad, 0.0, w)
+    order = "F" if fortran else "C"
+    return np.asarray(x, order=order), np.asarray(w, order=order)
+
+
+def _assert_same_bits(got, want):
+    """``got`` and ``want`` hold the same floats, bit for bit: the sign of
+    zero and the positions of NaN included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(got)
+    assert (nan == np.isnan(want)).all()
+    assert (got[~nan].view(np.uint64) == want[~nan].view(np.uint64)).all()
+
+
+def _scalar_rows(mean, x, w, last):
+    """The outcome of each row's :func:`evaluate_prefixes`, or with ``last``
+    of its :func:`evaluate` as a list of one: its values or the error it
+    raises."""
+    scalar = (lambda x, w: [evaluate(mean, x, w)]) if last else partial(evaluate_prefixes, mean)
+    return [_outcome(lambda: scalar(xi, wi)) for xi, wi in zip(x.tolist(), w.tolist())]
+
+
+@pytest.mark.kernel_parity
+class TestExactDriverParity:
+    """The exact prefix driver gives the scalar path's bits or NaN, and the
+    settled rows are the scalar path's values and errors, in row order."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(_DRIVER_MEANS), st.integers(0, 2 ** 32), st.integers(3, 12),
+           st.integers(1, 12), st.sampled_from([1.0, 30.0, 400.0]),
+           st.sampled_from(["none", "interior", "padded"]), st.booleans(), st.booleans())
+    def test_rows_are_the_scalar_bits(self, named, seed, rows, n, spread, zeros, fortran, last):
+        mean = named[1]
+        x, w = _driver_block(mean, seed, rows, n, spread, zeros, fortran)
+        with np.errstate(all="ignore"):
+            raw = mean._prefix_rows(x, w, last)
+        assert raw.shape == (rows, 1 if last else n)
+        want = _scalar_rows(mean, x, w, last)
+        for got, outcome in zip(raw, want):
+            if np.isnan(got).any() or _raised(outcome):  # a row is NaN or the scalar bits
+                assert np.isnan(got).all()
+            else:
+                _assert_same_bits(got, outcome)
+        settled = _outcome(lambda: evaluate_prefix_rows(mean, x, w, last))
+        failed = next((outcome for outcome in want if _raised(outcome)), None)
+        if failed:  # the first failing row raises
+            assert settled == failed
+        else:
+            _assert_same_bits(settled, np.reshape(want, settled.shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_DRIVER_MEANS), st.integers(0, 2 ** 32), st.integers(1, 12),
+           st.sampled_from(["none", "interior", "padded"]), st.booleans())
+    def test_each_row_is_its_one_row_call(self, named, seed, n, zeros, fortran):
+        # concavity's chunk_gaps evaluates three stacked blocks in one call
+        mean = named[1]
+        x, w = _driver_block(mean, seed, 8, n, 30.0, zeros, fortran)
+        block = _outcome(lambda: evaluate_rows(mean, x, w))
+        prefixes = _outcome(lambda: evaluate_prefix_rows(mean, x, w))
+        for i in range(len(x)):
+            if not _raised(block):
+                _assert_same_bits(block[i], evaluate_rows(mean, x[i:i + 1], w[i:i + 1])[0])
+            if not _raised(prefixes):
+                _assert_same_bits(prefixes[i], evaluate_prefix_rows(mean, x[i:i + 1], w[i:i + 1])[0])
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_an_inverse_that_raises_on_one_row_leaves_the_rows_to_evaluate(self, last):
+        # capped-log's inverse raises on the mean log of row 3 (about 80.6),
+        # then returns inf on row 5's (about 115): row 3 raises first
+        x, w = _driver_block(CAPPED_LOG, 5, 8, 3, 1.0, "none", True)
+        x[3], x[5] = [1e30, 1e40, 1e35], [1e50, 1e50, 1e50 * 1.5]
+        with np.errstate(all="ignore"):
+            raw = CAPPED_LOG._prefix_rows(x, w, last)[:, -1]
+        assert raw[0] == x[0, 0] and np.isnan(raw[1:]).all()  # but the constant row
+        got = _outcome(lambda: evaluate_prefix_rows(CAPPED_LOG, x, w, last))
+        assert _raised(got) is InverseOutOfRange and got[1].startswith("capped-log: inverse failed")
+        assert got == next(o for o in _scalar_rows(CAPPED_LOG, x, w, last) if _raised(o))
 
 
 class TestPrefixKernels:
