@@ -27,9 +27,13 @@ hands it),
 ``check_kedlaya_rows`` of each mean of the ``sweep`` workload on one seed-1
 sweep block (100 x 8), the two sides of that block for ``qa:log``
 (``evaluate_prefix_rows`` of the entries, and with ``last`` of the partial
-arithmetic means), and the homogeneous-deviation family of acceptance
+arithmetic means), the homogeneous-deviation family of acceptance
 criterion 7 (the five axiom residuals on 1000 instances, the loop of
-``tests/test_acceptance.py``).
+``tests/test_acceptance.py``), and ``kedlaya.elementary``'s ``log`` and
+``exp``: a scalar call (the row is per call, timed over 6144 calls), the
+array forms on 6144 and 3072 log-uniform values (as many as the 3072 x 2
+chunk has entries and means), and ``check_kedlaya`` of ``qa:log`` at
+``n = 184``, whose prefix scans make every call on the scalar path.
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -78,14 +82,15 @@ def end_to_end(root: Path, workload: str) -> dict:
             "result": json.loads(lines[-1])}
 
 
-def _time(name: str, fn, k: int) -> dict:
-    """``fn()`` run ``k`` times after one untimed run, in milliseconds."""
+def _time(name: str, fn, k: int, per: int = 1) -> dict:
+    """``fn()`` run ``k`` times after one untimed run, in milliseconds, each
+    divided by ``per``: the time of one of the ``per`` calls ``fn`` makes."""
     fn()
     samples = []
     for _ in range(k):
         t0 = time.perf_counter()
         fn()
-        samples.append((time.perf_counter() - t0) * 1e3)
+        samples.append((time.perf_counter() - t0) * 1e3 / per)
     return {"name": name, "unit": "ms", "value": min(samples),
             "median": statistics.median(samples), "spread": max(samples) - min(samples), "k": k}
 
@@ -112,6 +117,7 @@ def micro_rows(quick: bool = False) -> list:
     from kedlaya.concavity import _CHUNK, _draw_chunk
     from kedlaya.deviation import GeneratorSpec
     from kedlaya.domain import sampling_window
+    from kedlaya.elementary import exp, log
     from kedlaya.inequality import check_kedlaya, check_kedlaya_rows
     from kedlaya.means import (_AXIOM_BLOCK, _SIDES, MeanHandle, evaluate, evaluate_prefix_rows,
                                evaluate_rows, mean_from_id)
@@ -172,6 +178,18 @@ def micro_rows(quick: bool = False) -> list:
     seed = zlib.crc32(str(mean).encode())  # criterion 7's own
     rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(
         mean, np.random.default_rng(seed), trials), 1 if quick else 3))
+    rng = np.random.default_rng(6144)
+    logs = rng.uniform(np.log(0.1), np.log(10.0), 16 if quick else 6144)
+    for f, values in ((log, np.exp(logs)), (exp, logs)):
+        calls = values.tolist()
+        rows.append(_time(f"{f.__name__} scalar per call", lambda: list(map(f, calls)), k,
+                          len(calls)))
+        for size in (len(values), len(values) // 2):
+            part = values[:size].copy()
+            rows.append(_time(f"{f.__name__} array {size}", lambda: f.array(part), k))
+    n = 8 if quick else 184
+    x, w = draw(n, n)
+    rows.append(_time(f"check_kedlaya {qa} n={n}", lambda: check_kedlaya(qa, x, w), k))
     return rows
 
 

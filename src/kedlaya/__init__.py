@@ -7,6 +7,8 @@ individual modules for the full API:
 - :mod:`kedlaya.weights` - weight vectors, admissibility classes, algebra
 - :mod:`kedlaya.means` - mean handles, evaluation, axiom residuals
 - :mod:`kedlaya.deviation` - the root solver and closed-form families
+- :mod:`kedlaya.elementary` - ``log`` and ``exp`` from IEEE arithmetic alone,
+  as scalars and as arrays
 - :mod:`kedlaya.concavity` - Jensen concavity sampling and criteria
 - :mod:`kedlaya.stepfn` - exact rational step functions and the proof
   construction

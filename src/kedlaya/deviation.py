@@ -10,10 +10,11 @@ which lies between ``min(x)`` and ``max(x)`` and is found here by
 bisection: the deviation axioms guarantee continuity and monotonicity of
 the total but nothing smoother, so Newton-type steps are not justified.
 The bisection stops when the bracket width drops below
-``DEFAULT_TOL * (1 + |y|)`` (``DEFAULT_TOL = 1e-12``), a width fixed in
-one helper, :func:`_stop_width`, that the scalar and the lockstep
-bisection share; no solver takes a tolerance.  The iteration cap comes
-from the bracket (:func:`_max_halvings`), so wide brackets converge too.
+``DEFAULT_TOL * (1 + |y|)`` (``DEFAULT_TOL = 1e-12``), the width of
+:func:`_stop_width`, which the lockstep bisection reads and the scalar
+halving loop writes out inline; no solver takes a tolerance.  The
+iteration cap comes from the bracket (:func:`_max_halvings`), so wide
+brackets converge too.
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
@@ -41,8 +42,9 @@ evaluate it.  On ``(rows, n)`` arrays a form with numpy twins has
 relative by the declaration's error rule); a form without them, every
 quasi-arithmetic mean, has one exact driver for rows and prefixes,
 :func:`closed_form_exact_prefix_rows`, bit for bit by
-:func:`exact_prefix_sums`.  No array kernel tests the domain:
-:func:`kedlaya.means.evaluate_rows` and
+:func:`exact_prefix_sums` and by the array forms of its generator where it
+has them (``qa:log`` has :mod:`kedlaya.elementary`'s ``log`` and ``exp``).
+No array kernel tests the domain: :func:`kedlaya.means.evaluate_rows` and
 :func:`kedlaya.means.evaluate_prefix_rows` hand them only rows inside it.
 """
 
@@ -59,6 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import elementary
 from .domain import Interval, NONNEGATIVE, POSITIVE, probe_points
 from .errors import (
     DomainViolation,
@@ -176,8 +179,12 @@ def _fmt(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else str(v)
 
 
+@lru_cache(maxsize=None)
 def log_generator() -> GeneratorSpec:
-    return GeneratorSpec(math.log, math.exp, lambda x: 1.0 / x,
+    """Generator ``log`` and inverse ``exp``, both :mod:`kedlaya.elementary`'s:
+    the same bits on every IEEE-754 machine, as scalars and as arrays.  One
+    spec, whose 64 probe calls run once a process."""
+    return GeneratorSpec(elementary.log, elementary.exp, lambda x: 1.0 / x,
                          lambda x: -1.0 / (x * x), POSITIVE, "qa:log", ("log",))
 
 
@@ -218,7 +225,8 @@ def power_generator(p: float) -> GeneratorSpec:
 
 def _stop_width(y):
     """The bracket width at which a bisection with midpoint ``y`` stops,
-    read from :data:`DEFAULT_TOL` at call time; scalars or arrays."""
+    read from :data:`DEFAULT_TOL` at call time; scalars or arrays.
+    :func:`_halve` writes the same expression out in its loop."""
     return DEFAULT_TOL * (1.0 + abs(y))
 
 
@@ -286,9 +294,10 @@ def _halve(g: Callable[[float], float], lo: float, hi: float, done: int, cap: in
     cap is spent.  The one halving loop that reads a total, which the
     lockstep bisection enters at a row's first midpoint inside ``[a, b]``.
     """
+    tol = DEFAULT_TOL  # the width of _stop_width, without a call per halving
     for _ in range(done, cap):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= _stop_width(mid):
+        if hi - lo <= tol * (1.0 + abs(mid)):
             return mid
         v = 1.0 if mid < a else -1.0 if mid > b else g(mid)
         if v == 0.0:
@@ -403,9 +412,18 @@ def prefix_fsums(values, start: int = 0) -> list:
 
 def elementwise(f: Callable, v: np.ndarray) -> np.ndarray:
     """``f`` of each element of the float array ``v``, called on Python floats
-    through ``map``: libm's bits on every CPU, which numpy's SIMD ``exp`` and
-    ``log`` do not give (AVX-512 ``exp`` moves the last bit of ~4% of values)."""
+    through ``map``: the scalar function's bits, whatever numpy's SIMD
+    dispatch (AVX-512 ``exp`` moves the last bit of ~4% of values).  For
+    :func:`math.log` and :func:`math.exp` those are libm's, which depend on
+    the C library's build and, in glibc, on whether the CPU has FMA."""
     return np.fromiter(map(f, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+def _on_arrays(f: Callable, v: np.ndarray) -> np.ndarray:
+    """``f`` of each element of ``v``: ``f.array(v)`` where ``f`` has an array
+    form with its bits (:mod:`kedlaya.elementary`), else :func:`elementwise`."""
+    array = getattr(f, "array", None)
+    return elementwise(f, v) if array is None else array(v)
 
 
 # The namespaces m of a ClosedForm's terms and finisher (see there): modules,
@@ -414,7 +432,7 @@ FLOATS, ARRAYS = ModuleType("FLOATS"), ModuleType("ARRAYS")
 vars(FLOATS).update(log=math.log, exp=math.exp, call=lambda f, v: f(v),
                     map=lambda f, v: list(map(f, v)), mul=lambda a, b: list(map(mul, a, b)))
 vars(ARRAYS).update(log=partial(elementwise, math.log), exp=partial(elementwise, math.exp),
-                    call=elementwise, map=elementwise, mul=np.multiply)
+                    call=_on_arrays, map=_on_arrays, mul=np.multiply)
 
 
 @dataclass(frozen=True)
@@ -430,9 +448,10 @@ class ClosedForm:
     IEEE arithmetic through ``m``: ``m.log``, ``m.exp``, ``m.call(f, v)``,
     ``m.map(f, vector)`` and ``m.mul(vector, vector)``.  ``m`` is
     :data:`FLOATS` on the scalar path (entry lists, a float per sum),
-    :data:`ARRAYS` in :func:`closed_form_exact_prefix_rows` (float arrays,
-    libm and generators through :func:`elementwise`), and :mod:`numpy` for
-    the finishers of the twin drivers.  ``twins``, if not None, holds each
+    :data:`ARRAYS` in :func:`closed_form_exact_prefix_rows` (float arrays;
+    libm through :func:`elementwise`, a generator through its array form
+    where it has one and else through :func:`elementwise`), and
+    :mod:`numpy` for the finishers of the twin drivers.  ``twins``, if not None, holds each
     group's numpy twin of ``terms``, on ``(rows, n)`` arrays and a column
     of scales; without them, no group has a scale.
 

@@ -221,6 +221,10 @@ def scalar_from_string(s: str, exact: bool = True) -> Scalar:
     literal takes the ``Fraction`` path, which gives ``-0`` as ``0.0``,
     rejects ``inf`` and ``nan``, raises :class:`FloatOverflow` beyond the
     float range and :class:`ZeroDenominator` on ``p/0``, and words the errors.
+    A decimal literal that ``float`` rounds to zero or infinity is decided
+    before that path, by its mantissa alone: a zero mantissa gives ``0.0``
+    and any other one the float's own rounding, or :class:`FloatOverflow`,
+    as ``float(Fraction(s))`` would, without building ``10**exponent``.
     """
     s = s.strip()
     if not exact:
@@ -231,6 +235,16 @@ def scalar_from_string(s: str, exact: bool = True) -> Scalar:
         else:
             if value and math.isfinite(value):
                 return value
+            try:  # "inf" and "nan" have no mantissa
+                zero = not Fraction(s.upper().partition("E")[0])
+            except ValueError:
+                pass
+            else:
+                if zero:
+                    return 0.0
+                if value:
+                    raise FloatOverflow(f"{s} is beyond the float range")
+                return value  # nonzero, and below half the least subnormal
     try:
         value = Fraction(s)  # accepts "3", "0.25" and "1/2"
     except ZeroDivisionError as exc:

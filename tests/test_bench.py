@@ -18,6 +18,9 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"check_kedlaya_rows \S+ \d+x\d+",
     r"evaluate_prefix_rows \S+ \d+x\d+( last)?",
     r"criterion 7 homdev:shifted-power:\S+ \d+ instances",
+    r"(log|exp) scalar per call",
+    r"(log|exp) array \d+",
+    r"check_kedlaya qa:log n=\d+",
 ))
 
 
@@ -42,8 +45,9 @@ def test_quick_micro_rows_have_the_schema():
     # check_kedlaya at three p, evaluate, evaluate_rows at three p on two
     # shapes, of six other means on one and on an axioms block,
     # check_kedlaya_rows of four means, the two sides of a qa:log sweep
-    # block, criterion 7
-    assert len(rows) == 24
+    # block, criterion 7, log and exp per scalar call and as arrays of two
+    # sizes, check_kedlaya of qa:log
+    assert len(rows) == 31
 
 
 def test_committed_files_have_the_schema():

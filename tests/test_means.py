@@ -785,6 +785,21 @@ class TestQuasiArithmeticKernel:
         assert _raised(got) is InverseOutOfRange and got[1].startswith(message)
         assert got == _outcome(lambda: evaluate_rows(replace(CAPPED_LOG, _batch=None), x, w))
 
+    def test_exact_entries_beyond_the_float_range(self):
+        # math.log takes a big int as it is, and a fraction below the float
+        # range as the float 0.0; the generator log does the same
+        mean = mean_from_id("qa:log")
+        assert evaluate(mean, [10 ** 400, 2], [1, 1]) == pytest.approx(2 ** 0.5 * 1e200, rel=1e-13)
+        assert _raised(_outcome(lambda: evaluate(mean, [Fraction(10 ** 400), 2], [1, 1]))) \
+            is GeneratorOverflow
+        assert _outcome(lambda: evaluate(mean, [Fraction(1, 10 ** 400), 2], [1, 1])) == \
+            _outcome(lambda: math.log(Fraction(1, 10 ** 400)))
+        x = np.exp(np.linspace(0.0, 1.0, 30)).tolist()
+        for last in (10 ** 400, Fraction(1, 10 ** 400)):
+            xs, w = x + [last], [1.0] * 31
+            assert _outcome(lambda: evaluate_prefixes(mean, xs, w)) == _outcome(
+                lambda: [evaluate(mean, xs[:k], w[:k]) for k in range(1, 32)])
+
     @pytest.mark.parametrize("call", [evaluate_rows, evaluate_prefix_rows])
     def test_negative_weight_raises_the_fallback_error(self, call):
         x, w = np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, -1.0, 3.0]])

@@ -1,10 +1,11 @@
 """Weight vectors: validation, partial sums, ratio condition, algebra."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kedlaya.errors import (
     AllZero,
@@ -31,8 +32,23 @@ from kedlaya.weights import (
 
 def _fraction_path(s: str):
     """A float literal as every one was parsed before the float() fast path,
-    a zero denominator named as ``scalar_from_string`` names it."""
+    a zero denominator named as ``scalar_from_string`` names it.  A decimal
+    literal (one that ``float`` reads) that is zero, or whose leading digit
+    lies beyond ``10^±400`` (outside the float range either way), is decided
+    from its ``Decimal``, which does not build ``10**exponent`` as
+    ``Fraction`` does.  ``Decimal`` alone also reads ``0_``."""
     s = s.strip()
+    try:
+        float(s)
+        d = Decimal(s)
+    except (ValueError, ArithmeticError):  # not a decimal literal
+        d = Decimal("nan")
+    if d.is_finite() and (d.is_zero() or abs(d.adjusted()) > 400):
+        if d.is_zero():
+            return 0.0
+        if d.adjusted() > 0:
+            raise FloatOverflow(f"{s} is beyond the float range")
+        return -0.0 if d.is_signed() else 0.0
     try:
         value = Fraction(s)
     except ZeroDivisionError:
@@ -395,6 +411,10 @@ class TestParsing:
 
     @settings(max_examples=1500)
     @given(_LITERALS)
+    @example("0E1000000")  # 10**1000000 took 0.2 s to build, against the 200 ms deadline
+    @example("-1e-1000000")
+    @example("1e1000000")
+    @example("0_")
     def test_float_fast_path_parses_as_the_fraction_path(self, s):
         assert _outcome(lambda t: scalar_from_string(t, exact=False), s) == \
             _outcome(_fraction_path, s)
