@@ -21,9 +21,9 @@ at three ``p`` on a 1024 x 8 block and on one ``n = 2`` chunk of the
 ``evaluate_rows`` on that chunk of five closed forms (``power:0.5``,
 ``gini:2:1``, ``qa:log``, ``qa:pow:-1`` and ``qa:cube``, the ``cube``
 generator of ``tests/test_means.py``) and of the arithmetic mean,
-``evaluate_rows`` of ``qa:log`` on one padded block of the ``axioms``
-command (819 x 10 at ``n_max = 5``, the rows ``sample_axiom_residuals``
-hands it),
+``evaluate_rows`` of ``qa:log`` and of ``power:0.5`` on one padded block
+of the ``axioms`` command (819 x 10 at ``n_max = 5``, the rows
+``sample_axiom_residuals`` hands it, with zero weights),
 ``check_kedlaya_rows`` of each mean of the ``sweep`` workload on one seed-1
 sweep block (100 x 8), the two sides of that block for ``qa:log``
 (``evaluate_prefix_rows`` of the entries, and with ``last`` of the partial
@@ -33,7 +33,9 @@ criterion 7 (the five axiom residuals on 1000 instances, the loop of
 ``exp``: a scalar call (the row is per call, timed over 6144 calls), the
 array forms on 6144 and 3072 log-uniform values (as many as the 3072 x 2
 chunk has entries and means), and ``check_kedlaya`` of ``qa:log`` at
-``n = 184``, whose prefix scans make every call on the scalar path.
+``n = 184``, whose prefix scans make every call on the scalar path, and of
+``power:0`` at ``n = 180`` and ``gini:0.5:0`` at ``n = 212``, the scalar
+scans of the power and Gini terms (the sizes of the ``scan`` workload).
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -160,9 +162,10 @@ def micro_rows(quick: bool = False) -> list:
         rows.append(_time(f"evaluate_rows {other} {len(chunk[0])}x2",
                           lambda: evaluate_rows(other, *chunk), k))
     qa = mean_from_id("qa:log")
-    ax, aw = _axiom_block(qa, 4 if quick else _AXIOM_BLOCK // (_SIDES * 2 * 5))
-    rows.append(_time(f"evaluate_rows {qa} {ax.shape[0]}x{ax.shape[1]}",
-                      lambda: evaluate_rows(qa, ax, aw), k))
+    for other in (qa, mean_from_id("power:0.5")):
+        ax, aw = _axiom_block(other, 4 if quick else _AXIOM_BLOCK // (_SIDES * 2 * 5))
+        rows.append(_time(f"evaluate_rows {other} {ax.shape[0]}x{ax.shape[1]}",
+                          lambda: evaluate_rows(other, ax, aw), k))
     trials = 10 if quick else 100
     sx, sw, _ = next(sweep_blocks(1, range(trials), 8, 9, trials))
     for sweep in map(mean_from_id, SWEEP_MEANS):
@@ -187,9 +190,10 @@ def micro_rows(quick: bool = False) -> list:
         for size in (len(values), len(values) // 2):
             part = values[:size].copy()
             rows.append(_time(f"{f.__name__} array {size}", lambda: f.array(part), k))
-    n = 8 if quick else 184
-    x, w = draw(n, n)
-    rows.append(_time(f"check_kedlaya {qa} n={n}", lambda: check_kedlaya(qa, x, w), k))
+    for name, size in (("qa:log", 184), ("power:0", 180), ("gini:0.5:0", 212)):
+        scan, n = mean_from_id(name), 8 if quick else size
+        x, w = draw(n, n)
+        rows.append(_time(f"check_kedlaya {scan} n={n}", lambda: check_kedlaya(scan, x, w), k))
     return rows
 
 

@@ -10,42 +10,32 @@ which lies between ``min(x)`` and ``max(x)`` and is found here by
 bisection: the deviation axioms guarantee continuity and monotonicity of
 the total but nothing smoother, so Newton-type steps are not justified.
 The bisection stops when the bracket width drops below
-``DEFAULT_TOL * (1 + |y|)`` (``DEFAULT_TOL = 1e-12``), the width of
-:func:`_stop_width`, which the lockstep bisection reads and the scalar
-halving loop writes out inline; no solver takes a tolerance.  The
-iteration cap comes from the bracket (:func:`_max_halvings`), so wide
-brackets converge too.
+``DEFAULT_TOL * (1 + |y|)`` (``DEFAULT_TOL = 1e-12``, :func:`_stop_width`);
+no solver takes a tolerance, and the iteration cap comes from the bracket
+(:func:`_max_halvings`), so wide brackets converge too.
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
 An ``f`` with a certificate, such as :func:`shifted_power` with
 :func:`shifted_power_rows`, has a certified root interval ``[a, b]`` per
-input, from a few weighted moments: the total is positive below it and
-negative above it, so the root finder sums the total only inside it and
-returns the same roots and errors bit for bit.  The certificate is one
-function of moment columns, read by the scalar solver (one row), by
-:func:`homogeneous_deviation_prefixes` (every prefix, from running
-moments) and by :func:`homogeneous_deviation_rows`, which halves every row
-of ``(rows, n)`` arrays in lockstep until a midpoint enters ``[a, b]``, and
-then in the scalar solver's loop; there a zero weight marks an absent
-entry and a row it does not finish is NaN, as in every batch kernel, for
-:func:`kedlaya.means.evaluate_rows` to hand to the scalar solver.
+input, from a few weighted moments, outside which the root finder takes
+the total's sign without summing it, for the same roots and errors bit for
+bit: in the scalar solver, in :func:`homogeneous_deviation_prefixes` (every
+prefix) and in :func:`homogeneous_deviation_rows` (every row, halved in
+lockstep; a zero weight marks an absent entry).
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
 the solver so they can cross-check each other.  Each is declared once as
-a :class:`ClosedForm`, a finaliser of weighted sums of entry terms, from
-which its scalar definition and :func:`closed_form_prefixes` (every prefix
-``x[:k]`` of one input in one pass of :func:`prefix_fsums`, bit for bit)
-evaluate it.  On ``(rows, n)`` arrays a form with numpy twins has
-:func:`closed_form_rows` and :func:`closed_form_prefix_rows` (within 1e-13
-relative by the declaration's error rule); a form without them, every
-quasi-arithmetic mean, has one exact driver for rows and prefixes,
-:func:`closed_form_exact_prefix_rows`, bit for bit by
-:func:`exact_prefix_sums` and by the array forms of its generator where it
-has them (``qa:log`` has :mod:`kedlaya.elementary`'s ``log`` and ``exp``).
-No array kernel tests the domain: :func:`kedlaya.means.evaluate_rows` and
-:func:`kedlaya.means.evaluate_prefix_rows` hand them only rows inside it.
+a :class:`ClosedForm`, a finaliser of weighted sums of entry terms, which
+its scalar definition, :func:`closed_form_prefixes` (every prefix of one
+input, bit for bit) and the array drivers evaluate.  A form with an error
+rule (power, Gini, ``gini21``) takes :func:`closed_form_rows` and
+:func:`closed_form_prefix_rows`, its own terms and finaliser on numpy
+(within 1e-13 relative by that rule); any other, every quasi-arithmetic
+mean, takes the exact :func:`closed_form_exact_prefix_rows`, bit for bit.
+An array kernel leaves NaN where it does not settle a row, and tests no
+domain: :mod:`kedlaya.means` hands it only rows inside it.
 """
 
 from __future__ import annotations
@@ -428,11 +418,15 @@ def _on_arrays(f: Callable, v: np.ndarray) -> np.ndarray:
 
 # The namespaces m of a ClosedForm's terms and finisher (see there): modules,
 # whose attributes Python reads as fast as math's, once per prefix on the scalar path.
-FLOATS, ARRAYS = ModuleType("FLOATS"), ModuleType("ARRAYS")
+FLOATS, ARRAYS, NUMPY = ModuleType("FLOATS"), ModuleType("ARRAYS"), ModuleType("NUMPY")
 vars(FLOATS).update(log=math.log, exp=math.exp, call=lambda f, v: f(v),
-                    map=lambda f, v: list(map(f, v)), mul=lambda a, b: list(map(mul, a, b)))
+                    map=lambda f, v: list(map(f, v)), mul=lambda a, b: list(map(mul, a, b)),
+                    powers=lambda x, c, r: [(xi / c) ** r for xi in x],
+                    logs=lambda x: list(map(math.log, x)))
 vars(ARRAYS).update(log=partial(elementwise, math.log), exp=partial(elementwise, math.exp),
                     call=_on_arrays, map=_on_arrays, mul=np.multiply)
+vars(NUMPY).update(log=np.log, exp=np.exp, mul=np.multiply,
+                   powers=lambda x, c, r: (x / c) ** r, logs=np.log)
 
 
 @dataclass(frozen=True)
@@ -446,29 +440,29 @@ class ClosedForm:
     ``x[i]``, ``w[i]`` and ``c`` alone.  ``finish(*sums, *logs, m)`` maps
     the sums and each group's ``log c`` to the mean.  Both call what is not
     IEEE arithmetic through ``m``: ``m.log``, ``m.exp``, ``m.call(f, v)``,
-    ``m.map(f, vector)`` and ``m.mul(vector, vector)``.  ``m`` is
-    :data:`FLOATS` on the scalar path (entry lists, a float per sum),
-    :data:`ARRAYS` in :func:`closed_form_exact_prefix_rows` (float arrays;
-    libm through :func:`elementwise`, a generator through its array form
-    where it has one and else through :func:`elementwise`), and
-    :mod:`numpy` for the finishers of the twin drivers.  ``twins``, if not None, holds each
-    group's numpy twin of ``terms``, on ``(rows, n)`` arrays and a column
-    of scales; without them, no group has a scale.
+    ``m.map(f, vector)``, ``m.mul(vector, vector)`` and the Gini terms'
+    scaled powers ``m.powers(x, c, r)`` of ``(x / c)^r`` and entry logs
+    ``m.logs(x)``.  ``m`` is :data:`FLOATS` on the scalar path (entry
+    lists, a float per sum), :data:`NUMPY` in the numpy drivers (``(rows,
+    n)`` arrays, a column of scales) and :data:`ARRAYS` in the exact driver
+    (float arrays; libm, and a generator without an array form, through
+    :func:`elementwise`).
 
     The scalar definitions take one ``fsum`` per sum and own the
     validation and every error message: the drivers hand them, or leave NaN
     for :mod:`kedlaya.means` to hand them, what they cannot evaluate.
 
-    ``error``, given with the twins, is the rule :func:`closed_form_prefix_rows`
-    routes by: ``error(*sums, *logs, k, x)`` bounds, in units of ``2^-53``,
-    the relative distance between ``finish`` on the driver's prefix sums
-    (``k`` terms each, one scale per row) and the scalar definition on the
-    same prefixes, for the ``(rows, n)`` entries ``x``.
+    ``error`` is the rule :func:`closed_form_prefix_rows` routes by:
+    ``error(*sums, *logs, k, x)`` bounds, in units of ``2^-53``, the
+    relative distance between ``finish`` on its prefix sums (``k`` terms
+    each, one scale per row) and the scalar definition on the same
+    prefixes, for the ``(rows, n)`` entries ``x``.  A form with a rule takes
+    the numpy drivers (:func:`closed_form_rows` and that one); any other the
+    exact driver, which runs every group at ``c = 1.0``: it has no scale.
     """
 
     sums: tuple
     finish: Callable
-    twins: Optional[tuple] = None
     error: Optional[Callable] = None
 
 
@@ -545,17 +539,29 @@ def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -
     return [scalar(x[:k], w[:k]) for k in range(first + 1, len(x) + 1)]
 
 
+def _live_masked(x: np.ndarray, live: np.ndarray) -> tuple:
+    """``x`` for the minimum and for the maximum along rows of the ``live``
+    entries (of nonzero weight, the ones :func:`kedlaya.means.evaluate`
+    keeps): ``x`` itself where every entry is live, as in concavity chunks,
+    else copies with the other entries at ``+inf`` and at ``-inf``."""
+    if live.all():
+        return x, x
+    return np.where(live, x, np.inf), np.where(live, x, -np.inf)
+
+
 def closed_form_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``form``'s mean on every row of ``(rows, n)`` entry and weight arrays
-    from its numpy twins' row sums, zero weights included, or a value that
-    is not finite for a row it cannot evaluate (see
-    :func:`kedlaya.means.evaluate_rows`)."""
+    from numpy row sums of its terms, or a value that is not finite for a
+    row it cannot evaluate (see :func:`kedlaya.means.evaluate_rows`).  The
+    scale is the maximum or minimum of the row's entries of nonzero weight,
+    as in the scalar definition."""
+    x_lo, x_hi = _live_masked(x, w != 0.0)
     sums, logs = [], []
-    for (scale, _), twin in zip(form.sums, form.twins):
-        c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
-        sums += map(np.add.reduce, twin(x, w, c), repeat(1))  # row sums
+    for scale, terms in form.sums:
+        c = {max: x_hi.max, min: x_lo.min}[scale](axis=1, keepdims=True) if scale else 1.0
+        sums += map(np.add.reduce, terms(x, w, c, NUMPY), repeat(1))  # row sums
         logs.append(np.log(c[:, 0]) if scale else 0.0)
-    return form.finish(*sums, *logs, np)
+    return form.finish(*sums, *logs, NUMPY)
 
 
 # A prefix computed by closed_form_prefix_rows may be this far, relative,
@@ -574,7 +580,7 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
     :data:`PREFIX_ROWS_RTOL` relative of the scalar definition, or a row of
     NaN where that is not certain.
 
-    ``form`` must have twins.  Each sum is a numpy ``cumsum`` of the twin's
+    ``form`` must have an error rule.  Each sum is a numpy ``cumsum`` of its
     terms, scaled by the row's maximum or minimum (one scale per row), and
     the finaliser runs on the columns; a constant prefix is its first entry.
     A row is NaN when
@@ -592,14 +598,14 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
         lo, hi = x.min(axis=1), x.max(axis=1)
         trusted = (lo > hi * _TINY) & (w > 0.0).all(axis=1)
         sums, logs = [], []
-        for (scale, _), twin in zip(form.sums, form.twins):
+        for scale, terms in form.sums:
             c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
-            for terms in twin(x, w, c):
-                trusted &= (np.abs(terms) >= _TINY).all(axis=1)
-                sums.append(np.cumsum(terms, axis=1))
+            for t in terms(x, w, c, NUMPY):
+                trusted &= (np.abs(t) >= _TINY).all(axis=1)
+                sums.append(np.cumsum(t, axis=1))
             logs.append(np.log(c) if scale else 0.0)
         const = np.logical_and.accumulate(x == x[:, :1], axis=1)
-        out = np.where(const, x[:, :1], form.finish(*sums, *logs, np))
+        out = np.where(const, x[:, :1], form.finish(*sums, *logs, NUMPY))
         bound = np.where(const, 0.0, form.error(*sums, *logs, k, x))
         trusted &= np.isfinite(out).all(axis=1) & (bound <= PREFIX_ROWS_RTOL / _U).all(axis=1)
     out[~trusted] = np.nan
@@ -608,7 +614,7 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
 
 def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
                                   last: bool = False) -> np.ndarray:
-    """The scalar definition of ``form``, which has no twins, on every prefix
+    """The scalar definition of ``form``, which has no error rule, on every prefix
     of every row of ``(rows, n)`` arrays (with ``last``, on each whole row, as
     a column), bit for bit as :func:`kedlaya.means.evaluate_prefixes` gives
     it, for entries in the domain.  One ``terms`` call takes the entries of
@@ -636,7 +642,8 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
     except (ArithmeticError, ValueError):
         out = np.full(x[:, cols].shape, np.nan)
     _, top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
-    i, k = np.nonzero(bottom(np.where(live, x, np.inf)) == top(np.where(live, x, -np.inf)))
+    x_lo, x_hi = _live_masked(x, live)
+    i, k = np.nonzero(bottom(x_lo) == top(x_hi))
     out[i, k] = x[i, live[i].argmax(axis=1)]  # a constant prefix is its first live entry
     out[~np.isfinite(out).all(axis=1) | (w < 0.0).any(axis=1)] = np.nan
     return out
@@ -672,14 +679,12 @@ def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
 
 
 def _power_sum(r: float) -> tuple:
-    """The group of ``sum_i w_i (x_i / c)^r`` and its twin, scaled so that no
-    power exceeds 1: by ``max x`` for ``r > 0`` and by ``min x`` for
-    ``r < 0``.  At ``r = 0`` every power is 1: the terms are the weights."""
+    """The group of ``sum_i w_i (x_i / c)^r``, scaled so that no power
+    exceeds 1: by ``max x`` for ``r > 0`` and by ``min x`` for ``r < 0``.
+    At ``r = 0`` every power is 1: the terms are the weights."""
     if r == 0.0:
-        return (None, lambda x, w, c, m: [w]), lambda x, w, c: [w]
-    return ((max if r > 0 else min,
-             lambda x, w, c, m: [[wi * (xi / c) ** r for xi, wi in zip(x, w)]]),
-            lambda x, w, c: [w * (x / c) ** r])
+        return None, lambda x, w, c, m: [w]
+    return max if r > 0 else min, lambda x, w, c, m: [m.mul(w, m.powers(x, c, r))]
 
 
 def _log_spread(x: np.ndarray) -> np.ndarray:
@@ -698,17 +703,16 @@ def gini_form(p: float, q: float) -> ClosedForm:
 
     The error rule counts, in units of ``2^-53``: ``k - 1`` for a running
     sum of ``k`` terms of one sign, ``|r| + 6`` for a term ``w (x/c)^r``
-    (twin ``pow`` and ``log`` within an ulp of libm, measured), a few per
-    ``log`` of a value, and the scalar definition's own roundings, whose
-    scale ``c`` is the prefix's and whose ``|log c|`` is at most the row's
-    ``M = max |log x|``.  Distinct parameters divide the error of
-    ``log S_p - log S_q`` by ``|p - q|``; equal ones take the error of
-    ``sum d log x`` relative to ``M sum d``.  The mean's own
+    (:data:`NUMPY`'s ``powers`` and ``logs`` within an ulp of :data:`FLOATS`',
+    as tested), a few per ``log`` of a value, and the scalar definition's
+    own roundings, whose scale ``c`` is the prefix's and whose ``|log c|``
+    is at most the row's ``M = max |log x|``.  Distinct parameters divide
+    the error of ``log S_p - log S_q`` by ``|p - q|``; equal ones take the
+    error of ``sum d log x`` relative to ``M sum d``.  The mean's own
     ``|log|`` is at most ``M``.
     """
     if p != q:
         d, size = p - q, abs(p) + abs(q)
-        (gp, tp), (gq, tq) = _power_sum(p), _power_sum(q)
 
         def error(sp, sq, lp, lq, k, x):
             spread = _log_spread(x)
@@ -716,19 +720,15 @@ def gini_form(p: float, q: float) -> ClosedForm:
                      + 10 * (np.abs(p * lp) + np.abs(q * lq)) + 6 * size * spread) / abs(d)
                     + 4 * spread + 8)
 
-        return ClosedForm((gp, gq), lambda sp, sq, lp, lq, m: m.exp(
-            ((p * lp + m.log(sp)) - (q * lq + m.log(sq))) / d), (tp, tq), error)
-    (scale, power), twin_power = _power_sum(p)
+        return ClosedForm((_power_sum(p), _power_sum(q)), lambda sp, sq, lp, lq, m: m.exp(
+            ((p * lp + m.log(sp)) - (q * lq + m.log(sq))) / d), error)
+    scale, power = _power_sum(p)
 
     def terms(x, w, c, m):
         d, = power(x, w, c, m)
-        return m.mul(d, m.map(math.log, x)), d
+        return m.mul(d, m.logs(x)), d
 
-    def twin(x, w, c):
-        d, = twin_power(x, w, c)
-        return d * np.log(x), d
-
-    return ClosedForm(((scale, terms),), lambda num, den, _, m: m.exp(num / den), (twin,),
+    return ClosedForm(((scale, terms),), lambda num, den, _, m: m.exp(num / den),
                       lambda num, den, _, k, x: (2 * k + 4 * abs(p) + 32) * _log_spread(x) + 8)
 
 
@@ -758,12 +758,9 @@ def _gini21_terms(x, w, c, m):
     return d, m.mul(d, x)
 
 
-# The twin yields one moment array at a time, each summed before the next
-# exists: numpy computes w * x * x in place of the temporary w * x.
-# The twin's terms are the scalar ones bit for bit, so the error rule counts
-# only the two running sums and the division, in units of 2^-53.
+# The terms are IEEE products, the same bits on every namespace, so the error
+# rule counts only the two running sums and the division, in units of 2^-53.
 GINI21_FORM = ClosedForm(((None, _gini21_terms),), lambda den, num, _, m: num / den,
-                         (lambda x, w, c: (w * x * x if k else w * x for k in (0, 1)),),
                          lambda den, num, _, k, x: 2 * k + 8)
 _GINI21_RANGE = "gini21: a weighted moment sum is beyond the float range"
 
@@ -1040,8 +1037,8 @@ def homogeneous_deviation_rows(f: Callable[[float], float], roots: Callable,
     m = np.flatnonzero(w.any(axis=0))[-1] + 1  # past the last column of nonzero weight
     x, w = x[:, :m], w[:, :m]
     live = w != 0.0
-    lo = np.where(live, x, np.inf).min(axis=1, keepdims=True)
-    hi = np.where(live, x, -np.inf).max(axis=1, keepdims=True)
+    x_lo, x_hi = _live_masked(x, live)
+    lo, hi = x_lo.min(axis=1, keepdims=True), x_hi.max(axis=1, keepdims=True)
     a, b = roots(np.where(live, x, lo), w)  # entries of weight 0 repeat the row's minimum
     result = np.where(lo == hi, lo, np.nan)
     active = (lo < a) & (b < hi)  # certified: the total is positive at lo, negative at hi

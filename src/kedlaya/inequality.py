@@ -231,8 +231,8 @@ def check_kedlaya_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
     the entries, and the mean of the prefix arithmetic means), the partial
     means from column sums, ``lhs`` from one ``fsum`` per row, as
     :func:`weighted_average` takes it.  Every gap equals the scalar one bit
-    for bit, except that the closed forms with numpy twins move it by at
-    most 1e-13 of ``|lhs| + |rhs|``.  A
+    for bit, except that the closed forms with an error rule (power, Gini,
+    ``gini21``) move it by at most 1e-13 of ``|lhs| + |rhs|``.  A
     trial whose ``|gap|`` lies within ``2^-40 (|lhs| + (1 + tol) |rhs|)`` of
     its ``tol (1 + |rhs|)`` boundary, or is not finite, takes its gap and
     verdict from :func:`check_kedlaya`, so no verdict differs from the

@@ -196,9 +196,9 @@ class MeanHandle:
     def _closed_form(cls, family: str, domain: Interval, params: tuple, label: str,
                      fn: Callable, form: dev.ClosedForm) -> "MeanHandle":
         """A closed-form mean from its scalar definition ``fn`` and its
-        declaration ``form``, whose twins, if any, give both array kernels;
-        else the exact prefix driver does, its last column each row's value."""
-        if form.twins:
+        declaration ``form``: one with an error rule takes the numpy drivers,
+        any other the exact prefix driver, its last column each row's value."""
+        if form.error:
             batch = partial(dev.closed_form_rows, form)
             prefix_rows = lambda x, w, last: dev.closed_form_prefix_rows(form, x, w)
         else:
@@ -373,10 +373,10 @@ def evaluate_prefix_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
     value, :func:`evaluate` on the whole row.
 
     A closed form's driver takes the rows inside its domain (:func:`_settled`):
-    numpy running sums for those with twins (power, Gini, ``gini21``), each
-    value within :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL` relative of the
-    scalar one, and exact sums for quasi-arithmetic means.  The other rows,
-    and every row of the other means, are evaluated exactly, bit for bit.
+    numpy running sums for the forms with an error rule (power, Gini,
+    ``gini21``), each value within :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL`
+    relative of the scalar one, and exact sums for quasi-arithmetic means.
+    The other rows, and every row of the other means, are evaluated exactly.
     """
     rows = mean._prefix_rows or (lambda x, w, last: np.full(x.shape, np.nan))
     if last:

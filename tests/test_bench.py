@@ -20,7 +20,7 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"criterion 7 homdev:shifted-power:\S+ \d+ instances",
     r"(log|exp) scalar per call",
     r"(log|exp) array \d+",
-    r"check_kedlaya qa:log n=\d+",
+    r"check_kedlaya (qa:log|power:\S+|gini:\S+) n=\d+",
 ))
 
 
@@ -43,11 +43,11 @@ def test_quick_micro_rows_have_the_schema():
     rows = bench.micro_rows(quick=True)
     _check_rows(rows)
     # check_kedlaya at three p, evaluate, evaluate_rows at three p on two
-    # shapes, of six other means on one and on an axioms block,
+    # shapes, of six other means on one and of two on an axioms block,
     # check_kedlaya_rows of four means, the two sides of a qa:log sweep
     # block, criterion 7, log and exp per scalar call and as arrays of two
-    # sizes, check_kedlaya of qa:log
-    assert len(rows) == 31
+    # sizes, check_kedlaya of qa:log, power:0 and gini:0.5:0
+    assert len(rows) == 34
 
 
 def test_committed_files_have_the_schema():

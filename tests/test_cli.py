@@ -673,6 +673,15 @@ class TestAxioms:
         doc = json.loads(out)
         assert all(v <= 1e-9 for v in doc["worst_residuals"].values())
 
+    @pytest.mark.parametrize("mean", ["power:100", "power:-100"])
+    def test_padded_entries_do_not_scale_a_row(self, capsys, mean):
+        # an entry of weight 0 once set the scale of the power sums: the live
+        # powers underflowed and elimination failed at 4e-2 and 6e-2
+        code, out, _ = run(capsys, "axioms", "--mean", mean, "--trials", "2000", "--seed", "1",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["worst_residuals"]["elimination"] < 1e-13
+
 
 # sha256 of `axioms --json` reports.  The homdev reports have every residual
 # 0 and were recorded before the sampler ran on the batch kernels.  The qa

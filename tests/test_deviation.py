@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -11,10 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 from kedlaya import deviation as dev
 from kedlaya.deviation import (
     DEFAULT_TOL,
+    FLOATS,
+    GINI21_FORM,
+    NUMPY,
     DeviationSpec,
     GeneratorSpec,
     exact_prefix_sums,
     gini,
+    gini_form,
     gini21_counterexample,
     homogeneous_deviation,
     homogeneous_deviation_rows,
@@ -769,6 +774,81 @@ class TestCounterexampleMean:
         want = [gini21_counterexample(xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _recording(calls: list) -> ModuleType:
+    """:data:`NUMPY`, keeping each call of its ``powers`` and ``logs`` steps
+    in ``calls`` as ``(name, args after x, value)``."""
+    def step(name):
+        def run(x, *args):
+            calls.append((name, args, getattr(NUMPY, name)(x, *args)))
+            return calls[-1][2]
+        return run
+
+    m = ModuleType("RECORDING")
+    vars(m).update(vars(NUMPY), powers=step("powers"), logs=step("logs"))
+    return m
+
+
+def _replaying(calls: list, i: int) -> ModuleType:
+    """:data:`FLOATS` whose ``powers`` and ``logs`` steps give, call by call,
+    row ``i`` of what :data:`NUMPY` gave in ``calls``."""
+    values = (value[i].tolist() for _, _, value in calls)
+    m = ModuleType("REPLAYING")
+    vars(m).update(vars(FLOATS), powers=lambda x, c, r: next(values), logs=lambda x: next(values))
+    return m
+
+
+_EXPONENT = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _entry_rows(draw):
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    x = draw(st.lists(st.floats(1e-3, 1e3), min_size=rows * n, max_size=rows * n))
+    w = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.1, 10.0),
+                      min_size=rows * n, max_size=rows * n))
+    order = draw(st.sampled_from("CF"))
+    return (np.array(x).reshape(rows, n).copy(order=order),
+            np.array(w).reshape(rows, n).copy(order=order))
+
+
+@pytest.mark.kernel_parity
+class TestNumpyTerms:
+    """A closed form's terms on :data:`NUMPY`, as both numpy drivers take
+    them, are its terms on :data:`FLOATS`: the same IEEE operations on the
+    same values, but for the two steps numpy computes itself, the scaled
+    powers ``(x/c)^r`` and the entry logs, each within an ulp of the scalar
+    one, as the error rule of :func:`gini_form` counts them.  ``gini21``'s
+    terms and the weight-only sums make no step, so they are equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_EXPONENT.map(lambda p: gini_form(p, 0.0)),  # power:p
+                     st.tuples(_EXPONENT, _EXPONENT).map(lambda pq: gini_form(*pq)),
+                     _EXPONENT.map(lambda p: gini_form(p, p)), st.just(GINI21_FORM)),
+           _entry_rows())
+    def test_numpy_terms_are_the_floats_terms(self, form, rows):
+        x, w = rows
+        for scale, terms in form.sums:
+            c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
+            calls = []
+            got = terms(x, w, c, _recording(calls))
+            for i, (xi, wi) in enumerate(zip(x.tolist(), w.tolist())):
+                ci = scale(xi) if scale else 1.0
+                for name, args, value in calls:
+                    args = [ci, *args[1:]] if name == "powers" else []
+                    want = np.array(getattr(FLOATS, name)(xi, *args))
+                    assert (np.abs(value[i] - want) <= np.spacing(np.abs(want))).all(), name
+                want = terms(xi, wi, ci, _replaying(calls, i))
+                assert [t[i].tolist() for t in got] == list(want)
+
+    @pytest.mark.parametrize("form", [
+        *(power_generator(p).closed_form for p in (0.0, 2.0, -1.0)),
+        GeneratorSpec(lambda t: t ** 3, lambda y: y ** (1.0 / 3.0), label="cube").closed_form,
+        gini_form(0.5, 0.0), gini_form(-2.0, -2.0), gini_form(0.0, 0.0), GINI21_FORM])
+    def test_a_form_without_an_error_rule_has_no_scale(self, form):
+        # the exact driver, which such a form takes, runs every group at c = 1.0
+        assert form.error is not None or all(scale is None for scale, _ in form.sums)
 
 
 def _fsum_or_nan(terms) -> float:

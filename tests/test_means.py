@@ -606,6 +606,16 @@ class TestBatchKernels:
         assert evaluate_rows(mean_from_id(name), x, w).tolist() == [
             evaluate(mean_from_id(name), xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)]
 
+    @pytest.mark.parametrize("name, dead", [
+        ("power:3", 1e300), ("power:100", 2400.0), ("power:-100", 6.25e-4), ("gini:2:1", 1e300),
+        ("gini:-2:-2", 1e-160)])
+    def test_the_scale_skips_entries_of_weight_zero(self, name, dead):
+        # scaled by the entry of weight 0, the live powers underflowed to 0 or
+        # to subnormals, and the kernel's finite value went past the fallback
+        mean, x, w = mean_from_id(name), [1.0, 1.5, dead], [1.0, 1.0, 0.0]
+        assert evaluate_rows(mean, np.array([x]), np.array([w])).tolist() == \
+            [evaluate(mean, x, w)]
+
     @pytest.mark.parametrize("name, rows, want", [
         ("arithmetic", [[1e308, 1.5e308], [1e308, 1e308]], [1.25e308, 1e308]),  # w x sums to inf
         ("gini21", [[1e200, 1e200]], [1e200]),  # a constant row beyond the moment range
@@ -620,7 +630,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("name, bad", [
         *(pytest.param(name, -1.0, id=name)
           for name in ("power:0.5", "qa:log", "homdev:shifted-power:0.5")),
-        # rows to which the numpy twins give a finite value
+        # rows to which the numpy kernels give a finite value
         *(pytest.param(name, bad, id=f"{name} at {bad}") for name, bad in (
             ("power:0.5", 0.0), ("power:0", 0.0), ("power:2", -1.0), ("gini:2:1", -1.0),
             ("gini21", -1.0)))])
@@ -851,13 +861,13 @@ def _prefix_inputs(name, transform):
     return out
 
 
-# The closed forms with numpy twins, which have a (rows, n) prefix driver.
-_TWIN_MEANS = st.one_of(
+# The closed forms with an error rule, which have the numpy (rows, n) prefix driver.
+_NUMPY_MEANS = st.one_of(
     st.floats(-4.0, 4.0).map(MeanHandle.power),
     st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).map(lambda pq: MeanHandle.gini(*pq)),
     st.just(MeanHandle.gini21_counterexample()))
-_TWIN_IDS = ["power:0", "power:0.5", "power:-2", "power:3", "gini:0.5:0", "gini:2:1",
-             "gini:-1:-1", "gini:3:3", "gini21"]
+_NUMPY_IDS = ["power:0", "power:0.5", "power:-2", "power:3", "gini:0.5:0", "gini:2:1",
+              "gini:-1:-1", "gini:3:3", "gini21"]
 
 
 def _prefix_rows_against_scans(mean, x, w) -> np.ndarray:
@@ -887,7 +897,7 @@ class TestPrefixRows:
     relative on the rows it takes, bit for bit on the rows it leaves."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_TWIN_MEANS, st.integers(0, 2 ** 32), st.sampled_from([2, 8, 63, 64, 65, 120]),
+    @given(_NUMPY_MEANS, st.integers(0, 2 ** 32), st.sampled_from([2, 8, 63, 64, 65, 120]),
            st.sampled_from([0.5, 2.3, 8.0]))
     def test_within_tolerance_or_exact(self, mean, seed, n, spread):
         # n on both sides of _FSUM_SCAN_MAX, entries up to e^spread apart
@@ -897,12 +907,12 @@ class TestPrefixRows:
         x[1, : n // 3] = x[1, 0]  # a constant prefix
         _prefix_rows_against_scans(mean, x, w)
 
-    @pytest.mark.parametrize("name", _TWIN_IDS)
+    @pytest.mark.parametrize("name", _NUMPY_IDS)
     def test_sweep_rows_take_the_driver(self, name):
         x, w, _ = next(sweep_blocks(4, range(100), 8, 9, 100))
         assert not _prefix_rows_against_scans(mean_from_id(name), x, w).any()
 
-    @pytest.mark.parametrize("name", _TWIN_IDS)
+    @pytest.mark.parametrize("name", _NUMPY_IDS)
     def test_wide_rows_go_to_the_exact_scans(self, name):
         x = np.array([[1e-200, 3.0, 1e150, 0.5], [2.0, 1e150, 1e-200, 2.0]])
         assert _prefix_rows_against_scans(mean_from_id(name), x, np.ones((2, 4))).all()
@@ -915,7 +925,7 @@ class TestPrefixRows:
 
     def test_constant_rows_are_their_entry(self):
         x = np.array([[3.0] * 5, [0.25] * 5])
-        for name in _TWIN_IDS:
+        for name in _NUMPY_IDS:
             assert evaluate_prefix_rows(mean_from_id(name), x, np.ones((2, 5))).tolist() == \
                 x.tolist()
 
@@ -928,7 +938,7 @@ class TestPrefixRows:
                 evaluate_prefixes(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
 
     @pytest.mark.parametrize("name, mean", QA_MEANS[::3], ids=[c[0] for c in QA_MEANS[::3]])
-    def test_closed_forms_without_twins_have_an_exact_driver(self, name, mean):
+    def test_closed_forms_without_an_error_rule_have_an_exact_driver(self, name, mean):
         x, w, _ = next(sweep_blocks(2, range(40), 8, 9, 40))
         x[1, :3] = x[1, 0]  # a constant prefix
         assert not np.isnan(mean._prefix_rows(x, w, False)).any()  # no row left to the scans
