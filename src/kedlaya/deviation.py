@@ -16,12 +16,12 @@ no solver takes a tolerance, and the iteration cap comes from the bracket
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
-An ``f`` with a certificate, such as :func:`shifted_power` with
-:func:`shifted_power_rows`, has a certified root interval ``[a, b]`` per
-input, from a few weighted moments, outside which the root finder takes
-the total's sign without summing it, for the same roots and errors bit for
-bit: in the scalar solver, in :func:`homogeneous_deviation_prefixes` (every
-prefix) and in :func:`homogeneous_deviation_rows` (every row, halved in
+:func:`shifted_power` at ``p`` has a certified root interval ``[a, b]`` per
+input (:func:`_certificate`), from a few weighted moments, outside which
+the root finder takes the total's sign without summing it, for the same
+roots and errors bit for bit.  Two kernels, keyed by ``p``, read it:
+:func:`homogeneous_deviation_prefixes` (every prefix; the scalar solve is
+its last) and :func:`homogeneous_deviation_rows` (every row, halved in
 lockstep; a zero weight marks an absent entry).
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
@@ -423,8 +423,8 @@ vars(FLOATS).update(log=math.log, exp=math.exp, call=lambda f, v: f(v),
                     map=lambda f, v: list(map(f, v)), mul=lambda a, b: list(map(mul, a, b)),
                     powers=lambda x, c, r: [(xi / c) ** r for xi in x],
                     logs=lambda x: list(map(math.log, x)))
-vars(ARRAYS).update(log=partial(elementwise, math.log), exp=partial(elementwise, math.exp),
-                    call=_on_arrays, map=_on_arrays, mul=np.multiply)
+vars(ARRAYS).update(exp=partial(elementwise, math.exp), call=_on_arrays, map=_on_arrays,
+                    mul=np.multiply)
 vars(NUMPY).update(log=np.log, exp=np.exp, mul=np.multiply,
                    powers=lambda x, c, r: (x / c) ** r, logs=np.log)
 
@@ -445,8 +445,9 @@ class ClosedForm:
     ``m.logs(x)``.  ``m`` is :data:`FLOATS` on the scalar path (entry
     lists, a float per sum), :data:`NUMPY` in the numpy drivers (``(rows,
     n)`` arrays, a column of scales) and :data:`ARRAYS` in the exact driver
-    (float arrays; libm, and a generator without an array form, through
-    :func:`elementwise`).
+    (float arrays; a generator without an array form through
+    :func:`elementwise`; no ``log``, which no form it runs takes, and an
+    ``exp`` of libm's that only the ``axioms`` draws read).
 
     The scalar definitions take one ``fsum`` per sum and own the
     validation and every error message: the drivers hand them, or leave NaN
@@ -790,13 +791,21 @@ def gini21_counterexample(x, w) -> float:
 
 def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
     """The total ``y -> s * sum_i w_i f(x_i / y)``, summed exactly; a value
-    of ``f`` or a sum beyond the float range raises :class:`FloatOverflow`."""
+    of ``f`` or a sum beyond the float range raises :class:`FloatOverflow`,
+    and so does a ratio ``x_i / y`` that underflows to 0 where ``f`` then
+    raises (``0^p`` for ``p < 0``, ``log 0``)."""
     def total(y: float) -> float:
         try:
             return s * math.fsum(wi * f(xi / y) for xi, wi in zip(x, w))
         except OverflowError as exc:
             raise FloatOverflow(
                 f"{_HOMDEV}: the total at y={y} is beyond the float range") from exc
+        except (ZeroDivisionError, ValueError) as exc:
+            for xi in x:
+                if xi / y == 0.0:
+                    raise FloatOverflow(
+                        f"{_HOMDEV}: the ratio of entry {xi} to y={y} underflows to 0") from exc
+            raise
 
     return total
 
@@ -810,44 +819,18 @@ def _orientation(f: Callable[[float], float]) -> float:
     return -1.0 if f(2.0) < 0 else 1.0
 
 
-def homogeneous_deviation(f: Callable[[float], float], x, w,
-                          roots: Optional[Callable] = None) -> float:
+def homogeneous_deviation(f: Callable[[float], float], x, w) -> float:
     """Root of ``sum_i w_i f(x_i / y) = 0`` on positive entries.
 
     ``f`` must vanish at 1 (checked to 1e-12); it may be increasing or
     decreasing.  For a decreasing ``f`` (``f(2) < 0``) the total is
     negated, which is exact, so that it decreases in ``y`` either way.
-    ``roots``, the certificate of ``f`` (see :func:`shifted_power_rows`),
-    spares the sign tests outside its interval on the entries, which
-    leaves the root and every error as they are; the weights must then
-    be positive.
+    Every sign test sums the total; :func:`homogeneous_deviation_prefixes`
+    solves :func:`shifted_power` with a certificate, for the same roots.
     """
     s = _orientation(f)
     _check_entries(x, w, POSITIVE, _HOMDEV)
-    a, b = ([-math.inf], [math.inf]) if roots is None else _row_roots(roots, x, w, False)
-    return _solve(_homogeneous_total(f, s, x, w), x, _HOMDEV, a[0], b[0])
-
-
-def homogeneous_deviation_prefixes(f: Callable[[float], float], roots: Callable, x, w,
-                                   first: int) -> list:
-    """``homogeneous_deviation(f, x[:k], w[:k], roots)`` for ``k = first+1..n``,
-    bit for bit and raising what the first failing prefix raises, for positive
-    entries and weights.  The certificate of every prefix comes from one pass
-    of running moments along the input."""
-    s = _orientation(f)
-    a, b = _row_roots(roots, x, w, True)
-    return [_solve(_homogeneous_total(f, s, x[:k], w[:k]), x[:k], _HOMDEV, a[k - 1], b[k - 1])
-            for k in range(first + 1, len(x) + 1)]
-
-
-def _row_roots(roots: Callable, x, w, prefixes: bool) -> tuple:
-    """The lists ``(a, b)`` of ``roots`` on one row, or ``(-inf, inf)`` for an
-    entry or weight beyond the float range, whose totals raise FloatOverflow."""
-    try:
-        xa, wa = np.array([x], dtype=float), np.array([w], dtype=float)
-    except OverflowError:
-        return [-math.inf] * len(x), [math.inf] * len(x)
-    return tuple(v[0].tolist() for v in roots(xa, wa, prefixes=prefixes))
+    return _solve(_homogeneous_total(f, s, x, w), x, _HOMDEV)
 
 
 def shifted_power(p: float) -> Callable[[float], float]:
@@ -857,21 +840,22 @@ def shifted_power(p: float) -> Callable[[float], float]:
     return lambda t: t ** p - 1.0
 
 
-def shifted_power_rows(p: float) -> Callable:
-    """The certificate of :func:`shifted_power` at ``p``, which
-    :func:`homogeneous_deviation`, :func:`homogeneous_deviation_prefixes`
-    and :func:`homogeneous_deviation_rows` read.
-
-    ``roots(x, w, prefixes=False) -> (a, b)`` takes ``(rows, n)`` positive
-    entries and nonnegative weights, whose entries of weight 0 lie between
-    the row's others, and gives each row columns ``a <= b``: the scalar
-    total on the row's entries of nonzero weight is positive below ``a``
-    and negative above ``b``, anywhere in their bracket.  With ``prefixes``
-    it gives ``(rows, n)`` arrays, column ``k - 1`` for the prefix of ``k``
-    entries, from running moments.  A row the certificate does not cover
-    gets ``(-inf, inf)``.
-    """
-    return partial(_certificate, p)
+def homogeneous_deviation_prefixes(p: float, x, w, first: int) -> list:
+    """``homogeneous_deviation(shifted_power(p), x[:k], w[:k])`` for
+    ``k = first+1..n``, bit for bit and raising what the first failing prefix
+    raises, for positive entries and weights; ``first = n - 1`` is the scalar
+    solve of ``homdev:shifted-power:p``.  One pass of running moments gives
+    every prefix its :func:`_certificate`, or none for an entry or weight
+    beyond the float range, whose totals raise :class:`FloatOverflow`."""
+    f = shifted_power(p)
+    s = _orientation(f)
+    try:
+        xa, wa = np.array([x], dtype=float), np.array([w], dtype=float)
+        a, b = (v[0].tolist() for v in _certificate(p, xa, wa, prefixes=True))
+    except OverflowError:
+        a, b = [-math.inf] * len(x), [math.inf] * len(x)
+    return [_solve(_homogeneous_total(f, s, x[:k], w[:k]), x[:k], _HOMDEV, a[k - 1], b[k - 1])
+            for k in range(first + 1, len(x) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -887,14 +871,23 @@ _RANGE = 2.0 ** 900  # moments and powers the certificate covers
 # reductions, as columns, or running values, one per prefix.
 _ALONG_ROWS = tuple(partial(u.reduce, axis=1, keepdims=True)
                     for u in (np.add, np.maximum, np.minimum))
-_ALONG_PREFIXES = (partial(np.cumsum, axis=1), partial(np.maximum.accumulate, axis=1),
-                   partial(np.minimum.accumulate, axis=1))
+_ALONG_PREFIXES = tuple(partial(u.accumulate, axis=1) for u in (np.add, np.maximum, np.minimum))
 
 
 def _certificate(p: float, x: np.ndarray, w: np.ndarray, prefixes: bool = False) -> tuple:
-    """The roots of :func:`shifted_power_rows`: the moment columns of every
-    row, or of every prefix, given to :func:`_power_roots`, or to
-    :func:`_log_roots` at ``p = 0``."""
+    """The certified root interval of :func:`shifted_power` at ``p``, read by
+    :func:`homogeneous_deviation_prefixes` (with ``prefixes``) and
+    :func:`homogeneous_deviation_rows`.
+
+    ``(a, b)`` takes ``(rows, n)`` positive entries and nonnegative weights,
+    whose entries of weight 0 lie between the row's others, and gives each
+    row columns ``a <= b``: the scalar total on the row's entries of nonzero
+    weight is positive below ``a`` and negative above ``b``, anywhere in
+    their bracket.  With ``prefixes`` it gives ``(rows, n)`` arrays, column
+    ``k - 1`` for the prefix of ``k`` entries, from running moments.  The
+    moment columns go to :func:`_power_roots`, or to :func:`_log_roots` at
+    ``p = 0``; a row they do not cover gets ``(-inf, inf)``.
+    """
     total, top, bottom = _ALONG_PREFIXES if prefixes else _ALONG_ROWS
     with np.errstate(all="ignore"):  # a moment that is not finite is not covered
         k, big_b, spread = total(w != 0.0), total(w), top(x) / bottom(x)
@@ -1009,19 +1002,17 @@ def _log_roots(k, big_l, big_m, big_b, spread) -> tuple:
     return _roots_from(r, lam, ok)
 
 
-def homogeneous_deviation_rows(f: Callable[[float], float], roots: Callable,
-                               x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`homogeneous_deviation` of ``f`` on the entries of nonzero
-    weight of every row of ``(rows, n)`` arrays, bit for bit, or NaN for a
-    row it does not finish, which :func:`kedlaya.means.evaluate_rows` hands
-    to the scalar solver.
+def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``homogeneous_deviation(shifted_power(p), ...)`` on the entries of
+    nonzero weight of every row of ``(rows, n)`` arrays, bit for bit, or NaN
+    for a row it does not finish, which :func:`kedlaya.means.evaluate_rows`
+    hands to the scalar solve.
 
     The entries are positive (:func:`kedlaya.means.evaluate_rows` hands no
     other row to a kernel) and each row's weights nonnegative with a
     positive sum; zero-weight entries are dropped, as in
     :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
-    weights.  ``roots``, the certificate of ``f`` (see
-    :func:`shifted_power_rows`), gives each row, once, columns ``a <= b``
+    weights.  :func:`_certificate` gives each row, once, columns ``a <= b``
     with the total certainly positive below ``a`` and negative above ``b``.
     A constant row is its entry.  The other rows take two stages, on the
     scalar solver's brackets, midpoints, caps and stop rule.  First, the
@@ -1033,13 +1024,14 @@ def homogeneous_deviation_rows(f: Callable[[float], float], roots: Callable,
     does not cover, a row out of halvings, or a row on which :func:`_halve`
     raises an arithmetic or value error.  Every per-row array is a column.
     """
+    f = shifted_power(p)
     s = _orientation(f)
     m = np.flatnonzero(w.any(axis=0))[-1] + 1  # past the last column of nonzero weight
     x, w = x[:, :m], w[:, :m]
     live = w != 0.0
     x_lo, x_hi = _live_masked(x, live)
     lo, hi = x_lo.min(axis=1, keepdims=True), x_hi.max(axis=1, keepdims=True)
-    a, b = roots(np.where(live, x, lo), w)  # entries of weight 0 repeat the row's minimum
+    a, b = _certificate(p, np.where(live, x, lo), w)  # entries of weight 0 repeat the row's minimum
     result = np.where(lo == hi, lo, np.nan)
     active = (lo < a) & (b < hi)  # certified: the total is positive at lo, negative at hi
     handed = {}  # row -> its bracket and halvings so far, for _halve

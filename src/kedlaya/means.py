@@ -29,7 +29,7 @@ on integer weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -153,10 +153,10 @@ class MeanHandle:
     none of them tests.  The closed forms (power, Gini, quasi-arithmetic for
     any generator, ``gini21``) get all three from one declaration, a
     :class:`~kedlaya.deviation.ClosedForm` (see :meth:`_closed_form`).  The
-    built-in ``homdev`` means have ``_batch`` and ``_prefix``, which read one
-    certificate of the root (see :func:`~kedlaya.deviation.shifted_power_rows`).
-    Custom deviations, and homogeneous deviations of a caller's ``f``, have
-    none and are evaluated row by row.
+    ``homdev:shifted-power:p`` means take the certified kernels keyed by ``p``,
+    ``deviation.homogeneous_deviation_rows`` and ``_prefixes``, whose last
+    prefix is also ``_fn``.  Custom deviations, and homogeneous deviations of
+    a caller's ``f``, have none and are evaluated row by row.
     """
 
     family: str
@@ -649,21 +649,19 @@ def weighted_from_repetition_invariant(base: Callable, x, w,
 # ---------------------------------------------------------------------------
 
 _GENERATORS = {"log": dev.log_generator, "pow": dev.power_generator}
-_DEVIATIONS = {"shifted-power": (dev.shifted_power, dev.shifted_power_rows)}
 _TEXT_FIELDS = ("generator", "f")  # wire fields that are names, not numbers
 
 
 def _homogeneous_deviation(f: str, p: float) -> MeanHandle:
-    """The built-in homogeneous-deviation mean ``f`` at ``p``, with its wire
-    values and, from the certificate of ``f``, its certified scalar solve,
-    prefix scan and lockstep batch kernel."""
+    """``homdev:shifted-power:p``: its scalar solve is the last prefix of its
+    certified prefix scan, and its batch kernel the lockstep bisection."""
     p = float(p)
-    scalar, roots = (make(p) for make in _DEVIATIONS[f])
-    mean = MeanHandle.homogeneous_deviation(scalar, f"{f}:{dev._fmt(p)}")
-    return replace(
-        mean, params=(f, p), _fn=lambda x, w: dev.homogeneous_deviation(scalar, x, w, roots),
-        _batch=lambda x, w: dev.homogeneous_deviation_rows(scalar, roots, x, w),
-        _prefix=lambda x, w, first: dev.homogeneous_deviation_prefixes(scalar, roots, x, w, first))
+    if f != "shifted-power":
+        raise KeyError(f)
+    return MeanHandle("homogeneous-deviation", POSITIVE, (f, p), f"homdev:{f}:{dev._fmt(p)}",
+                      lambda x, w: dev.homogeneous_deviation_prefixes(p, x, w, len(x) - 1)[0],
+                      partial(dev.homogeneous_deviation_rows, p),
+                      partial(dev.homogeneous_deviation_prefixes, p))
 
 # family -> (id head, wire fields in id order, builder taking the wire values).
 # Every id and JSON document is read and written through this table.
@@ -719,9 +717,15 @@ def mean_to_json(mean: MeanHandle) -> dict:
 
 
 def mean_from_json(obj: dict) -> MeanHandle:
-    """Inverse of :func:`mean_to_json`; applies each family's natural domain."""
-    fam = obj["family"]
+    """Inverse of :func:`mean_to_json`; applies each family's natural domain.
+    A document that names no family of the table, an unknown generator or
+    deviation, or too few fields raises ValueError naming it; a bad value
+    raises its builder's own error."""
+    fam = obj.get("family")
     if fam not in _FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
     _, fields, build = _FAMILIES[fam]
-    return build(*(obj[name] for name in fields if name in obj))
+    try:
+        return build(*(obj[name] for name in fields if name in obj))
+    except (KeyError, TypeError):  # unknown generator/deviation name, wrong arity
+        raise ValueError(f"unknown mean document {obj!r}") from None

@@ -228,6 +228,12 @@ _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the fl
      re.escape("qa:pow:160: generator underflows at entry 0.001")),
     (("check", "--mean", "qa:pow:-160", "--x", "1000,2000", "--w", "1,1"),
      re.escape("qa:pow:-160: generator underflows at entry 1000.0")),
+    # a homdev ratio x / y that underflows to 0 at y = hi, where 0.0 ** -2 raised
+    # ZeroDivisionError and log(0.0) "math domain error"
+    (("check", "--mean", "homdev:shifted-power:-2", "--x", "1e-170,1e170", "--w", "1,1"),
+     re.escape("homogeneous deviation: the ratio of entry 1e-170 to y=1e+170 underflows to 0")),
+    (("check", "--mean", "homdev:shifted-power:0", "--x", "1e-200,1e200", "--w", "1,1"),
+     re.escape("homogeneous deviation: the ratio of entry 1e-200 to y=1e+200 underflows to 0")),
 ])
 def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")

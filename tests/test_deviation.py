@@ -22,13 +22,13 @@ from kedlaya.deviation import (
     gini_form,
     gini21_counterexample,
     homogeneous_deviation,
+    homogeneous_deviation_prefixes,
     homogeneous_deviation_rows,
     log_generator,
     power_generator,
     power_mean,
     quasi_arithmetic,
     shifted_power,
-    shifted_power_rows,
     solve_deviation_mean,
 )
 from kedlaya.domain import POSITIVE, REALS
@@ -322,6 +322,30 @@ class TestHomogeneousDeviation:
             b = power_mean(p, x, w)
             assert abs(a - b) <= 1e-9 * (1 + abs(b))
 
+    @pytest.mark.kernel_parity
+    @pytest.mark.parametrize("p, x", [(-2.0, [1e-170, 1e170]), (0.0, [1e-200, 1e200])])
+    def test_ratio_underflow_is_a_float_overflow(self, p, x):
+        # x_i / y underflows to 0 at y = hi, where 0^p or log 0 raises; every
+        # entry point raises the scalar solver's error, which names both
+        want = (FloatOverflow, f"homogeneous deviation: the ratio of entry {x[0]!r} "
+                               f"to y={x[1]!r} underflows to 0")
+        w = [1.0, 1.0]
+        assert _outcome(lambda: homogeneous_deviation(shifted_power(p), x, w)) == want
+        mean = mean_from_id(f"homdev:shifted-power:{p!r}")
+        assert _outcome(lambda: evaluate(mean, x, w)) == want
+        assert _outcome(lambda: evaluate_prefixes(mean, x, w)) == want
+        assert _outcome(lambda: evaluate_rows(mean, np.array([x]), np.array([w]))) == want
+
+    def test_other_errors_of_f_propagate(self):
+        # no ratio is 0: a caller's f keeps its own error
+        def f(t):
+            if t > 2.0:
+                raise ValueError("f is undefined above 2")
+            return t - 1.0
+
+        with pytest.raises(ValueError, match="undefined above 2"):
+            homogeneous_deviation(f, (1.0, 3.0), (1.0, 1.0))
+
 
 class TestSolverCore:
     """Both solvers share one root finder; these pin its branches."""
@@ -355,8 +379,7 @@ class TestSolverCore:
         y = homogeneous_deviation(math.log, x, w)
         assert abs(y - 1.0) < 2e-12
         assert solve_deviation_mean(diff_spec(math.log, "log-diff"), x, w) == y
-        assert _lockstep_rows(math.log, shifted_power_rows(0.0),
-                              np.array([x]), np.array([w]))[0] == y
+        assert _lockstep_rows(0.0, np.array([x]), np.array([w]))[0] == y
 
     @pytest.mark.kernel_parity
     def test_cap_is_one_count_for_both_solvers(self):
@@ -394,19 +417,20 @@ class TestSolverCore:
                                  for xi, wi in zip(x.tolist(), w.tolist())])
         assert want == (MaxIterations,
                         "homogeneous deviation: bisection did not converge in 1062 iterations")
-        assert _outcome(lambda: _lockstep_rows(
-            f, shifted_power_rows(0.5), x, w).tolist()) == want
+        assert _outcome(lambda: _lockstep_rows(0.5, x, w).tolist()) == want
 
 
-def _lockstep_rows(f, roots, x, w):
+def _lockstep_rows(p, x, w):
     """The lockstep kernel's rows as :func:`evaluate_rows` gives them: its
-    NaN rows filled, in row order, by the plain scalar solver on the row's
-    entries of nonzero weight, which raises the first failing row's error."""
+    NaN rows filled, in row order, by the plain scalar solver of
+    ``shifted_power(p)`` on the row's entries of nonzero weight, which raises
+    the first failing row's error."""
     with np.errstate(all="ignore"):
-        out = homogeneous_deviation_rows(f, roots, x, w)
+        out = homogeneous_deviation_rows(p, x, w)
     for i in np.flatnonzero(~np.isfinite(out)).tolist():
         live = w[i] != 0.0
-        out[i] = homogeneous_deviation(f, x[i, live].tolist(), w[i, live].tolist())
+        out[i] = homogeneous_deviation(shifted_power(p), x[i, live].tolist(),
+                                       w[i, live].tolist())
     return out
 
 
@@ -415,14 +439,8 @@ def _lockstep_prefixes(p, x, w):
     weight 0 past the prefix."""
     n = len(x)
     return _lockstep_rows(
-        shifted_power(p), shifted_power_rows(p), np.broadcast_to(np.array(x), (n - 1, n)),
+        p, np.broadcast_to(np.array(x), (n - 1, n)),
         np.where(np.arange(n) <= np.arange(1, n)[:, None], np.array(w), 0.0)).tolist()
-
-
-def _uncertified(x, w):
-    """A certificate that covers no row: ``(rows, 1)`` columns of ``-inf``
-    and ``inf``."""
-    return np.full((len(x), 1), -math.inf), np.full((len(x), 1), math.inf)
 
 
 def _outcome(fn):
@@ -497,19 +515,48 @@ class TestLockstepBisection:
         want = _outcome(lambda: [homogeneous_deviation(f, xi[wi != 0].tolist(),
                                                        wi[wi != 0].tolist())
                                  for xi, wi in zip(x, w)])
-        assert _outcome(lambda: _lockstep_rows(
-            f, shifted_power_rows(p), x, w).tolist()) == want
+        assert _outcome(lambda: _lockstep_rows(p, x, w).tolist()) == want
 
     def test_no_sign_change_raises_the_scalar_error(self):
         # (t - 1)^2 is not monotone: the total of row 1 is positive at both
-        # ends; without a certificate every sign test takes the scalar total
+        # ends; a caller's f has no batch kernel, so evaluate_rows takes the
+        # scalar solver row by row, which raises the first failing row's error
         f = lambda t: (t - 1.0) ** 2
         x = np.array([[2.0, 2.0], [1.0, 3.0], [2.0, 5.0]])
         w = np.ones_like(x)
         want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
                                  for xi, wi in zip(x.tolist(), w.tolist())])
         assert want[0] is SolverFailure
-        assert _outcome(lambda: _lockstep_rows(f, _uncertified, x, w).tolist()) == want
+        mean = MeanHandle.homogeneous_deviation(f, "square")
+        assert _outcome(lambda: evaluate_rows(mean, x, w).tolist()) == want
+
+    def test_uncovered_rows_take_the_scalar_outcome_in_row_order(self):
+        # spreads past 2^900: the certificate covers none of rows 1-4, which
+        # the kernel leaves NaN; the scalar solver gives rows 1 and 3 their
+        # values, and rows 2 and 4 raise, their ratio at y = hi underflowing to
+        # 0, so the first of them in row order names the error
+        x = np.array([[2.0, 2.0], [1e-150, 1e150], [1e-200, 1e200], [1e-160, 1e160],
+                      [1e-250, 1e250]])
+        w = np.ones_like(x)
+        with np.errstate(all="ignore"):
+            a, b = dev._certificate(0.0, x, w)
+            got = homogeneous_deviation_rows(0.0, x, w)
+        assert (a[1:] == -math.inf).all() and (b[1:] == math.inf).all()
+        assert got[0] == 2.0 and np.isnan(got[1:]).all()
+        mean = mean_from_id("homdev:shifted-power:0")
+        errors = []
+        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0]):
+            xs, ws = x[order], w[order]
+            want = _outcome(lambda: [homogeneous_deviation(math.log, xi, wi)
+                                     for xi, wi in zip(xs.tolist(), ws.tolist())])
+            assert want[0] is FloatOverflow
+            assert _outcome(lambda: _lockstep_rows(0.0, xs, ws).tolist()) == want
+            assert _outcome(lambda: evaluate_rows(mean, xs, ws).tolist()) == want
+            errors.append(want)
+        assert errors[0] != errors[1]
+        uncovered = [homogeneous_deviation(math.log, xi, wi) for xi, wi in zip(x[[1, 3]].tolist(),
+                                                                               w[[1, 3]].tolist())]
+        assert evaluate_rows(mean, x[[0, 1, 3]], w[[0, 1, 3]]).tolist() == [2.0, *uncovered]
 
     def test_near_constant_entries_reach_the_scalar_total(self, scalar_totals):
         # midpoints this close to the root fall inside the root interval: the
@@ -530,7 +577,7 @@ class TestLockstepBisection:
 
         monkeypatch.setattr(dev, "_halve", spy)
         f, x, w = shifted_power(1.0), np.array([[1.0, 3.0]]), np.ones((1, 2))
-        assert _lockstep_rows(f, shifted_power_rows(1.0), x, w).tolist() == [2.0]
+        assert _lockstep_rows(1.0, x, w).tolist() == [2.0]
         assert handed == [(1.0, 3.0, 0)]
         assert homogeneous_deviation(f, (1.0, 3.0), (1.0, 1.0)) == 2.0
 
@@ -546,8 +593,7 @@ class TestLockstepBisection:
                                  for xi, wi in zip(x.tolist(), w.tolist())])
         assert want == (MaxIterations,
                         "homogeneous deviation: bisection did not converge in 1071 iterations")
-        assert _outcome(lambda: _lockstep_rows(
-            f, shifted_power_rows(0.5), x, w).tolist()) == want
+        assert _outcome(lambda: _lockstep_rows(0.5, x, w).tolist()) == want
 
     def test_rows_the_kernel_does_not_finish_are_nan(self, monkeypatch):
         # fewer halvings than the stop width needs: row 0 runs out of them in
@@ -566,7 +612,7 @@ class TestLockstepBisection:
         x = np.array([[1.0, 3.0], [1.0, 9.0]])
         w = np.array([[1.0, 1.0], [1.0, -f(1.0 / 5.0) / f(9.0 / 5.0) * (1.0 + 2.0 ** -44)]])
         with np.errstate(all="ignore"):
-            got = homogeneous_deviation_rows(f, shifted_power_rows(0.5), x, w)
+            got = homogeneous_deviation_rows(0.5, x, w)
         assert np.isnan(got).all() and handed == [(1.0, 9.0, 0)]
         mean = mean_from_id("homdev:shifted-power:0.5")
         errors = []
@@ -619,7 +665,7 @@ def _outside_the_guard(p, x, w) -> bool:
 
 @pytest.mark.kernel_parity
 class TestRootInterval:
-    """The certified root interval of :func:`shifted_power_rows`, of a row
+    """The certified root interval of :func:`shifted_power`, of a row
     or of every prefix: the scalar total is positive below ``a`` and
     negative above ``b``, and a prefix scan or lockstep over it rarely sums
     the entries."""
@@ -632,8 +678,7 @@ class TestRootInterval:
         lo, hi = min(xi for xi, wi in zip(x, w) if wi), max(xi for xi, wi in zip(x, w) if wi)
         block = np.where(live, np.array([x]), lo)
         with np.errstate(all="ignore"):  # as in the lockstep
-            (a,), (b,) = (v[:, 0].tolist() for v in shifted_power_rows(p)(
-                block, np.array([w])))
+            (a,), (b,) = (v[:, 0].tolist() for v in dev._certificate(p, block, np.array([w])))
         _assert_certified_signs(p, [xi for xi, wi in zip(x, w) if wi], [wi for wi in w if wi],
                                 a, b, fractions)
 
@@ -647,8 +692,8 @@ class TestRootInterval:
         # nonzero weight only
         p, x, w = row
         x, w = [xi for xi, wi in zip(x, w) if wi], [wi for wi in w if wi]
-        a, b = (v[0].tolist() for v in shifted_power_rows(p)(
-            np.array([x]), np.array([w]), prefixes=True))
+        a, b = (v[0].tolist() for v in dev._certificate(
+            p, np.array([x]), np.array([w]), prefixes=True))
         for k in range(1, len(x) + 1):
             _assert_certified_signs(p, x[:k], w[:k], a[k - 1], b[k - 1], fractions)
 
@@ -674,14 +719,13 @@ class TestRootInterval:
             return counted
 
         monkeypatch.setattr(dev, "_homogeneous_total", counting_total)
-        f, roots = shifted_power(p), shifted_power_rows(p)
-        want = [homogeneous_deviation(f, x[:k], w[:k]) for k in range(2, 57)]
+        want = [homogeneous_deviation(shifted_power(p), x[:k], w[:k]) for k in range(2, 57)]
         scalar_tests, sign_tests[0] = sign_tests[0], 0
-        assert dev.homogeneous_deviation_prefixes(f, roots, x, w, 1) == want
+        assert homogeneous_deviation_prefixes(p, x, w, 1) == want
         assert sign_tests[0] <= 0.05 * scalar_tests
         sign_tests[0] = 0
         got = _lockstep_rows(
-            f, roots, np.broadcast_to(np.array(x), (55, 56)),
+            p, np.broadcast_to(np.array(x), (55, 56)),
             np.where(np.arange(56) <= np.arange(1, 56)[:, None], np.array(w), 0.0))
         assert got.tolist() == want
         assert sign_tests[0] <= 0.05 * scalar_tests
@@ -711,6 +755,41 @@ def _assert_certified_signs(p, x, w, a, b, fractions):
     for y in above:
         if b < y <= hi and y >= lo:
             assert total(y) < 0.0, (y, b)
+
+
+@st.composite
+def _solve_rows(draw):
+    """``p`` in [-8, 8] (0 half as often as not) and up to 12 entries over
+    1e+-300 with weights over 1e+-8: rows whose spread or moments leave the
+    certificate's range included."""
+    p = draw(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)))
+    n = draw(st.integers(1, 12))
+    centre = draw(st.floats(-300.0, 300.0))
+    spread = draw(st.floats(0.0, 600.0))
+    logs = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    x = [10.0 ** min(300.0, max(-300.0, centre + spread * v)) for v in logs]
+    w = [10.0 ** v for v in draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))]
+    return p, x, w
+
+
+@pytest.mark.kernel_parity
+@settings(max_examples=300, deadline=None)
+@given(_solve_rows())
+@example((-5e-17, [0.5, 2.0], [1.0, 1.0]))  # 2^p rounds to 1: the orientation of f(2) = 0
+def test_builtin_solve_is_the_plain_solver(row):
+    """``evaluate`` of ``homdev:shifted-power:p``, the certified prefix scan's
+    last prefix, and ``evaluate_rows``, the lockstep, equal the plain scalar
+    solver of ``shifted_power(p)`` bit for bit or raise its error, as
+    ``evaluate_prefixes`` does on every prefix."""
+    p, x, w = row
+    mean = mean_from_id(f"homdev:shifted-power:{p!r}")
+    f = shifted_power(p)
+    want = _outcome(lambda: homogeneous_deviation(f, x, w))
+    assert _outcome(lambda: evaluate(mean, x, w)) == want
+    assert _outcome(lambda: evaluate_rows(mean, np.array([x]), np.array([w])).tolist()) == (
+        want if isinstance(want, tuple) else [want])
+    assert _outcome(lambda: evaluate_prefixes(mean, x, w)) == _outcome(
+        lambda: [homogeneous_deviation(f, x[:k], w[:k]) for k in range(1, len(x) + 1)])
 
 
 class TestCounterexampleMean:

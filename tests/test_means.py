@@ -39,6 +39,7 @@ from kedlaya.errors import (
     NegativeWeight,
     NonfiniteWeight,
     Overflow,
+    ZeroScale,
 )
 from kedlaya.inequality import kedlaya_sides, partial_arithmetic_means
 from kedlaya.means import (
@@ -1432,6 +1433,32 @@ class TestWireFormat:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             mean_from_id("parabolic:3")
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "homogeneous-deviation", "f": "bogus", "p": 1.0},  # was KeyError
+        {"family": "quasi-arithmetic", "generator": "bogus"},  # was KeyError
+        {"family": "power"},  # was TypeError
+    ], ids=str)
+    def test_malformed_document_is_a_value_error(self, doc):
+        # as mean_from_id says for the same mistakes, naming what it read
+        with pytest.raises(ValueError) as info:
+            mean_from_json(doc)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"unknown mean document {doc!r}"
+
+    def test_builder_errors_of_a_document_pass_unchanged(self):
+        # a typed error keeps its type, and a bad inner document is named once
+        with pytest.raises(ZeroScale):
+            mean_from_json({"family": "affine", "a": 0.0, "b": 1.0,
+                            "inner": {"family": "arithmetic"}})
+        inner = {"family": "power"}
+        with pytest.raises(ValueError) as info:
+            mean_from_json({"family": "affine", "a": 2.0, "b": 1.0, "inner": inner})
+        assert str(info.value) == f"unknown mean document {inner!r}"
+
+    def test_document_without_a_family_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown family None"):
+            mean_from_json({"p": 1.0})
 
     @pytest.mark.parametrize("mean_id", ["arithmetic", "power:0.5", "gini:2:1",
                                          "gini21", "qa:log", "qa:pow:2",
