@@ -17,7 +17,7 @@ with its median, its spread (maximum minus minimum) and its unit.  They are
 of ``homdev:shifted-power:0.5``, ``evaluate_rows`` (the lockstep bisection)
 at three ``p`` on a 1024 x 8 block and on one ``n = 2`` chunk of the
 ``concavity`` command (3072 x 2: the midpoint, ``x`` and ``y`` rows of its
-1024 draws, stacked as ``sample_jensen_concavity`` stacks them),
+1024 draws, as ``sample_jensen_concavity`` hands them to ``evaluate_rows``),
 ``evaluate_rows`` on that chunk of five closed forms (``power:0.5``,
 ``gini:2:1``, ``qa:log``, ``qa:pow:-1`` and ``qa:cube``, the ``cube``
 generator of ``tests/test_means.py``) and of the arithmetic mean,
@@ -35,7 +35,10 @@ array forms on 6144 and 3072 log-uniform values (as many as the 3072 x 2
 chunk has entries and means), and ``check_kedlaya`` of ``qa:log`` at
 ``n = 184``, whose prefix scans make every call on the scalar path, and of
 ``power:0`` at ``n = 180`` and ``gini:0.5:0`` at ``n = 212``, the scalar
-scans of the power and Gini terms (the sizes of the ``scan`` workload).
+scans of the power and Gini terms (the sizes of the ``scan`` workload), and
+the two slowest ops of the ``probe`` workload in process:
+``sample_jensen_concavity`` of ``power:0.5`` at 90000 trials and of
+``gini:2:1`` at 75000, ``n = 2``.
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -97,17 +100,15 @@ def _time(name: str, fn, k: int, per: int = 1) -> dict:
             "median": statistics.median(samples), "spread": max(samples) - min(samples), "k": k}
 
 
-def _axiom_block(mean, trials: int) -> tuple:
-    """The padded ``(entries, weights)`` rows that ``sample_axiom_residuals``
-    hands ``evaluate_rows`` for the first block of ``trials`` trials at
-    ``n_max = 5``."""
-    from kedlaya import means
-    blocks, evaluate_rows = [], means.evaluate_rows
-    means.evaluate_rows = lambda mean, x, w: blocks.append((x, w)) or evaluate_rows(mean, x, w)
+def _first_rows(module, run) -> tuple:
+    """The ``(entries, weights)`` arrays of the first ``evaluate_rows`` call
+    that ``run()`` makes through ``module``'s binding of it."""
+    blocks, evaluate_rows = [], module.evaluate_rows
+    module.evaluate_rows = lambda mean, x, w: blocks.append((x, w)) or evaluate_rows(mean, x, w)
     try:
-        means.sample_axiom_residuals(mean, trials, 5, seed=1)
+        run()
     finally:
-        means.evaluate_rows = evaluate_rows
+        module.evaluate_rows = evaluate_rows
     return blocks[0]
 
 
@@ -116,9 +117,9 @@ def micro_rows(quick: bool = False) -> list:
     runs each at a tiny size, once, which checks this script, not the code
     it measures."""
     import numpy as np
-    from kedlaya.concavity import _CHUNK, _draw_chunk
+    from kedlaya import concavity, means
+    from kedlaya.concavity import _CHUNK, sample_jensen_concavity
     from kedlaya.deviation import GeneratorSpec
-    from kedlaya.domain import sampling_window
     from kedlaya.elementary import exp, log
     from kedlaya.inequality import check_kedlaya, check_kedlaya_rows
     from kedlaya.means import (_AXIOM_BLOCK, _SIDES, MeanHandle, evaluate, evaluate_prefix_rows,
@@ -147,8 +148,9 @@ def micro_rows(quick: bool = False) -> list:
     block = (16 if quick else 1024, 8)
     rng = np.random.default_rng(1024)
     x, w = np.exp(rng.uniform(np.log(0.1), np.log(10.0), block)), rng.uniform(0.1, 10.0, block)
-    cx, cy, cw = _draw_chunk(sampling_window(mean.domain), 2, 7, 0, 16 if quick else _CHUNK)
-    chunk = np.concatenate((0.5 * (cx + cy), cx, cy)), np.concatenate((cw, cw, cw))
+    # the rows of the first chunk, as sample_jensen_concavity hands them over
+    chunk = _first_rows(concavity, lambda: sample_jensen_concavity(
+        mean, 2, 16 if quick else _CHUNK, seed=7))
     for p in (0.5, -2, 0):
         homdev = mean_from_id(HOMDEV.format(p))
         rows.append(_time(f"evaluate_rows {homdev} {block[0]}x{block[1]}",
@@ -163,7 +165,9 @@ def micro_rows(quick: bool = False) -> list:
                           lambda: evaluate_rows(other, *chunk), k))
     qa = mean_from_id("qa:log")
     for other in (qa, mean_from_id("power:0.5")):
-        ax, aw = _axiom_block(other, 4 if quick else _AXIOM_BLOCK // (_SIDES * 2 * 5))
+        # the padded rows of the first block of trials at n_max = 5
+        trials = 4 if quick else _AXIOM_BLOCK // (_SIDES * 2 * 5)
+        ax, aw = _first_rows(means, lambda: means.sample_axiom_residuals(other, trials, 5, seed=1))
         rows.append(_time(f"evaluate_rows {other} {ax.shape[0]}x{ax.shape[1]}",
                           lambda: evaluate_rows(other, ax, aw), k))
     trials = 10 if quick else 100
@@ -194,6 +198,10 @@ def micro_rows(quick: bool = False) -> list:
         scan, n = mean_from_id(name), 8 if quick else size
         x, w = draw(n, n)
         rows.append(_time(f"check_kedlaya {scan} n={n}", lambda: check_kedlaya(scan, x, w), k))
+    for name, trials in (("power:0.5", 90000), ("gini:2:1", 75000)):
+        probe, trials = mean_from_id(name), 16 if quick else trials
+        rows.append(_time(f"sample_jensen_concavity {probe} n=2 {trials}",
+                          lambda: sample_jensen_concavity(probe, 2, trials, seed=1), k))
     return rows
 
 

@@ -21,11 +21,17 @@ midpoint pairs through :func:`sample_midpoint_concavity`.
 Draw streams are generated in fixed-size chunks keyed by
 ``(seed, chunk_index)``, so results are reproducible for a given seed
 regardless of evaluation order.  Both samplers run on one chunk loop.
-Each chunk of means is evaluated through
-:func:`~kedlaya.means.evaluate_rows`: every built-in family has a batch
-kernel (the quasi-arithmetic one is the exact prefix driver, bit for bit),
-and only custom deviations and homogeneous deviations of a caller's ``f``
-go row by row.
+Each chunk of means is evaluated in one
+:func:`~kedlaya.means.evaluate_rows` call on its midpoint, ``x`` and ``y``
+rows: every built-in family has a batch kernel (the quasi-arithmetic one
+is the exact prefix driver, bit for bit), and only custom deviations and
+homogeneous deviations of a caller's ``f`` go row by row.  The uniforms
+and exponentials of a chunk are drawn into one block and mapped onto the
+window in place, and the rows and their weights are written straight into
+two column-major buffers, the layout the kernels take, allocated once per
+probe: no chunk is concatenated or copied to column-major order.  Two
+chunks a call were measured and rejected: the ``probe`` workload's median
+op got slower.
 """
 
 from __future__ import annotations
@@ -80,29 +86,44 @@ class ConcavityVerdict:
 # Chunked draw stream
 # ---------------------------------------------------------------------------
 
-def _map_window(u: np.ndarray, window: tuple) -> np.ndarray:
+def _window_map(window: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """The map of uniform draws ``u`` onto ``window``, in place on ``u``:
+    log-uniform on a ``LOG`` window, affine on a ``LINEAR`` one.  A
+    ``NEG_LOG`` window's draws are the exact negations of the mirrored
+    window's for the same stream.  The window's constants are computed once;
+    numpy's ``exp`` runs on ``u`` as laid out, whose bits can depend on the
+    layout, so ``u`` should be one contiguous block."""
     lo, hi, kind = window
     if kind == LOG:
-        return np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo)))
-    if kind == NEG_LOG:
-        # mirrored log-uniform: draws are exact negations of the mirrored
-        # window's draws for the same uniform stream
-        return -np.exp(np.log(-hi) + u * (np.log(-lo) - np.log(-hi)))
-    return lo + u * (hi - lo)
+        a, b = np.log(lo), np.log(hi) - np.log(lo)
+    elif kind == NEG_LOG:
+        a, b = np.log(-hi), np.log(-lo) - np.log(-hi)
+    else:
+        a, b = lo, hi - lo
+
+    def map_onto(u: np.ndarray) -> np.ndarray:
+        u *= b
+        u += a
+        if kind != LINEAR:
+            np.exp(u, out=u)
+        if kind == NEG_LOG:
+            np.negative(u, out=u)
+        return u
+
+    return map_onto
 
 
-def _draw_chunk(window: tuple, n: int, seed: int, chunk_index: int,
-                size: int) -> tuple:
-    """Deterministic draws for one chunk: entry matrices X, Y and weights W."""
-    rng = np.random.default_rng([seed, chunk_index])
-    ux = rng.random((size, n))
-    uy = rng.random((size, n))
-    e = rng.exponential(size=(size, n))
-    tscale = rng.uniform(0.5, 2.0, size=(size, 1))
-    x = _map_window(ux, window)
-    y = _map_window(uy, window)
-    w = e / e.sum(axis=1, keepdims=True) * tscale
-    return x, y, w
+def _row_sums(e: np.ndarray) -> np.ndarray:
+    """``e.sum(axis=1, keepdims=True)``, bit for bit.  numpy sums a row of
+    fewer than 8 entries in sequence, as a loop over the columns does, and
+    that loop is the faster on such short rows (about 17 us less a chunk at
+    ``n = 2``); a longer row numpy sums pairwise."""
+    if e.shape[1] >= 8:
+        return e.sum(axis=1, keepdims=True)
+    s = e[:, :1].copy()
+    for j in range(1, e.shape[1]):
+        s += e[:, j:j + 1]
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +184,31 @@ def sample_jensen_concavity(mean: MeanHandle, n: int, trials: int,
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise NegativeSeed(f"seed must be >= 0, got {seed}")
-    window = sampling_window(mean.domain)
+    map_onto = _window_map(sampling_window(mean.domain))
+    draws = np.empty((3, _CHUNK, n))  # a chunk's uniforms for x and y, and its exponentials
+    # the chunk's midpoint, x and y rows and their weights, column-major as the
+    # kernels take them (see evaluate_rows): a partial chunk's are a prefix
+    entries, weights = np.empty(3 * _CHUNK * n), np.empty(3 * _CHUNK * n)
 
     def chunk_gaps(chunk_index: int, size: int):
-        x, y, w = _draw_chunk(window, n, seed, chunk_index, _CHUNK)
-        x, y, w = x[:size], y[:size], w[:size]
+        rng = np.random.default_rng([seed, chunk_index])
+        rng.random(out=draws[:2])
+        rng.standard_exponential(out=draws[2])
+        tscale = rng.uniform(0.5, 2.0, size=(_CHUNK, 1))
+        map_onto(draws[:2])
+        x, y, e = draws[:, :size]
+        rows = entries[:3 * size * n].reshape((3 * size, n), order="F")
+        np.add(x, y, out=rows[:size])
+        rows[:size] *= 0.5
+        rows[size:2 * size], rows[2 * size:] = x, y
+        row_weights = weights[:3 * size * n].reshape((3 * size, n), order="F")
+        w = row_weights[:size]
+        np.divide(e, _row_sums(e), out=w)
+        w *= tscale[:size]
+        row_weights[size:2 * size] = row_weights[2 * size:] = w
         # one call on the midpoint, x and y rows: a row's value does not
         # depend on the rows beside it
-        mid, fx, fy = evaluate_rows(mean, np.concatenate((0.5 * (x + y), x, y)),
-                                    np.concatenate((w, w, w))).reshape(3, size)
+        mid, fx, fy = evaluate_rows(mean, rows, row_weights).reshape(3, size)
         return mid - 0.5 * (fx + fy), lambda i: (tuple(x[i]), tuple(y[i]), tuple(w[i]))
 
     return _sample(chunk_gaps, trials, tol)
@@ -187,7 +224,7 @@ def sample_midpoint_concavity(fn: Callable[[float, float], float],
     :func:`estar_transform`.  Witnesses are ``(u, v, None)``.
     """
     lo, hi = window
-    win = (lo, hi, LOG if lo > 0 else LINEAR)
+    map_onto = _window_map((lo, hi, LOG if lo > 0 else LINEAR))
 
     def gap(u: np.ndarray, v: np.ndarray) -> float:
         fu, fv = fn(u[0], u[1]), fn(v[0], v[1])
@@ -195,8 +232,8 @@ def sample_midpoint_concavity(fn: Callable[[float, float], float],
 
     def chunk_gaps(chunk_index: int, size: int):
         rng = np.random.default_rng([seed, chunk_index])
-        u = _map_window(rng.random((_CHUNK, 2)), win)[:size]
-        v = _map_window(rng.random((_CHUNK, 2)), win)[:size]
+        u = map_onto(rng.random((_CHUNK, 2)))[:size]
+        v = map_onto(rng.random((_CHUNK, 2)))[:size]
         gaps = np.array([gap(ui, vi) for ui, vi in zip(u, v)], dtype=float)
         return gaps, lambda i: (tuple(u[i]), tuple(v[i]), None)
 

@@ -419,14 +419,38 @@ def _on_arrays(f: Callable, v: np.ndarray) -> np.ndarray:
 # The namespaces m of a ClosedForm's terms and finisher (see there): modules,
 # whose attributes Python reads as fast as math's, once per prefix on the scalar path.
 FLOATS, ARRAYS, NUMPY = ModuleType("FLOATS"), ModuleType("ARRAYS"), ModuleType("NUMPY")
+_NORMAL = sys.float_info.min  # 2^-1022, the least normal float
+
+
+def _scaled_power(c: float, r: float, e: float, otherwise: Callable) -> float:
+    """``c r^e``, or ``otherwise()`` where ``r`` or ``r^e`` is 0, subnormal or
+    infinite: a power that has lost its relative accuracy to underflow."""
+    try:
+        v = r ** e if _NORMAL <= r < math.inf else 0.0
+    except OverflowError:
+        v = 0.0
+    return c * v if _NORMAL <= v < math.inf else otherwise()
+
+
+def _scaled_power_rows(c, r, e, otherwise) -> np.ndarray:
+    """:func:`_scaled_power` on arrays: NaN where ``r`` or ``r^e`` is 0 or
+    subnormal, and a value that is not finite where one is infinite, which
+    the drivers hand to the scalar definition too."""
+    v = r ** e
+    out = c * v
+    out[np.minimum(r, v) < _NORMAL] = np.nan
+    return out
+
+
 vars(FLOATS).update(log=math.log, exp=math.exp, call=lambda f, v: f(v),
                     map=lambda f, v: list(map(f, v)), mul=lambda a, b: list(map(mul, a, b)),
                     powers=lambda x, c, r: [(xi / c) ** r for xi in x],
-                    logs=lambda x: list(map(math.log, x)))
+                    logs=lambda x: list(map(math.log, x)), scaled_power=_scaled_power)
 vars(ARRAYS).update(exp=partial(elementwise, math.exp), call=_on_arrays, map=_on_arrays,
                     mul=np.multiply)
 vars(NUMPY).update(log=np.log, exp=np.exp, mul=np.multiply,
-                   powers=lambda x, c, r: (x / c) ** r, logs=np.log)
+                   powers=lambda x, c, r: (x / c) ** r, logs=np.log,
+                   scaled_power=_scaled_power_rows)
 
 
 @dataclass(frozen=True)
@@ -437,12 +461,15 @@ class ClosedForm:
     scale ``c``: ``max`` or ``min`` of the entries (which keeps scaled
     powers from overflowing), or None for ``c = 1.0``.  ``terms(x, w, c, m)``
     returns one vector of terms per sum of the group, term ``i`` from
-    ``x[i]``, ``w[i]`` and ``c`` alone.  ``finish(*sums, *logs, m)`` maps
-    the sums and each group's ``log c`` to the mean.  Both call what is not
+    ``x[i]``, ``w[i]`` and ``c`` alone.  ``finish(*sums, *scales, m)`` maps
+    the sums and each group's ``c`` to the mean: a finisher that needs
+    ``log c`` takes it itself, so that one that needs none, the Gini
+    finisher of one scale, makes no call for it.  Both call what is not
     IEEE arithmetic through ``m``: ``m.log``, ``m.exp``, ``m.call(f, v)``,
-    ``m.map(f, vector)``, ``m.mul(vector, vector)`` and the Gini terms'
+    ``m.map(f, vector)``, ``m.mul(vector, vector)``, the Gini terms'
     scaled powers ``m.powers(x, c, r)`` of ``(x / c)^r`` and entry logs
-    ``m.logs(x)``.  ``m`` is :data:`FLOATS` on the scalar path (entry
+    ``m.logs(x)``, and the Gini finisher's ``m.scaled_power(c, r, e,
+    otherwise)`` of ``c r^e``.  ``m`` is :data:`FLOATS` on the scalar path (entry
     lists, a float per sum), :data:`NUMPY` in the numpy drivers (``(rows,
     n)`` arrays, a column of scales) and :data:`ARRAYS` in the exact driver
     (float arrays; a generator without an array form through
@@ -454,7 +481,7 @@ class ClosedForm:
     for :mod:`kedlaya.means` to hand them, what they cannot evaluate.
 
     ``error`` is the rule :func:`closed_form_prefix_rows` routes by:
-    ``error(*sums, *logs, k, x)`` bounds, in units of ``2^-53``, the
+    ``error(*sums, *scales, k, x)`` bounds, in units of ``2^-53``, the
     relative distance between ``finish`` on its prefix sums (``k`` terms
     each, one scale per row) and the scalar definition on the same
     prefixes, for the ``(rows, n)`` entries ``x``.  A form with a rule takes
@@ -490,29 +517,29 @@ def _fsum(terms: list) -> float:
 
 
 def _sums(form: ClosedForm, x, w) -> tuple:
-    """Every sum of ``form`` on ``x, w`` (one :func:`_fsum` each) and each ``log c``."""
-    sums, logs = [], []
+    """Every sum of ``form`` on ``x, w`` (one :func:`_fsum` each) and each group's scale."""
+    sums, scales = [], []
     for scale, terms in form.sums:
         c = scale(x) if scale else 1.0
         sums += map(_fsum, terms(x, w, c, FLOATS))
-        logs.append(math.log(c) if scale else 0.0)
-    return sums, logs
+        scales.append(c)
+    return sums, scales
 
 
 def _group_prefixes(scale, terms, x, w, first: int) -> tuple:
     """The sums of one group on ``x[:k], w[:k]`` for ``k = first+1..n``, and
-    each prefix's ``log c``.  The terms are rebuilt only where the scale
-    changes, about ``ln n`` times for random entries; without a scale, ``c``
-    is 1.0 throughout."""
+    each prefix's scale.  The terms are rebuilt only where the scale changes,
+    about ``ln n`` times for random entries; without a scale, ``c`` is 1.0
+    throughout."""
     up, n = scale is max, len(x)
-    c, k, parts, logs = scale(x[: first + 1]) if scale else 1.0, first, [], []
+    c, k, parts, scales = scale(x[: first + 1]) if scale else 1.0, first, [], []
     for end in range(first + 1, n + 1):
         if end == n or scale and (x[end] > c if up else x[end] < c):  # x[:end+1] has a new scale
             parts.append(list(map(prefix_fsums, terms(x[:end], w[:end], c, FLOATS), repeat(k))))
-            logs += [math.log(c)] * (end - k)
+            scales += [c] * (end - k)
             if end < n:
                 c, k = x[end], end
-    return [sum(runs, []) for runs in zip(*parts)], logs
+    return [sum(runs, []) for runs in zip(*parts)], scales
 
 
 def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -> list:
@@ -527,12 +554,12 @@ def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -
     not be constant (see :func:`kedlaya.means.evaluate_prefixes`).
     """
     try:
-        sums, logs = [], []
+        sums, scales = [], []
         for scale, terms in form.sums:
-            group, log_c = _group_prefixes(scale, terms, x, w, first)
+            group, c = _group_prefixes(scale, terms, x, w, first)
             sums += group
-            logs.append(log_c)
-        out = list(map(form.finish, *sums, *logs, repeat(FLOATS)))
+            scales.append(c)
+        out = list(map(form.finish, *sums, *scales, repeat(FLOATS)))
         if math.isfinite(sum(out)):  # finite means sum to inf only near the float range
             return out
     except (ArithmeticError, ValueError):
@@ -557,12 +584,12 @@ def closed_form_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarr
     scale is the maximum or minimum of the row's entries of nonzero weight,
     as in the scalar definition."""
     x_lo, x_hi = _live_masked(x, w != 0.0)
-    sums, logs = [], []
+    sums, scales = [], []
     for scale, terms in form.sums:
         c = {max: x_hi.max, min: x_lo.min}[scale](axis=1, keepdims=True) if scale else 1.0
         sums += map(np.add.reduce, terms(x, w, c, NUMPY), repeat(1))  # row sums
-        logs.append(np.log(c[:, 0]) if scale else 0.0)
-    return form.finish(*sums, *logs, NUMPY)
+        scales.append(c[:, 0] if scale else 1.0)
+    return form.finish(*sums, *scales, NUMPY)
 
 
 # A prefix computed by closed_form_prefix_rows may be this far, relative,
@@ -598,16 +625,16 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
     with np.errstate(all="ignore"):  # rows that are not finite are NaN
         lo, hi = x.min(axis=1), x.max(axis=1)
         trusted = (lo > hi * _TINY) & (w > 0.0).all(axis=1)
-        sums, logs = [], []
+        sums, scales = [], []
         for scale, terms in form.sums:
             c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
             for t in terms(x, w, c, NUMPY):
                 trusted &= (np.abs(t) >= _TINY).all(axis=1)
                 sums.append(np.cumsum(t, axis=1))
-            logs.append(np.log(c) if scale else 0.0)
+            scales.append(c)
         const = np.logical_and.accumulate(x == x[:, :1], axis=1)
-        out = np.where(const, x[:, :1], form.finish(*sums, *logs, NUMPY))
-        bound = np.where(const, 0.0, form.error(*sums, *logs, k, x))
+        out = np.where(const, x[:, :1], form.finish(*sums, *scales, NUMPY))
+        bound = np.where(const, 0.0, form.error(*sums, *scales, k, x))
         trusted &= np.isfinite(out).all(axis=1) & (bound <= PREFIX_ROWS_RTOL / _U).all(axis=1)
     out[~trusted] = np.nan
     return out
@@ -639,7 +666,7 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
                 full = np.zeros(xs.shape)
                 full[at] = t
                 sums.append(exact_prefix_sums(flip(full))[:, cols])
-        out = form.finish(*sums, *[0.0] * len(form.sums), ARRAYS)
+        out = form.finish(*sums, *[1.0] * len(form.sums), ARRAYS)
     except (ArithmeticError, ValueError):
         out = np.full(x[:, cols].shape, np.nan)
     _, top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
@@ -658,7 +685,7 @@ def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
         return float(x[0])
     form = gen.closed_form
     try:
-        sums, logs = _sums(form, x, w)
+        sums, scales = _sums(form, x, w)
     except GeneratorOverflow:  # a built-in generator names the entry itself
         raise
     except OverflowError as exc:
@@ -671,7 +698,7 @@ def quasi_arithmetic(gen: GeneratorSpec, x, w) -> float:
         raise GeneratorOverflow(f"{gen.label}: weighted sum of the generator values "
                                 f"at {list(x)} overflows") from exc
     try:
-        y = form.finish(*sums, *logs, FLOATS)
+        y = form.finish(*sums, *scales, FLOATS)
     except (ValueError, OverflowError) as exc:
         raise InverseOutOfRange(f"{gen.label}: inverse failed at {sums[0] / sums[1]}") from exc
     if not math.isfinite(y):
@@ -698,9 +725,19 @@ def gini_form(p: float, q: float) -> ClosedForm:
     """The declaration of :func:`gini` at ``(p, q)``.
 
     Distinct parameters take the power sums ``S_p``, ``S_q`` of
-    :func:`_power_sum` to ``exp((log S_p - log S_q) / (p - q))``, with
-    ``log S_r = r log c + log sum_i w_i (x_i / c)^r``.  Equal ones take
-    ``d_i = w_i (x_i / c)^p`` to ``exp(sum_i d_i log x_i / sum_i d_i)``.
+    :func:`_power_sum`, each scaled by its ``c``, to the mean, by one of two
+    finishers.  Parameters of one sign (or one of them 0) have one scale
+    ``c``, and their mean is ``c (S_p / S_q)^(1/(p - q))``: one power, whose
+    error does not grow with ``|log c|``.  Where the quotient or its power is
+    0, subnormal or infinite (the scale entry's weight is below about
+    ``2^-1022`` of the weight sum, or the entries span more than the float
+    range) the scalar finisher takes the log form below and the numpy
+    drivers leave NaN for it (:data:`FLOATS`' and :data:`NUMPY`'s
+    ``scaled_power``).  Parameters of opposite signs take the log form
+    ``exp(((p log c_p + log S_p) - (q log c_q + log S_q)) / (p - q))``:
+    their two scales are ``max x`` and ``min x``, whose ratio can overflow.
+    Equal ones take ``d_i = w_i (x_i / c)^p`` to
+    ``exp(sum_i d_i log x_i / sum_i d_i)``.
 
     The error rule counts, in units of ``2^-53``: ``k - 1`` for a running
     sum of ``k`` terms of one sign, ``|r| + 6`` for a term ``w (x/c)^r``
@@ -708,21 +745,30 @@ def gini_form(p: float, q: float) -> ClosedForm:
     as tested), a few per ``log`` of a value, and the scalar definition's
     own roundings, whose scale ``c`` is the prefix's and whose ``|log c|``
     is at most the row's ``M = max |log x|``.  Distinct parameters divide
-    the error of ``log S_p - log S_q`` by ``|p - q|``; equal ones take the
-    error of ``sum d log x`` relative to ``M sum d``.  The mean's own
-    ``|log|`` is at most ``M``.
+    the error of ``log S_p - log S_q`` by ``|p - q|``, which also bounds the
+    one-power finisher's; equal ones take the error of ``sum d log x``
+    relative to ``M sum d``.  The mean's own ``|log|`` is at most ``M``.
     """
     if p != q:
         d, size = p - q, abs(p) + abs(q)
 
-        def error(sp, sq, lp, lq, k, x):
+        def error(sp, sq, cp, cq, k, x):
             spread = _log_spread(x)
             return ((2 * k + 2 * size + 32 + 8 * (np.abs(np.log(sp)) + np.abs(np.log(sq)))
-                     + 10 * (np.abs(p * lp) + np.abs(q * lq)) + 6 * size * spread) / abs(d)
-                    + 4 * spread + 8)
+                     + 10 * (np.abs(p * np.log(cp)) + np.abs(q * np.log(cq))) + 6 * size * spread)
+                    / abs(d) + 4 * spread + 8)
 
-        return ClosedForm((_power_sum(p), _power_sum(q)), lambda sp, sq, lp, lq, m: m.exp(
-            ((p * lp + m.log(sp)) - (q * lq + m.log(sq))) / d), error)
+        def log_form(sp, sq, cp, cq, m):
+            return m.exp(((p * m.log(cp) + m.log(sp)) - (q * m.log(cq) + m.log(sq))) / d)
+
+        e = 1.0 / d
+
+        def one_power(sp, sq, cp, cq, m):  # cq is 1.0 where q = 0, cp where p = 0
+            return m.scaled_power(cp if p else cq, sp / sq, e,
+                                  lambda: log_form(sp, sq, cp, cq, m))
+
+        return ClosedForm((_power_sum(p), _power_sum(q)),
+                          log_form if p * q < 0.0 else one_power, error)
     scale, power = _power_sum(p)
 
     def terms(x, w, c, m):
@@ -745,8 +791,8 @@ def gini(p: float, q: float, x, w) -> float:
     if min(x) == max(x):
         return float(x[0])
     form = gini_form(p, q)
-    sums, logs = _sums(form, x, w)
-    return form.finish(*sums, *logs, FLOATS)
+    sums, scales = _sums(form, x, w)
+    return form.finish(*sums, *scales, FLOATS)
 
 
 def power_mean(p: float, x, w) -> float:
@@ -786,7 +832,7 @@ def gini21_counterexample(x, w) -> float:
         return 0.0
     if not math.isfinite(num):  # an infinite term; den is finite only if num is
         raise FloatOverflow(_GINI21_RANGE)
-    return GINI21_FORM.finish(den, num, 0.0, FLOATS)
+    return GINI21_FORM.finish(den, num, 1.0, FLOATS)
 
 
 def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:

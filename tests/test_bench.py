@@ -21,6 +21,7 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"(log|exp) scalar per call",
     r"(log|exp) array \d+",
     r"check_kedlaya (qa:log|power:\S+|gini:\S+) n=\d+",
+    r"sample_jensen_concavity \S+ n=\d+ \d+",
 ))
 
 
@@ -46,8 +47,9 @@ def test_quick_micro_rows_have_the_schema():
     # shapes, of six other means on one and of two on an axioms block,
     # check_kedlaya_rows of four means, the two sides of a qa:log sweep
     # block, criterion 7, log and exp per scalar call and as arrays of two
-    # sizes, check_kedlaya of qa:log, power:0 and gini:0.5:0
-    assert len(rows) == 34
+    # sizes, check_kedlaya of qa:log, power:0 and gini:0.5:0, and
+    # sample_jensen_concavity of power:0.5 and gini:2:1
+    assert len(rows) == 36
 
 
 def test_committed_files_have_the_schema():

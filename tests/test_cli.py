@@ -234,6 +234,10 @@ _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the fl
      re.escape("homogeneous deviation: the ratio of entry 1e-170 to y=1e+170 underflows to 0")),
     (("check", "--mean", "homdev:shifted-power:0", "--x", "1e-200,1e200", "--w", "1,1"),
      re.escape("homogeneous deviation: the ratio of entry 1e-200 to y=1e+200 underflows to 0")),
+    # the solver orients the total by f(2) = 2^p - 1, beyond the float range from p = 1024
+    (("check", "--mean", "homdev:shifted-power:2000", "--x", "1,2", "--w", "1,1"),
+     re.escape("bad parameter in mean id 'homdev:shifted-power:2000': homdev:shifted-power:2000: "
+               "f(2) = 2^p - 1, which orients the total, is beyond the float range")),
 ])
 def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")
@@ -243,12 +247,19 @@ def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
 
 @pytest.mark.parametrize("p", ["160", "-160", "400"])
 def test_large_generator_powers_evaluate_in_range(capsys, p):
-    # x ** p overflows or underflows on most of the probe window, not on 1, 2
-    reports = [json.loads(run(capsys, "check", "--mean", mean_id, "--x", "1,2", "--w", "1,1",
-                              "--json")[1])
-               for mean_id in (f"qa:pow:{p}", f"power:{p}")]
-    assert reports[0]["inputs"]["mean"] == f"qa:pow:{p}"
-    assert (reports[0]["lhs"], reports[0]["rhs"]) == (reports[1]["lhs"], reports[1]["rhs"])
+    # x ** p overflows or underflows on most of the probe window, not on 1, 2;
+    # on (1, 2) under weights (1, 1) the sides are (1 + M(1, 2)) / 2 and M(1, 3/2)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r = mpmath.mpf(p)
+        mean = lambda a, b: ((mpmath.mpf(a) ** r + mpmath.mpf(b) ** r) / 2) ** (1 / r)
+        want = float((1 + mean(1, 2)) / 2), float(mean(1, 1.5))
+    for mean_id in (f"qa:pow:{p}", f"power:{p}"):
+        report = json.loads(run(capsys, "check", "--mean", mean_id, "--x", "1,2", "--w", "1,1",
+                                "--json")[1])
+        assert report["inputs"]["mean"] == mean_id
+        for side, exact in zip((report["lhs"], report["rhs"]), want):
+            assert abs(side - exact) <= math.ulp(exact), (mean_id, side, exact)
 
 
 @pytest.mark.parametrize("argv", [
@@ -421,14 +432,16 @@ class TestSweep:
 # prefix driver.  Both were recorded when the draws moved to stream blocks,
 # with every verdict the oracle's and every gap within 1e-13 |rhs| of it.
 # The qa:log pair was re-recorded, still equal to each other, when its
-# generator became kedlaya.elementary's log and exp in place of libm's.
+# generator became kedlaya.elementary's log and exp in place of libm's; the
+# gini:0.5:0 pair, still within 1e-13 |rhs| of each other, when Gini means of
+# one scale became c (S_p / S_q)^(1/(p - q)) in place of logs and an exp.
 GOLDEN_SWEEPS = [
     (("--mean", "power:0", "--n", "8", "--trials", "90", "--expect", "holds"),
      "6527c91b7894bebb581e171f36e452f78126dfebd4255807f72ab03c3785518b",
      "081754e3816154945e5d90daf3cc4ae7e31d5f35ec7adb09e31951fec7c38172"),
     (("--mean", "gini:0.5:0", "--n", "8", "--trials", "100", "--expect", "holds"),
-     "67c8177320efd0b5cf2b86aa778730db03e6dcf86323aa493cff4ce65d29798f",
-     "d564e94b2b947fe0a82f4ecaaefd87e78b1fafe0fc634d58f3b16938afc032d6"),
+     "58c51358b7f3b0aca1c9a54d07f0219d6c4c550becb513a8fc18bf4f28d46473",
+     "1088f29309f0e5424ccb9c7f48ac67c1d80da5907129a73930e9983833aed76b"),
     (("--mean", "qa:log", "--n", "8", "--trials", "100", "--expect", "holds"),
      "647bf0d1979efa03ed169197c683cdc5b87a29a7b744e65ad6e968ed0750f89d",
      "647bf0d1979efa03ed169197c683cdc5b87a29a7b744e65ad6e968ed0750f89d"),
@@ -491,11 +504,12 @@ def _long_check_argv(mean: str) -> tuple:
 # those scans ran a Python copy of fsum's partials.  The kernel runs IEEE adds
 # alone, so the bytes do not depend on numpy's SIMD dispatch either.  The
 # qa:log report was re-recorded, equal to the scan of one fsum per prefix,
-# when its generator became kedlaya.elementary's log and exp.
+# when its generator became kedlaya.elementary's log and exp, and the
+# gini:0.5:0 one when Gini means of one scale became one power.
 GOLDEN_LONG_CHECKS = [
     ("qa:log", "182a3f1f9d0fd9c408f3d6b4127c02a75edd07809305358288ab0c1a1368676c"),
     ("power:0", "053452cca2ea605fe684a73555a57c36d95533457caf3cea6571e5e87b9a52dc"),
-    ("gini:0.5:0", "dac21aa8ce196a4282b3178eb5415590276b8a8ca0498c06627908bf91ab43d4"),
+    ("gini:0.5:0", "798655a72fabd864f1d2925372fa27c9c5a5958ba8825e9c2681005cf4a1c0de"),
     ("gini21", "b3a936e61d9279c10304b6543734e6c73800ea360a123793ee64c9bb0fce46cd"),
 ]
 
@@ -589,13 +603,15 @@ def test_golden_small_homdev_check_report_bytes(capsys, mean, n, digest):
 
 
 # sha256 of proof geometry reports, recorded before the JSON writer replaced
-# the indented json.dumps.  The qa:log cases come from the benchmark's proof
-# stream: 987, 10412 and 31234 grid cells (134, 404 and 575 pieces).
+# the indented json.dumps; the gini:0.5:0 one was re-recorded when Gini means
+# of one scale became one power, which moved its two swap sides by an ulp.
+# The qa:log cases come from the benchmark's proof stream: 987, 10412 and
+# 31234 grid cells (134, 404 and 575 pieces).
 GOLDEN_PROOF_REPORTS = [
     (("proof-fn", "--mean", "power:0", "--x", "1,4,2", "--w", "2,1,1", "--j", "3"),
      "203f294c9ae5593bb07f5ebe13fcd50bd9d5bdd7148d5ae00160295657f0c909"),
     (("proof-fn", "--mean", "gini:0.5:0", "--x", "2,3,5,1.5", "--w", "4,2,1,1", "--j", "3"),
-     "5a85d5ddc29c5f6a842cca7fb9df8d4a3f8cba8b04a0a5c9dadf89bd893e9a4e"),
+     "6868156fc0a9bf198e244861764fdcfb5738339ce6ea3c9fddf8bb58bf6d849f"),
     (("proof-fn", "--mean", "qa:log",
       "--x", "1.00527,0.296203,9.55728,0.780057,2.56957,0.732431,0.177167",
       "--w", "1,4,10,15,30,20,16", "--j", "7"),

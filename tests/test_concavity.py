@@ -21,10 +21,12 @@ from kedlaya.concavity import (
     sample_midpoint_concavity,
 )
 from kedlaya.deviation import DeviationSpec, log_generator, power_generator
-from kedlaya.domain import POSITIVE, REALS, sampling_window
-from kedlaya.errors import MixedSignSecondDerivative, VanishingDerivative
+from kedlaya.domain import LINEAR, LOG, NEG_LOG, POSITIVE, REALS, sampling_window
+from kedlaya.errors import GeneratorOverflow, MixedSignSecondDerivative, VanishingDerivative
 from kedlaya.inequality import reflect
 from kedlaya.means import MeanHandle, evaluate_rows, mean_from_id
+
+from concavity_oracle import draw_chunk, oracle_sample
 
 
 class TestSampler:
@@ -127,7 +129,7 @@ def _three_calls(mean, n, trials, seed, tol=1e-9):
     window = sampling_window(mean.domain)
 
     def chunk_gaps(chunk_index, size):
-        x, y, w = concavity._draw_chunk(window, n, seed, chunk_index, concavity._CHUNK)
+        x, y, w = draw_chunk(window, n, seed, chunk_index, concavity._CHUNK)
         x, y, w = x[:size], y[:size], w[:size]
         mid = evaluate_rows(mean, 0.5 * (x + y), w)
         half = 0.5 * (evaluate_rows(mean, x, w) + evaluate_rows(mean, y, w))
@@ -159,6 +161,39 @@ class TestChunkInOneCall:
         monkeypatch.setattr(concavity, "evaluate_rows", counting)
         sample_jensen_concavity(GEO, 3, 2 * concavity._CHUNK + 5, seed=1)
         assert calls == [3 * concavity._CHUNK] * 2 + [15]
+
+
+def _bits(verdict):
+    return verdict.verdict, verdict.worst_violation.hex(), verdict.witness, verdict.trials
+
+
+@pytest.mark.kernel_parity
+class TestChunksDrawnIntoRows:
+    """The sampler draws each chunk straight into the kernel's column-major
+    rows; its verdicts, worst violations and witnesses are those of the
+    chunks drawn and concatenated as before (tests/concavity_oracle.py), bit
+    for bit, on each kind of window, around the chunk size and on rows below
+    and from 8 entries, where numpy sums a row pairwise."""
+
+    @pytest.mark.parametrize("mean, window", [
+        (mean_from_id("power:0.5"), LOG), (reflect(mean_from_id("power:0.5")), NEG_LOG),
+        (mean_from_id("arithmetic"), LINEAR)], ids=["power:0.5", "reflect", "arithmetic"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9])
+    def test_equals_the_concatenated_chunks(self, mean, window, n):
+        assert sampling_window(mean.domain)[2] == window
+        for trials in (1, 1023, 1024, 1025, 3000):
+            for seed in (0, 11):
+                got = sample_jensen_concavity(mean, n, trials, seed=seed)
+                assert _bits(got) == _bits(oracle_sample(mean, n, trials, seed=seed)), \
+                    (trials, seed)
+
+    def test_raises_the_first_error_of_the_concatenated_chunks(self):
+        mean = mean_from_id("qa:pow:400")
+        with pytest.raises(GeneratorOverflow) as want:
+            oracle_sample(mean, 2, 3000, seed=1)
+        with pytest.raises(GeneratorOverflow) as got:
+            sample_jensen_concavity(mean, 2, 3000, seed=1)
+        assert str(got.value) == str(want.value)
 
 
 class TestMidpointSampler:

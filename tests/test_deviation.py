@@ -7,7 +7,7 @@ from types import ModuleType
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kedlaya import deviation as dev
 from kedlaya.deviation import (
@@ -238,6 +238,64 @@ class TestGini:
             err = float(abs(gini(p, p, x, w) - want) / want)
         # exp amplifies the rounding of the mean log by |log M|: ~1e-13 at 1e-300
         assert err <= 4 * (1 + abs(math.log(float(want)))) * sys.float_info.epsilon
+
+
+@st.composite
+def _one_scale_means(draw):
+    """``p`` and ``q`` of one sign (or one of them 0) in [-4, 4], at least
+    1e-3 apart, and up to 12 entries within a factor 1e+-8 of a centre over
+    1e+-300, with weights over 1e+-15."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    p = sign * draw(st.floats(0.0, 4.0))
+    q = sign * draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    assume(abs(p - q) >= 1e-3)
+    n = draw(st.integers(1, 12))
+    centre = draw(st.floats(-292.0, 292.0))
+    x = [10.0 ** (centre + v) for v in draw(st.lists(st.floats(-8.0, 8.0), min_size=n,
+                                                      max_size=n))]
+    w = [10.0 ** v for v in draw(st.lists(st.floats(-15.0, 15.0), min_size=n, max_size=n))]
+    return p, q, x, w
+
+
+# entries 1e-100 and 1 under p = 4, q = 0: the scale entry, 1, has 1e-310 of
+# the weight sum, so S_p / S_q is subnormal and the scalar finisher takes the
+# log form
+_SUBNORMAL_QUOTIENT = (4.0, 0.0, [1e-100, 1.0], [1e10, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_scale_means())
+@example(_SUBNORMAL_QUOTIENT)
+def test_one_scale_gini_against_mpmath(case):
+    """``c (S_p / S_q)^(1/(p - q))``, on the scalar path and on rows, is within
+    ``(2k + 2(|p| + |q|) + 16) / |p - q| + ln(max x / min x) / 2 + 8`` ulps of
+    the mean at 50 digits: the sums' roundings and the rounding of each
+    ``x / c`` raised to ``p`` or ``q``, divided by ``|p - q|``, and the
+    rounding of ``1 / (p - q)``, which moves the power by up to half its
+    ``|log|`` in ulps.  The log form loses about ``|p log c| / |p - q|`` ulps
+    more, thousands near 1e+-300."""
+    mpmath = pytest.importorskip("mpmath")
+    p, q, x, w = case
+    with mpmath.workdps(50):
+        xs, ws = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in w]
+        sp = mpmath.fsum(wi * xi ** p for xi, wi in zip(xs, ws))
+        sq = mpmath.fsum(wi * xi ** q for xi, wi in zip(xs, ws))
+        want = (sp / sq) ** (1 / (mpmath.mpf(p) - mpmath.mpf(q)))
+        bound = ((2 * len(x) + 2 * (abs(p) + abs(q)) + 16) / abs(p - q)
+                 + math.log(max(x) / min(x)) / 2 + 8) * math.ulp(float(want))
+        mean = MeanHandle.gini(p, q)
+        for got in (evaluate(mean, x, w), evaluate_rows(mean, np.array([x]), np.array([w]))[0]):
+            assert abs(got - want) <= bound, (got, float(want))
+
+
+def test_a_subnormal_quotient_takes_the_log_form():
+    p, q, x, w = _SUBNORMAL_QUOTIENT
+    form = gini_form(p, q)
+    (sp, sq), (cp, cq) = dev._sums(form, x, w)
+    assert 0.0 < sp / sq < sys.float_info.min
+    assert gini(p, q, x, w) == math.exp(((p * math.log(cp) + math.log(sp))
+                                         - (q * math.log(cq) + math.log(sq))) / (p - q))
+    assert np.isnan(dev.closed_form_rows(form, np.array([x]), np.array([w]))).all()
 
 
 class TestPowerMean:

@@ -657,12 +657,13 @@ class TestBatchKernels:
         assert calls == [x[20].tolist()]
 
 
-def _log_power_sum_oracle(p, x, w):
-    """``log sum_i w_i x_i^p`` per row, scaled by the row's max (p > 0) or min."""
+def _power_sum_oracle(p, x, w):
+    """``sum_i w_i (x_i / c)^p`` per row and its scale ``c``: the row's max
+    (p > 0) or min (p < 0), or 1 at p = 0."""
     if p == 0.0:
-        return np.log(w.sum(axis=1))
+        return w.sum(axis=1), 1.0
     c = x.max(axis=1, keepdims=True) if p > 0 else x.min(axis=1, keepdims=True)
-    return p * np.log(c[:, 0]) + np.log((w * (x / c) ** p).sum(axis=1))
+    return (w * (x / c) ** p).sum(axis=1), c[:, 0]
 
 
 def _gini_oracle(p, q, x, w):
@@ -671,7 +672,10 @@ def _gini_oracle(p, q, x, w):
         with np.errstate(over="ignore"):
             scaled = w * (x / c) ** p
         return np.exp((scaled * np.log(x)).sum(axis=1) / scaled.sum(axis=1))
-    return np.exp((_log_power_sum_oracle(p, x, w) - _log_power_sum_oracle(q, x, w)) / (p - q))
+    (sp, cp), (sq, cq) = _power_sum_oracle(p, x, w), _power_sum_oracle(q, x, w)
+    if p * q < 0:  # two scales: the log form
+        return np.exp(((p * np.log(cp) + np.log(sp)) - (q * np.log(cq) + np.log(sq))) / (p - q))
+    return (cp if p else cq) * (sp / sq) ** (1.0 / (p - q))  # one scale: one power
 
 
 def _gini21_oracle(x, w):
@@ -707,6 +711,7 @@ class TestBatchOracles:
         ("power:3", lambda x, w: _gini_oracle(3.0, 0.0, x, w)),
         ("gini:2:1", lambda x, w: _gini_oracle(2.0, 1.0, x, w)),
         ("gini:0.5:0", lambda x, w: _gini_oracle(0.5, 0.0, x, w)),
+        ("gini:-1:2", lambda x, w: _gini_oracle(-1.0, 2.0, x, w)),
         ("gini:1:1", lambda x, w: _gini_oracle(1.0, 1.0, x, w)),
         ("gini:-1:-1", lambda x, w: _gini_oracle(-1.0, -1.0, x, w)),
         ("gini21", _gini21_oracle),
