@@ -256,15 +256,15 @@ def _solve(g: Callable[[float], float], x, label: str, a: float = -math.inf,
     The sign of the total is taken as ``+`` below ``a`` and ``-`` above
     ``b``, where a caller has certified it, and from ``g`` everywhere else.
     A total that is not ``>= 0`` at the left endpoint and ``<= 0`` at the
-    right one has no root there; that raises :class:`SolverFailure`.  A
-    root at neither endpoint is left to :func:`_halve`.
+    right one (NaN is neither) has no root there; that raises
+    :class:`SolverFailure`.  A root at neither endpoint goes to :func:`_halve`.
     """
     lo, hi = min(x), max(x)
     if lo == hi:
         return float(lo)
     g_lo = 1.0 if lo < a else -1.0 if lo > b else g(lo)
     g_hi = 1.0 if hi < a else -1.0 if hi > b else g(hi)
-    if g_lo < 0.0 or g_hi > 0.0:
+    if not g_lo >= 0.0 >= g_hi:
         raise SolverFailure(
             f"{label}: no sign change on [{lo}, {hi}] "
             f"(g(lo)={g_lo}, g(hi)={g_hi}); deviation is invalid")
@@ -273,29 +273,31 @@ def _solve(g: Callable[[float], float], x, label: str, a: float = -math.inf,
     if g_hi == 0.0:
         return float(hi)
     floor = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    return _halve(g, lo, hi, 0, _max_halvings(lo, hi, floor), a, b, label, g_lo > 0)
+    return _halve(g, lo, hi, 0, _max_halvings(lo, hi, floor), a, b, label)
 
 
 def _halve(g: Callable[[float], float], lo: float, hi: float, done: int, cap: int,
-           a: float, b: float, label: str, positive_at_lo: bool) -> float:
+           a: float, b: float, label: str) -> float:
     """The bisection of :func:`_solve` on ``[lo, hi]`` after ``done`` of its
     ``cap`` halvings, signs as there: the first midpoint that meets the stop
-    width or whose total is exactly 0, or :class:`MaxIterations` once the
-    cap is spent.  The one halving loop that reads a total, which the
-    lockstep bisection enters at a row's first midpoint inside ``[a, b]``.
-    """
+    width or whose total is 0, :class:`SolverFailure` at a NaN total, or
+    :class:`MaxIterations` once the cap is spent.  The one halving loop that
+    reads a total, which the lockstep bisection enters at a row's first
+    midpoint inside ``[a, b]``."""
     tol = DEFAULT_TOL  # the width of _stop_width, without a call per halving
     for _ in range(done, cap):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol * (1.0 + abs(mid)):
             return mid
         v = 1.0 if mid < a else -1.0 if mid > b else g(mid)
-        if v == 0.0:
-            return mid
-        if (v > 0) == positive_at_lo:
+        if v > 0.0:
             lo = mid
-        else:
+        elif v < 0.0:
             hi = mid
+        elif v == 0.0:
+            return mid
+        else:
+            raise SolverFailure(f"{label}: the total at y={mid} is NaN")
     raise MaxIterations(f"{label}: bisection did not converge in {cap} iterations")
 
 
@@ -857,22 +859,27 @@ def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
 
 
 def _orientation(f: Callable[[float], float]) -> float:
-    """The sign that makes ``s * f`` increasing, after checking ``f(1) = 0``
-    (to 1e-12)."""
+    """The sign that makes ``s * f`` increasing: that of ``f(2)``, or of
+    ``-f(1/2)`` where ``f(2)`` is beyond the float range; ``f(1)`` must be 0
+    to 1e-12.  Open (ROADMAP item 8): at ``-8e-17 < p < 0``, ``2^p - 1``
+    rounds to 0 and the solve fails; the sign of ``p`` would turn that into
+    the float total's spurious root, 2.0 on ``x = (0.5, 2)``."""
     fe = f(1.0)
-    if abs(fe) > 1e-12:
+    if not abs(fe) <= 1e-12:
         raise InvalidGenerator(f"f(1) = {fe}, expected 0")
-    return -1.0 if f(2.0) < 0 else 1.0
+    try:
+        return -1.0 if f(2.0) < 0 else 1.0
+    except OverflowError:
+        return -1.0 if f(0.5) > 0 else 1.0
 
 
 def homogeneous_deviation(f: Callable[[float], float], x, w) -> float:
     """Root of ``sum_i w_i f(x_i / y) = 0`` on positive entries.
 
-    ``f`` must vanish at 1 (checked to 1e-12); it may be increasing or
-    decreasing.  For a decreasing ``f`` (``f(2) < 0``) the total is
-    negated, which is exact, so that it decreases in ``y`` either way.
-    Every sign test sums the total; :func:`homogeneous_deviation_prefixes`
-    solves :func:`shifted_power` with a certificate, for the same roots.
+    ``f`` must vanish at 1 (checked to 1e-12) and may be decreasing, which
+    negates the total (:func:`_orientation`; exact) so that it decreases in
+    ``y``.  A NaN total raises :class:`SolverFailure`.  Every sign test sums
+    the total; :func:`homogeneous_deviation_prefixes` certifies :func:`shifted_power`.
     """
     s = _orientation(f)
     _check_entries(x, w, POSITIVE, _HOMDEV)
@@ -1103,7 +1110,7 @@ def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.nda
         total = _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())
         try:
             result[i] = _halve(total, *bracket, int(caps[i, 0]), float(a[i, 0]),
-                               float(b[i, 0]), _HOMDEV, True)
+                               float(b[i, 0]), _HOMDEV)
         except (ArithmeticError, ValueError):
             pass  # the row stays NaN
     return result[:, 0]

@@ -82,7 +82,7 @@ def partial_arithmetic_means(x: Sequence[float], w) -> list:
 
     Raises :class:`FloatOverflow` when a weighted entry sum overflows.
     """
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     if len(x) != len(wv):
         raise LengthMismatch(f"{len(x)} entries vs {len(wv)} weights")
     wf = wv.as_floats()
@@ -115,7 +115,7 @@ def _prefix_scans(mean: MeanHandle, x: Sequence[float], wv: WeightVector) -> tup
 def kedlaya_sides(mean: MeanHandle, x: Sequence[float], w) -> tuple:
     """``(lhs, rhs)``: arithmetic mean of prefix M-means vs M-mean of
     prefix arithmetic means, both weighted by ``w``."""
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     if len(x) != len(wv):
         raise LengthMismatch(f"{len(x)} entries vs {len(wv)} weights")
     a, b = _prefix_scans(mean, x, wv)
@@ -136,7 +136,7 @@ def step_inequality(mean: MeanHandle, x: Sequence[float], w, j: int) -> tuple:
     reads every step gap off two prefix scans, and this function is the
     test oracle for those gaps.
     """
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     n = len(wv)
     if not 2 <= j <= n:
         raise ValueError(f"j must be in [2, {n}], got {j}")
@@ -178,7 +178,7 @@ def check_kedlaya(mean: MeanHandle, x: Sequence[float], w,
     """
     if expect not in (None, HOLDS, REVERSED):
         raise ValueError(f"expect must be None, {HOLDS!r} or {REVERSED!r}")
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     if len(x) != len(wv):
         raise LengthMismatch(f"{len(x)} entries vs {len(wv)} weights")
     xs = list(x)
@@ -188,7 +188,7 @@ def check_kedlaya(mean: MeanHandle, x: Sequence[float], w,
             while keep > 1 and wv.entries[keep - 1] == 0:
                 keep -= 1
             xs = xs[:keep]
-            wv = as_weight_vector(wv.entries[:keep], "W0")
+            wv = as_weight_vector(wv.entries[:keep])
         else:
             raise NonpositiveWeight(
                 "zero weights are only reducible when the weight ratios are "
@@ -353,7 +353,7 @@ def necessity_probe(mean: MeanHandle, w, h: float = 1e-4,
     ``h/2`` (the map is only defined for ``t >= 0``).  Raises
     ``DomainViolation`` when the mean is undefined at zero entries.
     """
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     n = len(wv)
     if n < 2:
         raise ValueError("necessity probe needs n >= 2")
@@ -385,7 +385,7 @@ def necessity_probe(mean: MeanHandle, w, h: float = 1e-4,
 def counterexample_mu_prime_0(w) -> float:
     """Analytic derivative ``-w_{n-1}/w_n`` of the probe map for the
     built-in ratio-of-moments counterexample mean."""
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     if len(wv) < 2:
         raise ValueError("need n >= 2")
     if not wv.entries[-1] > 0:
@@ -417,7 +417,7 @@ def search_violation(mean: MeanHandle, w, budget: int = 100_000,
     domain excludes 0 raises :class:`DomainViolation` before the first
     candidate.
     """
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     if is_in_V(wv):
         raise WeightsInV("weights are in V_n; the reversed inequality cannot fail")
     if seed < 0:

@@ -41,7 +41,6 @@ from . import deviation as dev
 from .domain import Interval, NONNEGATIVE, POSITIVE, REALS, sampling_window
 from .errors import (
     DomainViolation,
-    FloatOverflow,
     IndexNotZeroWeighted,
     LengthMismatch,
     NegativeSeed,
@@ -659,13 +658,7 @@ def _homogeneous_deviation(f: str, p: float) -> MeanHandle:
     p = float(p)
     if f != "shifted-power":
         raise KeyError(f)
-    label = f"homdev:{f}:{dev._fmt(p)}"
-    try:
-        dev._orientation(dev.shifted_power(p))  # f(2) = 2^p - 1 overflows from p = 1024
-    except OverflowError:
-        raise FloatOverflow(f"{label}: f(2) = 2^p - 1, which orients the total, is beyond "
-                            "the float range") from None
-    return MeanHandle("homogeneous-deviation", POSITIVE, (f, p), label,
+    return MeanHandle("homogeneous-deviation", POSITIVE, (f, p), f"homdev:{f}:{dev._fmt(p)}",
                       lambda x, w: dev.homogeneous_deviation_prefixes(p, x, w, len(x) - 1)[0],
                       partial(dev.homogeneous_deviation_rows, p),
                       partial(dev.homogeneous_deviation_prefixes, p))

@@ -397,7 +397,7 @@ def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
     """
     from .inequality import partial_arithmetic_means
 
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     if wv.mode != RATIONAL:
         raise ValueError("rational-mode weights required for exact geometry")
     n = len(wv)
@@ -444,7 +444,7 @@ def verify_proof_construction(mean: MeanHandle, x, w, j: int,
     """Check that the swap-inequality sides of the constructed function
     match the telescoping-step sides (normalized by the cumulative
     weight) within ``tol``, side by side."""
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     f = build_proof_function(x, wv, j)
     return _matches_step(mean, x, wv, j, jensen_fubini_sides(mean, f), tol)
 

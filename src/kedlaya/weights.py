@@ -263,10 +263,10 @@ def weights_from_strings(items: Iterable[str], cls: str = "W",
     return make_weights([scalar_from_string(s, exact=exact) for s in items], cls)
 
 
-def as_weight_vector(w, cls: str = "W") -> WeightVector:
-    """Coerce a WeightVector or plain sequence into a validated vector."""
+def as_weight_vector(w) -> WeightVector:
+    """Coerce a WeightVector or plain sequence into a validated ``W0`` vector."""
     if isinstance(w, WeightVector):
-        if cls == "W0" and not w.entries[0] > 0:
+        if not w.entries[0] > 0:
             raise FirstWeightZero("first weight must be positive here")
         return w
-    return make_weights(w, cls)
+    return make_weights(w, "W0")

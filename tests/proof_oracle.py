@@ -30,7 +30,7 @@ def _wrap_runs(start: int, length: int, q: int) -> list:
 def build_proof_function(x, w, j: int) -> SimpleFunction2D:
     """The block step function of :func:`kedlaya.stepfn.build_proof_function`,
     with the same pieces in the same order."""
-    wv = as_weight_vector(w, "W0")
+    wv = as_weight_vector(w)
     if wv.mode != RATIONAL:
         raise ValueError("rational-mode weights required for exact geometry")
     n = len(wv)

@@ -234,10 +234,10 @@ _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the fl
      re.escape("homogeneous deviation: the ratio of entry 1e-170 to y=1e+170 underflows to 0")),
     (("check", "--mean", "homdev:shifted-power:0", "--x", "1e-200,1e200", "--w", "1,1"),
      re.escape("homogeneous deviation: the ratio of entry 1e-200 to y=1e+200 underflows to 0")),
-    # the solver orients the total by f(2) = 2^p - 1, beyond the float range from p = 1024
+    # from p = 1024 the solver orients the total by -f(1/2), f(2) = 2^p - 1 being beyond
+    # the float range; so is the total at y = 1 on (1, 2), the ratio 2 taken to p = 2000
     (("check", "--mean", "homdev:shifted-power:2000", "--x", "1,2", "--w", "1,1"),
-     re.escape("bad parameter in mean id 'homdev:shifted-power:2000': homdev:shifted-power:2000: "
-               "f(2) = 2^p - 1, which orients the total, is beyond the float range")),
+     re.escape("homogeneous deviation: the total at y=1.0 is beyond the float range")),
 ])
 def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")
@@ -359,6 +359,38 @@ class TestRefute:
         doc = json.loads(out)
         assert doc["witness"]["verdict"] == "violated"
         assert doc["witness"]["gap"] > 0
+
+    def test_random_phase_without_a_witness_exits_one(self, capsys):
+        # 41 structured candidates, then 19 random ones; the arithmetic mean
+        # is linear, so none refutes
+        code, out, err = run(capsys, "refute", "--mean", "arithmetic", "--w", "1,0.1,5",
+                             "--budget", "60", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["witness"] is None
+
+
+_SCI = r"[-+]?\d\.\d+e[-+]\d+"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("sweep", "--mean", "power:0.5", "--n", "4", "--trials", "5", "--seed", "1"),
+     [r"sweep power:0\.5 n=4 trials=5 seed=1", r"verdicts: \{'holds': 5\}", f"min gap: {_SCI}"]),
+    (("refute", "--mean", "gini21", "--w", "1,0.1,5", "--budget", "1000"),
+     [r"witness x = \[0\.0, 0\.5, 1\.0\]",
+      rf"lhs = \S+  <=  rhs = \S+   gap = {_SCI}  \[violated\]"]),
+    (("concavity", "--mean", "power:0.5", "--trials", "10"),
+     [rf"power:0\.5 on 10 trials: concave \(worst violation {_SCI}\)"]),
+    (("axioms", "--mean", "power:0.5", "--n", "3", "--trials", "10"),
+     [r"axiom residuals for power:0\.5 over 10 trials:",
+      *(rf"  {axiom:18s} {_SCI}  \[ok\]" for axiom in
+        ("nullhomogeneity", "reduction", "mean-value", "elimination", "symmetry"))]),
+], ids=["sweep", "refute", "concavity", "axioms"])
+def test_text_reports(capsys, argv, lines):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == len(lines), out
+    for line, pattern in zip(out.splitlines(), lines):
+        assert re.fullmatch(pattern, line), (line, pattern)
 
 
 class TestProportional:

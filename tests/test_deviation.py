@@ -429,6 +429,27 @@ class TestSolverCore:
         with pytest.raises(SolverFailure):
             homogeneous_deviation(lambda t: (t - 1.0) ** 2, (1.0, 3.0), (1.0, 1.0))
 
+    def test_a_nan_fails_typed(self):
+        # a NaN f(1) fails the generator check; a NaN total at an end of the
+        # bracket has no sign change, and one at a midpoint names the midpoint
+        x, w = (1.0, 2.0), (1.0, 1.0)
+        with pytest.raises(InvalidGenerator, match=r"f\(1\) = nan"):
+            homogeneous_deviation(lambda t: math.nan, x, w)
+        with pytest.raises(SolverFailure, match="no sign change"):
+            homogeneous_deviation(lambda t: 0.0 if t == 1.0 else math.nan, x, w)
+        with pytest.raises(SolverFailure, match=r"the total at y=1\.5 is NaN"):
+            homogeneous_deviation(lambda t: math.nan if 0.6 < t < 0.7 else t - 1.0, x, w)
+
+    @pytest.mark.parametrize("p", [1100.0, 2000.0, 5000.0])
+    def test_powers_from_1024_are_the_power_mean(self, p):
+        # f(2) = 2^p - 1 is beyond the float range: the orientation reads
+        # -f(1/2), and negating f negates the total exactly
+        x, w = (1.0, 1.1), (1.0, 1.0)
+        want = evaluate(mean_from_id(f"power:{p!r}"), x, w)
+        got = evaluate(mean_from_id(f"homdev:shifted-power:{p!r}"), x, w)
+        assert abs(got - want) <= 1e-12 * want
+        assert homogeneous_deviation(lambda t: 1.0 - t ** p, x, w) == got
+
     @pytest.mark.kernel_parity
     def test_wide_bracket_converges(self):
         # about 370 halvings take [1e-100, 1e100] to the stop width at the
@@ -834,6 +855,10 @@ def _solve_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(_solve_rows())
 @example((-5e-17, [0.5, 2.0], [1.0, 1.0]))  # 2^p rounds to 1: the orientation of f(2) = 0
+# from p = 1024, f(2) = 2^p - 1 is beyond the float range: the orientation reads -f(1/2)
+@example((1100.0, [1.0, 1.1], [1.0, 1.0]))
+@example((2000.0, [1.0, 1.1], [1.0, 1.0]))
+@example((5000.0, [1.0, 1.1], [1.0, 1.0]))
 def test_builtin_solve_is_the_plain_solver(row):
     """``evaluate`` of ``homdev:shifted-power:p``, the certified prefix scan's
     last prefix, and ``evaluate_rows``, the lockstep, equal the plain scalar

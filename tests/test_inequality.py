@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from kedlaya import inequality as ineq
 from kedlaya.errors import (
     DomainViolation,
     FloatOverflow,
@@ -375,6 +377,32 @@ class TestSearchViolation:
 
     def test_budget_zero_finds_nothing(self):
         assert search_violation(CEX, (1, 1, 4), budget=0) is None
+
+    def test_random_phase_spends_the_rest_of_the_budget(self, monkeypatch):
+        # the linear arithmetic mean refutes nothing: 41 structured
+        # candidates, then 19 random ones
+        checked = []
+        check = ineq.check_kedlaya
+        monkeypatch.setattr(ineq, "check_kedlaya",
+                            lambda mean, x, *a, **k: checked.append(x) or check(mean, x, *a, **k))
+        assert search_violation(ARITH, [1, 0.1, 5], budget=60) is None
+        assert checked == list(islice(ineq._candidates(3, 0), 60))
+
+    def test_candidates_follow_their_docstring(self):
+        # (0, 0, 2^-k, 1) for k = 0..40, then log-uniform entries in
+        # [1e-3, 1e3] from default_rng(seed), half of them with leading zeros
+        rng = np.random.default_rng(3)
+        random = []
+        for _ in range(3):
+            logs = rng.uniform(math.log(1e-3), math.log(1e3), size=4)
+            x = tuple(math.exp(v) for v in logs)
+            if rng.random() < 0.5:
+                zeros = int(rng.integers(1, 3))
+                x = (0.0,) * zeros + x[zeros:]
+            random.append(x)
+        assert list(islice(ineq._candidates(4, 3), 41)) == [
+            (0.0, 0.0, 2.0 ** -k, 1.0) for k in range(41)]
+        assert list(islice(ineq._candidates(4, 3), 41, 44)) == random
 
     def test_last_index_failures_found(self):
         rng = np.random.default_rng(8)

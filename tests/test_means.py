@@ -1436,8 +1436,12 @@ class TestWireFormat:
         assert 1.0 <= v <= 2.0 + 1e-12
 
     def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            mean_from_id("parabolic:3")
+        # an unknown head; an unknown generator or deviation name, or a wrong
+        # arity, in a known family
+        for mean_id in ("parabolic:3", "qa:bogus", "homdev:bogus:1", "qa:log:3", "qa:pow"):
+            with pytest.raises(ValueError) as info:
+                mean_from_id(mean_id)
+            assert str(info.value) == f"unknown mean id {mean_id!r}"
 
     @pytest.mark.parametrize("doc", [
         {"family": "homogeneous-deviation", "f": "bogus", "p": 1.0},  # was KeyError
