@@ -223,6 +223,10 @@ def sample_midpoint_concavity(fn: Callable[[float, float], float],
     positive.  Used to probe the normalized-deviation transform from
     :func:`estar_transform`.  Witnesses are ``(u, v, None)``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise NegativeSeed(f"seed must be >= 0, got {seed}")
     lo, hi = window
     map_onto = _window_map((lo, hi, LOG if lo > 0 else LINEAR))
 

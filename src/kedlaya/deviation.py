@@ -34,8 +34,8 @@ rule (power, Gini, ``gini21``) takes :func:`closed_form_rows` and
 :func:`closed_form_prefix_rows`, its own terms and finaliser on numpy
 (within 1e-13 relative by that rule); any other, every quasi-arithmetic
 mean, takes the exact :func:`closed_form_exact_prefix_rows`, bit for bit.
-An array kernel leaves NaN where it does not settle a row, and tests no
-domain: :mod:`kedlaya.means` hands it only rows inside it.
+An array kernel sees only the rows that pass the gate of :mod:`kedlaya.means`
+(domain, weights) and gives each its value or a value that is not finite.
 """
 
 from __future__ import annotations
@@ -582,7 +582,7 @@ def _live_masked(x: np.ndarray, live: np.ndarray) -> tuple:
 def closed_form_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``form``'s mean on every row of ``(rows, n)`` entry and weight arrays
     from numpy row sums of its terms, or a value that is not finite for a
-    row it cannot evaluate (see :func:`kedlaya.means.evaluate_rows`).  The
+    row it cannot evaluate (see :func:`kedlaya.means._settled`).  The
     scale is the maximum or minimum of the row's entries of nonzero weight,
     as in the scalar definition."""
     x_lo, x_hi = _live_masked(x, w != 0.0)
@@ -604,11 +604,12 @@ _U = 2.0 ** -53  # the unit roundoff
 _TINY = 2.0 ** -969
 
 
-def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
+                            last: bool = False) -> np.ndarray:
     """``form``'s mean on every prefix ``x[i, :k]``, ``k = 1..n``, of every row
-    of ``(rows, n)`` entry and weight arrays, each within
-    :data:`PREFIX_ROWS_RTOL` relative of the scalar definition, or a row of
-    NaN where that is not certain.
+    of ``(rows, n)`` entry and weight arrays (with ``last``, only the last
+    column), each within :data:`PREFIX_ROWS_RTOL` relative of the scalar
+    definition, or a row of NaN where that is not certain.
 
     ``form`` must have an error rule.  Each sum is a numpy ``cumsum`` of its
     terms, scaled by the row's maximum or minimum (one scale per row), and
@@ -639,7 +640,7 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> n
         bound = np.where(const, 0.0, form.error(*sums, *scales, k, x))
         trusted &= np.isfinite(out).all(axis=1) & (bound <= PREFIX_ROWS_RTOL / _U).all(axis=1)
     out[~trusted] = np.nan
-    return out
+    return out[:, -1:] if last else out
 
 
 def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
@@ -652,10 +653,9 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
     call every prefix's sums, both with :data:`ARRAYS`.  A prefix whose live
     entries are all equal (their running minimum is their running maximum)
     is the first of them; the others take :func:`exact_prefix_sums` per
-    sum.  A row is NaN where a weight is negative, a sum is not certain (a
-    prefix of no weight sums to 0) or a value is not finite, and every row
-    that is not constant is NaN if ``terms`` or ``finish`` raises an
-    arithmetic or value error.
+    sum.  A prefix is NaN where a sum is not certain (a prefix of no weight
+    sums to 0), and every prefix that is not constant is NaN if ``terms`` or
+    ``finish`` raises an arithmetic or value error.
     """
     live = w != 0.0
     cols = slice(-1 if last else 0, None)
@@ -675,7 +675,6 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
     x_lo, x_hi = _live_masked(x, live)
     i, k = np.nonzero(bottom(x_lo) == top(x_hi))
     out[i, k] = x[i, live[i].argmax(axis=1)]  # a constant prefix is its first live entry
-    out[~np.isfinite(out).all(axis=1) | (w < 0.0).any(axis=1)] = np.nan
     return out
 
 
@@ -1061,9 +1060,8 @@ def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.nda
     for a row it does not finish, which :func:`kedlaya.means.evaluate_rows`
     hands to the scalar solve.
 
-    The entries are positive (:func:`kedlaya.means.evaluate_rows` hands no
-    other row to a kernel) and each row's weights nonnegative with a
-    positive sum; zero-weight entries are dropped, as in
+    The rows are those of the gate, :func:`kedlaya.means._settled`: positive
+    entries and valid weights.  Zero-weight entries are dropped, as in
     :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
     weights.  :func:`_certificate` gives each row, once, columns ``a <= b``
     with the total certainly positive below ``a`` and negative above ``b``.

@@ -357,8 +357,8 @@ def necessity_probe(mean: MeanHandle, w, h: float = 1e-4,
     n = len(wv)
     if n < 2:
         raise ValueError("necessity probe needs n >= 2")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     wf = wv.as_floats()
 
     def mu(t: float) -> float:

@@ -13,7 +13,7 @@ weights.
 and the family's kernels; :func:`evaluate` calls the scalar kernel (a
 closed form or the deviation solver), :func:`evaluate_prefixes` the prefix
 kernel, and :func:`evaluate_rows` and :func:`evaluate_prefix_rows` the
-array kernels, on the rows inside the domain.  One family table reads and
+array kernels, on the rows that pass one gate.  One family table reads and
 writes string ids and the JSON wire format.  The ``check_*`` helpers
 return the numeric residual of each axiom on concrete inputs, through
 :func:`evaluate`; :func:`sample_axiom_residuals` (behind ``kedlaya
@@ -140,17 +140,19 @@ class MeanHandle:
     and float weights that already passed the domain/weight validation and
     zero-weight elimination in :func:`evaluate`.  Three kernels are optional:
 
-    - ``_batch(x, w)`` gives every row of ``(rows, n)`` arrays its value, or
-      NaN for a row it does not settle (see :func:`evaluate_rows`);
+    - ``_batch(x, w)`` gives every row of ``(rows, n)`` arrays its value
+      (see :func:`evaluate_rows`);
     - ``_prefix(x, w, first)``, for ``x[:first+1]`` not constant, gives
       ``_fn(x[:k], w[:k])`` for ``k = first+1..n`` in one pass, bit for bit
       and raising what the first failing call raises (see
       :func:`evaluate_prefixes`);
-    - ``_prefix_rows(x, w, last)`` is the ``(rows, n)`` prefix driver (see
-      :func:`evaluate_prefix_rows`).
+    - ``_prefix_rows(x, w, last)`` gives every prefix of every row, or with
+      ``last`` a column of each row's value (see :func:`evaluate_prefix_rows`).
 
-    The array kernels get only rows whose entries lie in ``domain``, which
-    none of them tests.  The closed forms (power, Gini, quasi-arithmetic for
+    An array kernel gets only the rows that pass the gate, :func:`_settled`:
+    entries in ``domain`` and valid weights, which no kernel tests; it gives
+    each row its value, or NaN (any value that is not finite) where it does
+    not settle the row.  The closed forms (power, Gini, quasi-arithmetic for
     any generator, ``gini21``) get all three from one declaration, a
     :class:`~kedlaya.deviation.ClosedForm` (see :meth:`_closed_form`).  The
     ``homdev:shifted-power:p`` means take the certified kernels keyed by ``p``,
@@ -200,7 +202,7 @@ class MeanHandle:
         any other the exact prefix driver, its last column each row's value."""
         if form.error:
             batch = partial(dev.closed_form_rows, form)
-            prefix_rows = lambda x, w, last: dev.closed_form_prefix_rows(form, x, w)
+            prefix_rows = partial(dev.closed_form_prefix_rows, form)
         else:
             prefix_rows = partial(dev.closed_form_exact_prefix_rows, form)
             batch = lambda x, w: prefix_rows(x, w, True)[:, 0]
@@ -342,23 +344,28 @@ def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
     return out
 
 
-def _settled(mean: MeanHandle, kernel: Callable, scalar: Callable, x: np.ndarray,
-             w: np.ndarray, shape: tuple) -> np.ndarray:
-    """``kernel(x, w)`` on the rows of ``x`` whose entries all lie in
-    ``mean.domain``, as an array of ``shape``; every other row, and every row
-    with a value that is not finite, then takes ``scalar(mean, x_i, w_i)``
-    in row order, so the first failing row raises.  An interval that holds
-    the array's minimum and maximum holds every entry, so a row mask is
-    built only when that test fails, and the rows are scanned only when the
-    values do not sum to a finite number."""
+def _settled(mean: MeanHandle, kernel: Optional[Callable], scalar: Callable, x: np.ndarray,
+             w: np.ndarray, shape: tuple, *args) -> np.ndarray:
+    """The gate in front of every array kernel: ``kernel(x, w, *args)``, under
+    ``np.errstate(all="ignore")``, on the rows whose entries lie in
+    ``mean.domain`` and whose weights are valid (finite, nonnegative, one
+    positive), as an array of ``shape``.  Every other row, every row with a
+    value that is not finite, and with ``kernel=None`` every row, then takes
+    ``scalar(mean, x_i, w_i)`` in row order, so the first failing row raises.
+    A row mask is built only when ``x``'s minimum or maximum lies outside
+    the domain (an interval), or ``0 <= min w``, ``0 < max w < inf`` fails.
+    A row of zero weights passes that test beside other rows, and its weight
+    sum 0 leaves it not finite in every kernel."""
     contains = mean.domain.contains
     with np.errstate(all="ignore"):
-        if contains(x.min()) and contains(x.max()):
-            out = kernel(x, w)
+        if (kernel and x.size and contains(x.min()) and contains(x.max())
+                and 0.0 <= w.min() and 0.0 < w.max() < math.inf):
+            out = kernel(x, w, *args)
         else:
-            out, good = np.full(shape, np.nan), contains(x).all(axis=1)
-            if good.any():
-                out[good] = kernel(x[good], w[good])
+            out = np.full(shape, np.nan)
+            good = (contains(x) & (0.0 <= w) & (w < math.inf)).all(axis=1) & (w > 0.0).any(axis=1)
+            if kernel and good.any():
+                out[good] = kernel(x[good], w[good], *args)
         if math.isfinite(out.sum()):
             return out
     for i in np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1)).tolist():
@@ -372,40 +379,31 @@ def evaluate_prefix_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
     arrays, as a ``(rows, n)`` array; with ``last``, only each row's last
     value, :func:`evaluate` on the whole row.
 
-    A closed form's driver takes the rows inside its domain (:func:`_settled`):
+    A closed form's driver takes the rows that pass the gate (:func:`_settled`):
     numpy running sums for the forms with an error rule (power, Gini,
     ``gini21``), each value within :data:`~kedlaya.deviation.PREFIX_ROWS_RTOL`
     relative of the scalar one, and exact sums for quasi-arithmetic means.
     The other rows, and every row of the other means, are evaluated exactly.
     """
-    rows = mean._prefix_rows or (lambda x, w, last: np.full(x.shape, np.nan))
     if last:
-        return _settled(mean, lambda x, w: rows(x, w, True)[:, -1], evaluate, x, w, len(x))
-    return _settled(mean, partial(rows, last=False), evaluate_prefixes, x, w, x.shape)
+        return _settled(mean, mean._prefix_rows, evaluate, x, w, (len(x), 1), True)[:, 0]
+    return _settled(mean, mean._prefix_rows, evaluate_prefixes, x, w, x.shape, False)
 
 
 def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Evaluate ``mean`` on every row of ``(rows, n)`` entry and weight arrays.
 
-    A batch kernel takes the rows inside the domain in one call
-    (:func:`_settled`), under one ``np.errstate(all="ignore")`` and without
-    the weight validation of :func:`evaluate` (weights are assumed
-    nonnegative with positive sums); the other rows, and those it leaves
-    NaN, go to :func:`evaluate`, so their values and errors are its own.
-    Custom deviations, homogeneous deviations of a caller's ``f`` and affine
-    conjugates of these have no batch kernel and go row by row.  Kernels get
-    the arrays in column-major (Fortran) order, where numpy reduces short
-    rows across all rows at once: on a 2-vCPU Xeon a 2-entry
-    ``max(axis=1)`` over 150k rows took 6 ms in C order and 0.2 ms in
-    Fortran order.  Up to 7 entries per row the row sums are the same
-    either way; from 8 on numpy sums a C-ordered row pairwise and a
-    Fortran-ordered one in sequence, which can move a closed form by a few
-    ulps.
+    A batch kernel takes the rows that pass the gate (:func:`_settled`) in
+    one call, in column-major (Fortran) order, where numpy reduces short rows
+    across all rows at once: a 2-entry ``max(axis=1)`` over 150k rows took
+    6 ms in C order and 0.2 ms in Fortran order (2-vCPU Xeon).  From 8
+    entries per row numpy sums a C-ordered row pairwise and a Fortran-ordered
+    one in sequence.  Every other row, and every row of a mean without a
+    batch kernel (custom deviations, homogeneous deviations of a caller's
+    ``f`` and affine conjugates of these), goes to :func:`evaluate`.
     """
-    if mean._batch is None:
-        return np.array([evaluate(mean, xi.tolist(), wi.tolist()) for xi, wi in zip(x, w)])
-    return _settled(mean, lambda x, w: mean._batch(np.asfortranarray(x), np.asfortranarray(w)),
-                    evaluate, x, w, len(x))
+    return _settled(mean, mean._batch, evaluate, np.asfortranarray(x), np.asfortranarray(w),
+                    len(x))
 
 
 # ---------------------------------------------------------------------------

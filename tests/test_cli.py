@@ -443,15 +443,6 @@ class TestSweep:
         doc = json.loads(out)
         assert set(doc["summary"]["counts"]) <= {"reversed", "equality"}
 
-    def test_thread_cap_same_bytes(self, capsys, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "sweep", "--mean", "power:0", "--n", "4", "--trials", "16",
-            "--seed", "1", "--format", "json", "--out", str(a))
-        monkeypatch.setenv("KEDLAYA_THREADS", "4")
-        run(capsys, "sweep", "--mean", "power:0", "--n", "4", "--trials", "16",
-            "--seed", "1", "--format", "json", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
 
 # sha256 of the JSON reports of fixed-seed sweeps: the four sweep means of
 # the benchmark at n=8, and one long instance with large denominators.  A

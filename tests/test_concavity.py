@@ -22,7 +22,8 @@ from kedlaya.concavity import (
 )
 from kedlaya.deviation import DeviationSpec, log_generator, power_generator
 from kedlaya.domain import LINEAR, LOG, NEG_LOG, POSITIVE, REALS, sampling_window
-from kedlaya.errors import GeneratorOverflow, MixedSignSecondDerivative, VanishingDerivative
+from kedlaya.errors import (GeneratorOverflow, MixedSignSecondDerivative, NegativeSeed,
+                            VanishingDerivative)
 from kedlaya.inequality import reflect
 from kedlaya.means import MeanHandle, evaluate_rows, mean_from_id
 
@@ -202,6 +203,14 @@ class TestMidpointSampler:
         assert v.verdict == CONVEX and v.witness[2] is None
         doc = json.loads(json.dumps(v.to_dict()))
         assert doc["witness"]["w"] is None and len(doc["witness"]["x"]) == 2
+
+    def test_no_trials_refused(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sample_midpoint_concavity(lambda a, b: a * b, (0.1, 10.0), 0)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(NegativeSeed, match="seed must be >= 0, got -1"):
+            sample_midpoint_concavity(lambda a, b: a * b, (0.1, 10.0), 10, seed=-1)
 
 
 class TestEstarTransform:

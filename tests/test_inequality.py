@@ -363,6 +363,11 @@ class TestNecessityProbe:
         with pytest.raises(DomainViolation):
             necessity_probe(GEO, (1, 1, 4))
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_that_is_not_positive_and_finite_refused(self, h):
+        with pytest.raises(ValueError, match=f"h must be positive and finite, got {h}"):
+            necessity_probe(CEX, (1, 1, 4), h=h)
+
 
 class TestSearchViolation:
     def test_finds_witness_for_spec_example_weights(self):

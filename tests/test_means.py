@@ -657,6 +657,52 @@ class TestBatchKernels:
         assert calls == [x[20].tolist()]
 
 
+# Every built-in id, a mirrored mean and a homogeneous deviation of a caller's f
+# (a mean without array kernels), each with three rows inside its domain.
+_GATE_ROWS = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 5.0], [0.5, 4.0, 1.5]])
+_GATE_MEANS = [pytest.param(mean_from_id(name), _GATE_ROWS, id=name) for name in (
+    "arithmetic", "min", "max", "geometric", "power:0.5", "power:-2", "gini:2:1", "gini:1:1",
+    "gini21", "qa:log", "qa:pow:2", "homdev:shifted-power:0.5")] + [
+    pytest.param(MeanHandle.affine(mean_from_id("power:0.5"), -1.0, 0.0), -_GATE_ROWS,
+                 id="reflect(power:0.5)"),
+    pytest.param(MeanHandle.homogeneous_deviation(math.log), _GATE_ROWS, id="homdev(log)")]
+_GATE_ENTRY_POINTS = {
+    "rows": (evaluate_rows, evaluate),
+    "prefix rows": (evaluate_prefix_rows, evaluate_prefixes),
+    "last prefix": (partial(evaluate_prefix_rows, last=True), evaluate)}
+
+
+@pytest.mark.kernel_parity
+class TestKernelGate:
+    """The gate in front of the array kernels: a block with a row whose weight
+    is negative, NaN or infinite, or whose weights are all 0, raises what the
+    scalar path raises on the first such row, in every family.  A block
+    without rows is an empty result of the entry point's shape."""
+
+    @pytest.mark.parametrize("mean, x", _GATE_MEANS)
+    @pytest.mark.parametrize("entry", _GATE_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "zeros", "all zeros"])
+    def test_a_bad_weight_raises_the_scalar_error(self, mean, x, entry, bad):
+        rows, scalar = _GATE_ENTRY_POINTS[entry]
+        w = np.ones_like(x)
+        if bad == "all zeros":
+            w[:], first = 0.0, 0
+        elif bad == "zeros":
+            w[1], first = 0.0, 1
+        else:
+            w[1, 1], first = bad, 1
+        want = _outcome(lambda: scalar(mean, x[first].tolist(), w[first].tolist()))
+        assert _raised(want) in (AllZero, NegativeWeight, NonfiniteWeight)
+        assert _outcome(lambda: rows(mean, x, w)) == want
+
+    @pytest.mark.parametrize("mean, x", _GATE_MEANS)
+    def test_an_empty_block_is_an_empty_result(self, mean, x):
+        x, w = np.empty((0, 3)), np.empty((0, 3))
+        assert evaluate_rows(mean, x, w).shape == (0,)
+        assert evaluate_prefix_rows(mean, x, w).shape == (0, 3)
+        assert evaluate_prefix_rows(mean, x, w, last=True).shape == (0,)
+
+
 def _power_sum_oracle(p, x, w):
     """``sum_i w_i (x_i / c)^p`` per row and its scale ``c``: the row's max
     (p > 0) or min (p < 0), or 1 at p = 0."""
@@ -1046,10 +1092,11 @@ class TestExactDriverParity:
         assert raw.shape == (rows, 1 if last else n)
         want = _scalar_rows(mean, x, w, last)
         for got, outcome in zip(raw, want):
-            if np.isnan(got).any() or _raised(outcome):  # a row is NaN or the scalar bits
-                assert np.isnan(got).all()
-            else:
-                _assert_same_bits(got, outcome)
+            if _raised(outcome):  # a value that is not finite hands the row to the scalar path
+                assert not np.isfinite(got).all()
+            else:  # each value is NaN or the scalar bits
+                nan = np.isnan(got)
+                _assert_same_bits(got[~nan], np.asarray(outcome)[~nan])
         settled = _outcome(lambda: evaluate_prefix_rows(mean, x, w, last))
         failed = next((outcome for outcome in want if _raised(outcome)), None)
         if failed:  # the first failing row raises
