@@ -41,7 +41,12 @@ chunk has entries and means), and ``check_kedlaya`` of ``qa:log`` at
 scans of the power and Gini terms (the sizes of the ``scan`` workload), and
 the two slowest ops of the ``probe`` workload in process:
 ``sample_jensen_concavity`` of ``power:0.5`` at 90000 trials and of
-``gini:2:1`` at 75000, ``n = 2``.
+``gini:2:1`` at 75000, ``n = 2``, and the exact geometry of the ``proof``
+workload: ``proportional_set`` plus ``verify_proportionality`` at
+``theta = 33/41`` (1353 rectangles), and whole ``cli.main`` commands, as
+perfbench runs them, of that ``proportional`` op and of seed 1's first
+1e6-cell ``proof-fn`` op (``perfbench/workloads.py``).  Only a whole
+command runs with the garbage collector paused.
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -51,12 +56,15 @@ commit.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import statistics
 import subprocess
 import sys
 import time
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -115,12 +123,20 @@ def _first_rows(module, run) -> tuple:
     return blocks[0]
 
 
+def _first_proof_fn(band: str) -> tuple:
+    """The argv of seed 1's first ``proof-fn`` op of ``band`` cells."""
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    from workloads import iter_ops
+
+    return next(op.argv for op in iter_ops("proof", 1) if op.kind == f"proof-fn {band}")
+
+
 def micro_rows(quick: bool = False) -> list:
     """Every micro row, on the library already on ``sys.path``; ``quick``
     runs each at a tiny size, once, which checks this script, not the code
     it measures."""
     import numpy as np
-    from kedlaya import concavity, means
+    from kedlaya import cli, concavity, means, stepfn
     from kedlaya.concavity import _CHUNK, sample_jensen_concavity
     from kedlaya.deviation import GeneratorSpec
     from kedlaya.elementary import exp, log
@@ -205,6 +221,22 @@ def micro_rows(quick: bool = False) -> list:
         probe, trials = mean_from_id(name), 16 if quick else trials
         rows.append(_time(f"sample_jensen_concavity {probe} n=2 {trials}",
                           lambda: sample_jensen_concavity(probe, 2, trials, seed=1), k))
+    theta, corners = ("3/7", "0,1,0,1") if quick else ("33/41", "5/9,109/18,2/3,7/6")
+    host = stepfn.rect(*map(Fraction, corners.split(",")))
+    rows.append(_time(f"proportional_set+verify_proportionality {theta}", lambda: (
+        stepfn.verify_proportionality(stepfn.proportional_set(host, Fraction(theta)),
+                                      explain=True)), k))
+
+    def command(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(list(argv)) != 0:
+                raise RuntimeError(f"{' '.join(argv)} failed")
+
+    band = "1e+02" if quick else "1e+06"
+    for name, argv in ((f"proportional {theta}",
+                        ("proportional", "--theta", theta, "--host", corners, "--json")),
+                       (f"proof-fn {band} seed 1", _first_proof_fn(band))):
+        rows.append(_time(f"cli.main {name}", lambda: command(argv), k))
     return rows
 
 

@@ -349,26 +349,27 @@ def _settled(mean: MeanHandle, kernel: Optional[Callable], scalar: Callable, x: 
     """The gate in front of every array kernel: ``kernel(x, w, *args)``, under
     ``np.errstate(all="ignore")``, on the rows whose entries lie in
     ``mean.domain`` and whose weights are valid (finite, nonnegative, one
-    positive), as an array of ``shape``.  Every other row, every row with a
-    value that is not finite, and with ``kernel=None`` every row, then takes
-    ``scalar(mean, x_i, w_i)`` in row order, so the first failing row raises.
-    A row mask is built only when ``x``'s minimum or maximum lies outside
-    the domain (an interval), or ``0 <= min w``, ``0 < max w < inf`` fails.
-    A row of zero weights passes that test beside other rows, and its weight
-    sum 0 leaves it not finite in every kernel."""
+    positive), as an array of ``shape``.  Every other row (an empty row
+    too), every row with a value that is not finite, and with
+    ``kernel=None`` every row, then takes ``scalar(mean, x_i, w_i)`` in row
+    order, so the first failing row raises.  A row mask is built only when
+    ``x``'s minimum or maximum lies outside the domain (an interval), or
+    ``0 <= min w``, ``0 < max w < inf`` fails.  A row of zero weights
+    passes that test beside other rows, and its weight sum 0 leaves it not
+    finite in every kernel."""
     contains = mean.domain.contains
     with np.errstate(all="ignore"):
         if (kernel and x.size and contains(x.min()) and contains(x.max())
                 and 0.0 <= w.min() and 0.0 < w.max() < math.inf):
-            out = kernel(x, w, *args)
+            out, good = kernel(x, w, *args), True
         else:
             out = np.full(shape, np.nan)
             good = (contains(x) & (0.0 <= w) & (w < math.inf)).all(axis=1) & (w > 0.0).any(axis=1)
             if kernel and good.any():
                 out[good] = kernel(x[good], w[good], *args)
-        if math.isfinite(out.sum()):
+        if math.isfinite(out.sum()) and (good is True or good.all()):
             return out
-    for i in np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1)).tolist():
+    for i in np.flatnonzero(~(good & np.isfinite(out).reshape(len(out), -1).all(axis=1))).tolist():
         out[i] = scalar(mean, x[i].tolist(), w[i].tolist())
     return out
 

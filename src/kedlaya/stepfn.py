@@ -118,6 +118,14 @@ class _Axis(NamedTuple):
         """One Fraction per distinct coordinate of the rectangles."""
         return {v: Fraction(v, self.scale) for v in {*self.lows, *self.highs}}
 
+    def texts(self) -> dict:
+        """One reduced ``p/q`` string per distinct coordinate of the rectangles."""
+        return {v: _ratio_text(v, self.scale) for v in {*self.lows, *self.highs}}
+
+
+def _corners(xa: _Axis, ya: _Axis):  # (x0, x1, y0, y1) of each rectangle, in integers
+    return zip(xa.lows, xa.highs, ya.lows, ya.highs)
+
 
 def _axes(host: QRectangle, rects) -> tuple:
     """The x and y :class:`_Axis` of ``host`` and ``rects``."""
@@ -131,7 +139,7 @@ def _axes(host: QRectangle, rects) -> tuple:
 
 def _escaping(xa: _Axis, ya: _Axis) -> list:
     """Indices of the rectangles that are empty or escape the host."""
-    return [k for k, (a, b, c, d) in enumerate(zip(xa.lows, xa.highs, ya.lows, ya.highs))
+    return [k for k, (a, b, c, d) in enumerate(_corners(xa, ya))
             if not (xa.lo <= a < b <= xa.hi and ya.lo <= c < d <= ya.hi)]
 
 
@@ -273,14 +281,48 @@ class SimpleFunction2D:
 # Proportional subsets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ProportionalSet:
     """A finite union of rational rectangles inside ``host`` claimed to
-    meet every axis-parallel slice in exactly ``theta`` of its measure."""
+    meet every axis-parallel slice in exactly ``theta`` of its measure.
 
-    rectangles: tuple
-    theta: Fraction
-    host: QRectangle
+    The rectangles are held in integers over one scale per axis, as
+    :class:`SimpleFunction2D` holds its pieces: :func:`proportional_set`
+    hands over the integer coordinates it knows, and ``__init__`` maps its
+    rectangles to integers once with :func:`_axes`.
+    """
+
+    __slots__ = ("theta", "host", "_xa", "_ya", "_rectangles")
+
+    def __init__(self, rectangles: Sequence[QRectangle], theta, host: QRectangle):
+        self._rectangles = tuple(rectangles)
+        self.theta, self.host = theta, host
+        self._xa, self._ya = _axes(host, self._rectangles)
+
+    @classmethod
+    def _from_ints(cls, theta: Fraction, host: QRectangle, xa: _Axis, ya: _Axis):
+        """The set whose rectangle i is ``[xa.lows[i], xa.highs[i]) x
+        [ya.lows[i], ya.highs[i])``."""
+        ps = cls.__new__(cls)
+        ps.theta, ps.host, ps._xa, ps._ya, ps._rectangles = theta, host, xa, ya, None
+        return ps
+
+    @property
+    def rectangles(self) -> tuple:
+        """The rectangles; a construction's are built on first use, from one
+        Fraction per distinct coordinate."""
+        if self._rectangles is None:
+            x, y = self._xa.fractions(), self._ya.fractions()
+            self._rectangles = tuple(rect(x[a], x[b], y[c], y[d])
+                                     for a, b, c, d in _corners(self._xa, self._ya))
+        return self._rectangles
+
+
+def _edges(iv: QInterval, q: int) -> tuple:
+    """``(edges, scale)``: the ``q + 1`` points ``lower + (upper - lower) i / q``
+    of ``iv`` in integers over ``scale = lcm(den lower, den upper) q``."""
+    scale = math.lcm(iv.lower.denominator, iv.upper.denominator) * q
+    lo, hi = (v.numerator * (scale // v.denominator) for v in iv)
+    return range(lo, hi + 1, (hi - lo) // q), scale
 
 
 def proportional_set(host: QRectangle, theta) -> ProportionalSet:
@@ -290,34 +332,31 @@ def proportional_set(host: QRectangle, theta) -> ProportionalSet:
     ``q x q`` cell grid; column ``i`` keeps the ``p`` cells at rows
     ``i, i+1, ..., i+p-1`` taken modulo ``q``, so every row also keeps
     exactly ``p`` cells.  The cells are mapped onto ``host`` by the
-    affine bijection in exact rational arithmetic: at most ``p*q``
-    rectangles, one per selected cell.
+    affine bijection, exactly, in integers over one scale per axis: at
+    most ``p*q`` rectangles, one per selected cell.
     """
     theta = Fraction(theta)
     if not 0 <= theta <= 1:
         raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
     p, q = theta.numerator, theta.denominator
-    ax, bx = host.dx.lower, host.dx.upper
-    ay, by = host.dy.lower, host.dy.upper
-    xs = [ax + Fraction(i, q) * (bx - ax) for i in range(q + 1)]
-    ys = [ay + Fraction(jj, q) * (by - ay) for jj in range(q + 1)]
-    cols = [QInterval(xs[i], xs[i + 1]) for i in range(q)]
-    rows = [QInterval(ys[jj], ys[jj + 1]) for jj in range(q)]
-    rectangles = [QRectangle(cols[i], rows[off % q])
-                  for i in range(q) for off in range(i, i + p)]
-    return ProportionalSet(tuple(rectangles), theta, host)
+    (xs, sx), (ys, sy) = _edges(host.dx, q), _edges(host.dy, q)
+    cols = [i for i in range(q) for _ in range(p)]
+    rows = [r % q for i in range(q) for r in range(i, i + p)]
+    return ProportionalSet._from_ints(
+        theta, host, _Axis(xs[0], xs[-1], [xs[i] for i in cols], [xs[i + 1] for i in cols], sx),
+        _Axis(ys[0], ys[-1], [ys[r] for r in rows], [ys[r + 1] for r in rows], sy))
 
 
 def verify_proportionality(ps: ProportionalSet, explain: bool = False):
     """Exact check of the slice-measure property on both axes.
 
-    A sweep line along each axis, in integers over common denominators,
+    A sweep line along each axis, on the set's integer coordinates,
     compares the summed cross measure of every slice with ``theta`` times
     the full cross length.  Returns ``False`` (with slice diagnostics when
     ``explain``) when any slice misses; rectangles escaping the host fail
     immediately.
     """
-    xa, ya = _axes(ps.host, ps.rectangles)
+    xa, ya = ps._xa, ps._ya
     failures = [f"rectangle {ps.rectangles[k]} escapes the host" for k in _escaping(xa, ya)]
     tp, tq = ps.theta.numerator, ps.theta.denominator
     for name, axis, other in (("x", xa, ya), ("y", ya, xa)):
@@ -477,11 +516,19 @@ def function_to_json(f: SimpleFunction2D) -> dict:
     distinct integer coordinate (the domain's corners are piece corners);
     neither ``f.pieces`` nor a Fraction is built."""
     xa, ya = f._xa, f._ya
-    xt, yt = ({v: _ratio_text(v, a.scale) for v in {*a.lows, *a.highs}} for a in (xa, ya))
+    xt, yt = xa.texts(), ya.texts()
     return {"schema": 1,
             "domain": {"x": [xt[xa.lo], xt[xa.hi]], "y": [yt[ya.lo], yt[ya.hi]]},
             "pieces": [{"x": [xt[a], xt[b]], "y": [yt[c], yt[d]], "value": v}
                        for a, b, c, d, v in f._boxes()]}
+
+
+def rectangles_to_json(ps: ProportionalSet) -> list:
+    """The rectangles of ``ps`` as ``{"x": [lo, hi], "y": [lo, hi]}`` records
+    of ``p/q`` strings, one reduced string per distinct integer coordinate;
+    neither ``ps.rectangles`` nor a Fraction is built."""
+    xt, yt = ps._xa.texts(), ps._ya.texts()
+    return [{"x": [xt[a], xt[b]], "y": [yt[c], yt[d]]} for a, b, c, d in _corners(ps._xa, ps._ya)]
 
 
 def function_from_json(obj: dict) -> SimpleFunction2D:

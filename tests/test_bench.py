@@ -22,6 +22,9 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"(log|exp) array \d+",
     r"check_kedlaya (qa:log|power:\S+|gini:\S+) n=\d+",
     r"sample_jensen_concavity \S+ n=\d+ \d+",
+    r"proportional_set\+verify_proportionality \d+/\d+",
+    r"cli\.main proportional \d+/\d+",
+    r"cli\.main proof-fn \S+ seed \d+",
 ))
 
 
@@ -48,8 +51,9 @@ def test_quick_micro_rows_have_the_schema():
     # check_kedlaya_rows of four means, the two sides of a qa:log sweep
     # block, criterion 7, log and exp per scalar call and as arrays of two
     # sizes, check_kedlaya of qa:log, power:0 and gini:0.5:0, and
-    # sample_jensen_concavity of power:0.5 and gini:2:1
-    assert len(rows) == 36
+    # sample_jensen_concavity of power:0.5 and gini:2:1, a proportional set
+    # and its check, and whole proportional and proof-fn commands
+    assert len(rows) == 39
 
 
 def test_committed_files_have_the_schema():

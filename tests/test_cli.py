@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import gc
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from kedlaya import cli
 from kedlaya import inequality as ineq
 from kedlaya import means as mn
+from kedlaya import stepfn
 from kedlaya.cli import main
 from sweep_oracle import oracle_report, oracle_trial
 
@@ -629,7 +634,8 @@ def test_golden_small_homdev_check_report_bytes(capsys, mean, n, digest):
 # the indented json.dumps; the gini:0.5:0 one was re-recorded when Gini means
 # of one scale became one power, which moved its two swap sides by an ulp.
 # The qa:log cases come from the benchmark's proof stream: 987, 10412 and
-# 31234 grid cells (134, 404 and 575 pieces).
+# 31234 grid cells (134, 404 and 575 pieces).  The 33/41 set (1353
+# rectangles) was recorded while proportional sets were built on Fractions.
 GOLDEN_PROOF_REPORTS = [
     (("proof-fn", "--mean", "power:0", "--x", "1,4,2", "--w", "2,1,1", "--j", "3"),
      "203f294c9ae5593bb07f5ebe13fcd50bd9d5bdd7148d5ae00160295657f0c909"),
@@ -651,13 +657,16 @@ GOLDEN_PROOF_REPORTS = [
      "8b42aa184a3ff246724416c446f281038ac2277ca5b2fdda5bf809eb3debfa5e"),
     (("proportional", "--theta", "6/19", "--host", "1/2,10,1/8,65/8"),
      "1c6a003b7fd12db960dbde60883ce8f36779417c6031f5bc06f6c492916997dc"),
+    (("proportional", "--theta", "33/41", "--host", "5/9,109/18,2/3,7/6"),
+     "c577b3cc2165e889d1157229344c086cf2dde0dd78a605e84ac765b42fbb229c"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_PROOF_REPORTS,
                          ids=["power:0 j=3", "gini:0.5:0 j=3", "qa:log 987 cells",
                               "qa:log 10412 cells", "qa:log 31234 cells",
-                              "proportional 2/3", "proportional 6/19"])
+                              "proportional 2/3", "proportional 6/19",
+                              "proportional 33/41"])
 def test_golden_proof_report_bytes(capsys, tmp_path, argv, digest):
     code, out, err = run(capsys, *argv, "--json")
     assert (code, err) == (0, "")
@@ -1000,3 +1009,80 @@ class TestJsonWriter:
         loop.append({"a": loop})
         assert _outcome(cli._dumps, loop) is ValueError
         assert _outcome(_reference, loop) is ValueError
+
+
+# ---------------------------------------------------------------------------
+# The garbage collector pause
+# ---------------------------------------------------------------------------
+
+_HALF = ("proportional", "--theta", "1/2", "--host", "0,1,0,1")
+# One small run of every command, and three that exit 2 (a bad mean, a theta
+# outside [0, 1], weights outside V for the proof construction).
+_EVERY_COMMAND = [
+    ["check", "--mean", "gini:0.5:0", "--x", "1.5,4,2,0.3", "--w", "3,2,1,1/2"],
+    ["sweep", "--mean", "qa:log", "--n", "8", "--trials", "50", "--seed", "3"],
+    ["refute", "--mean", "gini21", "--w", "1,0.1,5", "--budget", "200"],
+    ["concavity", "--mean", "power:0.5", "--trials", "300", "--seed", "3"],
+    ["axioms", "--mean", "homdev:shifted-power:0.5", "--trials", "20", "--seed", "11"],
+    ["proof-fn", "--mean", "qa:log", "--x", "1,4,2,3", "--w", "4,3,2,1", "--j", "4"],
+    list(_HALF),
+    ["check", "--mean", "nonsense", "--x", "1,4", "--w", "1,1"],
+    ["proportional", "--theta", "3/2", "--host", "0,1,0,1"],
+    ["proof-fn", "--mean", "qa:log", "--x", "1,4,2", "--w", "1,1,5", "--j", "3"],
+]
+
+
+class TestGarbageCollectorPause:
+    """``main`` pauses Python's cyclic garbage collector while a command runs
+    and restores the caller's setting after it."""
+
+    @pytest.mark.parametrize("argv, code", [(_HALF, 0), (_EVERY_COMMAND[8], 2)],
+                             ids=["exit 0", "exit 2"])
+    def test_restored_after_a_command(self, capsys, argv, code):
+        assert gc.isenabled()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled()
+
+    def test_restored_after_a_raise(self, monkeypatch):
+        def fail(host, theta):
+            raise RuntimeError("construction failed")
+
+        monkeypatch.setattr(stepfn, "proportional_set", fail)
+        with pytest.raises(RuntimeError, match="construction failed"):
+            main(list(_HALF))
+        assert gc.isenabled()
+
+    def test_a_callers_pause_survives(self, capsys):
+        gc.disable()
+        try:
+            assert run(capsys, *_HALF)[0] == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_paused_while_the_command_runs(self, capsys, monkeypatch):
+        seen, build = [], stepfn.proportional_set
+        monkeypatch.setattr(stepfn, "proportional_set",
+                            lambda host, theta: seen.append(gc.isenabled()) or build(host, theta))
+        assert run(capsys, *_HALF)[0] == 0
+        assert seen == [False]
+
+    def test_a_warm_command_leaves_no_cyclic_garbage(self):
+        # in a fresh process: the first run of a command imports and caches,
+        # the second must leave nothing for the collector
+        script = """if True:
+            import contextlib, gc, io, json, sys
+            from kedlaya.cli import main
+            counts = []
+            for argv in json.loads(sys.argv[1]):
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    codes = [main(argv), gc.collect(), main(argv)]
+                counts.append([codes[0], codes[2], gc.collect()])
+            print(json.dumps(counts))
+        """
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(_EVERY_COMMAND)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [[c, c, 0] for c in [0] * 7 + [2] * 3]

@@ -677,7 +677,8 @@ class TestKernelGate:
     """The gate in front of the array kernels: a block with a row whose weight
     is negative, NaN or infinite, or whose weights are all 0, raises what the
     scalar path raises on the first such row, in every family.  A block
-    without rows is an empty result of the entry point's shape."""
+    without rows is an empty result of the entry point's shape; a block of
+    rows without entries raises the scalar path's ``AllZero``."""
 
     @pytest.mark.parametrize("mean, x", _GATE_MEANS)
     @pytest.mark.parametrize("entry", _GATE_ENTRY_POINTS)
@@ -701,6 +702,14 @@ class TestKernelGate:
         assert evaluate_rows(mean, x, w).shape == (0,)
         assert evaluate_prefix_rows(mean, x, w).shape == (0, 3)
         assert evaluate_prefix_rows(mean, x, w, last=True).shape == (0,)
+
+    @pytest.mark.parametrize("mean, x", _GATE_MEANS)
+    @pytest.mark.parametrize("entry", _GATE_ENTRY_POINTS)
+    def test_rows_without_entries_raise_the_scalar_error(self, mean, x, entry):
+        rows, scalar = _GATE_ENTRY_POINTS[entry]
+        want = _outcome(lambda: scalar(mean, [], []))
+        assert want == (AllZero, "weight vector must be nonempty")
+        assert _outcome(lambda: rows(mean, np.empty((3, 0)), np.empty((3, 0)))) == want
 
 
 def _power_sum_oracle(p, x, w):

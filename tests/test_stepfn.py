@@ -29,12 +29,14 @@ from kedlaya.stepfn import (
     m_integral,
     proportional_set,
     rect,
+    rectangles_to_json,
     verify_proof_construction,
     verify_proportionality,
 )
 from kedlaya.weights import make_weights, partial_sums
 
 import proof_oracle
+import proportional_oracle
 
 UNIT = rect(0, 1, 0, 1)
 GEO = mean_from_id("power:0")
@@ -125,6 +127,51 @@ class TestProportionalSet:
     def test_escaping_rectangle_fails(self):
         bad = ProportionalSet((rect(0, 2, 0, 1),), Fraction(1), UNIT)
         assert not verify_proportionality(bad)
+
+
+@st.composite
+def rational_hosts(draw, den=12):
+    """Hosts with rational corners in [-10, 10] and sides in [1/den, 9]."""
+    corner = st.fractions(min_value=-10, max_value=10, max_denominator=den)
+    side = st.fractions(min_value=Fraction(1, den), max_value=9, max_denominator=den)
+    a, c, bw, bh = draw(corner), draw(corner), draw(side), draw(side)
+    return rect(a, a + bw, c, c + bh)
+
+
+class TestProportionalIntegers:
+    """The construction on integer coordinates against the eager Fraction
+    construction (tests/proportional_oracle.py)."""
+
+    @given(st.integers(1, 50), st.data(), rational_hosts())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_fraction_oracle(self, q, data, host):
+        theta = Fraction(data.draw(st.integers(0, q)), q)
+        ps, oracle = proportional_set(host, theta), proportional_oracle.rectangles(host, theta)
+        assert rectangles_to_json(ps) == proportional_oracle.rectangles_to_json(oracle)
+        assert verify_proportionality(ps, explain=True) == verify_proportionality(
+            ProportionalSet(oracle, theta, host), explain=True)
+        assert ps._rectangles is None  # nothing above built the Fraction rectangles
+        assert ps.rectangles == oracle
+
+    @given(st.integers(1, 50), st.data(), rational_hosts())
+    @settings(max_examples=30, deadline=None)
+    def test_failures_do_not_depend_on_the_scales(self, q, data, host):
+        # a wrong claim on the construction's scales and on _axes' own
+        theta = Fraction(data.draw(st.integers(0, q)), q)
+        claim = data.draw(st.fractions(0, 1, max_denominator=60).filter(lambda t: t != theta))
+        ps = proportional_set(host, theta)
+        wrong = ProportionalSet._from_ints(claim, host, ps._xa, ps._ya)
+        got = verify_proportionality(wrong, explain=True)
+        assert not got[0]
+        assert got == verify_proportionality(
+            ProportionalSet(proportional_oracle.rectangles(host, theta), claim, host),
+            explain=True)
+
+    def test_the_public_constructor_keeps_its_rectangles(self):
+        rects = proportional_oracle.rectangles(UNIT, Fraction(2, 3))
+        ps = ProportionalSet(list(rects), Fraction(2, 3), UNIT)
+        assert ps.rectangles == rects
+        assert rectangles_to_json(ps) == proportional_oracle.rectangles_to_json(rects)
 
 
 class TestSimpleFunctions:
