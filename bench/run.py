@@ -24,9 +24,10 @@ at three ``p`` on a 1024 x 8 block and on one ``n = 2`` chunk of the
 ``evaluate_rows`` on that chunk of five closed forms (``power:0.5``,
 ``gini:2:1``, ``qa:log``, ``qa:pow:-1`` and ``qa:cube``, the ``cube``
 generator of ``tests/test_means.py``) and of the arithmetic mean,
-``evaluate_rows`` of ``qa:log`` and of ``power:0.5`` on one padded block
-of the ``axioms`` command (819 x 10 at ``n_max = 5``, the rows
-``sample_axiom_residuals`` hands it, with zero weights),
+``evaluate_rows`` of ``qa:log``, ``power:0.5``, ``min``, ``gini:2:1`` and
+``homdev:shifted-power:0.5`` on one padded block of the ``axioms`` command
+(819 x 10 at ``n_max = 5``, the rows ``sample_axiom_residuals`` hands it,
+with zero weights, which the gate of ``kedlaya.means`` fills),
 ``check_kedlaya_rows`` of each mean of the ``sweep`` workload on one seed-1
 sweep block (100 x 8), the two sides of that block for ``qa:log``
 (``evaluate_prefix_rows`` of the entries, and with ``last`` of the partial
@@ -183,7 +184,7 @@ def micro_rows(quick: bool = False) -> list:
         rows.append(_time(f"evaluate_rows {other} {len(chunk[0])}x2",
                           lambda: evaluate_rows(other, *chunk), k))
     qa = mean_from_id("qa:log")
-    for other in (qa, mean_from_id("power:0.5")):
+    for other in (qa, *map(mean_from_id, ("power:0.5", "min", "gini:2:1", HOMDEV.format(0.5)))):
         # the padded rows of the first block of trials at n_max = 5
         trials = 4 if quick else _AXIOM_BLOCK // (_SIDES * 2 * 5)
         ax, aw = _first_rows(means, lambda: means.sample_axiom_residuals(other, trials, 5, seed=1))

@@ -22,7 +22,7 @@ the root finder takes the total's sign without summing it, for the same
 roots and errors bit for bit.  Two kernels, keyed by ``p``, read it:
 :func:`homogeneous_deviation_prefixes` (every prefix; the scalar solve is
 its last) and :func:`homogeneous_deviation_rows` (every row, halved in
-lockstep; a zero weight marks an absent entry).
+lockstep).
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -35,7 +35,8 @@ rule (power, Gini, ``gini21``) takes :func:`closed_form_rows` and
 (within 1e-13 relative by that rule); any other, every quasi-arithmetic
 mean, takes the exact :func:`closed_form_exact_prefix_rows`, bit for bit.
 An array kernel sees only the rows that pass the gate of :mod:`kedlaya.means`
-(domain, weights) and gives each its value or a value that is not finite.
+(domain, weights, zero-weight entries filled) and gives each its value or a
+value that is not finite.
 """
 
 from __future__ import annotations
@@ -569,26 +570,13 @@ def closed_form_prefixes(form: ClosedForm, scalar: Callable, x, w, first: int) -
     return [scalar(x[:k], w[:k]) for k in range(first + 1, len(x) + 1)]
 
 
-def _live_masked(x: np.ndarray, live: np.ndarray) -> tuple:
-    """``x`` for the minimum and for the maximum along rows of the ``live``
-    entries (of nonzero weight, the ones :func:`kedlaya.means.evaluate`
-    keeps): ``x`` itself where every entry is live, as in concavity chunks,
-    else copies with the other entries at ``+inf`` and at ``-inf``."""
-    if live.all():
-        return x, x
-    return np.where(live, x, np.inf), np.where(live, x, -np.inf)
-
-
 def closed_form_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``form``'s mean on every row of ``(rows, n)`` entry and weight arrays
     from numpy row sums of its terms, or a value that is not finite for a
-    row it cannot evaluate (see :func:`kedlaya.means._settled`).  The
-    scale is the maximum or minimum of the row's entries of nonzero weight,
-    as in the scalar definition."""
-    x_lo, x_hi = _live_masked(x, w != 0.0)
+    row it cannot evaluate (see :func:`kedlaya.means._settled`)."""
     sums, scales = [], []
     for scale, terms in form.sums:
-        c = {max: x_hi.max, min: x_lo.min}[scale](axis=1, keepdims=True) if scale else 1.0
+        c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
         sums += map(np.add.reduce, terms(x, w, c, NUMPY), repeat(1))  # row sums
         scales.append(c[:, 0] if scale else 1.0)
     return form.finish(*sums, *scales, NUMPY)
@@ -648,14 +636,14 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
     """The scalar definition of ``form``, which has no error rule, on every prefix
     of every row of ``(rows, n)`` arrays (with ``last``, on each whole row, as
     a column), bit for bit as :func:`kedlaya.means.evaluate_prefixes` gives
-    it, for entries in the domain.  One ``terms`` call takes the entries of
+    it, on the rows of the gate.  One ``terms`` call takes the entries of
     nonzero weight (the others' terms are exact zeros) and one ``finish``
-    call every prefix's sums, both with :data:`ARRAYS`.  A prefix whose live
-    entries are all equal (their running minimum is their running maximum)
-    is the first of them; the others take :func:`exact_prefix_sums` per
-    sum.  A prefix is NaN where a sum is not certain (a prefix of no weight
-    sums to 0), and every prefix that is not constant is NaN if ``terms`` or
-    ``finish`` raises an arithmetic or value error.
+    call every prefix's sums, both with :data:`ARRAYS`.  A prefix of equal
+    entries, one of them of nonzero weight, is its first entry; the others
+    take :func:`exact_prefix_sums` per sum.  A prefix is NaN where a sum is
+    not certain (a prefix of no weight sums to 0), and every prefix that is
+    not constant is NaN if ``terms`` or ``finish`` raises an arithmetic or
+    value error.
     """
     live = w != 0.0
     cols = slice(-1 if last else 0, None)
@@ -672,9 +660,8 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
     except (ArithmeticError, ValueError):
         out = np.full(x[:, cols].shape, np.nan)
     _, top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
-    x_lo, x_hi = _live_masked(x, live)
-    i, k = np.nonzero(bottom(x_lo) == top(x_hi))
-    out[i, k] = x[i, live[i].argmax(axis=1)]  # a constant prefix is its first live entry
+    i, k = np.nonzero((bottom(x) == top(x)) & top(live))
+    out[i, k] = x[i, 0]
     return out
 
 
@@ -932,8 +919,8 @@ def _certificate(p: float, x: np.ndarray, w: np.ndarray, prefixes: bool = False)
     :func:`homogeneous_deviation_rows`.
 
     ``(a, b)`` takes ``(rows, n)`` positive entries and nonnegative weights,
-    whose entries of weight 0 lie between the row's others, and gives each
-    row columns ``a <= b``: the scalar total on the row's entries of nonzero
+    as the gate of :mod:`kedlaya.means` gives them, and gives each row
+    columns ``a <= b``: the scalar total on the row's entries of nonzero
     weight is positive below ``a`` and negative above ``b``, anywhere in
     their bracket.  With ``prefixes`` it gives ``(rows, n)`` arrays, column
     ``k - 1`` for the prefix of ``k`` entries, from running moments.  The
@@ -1060,12 +1047,10 @@ def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.nda
     for a row it does not finish, which :func:`kedlaya.means.evaluate_rows`
     hands to the scalar solve.
 
-    The rows are those of the gate, :func:`kedlaya.means._settled`: positive
-    entries and valid weights.  Zero-weight entries are dropped, as in
-    :func:`kedlaya.means.evaluate`, so shorter rows are padded with zero
-    weights.  :func:`_certificate` gives each row, once, columns ``a <= b``
-    with the total certainly positive below ``a`` and negative above ``b``.
-    A constant row is its entry.  The other rows take two stages, on the
+    The rows are those of the gate, :func:`kedlaya.means._settled`.  Its
+    :func:`_certificate` gives each row, once, columns ``a <= b`` with the
+    total certainly positive below ``a`` and negative above ``b``.  A
+    constant row is its entry.  The other rows take two stages, on the
     scalar solver's brackets, midpoints, caps and stop rule.  First, the
     rows with both endpoints outside ``[a, b]`` halve in lockstep on the
     certain sign of each midpoint, summing nothing.  Second, a row whose
@@ -1079,10 +1064,8 @@ def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.nda
     s = _orientation(f)
     m = np.flatnonzero(w.any(axis=0))[-1] + 1  # past the last column of nonzero weight
     x, w = x[:, :m], w[:, :m]
-    live = w != 0.0
-    x_lo, x_hi = _live_masked(x, live)
-    lo, hi = x_lo.min(axis=1, keepdims=True), x_hi.max(axis=1, keepdims=True)
-    a, b = _certificate(p, np.where(live, x, lo), w)  # entries of weight 0 repeat the row's minimum
+    lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    a, b = _certificate(p, x, w)
     result = np.where(lo == hi, lo, np.nan)
     active = (lo < a) & (b < hi)  # certified: the total is positive at lo, negative at hi
     handed = {}  # row -> its bracket and halvings so far, for _halve
@@ -1104,8 +1087,7 @@ def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.nda
         up = mid < a
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     for i, bracket in handed.items():
-        row = live[i]
-        total = _homogeneous_total(f, s, x[i, row].tolist(), w[i, row].tolist())
+        total = _homogeneous_total(f, s, x[i].tolist(), w[i].tolist())
         try:
             result[i] = _halve(total, *bracket, int(caps[i, 0]), float(a[i, 0]),
                                float(b[i, 0]), _HOMDEV)

@@ -335,15 +335,6 @@ class NecessityProbe:
     consistent: bool
     applicable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mu_prime_0": self.mu_prime_0,
-            "lambda_condition": self.lambda_condition,
-            "consistent": self.consistent,
-            "applicable": self.applicable,
-        }
-
 
 def necessity_probe(mean: MeanHandle, w, h: float = 1e-4,
                     reversed_ki_asserted: bool = False) -> NecessityProbe:

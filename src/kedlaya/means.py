@@ -149,11 +149,13 @@ class MeanHandle:
     - ``_prefix_rows(x, w, last)`` gives every prefix of every row, or with
       ``last`` a column of each row's value (see :func:`evaluate_prefix_rows`).
 
-    An array kernel gets only the rows that pass the gate, :func:`_settled`:
-    entries in ``domain`` and valid weights, which no kernel tests; it gives
-    each row its value, or NaN (any value that is not finite) where it does
-    not settle the row.  The closed forms (power, Gini, quasi-arithmetic for
-    any generator, ``gini21``) get all three from one declaration, a
+    An array kernel gets only the rows of the gate, :func:`_settled`, and
+    tests none of its contract: entries in ``domain``, valid weights, every
+    entry of weight 0 equal to an entry of nonzero weight of its row, and a
+    row of zero weights all NaN.  It gives each row its value, or NaN (any
+    value that is not finite) where it does not settle the row.  The closed
+    forms (power, Gini, quasi-arithmetic for any generator, ``gini21``) get
+    all three from one declaration, a
     :class:`~kedlaya.deviation.ClosedForm` (see :meth:`_closed_form`).  The
     ``homdev:shifted-power:p`` means take the certified kernels keyed by ``p``,
     ``deviation.homogeneous_deviation_rows`` and ``_prefixes``, whose last
@@ -185,13 +187,13 @@ class MeanHandle:
     @classmethod
     def minimum(cls) -> "MeanHandle":
         return cls("min", REALS, (), "min", lambda x, w: float(min(x)),
-                   lambda x, w: np.where(w > 0.0, x, np.inf).min(axis=1),
+                   lambda x, w: x.min(axis=1),
                    lambda x, w, first: [float(v) for v in accumulate(x, min)][first:])
 
     @classmethod
     def maximum(cls) -> "MeanHandle":
         return cls("max", REALS, (), "max", lambda x, w: float(max(x)),
-                   lambda x, w: np.where(w > 0.0, x, -np.inf).max(axis=1),
+                   lambda x, w: x.max(axis=1),
                    lambda x, w, first: [float(v) for v in accumulate(x, max)][first:])
 
     @classmethod
@@ -344,6 +346,14 @@ def evaluate_prefixes(mean: MeanHandle, x: Sequence[float], w) -> list:
     return out
 
 
+def _filled(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x`` with each entry of weight 0 replaced by its row's first entry of
+    nonzero weight, and a row without one all NaN, in ``x``'s memory order."""
+    live, rows = w != 0.0, np.arange(len(x))
+    first = live.argmax(axis=1)
+    return np.where(live, x, np.where(live[rows, first], x[rows, first], np.nan)[:, None])
+
+
 def _settled(mean: MeanHandle, kernel: Optional[Callable], scalar: Callable, x: np.ndarray,
              w: np.ndarray, shape: tuple, *args) -> np.ndarray:
     """The gate in front of every array kernel: ``kernel(x, w, *args)``, under
@@ -354,19 +364,21 @@ def _settled(mean: MeanHandle, kernel: Optional[Callable], scalar: Callable, x: 
     ``kernel=None`` every row, then takes ``scalar(mean, x_i, w_i)`` in row
     order, so the first failing row raises.  A row mask is built only when
     ``x``'s minimum or maximum lies outside the domain (an interval), or
-    ``0 <= min w``, ``0 < max w < inf`` fails.  A row of zero weights
-    passes that test beside other rows, and its weight sum 0 leaves it not
-    finite in every kernel."""
+    ``0 <= min w``, ``0 < max w < inf`` fails.  Where a weight is 0 the
+    kernel gets ``x`` :func:`_filled`: every entry of weight 0 equals one of
+    nonzero weight of its row, which leaves the row's value as it is
+    (elimination), and a row of zero weights, which passes the test beside
+    other rows, is all NaN."""
     contains = mean.domain.contains
     with np.errstate(all="ignore"):
         if (kernel and x.size and contains(x.min()) and contains(x.max())
-                and 0.0 <= w.min() and 0.0 < w.max() < math.inf):
-            out, good = kernel(x, w, *args), True
+                and 0.0 <= (least := w.min()) and 0.0 < w.max() < math.inf):
+            out, good = kernel(x if least else _filled(x, w), w, *args), True
         else:
             out = np.full(shape, np.nan)
             good = (contains(x) & (0.0 <= w) & (w < math.inf)).all(axis=1) & (w > 0.0).any(axis=1)
             if kernel and good.any():
-                out[good] = kernel(x[good], w[good], *args)
+                out[good] = kernel(_filled(x[good], w[good]), w[good], *args)
         if math.isfinite(out.sum()) and (good is True or good.all()):
             return out
     for i in np.flatnonzero(~(good & np.isfinite(out).reshape(len(out), -1).all(axis=1))).tolist():

@@ -53,9 +53,6 @@ class QInterval(_QIntervalBase):
     def length(self) -> Fraction:
         return self.upper - self.lower
 
-    def contains(self, v) -> bool:
-        return self.lower <= v < self.upper
-
 
 class QRectangle(NamedTuple):
     """Cartesian product of two rational half-open intervals."""

@@ -47,13 +47,13 @@ def test_quick_micro_rows_have_the_schema():
     rows = bench.micro_rows(quick=True)
     _check_rows(rows)
     # check_kedlaya at three p, evaluate, evaluate_rows at three p on two
-    # shapes, of six other means on one and of two on an axioms block,
+    # shapes, of six other means on one and of five on an axioms block,
     # check_kedlaya_rows of four means, the two sides of a qa:log sweep
     # block, criterion 7, log and exp per scalar call and as arrays of two
     # sizes, check_kedlaya of qa:log, power:0 and gini:0.5:0, and
     # sample_jensen_concavity of power:0.5 and gini:2:1, a proportional set
     # and its check, and whole proportional and proof-fn commands
-    assert len(rows) == 39
+    assert len(rows) == 42
 
 
 def test_committed_files_have_the_schema():

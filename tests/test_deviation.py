@@ -41,7 +41,8 @@ from kedlaya.errors import (
     MaxIterations,
     SolverFailure,
 )
-from kedlaya.means import MeanHandle, evaluate, evaluate_prefixes, evaluate_rows, mean_from_id
+from kedlaya.means import (MeanHandle, _filled, evaluate, evaluate_prefixes, evaluate_rows,
+                           mean_from_id)
 
 
 def diff_spec(f, label, increasing=True):
@@ -500,12 +501,13 @@ class TestSolverCore:
 
 
 def _lockstep_rows(p, x, w):
-    """The lockstep kernel's rows as :func:`evaluate_rows` gives them: its
-    NaN rows filled, in row order, by the plain scalar solver of
+    """The lockstep kernel's rows as :func:`evaluate_rows` gives them: the
+    kernel on ``x`` as the gate fills it (:func:`kedlaya.means._filled`),
+    its NaN rows then taken, in row order, by the plain scalar solver of
     ``shifted_power(p)`` on the row's entries of nonzero weight, which raises
     the first failing row's error."""
     with np.errstate(all="ignore"):
-        out = homogeneous_deviation_rows(p, x, w)
+        out = homogeneous_deviation_rows(p, _filled(x, w), w)
     for i in np.flatnonzero(~np.isfinite(out)).tolist():
         live = w[i] != 0.0
         out[i] = homogeneous_deviation(shifted_power(p), x[i, live].tolist(),
@@ -753,9 +755,7 @@ class TestRootInterval:
     @given(_interval_rows(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     def test_scalar_total_has_the_certified_sign(self, row, fractions):
         p, x, w = row
-        live = np.array([w]) != 0.0
-        lo, hi = min(xi for xi, wi in zip(x, w) if wi), max(xi for xi, wi in zip(x, w) if wi)
-        block = np.where(live, np.array([x]), lo)
+        block = _filled(np.array([x]), np.array([w]))  # as the gate hands the lockstep its rows
         with np.errstate(all="ignore"):  # as in the lockstep
             (a,), (b,) = (v[:, 0].tolist() for v in dev._certificate(p, block, np.array([w])))
         _assert_certified_signs(p, [xi for xi, wi in zip(x, w) if wi], [wi for wi in w if wi],

@@ -612,10 +612,37 @@ class TestBatchKernels:
         ("gini:-2:-2", 1e-160)])
     def test_the_scale_skips_entries_of_weight_zero(self, name, dead):
         # scaled by the entry of weight 0, the live powers underflowed to 0 or
-        # to subnormals, and the kernel's finite value went past the fallback
+        # to subnormals, and the kernel's finite value went past the fallback;
+        # the gate's fill gives the bits of the row without that entry (at
+        # gini:-2:-2, 1.1328748248685312 against evaluate's ...314)
         mean, x, w = mean_from_id(name), [1.0, 1.5, dead], [1.0, 1.0, 0.0]
-        assert evaluate_rows(mean, np.array([x]), np.array([w])).tolist() == \
-            [evaluate(mean, x, w)]
+        got = evaluate_rows(mean, np.array([x]), np.array([w])).tolist()
+        assert got == evaluate_rows(mean, np.array([x[:2]]), np.array([w[:2]])).tolist()
+        assert got == pytest.approx([evaluate(mean, x, w)], rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("mean, sign", [
+        *(pytest.param(mean_from_id(name), 1.0, id=name) for name in (
+            "arithmetic", "min", "max", "power:2", "power:-2", "gini:2:1", "gini:-2:-2", "gini21",
+            "qa:log", "qa:pow:2", "homdev:shifted-power:0.5")),
+        pytest.param(MeanHandle.affine(mean_from_id("power:0.5"), -1.0, 0.0), -1.0,
+                     id="reflect(power:0.5)")])
+    @pytest.mark.parametrize("dead", [1e160, 1e-160, 1e300, 1e-300, "min", "max"])
+    def test_entries_of_weight_zero_leave_the_row_bits(self, mean, sign, dead):
+        # the gate fills an entry of weight 0 with a live entry of its row, so
+        # one at an extreme of the domain leaves every row's bits as they are;
+        # unfilled, gini:-2:-2's term of 1e-160 in row (1, 1.5) is 0 * inf
+        rng = np.random.default_rng(20261020)
+        x = np.exp(rng.uniform(math.log(0.5), math.log(4.0), (30, 2)))
+        w = rng.exponential(size=(30, 2))
+        x[0], w[0] = (1.0, 1.5), (1.0, 1.0)
+        extra = {"min": x.min(axis=1), "max": x.max(axis=1)}.get(dead, dead)
+        at = np.arange(30) % 3  # the dead entry goes before, between or after the live ones
+        live = np.arange(3) != at[:, None]
+        padded, weights = np.zeros((30, 3)), np.zeros((30, 3))
+        padded[live], weights[live] = x.ravel(), w.ravel()
+        padded[~live] = extra
+        _assert_same_bits(evaluate_rows(mean, sign * padded, weights),
+                          evaluate_rows(mean, sign * x, w))
 
     @pytest.mark.parametrize("name, rows, want", [
         ("arithmetic", [[1e308, 1.5e308], [1e308, 1e308]], [1.25e308, 1e308]),  # w x sums to inf
@@ -1014,10 +1041,11 @@ class TestPrefixRows:
         w[::2, 2:5] = 0.0  # interior zero weights
         x[1::4, 2:], w[1::4, 1] = x[1::4, :1], 0.0  # constant once the zero weight is dropped
         x[3::4, 5:], w[3::4, 5:] = x[3::4, :1], 0.0  # padded as _axiom_sides pads
-        assert not np.isnan(mean._prefix_rows(x, w, False)).any()  # no row left to the scans
+        filled = means._filled(x, w)  # the rows as the gate hands them to the kernels
+        assert not np.isnan(mean._prefix_rows(filled, w, False)).any()  # no row left to the scans
         assert evaluate_prefix_rows(mean, x, w).tolist() == [
             evaluate_prefixes(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
-        assert mean._batch(x, w).tolist() == [
+        assert mean._batch(filled, w).tolist() == [
             evaluate(mean, xi, wi) for xi, wi in zip(x.tolist(), w.tolist())]
 
     def test_rows_outside_the_domain_raise_as_the_scan_does(self):
@@ -1096,8 +1124,8 @@ class TestExactDriverParity:
     def test_rows_are_the_scalar_bits(self, named, seed, rows, n, spread, zeros, fortran, last):
         mean = named[1]
         x, w = _driver_block(mean, seed, rows, n, spread, zeros, fortran)
-        with np.errstate(all="ignore"):
-            raw = mean._prefix_rows(x, w, last)
+        with np.errstate(all="ignore"):  # on the rows as the gate fills them
+            raw = mean._prefix_rows(means._filled(x, w), w, last)
         assert raw.shape == (rows, 1 if last else n)
         want = _scalar_rows(mean, x, w, last)
         for got, outcome in zip(raw, want):
