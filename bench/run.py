@@ -36,7 +36,10 @@ criterion 7 (the five axiom residuals on 1000 instances, the loop of
 ``tests/test_acceptance.py``), and ``kedlaya.elementary``'s ``log`` and
 ``exp``: a scalar call (the row is per call, timed over 6144 calls), the
 array forms on 6144 and 3072 log-uniform values (as many as the 3072 x 2
-chunk has entries and means), and ``check_kedlaya`` of ``qa:log`` at
+chunk has entries and means), on 800 and on 16384 (the size of the
+per-value cost target), ``exact_prefix_sums`` of ``w log x`` terms on the
+block shapes its callers hand it (3072 x 2, 100 x 8, 819 x 10 and
+1 x 200), and ``check_kedlaya`` of ``qa:log`` at
 ``n = 184``, whose prefix scans make every call on the scalar path, and of
 ``power:0`` at ``n = 180`` and ``gini:0.5:0`` at ``n = 212``, the scalar
 scans of the power and Gini terms (the sizes of the ``scan`` workload), and
@@ -45,9 +48,10 @@ the two slowest ops of the ``probe`` workload in process:
 ``gini:2:1`` at 75000, ``n = 2``, and the exact geometry of the ``proof``
 workload: ``proportional_set`` plus ``verify_proportionality`` at
 ``theta = 33/41`` (1353 rectangles), and whole ``cli.main`` commands, as
-perfbench runs them, of that ``proportional`` op and of seed 1's first
-1e6-cell ``proof-fn`` op (``perfbench/workloads.py``).  Only a whole
-command runs with the garbage collector paused.
+perfbench runs them, of that ``proportional`` op, of seed 1's first
+1e6-cell ``proof-fn`` op and of seed 1's first ``concavity qa:log`` op
+(2400 trials, the median op of ``probe``; ``perfbench/workloads.py``).
+Only a whole command runs with the garbage collector paused.
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -124,12 +128,12 @@ def _first_rows(module, run) -> tuple:
     return blocks[0]
 
 
-def _first_proof_fn(band: str) -> tuple:
-    """The argv of seed 1's first ``proof-fn`` op of ``band`` cells."""
+def _first_op(workload: str, kind: str) -> tuple:
+    """The argv of seed 1's first op of ``kind`` in perfbench's ``workload``."""
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     from workloads import iter_ops
 
-    return next(op.argv for op in iter_ops("proof", 1) if op.kind == f"proof-fn {band}")
+    return next(op.argv for op in iter_ops(workload, 1) if op.kind == kind)
 
 
 def micro_rows(quick: bool = False) -> list:
@@ -139,7 +143,7 @@ def micro_rows(quick: bool = False) -> list:
     import numpy as np
     from kedlaya import cli, concavity, means, stepfn
     from kedlaya.concavity import _CHUNK, sample_jensen_concavity
-    from kedlaya.deviation import GeneratorSpec
+    from kedlaya.deviation import GeneratorSpec, exact_prefix_sums
     from kedlaya.elementary import exp, log
     from kedlaya.inequality import check_kedlaya, check_kedlaya_rows
     from kedlaya.means import (_AXIOM_BLOCK, _SIDES, MeanHandle, evaluate, evaluate_prefix_rows,
@@ -206,14 +210,20 @@ def micro_rows(quick: bool = False) -> list:
     rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(
         mean, np.random.default_rng(seed), trials), 1 if quick else 3))
     rng = np.random.default_rng(6144)
-    logs = rng.uniform(np.log(0.1), np.log(10.0), 16 if quick else 6144)
+    sizes = (16, 8, 4, 2) if quick else (16384, 6144, 3072, 800)
+    logs = rng.uniform(np.log(0.1), np.log(10.0), sizes[0])
     for f, values in ((log, np.exp(logs)), (exp, logs)):
-        calls = values.tolist()
+        calls = values[:sizes[1]].tolist()
         rows.append(_time(f"{f.__name__} scalar per call", lambda: list(map(f, calls)), k,
                           len(calls)))
-        for size in (len(values), len(values) // 2):
+        for size in sizes:
             part = values[:size].copy()
             rows.append(_time(f"{f.__name__} array {size}", lambda: f.array(part), k))
+    rng = np.random.default_rng(23)
+    for shape in ((3072, 2), (100, 8), (819, 10), (1, 200)):
+        terms = rng.uniform(-2.3, 2.3, shape) * rng.uniform(0.1, 10.0, shape)  # w log x
+        rows.append(_time(f"exact_prefix_sums {shape[0]}x{shape[1]}",
+                          lambda: exact_prefix_sums(terms), k))
     for name, size in (("qa:log", 184), ("power:0", 180), ("gini:0.5:0", 212)):
         scan, n = mean_from_id(name), 8 if quick else size
         x, w = draw(n, n)
@@ -234,9 +244,14 @@ def micro_rows(quick: bool = False) -> list:
                 raise RuntimeError(f"{' '.join(argv)} failed")
 
     band = "1e+02" if quick else "1e+06"
+    concavity_op = list(_first_op("probe", "concavity qa:log"))
+    if quick:
+        concavity_op[concavity_op.index("--trials") + 1] = "16"
+    trials = concavity_op[concavity_op.index("--trials") + 1]
     for name, argv in ((f"proportional {theta}",
                         ("proportional", "--theta", theta, "--host", corners, "--json")),
-                       (f"proof-fn {band} seed 1", _first_proof_fn(band))):
+                       (f"proof-fn {band} seed 1", _first_op("proof", f"proof-fn {band}")),
+                       (f"concavity qa:log {trials}", concavity_op)):
         rows.append(_time(f"cli.main {name}", lambda: command(argv), k))
     return rows
 

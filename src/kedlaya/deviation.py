@@ -341,7 +341,12 @@ def _two_sum_pass(a: np.ndarray) -> np.ndarray:
         for k in range(1, len(s)):
             s[k] += s[k - 1]
     b = s[1:] - s[:-1]
-    a[1:], a[0] = (s[:-1] - (s[1:] - b)) + (a[1:] - b), 0.0
+    c = s[1:] - b
+    np.subtract(s[:-1], c, out=c)
+    err = a[1:]  # a view: the errors (s[:-1] - (s[1:] - b)) + (a[1:] - b), in place
+    err -= b
+    err += c
+    a[0] = 0.0
     return s
 
 
@@ -358,14 +363,20 @@ def exact_prefix_sums(t: np.ndarray) -> np.ndarray:
     :data:`_MAX_PASSES`) one C ``fsum`` of the levels does.  Nothing past a
     running sum that is not finite or above ``2^1021`` (below it no partial
     of ``fsum`` overflows) is certain, nor a sum of 0, whose sign ``fsum``
-    picks.  The bits are the same on every CPU.
+    picks.  A block with no error left after two passes and every running
+    sum in range returns there, without the per-prefix masks; in a long
+    sweep scan or a block with a sum out of range, the masks find the
+    prefixes that more passes certify.  The bits are the same on every CPU.
     """
     a = np.array(t.T, dtype=float, order="C")  # prefixes along axis 0
     with np.errstate(invalid="ignore", over="ignore"):  # not finite: not certain
         levels = [_two_sum_pass(a), _two_sum_pass(a)]
         in_range = np.abs(levels[0]) <= 2.0 ** 1021
-        ok = np.logical_and.accumulate((a == 0.0) & in_range, axis=0)
         r = levels[0] + levels[1]
+        if not a.any() and in_range.all():  # every prefix certain
+            r[r == 0.0] = np.nan
+            return r.T
+        ok = np.logical_and.accumulate((a == 0.0) & in_range, axis=0)
         if not ok.all():  # more passes for the prefixes in range
             in_range = np.logical_and.accumulate(in_range, axis=0)
             while len(levels) < _MAX_PASSES and (in_range & (a != 0.0)).any():

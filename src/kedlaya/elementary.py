@@ -100,46 +100,96 @@ def _log_exp(frexp, ldexp, rint, table):
     """``log`` of positive finite arguments and ``exp`` of arguments in
     ``(-746, 710)``, over the given steps: ``rint`` rounds half to even to
     an integer, and ``table`` turns a tuple of floats into what an integer,
-    or an integer array, indexes."""
+    or an integer array, indexes.
+
+    Each step is an augmented assignment or a new name: on Python floats the
+    assignment rebinds, and on arrays it overwrites its target.  So an array
+    call of ``log`` allocates 16 arrays and one of ``exp`` 10, where an
+    expression per step allocated 45 and 26; and ``log`` deletes the names
+    it no longer needs, so that fewer arrays are live at once and malloc
+    reuses their memory rather than faulting in fresh pages.  ``exp`` overwrites its
+    argument.  The operands of ``+`` and ``*`` may swap, which moves no bit."""
     ln2_lead, ln2_trail = _LN2
-    log_lead, log_trail = table(_LOG_TABLE[0::2]), table(_LOG_TABLE[1::2])
+    pad = (math.nan,) * 64  # the log table is indexed by j = 64..128
+    log_lead, log_trail = table(pad + _LOG_TABLE[0::2]), table(pad + _LOG_TABLE[1::2])
     l32_lead, l32_trail = _LN2_32
     exp_lead, exp_trail = table(_EXP_TABLE[0::2]), table(_EXP_TABLE[1::2])
 
     def log(x):
         # x = 2^e mant = 2^e F (1 + u), F = j / 128 nearest to mant in [1/2, 1)
-        mant, e = frexp(x)
-        j = rint(mant * 128.0)
+        f, e = frexp(x)
+        j = rint(f * 128.0)
         big_f = j / 128.0
-        f = mant - big_f  # exact
+        f -= big_f  # mant - F, exact
         u = f / big_f
         # the division's remainder, exactly: u's top 45 bits times F (7 bits) and
         # its low bits times F are exact products (Veltkamp's split of u)
-        s = u * 257.0
-        u_top = s - (s - u)
-        c = ((f - u_top * big_f) - (u - u_top) * big_f) / big_f  # f / F = u + c
-        q = u * u * (-1 / 2 + u * (1 / 3 + u * (-1 / 4 + u * (1 / 5 + u * (-1 / 6 + u * (
-            1 / 7 + u * (-1 / 8)))))))  # log1p(u) - u
-        i = j - 64
-        hi = e * ln2_lead + log_lead[i]  # exact
+        u_top = u * 257.0
+        u_top -= u_top - u
+        f -= u_top * big_f
+        u_top -= u
+        u_top *= big_f
+        f += u_top  # f - (u - u_top) F: the two differ only at f = -0, which f is not
+        f /= big_f  # c: f / F = u + c
+        del u_top, big_f
+        q = u * (-1 / 8)  # log1p(u) - u, by Horner's rule
+        q += 1 / 7
+        q *= u
+        q += -1 / 6
+        q *= u
+        q += 1 / 5
+        q *= u
+        q += -1 / 4
+        q *= u
+        q += 1 / 3
+        q *= u
+        q += -1 / 2
+        q *= u * u
+        f += q  # c + q
+        del q
+        lo = e * ln2_trail
+        lo += log_trail[j]
+        f += lo  # lo + (c + q)
+        del lo
+        hi = e * ln2_lead
+        hi += log_lead[j]  # exact
+        del e, j
         y = hi + u
-        tail = (hi - y) + u  # y + tail = hi + u exactly (Fast2Sum, |hi| >= |u| or hi = 0)
-        return y + (tail + ((e * ln2_trail + log_trail[i]) + (c + q)))
+        hi -= y
+        hi += u  # tail: y + tail = hi + u exactly (Fast2Sum, |hi| >= |u| or hi = 0)
+        hi += f
+        y += hi
+        return y
 
     def exp(x):
         # x = (32 k + j) ln2 / 32 + r, |r| <= ln2 / 64: exp x = 2^k 2^(j/32) e^r
         n = rint(x * _INV_LN2_32)
-        j, k = n & 31, n >> 5
-        r = (x - n * l32_lead) - n * l32_trail  # x - n * lead is exact
-        p = r + r * r * (1 / 2 + r * (1 / 6 + r * (1 / 24 + r * (1 / 120 + r * (1 / 720)))))
-        t = exp_lead[j]
-        return ldexp(t + (exp_trail[j] + t * p), k)
+        r = x
+        r -= n * l32_lead  # exact
+        r -= n * l32_trail
+        p = r * (1 / 720)
+        p += 1 / 120
+        p *= r
+        p += 1 / 24
+        p *= r
+        p += 1 / 6
+        p *= r
+        p += 1 / 2
+        p *= r * r
+        p += r  # e^r - 1
+        k = n >> 5
+        n &= 31  # j
+        t = exp_lead[n]
+        p *= t
+        p += exp_trail[n]
+        p += t
+        return ldexp(p, k)
 
     return log, exp
 
 
 _log, _exp = _log_exp(math.frexp, math.ldexp, round, tuple)
-_log_array, _exp_array = _log_exp(np.frexp, np.ldexp, lambda v: np.rint(v).astype(np.int64),
+_log_array, _exp_array = _log_exp(np.frexp, np.ldexp, lambda v: np.rint(v, out=v).astype(np.intp),
                                   np.array)
 _INF = math.inf
 
@@ -177,7 +227,8 @@ def _log_rows(x: np.ndarray) -> np.ndarray:
 def _exp_rows(x: np.ndarray) -> np.ndarray:
     """:func:`exp` of every element of a float array, inf past the float range."""
     with np.errstate(all="ignore"):  # NaN is cast to some integer; its result is NaN
-        return _exp_array(np.minimum(np.maximum(x, -746.0), 710.0))
+        v = np.maximum(x, -746.0)
+        return _exp_array(np.minimum(v, 710.0, out=v))
 
 
 log.array, exp.array = _log_rows, _exp_rows

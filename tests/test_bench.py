@@ -25,6 +25,8 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"proportional_set\+verify_proportionality \d+/\d+",
     r"cli\.main proportional \d+/\d+",
     r"cli\.main proof-fn \S+ seed \d+",
+    r"exact_prefix_sums \d+x\d+",
+    r"cli\.main concavity \S+ \d+",
 ))
 
 
@@ -49,11 +51,12 @@ def test_quick_micro_rows_have_the_schema():
     # check_kedlaya at three p, evaluate, evaluate_rows at three p on two
     # shapes, of six other means on one and of five on an axioms block,
     # check_kedlaya_rows of four means, the two sides of a qa:log sweep
-    # block, criterion 7, log and exp per scalar call and as arrays of two
-    # sizes, check_kedlaya of qa:log, power:0 and gini:0.5:0, and
-    # sample_jensen_concavity of power:0.5 and gini:2:1, a proportional set
-    # and its check, and whole proportional and proof-fn commands
-    assert len(rows) == 42
+    # block, criterion 7, log and exp per scalar call and as arrays of four
+    # sizes, exact_prefix_sums on four shapes, check_kedlaya of qa:log,
+    # power:0 and gini:0.5:0, and sample_jensen_concavity of power:0.5 and
+    # gini:2:1, a proportional set and its check, and whole proportional,
+    # proof-fn and concavity commands
+    assert len(rows) == 51
 
 
 def test_committed_files_have_the_schema():

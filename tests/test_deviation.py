@@ -1,5 +1,6 @@
 """Deviation solver and closed forms, cross-checked against each other."""
 
+import hashlib
 import math
 import sys
 import warnings
@@ -1092,3 +1093,49 @@ class TestExactPrefixSums:
         rng = np.random.default_rng(23)
         t = rng.uniform(-2.3, 2.3, shape) * rng.uniform(0.1, 10.0, shape)  # w log x
         assert not np.isnan(_certified_sums_are_fsums(t)).any()
+
+
+def _prefix_block(rows: int, n: int, seed: int) -> np.ndarray:
+    """Seeded terms over the float range: each row within 60 binades of its
+    own scale, from the subnormals to ``2^1010``, with about one term in ten
+    the negation of the one before it."""
+    rng = np.random.default_rng(seed)
+    scale = rng.integers(-1074, 1011, (rows, 1))
+    t = np.ldexp(rng.uniform(-1.0, 1.0, (rows, n)), scale - rng.integers(0, 61, (rows, n)))
+    undo = rng.random((rows, n)) < 0.1
+    undo[:, 0] = False
+    t[undo] = -np.roll(t, 1, axis=1)[undo]
+    return t
+
+
+@pytest.mark.kernel_parity
+class TestBitPins:
+    """The values and NaN positions of :func:`exact_prefix_sums` on seeded
+    blocks of the shapes its callers hand it.  Each digest was recorded
+    before the sums could return after two passes."""
+
+    @staticmethod
+    def _digest(t: np.ndarray) -> str:
+        out = _certified_sums_are_fsums(t)
+        nan = np.isnan(out)
+        return hashlib.sha256(np.where(nan, 0.0, out).tobytes() + nan.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("rows, n, pin", [
+        (3072, 2, "61e2050c703427c5c3f434bc1829c710cde3db0cf3f7677bff2fc64bc251305f"),
+        (100, 8, "20505408000bd6025f4a11e8b017a2ba32913b73260ad9b03863c1b918a77072"),
+        (819, 10, "f583a40aaf9649e3dd5fd3f0d7f54e692ab12fa32b8cd2a52ba3c0aa6e74e1cb"),
+        (1, 200, "eb2f4057d87cad843385c0a659a3057a22a624e49c39520164b230c9d54a4f37"),
+        (2000, 3, "48cfc58a0af93051b06f517a9eedce5d59437a4da4937d0707c3eb24bae119ea"),
+    ])
+    def test_blocks(self, rows, n, pin):
+        assert self._digest(_prefix_block(rows, n, rows * n)) == pin
+
+    def test_a_row_past_the_cap_and_a_zero_sum_take_the_slow_path(self):
+        t = _prefix_block(3072, 2, 1)
+        t[5] = 1.25 * 2.0 ** 1021, 1.0  # fsum is finite, but not certain
+        t[9] = 3.0, -3.0  # fsum picks the sign of 0
+        assert self._digest(t) == "150d15ce0172bf251a8d64ddd86b09005e9cf12cbafbc22850e944e9a33820a4"
+        out = exact_prefix_sums(t)
+        assert np.isnan(out[5]).all() and out[9, 0] == 3.0 and np.isnan(out[9, 1])
+        rest = exact_prefix_sums(np.delete(t, [5, 9], axis=0))  # certified after two passes
+        assert np.delete(out, [5, 9], axis=0).tobytes() == rest.tobytes()

@@ -7,6 +7,7 @@ ulp bounds of mpmath at 50 digits; the scalar functions raise what
 they stand for.
 """
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -190,3 +191,69 @@ class TestTables:
         assert len(pairs) == 2 * 32
         for j, lead, trail in zip(range(32), pairs[0::2], pairs[1::2]):
             self._pair_is(_digits, lead, trail, _digits.power(2, _digits.mpf(j) / 32), 0.0)
+
+
+def _digest(y: np.ndarray) -> str:
+    """sha256 of the bytes of ``y``, every NaN the same NaN."""
+    return hashlib.sha256(np.where(np.isnan(y), math.nan, y).tobytes()).hexdigest()
+
+
+def _near(v: np.ndarray, ulps: int) -> np.ndarray:
+    """``v`` and the floats up to ``ulps`` steps either side of each element."""
+    bits = v.view(np.int64)
+    return np.concatenate([(bits + k).view(float) for k in range(-ulps, ulps + 1)])
+
+
+def _log_pin_args() -> np.ndarray:
+    """Over 1e5 arguments: bit patterns over the positive floats, subnormals,
+    values near 1, the table points ``j / 128`` and the ties of ``rint(128
+    mant)`` at every exponent, with their neighbours, and the edge cases."""
+    rng = np.random.default_rng(2017)
+    j = rng.integers(64, 129, 4000)
+    ties = rng.integers(64, 128, 4000) * 2 + 1  # mant = (2j + 1) / 256
+    return np.concatenate([
+        rng.integers(1, 0x7FF0000000000000, 40000).view(float),
+        rng.integers(1, 2 ** 52, 2000).view(float),
+        1.0 + rng.uniform(-1.0, 1.0, 20000) * np.exp2(-rng.integers(1, 54, 20000)),
+        _near(np.ldexp(j / 128.0, rng.integers(-1021, 1024, 4000)), 2),
+        _near(np.ldexp(ties / 256.0, rng.integers(-1021, 1024, 4000)), 2),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -1.0, -5e-324, 5e-324, _TINY,
+         sys.float_info.max, 1.0, 0.5, 2.0],
+    ])
+
+
+def _exp_pin_args() -> np.ndarray:
+    """Over 1e5 arguments: uniform over ``(-750, 750)``, the points ``n ln2 /
+    32`` and the boundaries ``(n + 1/2) ln2 / 32`` of ``rint``, with their
+    neighbours, arguments with subnormal results, near 0 and near overflow,
+    and the edge cases."""
+    rng = np.random.default_rng(2017)
+    n = rng.integers(-34440, 32768, 5000) + rng.integers(0, 2, 5000) / 2.0
+    return np.concatenate([
+        rng.uniform(-750.0, 750.0, 40000),
+        _near(n * (math.log(2.0) / 32.0), 2),
+        rng.uniform(-745.2, -708.3, 15000),
+        rng.choice([-1.0, 1.0], 10000) * np.ldexp(rng.uniform(0.5, 1.0, 10000),
+                                                   rng.integers(-1073, 0, 10000)),
+        rng.uniform(709.0, 710.0, 12000),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 709.782712893384,
+         709.7827128933841, -745.1332191019411, -745.1332191019412, -746.0, 710.0,
+         -708.3964185322641, 1.0, -1.0],
+    ])
+
+
+@pytest.mark.kernel_parity
+class TestBitPins:
+    """Each function's bits on over 1e5 seeded arguments, scalar and array: the
+    parity tests above cannot see a change that moves both forms alike.
+    Each digest was recorded before the array forms worked in place."""
+
+    @pytest.mark.parametrize("f, args, pin", [
+        (log, _log_pin_args, "c256466b1c1529a153db2d15e4d4fabb4e731951513758f3667336dca3082f29"),
+        (exp, _exp_pin_args, "32a610b74cefdd3bb730088616bb93caeb9fab4dc0c864546cdbc024633fb2e2"),
+    ])
+    def test_digest(self, f, args, pin):
+        values = args()
+        assert len(values) > 100000
+        assert _digest(f.array(values)) == pin
+        assert _digest(np.array([_as_array(f, v) for v in values.tolist()])) == pin
