@@ -18,8 +18,6 @@ individual modules for the full API:
 
 from .concavity import (
     ConcavityVerdict,
-    cdm_condition,
-    estar_transform,
     gini_concavity_condition,
     qa_concavity_condition,
     sample_jensen_concavity,
@@ -43,13 +41,11 @@ from .inequality import (
     KedlayaReport,
     NecessityProbe,
     ViolationWitness,
-    affine_conjugate,
     check_kedlaya,
     counterexample_mu_prime_0,
     kedlaya_sides,
     necessity_probe,
     partial_arithmetic_means,
-    reflect,
     search_violation,
     step_inequality,
 )
@@ -63,8 +59,6 @@ from .means import (
     check_symmetry,
     evaluate,
     mean_from_id,
-    mean_from_json,
-    mean_to_json,
     mean_value_residual,
     sample_axiom_residuals,
     weighted_from_repetition_invariant,
@@ -76,7 +70,6 @@ from .stepfn import (
     SimpleFunction1D,
     SimpleFunction2D,
     build_proof_function,
-    function_from_json,
     function_to_json,
     jensen_fubini_sides,
     m_integral,
@@ -87,7 +80,6 @@ from .stepfn import (
 )
 from .weights import (
     WeightVector,
-    clear_denominators,
     is_in_V,
     make_weights,
     partial_sums,

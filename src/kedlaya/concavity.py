@@ -10,13 +10,11 @@ it, so the sampler reports four verdicts: ``concave`` (only the convex
 side was refuted), ``convex`` (only the concave side), ``neither``
 (both), ``inconclusive`` (no violation found, e.g. affine means).
 
-Alongside the generic sampler there are three analytic criteria:
-a normalized-deviation transform whose midpoint concavity is equivalent
-to the mean's, the generator ratio test for quasi-arithmetic means, and
-the exact parameter region for the two-parameter power-sum family.  The
-sampled criteria read the domain on one grid,
-:func:`~kedlaya.domain.probe_points`, and the generator test draws its
-midpoint pairs through :func:`sample_midpoint_concavity`.
+Alongside the generic sampler there are two analytic criteria: the
+generator ratio test for quasi-arithmetic means, which reads the domain on
+one grid, :func:`~kedlaya.domain.probe_points`, and draws its midpoint
+pairs through :func:`sample_midpoint_concavity`, and the exact parameter
+region for the two-parameter power-sum family.
 
 Draw streams are generated in fixed-size chunks keyed by
 ``(seed, chunk_index)``, so results are reproducible for a given seed
@@ -43,8 +41,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import deviation as dev
-from .domain import POSITIVE, LINEAR, LOG, NEG_LOG, probe_points, sampling_window
-from .errors import MixedSignSecondDerivative, NegativeSeed, VanishingDerivative
+from .domain import LINEAR, LOG, NEG_LOG, probe_points, sampling_window
+from .errors import MixedSignSecondDerivative, NegativeSeed
 # ``evaluate`` stays a module attribute here: perfbench/tracing.py wraps it
 # in every module that binds it.
 from .means import MeanHandle, evaluate, evaluate_rows  # noqa: F401
@@ -220,8 +218,8 @@ def sample_midpoint_concavity(fn: Callable[[float, float], float],
     """Midpoint test for a two-argument function on ``window x window``.
 
     ``window`` is ``(lo, hi)``; draws are log-uniform when the window is
-    positive.  Used to probe the normalized-deviation transform from
-    :func:`estar_transform`.  Witnesses are ``(u, v, None)``.
+    positive.  :func:`qa_concavity_condition` probes its generator ratio
+    with it.  Witnesses are ``(u, v, None)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -247,25 +245,6 @@ def sample_midpoint_concavity(fn: Callable[[float, float], float],
 # ---------------------------------------------------------------------------
 # Analytic criteria
 # ---------------------------------------------------------------------------
-
-def estar_transform(spec: dev.DeviationSpec) -> Callable[[float, float], float]:
-    """Normalize a deviation by its diagonal slope: ``-E(x,t) / d2E(t,t)``.
-
-    The deviation mean is Jensen concave exactly when this two-argument
-    function is, so the result is meant to be fed into
-    :func:`sample_midpoint_concavity`.  Requires ``dE2`` and a
-    nonvanishing diagonal slope over the probing window.
-    """
-    if spec.dE2 is None:
-        raise ValueError("spec must carry the second-argument derivative")
-    for t in probe_points(spec.domain, 32):
-        d = spec.dE2(t, t)
-        if abs(d) < 1e-12:
-            raise VanishingDerivative(
-                f"{spec.label}: diagonal slope {d} at t={t}")
-    E, dE2 = spec.E, spec.dE2
-    return lambda x, t: -E(x, t) / dE2(t, t)
-
 
 def qa_concavity_condition(gen: dev.GeneratorSpec) -> bool:
     """Sampled test of the generator criterion for Jensen concavity.
@@ -308,24 +287,3 @@ def gini_concavity_condition(p, q) -> bool:
     pf = Fraction(p) if not isinstance(p, float) else p
     qf = Fraction(q) if not isinstance(q, float) else q
     return min(pf, qf) <= 0 <= max(pf, qf) <= 1
-
-
-def cdm_condition(f: Callable[[float], float]) -> bool:
-    """Sampled test that ``f`` is strictly increasing, midpoint concave,
-    and vanishes at 1 on the positive reals.  Returns False on any
-    failure."""
-    try:
-        if abs(f(1.0)) > 1e-12:
-            return False
-        pts = probe_points(POSITIVE, _DERIVATIVE_SAMPLES)
-        vals = [f(t) for t in pts]
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            return False
-        for i in range(len(pts) - 2):
-            a, b = pts[i], pts[i + 2]
-            fm = f(0.5 * (a + b))
-            if fm < 0.5 * (f(a) + f(b)) - 1e-12 * (1.0 + abs(fm)):
-                return False
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return False
-    return True

@@ -80,7 +80,7 @@ _HOMDEV = "homogeneous deviation"
 
 @dataclass(frozen=True)
 class DeviationSpec:
-    """A deviation function with optional second-argument derivative.
+    """A deviation function ``E(x, y)`` on a domain.
 
     Construction samples the callbacks at 32 Chebyshev-spaced points of
     the domain's probing window and rejects specs that visibly violate
@@ -90,7 +90,6 @@ class DeviationSpec:
     """
 
     E: Callable[[float, float], float]
-    dE2: Optional[Callable[[float, float], float]] = None
     domain: Interval = POSITIVE
     label: str = "custom"
 
@@ -117,9 +116,9 @@ class DeviationSpec:
 class GeneratorSpec:
     """A strictly monotone generator with inverse and optional derivatives.
 
-    ``params`` holds the wire values of a built-in generator, labelled by
+    ``params`` holds the id fields of a built-in generator, labelled by
     its mean's id (``qa:log``, ``qa:pow:2``); it is None for a custom
-    generator, which has no wire format.
+    generator, which has no id.
     """
 
     f: Callable[[float], float]
@@ -791,7 +790,11 @@ def gini(p: float, q: float, x, w) -> float:
         return float(x[0])
     form = gini_form(p, q)
     sums, scales = _sums(form, x, w)
-    return form.finish(*sums, *scales, FLOATS)
+    try:
+        return form.finish(*sums, *scales, FLOATS)
+    except OverflowError:  # the log form's exp
+        raise FloatOverflow(f"gini:{_fmt(p)}:{_fmt(q)}: the mean of {list(x)} overflows "
+                            "the float range") from None
 
 
 def power_mean(p: float, x, w) -> float:
@@ -858,7 +861,7 @@ def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
 def _orientation(f: Callable[[float], float]) -> float:
     """The sign that makes ``s * f`` increasing: that of ``f(2)``, or of
     ``-f(1/2)`` where ``f(2)`` is beyond the float range; ``f(1)`` must be 0
-    to 1e-12.  Open (ROADMAP item 8): at ``-8e-17 < p < 0``, ``2^p - 1``
+    to 1e-12.  Open (ROADMAP item 5): at ``-8e-17 < p < 0``, ``2^p - 1``
     rounds to 0 and the solve fails; the sign of ``p`` would turn that into
     the float total's spurious root, 2.0 on ``x = (0.5, 2)``."""
     fe = f(1.0)

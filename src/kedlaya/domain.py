@@ -35,10 +35,6 @@ class Interval:
             return Interval(lo, hi, self.lo_open, self.hi_open)
         return Interval(hi, lo, self.hi_open, self.lo_open)
 
-    def to_json(self) -> list:
-        return [None if math.isinf(self.lo) else self.lo,
-                None if math.isinf(self.hi) else self.hi]
-
 
 REALS = Interval()
 POSITIVE = Interval(0.0, math.inf)                    # (0, inf)

@@ -86,10 +86,6 @@ class GeneratorOverflow(KedlayaError, OverflowError):
 
 # --- concavity criteria -----------------------------------------------------
 
-class VanishingDerivative(KedlayaError, ArithmeticError):
-    """The diagonal slope of a deviation vanishes at a sample point."""
-
-
 class MixedSignSecondDerivative(KedlayaError, ArithmeticError):
     """The second derivative changes sign; the concavity dichotomy fails."""
 

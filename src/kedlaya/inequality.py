@@ -438,17 +438,3 @@ def _candidates(n: int, seed: int):
             zeros = int(rng.integers(1, n - 1)) if n > 2 else 0
             x = (0.0,) * zeros + x[zeros:]
         yield x
-
-
-def affine_conjugate(mean: MeanHandle, a: float, b: float) -> MeanHandle:
-    """Mean ``a * M((x - b)/a, w) + b`` on the mapped domain.
-
-    With ``a > 0`` every inequality verdict is preserved; with ``a < 0``
-    the inequality direction flips.  ``a == 0`` raises ``ZeroScale``.
-    """
-    return MeanHandle.affine(mean, a, b)
-
-
-def reflect(mean: MeanHandle) -> MeanHandle:
-    """The mirrored mean ``-M(-x, w)``; swaps Jensen concavity/convexity."""
-    return MeanHandle.affine(mean, -1.0, 0.0)

@@ -9,16 +9,16 @@ with zero weight can be dropped (elimination).  Symmetric means are
 additionally invariant under simultaneous permutation of entries and
 weights.
 
-:class:`MeanHandle` packages a family tag, its wire parameters, a domain
+:class:`MeanHandle` packages a family tag, its id parameters, a domain
 and the family's kernels; :func:`evaluate` calls the scalar kernel (a
 closed form or the deviation solver), :func:`evaluate_prefixes` the prefix
 kernel, and :func:`evaluate_rows` and :func:`evaluate_prefix_rows` the
-array kernels, on the rows that pass one gate.  One family table reads and
-writes string ids and the JSON wire format.  The ``check_*`` helpers
-return the numeric residual of each axiom on concrete inputs, through
-:func:`evaluate`; :func:`sample_axiom_residuals` (behind ``kedlaya
-axioms``) evaluates every side of many sampled identities through
-:func:`evaluate_rows`, on rows padded with zero weights.
+array kernels, on the rows that pass one gate.  One family table reads
+string ids.  The ``check_*`` helpers return the numeric residual of each
+axiom on concrete inputs, through :func:`evaluate`;
+:func:`sample_axiom_residuals` (behind ``kedlaya axioms``) evaluates every
+side of many sampled identities through :func:`evaluate_rows`, on rows
+padded with zero weights.
 
 The built-in arithmetic, min and max families accumulate exactly (one
 rounding at the end), which makes the repetition-expansion bridge
@@ -41,6 +41,7 @@ from . import deviation as dev
 from .domain import Interval, NONNEGATIVE, POSITIVE, REALS, sampling_window
 from .errors import (
     DomainViolation,
+    FloatOverflow,
     IndexNotZeroWeighted,
     LengthMismatch,
     NegativeSeed,
@@ -120,8 +121,14 @@ def arithmetic_base(xs) -> float:
 
 
 def weighted_average(values, weights) -> float:
-    """Weighted arithmetic mean in floats, ``fsum(w * v) / fsum(w)``."""
-    return math.fsum(w * v for v, w in zip(values, weights)) / math.fsum(weights)
+    """Weighted arithmetic mean in floats, ``fsum(w * v) / fsum(w)``.
+
+    Raises :class:`FloatOverflow` when a partial sum of ``w * v`` overflows.
+    """
+    try:
+        return math.fsum(w * v for v, w in zip(values, weights)) / math.fsum(weights)
+    except OverflowError:  # fsum's intermediate overflow
+        raise FloatOverflow("a weighted sum overflows the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +137,13 @@ def weighted_average(values, weights) -> float:
 
 @dataclass(frozen=True)
 class MeanHandle:
-    """A weighted mean: family tag + wire parameters + entry domain.
+    """A weighted mean: family tag + id parameters + entry domain.
 
     Build instances through the classmethods or :func:`mean_from_id`; each
     factory is the one place its family is defined.  ``params`` holds the
-    family's wire values in id order (``gini:2:1`` has ``(2.0, 1.0)``,
-    ``qa:pow:2`` has ``("pow", 2.0)``), or None when the mean has no wire
-    format (custom generators and deviations).  ``_fn`` receives entries
+    values of the family's id fields in order (``gini:2:1`` has ``(2.0, 1.0)``,
+    ``qa:pow:2`` has ``("pow", 2.0)``), or None when the mean has no id
+    (custom generators and deviations).  ``_fn`` receives entries
     and float weights that already passed the domain/weight validation and
     zero-weight elimination in :func:`evaluate`.  Three kernels are optional:
 
@@ -656,11 +663,11 @@ def weighted_from_repetition_invariant(base: Callable, x, w,
 
 
 # ---------------------------------------------------------------------------
-# String ids and JSON wire format
+# String ids
 # ---------------------------------------------------------------------------
 
 _GENERATORS = {"log": dev.log_generator, "pow": dev.power_generator}
-_TEXT_FIELDS = ("generator", "f")  # wire fields that are names, not numbers
+_TEXT_FIELDS = ("generator", "f")  # id fields that are names, not numbers
 
 
 def _homogeneous_deviation(f: str, p: float) -> MeanHandle:
@@ -674,22 +681,18 @@ def _homogeneous_deviation(f: str, p: float) -> MeanHandle:
                       partial(dev.homogeneous_deviation_rows, p),
                       partial(dev.homogeneous_deviation_prefixes, p))
 
-# family -> (id head, wire fields in id order, builder taking the wire values).
-# Every id and JSON document is read and written through this table.
+# id head -> (id fields in order, builder taking their values).
+# Every id is read through this table.
 _FAMILIES = {
-    "arithmetic": ("arithmetic", (), MeanHandle.arithmetic),
-    "min": ("min", (), MeanHandle.minimum),
-    "max": ("max", (), MeanHandle.maximum),
-    "power": ("power", ("p",), MeanHandle.power),
-    "gini": ("gini", ("p", "q"), MeanHandle.gini),
-    "gini21": ("gini21", (), MeanHandle.gini21_counterexample),
-    "quasi-arithmetic": ("qa", ("generator", "p"),
-                         lambda g, *p: MeanHandle.quasi_arithmetic(_GENERATORS[g](*p))),
-    "homogeneous-deviation": ("homdev", ("f", "p"), _homogeneous_deviation),
-    "affine": (None, ("a", "b", "inner"),
-               lambda a, b, inner: MeanHandle.affine(mean_from_json(inner), a, b)),
+    "arithmetic": ((), MeanHandle.arithmetic),
+    "min": ((), MeanHandle.minimum),
+    "max": ((), MeanHandle.maximum),
+    "power": (("p",), MeanHandle.power),
+    "gini": (("p", "q"), MeanHandle.gini),
+    "gini21": ((), MeanHandle.gini21_counterexample),
+    "qa": (("generator", "p"), lambda g, *p: MeanHandle.quasi_arithmetic(_GENERATORS[g](*p))),
+    "homdev": (("f", "p"), _homogeneous_deviation),
 }
-_ID_HEADS = {head: family for family, (head, _, _) in _FAMILIES.items() if head}
 
 
 def mean_from_id(mean_id: str) -> MeanHandle:
@@ -698,15 +701,14 @@ def mean_from_id(mean_id: str) -> MeanHandle:
     Supported ids: ``arithmetic``, ``min``, ``max``, ``geometric``,
     ``power:p``, ``gini:p:q``, ``gini21``, ``qa:log``, ``qa:pow:p``,
     ``homdev:shifted-power:p``.  The fields after the head are the
-    family's wire values in order.
+    family's parameters in order.
     """
     parts = mean_id.strip().split(":")
     if parts == ["geometric"]:
         parts = ["power", "0"]
-    family = _ID_HEADS.get(parts[0])
-    if family is None or len(parts) - 1 > len(_FAMILIES[family][1]):
+    if parts[0] not in _FAMILIES or len(parts) - 1 > len(_FAMILIES[parts[0]][0]):
         raise ValueError(f"unknown mean id {mean_id!r}")
-    _, fields, build = _FAMILIES[family]
+    fields, build = _FAMILIES[parts[0]]
     try:
         values = [v if name in _TEXT_FIELDS else scalar_from_string(v, exact=False)
                   for name, v in zip(fields, parts[1:])]
@@ -715,28 +717,3 @@ def mean_from_id(mean_id: str) -> MeanHandle:
         raise ValueError(f"bad parameter in mean id {mean_id!r}: {exc}") from exc
     except (KeyError, TypeError):  # unknown generator/deviation name, wrong arity
         raise ValueError(f"unknown mean id {mean_id!r}") from None
-
-
-def mean_to_json(mean: MeanHandle) -> dict:
-    """Serialize a handle to the JSON wire format."""
-    if mean.family not in _FAMILIES or mean.params is None:
-        raise ValueError(f"mean {mean} has no wire format")
-    out: dict = {"family": mean.family, "domain": mean.domain.to_json()}
-    for name, v in zip(_FAMILIES[mean.family][1], mean.params):
-        out[name] = mean_to_json(v) if isinstance(v, MeanHandle) else v
-    return out
-
-
-def mean_from_json(obj: dict) -> MeanHandle:
-    """Inverse of :func:`mean_to_json`; applies each family's natural domain.
-    A document that names no family of the table, an unknown generator or
-    deviation, or too few fields raises ValueError naming it; a bad value
-    raises its builder's own error."""
-    fam = obj.get("family")
-    if fam not in _FAMILIES:
-        raise ValueError(f"unknown family {fam!r}")
-    _, fields, build = _FAMILIES[fam]
-    try:
-        return build(*(obj[name] for name in fields if name in obj))
-    except (KeyError, TypeError):  # unknown generator/deviation name, wrong arity
-        raise ValueError(f"unknown mean document {obj!r}") from None

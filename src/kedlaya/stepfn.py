@@ -526,9 +526,3 @@ def rectangles_to_json(ps: ProportionalSet) -> list:
     neither ``ps.rectangles`` nor a Fraction is built."""
     xt, yt = ps._xa.texts(), ps._ya.texts()
     return [{"x": [xt[a], xt[b]], "y": [yt[c], yt[d]]} for a, b, c, d in _corners(ps._xa, ps._ya)]
-
-
-def function_from_json(obj: dict) -> SimpleFunction2D:
-    dom = obj["domain"]
-    pieces = [(rect(*p["x"], *p["y"]), float(p["value"])) for p in obj["pieces"]]
-    return SimpleFunction2D(rect(*dom["x"], *dom["y"]), pieces)

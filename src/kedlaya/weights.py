@@ -202,17 +202,6 @@ def shuffle(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def clear_denominators(w: WeightVector) -> WeightVector:
-    """Rescale a rational-mode vector by the lcm of its denominators.
-
-    The result has integer entries and represents the same weighting (the
-    entrywise ratio to ``w`` is one constant).
-    """
-    if w.mode != RATIONAL:
-        raise ValueError("clear_denominators requires rational-mode weights")
-    return WeightVector(tuple(map(Fraction, integers_over_lcm(w.entries)[0])), RATIONAL)
-
-
 def scalar_from_string(s: str, exact: bool = True) -> Scalar:
     """Parse a decimal or ``p/q`` literal, exactly or as a float.
 

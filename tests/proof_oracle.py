@@ -71,6 +71,13 @@ def build_proof_function(x, w, j: int) -> SimpleFunction2D:
     return SimpleFunction2D(rect(0, s_full, 0, s_full), pieces)
 
 
+def function_from_json(obj: dict) -> SimpleFunction2D:
+    """The function of a ``proof-fn`` report's ``"function"`` document."""
+    dom = obj["domain"]
+    pieces = [(rect(*p["x"], *p["y"]), float(p["value"])) for p in obj["pieces"]]
+    return SimpleFunction2D(rect(*dom["x"], *dom["y"]), pieces)
+
+
 def function_to_json(f: SimpleFunction2D) -> dict:
     """The wire format written piece by piece from ``f.pieces``."""
     def iv(i: QInterval) -> list:

@@ -121,6 +121,20 @@ class TestCheck:
         assert code == 2
         assert "sum of the entries overflows the float range" in err
 
+    def test_prefix_mean_sum_overflow_exits_two(self, capsys):
+        # both prefix means are floats, but their weighted sum, taken for the lhs, is not
+        code, out, err = run(capsys, "check", "--mean", "arithmetic",
+                             "--x", "1.7976931348623157e308,1", "--w", "1,1")
+        assert (code, out, err) == (2, "", "error: a weighted sum overflows the float range\n")
+
+    def test_gini_log_form_overflow_exits_two(self, capsys):
+        code, out, err = run(capsys, "check", "--mean", "gini:-1e-300:1",
+                             "--x", "1.7976931348623157e308,5e-324,2.2250738585072014e-308,0.5,3/7",
+                             "--w", "0.5,1/3,5e-324,1e-300,1/3")
+        assert (code, out) == (2, "")
+        assert err == ("error: gini:-1e-300:1: the mean of [1.7976931348623157e+308, 5e-324] "
+                       "overflows the float range\n")
+
     @pytest.mark.parametrize("x, w", [("1e400,2", "1,1"), ("1,2", "1e400,1")])
     def test_literal_beyond_float_range_exits_two(self, capsys, x, w):
         code, _, err = run(capsys, "check", "--mean", "power:0", "--x", x, "--w", w)
@@ -857,7 +871,7 @@ class TestProofFn:
         assert counts == {12: 2, 575: 2}
 
     def test_round_trips_into_library(self, capsys):
-        from kedlaya.stepfn import function_from_json
+        from proof_oracle import function_from_json
         code, out, _ = run(capsys, "proof-fn", "--mean", "power:0",
                            "--x", "1,4,2", "--w", "2,1,1", "--j", "3")
         assert code == 0

@@ -13,18 +13,14 @@ from kedlaya.concavity import (
     CONVEX,
     INCONCLUSIVE,
     NEITHER,
-    cdm_condition,
-    estar_transform,
     gini_concavity_condition,
     qa_concavity_condition,
     sample_jensen_concavity,
     sample_midpoint_concavity,
 )
-from kedlaya.deviation import DeviationSpec, log_generator, power_generator
+from kedlaya.deviation import log_generator, power_generator
 from kedlaya.domain import LINEAR, LOG, NEG_LOG, POSITIVE, REALS, sampling_window
-from kedlaya.errors import (GeneratorOverflow, MixedSignSecondDerivative, NegativeSeed,
-                            VanishingDerivative)
-from kedlaya.inequality import reflect
+from kedlaya.errors import GeneratorOverflow, MixedSignSecondDerivative, NegativeSeed
 from kedlaya.means import MeanHandle, evaluate_rows, mean_from_id
 
 from concavity_oracle import draw_chunk, oracle_sample
@@ -68,7 +64,7 @@ class TestSampler:
                  NEITHER: NEITHER, INCONCLUSIVE: INCONCLUSIVE}
         for mid in ("power:0", "gini:2:1", "arithmetic"):
             mean = mean_from_id(mid)
-            mirrored = reflect(mean)
+            mirrored = MeanHandle.affine(mean, -1.0, 0.0)
             a = sample_jensen_concavity(mean, 2, 4000, seed=17)
             b = sample_jensen_concavity(mirrored, 2, 4000, seed=17)
             assert b.verdict == pairs[a.verdict]
@@ -177,7 +173,7 @@ class TestChunksDrawnIntoRows:
     and from 8 entries, where numpy sums a row pairwise."""
 
     @pytest.mark.parametrize("mean, window", [
-        (mean_from_id("power:0.5"), LOG), (reflect(mean_from_id("power:0.5")), NEG_LOG),
+        (mean_from_id("power:0.5"), LOG), (MeanHandle.affine(mean_from_id("power:0.5"), -1.0, 0.0), NEG_LOG),
         (mean_from_id("arithmetic"), LINEAR)], ids=["power:0.5", "reflect", "arithmetic"])
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9])
     def test_equals_the_concatenated_chunks(self, mean, window, n):
@@ -211,43 +207,6 @@ class TestMidpointSampler:
     def test_negative_seed_refused(self):
         with pytest.raises(NegativeSeed, match="seed must be >= 0, got -1"):
             sample_midpoint_concavity(lambda a, b: a * b, (0.1, 10.0), 10, seed=-1)
-
-
-class TestEstarTransform:
-    def test_linear_deviation(self):
-        spec = DeviationSpec(lambda x, y: x - y, dE2=lambda x, y: -1.0,
-                             domain=REALS, label="linear")
-        estar = estar_transform(spec)
-        for x, t in [(1.0, 2.0), (-3.0, 5.0), (0.5, 0.25)]:
-            assert estar(x, t) == pytest.approx(x - t, rel=1e-15)
-
-    def test_log_deviation(self):
-        spec = DeviationSpec(lambda x, y: math.log(x) - math.log(y),
-                             dE2=lambda x, y: -1.0 / y,
-                             domain=POSITIVE, label="log")
-        estar = estar_transform(spec)
-        for x, t in [(1.0, 2.0), (3.0, 5.0), (0.5, 0.25)]:
-            assert estar(x, t) == pytest.approx(t * (math.log(x) - math.log(t)),
-                                                rel=1e-12)
-
-    def test_square_deviation(self):
-        spec = DeviationSpec(lambda x, y: x * x - y * y,
-                             dE2=lambda x, y: -2.0 * y,
-                             domain=POSITIVE, label="square")
-        estar = estar_transform(spec)
-        for x, t in [(1.0, 2.0), (3.0, 5.0), (0.5, 0.25)]:
-            assert estar(x, t) == pytest.approx((x * x - t * t) / (2 * t), rel=1e-12)
-
-    def test_vanishing_derivative(self):
-        spec = DeviationSpec(lambda x, y: x - y, dE2=lambda x, y: -1e-13,
-                             domain=POSITIVE, label="vanishing")
-        with pytest.raises(VanishingDerivative):
-            estar_transform(spec)
-
-    def test_requires_derivative(self):
-        spec = DeviationSpec(lambda x, y: x - y, domain=REALS, label="no-d")
-        with pytest.raises(ValueError):
-            estar_transform(spec)
 
 
 class TestQACondition:
@@ -303,9 +262,10 @@ class TestQACondition:
         ]
         for gen, E, dE2 in cases:
             condition = qa_concavity_condition(gen)
-            spec = DeviationSpec(E, dE2=dE2, domain=POSITIVE, label=gen.label)
-            verdict = sample_midpoint_concavity(estar_transform(spec),
-                                                (0.05, 20.0), 20_000, seed=5)
+            # E*(x, t) = -E(x, t) / dE2(t, t), the deviation normalized by its
+            # diagonal slope, is midpoint concave exactly when the mean is
+            estar = lambda x, t, E=E, dE2=dE2: -E(x, t) / dE2(t, t)
+            verdict = sample_midpoint_concavity(estar, (0.05, 20.0), 20_000, seed=5)
             if condition:
                 assert verdict.verdict in (CONCAVE, INCONCLUSIVE)
             else:
@@ -342,19 +302,3 @@ class TestGiniCondition:
                                                   100_000, seed=11)
                 assert verdict.verdict in (CONVEX, NEITHER), (p, q)
 
-
-class TestCdmCondition:
-    def test_log_qualifies(self):
-        assert cdm_condition(math.log)
-
-    def test_affine_qualifies(self):
-        assert cdm_condition(lambda t: t - 1.0)
-
-    def test_convex_fails(self):
-        assert not cdm_condition(lambda t: t * t - 1.0)
-
-    def test_offset_fails(self):
-        assert not cdm_condition(lambda t: math.log(t) + 0.5)
-
-    def test_decreasing_fails(self):
-        assert not cdm_condition(lambda t: 1.0 - t)

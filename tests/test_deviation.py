@@ -300,6 +300,22 @@ def test_a_subnormal_quotient_takes_the_log_form():
     assert np.isnan(dev.closed_form_rows(form, np.array([x]), np.array([w]))).all()
 
 
+def test_a_log_form_beyond_the_float_range_is_a_float_overflow():
+    # the entries' ratio is beyond the float range, so the p-term of the larger
+    # entry is 0.0 and the log form's exp overflows; every path raises the
+    # scalar error, which names the mean and its entries
+    x, w = [sys.float_info.max, 5e-324], [0.5, 1 / 3]
+    want = ("gini:-1e-300:1: the mean of [1.7976931348623157e+308, 5e-324] "
+            "overflows the float range")
+    mean = MeanHandle.gini(-1e-300, 1.0)
+    for call in (lambda: gini(-1e-300, 1.0, x, w), lambda: evaluate(mean, x, w),
+                 lambda: evaluate_prefixes(mean, x, w),
+                 lambda: evaluate_rows(mean, np.array([x]), np.array([w]))):
+        with pytest.raises(FloatOverflow) as info:
+            call()
+        assert str(info.value) == want
+
+
 class TestPowerMean:
     def test_arithmetic_point(self):
         assert power_mean(1, (1, 3), (1, 1)) == pytest.approx(2, rel=1e-12)

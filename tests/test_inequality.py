@@ -20,14 +20,12 @@ from kedlaya.inequality import (
     HOLDS,
     REVERSED,
     VIOLATED,
-    affine_conjugate,
     check_kedlaya,
     check_kedlaya_rows,
     counterexample_mu_prime_0,
     kedlaya_sides,
     necessity_probe,
     partial_arithmetic_means,
-    reflect,
     search_violation,
     step_inequality,
     sweep_kedlaya,
@@ -422,10 +420,10 @@ class TestSearchViolation:
 class TestAffineConjugate:
     def test_zero_scale_rejected(self):
         with pytest.raises(ZeroScale):
-            affine_conjugate(GEO, 0, 1)
+            MeanHandle.affine(GEO, 0, 1)
 
     def test_arithmetic_equivariant(self):
-        conj = affine_conjugate(ARITH, 2.0, 1.0)
+        conj = MeanHandle.affine(ARITH, 2.0, 1.0)
         rng = np.random.default_rng(9)
         for _ in range(20):
             n = int(rng.integers(1, 6))
@@ -435,11 +433,11 @@ class TestAffineConjugate:
                                                          rel=1e-12, abs=1e-12)
 
     def test_identity_wrapper(self):
-        conj = affine_conjugate(GEO, 1.0, 0.0)
+        conj = MeanHandle.affine(GEO, 1.0, 0.0)
         assert evaluate(conj, (1, 4), (1, 1)) == evaluate(GEO, (1, 4), (1, 1))
 
     def test_negative_scale_flips_verdicts(self):
-        mirrored = reflect(GEO)  # scale -1: domain becomes the negatives
+        mirrored = MeanHandle.affine(GEO, -1.0, 0.0)  # domain becomes the negatives
         rng = np.random.default_rng(10)
         for _ in range(20):
             n = int(rng.integers(2, 6))

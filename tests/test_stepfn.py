@@ -23,7 +23,6 @@ from kedlaya.stepfn import (
     SimpleFunction1D,
     SimpleFunction2D,
     build_proof_function,
-    function_from_json,
     function_to_json,
     jensen_fubini_sides,
     m_integral,
@@ -384,7 +383,7 @@ class TestWireFormat:
         f = build_proof_function((1.0, 4.0, 2.0), (2, 1, 1), 3)
         doc = function_to_json(f)
         assert doc["schema"] == 1
-        again = function_from_json(doc)
+        again = proof_oracle.function_from_json(doc)
         assert again.pieces == f.pieces
         assert again.bounding == f.bounding
 

@@ -19,7 +19,7 @@ from kedlaya.errors import (
     ZeroDenominator,
 )
 from kedlaya.weights import (
-    clear_denominators,
+    integers_over_lcm,
     is_in_V,
     make_weights,
     partial_sums,
@@ -363,31 +363,27 @@ class TestShuffle:
 
 
 class TestClearDenominators:
+    """``integers_over_lcm``, the numerators over the lcm of the denominators
+    that the exact ratio test and the proof geometry scale to."""
+
     def test_halves_thirds(self):
-        w = make_weights([Fraction(1, 2), Fraction(1, 3)])
-        assert list(clear_denominators(w)) == [3, 2]
+        assert integers_over_lcm([Fraction(1, 2), Fraction(1, 3)]) == ([3, 2], 6)
 
     def test_already_integral(self):
-        assert list(clear_denominators(make_weights([1, 2]))) == [1, 2]
+        assert integers_over_lcm(make_weights([1, 2]).entries) == ([1, 2], 1)
 
     def test_single(self):
-        assert list(clear_denominators(make_weights([Fraction(5, 7)]))) == [5]
-
-    def test_float_mode_rejected(self):
-        with pytest.raises(ValueError):
-            clear_denominators(make_weights([0.5, 0.5]))
+        assert integers_over_lcm([Fraction(5, 7)]) == ([5], 7)
 
     @given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12),
                     min_size=1, max_size=7))
     def test_integerness_and_scale_equivalence(self, entries):
-        entries = [e for e in entries]
         if not any(e > 0 for e in entries):
             entries.append(Fraction(1, 4))
         w = make_weights(entries)
-        cleared = clear_denominators(w)
-        assert all(v.denominator == 1 for v in cleared)
-        ratios = {v / e for v, e in zip(cleared, w) if e != 0}
-        assert len(ratios) <= 1  # one common scale factor
+        cleared, lcm = integers_over_lcm(w.entries)
+        assert all(type(v) is int for v in cleared)
+        assert [Fraction(v, lcm) for v in cleared] == list(w)  # one common scale factor
 
 
 class TestParsing:
