@@ -16,13 +16,13 @@ no solver takes a tolerance, and the iteration cap comes from the bracket
 Homogeneous deviations ``E(x, y) = f(x / y)`` are the special case
 solved by :func:`homogeneous_deviation`; both solvers build their total
 and share one root finder (constant shortcut, endpoint checks, bisection).
-:func:`shifted_power` at ``p`` has a certified root interval ``[a, b]`` per
-input (:func:`_certificate`), from a few weighted moments, outside which
-the root finder takes the total's sign without summing it, for the same
-roots and errors bit for bit.  Two kernels, keyed by ``p``, read it:
-:func:`homogeneous_deviation_prefixes` (every prefix; the scalar solve is
-its last) and :func:`homogeneous_deviation_rows` (every row, halved in
-lockstep).
+:func:`shifted_power`, ``(t^p - 1) / p`` for every ``p``, has a certified root
+interval ``[a, b]`` per input from a few weighted moments and one bound
+(:func:`_certificate`), outside which the root finder takes the total's sign
+without summing it, for the same roots and errors bit for bit.  Two kernels,
+keyed by ``p``, read it: :func:`homogeneous_deviation_prefixes` (every
+prefix; the scalar solve is its last) and :func:`homogeneous_deviation_rows`
+(every row, halved in lockstep).
 
 Closed-form special cases (quasi-arithmetic, Gini, power means and a
 two-branch ratio-of-moments counterexample mean) are provided alongside
@@ -216,7 +216,7 @@ def power_generator(p: float) -> GeneratorSpec:
 def _stop_width(y):
     """The bracket width at which a bisection with midpoint ``y`` stops,
     read from :data:`DEFAULT_TOL` at call time; scalars or arrays.
-    :func:`_halve` writes the same expression out in its loop."""
+    :func:`_solve` writes the same expression out in its loop."""
     return DEFAULT_TOL * (1.0 + abs(y))
 
 
@@ -257,7 +257,10 @@ def _solve(g: Callable[[float], float], x, label: str, a: float = -math.inf,
     ``b``, where a caller has certified it, and from ``g`` everywhere else.
     A total that is not ``>= 0`` at the left endpoint and ``<= 0`` at the
     right one (NaN is neither) has no root there; that raises
-    :class:`SolverFailure`.  A root at neither endpoint goes to :func:`_halve`.
+    :class:`SolverFailure`.  A root at neither endpoint is bisected to the
+    first midpoint that meets the stop width or whose total is 0, with
+    :class:`SolverFailure` at a NaN total and :class:`MaxIterations` once
+    the cap is spent.
     """
     lo, hi = min(x), max(x)
     if lo == hi:
@@ -272,20 +275,9 @@ def _solve(g: Callable[[float], float], x, label: str, a: float = -math.inf,
         return float(lo)
     if g_hi == 0.0:
         return float(hi)
-    floor = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    return _halve(g, lo, hi, 0, _max_halvings(lo, hi, floor), a, b, label)
-
-
-def _halve(g: Callable[[float], float], lo: float, hi: float, done: int, cap: int,
-           a: float, b: float, label: str) -> float:
-    """The bisection of :func:`_solve` on ``[lo, hi]`` after ``done`` of its
-    ``cap`` halvings, signs as there: the first midpoint that meets the stop
-    width or whose total is 0, :class:`SolverFailure` at a NaN total, or
-    :class:`MaxIterations` once the cap is spent.  The one halving loop that
-    reads a total, which the lockstep bisection enters at a row's first
-    midpoint inside ``[a, b]``."""
+    cap = _max_halvings(lo, hi, 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)))
     tol = DEFAULT_TOL  # the width of _stop_width, without a call per halving
-    for _ in range(done, cap):
+    for _ in range(cap):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol * (1.0 + abs(mid)):
             return mid
@@ -431,7 +423,7 @@ def _on_arrays(f: Callable, v: np.ndarray) -> np.ndarray:
 
 # The namespaces m of a ClosedForm's terms and finisher (see there): modules,
 # whose attributes Python reads as fast as math's, once per prefix on the scalar path.
-FLOATS, ARRAYS, NUMPY = ModuleType("FLOATS"), ModuleType("ARRAYS"), ModuleType("NUMPY")
+FLOATS, ARRAYS = ModuleType("FLOATS"), ModuleType("ARRAYS")
 _NORMAL = sys.float_info.min  # 2^-1022, the least normal float
 
 
@@ -459,11 +451,9 @@ vars(FLOATS).update(log=math.log, exp=math.exp, call=lambda f, v: f(v),
                     map=lambda f, v: list(map(f, v)), mul=lambda a, b: list(map(mul, a, b)),
                     powers=lambda x, c, r: [(xi / c) ** r for xi in x],
                     logs=lambda x: list(map(math.log, x)), scaled_power=_scaled_power)
-vars(ARRAYS).update(exp=partial(elementwise, math.exp), call=_on_arrays, map=_on_arrays,
-                    mul=np.multiply)
-vars(NUMPY).update(log=np.log, exp=np.exp, mul=np.multiply,
-                   powers=lambda x, c, r: (x / c) ** r, logs=np.log,
-                   scaled_power=_scaled_power_rows)
+vars(ARRAYS).update(log=np.log, exp=np.exp, call=_on_arrays, map=_on_arrays, mul=np.multiply,
+                    powers=lambda x, c, r: (x / c) ** r, logs=np.log,
+                    scaled_power=_scaled_power_rows)
 
 
 @dataclass(frozen=True)
@@ -483,11 +473,11 @@ class ClosedForm:
     scaled powers ``m.powers(x, c, r)`` of ``(x / c)^r`` and entry logs
     ``m.logs(x)``, and the Gini finisher's ``m.scaled_power(c, r, e,
     otherwise)`` of ``c r^e``.  ``m`` is :data:`FLOATS` on the scalar path (entry
-    lists, a float per sum), :data:`NUMPY` in the numpy drivers (``(rows,
-    n)`` arrays, a column of scales) and :data:`ARRAYS` in the exact driver
-    (float arrays; a generator without an array form through
-    :func:`elementwise`; no ``log``, which no form it runs takes, and an
-    ``exp`` of libm's that only the ``axioms`` draws read).
+    lists, a float per sum) and :data:`ARRAYS` in the array drivers (float
+    arrays, a column of scales in the numpy drivers): numpy's ``log``,
+    ``exp`` and powers, and a generator through its array form or
+    :func:`elementwise`.  No form the exact driver runs calls ``log`` or
+    ``exp``, so its bits do not depend on numpy's SIMD dispatch.
 
     The scalar definitions take one ``fsum`` per sum and own the
     validation and every error message: the drivers hand them, or leave NaN
@@ -587,9 +577,9 @@ def closed_form_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray) -> np.ndarr
     sums, scales = [], []
     for scale, terms in form.sums:
         c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
-        sums += map(np.add.reduce, terms(x, w, c, NUMPY), repeat(1))  # row sums
+        sums += map(np.add.reduce, terms(x, w, c, ARRAYS), repeat(1))  # row sums
         scales.append(c[:, 0] if scale else 1.0)
-    return form.finish(*sums, *scales, NUMPY)
+    return form.finish(*sums, *scales, ARRAYS)
 
 
 # A prefix computed by closed_form_prefix_rows may be this far, relative,
@@ -629,12 +619,12 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
         sums, scales = [], []
         for scale, terms in form.sums:
             c = getattr(x, scale.__name__)(axis=1, keepdims=True) if scale else 1.0  # x.max
-            for t in terms(x, w, c, NUMPY):
+            for t in terms(x, w, c, ARRAYS):
                 trusted &= (np.abs(t) >= _TINY).all(axis=1)
                 sums.append(np.cumsum(t, axis=1))
             scales.append(c)
         const = np.logical_and.accumulate(x == x[:, :1], axis=1)
-        out = np.where(const, x[:, :1], form.finish(*sums, *scales, NUMPY))
+        out = np.where(const, x[:, :1], form.finish(*sums, *scales, ARRAYS))
         bound = np.where(const, 0.0, form.error(*sums, *scales, k, x))
         trusted &= np.isfinite(out).all(axis=1) & (bound <= PREFIX_ROWS_RTOL / _U).all(axis=1)
     out[~trusted] = np.nan
@@ -669,7 +659,7 @@ def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray
         out = form.finish(*sums, *[1.0] * len(form.sums), ARRAYS)
     except (ArithmeticError, ValueError):
         out = np.full(x[:, cols].shape, np.nan)
-    _, top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
+    top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
     i, k = np.nonzero((bottom(x) == top(x)) & top(live))
     out[i, k] = x[i, 0]
     return out
@@ -730,7 +720,7 @@ def gini_form(p: float, q: float) -> ClosedForm:
     0, subnormal or infinite (the scale entry's weight is below about
     ``2^-1022`` of the weight sum, or the entries span more than the float
     range) the scalar finisher takes the log form below and the numpy
-    drivers leave NaN for it (:data:`FLOATS`' and :data:`NUMPY`'s
+    drivers leave NaN for it (:data:`FLOATS`' and :data:`ARRAYS`'
     ``scaled_power``).  Parameters of opposite signs take the log form
     ``exp(((p log c_p + log S_p) - (q log c_q + log S_q)) / (p - q))``:
     their two scales are ``max x`` and ``min x``, whose ratio can overflow.
@@ -739,7 +729,7 @@ def gini_form(p: float, q: float) -> ClosedForm:
 
     The error rule counts, in units of ``2^-53``: ``k - 1`` for a running
     sum of ``k`` terms of one sign, ``|r| + 6`` for a term ``w (x/c)^r``
-    (:data:`NUMPY`'s ``powers`` and ``logs`` within an ulp of :data:`FLOATS`',
+    (:data:`ARRAYS`' ``powers`` and ``logs`` within an ulp of :data:`FLOATS`',
     as tested), a few per ``log`` of a value, and the scalar definition's
     own roundings, whose scale ``c`` is the prefix's and whose ``|log c|``
     is at most the row's ``M = max |log x|``.  Distinct parameters divide
@@ -841,10 +831,10 @@ def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
     """The total ``y -> s * sum_i w_i f(x_i / y)``, summed exactly; a value
     of ``f`` or a sum beyond the float range raises :class:`FloatOverflow`,
     and so does a ratio ``x_i / y`` that underflows to 0 where ``f`` then
-    raises (``0^p`` for ``p < 0``, ``log 0``)."""
+    raises (:func:`shifted_power` at ``p <= 0``)."""
     def total(y: float) -> float:
         try:
-            return s * math.fsum(wi * f(xi / y) for xi, wi in zip(x, w))
+            return s * math.fsum([wi * f(xi / y) for xi, wi in zip(x, w)])
         except OverflowError as exc:
             raise FloatOverflow(
                 f"{_HOMDEV}: the total at y={y} is beyond the float range") from exc
@@ -861,9 +851,8 @@ def _homogeneous_total(f: Callable[[float], float], s: float, x, w) -> Callable:
 def _orientation(f: Callable[[float], float]) -> float:
     """The sign that makes ``s * f`` increasing: that of ``f(2)``, or of
     ``-f(1/2)`` where ``f(2)`` is beyond the float range; ``f(1)`` must be 0
-    to 1e-12.  Open (ROADMAP item 5): at ``-8e-17 < p < 0``, ``2^p - 1``
-    rounds to 0 and the solve fails; the sign of ``p`` would turn that into
-    the float total's spurious root, 2.0 on ``x = (0.5, 2)``."""
+    to 1e-12.  The kernels of :func:`shifted_power`, increasing for every
+    ``p``, take ``s = 1`` without this call."""
     fe = f(1.0)
     if not abs(fe) <= 1e-12:
         raise InvalidGenerator(f"f(1) = {fe}, expected 0")
@@ -887,10 +876,23 @@ def homogeneous_deviation(f: Callable[[float], float], x, w) -> float:
 
 
 def shifted_power(p: float) -> Callable[[float], float]:
-    """``t -> t^p - 1`` (``log`` at ``p = 0``); vanishes at 1 by design."""
-    if p == 0.0:
-        return math.log
-    return lambda t: t ** p - 1.0
+    """``t -> (t^p - 1) / p``, increasing in ``t`` for every ``p`` and 0 at 1:
+    ``L expm1(pL) / (pL)`` with ``L = log t``, and ``L`` where ``pL`` is 0 (at
+    ``p = 0``, the log, and subnormal ``p``), so nothing cancels as ``p -> 0``.
+    At ``t = 0`` or ``inf`` it is ``-1/p`` where ``t^p`` tends to 0, ``inf``
+    where it grows, and 0 to a power ``<= 0`` raises ValueError (as does a
+    ``p`` that is not finite)."""
+    if not math.isfinite(p):
+        raise ValueError(f"shifted_power: p = {p} is not finite")
+
+    def f(t):
+        lt = math.log(t) if t else -math.inf
+        z = p * lt
+        if -math.inf < z < math.inf:
+            return lt * (math.expm1(z) / z) if z else lt
+        return -1.0 / p if z < 0.0 else math.log(t)  # inf at t = inf
+
+    return f
 
 
 def homogeneous_deviation_prefixes(p: float, x, w, first: int) -> list:
@@ -901,13 +903,12 @@ def homogeneous_deviation_prefixes(p: float, x, w, first: int) -> list:
     every prefix its :func:`_certificate`, or none for an entry or weight
     beyond the float range, whose totals raise :class:`FloatOverflow`."""
     f = shifted_power(p)
-    s = _orientation(f)
     try:
         xa, wa = np.array([x], dtype=float), np.array([w], dtype=float)
-        a, b = (v[0].tolist() for v in _certificate(p, xa, wa, prefixes=True))
+        a, b = (v[0].tolist() for v in _certificate(p, xa, wa))
     except OverflowError:
         a, b = [-math.inf] * len(x), [math.inf] * len(x)
-    return [_solve(_homogeneous_total(f, s, x[:k], w[:k]), x[:k], _HOMDEV, a[k - 1], b[k - 1])
+    return [_solve(_homogeneous_total(f, 1.0, x[:k], w[:k]), x[:k], _HOMDEV, a[k - 1], b[k - 1])
             for k in range(first + 1, len(x) + 1)]
 
 
@@ -915,144 +916,131 @@ def homogeneous_deviation_prefixes(p: float, x, w, first: int) -> list:
 # The certificate and the lockstep bisection
 # ---------------------------------------------------------------------------
 
-# Ulps of error the certificate allows each pow, log and exp, numpy's or libm's;
-# both were measured within 1 ulp, with and without numpy's SIMD dispatch.
-_SIGN_SLACK = 64
+# Ulps the certificate allows each log, expm1, log1p and exp, numpy's or libm's (all
+# within 0.8 ulp of mpmath, with or without SIMD); its width grows about as this allowance.
+_SIGN_SLACK = 8
 _EPS = 2.0 ** -52
-_RANGE = 2.0 ** 900  # moments and powers the certificate covers
-# The sums, maxima and minima the certificate takes along each row: row
-# reductions, as columns, or running values, one per prefix.
-_ALONG_ROWS = tuple(partial(u.reduce, axis=1, keepdims=True)
-                    for u in (np.add, np.maximum, np.minimum))
-_ALONG_PREFIXES = tuple(partial(u.accumulate, axis=1) for u in (np.add, np.maximum, np.minimum))
+_RANGE = 2.0 ** 900  # weight sums and spreads the certificate covers
+# Maxima and minima along each row: reductions, as columns, or running values
+_ALONG_ROWS = tuple(partial(u.reduce, axis=1, keepdims=True) for u in (np.maximum, np.minimum))
+_ALONG_PREFIXES = tuple(partial(u.accumulate, axis=1) for u in (np.maximum, np.minimum))
 
 
-def _certificate(p: float, x: np.ndarray, w: np.ndarray, prefixes: bool = False) -> tuple:
-    """The certified root interval of :func:`shifted_power` at ``p``, read by
-    :func:`homogeneous_deviation_prefixes` (with ``prefixes``) and
-    :func:`homogeneous_deviation_rows`.
-
-    ``(a, b)`` takes ``(rows, n)`` positive entries and nonnegative weights,
-    as the gate of :mod:`kedlaya.means` gives them, and gives each row
-    columns ``a <= b``: the scalar total on the row's entries of nonzero
-    weight is positive below ``a`` and negative above ``b``, anywhere in
-    their bracket.  With ``prefixes`` it gives ``(rows, n)`` arrays, column
-    ``k - 1`` for the prefix of ``k`` entries, from running moments.  The
-    moment columns go to :func:`_power_roots`, or to :func:`_log_roots` at
-    ``p = 0``; a row they do not cover gets ``(-inf, inf)``.
-    """
-    total, top, bottom = _ALONG_PREFIXES if prefixes else _ALONG_ROWS
+def _certificate(p: float, x: np.ndarray, w: np.ndarray, spread=None) -> tuple:
+    """The certified root interval of :func:`shifted_power` at ``p`` for
+    ``(rows, n)`` positive entries and nonnegative weights, as the gate of
+    :mod:`kedlaya.means` gives them: columns ``a <= b`` off which the scalar
+    total on a row's entries of nonzero weight has a certain sign in their
+    bracket, or ``(-inf, inf)`` for a row not covered.  Given ``spread``
+    (``max x / min x``), each row's, from row sums as products with ones
+    (numpy reduces short rows several times slower); else, column ``k - 1``
+    for the prefix of ``k`` entries, from running sums."""
     with np.errstate(all="ignore"):  # a moment that is not finite is not covered
-        k, big_b, spread = total(w != 0.0), total(w), top(x) / bottom(x)
-        if p == 0.0:
-            lx = np.log(x)
-            return _log_roots(k, total(w * lx), total(w * np.abs(lx)), big_b, spread)
-        xp = x ** p
-        return _power_roots(p, k, total(w * xp), big_b, bottom(xp), top(xp), spread)
+        if spread is None:
+            top, bottom = _ALONG_PREFIXES
+            k, spread = np.arange(1.0, x.shape[1] + 1.0), top(x) / bottom(x)
+            total = partial(np.add.accumulate, axis=1)
+        else:
+            ones = np.ones((x.shape[1], 1))
+            k, total = x.shape[1], lambda t: t @ ones  # k bounds the terms of a sum
+        c = x[:, :1]  # every prefix's first entry, a scale: no moment depends on x's
+        lx = np.log(x / c)
+        z = p * lx
+        fx = np.expm1(z)
+        fx /= z
+        fx *= lx
+        np.copyto(fx, lx, where=z == 0.0)  # f = L where pL is 0, as in shifted_power
+        fx *= w
+        h = np.exp(z, out=z)  # the terms of H, in z's column
+        h *= np.abs(lx, out=lx)
+        h *= w
+        moments = total(w), total(fx), total(np.abs(fx, out=fx)), total(h)
+        del lx, z, fx, h  # freed before the bound's columns are made
+        return _roots(p, k, *moments, spread, c)
 
 
-def _roots_from(r, lam, ok):
-    """The columns ``a = r (1 - l)`` and ``b = r (1 + l (1 + l))``, with
-    ``l = lam + 8 u'``, where ``ok`` and ``l <= 1``, and ``(-inf, inf)``
-    elsewhere.
+def _roots(p: float, k, big_b, big_f, big_m, big_h, spread, c) -> tuple:
+    """The certificate of :func:`shifted_power`, ``f(t) = (t^p - 1) / p``, at
+    every ``p``, from moment columns of at most ``k`` terms on ``s = x / c``:
+    ``B = sum w``, ``F = sum w f(s)``, ``M = sum w |f(s)|``, ``H = sum w |log
+    s| s^p``, and ``R = max x / min x``.  Starred moments are exact, on the
+    exact ``s``; ``(y*/c)^p = A*/B*`` at the root, ``A* = sum w s^p = B* + p F*``.
 
-    ``lam`` bounds ``|log(root / r)|`` plus the distance, in ``log y``, from
-    the root to where the total's sign is certain.  ``e^-l >= 1 - l``, and
-    ``e^l <= 1 + l + l^2`` for ``l <= 1``; the ``8 u'`` covers the relative
-    rounding of ``lam`` (a few ``u`` of it) and the four roundings of ``a``
-    and ``b``.
+    **A term.**  With ``u = 2^-53``, ``u' = 2u`` and ``kappa = _SIGN_SLACK``,
+    the scalar total ``fsum(w_i f(fl(x_i / y)))`` rounds correctly, so it has
+    the sign of the sum ``S`` of its terms.  At ``t = x_i / y``, ``L = log
+    t``: the log's ``kappa u'`` moves ``f`` by ``kappa u' |L| t^p`` (``df/dL =
+    t^p``); rounding ``pL`` moves ``L expm1(pL) / (pL)`` by ``u |L t^p - f|``;
+    ``expm1``, the quotient and the products by ``L`` and ``w_i`` add ``(kappa
+    + 2) u' |f|``; rounding ``t`` adds ``u t^p``.  ``expm1(z) = z`` where
+    ``pL`` is subnormal, and 0 leaves ``f = L``.  With ``u'`` to spare for
+    second-order terms and underflow (``2^-1075`` a product, far below ``u'
+    B``), a term is within ``w_i ((kappa + 1) u' |L| t^p + (kappa + 3) u'
+    |f(t)| + u' t^p)``.  The moments take the same steps on ``x_i``, and each
+    term passes at most ``k - 1`` adds in any order (running or pairwise).
+
+    **The root.**  ``log y* = g(mu*) = log1p(p mu*) / p``, ``mu* = F*/B*``,
+    with slope ``1 / (1 + p mu)``; ``r = exp(mu log1p(z) / z)`` from ``mu =
+    fl(F/B)`` and ``z = fl(p mu) = p mu~`` (factor 1 at ``z = 0``).  So
+    ``|mu~ - mu*| <= e = ((kappa + 1) H + (2k + kappa + 4) M) u' / B``, and
+    ``|log(r / y*)| <= rho = e / (1 + z - |p| e) + ((kappa + 2) |log(r / c)| +
+    kappa + 1) u'``: ``log1p``, the quotient and the product by ``mu``, then
+    ``exp`` and the product by ``c``.  Rounding ``s`` moves each ``f(s)`` by
+    ``u s^p``, which ``e`` covers with ``u' |1 + z|`` more.
+
+    **The total.**  ``f(ab) = f(a) + a^p f(b)``, so with ``sigma = log(y*/y)``
+    and ``phi = |f(e^sigma)|`` the exact total is ``T = F* + A* f(c/y)``, of
+    size ``B* phi``.  By the term bound, with ``|L| <= |log s_i| + |log(c/y)|``
+    and, in the bracket, ``|L| <= log R``,
+
+        |S - T| / B* <= e^(p sigma) (C1 + (kappa + 1) u' |sigma|) + (kappa + 3) u' phi + C2,
+        C1 = (kappa + 1) u' min(H*/A* + |log(y*/c)|, log R) + u',
+        C2 = (kappa + 3) u' min((M* + |F*|) / B*, 2 / |p|).
+
+    As ``e^(p sigma) <= 1 + |p| phi`` and ``e^(p sigma) |sigma| <= phi (1 +
+    |p| log R)``, the sign is certain where ``phi > delta = (C1 + C2) / W``,
+    ``W = 1 - (2 kappa + 4) u' - (kappa + 1) u' |p| log R - |p| C1``, so where
+    ``|sigma| > delta / (1 - |p| delta)``.  ``H*/A* <= H / (B (1 + z - |p|
+    e))``, ``|F*| <= |F| + e B``, and ``W`` gives up ``(2k + 2 kappa + 8) u'``
+    for the relative rounding of ``B``, ``M`` and ``H``.  So with ``lam =
+    delta / (1 - |p| delta) + rho`` and ``l = lam + 8 u' <= 1``, the sign is
+    certain off ``a = r (1 - l)`` and ``b = r (1 + l (1 + l))`` (``e^-l >= 1
+    - l``, ``e^l <= 1 + l + l^2``; ``8 u'`` for rounding ``lam``, ``a`` and
+    ``b``).  Neither bound grows as ``1/|p|``.
+
+    A row is certified only where ``R``, ``R^|p|``, ``B`` and ``B R^|p|`` are
+    in ``[2^-900, 2^900]``, which keeps every ``t`` normal, ``|pL|`` below
+    624 and every term and partial sum below ``2^911``, and where ``1 + z -
+    |p| e``, ``W`` and ``1 - |p| delta`` are positive and ``l <= 1``; a
+    denominator that is not positive, or a moment that is not finite, leaves
+    ``lam`` infinite or NaN.
     """
-    lam = lam + 8 * _EPS
-    ok &= lam <= 1.0
-    return np.where(ok, r * (1.0 - lam), -np.inf), np.where(ok, r * (1.0 + lam * (1.0 + lam)),
-                                                           np.inf)
-
-
-def _power_roots(p: float, k, big_a, big_b, xp_lo, xp_hi, spread) -> tuple:
-    """The certificate for ``f(t) = t^p - 1``, ``p != 0``, from the moment
-    columns of ``k`` terms: ``A = sum w x^p``, ``B = sum w``, the extremes of
-    ``x^p`` and the spread ``R = max x / min x``.
-
-    With ``u = 2^-53``, ``u' = 2u`` and ``kappa = _SIGN_SLACK`` (ulps of
-    pow), write ``t_i = x_i / y``.  The scalar total is ``s fsum(tau_i)``
-    with the float terms ``tau_i = fl(w_i fl(pow(fl(t_i), p) - 1))``;
-    ``fsum`` rounds correctly, so it has the sign of ``S = sum tau_i``.
-    Rounding ``t_i`` moves ``t_i^p`` by ``|p| u`` to first order and pow by
-    ``kappa u'``; the subtraction and product round once each, so
-
-        |tau_i - w_i (t_i^p - 1)| <= K w_i (t_i^p + 1),  K = (|p| + kappa + 3) u',
-
-    with ``1 u'`` to spare for the second-order terms and the underflow of
-    the products (``2^-1075`` each, far below ``u' B``).  Summed, with
-    ``A* = sum w_i x_i^p`` and ``B* = sum w_i`` exact,
-
-        |S - (y^-p A* - B*)| <= K (y^-p A* + B*).
-
-    For ``p > 0`` (``s = 1``), ``S > 0`` where ``y^p < (A*/B*) (1-K)/(1+K)``
-    and ``S < 0`` where ``y^p > (A*/B*) (1+K)/(1-K)``; for ``p < 0``
-    (``s = -1``) the same holds for ``y^|p|`` against ``B*/A*``, which is
-    the same interval around the root ``(A*/B*)^(1/p)``.  The moments ``A``
-    and ``B`` are within ``alpha = (k + kappa + 2) u'`` and ``beta = k u'``
-    of ``A*`` and ``B*``, relative (pow, product and ``k - 1`` adds for
-    ``A``).  Any order of adds of nonnegative terms, sequential as in a
-    running sum or pairwise as in a numpy row sum, takes each term through
-    at most ``k - 1`` of them.  Folding them in, ``y^p`` against ``A/B`` is
-    certain outside a factor of ``e^(+-D/(1-D))`` with
-    ``D = alpha + beta + 2K``, so ``y`` is certain outside
-    ``e^(+-D/((1-D)|p|))`` around ``(A/B)^(1/p)``.  The computed root
-    ``r = pow(fl(A/B), fl(1/p))`` is within ``(1/|p| + |log r| + kappa + 2) u'``
-    of that in ``log``: the quotient's rounding scaled by ``1/|p|``, the
-    rounding of ``1/p`` scaled by ``|log r|``, and pow's ulps.  The sum of
-    the two is ``lam`` of :func:`_roots_from`.
-
-    The bounds need every ``t_i`` and ``t_i^p`` normal and every term and
-    partial sum of the scalar total finite, so that it raises nowhere in the
-    bracket, and ``A``, ``B`` normal.  A row is certified only where
-    ``x^p``, ``A`` and ``B`` are in ``[2^-900, 2^900]``, as are
-    ``R``, ``R^|p|`` and ``B R^|p|``, where ``D < 1`` (which also keeps
-    ``|p| u`` small enough for the first-order count), and where
-    :func:`_roots_from` allows it.
-    """
-    d = (2 * k + (2 * abs(p) + 3 * _SIGN_SLACK + 8)) * _EPS
-    r = (big_a / big_b) ** (1.0 / p)
-    lam = d / ((1.0 - d) * abs(p)) + (np.abs(np.log(r)) + (1.0 / abs(p) + _SIGN_SLACK + 2)) * _EPS
-    grown = spread ** abs(p)
-    ok = ((d < 1.0) & (xp_lo >= 1.0 / _RANGE) & (xp_hi <= _RANGE) & (spread <= _RANGE)
-          & (grown <= _RANGE) & (big_b * grown <= _RANGE) & (big_a >= 1.0 / _RANGE)
-          & (big_a <= _RANGE) & (big_b >= 1.0 / _RANGE))
-    return _roots_from(r, lam, ok)
-
-
-def _log_roots(k, big_l, big_m, big_b, spread) -> tuple:
-    """:func:`_power_roots` for ``f = log`` (``p = 0``), from the moments
-    ``L = sum w log x``, ``M = sum w |log x|`` and ``B = sum w`` of ``k``
-    terms and the spread ``R``.
-
-    The float terms are ``tau_i = fl(w_i log(fl(t_i)))``.  Rounding ``t_i``
-    moves its log by ``u`` absolute; log is within ``kappa u'`` and the
-    product rounds once, so
-
-        |tau_i - w_i log t_i| <= K w_i (|log t_i| + 1),  K = (kappa + 3) u',
-
-    with ``2 u'`` to spare for the second-order terms and underflow.  In the
-    bracket ``|log t_i| <= log R``, so with ``L* = sum w_i log x_i`` the sum
-    ``S`` of the float terms is within ``K B* (log R + 1)`` of
-    ``L* - B* log y``.  The moments ``L`` and ``B`` give ``L/B`` within
-    ``(kappa + 2k + 2) u' M/B`` of ``L*/B*``, since ``M`` bounds every
-    ``|term|`` sum: log, product and ``k - 1`` adds in any order for ``L``,
-    ``k u'`` for ``B`` and the quotient.  The root ``r = exp(L/B)`` adds
-    exp's ulps, so
-
-        lam = K (log R + 1) + (kappa + 2k + 2) u' M / B + (kappa + 1) u'.
-
-    A row is certified only where ``R`` and ``B`` are in ``[2^-900, 2^900]``,
-    which keeps every ``t_i`` normal and every partial sum finite.
-    """
-    r = np.exp(big_l / big_b)
-    lam = ((_SIGN_SLACK + 3) * (np.log(spread) + 1.0) + (2 * k + (_SIGN_SLACK + 2)) * big_m / big_b
-           + (_SIGN_SLACK + 1)) * _EPS
-    ok = (spread <= _RANGE) & (big_b >= 1.0 / _RANGE) & (big_b <= _RANGE)
-    return _roots_from(r, lam, ok)
+    q = abs(p)
+    log_r = np.log(spread)
+    mu = big_f / big_b
+    z = p * mu
+    log_y = np.log1p(z) / z
+    np.copyto(log_y, 1.0, where=z == 0.0)  # the factor at z = 0
+    log_y *= mu  # log(r / c)
+    size, ratio = np.abs(log_y), 1.0 + z  # |log(r / c)| and A / B
+    e = ((big_h * (_SIGN_SLACK + 1) + (k * 2 + (_SIGN_SLACK + 4)) * big_m) * (_EPS / big_b)
+         + np.abs(ratio) * _EPS)
+    room = ratio - q * e
+    rho = e / np.maximum(room, 0.0) + (size * (_SIGN_SLACK + 2) + (_SIGN_SLACK + 1)) * _EPS
+    c1 = (np.minimum(big_h / (big_b * room) + size + rho, log_r) * ((_SIGN_SLACK + 1) * _EPS)
+          + _EPS)
+    c2 = (np.minimum((big_m + np.abs(big_f)) / big_b + e, np.float64(2.0) / q)
+          * ((_SIGN_SLACK + 3) * _EPS))
+    width = 1.0 - ((k * 2 + (4 * _SIGN_SLACK + 12)) * _EPS
+                   + log_r * ((_SIGN_SLACK + 1) * q * _EPS) + q * c1)
+    delta = (c1 + c2) / np.maximum(width, 0.0)
+    lam = delta / np.maximum(1.0 - q * delta, 0.0) + rho + 8 * _EPS
+    grown = spread ** q  # at least 1, so B R^|p| <= 2^900 bounds B too
+    ok = (lam <= 1.0) & (np.maximum(np.maximum(spread, grown),
+                                    np.maximum(big_b * grown, 1.0 / big_b)) <= _RANGE)
+    r = c * np.exp(log_y)
+    return (np.where(ok, r * (1.0 - lam), -np.inf),
+            np.where(ok, r * (1.0 + lam * (1.0 + lam)), np.inf))
 
 
 def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -1064,27 +1052,24 @@ def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.nda
     The rows are those of the gate, :func:`kedlaya.means._settled`.  Its
     :func:`_certificate` gives each row, once, columns ``a <= b`` with the
     total certainly positive below ``a`` and negative above ``b``.  A
-    constant row is its entry.  The other rows take two stages, on the
-    scalar solver's brackets, midpoints, caps and stop rule.  First, the
-    rows with both endpoints outside ``[a, b]`` halve in lockstep on the
-    certain sign of each midpoint, summing nothing.  Second, a row whose
-    midpoint enters ``[a, b]`` before it converges finishes in the scalar
-    solver's halving loop, :func:`_halve`, on its scalar total.  Every
-    other row is NaN: an endpoint inside ``[a, b]``, a row the certificate
-    does not cover, a row out of halvings, or a row on which :func:`_halve`
-    raises an arithmetic or value error.  Every per-row array is a column.
+    constant row is its entry.  The other rows halve in lockstep on the
+    scalar solver's brackets, midpoints, caps and stop rule: a midpoint
+    outside ``[a, b]`` takes the certain sign, summing nothing, and one
+    inside the sign of the row's scalar total (built once), 0 being the
+    root.  Every other row is NaN: an endpoint inside ``[a, b]``, a row the
+    certificate does not cover, a row out of halvings, or a row whose total
+    is NaN or raises an arithmetic or value error.  Per-row arrays are columns.
     """
     f = shifted_power(p)
-    s = _orientation(f)
     m = np.flatnonzero(w.any(axis=0))[-1] + 1  # past the last column of nonzero weight
     x, w = x[:, :m], w[:, :m]
     lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
-    a, b = _certificate(p, x, w)
+    a, b = _certificate(p, x, w, hi / lo)
     result = np.where(lo == hi, lo, np.nan)
     active = (lo < a) & (b < hi)  # certified: the total is positive at lo, negative at hi
-    handed = {}  # row -> its bracket and halvings so far, for _halve
     caps = _max_halvings(lo, hi, lo)  # lo > 0 bounds |y| below
     first_cap = caps.min()
+    row_total = lru_cache(None)(lambda i: _homogeneous_total(f, 1.0, x[i].tolist(), w[i].tolist()))
     for it in count():
         if it >= first_cap:
             active &= caps > it  # rows out of halvings stay NaN
@@ -1094,17 +1079,17 @@ def homogeneous_deviation_rows(p: float, x: np.ndarray, w: np.ndarray) -> np.nda
         stop = active & (hi - lo <= _stop_width(mid))
         np.copyto(result, mid, where=stop)
         active ^= stop
-        inside = active & (mid >= a) & (mid <= b)
-        for i in np.flatnonzero(inside).tolist():
-            handed[i] = float(lo[i, 0]), float(hi[i, 0]), it
-        active ^= inside
         up = mid < a
+        inside = np.flatnonzero(active & (mid >= a) & (mid <= b))
+        for i, y in zip(inside.tolist(), mid[inside, 0].tolist()):
+            try:  # a term of weight 0 adds 0, or a NaN that leaves the row NaN
+                v = row_total(i)(y)
+            except (ArithmeticError, ValueError):
+                v = math.nan
+            if v > 0.0:
+                up[i] = True
+            elif not v < 0.0:  # the root, or a row that stays NaN
+                active[i] = False
+                result[i] = y if v == 0.0 else math.nan
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    for i, bracket in handed.items():
-        total = _homogeneous_total(f, s, x[i].tolist(), w[i].tolist())
-        try:
-            result[i] = _halve(total, *bracket, int(caps[i, 0]), float(a[i, 0]),
-                               float(b[i, 0]), _HOMDEV)
-        except (ArithmeticError, ValueError):
-            pass  # the row stays NaN
     return result[:, 0]

@@ -583,7 +583,7 @@ def _draw_axiom_trials(rng: np.random.Generator, count: int, n_max: int,
     n = 2 + (u[:, 0] * (n_max - 1)).astype(np.int64)
     live = np.arange(n_max) < n[:, None]
     x, w, split, key = np.split(u[:, 3:], 4, axis=1)
-    exp = dev.ARRAYS.exp  # libm's bits, whatever numpy's SIMD dispatch
+    exp = partial(dev.elementwise, math.exp)  # libm's bits, whatever numpy's SIMD dispatch
     x, w = exp(a + (b - a) * x), np.where(live, exp(c + (d - c) * w), 0.0)
     perm = np.argsort(np.where(live, key, 2.0), axis=1, kind="stable")
     return (np.where(live, x, x[:, :1]), w, 0.25 + 3.75 * u[:, 1], w * split, perm,

@@ -27,9 +27,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NonpositiveWeight, ThetaOutOfRange, WeightsNotInV
+from .errors import LengthMismatch, NonpositiveWeight, Overflow, ThetaOutOfRange, WeightsNotInV
 from .means import MeanHandle, evaluate, weighted_average
 from .weights import RATIONAL, as_weight_vector, integers_over_lcm, partial_sums
+
+# The pieces a construction may make: 340 MB at the 1.3 KB a proof-fn piece costs at its
+# peak (190 B of JSON, its objects, sweep rows and writer buffers; 3e4-1.2e5 pieces measured).
+MAX_PIECES = 2 ** 18
 
 
 class _QIntervalBase(NamedTuple):
@@ -330,12 +334,15 @@ def proportional_set(host: QRectangle, theta) -> ProportionalSet:
     ``i, i+1, ..., i+p-1`` taken modulo ``q``, so every row also keeps
     exactly ``p`` cells.  The cells are mapped onto ``host`` by the
     affine bijection, exactly, in integers over one scale per axis: at
-    most ``p*q`` rectangles, one per selected cell.
+    most ``p*q`` rectangles, one per selected cell, up to :data:`MAX_PIECES`.
     """
     theta = Fraction(theta)
     if not 0 <= theta <= 1:
         raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
     p, q = theta.numerator, theta.denominator
+    if p * q > MAX_PIECES:
+        raise Overflow(f"the proportional set of theta = {theta} has {p * q} pieces, more "
+                       f"than the bound of {MAX_PIECES}")
     (xs, sx), (ys, sy) = _edges(host.dx, q), _edges(host.dy, q)
     cols = [i for i in range(q) for _ in range(p)]
     rows = [r % q for i in range(q) for r in range(i, i + p)]
@@ -430,6 +437,10 @@ def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
     block carries ``x_k``.  Requires strictly positive rational weights
     with all those ratios at most 1, which is exactly the
     ratio-nonincreasing condition restricted to ``j``.
+
+    Block ``k`` (``theta_k = p/q``) has ``q`` rows of runs of ``p`` and ``q - p``
+    columns, ``p - 1`` and ``q - p - 1`` of which wrap, and a right block: ``3q -
+    1`` pieces, or 2 at ``theta_k`` 0 or 1, counted first up to :data:`MAX_PIECES`.
     """
     from .inequality import partial_arithmetic_means
 
@@ -455,6 +466,9 @@ def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
     # One integer scale per axis, X = sx and Y = sy: column i of block k is
     # S_{j-1} X i / q_k and row r is S_{k-1} Y + (w_k Y / q_k) r, exactly.
     qs = [t.denominator for t in thetas]
+    if (count := sum(3 * q - 1 if 0 < t < 1 else 2 for t, q in zip(thetas, qs))) > MAX_PIECES:
+        raise Overflow(f"the proof function at j={j} has {count} pieces, more than the "
+                       f"bound of {MAX_PIECES}")
     sx = math.lcm(s_full.denominator, *(s_left.denominator * q for q in qs))
     sy = math.lcm(*(v.denominator * q for v, q in zip(lam, qs)))  # den(S_k) divides it
     left, full = int(s_left * sx), int(s_full * sx)

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from kedlaya import inequality as ineq
 from kedlaya import means as mn
 from kedlaya import stepfn
 from kedlaya.cli import main
+from kedlaya.errors import Overflow
 from sweep_oracle import oracle_report, oracle_trial
 
 
@@ -253,8 +255,8 @@ _HOMDEV_300 = r"homogeneous deviation: the total at y=[0-9.e-]+ is beyond the fl
      re.escape("homogeneous deviation: the ratio of entry 1e-170 to y=1e+170 underflows to 0")),
     (("check", "--mean", "homdev:shifted-power:0", "--x", "1e-200,1e200", "--w", "1,1"),
      re.escape("homogeneous deviation: the ratio of entry 1e-200 to y=1e+200 underflows to 0")),
-    # from p = 1024 the solver orients the total by -f(1/2), f(2) = 2^p - 1 being beyond
-    # the float range; so is the total at y = 1 on (1, 2), the ratio 2 taken to p = 2000
+    # from p = 1024, f(2) = (2^p - 1) / p is beyond the float range; so is the total at
+    # y = 1 on (1, 2), the ratio 2 taken to p = 2000
     (("check", "--mean", "homdev:shifted-power:2000", "--x", "1,2", "--w", "1,1"),
      re.escape("homogeneous deviation: the total at y=1.0 is beyond the float range")),
 ])
@@ -262,6 +264,39 @@ def test_numbers_beyond_the_float_range_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert re.fullmatch(f"error: {message}\n", err)
+
+
+@pytest.mark.parametrize("argv, count", [
+    # theta_2 = 961/1184 and its 3q - 1 pieces for weight denominators near 1000
+    (("proof-fn", "--x", "1,2,3", "--w", "1,1/997,1/1009", "--j", "3"), 3020949),
+    # a weight of exactly 10^-300: a denominator of 301 digits
+    (("proof-fn", "--x", "1,2,3", "--w", "1,1e-300,1e-300", "--j", "3"), 3 * 10 ** 300 + 6),
+    (("proportional", "--theta", "999/1000", "--host", "0,1,0,1"), 999000),
+])
+def test_constructions_past_the_piece_bound_exit_two_at_once(capsys, argv, count):
+    # the piece count comes from the denominators before anything is built;
+    # the first command had a MemoryError after 24 s under 3 GiB, the second no end
+    if argv[0] == "proof-fn":
+        argv = (*argv, "--mean", "qa:log")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(f" has {count} pieces, more than the bound of {stepfn.MAX_PIECES}\n")
+
+
+def test_the_piece_counts_are_exact(monkeypatch):
+    # each construction builds at its bound and raises one piece below it
+    w = [1, Fraction(1, 31), Fraction(1, 37)]
+    for bound, build in ((3555, lambda: stepfn.build_proof_function([1.0, 2.0, 3.0], w, 3)),
+                         (1353, lambda: stepfn.proportional_set(stepfn.rect(0, 1, 0, 1),
+                                                                Fraction(33, 41)))):
+        monkeypatch.setattr(stepfn, "MAX_PIECES", bound)
+        built = build()
+        assert len(getattr(built, "pieces", None) or built.rectangles) == bound
+        monkeypatch.setattr(stepfn, "MAX_PIECES", bound - 1)
+        with pytest.raises(Overflow, match=f"has {bound} pieces"):
+            build()
 
 
 @pytest.mark.parametrize("p", ["160", "-160", "400"])

@@ -12,10 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from kedlaya import deviation as dev
 from kedlaya.deviation import (
+    ARRAYS,
     DEFAULT_TOL,
     FLOATS,
     GINI21_FORM,
-    NUMPY,
     DeviationSpec,
     GeneratorSpec,
     exact_prefix_sums,
@@ -39,6 +39,7 @@ from kedlaya.errors import (
     GeneratorOverflow,
     InvalidDeviation,
     InvalidGenerator,
+    KedlayaError,
     MaxIterations,
     SolverFailure,
 )
@@ -383,6 +384,11 @@ class TestHomogeneousDeviation:
         got = homogeneous_deviation(shifted_power(-1.0), (1, 3), (1, 1))
         assert got == pytest.approx(1.5, abs=1e-10)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_shifted_power_needs_a_finite_exponent(self, p):
+        with pytest.raises(ValueError, match="is not finite"):
+            shifted_power(p)
+
     def test_requires_unit_root(self):
         with pytest.raises(InvalidGenerator):
             homogeneous_deviation(lambda t: t, (1, 2), (1, 1))
@@ -412,6 +418,21 @@ class TestHomogeneousDeviation:
         assert _outcome(lambda: evaluate_prefixes(mean, x, w)) == want
         assert _outcome(lambda: evaluate_rows(mean, np.array([x]), np.array([w]))) == want
 
+    @pytest.mark.parametrize("p", [0.5, 1e-3, -1e-6, 1e-9, 1e-16, -1e-16, -5e-17, 1e-300, -1e-300,
+                                   5e-324])
+    @pytest.mark.parametrize("x, w", [([0.5, 2.0], [1.0, 1.0]), ([1.0, 2.0], [1.0, 1.0]),
+                                      ([1.0, 3.0, 7.0], [1.0, 2.0, 3.0])])
+    def test_near_zero_exponents_are_within_the_stop_width(self, p, x, w):
+        # (t^p - 1) / p in its expm1 form has no plateau near p = 0: the root
+        # is the power mean to the bisection's stop width, down to p = 5e-324
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            q = mpmath.mpf(p)
+            s = sum(wi * mpmath.expm1(q * mpmath.log(xi)) for xi, wi in zip(x, w)) / sum(w)
+            want = mpmath.exp(mpmath.log1p(s) / q)
+        got = evaluate(mean_from_id(f"homdev:shifted-power:{p!r}"), x, w)
+        assert abs(got - want) <= DEFAULT_TOL * (1.0 + got)
+
     def test_other_errors_of_f_propagate(self):
         # no ratio is 0: a caller's f keeps its own error
         def f(t):
@@ -428,11 +449,11 @@ class TestSolverCore:
 
     @pytest.mark.parametrize("p", [-1.0, 0.0, 0.5, 2.0])
     def test_homogeneous_equals_general_solver(self, p):
-        # E(x, y) = +-f(x / y), oriented to decrease in y, gives the same
-        # total up to an exact negation, so the roots agree bit for bit
+        # E(x, y) = f(x / y) decreases in y for every p, f = (t^p - 1) / p
+        # being increasing, and gives the same total, so the roots agree bit
+        # for bit
         f = shifted_power(p)
-        sign = -1.0 if p < 0 else 1.0
-        spec = DeviationSpec(lambda x, y: sign * f(x / y), label=f"homdev-{p}")
+        spec = DeviationSpec(lambda x, y: f(x / y), label=f"homdev-{p}")
         rng = np.random.default_rng(17)
         for _ in range(300):
             n = int(rng.integers(2, 9))
@@ -460,8 +481,9 @@ class TestSolverCore:
 
     @pytest.mark.parametrize("p", [1100.0, 2000.0, 5000.0])
     def test_powers_from_1024_are_the_power_mean(self, p):
-        # f(2) = 2^p - 1 is beyond the float range: the orientation reads
-        # -f(1/2), and negating f negates the total exactly
+        # f(2) = (2^p - 1) / p is beyond the float range; the kernels take
+        # the generator as increasing, and the plain solver of 1 - t^p,
+        # oriented by -f(1/2), finds the same root
         x, w = (1.0, 1.1), (1.0, 1.0)
         want = evaluate(mean_from_id(f"power:{p!r}"), x, w)
         got = evaluate(mean_from_id(f"homdev:shifted-power:{p!r}"), x, w)
@@ -507,7 +529,7 @@ class TestSolverCore:
         # a width below float resolution: every row but the constant one runs
         # out of halvings, and both raise the cap of the first such row
         monkeypatch.setattr(dev, "DEFAULT_TOL", 1e-300)
-        x = np.array([[2.0, 2.0], [1.0, 3.0], [1e-3, 1e3]])
+        x = np.array([[2.0, 2.0], [0.5, 3.0], [1e-2, 1e3]])
         w = np.ones_like(x)
         f = shifted_power(0.5)
         want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
@@ -539,6 +561,12 @@ def _lockstep_prefixes(p, x, w):
     return _lockstep_rows(
         p, np.broadcast_to(np.array(x), (n - 1, n)),
         np.where(np.arange(n) <= np.arange(1, n)[:, None], np.array(w), 0.0)).tolist()
+
+
+def _spread(x):
+    """The column of each row's ``max x / min x``, as the lockstep hands it
+    to the certificate."""
+    return x.max(axis=1, keepdims=True) / x.min(axis=1, keepdims=True)
 
 
 def _outcome(fn):
@@ -637,7 +665,7 @@ class TestLockstepBisection:
                       [1e-250, 1e250]])
         w = np.ones_like(x)
         with np.errstate(all="ignore"):
-            a, b = dev._certificate(0.0, x, w)
+            a, b = dev._certificate(0.0, x, w, _spread(x))
             got = homogeneous_deviation_rows(0.0, x, w)
         assert (a[1:] == -math.inf).all() and (b[1:] == math.inf).all()
         assert got[0] == 2.0 and np.isnan(got[1:]).all()
@@ -663,28 +691,40 @@ class TestLockstepBisection:
         x = (1.0 + rng.uniform(0.0, 1e-9, 30)).tolist()
         assert self._fallback_rate(scalar_totals, 0.5, x, [1.0] * 30) > 0.0
 
-    def test_a_handed_row_keeps_a_midpoint_of_total_zero(self, monkeypatch):
+    @pytest.fixture
+    def midpoints(self, monkeypatch):
+        """The rows, by their entries, whose scalar totals the kernel sums,
+        with the midpoint of each sum, in order."""
+        seen, make_total = [], dev._homogeneous_total
+
+        def recording(f, s, x, w):
+            total = make_total(f, s, x, w)
+
+            def recorded(y):
+                seen.append((tuple(x), y))
+                return total(y)
+
+            return recorded
+
+        monkeypatch.setattr(dev, "_homogeneous_total", recording)
+        return seen
+
+    def test_a_handed_row_keeps_a_midpoint_of_total_zero(self, midpoints):
         # the first midpoint of (1, 3) at p = 1 is the root 2 itself, inside
-        # the root interval: the row goes to _halve after no halvings, whose
-        # scalar total there is exactly 0
-        handed, halve = [], dev._halve
-
-        def spy(g, lo, hi, done, *args):
-            handed.append((lo, hi, done))
-            return halve(g, lo, hi, done, *args)
-
-        monkeypatch.setattr(dev, "_halve", spy)
+        # the root interval: the row sums its scalar total there, which is
+        # exactly 0, and keeps that midpoint
         f, x, w = shifted_power(1.0), np.array([[1.0, 3.0]]), np.ones((1, 2))
         assert _lockstep_rows(1.0, x, w).tolist() == [2.0]
-        assert handed == [(1.0, 3.0, 0)]
+        assert midpoints == [((1.0, 3.0), 2.0)]
         assert homogeneous_deviation(f, (1.0, 3.0), (1.0, 1.0)) == 2.0
 
     def test_rows_finish_in_row_order(self, monkeypatch):
-        # a width below float resolution: every row is handed to _halve and
-        # runs out of halvings there; the widest row, handed after the
-        # others, is the first row, and its cap is the error
+        # a width below float resolution: every row sums its scalar total
+        # inside the root interval and runs out of halvings; the kernel leaves
+        # them NaN, and the scalar solve of the first, the widest, raises its
+        # cap
         monkeypatch.setattr(dev, "DEFAULT_TOL", 1e-300)
-        x = np.array([[1e-3, 1e3], [1.0, 3.0], [0.5, 0.7]])
+        x = np.array([[1e-2, 1e3], [0.5, 3.0], [0.5, 0.7]])
         w = np.ones_like(x)
         f = shifted_power(0.5)
         want = _outcome(lambda: [homogeneous_deviation(f, xi, wi)
@@ -693,25 +733,20 @@ class TestLockstepBisection:
                         "homogeneous deviation: bisection did not converge in 1071 iterations")
         assert _outcome(lambda: _lockstep_rows(0.5, x, w).tolist()) == want
 
-    def test_rows_the_kernel_does_not_finish_are_nan(self, monkeypatch):
-        # fewer halvings than the stop width needs: row 0 runs out of them in
-        # the lockstep, and row 1, whose root is near its first midpoint 5, is
-        # handed to _halve there and runs out in it; the kernel leaves both
-        # NaN, and evaluate_rows raises the first row's error in either order
+    def test_rows_the_kernel_does_not_finish_are_nan(self, monkeypatch, midpoints):
+        # fewer halvings than the stop width needs: row 0 runs out of them on
+        # certain signs, and row 1, whose root is near its first midpoint 5,
+        # sums its scalar total from there on and runs out too; the kernel
+        # leaves both NaN, and evaluate_rows raises the first row's error in
+        # either order
         monkeypatch.setattr(dev, "_BISECT_SLACK", -10)
-        handed, halve = [], dev._halve
-
-        def spy(g, lo, hi, done, *args):
-            handed.append((lo, hi, done))
-            return halve(g, lo, hi, done, *args)
-
-        monkeypatch.setattr(dev, "_halve", spy)
         f = shifted_power(0.5)
         x = np.array([[1.0, 3.0], [1.0, 9.0]])
         w = np.array([[1.0, 1.0], [1.0, -f(1.0 / 5.0) / f(9.0 / 5.0) * (1.0 + 2.0 ** -44)]])
         with np.errstate(all="ignore"):
             got = homogeneous_deviation_rows(0.5, x, w)
-        assert np.isnan(got).all() and handed == [(1.0, 9.0, 0)]
+        assert np.isnan(got).all() and midpoints[0] == ((1.0, 9.0), 5.0)
+        assert {row for row, _ in midpoints} == {(1.0, 9.0)}  # row 0 sums nothing
         mean = mean_from_id("homdev:shifted-power:0.5")
         errors = []
         for order in ([0, 1], [1, 0]):
@@ -724,13 +759,20 @@ class TestLockstepBisection:
         assert errors[0] != errors[1]
 
 
+# Exponents of the shifted power: 0, a float in [-8, 8], or one near 0, down
+# to the subnormals, where the generator's expm1 form differs most from t^p - 1.
+_EXPONENTS = st.one_of(st.just(0.0), st.floats(-8.0, 8.0),
+                       st.sampled_from([5e-324, -5e-324, 1e-300, -1e-300, 1e-16, -5e-17,
+                                        1e-12, -1e-6]))
+
+
 @st.composite
 def _interval_rows(draw):
-    """A row for the root interval: p in [-8, 8] (0 half as often as not),
-    up to 64 entries spread around a centre in 1e+-150, weights with ratios up
-    to 1e+-15 on a common scale, some of weight 0."""
+    """A row for the root interval: p from :data:`_EXPONENTS`, up to 64
+    entries spread around a centre in 1e+-150, weights with ratios up to
+    1e+-15 on a common scale, some of weight 0."""
     n = draw(st.integers(1, 64))
-    p = draw(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)))
+    p = draw(_EXPONENTS)
     centre = draw(st.floats(-150.0, 150.0))
     spread = 10.0 ** draw(st.floats(-14.0, math.log10(300.0)))
     logs = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
@@ -745,20 +787,12 @@ def _interval_rows(draw):
 
 def _outside_the_guard(p, x, w) -> bool:
     """Whether a row is past the root interval's range guard by a factor of 2
-    at least, read off binary logarithms."""
+    at least, read off binary logarithms: the weight sum ``B``, the spread
+    ``R``, ``R^|p|`` and ``B R^|p|``."""
     xs = [xi for xi, wi in zip(x, w) if wi]
     log_b = math.log2(math.fsum(wi for wi in w if wi))
     log_r = math.log2(max(xs)) - math.log2(min(xs))
-    if abs(log_b) > 901 or log_r > 901:
-        return True
-    if p == 0.0:
-        return False
-    logs = [p * math.log2(xi) for xi in xs]
-    top = max(logs)
-    log_a = top + math.log2(math.fsum(wi * 2.0 ** (v - top) for wi, v in zip(
-        [wi for wi in w if wi], logs)))
-    return (max(map(abs, logs)) > 901 or abs(p) * log_r > 901 or abs(log_a) > 901
-            or log_b + abs(p) * log_r > 901)
+    return abs(log_b) > 901 or log_r > 901 or abs(p) * log_r > 901 or log_b + abs(p) * log_r > 901
 
 
 @pytest.mark.kernel_parity
@@ -774,7 +808,8 @@ class TestRootInterval:
         p, x, w = row
         block = _filled(np.array([x]), np.array([w]))  # as the gate hands the lockstep its rows
         with np.errstate(all="ignore"):  # as in the lockstep
-            (a,), (b,) = (v[:, 0].tolist() for v in dev._certificate(p, block, np.array([w])))
+            (a,), (b,) = (v[:, 0].tolist() for v in dev._certificate(p, block, np.array([w]),
+                                                                     _spread(block)))
         _assert_certified_signs(p, [xi for xi, wi in zip(x, w) if wi], [wi for wi in w if wi],
                                 a, b, fractions)
 
@@ -788,12 +823,11 @@ class TestRootInterval:
         # nonzero weight only
         p, x, w = row
         x, w = [xi for xi, wi in zip(x, w) if wi], [wi for wi in w if wi]
-        a, b = (v[0].tolist() for v in dev._certificate(
-            p, np.array([x]), np.array([w]), prefixes=True))
+        a, b = (v[0].tolist() for v in dev._certificate(p, np.array([x]), np.array([w])))
         for k in range(1, len(x) + 1):
             _assert_certified_signs(p, x[:k], w[:k], a[k - 1], b[k - 1], fractions)
 
-    @pytest.mark.parametrize("p", [-2.0, 0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("p", [-2.0, 0.0, 0.5, 3.0, 1e-12, -1e-300])
     def test_scan_rows_skip_the_entries(self, p, monkeypatch):
         # the prefixes of one check at n = 56: entries in [0.1, 10] and
         # nonincreasing weights, each prefix a certified scalar solve, and
@@ -840,7 +874,7 @@ def _assert_certified_signs(p, x, w, a, b, fractions):
     assert a <= b
     lo, hi = min(x), max(x)
     f = shifted_power(p)
-    total = dev._homogeneous_total(f, dev._orientation(f), x, w)
+    total = dev._homogeneous_total(f, 1.0, x, w)  # f increases for every p
     below = [a, math.nextafter(a, 0.0), lo, lo + fractions[0] * (a - lo),
              lo + fractions[1] * (a - lo)]
     above = [b, math.nextafter(b, math.inf), hi, b + fractions[2] * (hi - b),
@@ -855,10 +889,10 @@ def _assert_certified_signs(p, x, w, a, b, fractions):
 
 @st.composite
 def _solve_rows(draw):
-    """``p`` in [-8, 8] (0 half as often as not) and up to 12 entries over
-    1e+-300 with weights over 1e+-8: rows whose spread or moments leave the
-    certificate's range included."""
-    p = draw(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)))
+    """``p`` from :data:`_EXPONENTS` and up to 12 entries over 1e+-300 with
+    weights over 1e+-8: rows whose spread or moments leave the certificate's
+    range included."""
+    p = draw(_EXPONENTS)
     n = draw(st.integers(1, 12))
     centre = draw(st.floats(-300.0, 300.0))
     spread = draw(st.floats(0.0, 600.0))
@@ -871,8 +905,8 @@ def _solve_rows(draw):
 @pytest.mark.kernel_parity
 @settings(max_examples=300, deadline=None)
 @given(_solve_rows())
-@example((-5e-17, [0.5, 2.0], [1.0, 1.0]))  # 2^p rounds to 1: the orientation of f(2) = 0
-# from p = 1024, f(2) = 2^p - 1 is beyond the float range: the orientation reads -f(1/2)
+@example((-5e-17, [0.5, 2.0], [1.0, 1.0]))  # 2^p - 1 rounds to 0; the expm1 form does not
+# from p = 1024, f(2) = (2^p - 1) / p is beyond the float range
 @example((1100.0, [1.0, 1.1], [1.0, 1.0]))
 @example((2000.0, [1.0, 1.1], [1.0, 1.0]))
 @example((5000.0, [1.0, 1.1], [1.0, 1.0]))
@@ -890,6 +924,35 @@ def test_builtin_solve_is_the_plain_solver(row):
         want if isinstance(want, tuple) else [want])
     assert _outcome(lambda: evaluate_prefixes(mean, x, w)) == _outcome(
         lambda: [homogeneous_deviation(f, x[:k], w[:k]) for k in range(1, len(x) + 1)])
+
+
+@pytest.mark.kernel_parity
+@pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-300, -1e-300, -5e-17, 1024.0, 2000.0, 5000.0,
+                               1e300, -1e300])
+@pytest.mark.parametrize("x, w", [([1.0, 1.1], [1.0, 1.0]), ([0.5, 2.0], [1.0, 1.0]),
+                                  ([1e-160, 1e160], [1.0, 1.0]),
+                                  ([1e-160, 1.0, 1e160], [1.0, 2.0, 3.0])])
+def test_extreme_exponents_give_a_value_or_a_typed_error(p, x, w):
+    """At every ``p``, ``evaluate_rows`` of ``homdev:shifted-power:p`` agrees
+    with ``evaluate``, and ``evaluate_prefixes`` with ``evaluate`` of each
+    prefix; each value lies in ``[min x, max x]`` of its entries, and each
+    error is a :class:`KedlayaError`: never a bare OverflowError or
+    ZeroDivisionError, never NaN."""
+    mean = mean_from_id(f"homdev:shifted-power:{p!r}")
+
+    def outcome(run, entries):
+        try:
+            ys = run()
+        except KedlayaError as exc:
+            return type(exc), str(exc)
+        for y, k in zip(ys, range(len(entries) - len(ys) + 1, len(entries) + 1)):
+            assert min(entries[:k]) <= y <= max(entries[:k]), (k, y)
+        return ys
+
+    want = outcome(lambda: [evaluate(mean, x, w)], x)
+    assert outcome(lambda: evaluate_rows(mean, np.array([x]), np.array([w])).tolist(), x) == want
+    assert outcome(lambda: evaluate_prefixes(mean, x, w), x) == outcome(
+        lambda: [evaluate(mean, x[:k], w[:k]) for k in range(1, len(x) + 1)], x)
 
 
 class TestCounterexampleMean:
@@ -956,22 +1019,22 @@ class TestCounterexampleMean:
 
 
 def _recording(calls: list) -> ModuleType:
-    """:data:`NUMPY`, keeping each call of its ``powers`` and ``logs`` steps
+    """:data:`ARRAYS`, keeping each call of its ``powers`` and ``logs`` steps
     in ``calls`` as ``(name, args after x, value)``."""
     def step(name):
         def run(x, *args):
-            calls.append((name, args, getattr(NUMPY, name)(x, *args)))
+            calls.append((name, args, getattr(ARRAYS, name)(x, *args)))
             return calls[-1][2]
         return run
 
     m = ModuleType("RECORDING")
-    vars(m).update(vars(NUMPY), powers=step("powers"), logs=step("logs"))
+    vars(m).update(vars(ARRAYS), powers=step("powers"), logs=step("logs"))
     return m
 
 
 def _replaying(calls: list, i: int) -> ModuleType:
     """:data:`FLOATS` whose ``powers`` and ``logs`` steps give, call by call,
-    row ``i`` of what :data:`NUMPY` gave in ``calls``."""
+    row ``i`` of what :data:`ARRAYS` gave in ``calls``."""
     values = (value[i].tolist() for _, _, value in calls)
     m = ModuleType("REPLAYING")
     vars(m).update(vars(FLOATS), powers=lambda x, c, r: next(values), logs=lambda x: next(values))
@@ -994,7 +1057,7 @@ def _entry_rows(draw):
 
 @pytest.mark.kernel_parity
 class TestNumpyTerms:
-    """A closed form's terms on :data:`NUMPY`, as both numpy drivers take
+    """A closed form's terms on :data:`ARRAYS`, as both numpy drivers take
     them, are its terms on :data:`FLOATS`: the same IEEE operations on the
     same values, but for the two steps numpy computes itself, the scaled
     powers ``(x/c)^r`` and the entry logs, each within an ulp of the scalar

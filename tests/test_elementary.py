@@ -90,6 +90,26 @@ def test_the_array_namespace_takes_a_function_s_array_form():
     assert ARRAYS.map(lambda t: t + 1.0, v).tolist() == [[2.0] * 3] * 2
 
 
+@pytest.mark.parametrize("mean_id", ["qa:log", "qa:pow:-1", "qa:pow:2"])
+def test_the_exact_driver_calls_no_numpy_log_or_exp(mean_id, monkeypatch):
+    """The quasi-arithmetic forms the exact prefix driver runs take no
+    ``log`` or ``exp`` from ``ARRAYS``, whose are numpy's: their bits do not
+    depend on numpy's SIMD dispatch."""
+    from kedlaya import deviation as dev
+    from kedlaya.means import evaluate_prefix_rows, mean_from_id
+
+    def numpy_call(*args):
+        raise AssertionError("numpy's log or exp was called")
+
+    rng = np.random.default_rng(4)
+    x, w = rng.uniform(0.5, 2.0, (5, 6)), rng.uniform(0.1, 1.0, (5, 6))
+    mean = mean_from_id(mean_id)
+    want = evaluate_prefix_rows(mean, x, w)
+    monkeypatch.setattr(dev.ARRAYS, "log", numpy_call)
+    monkeypatch.setattr(dev.ARRAYS, "exp", numpy_call)
+    assert evaluate_prefix_rows(mean, x, w).tolist() == want.tolist()
+
+
 def _ulps(f, x: float, exact) -> tuple:
     """The distance of ``f(x)`` from the value ``exact(mpmath, x)`` computes
     at 50 digits, in units of the last place of that value's binade (the
