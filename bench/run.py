@@ -4,6 +4,7 @@ written to ``BENCH_<short-sha>.json`` next to this script.
 
     python3 bench/run.py                   # this checkout
     python3 bench/run.py --root ../other   # another checkout's library
+    python3 bench/run.py --base HEAD~1     # this checkout against a revision
 
 End-to-end rows run the measured checkout's ``perfbench/run.py --workload
 <w> --seed 1 --seconds 15 --trace 0`` as a subprocess, one per workload, and
@@ -49,9 +50,21 @@ the two slowest ops of the ``probe`` workload in process:
 workload: ``proportional_set`` plus ``verify_proportionality`` at
 ``theta = 33/41`` (1353 rectangles), and whole ``cli.main`` commands, as
 perfbench runs them, of that ``proportional`` op, of seed 1's first
-1e6-cell ``proof-fn`` op and of seed 1's first ``concavity qa:log`` op
-(2400 trials, the median op of ``probe``; ``perfbench/workloads.py``).
+1e4-cell ``proof-fn`` op (the first of the plateau that holds ``proof``'s
+median) and its first 1e6-cell one, of seed 1's first ``concavity qa:log``
+op (2400 trials, the median op of ``probe``) and of seed 1's first ``sweep
+qa:log`` op (100 trials at n = 8; ``perfbench/workloads.py``).
 Only a whole command runs with the garbage collector paused.
+
+``--base <rev>`` compares instead, end to end. It checks ``rev`` out, and
+the tracked files of the measured checkout, each into a temporary git
+worktree, compiles both, runs ``perfbench/run.py`` on each as ``PAIRS``
+alternated pairs per workload (the base first in even pairs, the checkout
+first in odd ones) at ``--seed``, and writes
+``COMPARE_<base>_<checkout>_seed<seed>.json`` next to this script: for every
+metric of ``BENCHMARK.json``, each run's value, each side's median, the
+base's interquartile range and the pairs the checkout won (ties count for
+neither side), and each run's failed ops.
 
 A checkout with uncommitted changes to tracked files is named by the sha of
 its ``HEAD`` and a ``+``: its rows are those of a change on top of that
@@ -67,6 +80,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import zlib
 from fractions import Fraction
@@ -76,6 +90,8 @@ HERE = Path(__file__).resolve().parent
 WORKLOADS = ("sweep", "scan", "probe", "proof")
 HOMDEV = "homdev:shifted-power:{}"
 SWEEP_MEANS = ("power:0", "gini:0.5:0", "qa:log", "gini21")  # perfbench's sweep kinds
+# Alternated pairs per workload of a comparison, the fewest a claimed gain rests on.
+PAIRS = 10
 
 
 def _checkout(root: Path) -> str:
@@ -92,15 +108,73 @@ def _checkout(root: Path) -> str:
         return "unknown"
 
 
-def end_to_end(root: Path, workload: str) -> dict:
+def end_to_end(root: Path, workload: str, seed: int = 1) -> dict:
     """One perfbench run of ``workload``: its meta line and its metrics line."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", "1", "--seconds", "15", "--trace", "0"],
+                          "--seed", str(seed), "--seconds", "15", "--trace", "0"],
                          cwd=root, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     meta = next(line for line in lines if line.startswith("meta "))
     return {"workload": workload, "meta": json.loads(meta[len("meta "):]),
             "result": json.loads(lines[-1])}
+
+
+def _pairs(base: Path, head: Path, workload: str, seed: int) -> dict:
+    """:data:`PAIRS` alternated perfbench runs of ``workload`` on each checkout (the
+    base first in even pairs, the head first in odd ones) and, per metric, each
+    side's median, the base's interquartile range and the pairs the head won,
+    ties counting for neither side."""
+    runs: dict = {"base": [], "head": []}
+    for i in range(PAIRS):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+            result = end_to_end(base if side == "base" else head, workload, seed)["result"]
+            if not result["correct"]:
+                raise RuntimeError(f"{side} {workload} run {i} failed its checks")
+            runs[side].append(result)
+    better = {m["name"]: m["better"]
+              for m in json.loads((head / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {}
+    for name, way in better.items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        q1, _, q3 = statistics.quantiles(values["base"], n=4)
+        sign = 1 if way == "higher" else -1
+        metrics[name] = {"better": way, "base": values["base"], "head": values["head"],
+                         "base_median": statistics.median(values["base"]),
+                         "head_median": statistics.median(values["head"]),
+                         "base_iqr": q3 - q1,
+                         "head_won": sum(sign * (h - b) > 0 for b, h in zip(*values.values()))}
+    return {"workload": workload, "pairs": PAIRS, "metrics": metrics,
+            "failed": {side: [r["failed"] for r in runs[side]] for side in runs}}
+
+
+def compare(root: Path, rev: str, workloads: list, seed: int) -> Path:
+    """Check ``rev`` and the tracked files of ``root`` (``git stash create``,
+    or ``HEAD`` when nothing changed) out into two temporary git worktrees of
+    ``root``, compile both and write ``COMPARE_<base>_<head>_seed<seed>.json``
+    next to this script: the :func:`_pairs` of each workload.  Both sides run
+    from fresh checkouts side by side."""
+    def git(*args) -> str:
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    revs = {"base": rev, "head": git("stash", "create") or "HEAD"}
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {side: Path(tmp) / side for side in revs}
+        try:
+            for side, path in dirs.items():
+                git("worktree", "add", "--detach", str(path), revs[side])
+                subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=path,
+                               check=True)
+            report = {"base": _checkout(dirs["base"]), "head": _checkout(root), "seed": seed,
+                      "workloads": [_pairs(dirs["base"], dirs["head"], w, seed)
+                                    for w in workloads]}
+        finally:
+            for path in dirs.values():
+                if path.exists():
+                    git("worktree", "remove", "--force", str(path))
+    out = HERE / f"COMPARE_{report['base']}_{report['head']}_seed{seed}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    return out
 
 
 def _time(name: str, fn, k: int, per: int = 1) -> dict:
@@ -243,15 +317,20 @@ def micro_rows(quick: bool = False) -> list:
             if cli.main(list(argv)) != 0:
                 raise RuntimeError(f"{' '.join(argv)} failed")
 
-    band = "1e+02" if quick else "1e+06"
+    bands = ("1e+02", "1e+03") if quick else ("1e+04", "1e+06")
     concavity_op = list(_first_op("probe", "concavity qa:log"))
+    sweep_op = list(_first_op("sweep", "sweep qa:log"))
     if quick:
         concavity_op[concavity_op.index("--trials") + 1] = "16"
+        sweep_op[sweep_op.index("--trials") + 1] = "10"
     trials = concavity_op[concavity_op.index("--trials") + 1]
     for name, argv in ((f"proportional {theta}",
                         ("proportional", "--theta", theta, "--host", corners, "--json")),
-                       (f"proof-fn {band} seed 1", _first_op("proof", f"proof-fn {band}")),
-                       (f"concavity qa:log {trials}", concavity_op)):
+                       *((f"proof-fn {band} seed 1", _first_op("proof", f"proof-fn {band}"))
+                         for band in bands),
+                       (f"concavity qa:log {trials}", concavity_op),
+                       (f"sweep qa:log {sweep_op[sweep_op.index('--trials') + 1]} seed 1",
+                        sweep_op)):
         rows.append(_time(f"cli.main {name}", lambda: command(argv), k))
     return rows
 
@@ -260,8 +339,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=HERE.parent,
                         help="checkout to measure (default: this one)")
+    parser.add_argument("--base", metavar="REV",
+                        help="compare the checkout with this git revision of it, end to end")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench seed of the pairs")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma-separated workloads of the pairs")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    if args.base:
+        print(compare(root, args.base, args.workloads.split(","), args.seed))
+        return 0
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     checkout = _checkout(root)
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=root, check=True)

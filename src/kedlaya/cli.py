@@ -6,7 +6,7 @@ Subcommands: ``check``, ``sweep``, ``refute``, ``concavity``, ``axioms``,
 Exit codes: 0 when every finding passes, 1 on a violated or inconsistent
 finding (so CI can gate on it), 2 on usage errors.  Reports carry
 ``"schema": 1`` and contain no timestamps, so a fixed seed reproduces a
-byte-identical report.
+byte-identical report; record lists reach the JSON writer as column tables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from operator import itemgetter
 
 from . import concavity as conc
 from . import inequality as ineq
@@ -43,15 +42,15 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 
 
 def _column(col: list):
-    """The texts of one column of scalars, or None if it holds a container."""
+    """The texts of one column of scalars, or None if it holds a container.
+    A column of texts or of finite floats encodes each distinct item once."""
     kinds = set(map(type, col))
-    if kinds == {str}:
-        return list(map(_ESCAPE, col))
-    if kinds == {float} and all(map(math.isfinite, col)):
+    if kinds == {str} or kinds == {float} and all(map(math.isfinite, col)):
+        encode = _ESCAPE if kinds == {str} else float.__repr__
         distinct = set(col)  # a set merges -0.0 and 0.0, so a zero is written value by value
         if 0.0 in distinct or len(distinct) == len(col):
-            return list(map(float.__repr__, col))
-        return list(map(dict(zip(distinct, map(float.__repr__, distinct))).__getitem__, col))
+            return list(map(encode, col))
+        return list(map(dict(zip(distinct, map(encode, distinct))).__getitem__, col))
     if kinds == {int}:
         return list(map(int.__repr__, col))
     if any(issubclass(k, (list, tuple, dict)) for k in kinds):
@@ -59,39 +58,40 @@ def _column(col: list):
     return list(map(json.dumps, col))
 
 
-def _records(items, depth: int):
-    """The texts of a list of flat records written at ``depth``, or None.
+class _Table(dict):
+    """A list of flat records held as columns: each ``str`` key maps to a column
+    of scalars, or to a tuple of columns giving each record a list of that many
+    items.  It writes as its records, keys sorted, and has none with no column."""
 
-    Records are dicts with one set of ``str`` keys whose values are
-    scalars or flat lists of scalars, one length per key.  Each column is
-    encoded at once and every record fills one ``%`` template.
-    """
-    if set(map(type, items)) != {dict}:
-        return None
-    first = items[0]
-    if (set(map(len, items)) != {len(first)} or first.keys() != set().union(*items)
-            or set(map(type, first)) - {str}):
-        return None
-    pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+
+def _write_table(fields: _Table, depth: int, parts: list) -> None:
+    """Append the text of the records of ``fields`` at ``depth`` to ``parts``:
+    the columns' texts interleaved with the fragments of one record template."""
+    row, pad, inner = ("\n" + "  " * (depth + i) for i in (1, 2, 3))
     cols, slots = [], []
-    for name in sorted(first):
-        col = list(map(itemgetter(name), items))
-        if set(map(type, col)) <= {list, tuple}:
-            widths = set(map(len, col))
-            if len(widths) != 1:
-                return None
-            width = widths.pop()
-            cols += [list(map(itemgetter(i), col)) for i in range(width)]
-            slot = "[" + inner + ("," + inner).join(["%s"] * width) + pad + "]" if width else "[]"
+    for name, field in sorted(fields.items()):
+        if isinstance(field, tuple):
+            cols += field
+            width = len(field)
+            slot = "[" + inner + ("," + inner).join("\0" * width) + pad + "]" if width else "[]"
         else:
-            cols.append(col)
-            slot = "%s"
-        slots.append(_ESCAPE(name).replace("%", "%%") + ": " + slot)
-    texts = [_column(col) for col in cols]
-    if not texts or None in texts:
-        return None
-    template = "{" + pad + ("," + pad).join(slots) + "\n" + "  " * depth + "}"
-    return list(map(template.__mod__, zip(*texts)))
+            cols.append(field)
+            slot = "\0"
+        slots.append(_ESCAPE(name) + ": " + slot)
+    if not cols or not cols[0]:
+        parts.append("[]")
+        return
+    # an escaped text holds no raw NUL, so NUL marks each value slot
+    first, *joins = ("{" + pad + ("," + pad).join(slots) + row + "}").split("\0")
+    rows, step = len(cols[0]), 2 * len(cols)
+    last, joins[-1] = joins[-1], joins[-1] + "," + row + first
+    out = [None] * (step * rows)
+    for i, (col, join) in enumerate(zip(cols, joins)):
+        out[2 * i::step] = _column(col)
+        out[2 * i + 1::step] = [join] * rows
+    out[-1] = last + "\n" + "  " * depth + "]"
+    parts.append("[" + row + first)
+    parts += out
 
 
 def _write(o, depth: int, parts: list, open_ids: set) -> None:
@@ -100,12 +100,14 @@ def _write(o, depth: int, parts: list, open_ids: set) -> None:
     every level above it.
 
     Only a dict with ``str`` keys is walked here, and only a list of
-    scalars or of flat records is templated column by column; ``json``
+    scalars or a :class:`_Table` is written column by column; ``json``
     writes every other value, each raw newline of its text being a line
     break (it escapes those inside strings).
     """
     if not isinstance(o, (list, tuple, dict)):
         parts += _column([o])
+    elif type(o) is _Table:
+        _write_table(o, depth, parts)
     elif isinstance(o, dict) and o and set(map(type, o)) == {str}:
         if id(o) in open_ids:
             raise ValueError("Circular reference detected")
@@ -117,7 +119,7 @@ def _write(o, depth: int, parts: list, open_ids: set) -> None:
             sep = ","
         open_ids.discard(id(o))
         parts.append("\n" + "  " * depth + "}")
-    elif isinstance(o, dict) or not o or (texts := _records(o, depth + 1) or _column(o)) is None:
+    elif isinstance(o, dict) or not o or (texts := _column(o)) is None:
         parts.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth))
     else:
         pad = "\n" + "  " * (depth + 1)
@@ -130,13 +132,14 @@ def _write(o, depth: int, parts: list, open_ids: set) -> None:
 
 def _dumps(report) -> str:
     """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte, on any
-    input, and the same exception type where that raises.
+    input with each :class:`_Table` in place of its records, and the same
+    exception type where that raises.
 
     With ``indent`` set, ``json`` runs its generator-based pure-Python
     encoder.  This writer appends strings to one list, walks the
-    ``str``-keyed dicts of a report itself, and encodes each column of a
-    list of scalars or flat records with one C-level ``map``; it hands
-    every other value to ``json.dumps``.
+    ``str``-keyed dicts of a report itself, and encodes a list of scalars,
+    or each column of a table, with one C-level ``map``; it hands every
+    other value to ``json.dumps``.
     """
     parts: list = []
     _write(report, 0, parts, set())
@@ -154,8 +157,8 @@ def _emit(report: dict, fmt: str, out: str | None, text_lines=None) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["trial", "n", "gap", "verdict"])
-        for row in report["trials"]:
-            writer.writerow([row["trial"], row["n"], repr(row["gap"]), row["verdict"]])
+        t = report["trials"]
+        writer.writerows(zip(t["trial"], t["n"], map(repr, t["gap"]), t["verdict"]))
         payload = buf.getvalue()
     else:
         payload = "\n".join(text_lines()) + "\n"
@@ -205,18 +208,17 @@ def _cmd_sweep(args) -> int:
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
     gaps, verdicts = ineq.sweep_kedlaya(mean, args.n, args.trials, args.seed, args.max_den,
                                         args.tol, args.expect)
-    rows = [{"trial": t, "n": args.n, "gap": gap, "verdict": verdict}
-            for t, (gap, verdict) in enumerate(zip(gaps, verdicts))]
     counts: dict = {}
-    for row in rows:
-        counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
-    min_gap = min((r["gap"] for r in rows), default=0.0)
+    for verdict in verdicts:
+        counts[verdict] = counts.get(verdict, 0) + 1
+    min_gap = min(gaps, default=0.0)
     doc = {
         "schema": SCHEMA,
         "command": "sweep",
         "mean": str(mean),
         "n": args.n,
-        "trials": rows,
+        "trials": _Table({"trial": list(range(len(gaps))), "n": [args.n] * len(gaps),
+                          "gap": gaps, "verdict": verdicts}),
         "seed": args.seed,
         "summary": {"counts": counts, "min_gap": min_gap},
     }
@@ -287,10 +289,11 @@ def _cmd_proof_fn(args) -> int:
     f = stepfn.build_proof_function(x, w, args.j)
     jf = stepfn.jensen_fubini_sides(mean, f)
     ok = stepfn._matches_step(mean, x, w, args.j, jf, args.tol)
+    function = stepfn.function_columns(f)
     doc = {"schema": SCHEMA, "command": "proof-fn", "mean": str(mean),
            "j": args.j, "match": ok,
            "swap_sides": {"lhs": jf[0], "rhs": jf[1]},
-           "function": stepfn.function_to_json(f)}
+           "function": {**function, "pieces": _Table(function["pieces"])}}
     _emit(doc, "json" if args.format == "text" else args.format, args.out)
     return 0 if ok else 1
 
@@ -303,13 +306,14 @@ def _cmd_proportional(args) -> int:
     host = stepfn.rect(vals[0], vals[1], vals[2], vals[3])
     ps = stepfn.proportional_set(host, theta)
     ok, failures = stepfn.verify_proportionality(ps, explain=True)
+    rectangles = stepfn.rectangle_columns(ps)
     doc = {"schema": SCHEMA, "command": "proportional", "theta": str(theta),
            "host": {"x": [str(vals[0]), str(vals[1])],
                     "y": [str(vals[2]), str(vals[3])]},
-           "rectangles": stepfn.rectangles_to_json(ps),
+           "rectangles": _Table(rectangles),
            "verified": ok, "failures": failures}
     _emit(doc, args.format, args.out,
-          lambda: [f"theta={theta} host rectangles={len(doc['rectangles'])} verify={ok}"])
+          lambda: [f"theta={theta} host rectangles={len(rectangles['x'][0])} verify={ok}"])
     return 0 if ok else 1
 
 

@@ -15,7 +15,8 @@ the full slice measure), integrals of step functions under a weighted
 mean, the two sides of the swap inequality between the arithmetic
 integral and the mean integral, and the block construction that reduces
 the telescoping step of the weighted prefix-mean inequality to that swap
-inequality.
+inequality.  Its JSON wire format is columns (``function_columns``,
+``rectangle_columns``), and ``function_to_json`` is their record view.
 """
 
 from __future__ import annotations
@@ -119,9 +120,10 @@ class _Axis(NamedTuple):
         """One Fraction per distinct coordinate of the rectangles."""
         return {v: Fraction(v, self.scale) for v in {*self.lows, *self.highs}}
 
-    def texts(self) -> dict:
-        """One reduced ``p/q`` string per distinct coordinate of the rectangles."""
-        return {v: _ratio_text(v, self.scale) for v in {*self.lows, *self.highs}}
+    def text_columns(self) -> tuple:
+        """``lows`` and ``highs`` as reduced ``p/q`` strings, one per distinct coordinate."""
+        texts = {v: _ratio_text(v, self.scale) for v in {*self.lows, *self.highs}}
+        return list(map(texts.__getitem__, self.lows)), list(map(texts.__getitem__, self.highs))
 
 
 def _corners(xa: _Axis, ya: _Axis):  # (x0, x1, y0, y1) of each rectangle, in integers
@@ -522,21 +524,34 @@ def _ratio_text(v: int, scale: int) -> str:
     return str(v // g) if g == scale else f"{v // g}/{scale // g}"
 
 
-def function_to_json(f: SimpleFunction2D) -> dict:
-    """Serialize with rationals as ``p/q`` strings, one reduced string per
-    distinct integer coordinate (the domain's corners are piece corners);
-    neither ``f.pieces`` nor a Fraction is built."""
+def _record_view(table: dict) -> list:
+    """The records of a column table: one dict per row, a field that is a
+    nonempty tuple of columns giving each record a list of its row's items."""
+    cols = [map(list, zip(*field)) if isinstance(field, tuple) else field
+            for field in table.values()]
+    return [dict(zip(table, row)) for row in zip(*cols)]
+
+
+def function_columns(f: SimpleFunction2D) -> dict:
+    """The wire format of ``f``, its pieces a column table: ``"value"`` the piece
+    values, ``"x"`` and ``"y"`` the :meth:`_Axis.text_columns` of the lower and
+    upper ends; neither ``f.pieces`` nor a Fraction is built."""
     xa, ya = f._xa, f._ya
-    xt, yt = xa.texts(), ya.texts()
     return {"schema": 1,
-            "domain": {"x": [xt[xa.lo], xt[xa.hi]], "y": [yt[ya.lo], yt[ya.hi]]},
-            "pieces": [{"x": [xt[a], xt[b]], "y": [yt[c], yt[d]], "value": v}
-                       for a, b, c, d, v in f._boxes()]}
+            "domain": {"x": [_ratio_text(xa.lo, xa.scale), _ratio_text(xa.hi, xa.scale)],
+                       "y": [_ratio_text(ya.lo, ya.scale), _ratio_text(ya.hi, ya.scale)]},
+            "pieces": {"x": xa.text_columns(), "y": ya.text_columns(), "value": f._values}}
 
 
-def rectangles_to_json(ps: ProportionalSet) -> list:
-    """The rectangles of ``ps`` as ``{"x": [lo, hi], "y": [lo, hi]}`` records
-    of ``p/q`` strings, one reduced string per distinct integer coordinate;
-    neither ``ps.rectangles`` nor a Fraction is built."""
-    xt, yt = ps._xa.texts(), ps._ya.texts()
-    return [{"x": [xt[a], xt[b]], "y": [yt[c], yt[d]]} for a, b, c, d in _corners(ps._xa, ps._ya)]
+def function_to_json(f: SimpleFunction2D) -> dict:
+    """:func:`function_columns` with its pieces as records ``{"x": [lo, hi],
+    "y": [lo, hi], "value": v}``."""
+    doc = function_columns(f)
+    doc["pieces"] = _record_view(doc["pieces"])
+    return doc
+
+
+def rectangle_columns(ps: ProportionalSet) -> dict:
+    """The rectangles of ``ps`` as a column table of their ``"x"`` and ``"y"``
+    ends, as :func:`function_columns` gives pieces; no Fraction is built."""
+    return {"x": ps._xa.text_columns(), "y": ps._ya.text_columns()}

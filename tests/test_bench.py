@@ -4,6 +4,7 @@ it writes."""
 import importlib.util
 import json
 import re
+import statistics
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -27,7 +28,9 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"cli\.main proof-fn \S+ seed \d+",
     r"exact_prefix_sums \d+x\d+",
     r"cli\.main concavity \S+ \d+",
+    r"cli\.main sweep \S+ \d+ seed \d+",
 ))
+METRICS = {"setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb"}
 
 
 def _check_rows(rows: list) -> None:
@@ -55,8 +58,8 @@ def test_quick_micro_rows_have_the_schema():
     # sizes, exact_prefix_sums on four shapes, check_kedlaya of qa:log,
     # power:0 and gini:0.5:0, and sample_jensen_concavity of power:0.5 and
     # gini:2:1, a proportional set and its check, and whole proportional,
-    # proof-fn and concavity commands
-    assert len(rows) == 51
+    # proof-fn (two sizes), concavity and sweep commands
+    assert len(rows) == 53
 
 
 def test_committed_files_have_the_schema():
@@ -69,7 +72,30 @@ def test_committed_files_have_the_schema():
         assert [run["workload"] for run in report["end_to_end"]] == [
             "sweep", "scan", "probe", "proof"]
         for run in report["end_to_end"]:
-            assert run["result"]["correct"] and set(run["result"]["metrics"]) == {
-                "setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb"}
+            assert run["result"]["correct"] and set(run["result"]["metrics"]) == METRICS
         assert report["micro"]
         _check_rows(report["micro"])
+
+
+def test_committed_comparisons_have_the_schema():
+    # each summary is recomputed from the runs the file keeps
+    for path in sorted(BENCH.glob("COMPARE_*.json")):
+        report = json.loads(path.read_text())
+        assert set(report) == {"base", "head", "seed", "workloads"}
+        assert path.name == f"COMPARE_{report['base']}_{report['head']}_seed{report['seed']}.json"
+        assert report["workloads"]
+        for run in report["workloads"]:
+            assert set(run) == {"workload", "pairs", "metrics", "failed"}
+            assert run["workload"] in ("sweep", "scan", "probe", "proof") and run["pairs"] >= 2
+            assert all(len(run["failed"][side]) == run["pairs"] for side in ("base", "head"))
+            assert set(run["metrics"]) == METRICS
+            for m in run["metrics"].values():
+                base, head = m["base"], m["head"]
+                assert len(base) == len(head) == run["pairs"]
+                assert m["base_median"] == statistics.median(base)
+                assert m["head_median"] == statistics.median(head)
+                q1, _, q3 = statistics.quantiles(base, n=4)
+                assert m["base_iqr"] == q3 - q1
+                assert m["better"] in ("higher", "lower")
+                sign = 1 if m["better"] == "higher" else -1
+                assert m["head_won"] == sum(sign * (h - b) > 0 for b, h in zip(base, head))

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kedlaya import cli
 from kedlaya import inequality as ineq
@@ -24,6 +26,7 @@ from kedlaya import stepfn
 from kedlaya.cli import main
 from kedlaya.errors import Overflow
 from sweep_oracle import oracle_report, oracle_trial
+from test_stepfn import rational_hosts
 
 
 def run(capsys, *argv):
@@ -725,6 +728,29 @@ def test_golden_proof_report_bytes(capsys, tmp_path, argv, digest):
     assert path.read_bytes() == out.encode()
 
 
+# sha256 of csv and text reports, recorded before sweep trials and
+# proportional rectangles reached the writer as column tables.  The csv
+# report prints every gap with repr, so its digest moves with the draws, as
+# the JSON sweep digests above do.
+GOLDEN_TABLE_REPORTS = [
+    (("sweep", "--mean", "qa:log", "--n", "8", "--trials", "100", "--seed", "3",
+      "--format", "csv"),
+     "f2013cc824e476765dac936240833866a86e5fcd59f43c186990a4e1be9eed34"),
+    (("sweep", "--mean", "qa:log", "--n", "3", "--trials", "200", "--seed", "1", "--tol", "0.01"),
+     "f1375fe4ed0fcabb56abee650feeed64f5885516758778806f39ad42bb67ad76"),
+    (("proportional", "--theta", "33/41", "--host", "5/9,109/18,2/3,7/6"),
+     "2e657ebaf7d1bd82cc20f67803bdadcf2450f527b3b99509352d0419f907a63c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_TABLE_REPORTS,
+                         ids=["sweep qa:log csv", "sweep qa:log text", "proportional 33/41 text"])
+def test_golden_table_report_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestReportRoundTrip:
     @staticmethod
     def _round_trip(capsys, mean_id):
@@ -989,11 +1015,46 @@ _DOCUMENTS = st.recursive(
     max_leaves=30)
 
 
+@st.composite
+def _tables(draw):
+    """The fields of a column table: 0, 1 or many records, each field a
+    column of scalars or a tuple of 0 or 2 columns, some columns drawn from a
+    few items so that they repeat."""
+    rows = draw(st.sampled_from([0, 1]) | st.integers(2, 6))
+    fields = {}
+    for name in draw(st.lists(_TEXTS, max_size=4, unique=True)):
+        items = draw(st.sampled_from([_TEXTS, _FLOATS, _SCALARS, st.integers(), st.booleans()]))
+        if draw(st.booleans()):
+            items = st.sampled_from(draw(st.lists(items, min_size=1, max_size=3)))
+        column = st.lists(items, min_size=rows, max_size=rows)
+        width = draw(st.sampled_from([None, 0, 2]))
+        fields[name] = draw(column) if width is None else tuple(draw(column) for _ in range(width))
+    return fields
+
+
+def _record_view(fields: dict) -> list:
+    """The records a table of ``fields`` stands for, one list per tuple of columns."""
+    cols = [c for f in fields.values() for c in (f if isinstance(f, tuple) else [f])]
+    return [{k: [c[i] for c in f] if isinstance(f, tuple) else f[i] for k, f in fields.items()}
+            for i in range(len(cols[0]) if cols else 0)]
+
+
 class TestJsonWriter:
     @settings(max_examples=400, deadline=None)
     @given(_DOCUMENTS)
     def test_matches_json_dumps(self, doc):
         assert cli._dumps(doc) == _reference(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    @example({"x": ([], []), "value": []})
+    @example({"%s": [0.0, -0.0, 0.0], "w0": (), "w2": ([1, True, 1], ["a", "a", "%"])})
+    @example({"v": [math.nan, math.inf, -math.inf, 5e-324, 5e-324, 1.0], "\u00e9\"\\": ["\0"] * 6})
+    def test_table_matches_json_dumps_of_its_records(self, fields):
+        records = _record_view(fields)
+        assert cli._dumps(cli._Table(fields)) == _reference(records)
+        doc = {"a": {"t": cli._Table(fields)}, "b": [1.5]}
+        assert cli._dumps(doc) == _reference({"a": {"t": records}, "b": [1.5]})
 
     @settings(deadline=None)
     @given(st.dictionaries(_KEYS, _SCALARS, max_size=4))
@@ -1058,6 +1119,39 @@ class TestJsonWriter:
         loop.append({"a": loop})
         assert _outcome(cli._dumps, loop) is ValueError
         assert _outcome(_reference, loop) is ValueError
+
+
+@st.composite
+def _proof_argvs(draw):
+    """``proportional`` at ``theta = p/q``, q <= 60, on a rational host, or
+    ``proof-fn`` at j = n on 2-4 weights whose numerators and denominators
+    are at most 12 (weights outside V exit 2)."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 60))
+        host = draw(rational_hosts())
+        corners = (host.dx.lower, host.dx.upper, host.dy.lower, host.dy.upper)
+        return ["proportional", "--theta", str(Fraction(draw(st.integers(0, q)), q)),
+                "--host=" + ",".join(map(str, corners))]  # a corner may start with "-"
+    n = draw(st.integers(2, 4))
+    weight = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    x = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    return ["proof-fn", "--mean", draw(st.sampled_from(["qa:log", "power:0.5", "arithmetic"])),
+            "--x", ",".join(map(repr, x)),
+            "--w", ",".join(map(str, draw(st.lists(weight, min_size=n, max_size=n)))),
+            "--j", str(n)]
+
+
+@seed(43)
+@settings(max_examples=80, deadline=None)
+@given(_proof_argvs())
+def test_drawn_proof_reports_are_the_stdlibs_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--json"])
+    assert code in (0, 2), argv
+    if code == 0:
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from kedlaya.stepfn import (
     ProportionalSet,
     _Axis,
     _dtype,
+    _record_view,
     _sweep,
     QInterval,
     QRectangle,
@@ -28,7 +29,7 @@ from kedlaya.stepfn import (
     m_integral,
     proportional_set,
     rect,
-    rectangles_to_json,
+    rectangle_columns,
     verify_proof_construction,
     verify_proportionality,
 )
@@ -146,7 +147,7 @@ class TestProportionalIntegers:
     def test_matches_the_fraction_oracle(self, q, data, host):
         theta = Fraction(data.draw(st.integers(0, q)), q)
         ps, oracle = proportional_set(host, theta), proportional_oracle.rectangles(host, theta)
-        assert rectangles_to_json(ps) == proportional_oracle.rectangles_to_json(oracle)
+        assert _record_view(rectangle_columns(ps)) == proportional_oracle.rectangles_to_json(oracle)
         assert verify_proportionality(ps, explain=True) == verify_proportionality(
             ProportionalSet(oracle, theta, host), explain=True)
         assert ps._rectangles is None  # nothing above built the Fraction rectangles
@@ -170,7 +171,7 @@ class TestProportionalIntegers:
         rects = proportional_oracle.rectangles(UNIT, Fraction(2, 3))
         ps = ProportionalSet(list(rects), Fraction(2, 3), UNIT)
         assert ps.rectangles == rects
-        assert rectangles_to_json(ps) == proportional_oracle.rectangles_to_json(rects)
+        assert _record_view(rectangle_columns(ps)) == proportional_oracle.rectangles_to_json(rects)
 
 
 class TestSimpleFunctions:
