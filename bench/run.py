@@ -30,9 +30,14 @@ generator of ``tests/test_means.py``) and of the arithmetic mean,
 (819 x 10 at ``n_max = 5``, the rows ``sample_axiom_residuals`` hands it,
 with zero weights, which the gate of ``kedlaya.means`` fills),
 ``check_kedlaya_rows`` of each mean of the ``sweep`` workload on one seed-1
-sweep block (100 x 8), the two sides of that block for ``qa:log``
-(``evaluate_prefix_rows`` of the entries, and with ``last`` of the partial
-arithmetic means), the homogeneous-deviation family of acceptance
+sweep block (100 x 8), which takes both sides of the inequality from one
+prefix-rows call on the stacked entries and partial arithmetic means, the
+two sides of that block for ``qa:log`` as two calls (``evaluate_prefix_rows``
+of the entries, and with ``last`` of the partial arithmetic means),
+``sweep_kedlaya`` of each of those means at ``n = 8`` and ``n = 40`` with
+1000 trials, and of ``gini:0.5:0`` at ``n = 120`` with 200 trials, whose long
+rows the error rule of its prefix-rows driver leaves to the scalar
+scans, the homogeneous-deviation family of acceptance
 criterion 7 (the five axiom residuals on 1000 instances, the loop of
 ``tests/test_acceptance.py``), and ``kedlaya.elementary``'s ``log`` and
 ``exp``: a scalar call (the row is per call, timed over 6144 calls), the
@@ -219,7 +224,7 @@ def micro_rows(quick: bool = False) -> list:
     from kedlaya.concavity import _CHUNK, sample_jensen_concavity
     from kedlaya.deviation import GeneratorSpec, exact_prefix_sums
     from kedlaya.elementary import exp, log
-    from kedlaya.inequality import check_kedlaya, check_kedlaya_rows
+    from kedlaya.inequality import check_kedlaya, check_kedlaya_rows, sweep_kedlaya
     from kedlaya.means import (_AXIOM_BLOCK, _SIDES, MeanHandle, evaluate, evaluate_prefix_rows,
                                evaluate_rows, mean_from_id)
     from kedlaya.sampling import sweep_blocks
@@ -279,6 +284,11 @@ def micro_rows(quick: bool = False) -> list:
                       lambda: evaluate_prefix_rows(qa, sx, sw), k))
     rows.append(_time(f"evaluate_prefix_rows {qa} {trials}x8 last",
                       lambda: evaluate_prefix_rows(qa, sm, sw, last=True), k))
+    sweeps = [(sweep, n, 1000) for sweep in SWEEP_MEANS for n in (8, 40)]
+    for name, n, trials in [*sweeps, ("gini:0.5:0", 120, 200)]:
+        sweep, trials = mean_from_id(name), 10 if quick else trials
+        rows.append(_time(f"sweep_kedlaya {sweep} n={n} {trials}",
+                          lambda: sweep_kedlaya(sweep, n, trials, seed=1), k))
     trials = 10 if quick else 1000
     seed = zlib.crc32(str(mean).encode())  # criterion 7's own
     rows.append(_time(f"criterion 7 {mean} {trials} instances", lambda: _worst_axiom_residual(

@@ -593,11 +593,12 @@ _TINY = 2.0 ** -969
 
 
 def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
-                            last: bool = False) -> np.ndarray:
+                            last: bool | slice = False) -> np.ndarray:
     """``form``'s mean on every prefix ``x[i, :k]``, ``k = 1..n``, of every row
-    of ``(rows, n)`` entry and weight arrays (with ``last``, only the last
-    column), each within :data:`PREFIX_ROWS_RTOL` relative of the scalar
-    definition, or a row of NaN where that is not certain.
+    of ``(rows, n)`` entry and weight arrays (with ``last`` True, only the
+    last column; a slice ``last`` changes nothing), each within
+    :data:`PREFIX_ROWS_RTOL` relative of the scalar definition, or a row of
+    NaN where that is not certain.
 
     ``form`` must have an error rule.  Each sum is a numpy ``cumsum`` of its
     terms, scaled by the row's maximum or minimum (one scale per row), and
@@ -628,37 +629,61 @@ def closed_form_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
         bound = np.where(const, 0.0, form.error(*sums, *scales, k, x))
         trusted &= np.isfinite(out).all(axis=1) & (bound <= PREFIX_ROWS_RTOL / _U).all(axis=1)
     out[~trusted] = np.nan
-    return out[:, -1:] if last else out
+    return out[:, -1:] if last is True else out
 
 
 def closed_form_exact_prefix_rows(form: ClosedForm, x: np.ndarray, w: np.ndarray,
-                                  last: bool = False) -> np.ndarray:
+                                  last: bool | slice = False) -> np.ndarray:
     """The scalar definition of ``form``, which has no error rule, on every prefix
     of every row of ``(rows, n)`` arrays (with ``last``, on each whole row, as
-    a column), bit for bit as :func:`kedlaya.means.evaluate_prefixes` gives
-    it, on the rows of the gate.  One ``terms`` call takes the entries of
-    nonzero weight (the others' terms are exact zeros) and one ``finish``
-    call every prefix's sums, both with :data:`ARRAYS`.  A prefix of equal
-    entries, one of them of nonzero weight, is its first entry; the others
-    take :func:`exact_prefix_sums` per sum.  A prefix is NaN where a sum is
-    not certain (a prefix of no weight sums to 0), and every prefix that is
-    not constant is NaN if ``terms`` or ``finish`` raises an arithmetic or
-    value error.
+    a column; with ``last`` a slice of the rows, on each whole row it
+    selects, which fills that row), bit for bit as
+    :func:`kedlaya.means.evaluate_prefixes` gives it, on the rows of the
+    gate.  One ``terms`` call takes the entries of nonzero weight (the
+    others' terms are exact zeros), or the arrays as they are where every
+    weight is nonzero, both with :data:`ARRAYS`; each sum is one
+    :func:`exact_prefix_sums`, and :func:`_finished` takes each part of the
+    rows to the means.  A prefix is NaN where a sum is not certain (a prefix
+    of no weight sums to 0), and every prefix that is not constant is NaN if
+    ``terms`` raises an arithmetic or value error.
     """
     live = w != 0.0
-    cols = slice(-1 if last else 0, None)
     flip = np.transpose if np.isfortran(x) else np.asarray  # to memory order and back
     xs, ws, at = flip(x), flip(w), flip(live)
+    every = at.all()  # no entry to leave out: the terms take the arrays as they are
     try:
         sums = []
         for _, terms in form.sums:
-            for t in terms(xs[at], ws[at], 1.0, ARRAYS):
-                full = np.zeros(xs.shape)
-                full[at] = t
-                sums.append(exact_prefix_sums(flip(full))[:, cols])
-        out = form.finish(*sums, *[1.0] * len(form.sums), ARRAYS)
+            for t in terms(xs, ws, 1.0, ARRAYS) if every else terms(xs[at], ws[at], 1.0, ARRAYS):
+                if not every:  # the others' terms are exact zeros
+                    full = np.zeros(xs.shape)
+                    full[at] = t
+                    t = full
+                sums.append(exact_prefix_sums(flip(t)))
     except (ArithmeticError, ValueError):
-        out = np.full(x[:, cols].shape, np.nan)
+        sums = None
+    if not isinstance(last, slice):
+        return _finished(form, sums, x, live, last)
+    out = np.empty(x.shape)
+    for rows, whole in ((slice(last.start), False), (last, True)):  # last: one finished column
+        part = None if sums is None else [s[rows] for s in sums]
+        out[rows] = _finished(form, part, x[rows], live[rows], whole)
+    return out
+
+
+def _finished(form: ClosedForm, sums: Optional[list], x: np.ndarray, live: np.ndarray,
+              last: bool) -> np.ndarray:
+    """``form.finish`` on the prefix ``sums`` of the rows ``x`` (with ``last``,
+    on their last column), or NaN where ``sums`` is None or ``finish`` raises
+    an arithmetic or value error; a prefix of equal entries, one of them of
+    nonzero weight (``live``), is its first entry."""
+    cols = slice(-1 if last else 0, None)
+    out = np.full(x[:, cols].shape, np.nan)
+    if sums is not None:
+        try:
+            out = form.finish(*(s[:, cols] for s in sums), *[1.0] * len(form.sums), ARRAYS)
+        except (ArithmeticError, ValueError):
+            pass
     top, bottom = _ALONG_ROWS if last else _ALONG_PREFIXES
     i, k = np.nonzero((bottom(x) == top(x)) & top(live))
     out[i, k] = x[i, 0]

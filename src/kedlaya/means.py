@@ -12,10 +12,11 @@ weights.
 :class:`MeanHandle` packages a family tag, its id parameters, a domain
 and the family's kernels; :func:`evaluate` calls the scalar kernel (a
 closed form or the deviation solver), :func:`evaluate_prefixes` the prefix
-kernel, and :func:`evaluate_rows` and :func:`evaluate_prefix_rows` the
-array kernels, on the rows that pass one gate.  One family table reads
-string ids.  The ``check_*`` helpers return the numeric residual of each
-axiom on concrete inputs, through :func:`evaluate`;
+kernel, and :func:`evaluate_rows`, :func:`evaluate_prefix_rows` and
+:func:`evaluate_prefix_and_last_rows` the array kernels, on the rows that
+pass one gate.  One family table reads string ids.  The ``check_*``
+helpers return the numeric residual of each axiom on concrete inputs,
+through :func:`evaluate`;
 :func:`sample_axiom_residuals` (behind ``kedlaya axioms``) evaluates every
 side of many sampled identities through :func:`evaluate_rows`, on rows
 padded with zero weights.
@@ -154,7 +155,9 @@ class MeanHandle:
       and raising what the first failing call raises (see
       :func:`evaluate_prefixes`);
     - ``_prefix_rows(x, w, last)`` gives every prefix of every row, or with
-      ``last`` a column of each row's value (see :func:`evaluate_prefix_rows`).
+      ``last`` a column of each row's value (see :func:`evaluate_prefix_rows`);
+      with ``last`` a slice of the rows, the rows it selects need only their
+      value, in their last column (see :func:`evaluate_prefix_and_last_rows`).
 
     An array kernel gets only the rows of the gate, :func:`_settled`, and
     tests none of its contract: entries in ``domain``, valid weights, every
@@ -361,6 +364,17 @@ def _filled(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(live, x, np.where(live[rows, first], x[rows, first], np.nan)[:, None])
 
 
+def _least_weight(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> Optional[float]:
+    """The least weight where every row of ``x, w`` passes the gate at once:
+    ``x``'s minimum and maximum lie in ``mean.domain`` (an interval) and
+    ``0 <= min w``, ``0 < max w < inf``; else None."""
+    contains = mean.domain.contains
+    if (x.size and contains(x.min()) and contains(x.max())
+            and 0.0 <= (least := w.min()) and 0.0 < w.max() < math.inf):
+        return least
+    return None
+
+
 def _settled(mean: MeanHandle, kernel: Optional[Callable], scalar: Callable, x: np.ndarray,
              w: np.ndarray, shape: tuple, *args) -> np.ndarray:
     """The gate in front of every array kernel: ``kernel(x, w, *args)``, under
@@ -368,18 +382,15 @@ def _settled(mean: MeanHandle, kernel: Optional[Callable], scalar: Callable, x: 
     ``mean.domain`` and whose weights are valid (finite, nonnegative, one
     positive), as an array of ``shape``.  Every other row (an empty row
     too), every row with a value that is not finite, and with
-    ``kernel=None`` every row, then takes ``scalar(mean, x_i, w_i)`` in row
-    order, so the first failing row raises.  A row mask is built only when
-    ``x``'s minimum or maximum lies outside the domain (an interval), or
-    ``0 <= min w``, ``0 < max w < inf`` fails.  Where a weight is 0 the
-    kernel gets ``x`` :func:`_filled`: every entry of weight 0 equals one of
-    nonzero weight of its row, which leaves the row's value as it is
-    (elimination), and a row of zero weights, which passes the test beside
-    other rows, is all NaN."""
+    ``kernel=None`` every row, then takes ``scalar`` (:func:`_fill`).  A row
+    mask is built only when the block fails :func:`_least_weight`.  Where a
+    weight is 0 the kernel gets ``x`` :func:`_filled`: every entry of weight
+    0 equals one of nonzero weight of its row, which leaves the row's value
+    as it is (elimination), and a row of zero weights, which passes the
+    test beside other rows, is all NaN."""
     contains = mean.domain.contains
     with np.errstate(all="ignore"):
-        if (kernel and x.size and contains(x.min()) and contains(x.max())
-                and 0.0 <= (least := w.min()) and 0.0 < w.max() < math.inf):
+        if kernel and (least := _least_weight(mean, x, w)) is not None:
             out, good = kernel(x if least else _filled(x, w), w, *args), True
         else:
             out = np.full(shape, np.nan)
@@ -388,6 +399,14 @@ def _settled(mean: MeanHandle, kernel: Optional[Callable], scalar: Callable, x: 
                 out[good] = kernel(_filled(x[good], w[good]), w[good], *args)
         if math.isfinite(out.sum()) and (good is True or good.all()):
             return out
+    return _fill(mean, scalar, x, w, out, good)
+
+
+def _fill(mean: MeanHandle, scalar: Callable, x: np.ndarray, w: np.ndarray, out: np.ndarray,
+          good=True) -> np.ndarray:
+    """``out`` with ``scalar(mean, x_i, w_i)`` in every row ``i`` that is not
+    ``good`` (a row mask) or holds a value that is not finite, in row order,
+    so that the first failing row raises."""
     for i in np.flatnonzero(~(good & np.isfinite(out).reshape(len(out), -1).all(axis=1))).tolist():
         out[i] = scalar(mean, x[i].tolist(), w[i].tolist())
     return out
@@ -408,6 +427,34 @@ def evaluate_prefix_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray,
     if last:
         return _settled(mean, mean._prefix_rows, evaluate, x, w, (len(x), 1), True)[:, 0]
     return _settled(mean, mean._prefix_rows, evaluate_prefixes, x, w, x.shape, False)
+
+
+def evaluate_prefix_and_last_rows(mean: MeanHandle, x: np.ndarray, y: np.ndarray,
+                                  w: np.ndarray) -> tuple:
+    """``(evaluate_prefix_rows(mean, x, w), evaluate_prefix_rows(mean, y, w,
+    last=True))`` for ``(rows, n)`` arrays ``x`` and ``y`` on the same weights.
+
+    Where a mean has a prefix-rows kernel and the whole block passes the gate
+    (:func:`_least_weight`), both come from one kernel call on the stacked
+    ``(2 rows, n)`` block, built once in column-major order, with ``last``
+    the slice of ``y``'s rows.  A row of ``x`` that the kernel leaves
+    unsettled takes one :func:`evaluate_prefixes`, and one of ``y``, whose
+    last value alone is read, one :func:`evaluate`, as in the two calls.
+    """
+    rows, n = x.shape
+    if mean._prefix_rows:
+        block, weights = np.empty((2 * rows, n), order="F"), np.empty((2 * rows, n), order="F")
+        block[:rows], block[rows:], weights[:rows], weights[rows:] = x, y, w, w
+        with np.errstate(all="ignore"):
+            if (least := _least_weight(mean, block, weights)) is not None:
+                out = mean._prefix_rows(block if least else _filled(block, weights), weights,
+                                        slice(rows, None))
+                if math.isfinite(out.sum()):
+                    return out[:rows], out[rows:, -1]
+        if least is not None:  # the rows left unsettled
+            return (_fill(mean, evaluate_prefixes, x, w, out[:rows]),
+                    _fill(mean, evaluate, y, w, out[rows:, -1]))
+    return evaluate_prefix_rows(mean, x, w), evaluate_prefix_rows(mean, y, w, last=True)
 
 
 def evaluate_rows(mean: MeanHandle, x: np.ndarray, w: np.ndarray) -> np.ndarray:

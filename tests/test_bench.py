@@ -29,6 +29,7 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"exact_prefix_sums \d+x\d+",
     r"cli\.main concavity \S+ \d+",
     r"cli\.main sweep \S+ \d+ seed \d+",
+    r"sweep_kedlaya \S+ n=\d+ \d+",
 ))
 METRICS = {"setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb"}
 
@@ -54,12 +55,13 @@ def test_quick_micro_rows_have_the_schema():
     # check_kedlaya at three p, evaluate, evaluate_rows at three p on two
     # shapes, of six other means on one and of five on an axioms block,
     # check_kedlaya_rows of four means, the two sides of a qa:log sweep
-    # block, criterion 7, log and exp per scalar call and as arrays of four
+    # block, sweep_kedlaya of four means at two n and of one at n = 120,
+    # criterion 7, log and exp per scalar call and as arrays of four
     # sizes, exact_prefix_sums on four shapes, check_kedlaya of qa:log,
     # power:0 and gini:0.5:0, and sample_jensen_concavity of power:0.5 and
     # gini:2:1, a proportional set and its check, and whole proportional,
     # proof-fn (two sizes), concavity and sweep commands
-    assert len(rows) == 53
+    assert len(rows) == 62
 
 
 def test_committed_files_have_the_schema():

@@ -7,7 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from kedlaya import inequality as ineq
+from kedlaya import inequality as ineq, means
 from kedlaya.errors import (
     DomainViolation,
     FloatOverflow,
@@ -30,7 +30,8 @@ from kedlaya.inequality import (
     step_inequality,
     sweep_kedlaya,
 )
-from kedlaya.means import MeanHandle, evaluate, mean_from_id
+from kedlaya.means import (MeanHandle, evaluate, evaluate_prefix_and_last_rows,
+                           evaluate_prefix_rows, evaluate_prefixes, mean_from_id)
 from kedlaya.sampling import entries_log_uniform, rational_v_weights, sweep_blocks
 from kedlaya.weights import make_weights
 from sweep_oracle import oracle_trial
@@ -306,9 +307,96 @@ class TestSweepVerdicts:
         assert str(got.value) == str(want.value)
 
 
+def _partial_means(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The partial arithmetic means of a block, as check_kedlaya_rows takes them."""
+    m = np.cumsum(w * x, axis=1) / np.cumsum(w, axis=1)
+    m[:, 0] = x[:, 0]
+    return m
+
+
+def _same_bits(got, want) -> bool:
+    """The same floats bit for bit, the positions of NaN included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(got)
+    return (got.shape == want.shape and (nan == np.isnan(want)).all()
+            and (got[~nan].view(np.uint64) == want[~nan].view(np.uint64)).all())
+
+
+@pytest.mark.kernel_parity
+class TestStackedSides:
+    """Both sides of a block from one prefix-rows kernel call on the stacked
+    entries and partial means."""
+
+    @pytest.mark.parametrize("mean_id, n, trials, seed, max_den, scans", [
+        # the error rule leaves rows of both halves of the stacked block to the scans
+        ("power:0", 200, 20, 4, 9, True),
+        ("gini:0.5:0", 120, 30, 2, 9, True),
+        ("power:0", 40, 40, 5, 60, False),  # weights inverted on Python ints
+    ])
+    def test_long_rows_give_the_scalar_verdicts(self, mean_id, n, trials, seed, max_den, scans):
+        mean = mean_from_id(mean_id)
+        x, w, _ = next(sweep_blocks(seed, range(trials), n, max_den, trials))
+        with np.errstate(all="ignore"):
+            raw = mean._prefix_rows(np.concatenate((x, _partial_means(x, w))),
+                                    np.concatenate((w, w)), False)
+        left = ~np.isfinite(raw).all(axis=1)
+        assert left[:trials].any() == left[trials:].any() == scans
+        gaps, verdicts = sweep_kedlaya(mean, n, trials, seed, max_den=max_den)
+        want = [oracle_trial(mean, n, seed, t, max_den=max_den) for t in range(trials)]
+        assert verdicts == [r.verdict for r in want]
+        for gap, r in zip(gaps, want):
+            assert abs(gap - r.gap) <= 1e-13 * abs(r.rhs)
+
+    @pytest.mark.parametrize("mean_id", ["power:0", "gini:0.5:0", "qa:log", "gini21",
+                                         "gini:2:1", "qa:pow:-1"])
+    @pytest.mark.parametrize("n", [2, 8, 13, 40])
+    def test_one_stacked_call_is_two_calls_in_either_order(self, mean_id, n):
+        mean = mean_from_id(mean_id)
+        for seed in (1, 6):
+            x, w, _ = next(sweep_blocks(seed, range(24), n, 9, 24))
+            m = _partial_means(x, w)
+            want = (evaluate_prefix_rows(mean, x, w), evaluate_prefix_rows(mean, m, w, last=True))
+            if mean_id.startswith("qa:"):  # the exact driver: the scalar bits
+                scalar = [[*evaluate_prefixes(mean, xi, wi), evaluate(mean, mi, wi)]
+                          for xi, mi, wi in zip(x.tolist(), m.tolist(), w.tolist())]
+                assert _same_bits(np.column_stack(want), scalar)
+            for order in ("C", "F"):
+                got = evaluate_prefix_and_last_rows(
+                    mean, *(np.asarray(v, order=order) for v in (x, m, w)))
+                assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+            block, weights, last = np.concatenate((x, m)), np.concatenate((w, w)), slice(24, None)
+            with np.errstate(all="ignore"):  # the kernel call of the stacked block, in both orders
+                c = mean._prefix_rows(block, weights, last)
+                f = mean._prefix_rows(np.asfortranarray(block), np.asfortranarray(weights), last)
+            assert _same_bits(c, f)
+
+    def test_an_unsettled_partial_means_row_takes_one_evaluate(self, monkeypatch):
+        mean, n, trials = mean_from_id("power:0"), 200, 20
+        x, w, _ = next(sweep_blocks(4, range(trials), n, 9, trials))
+        m = _partial_means(x, w)
+        with np.errstate(all="ignore"):
+            left = ~np.isfinite(mean._prefix_rows(m, w, True)[:, 0])
+        assert left.any()
+        calls = []
+
+        def counting(name, fn):
+            def call(mean, xi, wi):
+                calls.append((name, xi))
+                return fn(mean, xi, wi)
+            monkeypatch.setattr(means, name, call)
+
+        counting("evaluate", means.evaluate)
+        counting("evaluate_prefixes", means.evaluate_prefixes)
+        check_kedlaya_rows(mean, x, w)
+        rows = m.tolist()
+        assert [xi for name, xi in calls if name == "evaluate"] == [
+            rows[i] for i in np.flatnonzero(left)]
+        assert not [xi for name, xi in calls if name == "evaluate_prefixes" and xi in rows]
+
+
 class TestSweepMemory:
     def test_peak_does_not_grow_with_the_trials(self):
-        # blocks of 2048 trials at n = 8; all 20000 trials at once peak at
+        # blocks of 512 trials at n = 8; all 20000 trials at once peak at
         # about 14 MB
         tracemalloc.start()
         try:
