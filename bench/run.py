@@ -53,10 +53,14 @@ the two slowest ops of the ``probe`` workload in process:
 ``sample_jensen_concavity`` of ``power:0.5`` at 90000 trials and of
 ``gini:2:1`` at 75000, ``n = 2``, and the exact geometry of the ``proof``
 workload: ``proportional_set`` plus ``verify_proportionality`` at
-``theta = 33/41`` (1353 rectangles), and whole ``cli.main`` commands, as
-perfbench runs them, of that ``proportional`` op, of seed 1's first
-1e4-cell ``proof-fn`` op (the first of the plateau that holds ``proof``'s
-median) and its first 1e6-cell one, of seed 1's first ``concavity qa:log``
+``theta = 33/41`` (1353 rectangles), the stages of a ``proof-fn`` command
+(``build_proof_function``, ``jensen_fubini_sides`` of ``qa:log``,
+``function_columns`` and the writer's ``_dumps`` of the function) on seed 1's
+first 1e5-cell and first 1e6-cell ``proof-fn`` ops, and whole ``cli.main``
+commands, as perfbench runs them, of that ``proportional`` op, of seed 1's
+first 1e4-cell ``proof-fn`` op (the first of the plateau that holds ``proof``'s
+median), its first 1e5-cell one (the band of ``proof``'s tail) and its first
+1e6-cell one, of seed 1's first ``concavity qa:log``
 op (2400 trials, the median op of ``probe``) and of seed 1's first ``sweep
 qa:log`` op (100 trials at n = 8; ``perfbench/workloads.py``).
 Only a whole command runs with the garbage collector paused.
@@ -228,6 +232,7 @@ def micro_rows(quick: bool = False) -> list:
     from kedlaya.means import (_AXIOM_BLOCK, _SIDES, MeanHandle, evaluate, evaluate_prefix_rows,
                                evaluate_rows, mean_from_id)
     from kedlaya.sampling import sweep_blocks
+    from kedlaya.weights import weights_from_strings
     from test_acceptance import _worst_axiom_residual
 
     def draw(seed, n):
@@ -327,7 +332,21 @@ def micro_rows(quick: bool = False) -> list:
             if cli.main(list(argv)) != 0:
                 raise RuntimeError(f"{' '.join(argv)} failed")
 
-    bands = ("1e+02", "1e+03") if quick else ("1e+04", "1e+06")
+    bands = ("1e+02", "1e+03") if quick else ("1e+04", "1e+05", "1e+06")
+    for band in bands[-2:]:
+        argv = _first_op("proof", f"proof-fn {band}")
+        x, w, j = (argv[argv.index(option) + 1] for option in ("--x", "--w", "--j"))
+        x, j = cli._parse_floats(x), int(j)
+        w = weights_from_strings(w.split(","), cls="W0", exact=True)
+        f = stepfn.build_proof_function(x, w, j)
+        table = stepfn.function_columns(f)
+        report = {"function": {**table, "pieces": cli._Table(table["pieces"])}}
+        for stage, run in (("build_proof_function", lambda: stepfn.build_proof_function(x, w, j)),
+                           ("jensen_fubini_sides qa:log",
+                            lambda: stepfn.jensen_fubini_sides(qa, f)),
+                           ("function_columns", lambda: stepfn.function_columns(f)),
+                           ("_dumps function", lambda: cli._dumps(report))):
+            rows.append(_time(f"{stage} proof-fn {band} seed 1", run, k))
     concavity_op = list(_first_op("probe", "concavity qa:log"))
     sweep_op = list(_first_op("sweep", "sweep qa:log"))
     if quick:

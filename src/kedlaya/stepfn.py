@@ -32,8 +32,9 @@ from .errors import LengthMismatch, NonpositiveWeight, Overflow, ThetaOutOfRange
 from .means import MeanHandle, evaluate, weighted_average
 from .weights import RATIONAL, as_weight_vector, integers_over_lcm, partial_sums
 
-# The pieces a construction may make: 340 MB at the 1.3 KB a proof-fn piece costs at its
-# peak (190 B of JSON, its objects, sweep rows and writer buffers; 3e4-1.2e5 pieces measured).
+# The pieces a construction may make: 290 MB at the 1.1 KB a proof-fn piece costs at its
+# peak RSS (210 B of JSON, its text columns, sweep rows and writer buffers; 0.9-1.1 KB
+# measured at 3e4-1.2e5 pieces).
 MAX_PIECES = 2 ** 18
 
 
@@ -105,29 +106,51 @@ class SimpleFunction1D:
 
 
 class _Axis(NamedTuple):
-    """One axis of a host and its rectangles, in integers over ``scale``."""
+    """One axis of a host and its rectangles, in integers over ``scale``:
+    ``lows`` and ``highs`` are arrays, int64 while they fit and Python ints
+    beyond; a function's axes are in the :func:`_dtype` of their sweeps."""
 
     lo: int
     hi: int
-    lows: list
-    highs: list
+    lows: np.ndarray
+    highs: np.ndarray
     scale: int
 
-    def extents(self) -> list:
-        return [b - a for a, b in zip(self.lows, self.highs)]
+    def extents(self) -> np.ndarray:
+        return self.highs - self.lows
+
+    def cast(self, dtype=None) -> "_Axis":
+        """The axis on ``dtype`` arrays; by default on int64 where its ends,
+        its length and its coordinates fit, and on Python ints beyond."""
+        if dtype is None:
+            try:
+                return self.cast(_int_dtype(self.lo, self.hi))
+            except OverflowError:
+                return self.cast(object)
+        return self._replace(lows=np.asarray(self.lows, dtype), highs=np.asarray(self.highs, dtype))
+
+    def _distinct(self) -> tuple:  # the distinct coordinates, and each end's index among them
+        return np.unique(np.concatenate((self.lows, self.highs)), return_inverse=True)
 
     def fractions(self) -> dict:
         """One Fraction per distinct coordinate of the rectangles."""
-        return {v: Fraction(v, self.scale) for v in {*self.lows, *self.highs}}
+        return {v: Fraction(v, self.scale) for v in self._distinct()[0].tolist()}
 
     def text_columns(self) -> tuple:
-        """``lows`` and ``highs`` as reduced ``p/q`` strings, one per distinct coordinate."""
-        texts = {v: _ratio_text(v, self.scale) for v in {*self.lows, *self.highs}}
-        return list(map(texts.__getitem__, self.lows)), list(map(texts.__getitem__, self.highs))
+        """``lows`` and ``highs`` as reduced ``p/q`` strings: one gcd and one
+        string per distinct coordinate."""
+        coords, inverse = self._distinct()
+        if self.scale >= 2 ** 63:
+            coords = coords.astype(object)
+        g = np.gcd(coords, self.scale)
+        texts = np.array([f"{a}/{b}" if b != 1 else str(a) for a, b in
+                          zip((coords // g).tolist(), (self.scale // g).tolist())], object)
+        column = texts[inverse].tolist()
+        return column[:len(self.lows)], column[len(self.lows):]
 
 
-def _corners(xa: _Axis, ya: _Axis):  # (x0, x1, y0, y1) of each rectangle, in integers
-    return zip(xa.lows, xa.highs, ya.lows, ya.highs)
+def _corners(xa: _Axis, ya: _Axis):  # (x0, x1, y0, y1) of each rectangle, in Python ints
+    return zip(xa.lows.tolist(), xa.highs.tolist(), ya.lows.tolist(), ya.highs.tolist())
 
 
 def _axes(host: QRectangle, rects) -> tuple:
@@ -136,14 +159,23 @@ def _axes(host: QRectangle, rects) -> tuple:
     for r in rects:
         xvals += r.dx
         yvals += r.dy
-    return tuple(_Axis(lo, hi, ends[::2], ends[1::2], scale)
+    return tuple(_Axis(lo, hi, ends[::2], ends[1::2], scale).cast()
                  for (lo, hi, *ends), scale in map(integers_over_lcm, (xvals, yvals)))
 
 
 def _escaping(xa: _Axis, ya: _Axis) -> list:
     """Indices of the rectangles that are empty or escape the host."""
-    return [k for k, (a, b, c, d) in enumerate(_corners(xa, ya))
-            if not (xa.lo <= a < b <= xa.hi and ya.lo <= c < d <= ya.hi)]
+    inside = ((xa.lo <= xa.lows) & (xa.lows < xa.highs) & (xa.highs <= xa.hi)
+              & (ya.lo <= ya.lows) & (ya.lows < ya.highs) & (ya.highs <= ya.hi))
+    return np.flatnonzero(~inside).tolist()
+
+
+def _exact_sum(a) -> int:
+    """The sum of the integers ``a``.  An int64 array is summed as its high
+    and its low 31 bits, whose sums cannot overflow below 2^31 entries."""
+    if isinstance(a, np.ndarray) and a.dtype == np.int64:
+        return (int((a >> 31).sum()) << 31) + int((a & (2 ** 31 - 1)).sum())
+    return sum(a)
 
 
 class _Sweep(NamedTuple):
@@ -159,26 +191,33 @@ class _Sweep(NamedTuple):
     ends: tuple
 
 
-def _dtype(axis: _Axis, cross: list):
-    """int64 while the coordinates and the length of ``axis`` and the summed
-    ``cross`` measure, which bounds every partial sum of a sweep, are below
-    2^63; Python ints beyond."""
-    return np.int64 if max(-axis.lo, axis.hi, axis.hi - axis.lo, sum(cross)) < 2 ** 63 else object
+def _int_dtype(lo: int, hi: int, total: int = 0):
+    """int64 while ``-lo``, ``hi``, ``hi - lo`` and ``total`` are below 2^63;
+    Python ints beyond."""
+    return np.int64 if max(-lo, hi, hi - lo, total) < 2 ** 63 else object
 
 
-def _sweep(axis: _Axis, cross: list, values) -> _Sweep:
+def _dtype(axis: _Axis, cross):
+    """The :func:`_int_dtype` of ``axis`` and its summed ``cross`` measure,
+    which bounds every partial sum of a sweep."""
+    return _int_dtype(axis.lo, axis.hi, _exact_sum(cross))
+
+
+def _sweep(axis: _Axis, cross, values, ranked=None) -> _Sweep:
     """One sweep line along ``axis`` on a table of breaks by distinct values,
     in :func:`_dtype`: each piece adds its cross measure to its value's
     column at the rank of its lower end and takes it off at the rank of its
     upper one, so a cumsum down the breaks leaves each slice's profile in
-    its row.  Values are ranked by ``np.unique``: -0.0 and 0.0 are one
-    value, and so are all NaNs, which sort last."""
+    its row.  Values are ranked by ``np.unique`` (``ranked``, where the
+    caller has done it): -0.0 and 0.0 are one value, and so are all NaNs,
+    which sort last."""
     n, dtype = len(cross), _dtype(axis, cross)
-    breaks, rank = np.unique(np.array([axis.lo, axis.hi, *axis.lows, *axis.highs], dtype),
-                             return_inverse=True)
+    breaks, rank = np.unique(np.concatenate((np.array([axis.lo, axis.hi], dtype),
+                                             np.asarray(axis.lows, dtype),
+                                             np.asarray(axis.highs, dtype))), return_inverse=True)
     lo, hi = rank[2:n + 2], rank[n + 2:]
-    vals, col = np.unique(values, return_inverse=True)
-    table, cross = np.zeros((len(breaks), len(vals)), dtype), np.array(cross, dtype)
+    vals, col = np.unique(values, return_inverse=True) if ranked is None else ranked
+    table, cross = np.zeros((len(breaks), len(vals)), dtype), np.asarray(cross, dtype)
     np.add.at(table, (lo, col), cross)
     np.add.at(table, (hi, col), -cross)
     index: dict = {}  # distinct rows in order of first appearance
@@ -215,23 +254,27 @@ class SimpleFunction2D:
                    pieces)
 
     @classmethod
-    def _from_ints(cls, bounding: QRectangle, xa: _Axis, ya: _Axis, values: list):
+    def _from_ints(cls, bounding: QRectangle, xa: _Axis, ya: _Axis, values):
         """The function whose piece i is ``[xa.lows[i], xa.highs[i]) x [ya.lows[i],
         ya.highs[i])`` with float value ``values[i]``, checked as ``__init__`` checks it."""
         return cls.__new__(cls)._tile(bounding, xa, ya, values, None)
 
-    def _tile(self, bounding: QRectangle, xa: _Axis, ya: _Axis, values: list, pieces):
-        self.bounding, self._xa, self._ya, self._values = bounding, xa, ya, values
-        self._pieces = pieces
+    def _tile(self, bounding: QRectangle, xa: _Axis, ya: _Axis, values, pieces):
+        self.bounding, self._pieces = bounding, pieces
+        self._xa, self._ya = xa, ya = xa.cast(), ya.cast()
+        self._values = values = np.asarray(values, float)
         if escaping := _escaping(xa, ya):
             raise ValueError(f"piece {self.pieces[escaping[0]][0]} escapes the bounding rectangle")
         dx, dy = xa.extents(), ya.extents()
-        area = sum(a * b for a, b in zip(dx, dy))
-        if area != (xa.hi - xa.lo) * (ya.hi - ya.lo):
+        # each product is at most the bounding area, so int64 holds it below 2^63
+        full = (xa.hi - xa.lo) * (ya.hi - ya.lo)
+        if (area := _exact_sum((dx if full < 2 ** 63 else dx.astype(object)) * dy)) != full:
             raise ValueError(
                 f"pieces do not tile the bounding rectangle exactly: their areas "
                 f"sum to {Fraction(area, xa.scale * ya.scale)}, not {bounding.area}")
-        self._x, self._y = _sweep(xa, dy, values), _sweep(ya, dx, values)
+        self._xa, self._ya = xa, ya = xa.cast(_dtype(xa, dy)), ya.cast(_dtype(ya, dx))
+        ranked = np.unique(values, return_inverse=True)
+        self._x, self._y = _sweep(xa, dy, values, ranked), _sweep(ya, dx, values, ranked)
         # corner parity over the sweeps' ranks, corner (xi, yi) packed as xi * ny + yi
         (a, b), (c, d), ny = self._x.ends, self._y.ends, len(self._y.breaks)
         packed, count = np.unique(np.concatenate([a * ny + c, a * ny + d, b * ny + c, b * ny + d]),
@@ -247,8 +290,9 @@ class SimpleFunction2D:
                 f"{'even' if min(odd) in corners else 'odd'} number of times")
         return self
 
-    def _boxes(self):  # (x0, x1, y0, y1, value) of each piece, in integers
-        return zip(self._xa.lows, self._xa.highs, self._ya.lows, self._ya.highs, self._values)
+    def _boxes(self):  # (x0, x1, y0, y1, value) of each piece, in Python ints and floats
+        xa, ya = self._xa, self._ya
+        return zip(*(a.tolist() for a in (xa.lows, xa.highs, ya.lows, ya.highs, self._values)))
 
     @property
     def pieces(self) -> tuple:
@@ -321,11 +365,12 @@ class ProportionalSet:
 
 
 def _edges(iv: QInterval, q: int) -> tuple:
-    """``(edges, scale)``: the ``q + 1`` points ``lower + (upper - lower) i / q``
-    of ``iv`` in integers over ``scale = lcm(den lower, den upper) q``."""
+    """``(lo, hi, edges, scale)``: the ``q + 1`` points ``lower + (upper - lower) i / q``
+    of ``iv`` in integers over ``scale = lcm(den lower, den upper) q``, ``lo`` and ``hi``
+    the ends, ``edges`` all of them on an array in :func:`_int_dtype`."""
     scale = math.lcm(iv.lower.denominator, iv.upper.denominator) * q
     lo, hi = (v.numerator * (scale // v.denominator) for v in iv)
-    return range(lo, hi + 1, (hi - lo) // q), scale
+    return lo, hi, lo + (hi - lo) // q * np.arange(q + 1, dtype=_int_dtype(lo, hi)), scale
 
 
 def proportional_set(host: QRectangle, theta) -> ProportionalSet:
@@ -345,12 +390,11 @@ def proportional_set(host: QRectangle, theta) -> ProportionalSet:
     if p * q > MAX_PIECES:
         raise Overflow(f"the proportional set of theta = {theta} has {p * q} pieces, more "
                        f"than the bound of {MAX_PIECES}")
-    (xs, sx), (ys, sy) = _edges(host.dx, q), _edges(host.dy, q)
-    cols = [i for i in range(q) for _ in range(p)]
-    rows = [r % q for i in range(q) for r in range(i, i + p)]
-    return ProportionalSet._from_ints(
-        theta, host, _Axis(xs[0], xs[-1], [xs[i] for i in cols], [xs[i + 1] for i in cols], sx),
-        _Axis(ys[0], ys[-1], [ys[r] for r in rows], [ys[r + 1] for r in rows], sy))
+    cols = np.repeat(np.arange(q), p)
+    rows = (cols + np.tile(np.arange(p), q)) % q
+    (xlo, xhi, xs, sx), (ylo, yhi, ys, sy) = _edges(host.dx, q), _edges(host.dy, q)
+    return ProportionalSet._from_ints(theta, host, _Axis(xlo, xhi, xs[cols], xs[cols + 1], sx),
+                                      _Axis(ylo, yhi, ys[rows], ys[rows + 1], sy))
 
 
 def verify_proportionality(ps: ProportionalSet, explain: bool = False):
@@ -369,7 +413,7 @@ def verify_proportionality(ps: ProportionalSet, explain: bool = False):
         if failures:
             break
         want = tp * (other.hi - other.lo)
-        sweep = _sweep(axis, other.extents(), [0.0] * len(axis.lows))
+        sweep = _sweep(axis, other.extents(), np.zeros(len(axis.lows)))
         for b, nxt, profile in zip(sweep.breaks, sweep.breaks[1:], sweep.profiles):
             active = sum(m for _, m in profile)
             if active * tq != want:
@@ -415,15 +459,6 @@ def jensen_fubini_sides(mean: MeanHandle, f: SimpleFunction2D) -> tuple:
 # ---------------------------------------------------------------------------
 # The proof-function construction
 # ---------------------------------------------------------------------------
-
-def _wrap_runs(start: int, length: int, q: int) -> list:
-    """Cyclic run ``start .. start+length-1 (mod q)`` as linear column runs."""
-    if length <= 0:
-        return []
-    if start + length <= q:
-        return [(start, start + length)]
-    return [(start, q), (0, start + length - q)]
-
 
 def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
     """Assemble the block step function whose swap-inequality sides equal
@@ -473,22 +508,32 @@ def build_proof_function(x: Sequence[float], w, j: int) -> SimpleFunction2D:
                        f"bound of {MAX_PIECES}")
     sx = math.lcm(s_full.denominator, *(s_left.denominator * q for q in qs))
     sy = math.lcm(*(v.denominator * q for v, q in zip(lam, qs)))  # den(S_k) divides it
-    left, full = int(s_left * sx), int(s_full * sx)
-    pieces = []  # (x0, x1, y0, y1, value)
-    for k, theta in enumerate(thetas, 1):
-        p, q = theta.numerator, theta.denominator
-        col, y0, step = left // q, int(sums[k - 1] * sy), int(lam[k - 1] * sy) // q
-        for r in range(q):
-            lo = y0 + step * r
-            # selected columns in row r form the cyclic run ending at r
-            for start, length, value in (((r - p + 1) % q, p, m[k - 2]),
-                                         ((r + 1) % q, q - p, m[k - 1])):
-                pieces += [(col * c0, col * c1, lo, lo + step, value)
-                           for c0, c1 in _wrap_runs(start, length, q)]
-        pieces.append((left, full, y0, y0 + step * q, float(x[k - 1])))
-    xl, xh, yl, yh, values = map(list, zip(*pieces))
-    return SimpleFunction2D._from_ints(rect(0, s_full, 0, s_full), _Axis(0, full, xl, xh, sx),
-                                       _Axis(0, int(s_full * sy), yl, yh, sy), values)
+    left, full, top = int(s_left * sx), int(s_full * sx), int(s_full * sy)
+    qa = np.array(qs)
+    b = np.repeat(np.arange(j), qa)  # row i of the left blocks is row r[i] of block b[i] + 1
+    r = np.arange(len(b)) - (np.cumsum(qa) - qa)[b]
+    p, q = np.array([t.numerator for t in thetas])[b], qa[b]
+    # Row r keeps the cyclic run of p columns ending at r and gives the q - p
+    # after it to m_k.  Slots 0-3 of a row are those runs, each split where it
+    # wraps, and slot 4 is the right block, kept after the block's last row;
+    # taken row by row, the kept slots are the pieces block by block.
+    s1, s2 = (r - p + 1) % q, (r + 1) % q
+    e1, e2 = s1 + p, s2 + q - p
+    keep = np.array([p > 0, e1 > q, p < q, e2 > q, r == q - 1]).T
+    col = np.array([left // q for q in qs], _int_dtype(0, full))[b]
+    xl = col * np.array([s1, 0 * r, s2, 0 * r, q])  # col * q is left
+    xh = col * np.array([np.minimum(e1, q), e1 - q, np.minimum(e2, q), e2 - q, q])
+    xh[4] = full
+    ys = np.array([int(v * sy) for v in sums[:j + 1]], _int_dtype(0, top))
+    step = np.array([int(v * sy) // q for v, q in zip(lam, qs)], ys.dtype)[b]
+    yl = np.repeat((ys[b] + step * r)[None], 5, axis=0)
+    yh = yl + step
+    yl[4], yh[4] = ys[b], ys[b + 1]
+    mk = np.array(m[:j])
+    values = np.array([mk[np.arange(j) - 1]] * 2 + [mk] * 2 + [np.array(x[:j], float)])[:, b]
+    return SimpleFunction2D._from_ints(rect(0, s_full, 0, s_full),
+                                       _Axis(0, full, xl.T[keep], xh.T[keep], sx),
+                                       _Axis(0, top, yl.T[keep], yh.T[keep], sy), values.T[keep])
 
 
 def verify_proof_construction(mean: MeanHandle, x, w, j: int,
@@ -540,7 +585,7 @@ def function_columns(f: SimpleFunction2D) -> dict:
     return {"schema": 1,
             "domain": {"x": [_ratio_text(xa.lo, xa.scale), _ratio_text(xa.hi, xa.scale)],
                        "y": [_ratio_text(ya.lo, ya.scale), _ratio_text(ya.hi, ya.scale)]},
-            "pieces": {"x": xa.text_columns(), "y": ya.text_columns(), "value": f._values}}
+            "pieces": {"x": xa.text_columns(), "y": ya.text_columns(), "value": f._values.tolist()}}
 
 
 def function_to_json(f: SimpleFunction2D) -> dict:

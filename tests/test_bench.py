@@ -26,6 +26,8 @@ KNOWN_ROWS = tuple(re.compile(pattern) for pattern in (
     r"proportional_set\+verify_proportionality \d+/\d+",
     r"cli\.main proportional \d+/\d+",
     r"cli\.main proof-fn \S+ seed \d+",
+    r"(build_proof_function|jensen_fubini_sides qa:log|function_columns|_dumps function) "
+    r"proof-fn \S+ seed \d+",
     r"exact_prefix_sums \d+x\d+",
     r"cli\.main concavity \S+ \d+",
     r"cli\.main sweep \S+ \d+ seed \d+",
@@ -59,9 +61,10 @@ def test_quick_micro_rows_have_the_schema():
     # criterion 7, log and exp per scalar call and as arrays of four
     # sizes, exact_prefix_sums on four shapes, check_kedlaya of qa:log,
     # power:0 and gini:0.5:0, and sample_jensen_concavity of power:0.5 and
-    # gini:2:1, a proportional set and its check, and whole proportional,
-    # proof-fn (two sizes), concavity and sweep commands
-    assert len(rows) == 62
+    # gini:2:1, a proportional set and its check, four stages of proof-fn
+    # on two ops, and whole proportional, proof-fn (two sizes), concavity and
+    # sweep commands
+    assert len(rows) == 70
 
 
 def test_committed_files_have_the_schema():

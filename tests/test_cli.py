@@ -705,6 +705,15 @@ GOLDEN_PROOF_REPORTS = [
       "--x", "7.29545,5.44645,0.73326,0.38707,0.101514,0.188927,5.23669",
       "--w", "1,13,98,112,224,896/5,1176/5", "--j", "7"),
      "28bea0c921a4736a87c3425a2c0e21edf5b8c33c7e79da0e958987eaebd35d37"),
+    # seed 1's first 1e5-cell and first 1e6-cell proof-fn ops of perfbench's proof workload
+    (("proof-fn", "--mean", "qa:log", "--x", "0.2998,9.68872,1.21181,0.104694,2.19791,2.79535",
+      "--w", "1,17/2,57/2,228/5,209/15,1463/195", "--j", "6"),
+     "3ebda3a6eefd27b0ce20ba07df3ab9868ef33313fd4c7a2062e59f91ae5f3f07"),
+    (("proof-fn", "--mean", "qa:log",
+      "--x", "1.79909,0.102525,9.61345,9.0144,0.338522,1.96144,2.48435,7.34503,2.5842",
+      "--w", "1,20/3,92/5,1173/20,10166/135,13294/135,46529/360,46529/540,511819/10440",
+      "--j", "9"),
+     "d4e72b938dc051cc915c5a24a3e1cf88df0845964e68c7633b21d26b16d65f18"),
     (("proportional", "--theta", "2/3", "--host", "0,1,0,1"),
      "8b42aa184a3ff246724416c446f281038ac2277ca5b2fdda5bf809eb3debfa5e"),
     (("proportional", "--theta", "6/19", "--host", "1/2,10,1/8,65/8"),
@@ -717,6 +726,7 @@ GOLDEN_PROOF_REPORTS = [
 @pytest.mark.parametrize("argv, digest", GOLDEN_PROOF_REPORTS,
                          ids=["power:0 j=3", "gini:0.5:0 j=3", "qa:log 987 cells",
                               "qa:log 10412 cells", "qa:log 31234 cells",
+                              "qa:log 101311 cells", "qa:log 1008680 cells",
                               "proportional 2/3", "proportional 6/19",
                               "proportional 33/41"])
 def test_golden_proof_report_bytes(capsys, tmp_path, argv, digest):

@@ -689,8 +689,8 @@ def _sweeps_agree(got, axis, cross, values) -> None:
 
 def _stretched(axis, k: int):
     """The same axis in integers over ``k`` times its scale."""
-    return axis._replace(lo=axis.lo * k, hi=axis.hi * k, lows=[v * k for v in axis.lows],
-                         highs=[v * k for v in axis.highs], scale=axis.scale * k)
+    return axis._replace(lo=axis.lo * k, hi=axis.hi * k, lows=axis.lows.astype(object) * k,
+                         highs=axis.highs.astype(object) * k, scale=axis.scale * k)
 
 
 class TestArraySweep:
@@ -729,14 +729,17 @@ class TestArraySweep:
         _sweeps_agree(got, axis, cross, [1.5, 1.5])
         assert got.profiles == [((1.5, sum(cross)),), ()]
 
-    @pytest.mark.parametrize("d, dtype", [(2 ** 62 - 2, np.int64), (2 ** 62 - 1, object)])
+    @pytest.mark.parametrize("d, dtype", [(2 ** 62 - 2, np.int64), (2 ** 62 - 1, object),
+                                          (2 ** 64 + 1, object)])
     def test_a_proof_function_on_each_side_of_the_gate(self, d, dtype):
-        # weights (1, 1/d) at j = 2: each sweep's cross measures sum to 2d + 2
+        # weights (1, 1/d) at j = 2: each sweep's cross measures sum to 2d + 2;
+        # at d = 2^64 + 1 the construction's own coordinates pass 2^63
         x, w = [2.0, 3.0], [Fraction(1), Fraction(1, d)]
         f, g = build_proof_function(x, w, 2), proof_oracle.build_proof_function(x, w, 2)
         for sweep, axis, other in ((f._x, f._xa, f._ya), (f._y, f._ya, f._xa)):
             assert sum(other.extents()) == 2 * d + 2
             assert _dtype(axis, other.extents()) is dtype
+            assert axis.lows.dtype == axis.highs.dtype == dtype
             _sweeps_agree(sweep, axis, other.extents(), f._values)
         assert function_to_json(f) == proof_oracle.function_to_json(g)
         assert verify_proof_construction(GEO, x, w, 2)
